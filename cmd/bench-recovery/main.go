@@ -15,8 +15,9 @@
 //     fetcher that fans stripes out to every intact replica concurrently.
 //   - End-to-end time-to-recover: the scenario engine's mid-iteration
 //     kill -9 with the delta engine enabled, decomposed into
-//     detect → ack → rebuild → restore from the trace counters, and
-//     required to classify as recovered.
+//     detect → ack → rebuild → restore from the trace counters (detection
+//     split into pushed and interval-bound), and required to classify as
+//     recovered.
 //
 // Usage: go run ./cmd/bench-recovery [-payload N] [-versions N] [-out FILE]
 package main
@@ -90,38 +91,27 @@ func main() {
 	fmt.Printf("  striped:    %.2f ms (%.0f MB/s, %.2fx)\n", restore.StripedMs, restore.StripedMBpS, restore.Speedup)
 
 	fmt.Println("end-to-end time-to-recover: kill -9 mid-iteration, delta engine")
-	ttr, err := experiment.RunTTRBench(cfg, false)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ttr arm:", err)
-		os.Exit(1)
+	var ttrs [3]experiment.TTRRow
+	for i, mode := range []experiment.TTRMode{experiment.TTRGlobal, experiment.TTRLocalized, experiment.TTRFailover} {
+		row, err := experiment.RunTTRBenchMode(cfg, mode)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ttr arm:", err)
+			os.Exit(1)
+		}
+		ttrs[i] = row
 	}
-	fmt.Printf("  global:    outcome %s in %.2f s wall; detect %.2f + ack %.2f + rebuild %.2f + restore %.2f = ttr %.2f ms (restores l/n/r/p %s)\n",
-		ttr.Outcome, ttr.WallS, ttr.DetectMs, ttr.AckMs, ttr.RebuildMs, ttr.RestoreMs, ttr.TTRMs, ttr.RestoreSources)
-	ttrLoc, err := experiment.RunTTRBench(cfg, true)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ttr localized arm:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("  localized: outcome %s in %.2f s wall; detect %.2f + ack %.2f + localized %.2f + restore %.2f = ttr %.2f ms (restores l/n/r/p %s)\n",
-		ttrLoc.Outcome, ttrLoc.WallS, ttrLoc.DetectMs, ttrLoc.AckMs, ttrLoc.LocalizedMs, ttrLoc.RestoreMs, ttrLoc.TTRMs, ttrLoc.RestoreSources)
-	ttrFo, err := experiment.RunTTRBenchMode(cfg, experiment.TTRFailover)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ttr failover arm:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("  failover:  outcome %s in %.2f s wall; detect %.2f + ack %.2f + localized %.2f + failover %.2f + restore %.2f = ttr %.2f ms (iters lost %d)\n",
-		ttrFo.Outcome, ttrFo.WallS, ttrFo.DetectMs, ttrFo.AckMs, ttrFo.LocalizedMs, ttrFo.FailoverMs, ttrFo.RestoreMs, ttrFo.TTRMs, ttrFo.ItersLost)
+	fmt.Print(experiment.RenderTTR(ttrs[:]))
 
 	res := output{
-		Benchmark:  "recovery",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
+		Benchmark:    "recovery",
+		GOOS:         runtime.GOOS,
+		GOARCH:       runtime.GOARCH,
+		NumCPU:       runtime.NumCPU(),
 		Checkpoint:   rows,
 		Restore:      restore,
-		TTR:          ttr,
-		TTRLocalized: ttrLoc,
-		TTRFailover:  ttrFo,
+		TTR:          ttrs[0],
+		TTRLocalized: ttrs[1],
+		TTRFailover:  ttrs[2],
 	}
 	blob, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

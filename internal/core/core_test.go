@@ -597,3 +597,68 @@ func TestTwoProcsPerNodeNodeFailure(t *testing.T) {
 	// converged lowest eigenvalue is comparable.
 	expectEigs(t, got, want, 1e-6, 1, "ppn2-node-failure")
 }
+
+// TestLateSpareIsStillActivated: the spare the FD will pick reaches Main
+// long after the workers have started, lost a rank, and been acknowledged.
+// Without the start-up barrier the FD's board write finds no board on the
+// spare, the activation is lost, and the survivors stall in the group
+// commit waiting for a rescue that never comes. (The delay stands for a
+// process whose goroutine the host had not scheduled yet; it is the one
+// thing a channel cannot model. With detection and acknowledgment pushed,
+// the real window is a few milliseconds after launch.)
+func TestLateSpareIsStillActivated(t *testing.T) {
+	want := referenceEigs(t)
+	f := ftCfg()
+	f.StallLimit = time.Second
+	cfg := core.Config{
+		Spares: 2, FT: f, EnableHC: true, EnableCP: true, CheckpointEvery: 10,
+		FailPlan: map[int64][]int{5: {1}}, // logical 1 exits at iteration 5
+	}
+	procs := 1 + cfg.Spares + testWorker
+	lay := cfg.Layout(procs)
+	recs := make([]*trace.Recorder, procs)
+	for i := range recs {
+		recs[i] = trace.NewRecorder()
+	}
+	var mu sync.Mutex
+	var instances []*apps.Lanczos
+	newApp := func() core.App {
+		a := apps.NewLanczos(apps.LanczosConfig{
+			Gen:  testGen,
+			Opts: lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
+		})
+		mu.Lock()
+		instances = append(instances, a)
+		mu.Unlock()
+		return a
+	}
+	cl := cluster.New(clusterCfg(procs), func(ctx *cluster.ProcCtx) error {
+		if ctx.Rank() == 1 {
+			time.Sleep(100 * time.Millisecond)
+		}
+		return core.Main(ctx, cfg, lay, newApp, recs[ctx.Rank()])
+	})
+	t.Cleanup(cl.Close)
+	res, ok := cl.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	victim := lay.InitialPhysical(1)
+	for _, r := range res {
+		if r.Rank != victim && (r.Err != nil || r.Death != nil) {
+			t.Fatalf("rank %d: err %v, death %+v", r.Rank, r.Err, r.Death)
+		}
+	}
+	if recs[0].Counter(trace.KFDRecoveries) != 1 {
+		t.Fatalf("recoveries = %d", recs[0].Counter(trace.KFDRecoveries))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, a := range instances {
+		if s := a.Solver(); s != nil && s.Finished() && len(s.Eigs) > 0 {
+			expectEigs(t, s.Eigs, want, 1e-6, 1, "late spare")
+			return
+		}
+	}
+	t.Fatal("no rank finished with eigenvalues")
+}

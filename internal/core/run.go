@@ -64,6 +64,17 @@ func Main(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, r
 	if err := ft.CreateBoard(p, lay); err != nil {
 		return err
 	}
+	// Every board must exist before anybody can be told about a failure.
+	// The FD acknowledges within a fraction of a millisecond of a death now
+	// (a survivor's nudge starts the scan, the board write wakes the
+	// blocked ranks), and a spare whose goroutine had not yet been
+	// scheduled to create its board would lose the write that activates
+	// it — the survivors then wait in the group commit for a rescue that
+	// never comes. The communication timeouts used to hide this start-up
+	// race behind ten milliseconds of sleeping.
+	if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+		return fmt.Errorf("core: start-up barrier: %w", err)
+	}
 
 	switch lay.RoleOf(p.Rank()) {
 	case ft.RoleDetector:

@@ -14,7 +14,9 @@ package experiment
 //     tier walk vs the striped multi-source fetcher.
 //  3. End-to-end time-to-recover: the scenario engine's mid-iteration
 //     kill -9 with the delta engine enabled, decomposed into
-//     detect → ack → rebuild → restore from the trace counters.
+//     detect → ack → rebuild → restore from the trace counters, with
+//     detection split into pushed (a survivor's nudge started the scan)
+//     and interval-bound (the scan waited for ScanInterval).
 //
 // cmd/bench-recovery drives all three and emits BENCH_recovery.json.
 
@@ -31,6 +33,7 @@ import (
 	"repro/internal/gaspi"
 	"repro/internal/lanczos"
 	"repro/internal/matrix"
+	"repro/internal/trace"
 )
 
 // RecoveryBenchConfig parameterizes the recovery trajectory run.
@@ -272,7 +275,7 @@ type RestoreBenchRow struct {
 func RunRestoreBench(c RecoveryBenchConfig) (RestoreBenchRow, error) {
 	c = c.WithDefaults()
 	row := RestoreBenchRow{BlobBytes: c.RestoreBytes, Sources: c.Replicas + 1}
-	cl, err := idleCluster(c.Replicas + 1, c.Seed)
+	cl, err := idleCluster(c.Replicas+1, c.Seed)
 	if err != nil {
 		return row, err
 	}
@@ -361,12 +364,22 @@ func RunRestoreBench(c RecoveryBenchConfig) (RestoreBenchRow, error) {
 // TTRRow is the end-to-end time-to-recover of a mid-iteration kill -9
 // with the delta engine enabled, under either repair mode.
 type TTRRow struct {
-	Scenario  string  `json:"scenario"`
-	Outcome   string  `json:"outcome"`
-	WallS     float64 `json:"wall_s"`
-	DetectMs  float64 `json:"detect_ms"`
-	AckMs     float64 `json:"ack_ms"`
-	RebuildMs float64 `json:"rebuild_ms"`
+	Scenario string  `json:"scenario"`
+	Outcome  string  `json:"outcome"`
+	WallS    float64 `json:"wall_s"`
+	DetectMs float64 `json:"detect_ms"`
+	// DetectPushedMs/DetectIntervalMs split DetectMs by what started the
+	// detecting scan: a survivor's NotifSuspect nudge (protocol time) or
+	// the FD's scan interval (timer time; the only path for a failure
+	// nobody is blocked on). One kill per arm, so one of them is zero.
+	DetectPushedMs   float64 `json:"detect_pushed_ms"`
+	DetectIntervalMs float64 `json:"detect_interval_ms"`
+	// AcksWoken/AcksTimedOut: blocked workers the acknowledgment woke vs
+	// workers that found it after their communication timeout expired.
+	AcksWoken    int64   `json:"acks_woken"`
+	AcksTimedOut int64   `json:"acks_timed_out"`
+	AckMs        float64 `json:"ack_ms"`
+	RebuildMs    float64 `json:"rebuild_ms"`
 	// LocalizedMs is the localized-repair phase time (the O(degree)
 	// path's replacement for the global rebuild phase; zero on the
 	// global-recommit arm).
@@ -384,6 +397,28 @@ type TTRRow struct {
 	RestoreSources string `json:"restore_sources"`
 }
 
+// RenderTTR formats the time-to-recover arms as one table. Detection has
+// two columns: pushed (a survivor's nudge started the detecting scan — the
+// time is protocol) and interval-bound (the scan waited out ScanInterval —
+// the time is a timer); "woken/timeout" is how the acknowledgment reached
+// the blocked workers.
+func RenderTTR(rows []TTRRow) string {
+	f := func(v float64) string { return fmt.Sprintf("%.2f", v) }
+	cells := make([][]string, 0, len(rows))
+	for _, r := range rows {
+		cells = append(cells, []string{
+			r.Scenario, r.Outcome, f(r.DetectPushedMs), f(r.DetectIntervalMs),
+			fmt.Sprintf("%d/%d", r.AcksWoken, r.AcksTimedOut),
+			f(r.AckMs), f(r.RebuildMs), f(r.LocalizedMs), f(r.FailoverMs), f(r.RestoreMs),
+			f(r.TTRMs), fmt.Sprintf("%d", r.ItersLost), r.RestoreSources,
+		})
+	}
+	return trace.Table([]string{
+		"arm", "outcome", "detect pushed[ms]", "detect interval[ms]", "woken/timeout",
+		"ack[ms]", "rebuild[ms]", "localized[ms]", "failover[ms]", "restore[ms]",
+		"ttr[ms]", "iters lost", "src l/n/r/p"}, cells)
+}
+
 // TTRMode selects the repair/restore path of the time-to-recover arm.
 type TTRMode int
 
@@ -397,16 +432,6 @@ const (
 	// phase, no recomputed iterations.
 	TTRFailover
 )
-
-// RunTTRBench runs the kill-mid-iteration scenario under the delta engine
-// and decomposes its time-to-recover; kept for the two original arms.
-func RunTTRBench(c RecoveryBenchConfig, localized bool) (TTRRow, error) {
-	mode := TTRGlobal
-	if localized {
-		mode = TTRLocalized
-	}
-	return RunTTRBenchMode(c, mode)
-}
 
 // RunTTRBenchMode runs one time-to-recover arm: the scenario engine's
 // mid-iteration kill -9 of logical 1 with the delta engine enabled, under
@@ -444,19 +469,26 @@ func RunTTRBenchMode(c RecoveryBenchConfig, mode TTRMode) (TTRRow, error) {
 	res := RunScenario(sc, gen, spec, ref[0])
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	row := TTRRow{
-		Scenario:    spec.Scenario.Name,
-		Outcome:     res.Outcome.String(),
-		WallS:       res.Wall.Seconds(),
-		DetectMs:    ms(res.DetectNS),
-		AckMs:       ms(res.AckNS),
-		RebuildMs:   ms(res.RebuildNS),
-		LocalizedMs: ms(res.LocalizedNS),
-		FailoverMs:  ms(res.FailoverNS),
-		RestoreMs:   ms(res.RestoreNS),
-		TTRMs:       ms(int64(res.TTR())),
-		ItersLost:   res.RedoIters,
+		Scenario:     spec.Scenario.Name,
+		Outcome:      res.Outcome.String(),
+		WallS:        res.Wall.Seconds(),
+		DetectMs:     ms(res.DetectNS),
+		AcksWoken:    res.AcksWoken,
+		AcksTimedOut: res.AcksTimedOut,
+		AckMs:        ms(res.AckNS),
+		RebuildMs:    ms(res.RebuildNS),
+		LocalizedMs:  ms(res.LocalizedNS),
+		FailoverMs:   ms(res.FailoverNS),
+		RestoreMs:    ms(res.RestoreNS),
+		TTRMs:        ms(int64(res.TTR())),
+		ItersLost:    res.RedoIters,
 		RestoreSources: fmt.Sprintf("%d/%d/%d/%d",
 			res.RestoreLocal, res.RestoreNeighbor, res.RestoreRemote, res.RestorePFS),
+	}
+	if res.PushedRecoveries > 0 {
+		row.DetectPushedMs = row.DetectMs
+	} else {
+		row.DetectIntervalMs = row.DetectMs
 	}
 	if !res.Ok() {
 		return row, fmt.Errorf("recovery bench: scenario %q ended %v (want %v): %s",

@@ -319,6 +319,12 @@ type ScenarioResult struct {
 	// DetectNS is the worst-case fault-detection time (OHF1): a worker
 	// first stalling on the failure to the acknowledgment arriving.
 	DetectNS int64
+	// PushedRecoveries counts the recoveries whose detecting scan a
+	// survivor's nudge started (the rest of Recoveries waited for the scan
+	// interval); AcksWoken/AcksTimedOut count how the acknowledgment
+	// reached blocked workers: woken by the attention line, or found after
+	// the communication timeout expired.
+	PushedRecoveries, AcksWoken, AcksTimedOut int64
 	// AckNS/RebuildNS/LocalizedNS/FailoverNS/RestoreNS decompose recovery
 	// time by machine phase (max across ranks — the critical path).
 	// LocalizedNS is the localized path's replacement for the rebuild
@@ -505,6 +511,9 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	out.Recoveries = sum.SumCounter[trace.KFDRecoveries]
 	out.EpochRestarts = sum.SumCounter[ft.CounterEpochRestarts]
 	out.DetectNS = sum.MaxCounter[ft.CounterDetectNS]
+	out.PushedRecoveries = sum.SumCounter[trace.KFDRecoveriesNudged]
+	out.AcksWoken = sum.SumCounter[trace.KFTAckWoken]
+	out.AcksTimedOut = sum.SumCounter[trace.KFTAckTimedOut]
 	out.AckNS = sum.MaxCounter[ft.CounterAckNS]
 	out.RebuildNS = sum.MaxCounter[ft.CounterRebuildNS]
 	out.LocalizedNS = sum.MaxCounter[ft.CounterLocalizedNS]

@@ -128,6 +128,18 @@ func DecodeNotice(b []byte) (*Notice, error) {
 	return n, nil
 }
 
+// DetectorRank returns the rank running the fault detector in this notice
+// (a promoted standby after the original FD died), or NilRank once the FD
+// has joined the workers.
+func (n *Notice) DetectorRank() Rank {
+	for r, s := range n.Status {
+		if s == StatusDetector {
+			return Rank(r)
+		}
+	}
+	return NilRank
+}
+
 // WorkingRanks lists the physical ranks with StatusWorking, in rank order —
 // the membership of the reconstructed worker group.
 func (n *Notice) WorkingRanks() []Rank {

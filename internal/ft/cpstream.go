@@ -277,7 +277,9 @@ func (s *CPStream) waitQueue(q gaspi.QueueID) error {
 // Serve is the applier loop: it waits for commit notifications, copies the
 // staged frame out of the segment, hands it to store (which commits data
 // plus seal to the node-local store), and acknowledges. It returns after
-// Stop or when the process dies; run it in its own goroutine.
+// Stop or when the process dies; run it in its own goroutine. The poll
+// timeout is only how often an idle applier re-checks; Stop does not wait
+// for it (it raises the attention line, which ends the wait).
 func (s *CPStream) Serve(store func(key string, blob []byte) error) {
 	s.serving.Store(true)
 	defer close(s.served)
@@ -364,11 +366,19 @@ func (s *CPStream) DrainPending(store func(key string, blob []byte) error) {
 	})
 }
 
-// Stop makes Serve return at its next poll and waits for it to exit
-// (a no-op when Serve was never started).
+// Stop makes Serve return and waits for it to exit (a no-op when Serve was
+// never started). It does not wait out Serve's poll: the attention line,
+// armed and raised for the duration, ends the applier's wait at once. Call
+// it from the process's main goroutine, outside any blocking ft call — the
+// line is the process's, and Stop leaves it lowered and disarmed.
 func (s *CPStream) Stop() {
 	s.stopped.Store(true)
-	if s.serving.Load() {
-		<-s.served
+	if !s.serving.Load() {
+		return
 	}
+	s.p.AttentionArm(true)
+	s.p.AttentionRaise()
+	<-s.served
+	s.p.AttentionClear()
+	s.p.AttentionArm(false)
 }

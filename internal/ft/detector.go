@@ -77,13 +77,23 @@ func NewDetector(p *gaspi.Proc, lay Layout, cfg Config, rec *trace.Recorder) *De
 // unrecoverable. The returned notice is non-nil for the latter two.
 func (d *Detector) Run() (DetectorOutcome, *Notice, error) {
 	for {
-		// Interruptible sleep: the scan interval doubles as the poll for
-		// the shutdown signal.
-		_, err := d.p.NotifyWaitsome(SegBoard, NotifShutdown, 1, d.cfg.ScanInterval)
-		if err == nil {
+		// Interruptible sleep: the scan interval doubles as the wait for
+		// the shutdown signal and for a worker's suspicion nudge. The
+		// nudge only moves the next scan forward — the same Scan and the
+		// same pingDead decide who is dead. It is consumed before the
+		// scan starts, so a nudge that lands while the scan is running
+		// (and may concern a rank already pinged) starts another.
+		id, err := d.p.NotifyWaitsome(SegBoard, NotifShutdown, 2, d.cfg.ScanInterval)
+		nudged := err == nil
+		switch {
+		case nudged && id == NotifShutdown:
 			return DetectorShutdown, nil, nil
-		}
-		if !errors.Is(err, gaspi.ErrTimeout) {
+		case nudged:
+			if _, err := d.p.NotifyReset(SegBoard, NotifSuspect); err != nil {
+				return DetectorShutdown, nil, fmt.Errorf("ft: detector wait: %w", err)
+			}
+			d.rec.Inc(trace.KFDScansNudged, 1)
+		case !errors.Is(err, gaspi.ErrTimeout):
 			return DetectorShutdown, nil, fmt.Errorf("ft: detector wait: %w", err)
 		}
 
@@ -104,6 +114,9 @@ func (d *Detector) Run() (DetectorOutcome, *Notice, error) {
 		}
 		d.rec.Event(trace.KEvFDAck)
 		d.rec.Inc(trace.KFDRecoveries, 1)
+		if nudged {
+			d.rec.Inc(trace.KFDRecoveriesNudged, 1)
+		}
 		if notice.Unrecoverable {
 			// Terminal: the machine stays Acked and the job aborts crisply.
 			return DetectorUnrecoverable, notice, nil

@@ -12,9 +12,13 @@
 //     healthy process by writing a notice board into their global memory
 //     with a one-sided write followed by a notification.
 //   - Worker processes check for the failure-acknowledgment signal in
-//     every blocking communication call (timeout-based returns); on
-//     acknowledgment they stop application communication and enter the
-//     recovery stage: rescue processes take over the identity (logical
+//     every blocking communication call. The paper looks at the board
+//     after a call returned GASPI_TIMEOUT; here the acknowledgment itself
+//     wakes the blocked call (the gaspi attention line) and a worker
+//     holding a broken-connection error asks the FD to scan now
+//     (NotifSuspect) — the timeout and the periodic scan remain as the
+//     backstop. On acknowledgment they stop application communication and
+//     enter the recovery stage: rescue processes take over the identity (logical
 //     rank) of the failed ones, the worker group is deleted and a new one
 //     is created and committed (Listing 2), and data is re-initialized
 //     from the last consistent checkpoint.
@@ -50,15 +54,27 @@ const (
 	// NotifShutdown tells idle processes (FD, spares) the application
 	// completed.
 	NotifShutdown gaspi.NotificationID = 1
+	// NotifSuspect is the survivor's nudge on the FD's board: a worker
+	// whose communication came back with a broken connection asks for a
+	// scan now instead of at the end of the scan interval. It sits next
+	// to NotifShutdown so both fall in the FD's one interruptible sleep.
+	// The nudge names nobody and declares nothing; the scan it triggers
+	// is the ordinary one.
+	NotifSuspect gaspi.NotificationID = 2
 	// NotifJoinPrev and NotifJoinNext are the localized-repair join slots
 	// on the repair hub's board: the victim's checkpoint-chain neighbors
 	// announce themselves by notifying the hub with the repair's epoch as
 	// value, so the hub knows its restore sources are group-ready before it
 	// re-initializes data. Spares parked in WaitActivation wait on slots
 	// 0..1 only, so repair traffic never disturbs them.
-	NotifJoinPrev gaspi.NotificationID = 2
-	NotifJoinNext gaspi.NotificationID = 3
+	NotifJoinPrev gaspi.NotificationID = 3
+	NotifJoinNext gaspi.NotificationID = 4
 )
+
+// SuspectQueue carries the NotifSuspect nudges, kept off the application's
+// queues so a nudge NACKed by a dead FD never surfaces as a queue error of
+// the halo exchange.
+const SuspectQueue gaspi.QueueID = 5
 
 // BaseGroupID is the group id of the initial worker group; the group
 // created by recovery epoch e has id BaseGroupID+e, deterministically on
@@ -184,12 +200,18 @@ const DefaultPingRetries = 10
 // Config holds the fault-tolerance timing parameters (paper Section VI:
 // scan every 3 s, communication timeout 1 s).
 type Config struct {
-	// ScanInterval is the FD's pause between ping scans.
+	// ScanInterval is the FD's pause between ping scans. It bounds the
+	// detection of a failure nobody is blocked on (a dead spare, an idle
+	// job); a failure a survivor runs into is scanned for at once, on that
+	// survivor's NotifSuspect nudge.
 	ScanInterval time.Duration
 	// PingTimeout bounds each individual ping.
 	PingTimeout time.Duration
 	// CommTimeout is the worker-side blocking-call timeout after which the
-	// failure-acknowledgment signal is checked.
+	// failure-acknowledgment signal is checked. The acknowledgment landing
+	// on the board ends the blocked call early, so the expiry is the
+	// fallback; the timeout also paces a worker's nudges to the FD (at
+	// most one per CommTimeout).
 	CommTimeout time.Duration
 	// Threads is the FD's scan parallelism (the paper uses 8 so multiple
 	// simultaneous failures are detected at the cost of one).

@@ -1,0 +1,418 @@
+package ft
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/gaspi"
+	"repro/internal/trace"
+)
+
+// Tests of the pushed recovery path: the failure acknowledgment wakes a
+// blocked worker, a worker holding a NACK wakes the detector, and
+// CPStream.Stop wakes the applier. Every timer that used to bound these
+// (CommTimeout, ScanInterval, the stream's poll) is set to seconds, so a
+// test that passes in milliseconds was woken, not timed out. Ordering is by
+// channels and atomics only.
+
+const pushAppSeg gaspi.SegmentID = 2
+
+// pushJob is a three-rank job for the worker-side tests: rank 0 plays the
+// detector (body chosen by the test), rank 1 is the worker under test
+// (logical 0), rank 2 its only peer (logical 1), which sets up and then
+// idles until the test ends. Once both workers hold the group the link
+// between them is cut, so whatever the worker posts or awaits stays
+// pending without anybody being dead.
+type pushJob struct {
+	lay     Layout
+	cfg     Config
+	job     *gaspi.Job
+	recs    [3]*trace.Recorder
+	grouped sync.WaitGroup
+	cut     chan struct{} // closed once the 1–2 link is down
+	done    chan struct{} // closed by the test to release the idlers
+}
+
+func startPushJob(t *testing.T, cfg Config, detector func(j *pushJob, p *gaspi.Proc) error, worker func(j *pushJob, w *Worker) error) *pushJob {
+	t.Helper()
+	j := &pushJob{lay: Layout{Procs: 3}, cfg: cfg, cut: make(chan struct{}), done: make(chan struct{})}
+	for i := range j.recs {
+		j.recs[i] = trace.NewRecorder()
+	}
+	j.grouped.Add(2)
+	j.job = gaspi.Launch(testGaspiCfg(3), func(p *gaspi.Proc) error {
+		if err := CreateBoard(p, j.lay); err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			return detector(j, p)
+		}
+		if err := SetupInitialGroup(p, j.lay, gaspi.Block); err != nil {
+			return err
+		}
+		if err := p.SegmentCreate(pushAppSeg, 64); err != nil {
+			return err
+		}
+		j.grouped.Done()
+		<-j.cut
+		if p.Rank() == 2 {
+			<-j.done
+			return nil
+		}
+		return worker(j, NewWorker(p, j.lay, cfg, 0, true, j.recs[1]))
+	})
+	t.Cleanup(j.job.Close)
+	j.grouped.Wait()
+	j.job.Transport().SetLinkDown(1, 2, true)
+	close(j.cut)
+	return j
+}
+
+// finish releases the idlers and returns the worker's result.
+func (j *pushJob) finish(t *testing.T) gaspi.Result {
+	t.Helper()
+	close(j.done)
+	res, ok := j.job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	return res[1]
+}
+
+// peerFailedNotice is the acknowledgment a detector would write after
+// losing rank 2 with no spare left to replace it — content is irrelevant to
+// these tests beyond "a worker failed, epoch 1".
+func peerFailedNotice() *Notice {
+	return &Notice{
+		Epoch:          1,
+		Status:         []ProcStatus{StatusDetector, StatusWorking, StatusFailed},
+		ActPhys:        []Rank{1, 2},
+		NewlyFailed:    []Rank{2},
+		WorkerFailed:   true,
+		FailedLogicals: []int32{1},
+	}
+}
+
+// TestAckWakesBlockedWorker: a worker blocked in each kind of wait, with a
+// 5 s communication timeout, returns FailureDetectedError within 200 ms of
+// the detector's board write — both when the write lands while it is
+// blocked (edge) and when it landed before the wait was entered (level).
+func TestAckWakesBlockedWorker(t *testing.T) {
+	blockers := []struct {
+		name  string
+		block func(w *Worker) error
+	}{
+		{"NotifyWaitsome", func(w *Worker) error {
+			_, err := w.NotifyWaitsome(pushAppSeg, 0, 1)
+			return err
+		}},
+		{"WaitQueue", func(w *Worker) error {
+			if err := w.WriteNotify(1, pushAppSeg, 0, []byte{1}, 0, 1, 0); err != nil {
+				return err
+			}
+			return w.WaitQueue(0)
+		}},
+		{"Allreduce", func(w *Worker) error {
+			_, err := w.AllreduceI64([]int64{1}, gaspi.OpSum)
+			return err
+		}},
+	}
+	for _, b := range blockers {
+		for _, landedFirst := range []bool{false, true} {
+			name := b.name + "/parked"
+			if landedFirst {
+				name = b.name + "/landed-first"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := testFTCfg()
+				cfg.CommTimeout = 5 * time.Second
+				cfg.StallLimit = 30 * time.Second
+				goWrite := make(chan struct{})
+				var wroteAt, took atomic.Int64
+				j := startPushJob(t, cfg,
+					func(j *pushJob, p *gaspi.Proc) error {
+						d := NewDetector(p, j.lay, cfg, j.recs[0])
+						d.status[2] = StatusFailed // no board for the "failed" rank
+						<-goWrite
+						wroteAt.Store(time.Now().UnixNano())
+						if err := d.WriteBoards(peerFailedNotice()); err != nil {
+							return err
+						}
+						<-j.done
+						return nil
+					},
+					func(j *pushJob, w *Worker) error {
+						close(goWrite)
+						if landedFirst {
+							for {
+								v, err := w.p.NotifyPeek(SegBoard, NotifAck)
+								if err != nil {
+									return err
+								}
+								if v != 0 {
+									break
+								}
+								runtime.Gosched()
+							}
+						}
+						err := b.block(w)
+						took.Store(time.Now().UnixNano() - wroteAt.Load())
+						var fde *FailureDetectedError
+						if !errors.As(err, &fde) {
+							return fmt.Errorf("blocked call returned %v, want FailureDetectedError", err)
+						}
+						if fde.Notice.Epoch != 1 {
+							return fmt.Errorf("acknowledged epoch %d", fde.Notice.Epoch)
+						}
+						return nil
+					})
+				if r := j.finish(t); r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				if d := time.Duration(took.Load()); d > 200*time.Millisecond {
+					t.Fatalf("acknowledgment reached the blocked worker after %v (CommTimeout %v)", d, cfg.CommTimeout)
+				}
+				if n := j.recs[1].Counter(trace.KFTAckWoken); n != 1 {
+					t.Fatalf("ft.ack.woken = %d, ft.ack.timed_out = %d", n, j.recs[1].Counter(trace.KFTAckTimedOut))
+				}
+			})
+		}
+	}
+}
+
+// nackJob is the job of the detector-side tests: rank 0 runs a real
+// Detector.Run with a 10 s scan interval (or, with a nil prepare, never
+// starts one — a dead FD), rank 1 (logical 0) writes to its halo partner
+// rank 2 (logical 1) after that rank was killed, and so holds a NACK nobody
+// else knows about.
+func startNackJob(t *testing.T, cfg Config, prepare func(d *Detector), worker func(w *Worker, killedAt time.Time) error) (*gaspi.Job, [3]*trace.Recorder) {
+	t.Helper()
+	lay := Layout{Procs: 3}
+	var recs [3]*trace.Recorder
+	for i := range recs {
+		recs[i] = trace.NewRecorder()
+	}
+	var grouped sync.WaitGroup
+	grouped.Add(2)
+	killed := make(chan time.Time, 1)
+	job := gaspi.Launch(testGaspiCfg(3), func(p *gaspi.Proc) error {
+		if err := CreateBoard(p, lay); err != nil {
+			return err
+		}
+		idle := func() error {
+			_, err := p.NotifyWaitsome(SegBoard, NotifShutdown, 1, gaspi.Block)
+			return err
+		}
+		if p.Rank() == 0 {
+			if prepare == nil {
+				return idle()
+			}
+			d := NewDetector(p, lay, cfg, recs[0])
+			prepare(d)
+			_, _, err := d.Run()
+			return err
+		}
+		if err := SetupInitialGroup(p, lay, gaspi.Block); err != nil {
+			return err
+		}
+		if err := p.SegmentCreate(pushAppSeg, 64); err != nil {
+			return err
+		}
+		grouped.Done()
+		if p.Rank() == 2 {
+			return idle() // never returns: the test kills this rank
+		}
+		w := NewWorker(p, lay, cfg, 0, true, recs[1])
+		return errors.Join(worker(w, <-killed), SignalShutdown(p, lay))
+	})
+	t.Cleanup(job.Close)
+	grouped.Wait()
+	job.Kill(2, "test kill -9")
+	killed <- time.Now()
+	return job, recs
+}
+
+func writeToDeadPartner(w *Worker) error {
+	if err := w.WriteNotify(1, pushAppSeg, 0, []byte{1}, 0, 1, 0); err != nil {
+		return err
+	}
+	return w.WaitQueue(0)
+}
+
+// TestNackedSurvivorWakesDetector: with a 10 s scan interval, a worker
+// whose write to a dead halo partner was NACKed gets the failure detected
+// and acknowledged within a second — its nudge started the scan.
+func TestNackedSurvivorWakesDetector(t *testing.T) {
+	cfg := testFTCfg()
+	cfg.ScanInterval = 10 * time.Second
+	cfg.CommTimeout = 5 * time.Second
+	cfg.StallLimit = 30 * time.Second
+	var killedAt atomic.Int64
+	job, recs := startNackJob(t, cfg, func(*Detector) {}, func(w *Worker, at time.Time) error {
+		killedAt.Store(at.UnixNano())
+		err := writeToDeadPartner(w)
+		var fde *FailureDetectedError
+		if !errors.As(err, &fde) {
+			return fmt.Errorf("NACKed write returned %v, want FailureDetectedError", err)
+		}
+		return nil
+	})
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res[:2] {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	ev, ok := recs[0].FirstEvent(trace.KEvFDDetect)
+	if !ok {
+		t.Fatal("detector never detected the failure")
+	}
+	if d := ev.At.Sub(time.Unix(0, killedAt.Load())); d > time.Second {
+		t.Fatalf("failure detected %v after the kill (ScanInterval %v)", d, cfg.ScanInterval)
+	}
+	if recs[0].Counter(trace.KFDScansNudged) == 0 || recs[1].Counter(trace.KFTSuspectNudges) == 0 {
+		t.Fatalf("fd.scans.nudged = %d, ft.suspect.nudges = %d",
+			recs[0].Counter(trace.KFDScansNudged), recs[1].Counter(trace.KFTSuspectNudges))
+	}
+}
+
+// TestNudgesArePaced: the detector already lists the dead rank as failed
+// (it is on the avoid list), so every scan finds everyone alive and no
+// acknowledgment ever comes. The stuck survivor may nudge again, but at
+// most once per communication timeout — no scan storm.
+func TestNudgesArePaced(t *testing.T) {
+	cfg := testFTCfg()
+	cfg.ScanInterval = 10 * time.Second
+	cfg.CommTimeout = 40 * time.Millisecond
+	cfg.StallLimit = 400 * time.Millisecond
+	job, recs := startNackJob(t, cfg,
+		func(d *Detector) { d.status[2], d.avoid[2] = StatusFailed, true },
+		func(w *Worker, _ time.Time) error {
+			if err := writeToDeadPartner(w); !errors.Is(err, ErrStalled) {
+				return fmt.Errorf("unacknowledged NACK returned %v, want ErrStalled", err)
+			}
+			return nil
+		})
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res[:2] {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	scans, nudged := recs[0].Counter(trace.KFDScans), recs[0].Counter(trace.KFDScansNudged)
+	// One nudge at the latch, then at most one per CommTimeout until the
+	// stall limit; the 10 s interval contributes none.
+	limit := int64(cfg.StallLimit/cfg.CommTimeout) + 2
+	if nudged == 0 || scans != nudged || scans > limit {
+		t.Fatalf("fd.scans = %d (nudged %d), want 1..%d", scans, nudged, limit)
+	}
+	if recs[0].Counter(trace.KFDRecoveries) != 0 {
+		t.Fatal("a nudge alone declared somebody dead")
+	}
+}
+
+// TestRetryLatchesNackedWrite is the regression for retry reporting
+// success for a NACKed write: WaitQueue returns the queue error once and
+// clears it, so the re-issued WaitQueue used to return nil and the lost
+// halo went unnoticed. With no detector to acknowledge, the only correct
+// way out is ErrStalled.
+func TestRetryLatchesNackedWrite(t *testing.T) {
+	cfg := testFTCfg()
+	cfg.StallLimit = 200 * time.Millisecond
+	job, _ := startNackJob(t, cfg, nil, func(w *Worker, _ time.Time) error {
+		if err := writeToDeadPartner(w); !errors.Is(err, ErrStalled) {
+			return fmt.Errorf("NACKed write returned %v, want ErrStalled", err)
+		}
+		return nil
+	})
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	if res[1].Err != nil {
+		t.Fatal(res[1].Err)
+	}
+}
+
+// TestCPStreamStopWakesServe: Stop does not wait out the applier's poll
+// (5 s here), and leaves the stream drainable — a frame committed after
+// the applier stopped is still folded in by DrainPending and acknowledged.
+func TestCPStreamStopWakesServe(t *testing.T) {
+	const pollTimeout = 5 * time.Second
+	store := newCPStore()
+	ready := make(chan struct{})   // receiver's applier is running
+	acked := make(chan struct{})   // "first" was served and acknowledged
+	stopped := make(chan struct{}) // receiver's applier has stopped
+	var stopTook atomic.Int64
+	job := gaspi.Launch(testGaspiCfg(2), func(p *gaspi.Proc) error {
+		s, err := NewCPStream(p, 0, 0, pollTimeout)
+		if err != nil {
+			return err
+		}
+		if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			<-ready
+			if err := s.Push(1, "first", []byte("served by the applier")); err != nil {
+				return err
+			}
+			close(acked)
+			<-stopped
+			return s.Push(1, "tail", []byte("folded in by DrainPending"))
+		}
+		go s.Serve(store.put)
+		close(ready)
+		// Once the sender holds the acknowledgment and the ack queue has
+		// drained, the applier is on its way back into the poll.
+		<-acked
+		for p.QueueOutstanding(CPAckQueue) != 0 {
+			runtime.Gosched()
+		}
+		t0 := time.Now()
+		s.Stop()
+		stopTook.Store(int64(time.Since(t0)))
+		close(stopped)
+		for {
+			v, err := p.NotifyPeek(SegCP, NotifCPCommit)
+			if err != nil {
+				return err
+			}
+			if v != 0 {
+				break
+			}
+			runtime.Gosched()
+		}
+		s.DrainPending(store.put)
+		return nil
+	})
+	t.Cleanup(job.Close)
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	// Typically tens of microseconds; the bound only has to tell a wake
+	// from the 5 s poll on a loaded host.
+	if d := time.Duration(stopTook.Load()); d > pollTimeout/10 {
+		t.Fatalf("Stop took %v with a %v poll", d, pollTimeout)
+	}
+	if b, ok := store.get("tail"); !ok || string(b) != "folded in by DrainPending" {
+		t.Fatalf("tail frame after Stop: %q, %v", b, ok)
+	}
+}

@@ -61,6 +61,7 @@ func (w *Worker) Recover(n *Notice) error {
 			return err
 		}
 		w.rm.Set(n.ActPhys)
+		w.fd = n.DetectorRank()
 		w.epoch = n.Epoch
 		w.commEpoch = n.Epoch
 		// Publish the membership view version. Usually a no-op after
@@ -113,10 +114,11 @@ func (w *Worker) Recover(n *Notice) error {
 		// failures; a timed-out commit resumes where it stopped. A broken
 		// connection (ErrConnBroken: a member of the NEW group died while
 		// we were committing, reported promptly instead of via timeout) is
-		// handled the same way — keep polling for the FD's fresher notice,
-		// pacing the retries since the error returns immediately.
+		// handled the same way — wait for the FD's fresher notice, pacing
+		// the retries since the error returns immediately. The attention
+		// line is armed around the commit, so that notice ends it at once.
 		for {
-			err := w.p.GroupCommit(newGid, w.cfg.CommTimeout)
+			err := w.attentive(func() error { return w.p.GroupCommit(newGid, w.cfg.CommTimeout) })
 			if err == nil {
 				w.gid = newGid
 				w.rec.Inc(trace.KFTRecoveries, 1)
@@ -139,10 +141,10 @@ func (w *Worker) Recover(n *Notice) error {
 				break
 			}
 			if !errors.Is(err, gaspi.ErrTimeout) {
-				// Pace the instantly-returning ErrConnBroken retries, but
-				// in a slice of the communication timeout so the FD's
-				// fresher notice is acked promptly once it lands.
-				time.Sleep(w.cfg.CommTimeout / 10)
+				// Pace the instantly-returning ErrConnBroken retries on the
+				// attention line: the FD's fresher notice ends the pause.
+				w.nudgeDetector()
+				w.p.AttentionWait(w.cfg.CommTimeout / 10)
 			}
 			if time.Now().After(deadline) {
 				return fmt.Errorf("%w: during group reconstruction", ErrStalled)
@@ -278,6 +280,14 @@ func (w *Worker) recoverLocalized(n *Notice, deadline time.Time) (*Notice, error
 	return nil, w.sm.BeginRestore()
 }
 
+// attentive runs one blocking call with the attention line armed, so a
+// fresher notice landing on the board ends it early (gaspi.ErrAttention).
+func (w *Worker) attentive(call func() error) error {
+	w.p.AttentionArm(true)
+	defer w.p.AttentionArm(false)
+	return call()
+}
+
 // repairWait drives one blocking repair-handshake step with the worker's
 // communication timeout, checking the board between attempts like
 // Worker.retry, but charging nothing to the detect phase: a timed-out
@@ -286,7 +296,7 @@ func (w *Worker) recoverLocalized(n *Notice, deadline time.Time) (*Notice, error
 // the queues so the next attempt starts clean.
 func (w *Worker) repairWait(deadline time.Time, op func(timeout time.Duration) error) error {
 	for {
-		err := op(w.cfg.CommTimeout)
+		err := w.attentive(func() error { return op(w.cfg.CommTimeout) })
 		if err == nil {
 			return nil
 		}
@@ -300,13 +310,14 @@ func (w *Worker) repairWait(deadline time.Time, op func(timeout time.Duration) e
 			return nerr
 		}
 		if n2 != nil {
-			w.rec.Event(trace.KEvFTAck)
-			return &FailureDetectedError{Notice: n2}
+			return w.acked(n2, timerExpired(err))
 		}
 		if !errors.Is(err, gaspi.ErrTimeout) {
-			// Pace the instantly-returning errors in a slice of the
-			// timeout so a fresher notice is acked promptly.
-			time.Sleep(w.cfg.CommTimeout / 10)
+			// Pace the instantly-returning errors on the attention line: a
+			// fresher notice ends the pause. The error is a repair-set
+			// member's death seen first-hand, so ask the FD to scan now.
+			w.nudgeDetector()
+			w.p.AttentionWait(w.cfg.CommTimeout / 10)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%w: during localized repair", ErrStalled)
@@ -405,8 +416,11 @@ func (w *Worker) spokeHandshake(n *Notice, hub Rank, victim int, deadline time.T
 		}
 		if binary.LittleEndian.Uint64(blob) != n.Epoch {
 			// Hub not adopted yet: pace the poll in a slice of the
-			// timeout so the hub isn't hammered with reads.
-			time.Sleep(w.cfg.CommTimeout / 10)
+			// timeout so the hub isn't hammered with reads; a fresher
+			// notice ends the pause.
+			if w.p.AttentionWait(w.cfg.CommTimeout / 10) {
+				return gaspi.ErrAttention
+			}
 			return gaspi.ErrTimeout
 		}
 		return nil

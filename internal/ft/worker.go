@@ -69,6 +69,12 @@ type Worker struct {
 
 	cps *CPStream // async checkpoint replication endpoint; nil in sync mode
 
+	// fd is the rank the suspicion nudges go to: the detector named by the
+	// latest notice (rank 0 until one arrives, NilRank once the FD joined
+	// the workers). lastNudge paces them.
+	fd        Rank
+	lastNudge time.Time
+
 	// collHook, when set, observes every collective call this worker
 	// issues (running ordinal as argument). The scenario engine's
 	// during-collective fault triggers hang off it; exitNow mirrors the
@@ -81,6 +87,12 @@ type Worker struct {
 // hc=false disables all health-check/acknowledgment logic (the baseline
 // "w/o HC" configuration): calls simply block.
 func NewWorker(p *gaspi.Proc, lay Layout, cfg Config, logical int, hc bool, rec *trace.Recorder) *Worker {
+	if hc {
+		// The acknowledgment slot raises the process's attention line, so
+		// the board write itself ends a blocked call. Without a board the
+		// registration fails like every later board access will.
+		_ = p.AttentionWatch(SegBoard, NotifAck)
+	}
 	return &Worker{
 		p:       p,
 		lay:     lay,
@@ -162,10 +174,14 @@ func (w *Worker) CPStream() *CPStream { return w.cps }
 // checkNotice polls the failure-acknowledgment notification (without
 // consuming it) and decodes the board when a new epoch is visible.
 // Notices that require no recovery (a dead spare) are absorbed silently.
+// It lowers the attention line first: whatever raised it is what the peek
+// below reads, and an acknowledgment landing after the peek raises it
+// again.
 func (w *Worker) checkNotice() (*Notice, error) {
 	if !w.hc {
 		return nil, nil
 	}
+	w.p.AttentionClear()
 	val, err := w.p.NotifyPeek(SegBoard, NotifAck)
 	if err != nil {
 		return nil, err
@@ -202,6 +218,7 @@ func (w *Worker) checkNotice() (*Notice, error) {
 		// which every member shares.
 		w.epoch = n.Epoch
 		w.rm.Set(n.ActPhys)
+		w.fd = n.DetectorRank()
 		if w.sm.State() == StateHealthy {
 			if err := w.sm.Ack(n); err != nil {
 				return nil, err
@@ -240,26 +257,53 @@ func (w *Worker) CheckFailure() error {
 // retry runs op with the communication timeout, checking the
 // acknowledgment signal after every unsuccessful attempt — the paper's
 // "processes keep on returning with GASPI_TIMEOUT unless a failure
-// acknowledgment is received". Hard errors (broken connections) are also
-// held back until the FD acknowledges, since only the FD establishes the
-// consistent global view; if no acknowledgment ever arrives the stall
+// acknowledgment is received". The attention line is armed for the
+// duration, so the acknowledgment landing on the board ends the attempt
+// at once (gaspi.ErrAttention) and the timeout's expiry is only the
+// fallback.
+//
+// A hard error (broken connection, queue error) is latched: only the FD
+// establishes the consistent global view, so the error is held back until
+// the acknowledgment arrives, and op is not issued again — a WaitQueue
+// whose error list the failed attempt cleared would report success for a
+// write that never landed. From then on retry leaves only with a
+// FailureDetectedError, a board error or ErrStalled; while it waits it
+// nudges the FD to scan now. If no acknowledgment ever arrives the stall
 // limit aborts.
+//
+//ftlint:hotpath
 func (w *Worker) retry(op func(timeout time.Duration) error) error {
 	if !w.hc {
 		return op(gaspi.Block)
 	}
-	var detectStart time.Time
-	deadline := time.Now().Add(w.cfg.StallLimit)
+	w.p.AttentionArm(true)
+	err := w.retryArmed(op)
+	w.p.AttentionArm(false)
+	return err
+}
+
+func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
+	var detectStart, deadline time.Time
+	var hard error
 	for {
 		attemptStart := time.Now()
-		err := op(w.cfg.CommTimeout)
-		if err == nil {
-			return nil
+		err, expired := hard, false
+		if hard == nil {
+			if err = op(w.cfg.CommTimeout); err == nil {
+				return nil
+			}
+			expired = timerExpired(err)
+		} else {
+			if errors.Is(hard, gaspi.ErrConnection) || errors.Is(hard, gaspi.ErrQueue) {
+				w.nudgeDetector()
+			}
+			expired = !w.p.AttentionWait(w.cfg.CommTimeout)
 		}
 		if detectStart.IsZero() {
 			// OHF1 starts when the process first stalls on the failure,
 			// i.e. at the beginning of the attempt that timed out.
 			detectStart = attemptStart
+			deadline = attemptStart.Add(w.cfg.StallLimit)
 		}
 		n, nerr := w.checkNotice()
 		if nerr != nil {
@@ -269,19 +313,56 @@ func (w *Worker) retry(op func(timeout time.Duration) error) error {
 			d := time.Since(detectStart)
 			w.rec.Add(trace.PhaseDetect, d)
 			w.rec.Inc(CounterDetectNS, int64(d))
-			w.rec.Event(trace.KEvFTAck)
-			return &FailureDetectedError{Notice: n}
+			return w.acked(n, expired)
 		}
 		if !errors.Is(err, gaspi.ErrTimeout) && !errors.Is(err, gaspi.ErrStaleView) {
-			// Broken connection before the FD noticed: pace the retries.
-			// A stale-view error skips the pacing sleep — the notice that
-			// advanced the view is already on the board, so the very next
+			// A stale-view error is not latched: the notice that advanced
+			// the view is already on the board, so the very next
 			// checkNotice resolves it.
-			time.Sleep(w.cfg.CommTimeout)
+			hard = err
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%w: last error: %v", ErrStalled, err)
 		}
+	}
+}
+
+// timerExpired reports whether a blocking attempt ended because its
+// communication timeout ran out — not early on the attention line, and not
+// with a hard error.
+func timerExpired(err error) bool {
+	return errors.Is(err, gaspi.ErrTimeout) && !errors.Is(err, gaspi.ErrAttention)
+}
+
+// acked reports a failure acknowledgment reaching this worker inside a
+// blocking call, and how: found on the board only after the communication
+// timeout ran out (the paper's path, here the fallback — a count above
+// zero names a wait the line does not reach), or without waiting for that
+// timer (woken by the attention line, or already there when a hard error
+// sent the worker to look).
+func (w *Worker) acked(n *Notice, expired bool) error {
+	if expired {
+		w.rec.Inc(trace.KFTAckTimedOut, 1)
+	} else {
+		w.rec.Inc(trace.KFTAckWoken, 1)
+	}
+	w.rec.Event(trace.KEvFTAck)
+	return &FailureDetectedError{Notice: n}
+}
+
+// nudgeDetector asks the FD to scan now: a worker holding a hard
+// communication error has seen a failure first-hand, and the FD would
+// otherwise find it only at the end of its scan interval. The nudge
+// declares nothing — the FD runs its ordinary scan and decides alone. At
+// most one goes out per communication timeout.
+func (w *Worker) nudgeDetector() {
+	now := time.Now()
+	if w.fd == NilRank || now.Sub(w.lastNudge) < w.cfg.CommTimeout {
+		return
+	}
+	w.lastNudge = now
+	if w.p.Notify(w.fd, SegBoard, NotifSuspect, 1, SuspectQueue) == nil {
+		w.rec.Inc(trace.KFTSuspectNudges, 1)
 	}
 }
 

@@ -307,7 +307,8 @@ func (s *segment) takeNotif(slot NotificationID, want int64) bool {
 // (re-probing the ring successor; a death elsewhere in the group reaches
 // this waiter through the predecessor's verified gossip — so a member
 // dying at any point, even after every survivor stopped sending, still
-// breaks the wait promptly with ErrConnBroken), the timeout, or death.
+// breaks the wait promptly with ErrConnBroken), the armed attention line
+// (ErrAttention: an early, resumable ErrTimeout), the timeout, or death.
 func (p *Proc) collPark(g *group, pl *pulse, timeout time.Duration, cond func() bool) error {
 	p.collProbeMembers(g)
 	timer, stop := deadline(timeout)
@@ -318,15 +319,20 @@ func (p *Proc) collPark(g *group, pl *pulse, timeout time.Duration, cond func() 
 	for {
 		chCond := pl.Chan()
 		chCorrupt := p.corruptPulse.Chan()
+		attn := p.attn.wake()
 		if cond() {
 			return nil
 		}
 		if err := p.collCheckMembers(g); err != nil {
 			return err
 		}
+		if p.attn.pending() {
+			return ErrAttention
+		}
 		select {
 		case <-chCond:
 		case <-chCorrupt:
+		case <-attn:
 		case <-probe.C:
 			p.collProbeMembers(g)
 			if gap < collProbeMaxInterval {

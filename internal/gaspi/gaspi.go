@@ -91,6 +91,12 @@ var (
 	// ErrTimeout reports that a potentially blocking procedure could not
 	// complete within the caller's timeout (GASPI_TIMEOUT).
 	ErrTimeout = errors.New("gaspi: timeout")
+	// ErrAttention is the ErrTimeout an armed wait returns early because
+	// the process's attention line is raised (attention.go). It wraps
+	// ErrTimeout — the call is resumable exactly like an expired timeout —
+	// and exists only so the caller can tell a pushed return from an
+	// expired one.
+	ErrAttention = fmt.Errorf("%w: attention line raised", ErrTimeout)
 	// ErrConnection reports a broken connection to a remote rank — the
 	// remote process is dead (GASPI_ERROR).
 	ErrConnection = errors.New("gaspi: connection error")

@@ -61,7 +61,9 @@ func (p *Proc) applyOneSided(m fabric.Message) {
 			// localized repair the repair set adopts the new group at
 			// different times, and the sender's resume cursor would never
 			// re-send a dropped round. Park it; collSetup replays the stash.
-			p.stashPendingColl(m)
+			if !p.stashPendingColl(m) {
+				p.applyOneSided(m) // the segment appeared meanwhile
+			}
 			return
 		}
 		if m.Token != 0 {
@@ -76,7 +78,9 @@ func (p *Proc) applyOneSided(m fabric.Message) {
 			code = s.setNotification(m.Args[2]-1, m.Args[3])
 		} else if m.Token == 0 && SegmentID(m.Args[0]) < 0 {
 			// Same early-adopter race as the kWrite arm above.
-			p.stashPendingColl(m)
+			if !p.stashPendingColl(m) {
+				p.applyOneSided(m)
+			}
 			return
 		}
 		if m.Token != 0 {

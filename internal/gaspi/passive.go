@@ -22,7 +22,8 @@ func (p *Proc) PassiveSend(rank Rank, data []byte, timeout time.Duration) error 
 	if err := p.ep.Send(rank, m); err != nil {
 		p.completeToken(tok, opResult{err: ErrConnection})
 	}
-	return p.awaitResult(tok, resp, timeout)
+	_, err := p.await(tok, resp, timeout, true)
+	return err
 }
 
 // PassiveReceive blocks until a passive message arrives and returns its
@@ -31,70 +32,82 @@ func (p *Proc) PassiveReceive(timeout time.Duration) (Rank, []byte, error) {
 	p.checkAlive()
 	timer, stop := deadline(timeout)
 	defer stop()
-	select {
-	case m := <-p.passiveCh:
-		return m.from, m.data, nil
-	default:
-	}
-	if timeout == Test {
-		return NilRank, nil, ErrTimeout
-	}
-	select {
-	case m := <-p.passiveCh:
-		return m.from, m.data, nil
-	case <-timer:
-		return NilRank, nil, ErrTimeout
-	case <-p.dead:
-		p.checkAlive()
-		return NilRank, nil, ErrTimeout // unreachable
+	for {
+		attn := p.attn.wake()
+		select {
+		case m := <-p.passiveCh:
+			return m.from, m.data, nil
+		default:
+		}
+		if timeout == Test {
+			return NilRank, nil, ErrTimeout
+		}
+		if p.attn.pending() {
+			return NilRank, nil, ErrAttention
+		}
+		select {
+		case m := <-p.passiveCh:
+			return m.from, m.data, nil
+		case <-attn:
+		case <-timer:
+			return NilRank, nil, ErrTimeout
+		case <-p.dead:
+			p.checkAlive()
+		}
 	}
 }
 
 // NilRank is the invalid rank sentinel re-exported for convenience.
 const NilRank = fabric.NilRank
 
-// awaitResult waits for the completion of a blocking operation, translating
-// timeouts and abandoning the token on timeout (a late completion for an
-// abandoned token is dropped).
+// awaitResult waits for the completion of a blocking operation that
+// returns no value (ping); see await.
 func (p *Proc) awaitResult(tok uint64, resp chan opResult, timeout time.Duration) error {
-	timer, stop := deadline(timeout)
-	defer stop()
-	select {
-	case r := <-resp:
-		return r.err
-	case <-timer:
-		p.abandonToken(tok)
-		// The completion may have raced the timeout; prefer it.
-		select {
-		case r := <-resp:
-			return r.err
-		default:
-			return ErrTimeout
-		}
-	case <-p.dead:
-		p.checkAlive()
-		return ErrTimeout // unreachable
-	}
+	_, err := p.await(tok, resp, timeout, false)
+	return err
 }
 
 // awaitResultVal is awaitResult for operations that return a value.
 func (p *Proc) awaitResultVal(tok uint64, resp chan opResult, timeout time.Duration) (opResult, error) {
+	return p.await(tok, resp, timeout, false)
+}
+
+// await waits for the completion of a blocking operation, translating
+// timeouts and abandoning the token on timeout (a late completion for an
+// abandoned token is dropped). attentive selects the calls the attention
+// line may cut short; a ping must not be one — returning early would read
+// as a suspicion.
+func (p *Proc) await(tok uint64, resp chan opResult, timeout time.Duration, attentive bool) (opResult, error) {
 	timer, stop := deadline(timeout)
 	defer stop()
-	select {
-	case r := <-resp:
-		return r, r.err
-	case <-timer:
-		p.abandonToken(tok)
+	expired := ErrTimeout
+wait:
+	for {
+		var attn <-chan struct{}
+		if attentive {
+			attn = p.attn.wake()
+			if p.attn.pending() {
+				expired = ErrAttention
+				break
+			}
+		}
 		select {
 		case r := <-resp:
 			return r, r.err
-		default:
-			return opResult{}, ErrTimeout
+		case <-attn:
+		case <-timer:
+			break wait
+		case <-p.dead:
+			p.checkAlive()
 		}
-	case <-p.dead:
-		p.checkAlive()
-		return opResult{}, ErrTimeout // unreachable
+	}
+	p.abandonToken(tok)
+	// The completion may have raced the timeout; prefer it.
+	select {
+	case r := <-resp:
+		return r, r.err
+	default:
+		return opResult{}, expired
 	}
 }
 

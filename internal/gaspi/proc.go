@@ -77,6 +77,10 @@ type Proc struct {
 	// instead of letting it burn the full timeout.
 	corruptPulse pulse
 
+	// attn is the attention line (attention.go): raised by the NIC when a
+	// notification lands in the watched slot, observed by armed waits.
+	attn attention
+
 	// death handling
 	dead      chan struct{}
 	deadOnce  sync.Once
@@ -211,8 +215,9 @@ func deadline(timeout time.Duration) (<-chan time.Time, func()) {
 	return t.C, func() { t.Stop() }
 }
 
-// waitCond blocks until cond returns true, the timeout expires (ErrTimeout)
-// or the process dies (panics). pl must be broadcast whenever cond may have
+// waitCond blocks until cond returns true, the timeout expires (ErrTimeout),
+// the armed attention line is raised (ErrAttention, an early ErrTimeout) or
+// the process dies (panics). pl must be broadcast whenever cond may have
 // become true. cond must be safe to call from this goroutine (it takes its
 // own locks).
 func (p *Proc) waitCond(pl *pulse, timeout time.Duration, cond func() bool) error {
@@ -220,14 +225,19 @@ func (p *Proc) waitCond(pl *pulse, timeout time.Duration, cond func() bool) erro
 	defer stop()
 	for {
 		ch := pl.Chan()
+		attn := p.attn.wake()
 		if cond() {
 			return nil
 		}
 		if timeout == Test {
 			return ErrTimeout
 		}
+		if p.attn.pending() {
+			return ErrAttention
+		}
 		select {
 		case <-ch:
+		case <-attn:
 		case <-timer:
 			return ErrTimeout
 		case <-p.dead:
@@ -270,20 +280,31 @@ func (p *Proc) ViewVersion() uint64 { return p.viewVersion.Load() }
 const pendCollMax = 4096
 
 // stashPendingColl parks a fast-path collective post whose target segment
-// does not exist yet (see the pendingColl field comment).
-func (p *Proc) stashPendingColl(m fabric.Message) {
+// does not exist yet (see the pendingColl field comment). It reports false
+// — nothing parked, apply the post directly — when the segment has appeared
+// since the caller's failed lookup. The re-check happens under pendCollMu,
+// which collSetup takes (in takePendingColl) only AFTER publishing the
+// segment: either this post is in the stash before collSetup drains it, or
+// the re-check sees the segment. Without it a post could miss the segment,
+// lose the race against publish+drain, and sit in the stash forever — the
+// sender's resume cursor never re-sends a round, so the collective hangs.
+func (p *Proc) stashPendingColl(m fabric.Message) bool {
 	p.pendCollMu.Lock()
 	defer p.pendCollMu.Unlock()
+	sid := SegmentID(m.Args[0])
+	if _, err := p.segLookup(sid); err == nil {
+		return false
+	}
 	if p.pendCollN >= pendCollMax {
 		p.pendCollDrop.Add(1)
-		return
+		return true
 	}
 	if p.pendingColl == nil {
 		p.pendingColl = make(map[SegmentID][]fabric.Message)
 	}
-	sid := SegmentID(m.Args[0])
 	p.pendingColl[sid] = append(p.pendingColl[sid], m)
 	p.pendCollN++
+	return true
 }
 
 // takePendingColl removes and returns the parked posts for segment sid in

@@ -19,6 +19,10 @@ type segment struct {
 	notifMu    sync.Mutex
 	notifVals  []int64
 	notifPulse pulse
+	// attn is the owning process's attention line when attnSlot of this
+	// segment is watched (AttentionWatch), nil otherwise. Guarded by notifMu.
+	attn     *attention
+	attnSlot NotificationID
 }
 
 // SegmentCreate allocates a local segment of the given size
@@ -212,7 +216,11 @@ func (s *segment) scanNotif(begin NotificationID, num int) (NotificationID, bool
 	return 0, false
 }
 
-// setNotification is executed by the NIC when a notification arrives.
+// setNotification is executed by the NIC when a notification arrives. A
+// notification landing in the watched slot also raises the attention line —
+// after notifMu is released, since raising broadcasts.
+//
+//ftlint:hotpath
 func (s *segment) setNotification(id int64, val int64) int64 {
 	s.notifMu.Lock()
 	if id < 0 || id >= int64(len(s.notifVals)) {
@@ -220,7 +228,14 @@ func (s *segment) setNotification(id int64, val int64) int64 {
 		return remOutOfBounds
 	}
 	s.notifVals[id] = val
+	attn := s.attn
+	if NotificationID(id) != s.attnSlot {
+		attn = nil
+	}
 	s.notifMu.Unlock()
 	s.notifPulse.Broadcast()
+	if attn != nil {
+		attn.raise()
+	}
 	return remOK
 }

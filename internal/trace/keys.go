@@ -50,6 +50,11 @@ const (
 	KFDScanNS      = "fd.scan_ns"
 	KFDCleanScans  = "fd.clean_scans"
 	KFDCleanScanNS = "fd.clean_scan_ns"
+	// Scans started by a worker's NotifSuspect nudge, not by the interval,
+	// and the recoveries whose detecting scan was one of them (pushed
+	// detection; the rest of fd.recoveries is interval-bound).
+	KFDScansNudged      = "fd.scans.nudged"
+	KFDRecoveriesNudged = "fd.recoveries.nudged"
 
 	// Recovery epoch state machine (internal/ft Worker).
 	KFTRecoveries       = "ft.recoveries"
@@ -62,6 +67,13 @@ const (
 	KFTPhaseLocalizedNS = "ft.phase.localized_ns"
 	KFTPhaseFailoverNS  = "ft.phase.failover_ns"
 	KFTPhaseRestoreNS   = "ft.phase.restore_ns"
+
+	// How a failure acknowledgment reached a blocked worker: woken by the
+	// attention line, or found after the communication timeout expired (the
+	// fallback); and the nudges workers sent the FD on a hard error.
+	KFTAckWoken      = "ft.ack.woken"
+	KFTAckTimedOut   = "ft.ack.timed_out"
+	KFTSuspectNudges = "ft.suspect.nudges"
 
 	// Hot shadow ranks (internal/ft standby mirror + failover takeover).
 	KFTShadowAppliedFrames = "ft.shadow.applied_frames"
@@ -116,6 +128,8 @@ var knownCounters = map[string]bool{
 	KFDScanNS:                true,
 	KFDCleanScans:            true,
 	KFDCleanScanNS:           true,
+	KFDScansNudged:           true,
+	KFDRecoveriesNudged:      true,
 	KFTRecoveries:            true,
 	KFTEpochs:                true,
 	KFTEpochRestarts:         true,
@@ -126,6 +140,9 @@ var knownCounters = map[string]bool{
 	KFTPhaseLocalizedNS:      true,
 	KFTPhaseFailoverNS:       true,
 	KFTPhaseRestoreNS:        true,
+	KFTAckWoken:              true,
+	KFTAckTimedOut:           true,
+	KFTSuspectNudges:         true,
 	KFTShadowAppliedFrames:   true,
 	KFTShadowFailovers:       true,
 	KFTShadowFallbacks:       true,
@@ -137,9 +154,9 @@ var knownCounters = map[string]bool{
 }
 
 var knownEvents = map[string]bool{
-	KEvFDDetect:      true,
-	KEvFDAck:         true,
-	KEvFTAck:         true,
+	KEvFDDetect:       true,
+	KEvFDAck:          true,
+	KEvFTAck:          true,
 	KEvProberSuspect:  true,
 	KEvStandbyDead:    true,
 	KEvShadowTakeover: true,
