@@ -13,24 +13,16 @@ import (
 	"repro/internal/spmvm"
 )
 
-// The hot-path benchmarks measure the zero-copy data plane introduced with
-// the registered-segment fast path:
+// The hot-path benchmarks measure the zero-copy data plane:
 //
-//   - BenchmarkSpMV: steady-state distributed spMVM iterations over the
-//     zero-copy path, free-running on the parity-buffered halo (no
-//     inter-iteration barrier). MUST report 0 allocs/op: the gather lands
-//     in the registered send region, the remote part reads the halo in
-//     place, completions are pooled and the hot waits poll before parking.
-//   - BenchmarkSpMVLegacy: the same computation through the preserved
-//     pre-optimization path (per-iteration allocations, copying writes,
-//     barrier-separated iterations) — the "before" of the trajectory.
-//   - BenchmarkCPStreamPush: checkpoint-stream flush throughput, zero-copy
-//     vs copying chunk posts.
-//
-// cmd/bench-hotpath runs the same workloads standalone and emits
-// BENCH_hotpath.json.
+//   - BenchmarkSpMV: steady-state distributed spMVM iterations,
+//     free-running on the parity-buffered halo (no inter-iteration
+//     barrier). MUST report 0 allocs/op: the gather lands in the
+//     registered send region, the remote part reads the halo in place,
+//     completions are pooled and the hot waits poll before parking.
+//   - BenchmarkCPStreamPush: checkpoint-stream flush throughput.
 
-func benchSpMVJob(b *testing.B, legacy bool, threads, workers, shards int) {
+func benchSpMVJob(b *testing.B, threads, workers, shards int) {
 	gen := matrix.DefaultGraphene(64, 32, 5)
 	const warm = 64
 	benchJobCfg(b, gaspi.Config{
@@ -56,25 +48,15 @@ func benchSpMVJob(b *testing.B, legacy bool, threads, workers, shards int) {
 			return err
 		}
 		defer eng.Close()
-		eng.Legacy = legacy
 		eng.Threads = threads
 		x := make([]float64, hi-lo)
 		y := make([]float64, hi-lo)
 		for i := range x {
 			x[i] = float64(i%17) * 0.25
 		}
-		sync := func() error {
-			if legacy {
-				return c.Barrier() // the legacy path requires it
-			}
-			return nil
-		}
 		// Warm up: grow freelists, pump heaps and caches to steady state.
 		for i := 0; i < warm; i++ {
 			if err := eng.SpMV(x, y, int64(i)); err != nil {
-				return err
-			}
-			if err := sync(); err != nil {
 				return err
 			}
 		}
@@ -93,9 +75,6 @@ func benchSpMVJob(b *testing.B, legacy bool, threads, workers, shards int) {
 			if err := eng.SpMV(x, y, int64(warm+i)); err != nil {
 				return err
 			}
-			if err := sync(); err != nil {
-				return err
-			}
 		}
 		if err := c.Barrier(); err != nil {
 			return err
@@ -108,7 +87,7 @@ func benchSpMVJob(b *testing.B, legacy bool, threads, workers, shards int) {
 }
 
 func BenchmarkSpMV(b *testing.B) {
-	benchSpMVJob(b, false, 1, 2, 0)
+	benchSpMVJob(b, 1, 2, 0)
 }
 
 // BenchmarkSpMVSharded is the sharded-data-plane allocation gate: six
@@ -118,22 +97,20 @@ func BenchmarkSpMV(b *testing.B) {
 // greps for it — proving sharding did not reintroduce boxing anywhere in
 // the spMVM steady state.
 func BenchmarkSpMVSharded(b *testing.B) {
-	benchSpMVJob(b, false, 1, 6, 4)
+	benchSpMVJob(b, 1, 6, 4)
 }
 
-// benchCollJob measures the collective hot path (or its preserved legacy
-// message-path counterpart): every rank runs b.N operations, rank 0 times
-// them. Collectives are self-synchronizing, so no extra coordination is
-// needed beyond the warmup barrier.
-func benchCollJob(b *testing.B, legacy bool, procs, shards int, body func(p *gaspi.Proc, n int) error) {
+// benchCollJob measures the collective hot path: every rank runs b.N
+// operations, rank 0 times them. Collectives are self-synchronizing, so
+// no extra coordination is needed beyond the warmup barrier.
+func benchCollJob(b *testing.B, procs, shards int, body func(p *gaspi.Proc, n int) error) {
 	const warm = 64
 	benchJobCfg(b, gaspi.Config{
 		Procs:   procs,
 		Latency: fabric.LatencyModel{Base: 2 * time.Microsecond},
 		// See benchSpMVJob for the SpinYields sizing.
-		SpinYields:        1 << 16,
-		LegacyCollectives: legacy,
-		FabricShards:      shards,
+		SpinYields:   1 << 16,
+		FabricShards: shards,
 	}, func(p *gaspi.Proc) error {
 		if err := body(p, warm); err != nil {
 			return err
@@ -162,12 +139,11 @@ func benchCollJob(b *testing.B, legacy bool, procs, shards int, body func(p *gas
 	})
 }
 
-// BenchmarkCollBarrier / BenchmarkCollAllreduceF64 are the fast-path
-// steady-state gates: both MUST report 0 allocs/op (the CI bench-smoke job
-// greps for it) — rounds are one-sided notifications/writes into the
-// group's registered collective segment, the accumulator is group-cached,
-// and the hot waits poll before parking. The *Legacy variants run the
-// preserved two-sided message path for the before/after trajectory.
+// BenchmarkCollBarrier / BenchmarkCollAllreduceF64 are the steady-state
+// gates: both MUST report 0 allocs/op (the CI bench-smoke job greps for
+// it) — rounds are one-sided notifications/writes into the group's
+// registered collective segment, the accumulator is group-cached, and the
+// hot waits poll before parking.
 
 func benchBarrier(p *gaspi.Proc, n int) error {
 	for i := 0; i < n; i++ {
@@ -179,11 +155,7 @@ func benchBarrier(p *gaspi.Proc, n int) error {
 }
 
 func BenchmarkCollBarrier(b *testing.B) {
-	benchCollJob(b, false, 4, 0, benchBarrier)
-}
-
-func BenchmarkCollBarrierLegacy(b *testing.B) {
-	benchCollJob(b, true, 4, 0, benchBarrier)
+	benchCollJob(b, 4, 0, benchBarrier)
 }
 
 func benchAllreduce(p *gaspi.Proc, n int) error {
@@ -198,7 +170,7 @@ func benchAllreduce(p *gaspi.Proc, n int) error {
 }
 
 func BenchmarkCollAllreduceF64(b *testing.B) {
-	benchCollJob(b, false, 4, 0, benchAllreduce)
+	benchCollJob(b, 4, 0, benchAllreduce)
 }
 
 // BenchmarkCollAllreduceF64Sharded runs the binomial allreduce over an
@@ -207,17 +179,13 @@ func BenchmarkCollAllreduceF64(b *testing.B) {
 // gate: the collective fast path's zero-allocation steady state has to
 // hold per shard, not just in the one-pump-per-rank layout.
 func BenchmarkCollAllreduceF64Sharded(b *testing.B) {
-	benchCollJob(b, false, 8, 4, benchAllreduce)
-}
-
-func BenchmarkCollAllreduceF64Legacy(b *testing.B) {
-	benchCollJob(b, true, 4, 0, benchAllreduce)
+	benchCollJob(b, 8, 4, benchAllreduce)
 }
 
 // BenchmarkCollAllreduceF64Large exercises the segmented (chunked,
 // ack-flow-controlled) large-vector protocol.
 func BenchmarkCollAllreduceF64Large(b *testing.B) {
-	benchCollJob(b, false, 4, 0, func(p *gaspi.Proc, n int) error {
+	benchCollJob(b, 4, 0, func(p *gaspi.Proc, n int) error {
 		in := make([]float64, 4096)
 		out := make([]float64, len(in))
 		for i := range in {
@@ -232,63 +200,53 @@ func BenchmarkCollAllreduceF64Large(b *testing.B) {
 	})
 }
 
-func BenchmarkSpMVLegacy(b *testing.B) {
-	benchSpMVJob(b, true, 1, 2, 0)
-}
-
 func BenchmarkCPStreamPush(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		copying bool
-	}{{"zerocopy", false}, {"copying", true}} {
-		for _, size := range []int{64 << 10, 512 << 10} {
-			b.Run(fmt.Sprintf("%s-bytes-%d", mode.name, size), func(b *testing.B) {
-				blob := make([]byte, size)
-				b.SetBytes(int64(size))
-				job := gaspi.Launch(gaspi.Config{
-					Procs:   2,
-					Latency: fabric.LatencyModel{Base: 2 * time.Microsecond},
-				}, func(p *gaspi.Proc) error {
-					s, err := ft.NewCPStream(p, size+4096, 64<<10, 50*time.Millisecond)
-					if err != nil {
-						return err
-					}
-					s.SetCopying(mode.copying)
-					if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
-						return err
-					}
-					if p.Rank() == 0 {
-						defer s.Stop()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							if err := s.Push(1, "cp/bench/0/v1", blob); err != nil {
-								return err
-							}
-						}
-						b.StopTimer()
-						if err := p.Notify(1, ft.SegCP, ft.NotifCPAck, 1, ft.CPAckQueue); err != nil {
+	for _, size := range []int{64 << 10, 512 << 10} {
+		b.Run(fmt.Sprintf("bytes-%d", size), func(b *testing.B) {
+			blob := make([]byte, size)
+			b.SetBytes(int64(size))
+			job := gaspi.Launch(gaspi.Config{
+				Procs:   2,
+				Latency: fabric.LatencyModel{Base: 2 * time.Microsecond},
+			}, func(p *gaspi.Proc) error {
+				s, err := ft.NewCPStream(p, size+4096, 64<<10, 50*time.Millisecond)
+				if err != nil {
+					return err
+				}
+				if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+					return err
+				}
+				if p.Rank() == 0 {
+					defer s.Stop()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := s.Push(1, "cp/bench/0/v1", blob); err != nil {
 							return err
 						}
-						return p.WaitQueue(ft.CPAckQueue, gaspi.Block)
 					}
-					go s.Serve(func(string, []byte) error { return nil })
-					if _, err := p.NotifyWaitsome(ft.SegCP, ft.NotifCPAck, 1, gaspi.Block); err != nil {
+					b.StopTimer()
+					if err := p.Notify(1, ft.SegCP, ft.NotifCPAck, 1, ft.CPAckQueue); err != nil {
 						return err
 					}
-					s.Stop()
-					return nil
-				})
-				res, ok := job.WaitTimeout(5 * time.Minute)
-				if !ok {
-					b.Fatal("bench job hung")
+					return p.WaitQueue(ft.CPAckQueue, gaspi.Block)
 				}
-				for _, r := range res {
-					if r.Err != nil {
-						b.Fatalf("rank %d: %v", r.Rank, r.Err)
-					}
+				go s.Serve(func(string, []byte) error { return nil })
+				if _, err := p.NotifyWaitsome(ft.SegCP, ft.NotifCPAck, 1, gaspi.Block); err != nil {
+					return err
 				}
-				job.Close()
+				s.Stop()
+				return nil
 			})
-		}
+			res, ok := job.WaitTimeout(5 * time.Minute)
+			if !ok {
+				b.Fatal("bench job hung")
+			}
+			for _, r := range res {
+				if r.Err != nil {
+					b.Fatalf("rank %d: %v", r.Rank, r.Err)
+				}
+			}
+			job.Close()
+		})
 	}
 }

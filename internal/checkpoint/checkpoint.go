@@ -130,16 +130,10 @@ type Config struct {
 	// FullEvery enables the incremental delta engine: every FullEvery-th
 	// generation of a checkpoint family is a self-contained full base and
 	// the generations between are dirty-chunk deltas (chunked at
-	// ChunkSize, chained by generation tag; see delta.go). 0 or 1 keeps
-	// the legacy full-blob format — the pre-delta path, selectable for
-	// before/after comparisons. Ignored when Compress is set (compressed
-	// payloads have no stable chunk identity to diff).
+	// ChunkSize, chained by generation tag; see delta.go). 0 or 1 writes
+	// every generation as an untagged full blob. Ignored when Compress is
+	// set (compressed payloads have no stable chunk identity to diff).
 	FullEvery int
-	// SequentialRestore disables the striped multi-source fetcher: every
-	// restore walks the storage tiers one at a time and reads whole blobs
-	// (the pre-striping path, kept selectable for the recovery-bandwidth
-	// before/after benchmark).
-	SequentialRestore bool
 }
 
 // DefaultChunkBytes is the replication chunk granularity when

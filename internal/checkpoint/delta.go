@@ -9,8 +9,8 @@ import (
 
 // The incremental delta engine. Iterative applications mutate only part of
 // their state between checkpoint epochs (a Lanczos step touches the two
-// rotating vectors, not the whole basis), yet the legacy write path ships
-// the full blob every interval — local commit, neighbor replication, and
+// rotating vectors, not the whole basis), yet a full-blob write ships
+// every byte every interval — local commit, neighbor replication, and
 // the optional PFS copy all pay for bytes that did not change. With
 // Config.FullEvery > 1 the library chunks each payload at the replication
 // granularity (Config.ChunkSize), keeps a per-(name,logical) chunk-hash
@@ -31,17 +31,17 @@ import (
 // is selected) instead of being silently mis-assembled. As a second line
 // of defense each delta carries a CRC of the complete reassembled payload.
 //
-// The legacy full-blob format (FullEvery <= 1, the default) is untouched
-// and remains selectable for before/after comparisons.
+// With FullEvery <= 1 (the default) every generation is an untagged full
+// blob.
 
 // Frame kinds (FrameKind classifies an encoded checkpoint frame).
 type FrameKind byte
 
 // Frame kinds.
 const (
-	// KindLegacy is the untagged full-blob frame (GCP1/GCP2): the
-	// pre-delta format, still written when the delta engine is disabled.
-	KindLegacy FrameKind = iota
+	// KindUntagged is the full-blob frame without a generation tag
+	// (GCP1/GCP2), written when the delta engine is disabled.
+	KindUntagged FrameKind = iota
 	// KindFull is a generation-tagged full base frame (GCP4).
 	KindFull
 	// KindDelta is a dirty-chunk delta frame (GCP3) chained onto the
@@ -56,7 +56,7 @@ func (k FrameKind) String() string {
 	case KindDelta:
 		return "delta"
 	default:
-		return "legacy"
+		return "untagged"
 	}
 }
 
@@ -72,7 +72,7 @@ type chainInfo struct {
 // genCounter issues process-unique generation tags. The whole simulated
 // cluster lives in one OS process, so a single atomic counter makes tags
 // unique across every rank and every library instance; 0 is reserved for
-// "untagged" (legacy frames).
+// untagged frames.
 var genCounter atomic.Uint64
 
 func nextGen() uint64 { return genCounter.Add(1) }
@@ -163,7 +163,7 @@ func (l *Library) resetDeltaState() {
 }
 
 // encodeNext encodes the next generation of (name, logical) into dst's
-// backing array: the legacy full blob when the delta engine is off, and
+// backing array: the untagged full blob when the delta engine is off, and
 // otherwise a tagged full base or a dirty-chunk delta per the FullEvery
 // cadence. It updates the chunk-hash table, so generations follow staging
 // order (the async writer stages strictly in Write order).
@@ -324,7 +324,7 @@ type frame struct {
 	chain   chainInfo
 	logical int
 	version int64
-	payload []byte // KindLegacy / KindFull
+	payload []byte // KindUntagged / KindFull
 
 	// Delta fields.
 	fullLen   int
@@ -362,11 +362,11 @@ func decodeFrameInto(f *frame, blob []byte) error {
 	m := binary.LittleEndian.Uint32(blob[0:])
 	switch m {
 	case magic, magicGzip:
-		payload, logical, version, err := decode(blob) //ftlint:ignore hotpath: legacy frames are off the mirror path
+		payload, logical, version, err := decode(blob) //ftlint:ignore hotpath: untagged frames are off the mirror path
 		if err != nil {
 			return err
 		}
-		f.chain = chainInfo{kind: KindLegacy}
+		f.chain = chainInfo{kind: KindUntagged}
 		f.logical, f.version, f.payload = logical, version, payload
 		return nil
 	case magicFull, magicDelta:
@@ -437,7 +437,7 @@ func decodeFrameInto(f *frame, blob []byte) error {
 // already verified).
 func frameChain(blob []byte) chainInfo {
 	if len(blob) < headerLen {
-		return chainInfo{kind: KindLegacy}
+		return chainInfo{kind: KindUntagged}
 	}
 	switch binary.LittleEndian.Uint32(blob[0:]) {
 	case magicFull:
@@ -455,7 +455,7 @@ func frameChain(blob []byte) chainInfo {
 			}
 		}
 	}
-	return chainInfo{kind: KindLegacy}
+	return chainInfo{kind: KindUntagged}
 }
 
 // IsDeltaFrame reports whether an encoded checkpoint blob is a delta
@@ -499,13 +499,13 @@ const sealMagic2 = uint32(0x4b4f4332) // "2COK"
 // [4B magic][1B kind][3B pad][8B version][8B gen][8B prevGen][8B prevVer].
 const sealBlobLen2 = 40
 
-// sealFor builds the seal object for an encoded frame: the legacy
-// 12-byte seal for legacy frames, the extended chain-carrying seal for
-// tagged frames. The restore side resolves base+delta chains from seal
-// metadata alone, without fetching frame bodies.
+// sealFor builds the seal object for an encoded frame: the 12-byte
+// version-only seal for untagged frames, the extended chain-carrying seal
+// for tagged frames. The restore side resolves base+delta chains from
+// seal metadata alone, without fetching frame bodies.
 func sealFor(blob []byte, version int64) []byte {
 	ci := frameChain(blob)
-	if ci.kind == KindLegacy {
+	if ci.kind == KindUntagged {
 		return sealBlob(version)
 	}
 	s := make([]byte, sealBlobLen2)
@@ -530,7 +530,7 @@ func parseSeal(blob []byte) (version int64, ci chainInfo, ok bool) {
 		}
 		return int64(binary.LittleEndian.Uint64(blob[8:])), ci, true
 	case len(blob) >= 12 && binary.LittleEndian.Uint32(blob) == sealMagic:
-		return int64(binary.LittleEndian.Uint64(blob[4:])), chainInfo{kind: KindLegacy}, true
+		return int64(binary.LittleEndian.Uint64(blob[4:])), chainInfo{kind: KindUntagged}, true
 	}
 	return 0, chainInfo{}, false
 }

@@ -294,27 +294,26 @@ func TestReplicateOverlapsNeighborAndPFS(t *testing.T) {
 	}
 }
 
-// TestDeltaLegacyInterop: a library with the delta engine off must keep
-// writing frames a delta-enabled reader restores, and vice versa — the
-// legacy full-blob path stays selectable.
+// TestDeltaLegacyInterop: a library with the delta engine off writes
+// untagged frames a delta-enabled reader must restore.
 func TestDeltaLegacyInterop(t *testing.T) {
 	cl := testCluster(t, 3)
-	legacy := New(cl, 0, Config{})
-	defer legacy.Stop()
-	legacy.SetWorkerNodes([]int{0, 1, 2})
-	if err := legacy.Write("state", 0, 1, []byte("legacy blob")); err != nil {
+	untagged := New(cl, 0, Config{})
+	defer untagged.Stop()
+	untagged.SetWorkerNodes([]int{0, 1, 2})
+	if err := untagged.Write("state", 0, 1, []byte("full blob")); err != nil {
 		t.Fatal(err)
 	}
-	legacy.WaitIdle()
+	untagged.WaitIdle()
 	deltaReader := New(cl, 0, Config{FullEvery: 4})
 	defer deltaReader.Stop()
 	deltaReader.SetWorkerNodes([]int{0, 1, 2})
 	if v, ok := deltaReader.FindLatest("state", 0); !ok || v != 1 {
-		t.Fatalf("delta reader FindLatest on legacy store = %d, %v", v, ok)
+		t.Fatalf("delta reader FindLatest on untagged store = %d, %v", v, ok)
 	}
 	got, err := deltaReader.Fetch("state", 0, 1)
-	if err != nil || string(got) != "legacy blob" {
-		t.Fatalf("delta reader on legacy frame: %q, %v", got, err)
+	if err != nil || string(got) != "full blob" {
+		t.Fatalf("delta reader on untagged frame: %q, %v", got, err)
 	}
 }
 

@@ -139,7 +139,7 @@ func (m *LiveMirror) Apply(blob []byte) error {
 	}
 	f := &m.scratch
 	switch f.chain.kind {
-	case KindFull, KindLegacy:
+	case KindFull, KindUntagged:
 		if cap(m.base) < len(f.payload) {
 			m.base = make([]byte, len(f.payload)) //ftlint:ignore hotpath: amortized growth, image reused across frames
 		}

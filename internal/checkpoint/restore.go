@@ -9,10 +9,9 @@ import (
 	"sync/atomic"
 )
 
-// The restore fast path. The legacy restore walked the storage tiers one
-// at a time (local → neighbor → remote → PFS) and read whole blobs from
-// the first tier that answered — time-to-recover paid the full blob at a
-// single replica's bandwidth, while every other intact copy idled. The
+// The striped restore. Reading a whole blob from the first storage tier
+// that answers (local → neighbor → remote → PFS) pays the full blob at a
+// single replica's bandwidth while every other intact copy idles. The
 // striped fetcher instead resolves, from seal metadata alone, the set of
 // stores holding byte-identical copies (same generation tag) and fans
 // fixed-size stripes out to all of them concurrently through a shared
@@ -71,7 +70,7 @@ func (l *Library) sealScan(name string, logical int) map[int64][]replicaRef {
 				continue
 			}
 			sv, ci, ok := parseSeal(blob)
-			if !ok || (ci.kind != KindLegacy && sv != kv) {
+			if !ok || (ci.kind != KindUntagged && sv != kv) {
 				continue
 			}
 			out[kv] = append(out[kv], replicaRef{node: nodeID, src: classify(nodeID), ci: ci})
@@ -107,14 +106,14 @@ func srcRank(s RestoreSource) int {
 // sealed on at least one alive store, and a delta only links to a
 // predecessor sealed with the exact generation tag it was diffed against
 // (a version overwritten after a recovery gets a fresh tag, so a forked
-// chain is detected as broken instead of being mis-assembled). Legacy
-// (untagged) replicas are self-contained single-link chains.
+// chain is detected as broken instead of being mis-assembled). Untagged
+// replicas are self-contained single-link chains.
 func resolveChain(reps map[int64][]replicaRef, v int64) (links []chainLink, ok bool) {
 	variants := func(version int64) []chainLink {
 		byGen := make(map[uint64]*chainLink)
 		var order []uint64
 		for _, r := range reps[version] {
-			key := r.ci.gen // 0 for legacy
+			key := r.ci.gen // 0 for untagged
 			cl, ok := byGen[key]
 			if !ok {
 				cl = &chainLink{version: version, ci: r.ci}
@@ -195,12 +194,10 @@ func (l *Library) FindLatestBelow(name string, logical int, bound int64) (int64,
 
 // FetchFrom is Fetch reporting the replica's source. It resolves the
 // version's base+delta chain from seal metadata, fetches every link —
-// striped across all same-generation stores unless Config.
-// SequentialRestore is set — and reassembles the payload with end-to-end
-// CRC verification. The reported source is the tier that served the most
-// bytes (ties break toward the cheaper tier); when the seal-driven path
-// finds nothing it falls back to the legacy single-tier walk, preserving
-// the pre-delta behavior for untagged stores.
+// striped across all same-generation stores — and reassembles the payload
+// with end-to-end CRC verification. The reported source is the tier that
+// served the most bytes (ties break toward the cheaper tier); when the
+// seal-driven path finds nothing it falls back to the tier walk.
 func (l *Library) FetchFrom(name string, logical int, version int64) ([]byte, RestoreSource, error) {
 	reps := l.sealScan(name, logical)
 	if links, ok := resolveChain(reps, version); ok {
@@ -211,7 +208,7 @@ func (l *Library) FetchFrom(name string, logical int, version int64) ([]byte, Re
 		// the reads (e.g. a source died): fall through to the tier walk,
 		// which may still find a self-contained copy.
 	}
-	return l.legacyWalk(name, logical, version)
+	return l.tierWalk(name, logical, version)
 }
 
 // fetchChain fetches and reassembles a resolved chain (base first).
@@ -265,9 +262,9 @@ func (l *Library) fetchBlob(key string, link chainLink, tierBytes map[RestoreSou
 	sources := append([]replicaRef(nil), link.sources...)
 	sort.Slice(sources, func(i, j int) bool { return srcRank(sources[i].src) < srcRank(sources[j].src) })
 	// Striping requires byte-identical copies, which only the generation
-	// tag guarantees; legacy (gen-0) replicas and single sources read
+	// tag guarantees; untagged (gen-0) replicas and single sources read
 	// sequentially.
-	if !l.cfg.SequentialRestore && link.ci.gen != 0 && len(sources) > 1 {
+	if link.ci.gen != 0 && len(sources) > 1 {
 		if blob, err := l.fetchStriped(key, sources, tierBytes); err == nil {
 			return blob, nil
 		}
@@ -420,13 +417,14 @@ func (l *Library) fetchStriped(key string, sources []replicaRef, tierBytes map[R
 	}
 }
 
-// legacyWalk is the pre-striping restore: local store first (intact after
-// a mere process death), then the ring neighbor (the replica that
-// survives a whole-node loss), then every other alive node, and the PFS
-// last, reading whole blobs and skipping corrupt or delta-framed copies
-// (a delta cannot be restored without its chain, which the seal-driven
-// path already failed to resolve).
-func (l *Library) legacyWalk(name string, logical int, version int64) ([]byte, RestoreSource, error) {
+// tierWalk is the fallback for a source that died between the seal scan
+// and the read: local store first (intact after a mere process death),
+// then the ring neighbor (the replica that survives a whole-node loss),
+// then every other alive node, and the PFS last, reading whole blobs and
+// skipping corrupt or delta-framed copies (a delta cannot be restored
+// without its chain, which the seal-driven path already failed to
+// resolve).
+func (l *Library) tierWalk(name string, logical int, version int64) ([]byte, RestoreSource, error) {
 	key := Key(name, logical, version)
 	tryNode := func(nodeID int) ([]byte, bool) {
 		if nodeID < 0 || !l.cl.NodeAlive(nodeID) {

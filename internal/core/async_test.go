@@ -84,7 +84,7 @@ func TestAsyncTwoProcsPerNodeFallback(t *testing.T) {
 		return a
 	})
 	t.Cleanup(job.Close)
-	time.Sleep(30 * time.Millisecond)
+	waitCheckpoints(t, job, 2)
 	job.Cluster.KillNode(3) // hosts ranks 6,7 = logicals 2,3
 	res, ok := job.WaitTimeout(120 * time.Second)
 	if !ok {
@@ -123,7 +123,7 @@ func TestAsyncNodeFailureRecovery(t *testing.T) {
 	cfg := asyncCfg()
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
 	job, eigs := launchLanczos(t, cfg, lay.Procs)
-	time.Sleep(40 * time.Millisecond)
+	waitCheckpoints(t, job, 2)
 	victim := lay.InitialPhysical(0)
 	job.Cluster.KillNode(int(victim))
 	waitClean(t, job, victim)

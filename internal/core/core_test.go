@@ -92,6 +92,26 @@ func launchLanczos(t *testing.T, cfg core.Config, nodes int) (*core.Job, func() 
 	return job, eigs
 }
 
+// waitCheckpoints blocks until every initial worker has written `want`
+// state checkpoints — how a test places a fault "mid-run" without guessing
+// a sleep. One (iteration 0) means the whole job is past core.Main's
+// start-up collectives, which wait unbounded, and past App.Init, which
+// replicates the plan every rescue needs: it is inside the iteration loop
+// that StallLimit and the FD guard. Two means iteration CheckpointEvery.
+func waitCheckpoints(t *testing.T, job *core.Job, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	lay := job.Layout
+	for l := 0; l < lay.Workers(); l++ {
+		for job.Recorders[lay.InitialPhysical(l)].Counter(trace.KCoreCheckpoints) < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("logical rank %d never wrote checkpoint %d", l, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func waitClean(t *testing.T, job *core.Job, allowDead ...gaspi.Rank) []gaspi.Result {
 	t.Helper()
 	res, ok := job.WaitTimeout(120 * time.Second)
@@ -231,7 +251,7 @@ func TestKillNineFailureRecovery(t *testing.T) {
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
 	job, eigs := launchLanczos(t, cfg, lay.Procs)
-	time.Sleep(30 * time.Millisecond) // mid-run
+	waitCheckpoints(t, job, 2)
 	victim := lay.InitialPhysical(2)
 	job.Cluster.KillProc(victim)
 	waitClean(t, job, victim)
@@ -247,7 +267,7 @@ func TestNodeFailureLosesLocalStore(t *testing.T) {
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
 	job, eigs := launchLanczos(t, cfg, lay.Procs)
-	time.Sleep(40 * time.Millisecond)
+	waitCheckpoints(t, job, 2)
 	victim := lay.InitialPhysical(0) // logical root's node dies
 	job.Cluster.KillNode(int(victim))
 	waitClean(t, job, victim)
@@ -267,7 +287,7 @@ func TestNetworkFailureFalsePositive(t *testing.T) {
 	cfg.FT.PingRetries = 2
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
 	job, eigs := launchLanczos(t, cfg, lay.Procs)
-	time.Sleep(40 * time.Millisecond)
+	waitCheckpoints(t, job, 2)
 	victim := lay.InitialPhysical(3)
 	job.Cluster.PartitionNode(int(victim), true)
 	time.Sleep(100 * time.Millisecond) // let detection + recovery begin
@@ -458,7 +478,7 @@ func TestFDRedundancyStandbyTakeover(t *testing.T) {
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
 	job, eigs := launchLanczos(t, cfg, lay.Procs)
-	time.Sleep(20 * time.Millisecond)
+	waitCheckpoints(t, job, 1)
 	job.Cluster.KillProc(0) // the FD dies
 	// Wait for the standby (physical rank 2) to promote itself.
 	deadline := time.Now().Add(10 * time.Second)
@@ -509,7 +529,7 @@ func TestRestrictionThreeNonUniformNetworkFailure(t *testing.T) {
 	cfg.FT.StallLimit = 300 * time.Millisecond
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
 	job, _ := launchLanczos(t, cfg, lay.Procs)
-	time.Sleep(20 * time.Millisecond)
+	waitCheckpoints(t, job, 1)
 	a, b := lay.InitialPhysical(0), lay.InitialPhysical(1)
 	job.Cluster.LinkDown(int(a), int(b), true)
 	res, ok := job.WaitTimeout(120 * time.Second)
@@ -561,7 +581,7 @@ func TestTwoProcsPerNodeNodeFailure(t *testing.T) {
 		return a
 	})
 	t.Cleanup(job.Close)
-	time.Sleep(30 * time.Millisecond)
+	waitCheckpoints(t, job, 2)
 	job.Cluster.KillNode(3)
 	res, ok := job.WaitTimeout(120 * time.Second)
 	if !ok {

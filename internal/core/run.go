@@ -698,7 +698,7 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 // not monotonic in version (a chain broken by lost replicas can hole out
 // an old version while a newer full base stays intact), so a version
 // below some member's newest can still be unrestorable for it — as can a
-// pruned version under the legacy format. A failed fetch retreats the
+// pruned version under the untagged format. A failed fetch retreats the
 // proposal below the failed version and the loop re-agrees; members that
 // fetched fine discard the payload and follow, keeping the group
 // consistent. The loop strictly decreases the agreed version, ending at

@@ -65,6 +65,11 @@ type AblationRow struct {
 	Wall time.Duration
 	// Pings is the total number of pings issued fabric-wide.
 	Pings uint64
+	// PingsPerPeriod is Pings over the detection periods the run lasted
+	// (the FD's scans, or the probers' average round count): the
+	// detector's cost rate, independent of how long the run took. Zero
+	// without a detector.
+	PingsPerPeriod float64
 	// OverheadPct is the runtime overhead versus the no-detector baseline.
 	OverheadPct float64
 }
@@ -86,11 +91,14 @@ func RunAblation(c AblationConfig) (*AblationResult, error) {
 
 	var baseline time.Duration
 	for _, variant := range []string{"no detector", "dedicated FD (paper)", "all-to-all ping", "neighbor-ring ping"} {
-		wall, pings, err := runAblationWorkload(c, variant)
+		wall, pings, periods, err := runAblationWorkload(c, variant)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %q: %w", variant, err)
 		}
 		row := AblationRow{Name: variant, Wall: wall, Pings: pings}
+		if periods > 0 {
+			row.PingsPerPeriod = float64(pings) / periods
+		}
 		if variant == "no detector" {
 			baseline = wall
 		}
@@ -119,8 +127,9 @@ func RunAblation(c AblationConfig) (*AblationResult, error) {
 }
 
 // runAblationWorkload runs the failure-free Lanczos workload under one
-// detector variant and reports the wall time and total pings.
-func runAblationWorkload(c AblationConfig, variant string) (time.Duration, uint64, error) {
+// detector variant and reports the wall time, the total pings and the
+// number of detection periods they were spent over.
+func runAblationWorkload(c AblationConfig, variant string) (time.Duration, uint64, float64, error) {
 	cal := PaperCalibration()
 	spares := 1
 	procs := 1 + spares + c.Workers
@@ -134,7 +143,7 @@ func runAblationWorkload(c AblationConfig, variant string) (time.Duration, uint6
 	}
 	gen := matrix.DefaultGraphene(c.Nx, c.Ny, uint64(c.Seed))
 
-	probers := make(chan *ft.Prober, procs)
+	probers := make(chan *Prober, procs)
 	newApp := func() core.App {
 		return apps.NewLanczos(apps.LanczosConfig{
 			Gen:  gen,
@@ -152,21 +161,28 @@ func runAblationWorkload(c AblationConfig, variant string) (time.Duration, uint6
 	defer job.Close()
 	results, ok := job.WaitTimeout(5 * time.Minute)
 	if !ok {
-		return 0, 0, errors.New("hung")
+		return 0, 0, 0, errors.New("hung")
 	}
 	wall := time.Since(start)
 	close(probers)
+	periods := float64(job.Recorders[0].Counter(trace.KFDScans))
+	var rounds, n int64
 	for b := range probers {
 		b.Stop()
+		rounds += b.Stats().Scans
+		n++
+	}
+	if n > 0 {
+		periods = float64(rounds) / float64(n)
 	}
 	for _, r := range results {
 		if r.Err != nil {
-			return 0, 0, fmt.Errorf("rank %d: %v", r.Rank, r.Err)
+			return 0, 0, 0, fmt.Errorf("rank %d: %v", r.Rank, r.Err)
 		}
 	}
 	stats := job.Cluster.Job().Transport().Stats()
 	pings := stats.PerKind[10] // kPing
-	return wall, pings, nil
+	return wall, pings, periods, nil
 }
 
 // proberApp wraps an App so that the alternative detectors (which run on
@@ -176,7 +192,7 @@ type proberApp struct {
 	core.App
 	variant string
 	cfg     ft.Config
-	probers chan *ft.Prober
+	probers chan *Prober
 	started bool
 }
 
@@ -185,11 +201,11 @@ func (a *proberApp) Init(ctx *core.Ctx, restore bool) error {
 		a.started = true
 		switch a.variant {
 		case "all-to-all ping":
-			b := ft.NewAllToAllProber(ctx.Proc, a.cfg, ctx.Rec)
+			b := NewAllToAllProber(ctx.Proc, a.cfg, ctx.Rec)
 			b.Start()
 			a.probers <- b
 		case "neighbor-ring ping":
-			b := ft.NewNeighborProber(ctx.Proc, a.cfg, ctx.Rec)
+			b := NewNeighborProber(ctx.Proc, a.cfg, ctx.Rec)
 			b.Start()
 			a.probers <- b
 		}

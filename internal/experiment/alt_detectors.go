@@ -1,10 +1,11 @@
-package ft
+package experiment
 
 import (
 	"errors"
 	"sync"
 	"time"
 
+	"repro/internal/ft"
 	"repro/internal/gaspi"
 	"repro/internal/trace"
 )
@@ -39,42 +40,42 @@ type ProbeStats struct {
 	// FirstSuspicion is when the first failure was suspected locally.
 	FirstSuspicion time.Time
 	// Suspected is the set of ranks this process suspects.
-	Suspected []Rank
+	Suspected []gaspi.Rank
 }
 
 // Prober is a background failure detector running on an application
 // process (as opposed to the dedicated FD process).
 type Prober struct {
 	p        *gaspi.Proc
-	cfg      Config
+	cfg      ft.Config // ScanInterval and PingTimeout pace the rounds
 	rec      *trace.Recorder
 	neighbor bool // neighbor-ring mode instead of all-to-all
 
 	mu        sync.Mutex
 	stats     ProbeStats
-	suspected map[Rank]bool
+	suspected map[gaspi.Rank]bool
 
 	stop chan struct{}
 	done chan struct{}
 }
 
 // NewAllToAllProber creates the all-to-all detector for this process.
-func NewAllToAllProber(p *gaspi.Proc, cfg Config, rec *trace.Recorder) *Prober {
+func NewAllToAllProber(p *gaspi.Proc, cfg ft.Config, rec *trace.Recorder) *Prober {
 	return newProber(p, cfg, rec, false)
 }
 
 // NewNeighborProber creates the neighbor-ring detector for this process.
-func NewNeighborProber(p *gaspi.Proc, cfg Config, rec *trace.Recorder) *Prober {
+func NewNeighborProber(p *gaspi.Proc, cfg ft.Config, rec *trace.Recorder) *Prober {
 	return newProber(p, cfg, rec, true)
 }
 
-func newProber(p *gaspi.Proc, cfg Config, rec *trace.Recorder, neighbor bool) *Prober {
+func newProber(p *gaspi.Proc, cfg ft.Config, rec *trace.Recorder, neighbor bool) *Prober {
 	return &Prober{
 		p:         p,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		rec:       rec,
 		neighbor:  neighbor,
-		suspected: make(map[Rank]bool),
+		suspected: make(map[gaspi.Rank]bool),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -100,7 +101,7 @@ func (b *Prober) Stats() ProbeStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := b.stats
-	s.Suspected = make([]Rank, 0, len(b.suspected))
+	s.Suspected = make([]gaspi.Rank, 0, len(b.suspected))
 	for r := range b.suspected {
 		s.Suspected = append(s.Suspected, r)
 	}
@@ -134,11 +135,11 @@ func (b *Prober) allToAllRound() {
 	n := b.p.NumProcs()
 	newSuspects := false
 	for r := 0; r < n; r++ {
-		if Rank(r) == b.p.Rank() || b.isSuspected(Rank(r)) {
+		if gaspi.Rank(r) == b.p.Rank() || b.isSuspected(gaspi.Rank(r)) {
 			continue
 		}
-		if b.pingOnce(Rank(r)) != nil {
-			b.suspect(Rank(r))
+		if b.pingOnce(gaspi.Rank(r)) != nil {
+			b.suspect(gaspi.Rank(r))
 			newSuspects = true
 		}
 	}
@@ -152,10 +153,10 @@ func (b *Prober) allToAllRound() {
 
 func (b *Prober) neighborRound() {
 	n := b.p.NumProcs()
-	next := Rank((int(b.p.Rank()) + 1) % n)
+	next := gaspi.Rank((int(b.p.Rank()) + 1) % n)
 	// Skip over already-suspected neighbors to the next live candidate.
 	for i := 0; i < n-1 && b.isSuspected(next); i++ {
-		next = Rank((int(next) + 1) % n)
+		next = gaspi.Rank((int(next) + 1) % n)
 	}
 	if next == b.p.Rank() {
 		return
@@ -173,7 +174,7 @@ func (b *Prober) neighborRound() {
 	}
 }
 
-func (b *Prober) pingOnce(r Rank) error {
+func (b *Prober) pingOnce(r gaspi.Rank) error {
 	b.mu.Lock()
 	b.stats.Pings++
 	b.mu.Unlock()
@@ -185,13 +186,13 @@ func (b *Prober) pingOnce(r Rank) error {
 	return err
 }
 
-func (b *Prober) isSuspected(r Rank) bool {
+func (b *Prober) isSuspected(r gaspi.Rank) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.suspected[r]
 }
 
-func (b *Prober) suspect(r Rank) {
+func (b *Prober) suspect(r gaspi.Rank) {
 	b.mu.Lock()
 	if !b.suspected[r] {
 		b.suspected[r] = true

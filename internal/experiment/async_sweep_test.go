@@ -21,8 +21,8 @@ func TestAsyncSweepSmallEndToEnd(t *testing.T) {
 		Iters:   60,
 		Periods: []int64{5, 15},
 		Nx:      16, Ny: 8,
-		TimeScale:      500,
-		LocalWriteCost: 25 * time.Millisecond,
+		TimeScale:      100,
+		LocalWriteCost: time.Second, // 10 ms measured per commit
 		Seed:           3,
 	})
 	if err != nil {
@@ -32,9 +32,11 @@ func TestAsyncSweepSmallEndToEnd(t *testing.T) {
 		t.Fatalf("rows: %d sweep, %d faulted", len(res.Rows), len(res.Faults))
 	}
 	// At every period: async app-visible checkpoint time below sync.
-	// With a 25 ms (model) local commit per checkpoint the gap is far
-	// above scheduling noise: sync pays it inside Write, async stages in
-	// memory and lets the writer goroutine flush.
+	// Sync pays the local commit inside Write, async stages in memory and
+	// lets the writer goroutine flush; at 10 ms per commit the gap (40 ms
+	// at period 15) stays above the scheduling noise of a loaded host,
+	// which a 50 µs commit did not, and far enough below the 100 ms
+	// stream-acknowledgment deadline that replication never times out.
 	for i := 0; i < len(res.Rows); i += 2 {
 		sync, async := res.Rows[i], res.Rows[i+1]
 		if sync.Period != async.Period || sync.Mode != "sync" || async.Mode != "async" {

@@ -78,6 +78,9 @@ type CPIntervalRow struct {
 	Wall     time.Duration
 	CPPhase  time.Duration
 	Redo     time.Duration
+	// RedoIters is the iteration count behind Redo: the most iterations
+	// any one rank re-executed after the recovery.
+	RedoIters int64
 }
 
 // CPSweepResult is the full study.
@@ -127,10 +130,11 @@ func RunCPSweep(c CPSweepConfig) (*CPSweepResult, error) {
 			return nil, fmt.Errorf("cp interval %d: %w", interval, err)
 		}
 		res.Intervals = append(res.Intervals, CPIntervalRow{
-			Interval: interval,
-			Wall:     wall,
-			CPPhase:  sum.Max[trace.PhaseCheckpoint],
-			Redo:     sum.Max[trace.PhaseRedoWork],
+			Interval:  interval,
+			Wall:      wall,
+			CPPhase:   sum.Max[trace.PhaseCheckpoint],
+			Redo:      sum.Max[trace.PhaseRedoWork],
+			RedoIters: sum.MaxCounter[trace.KCoreRedoIters],
 		})
 	}
 

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Tiny configurations keep the harness tests fast; the cmd/ binaries run
@@ -95,6 +97,10 @@ func TestFig4SmallEndToEnd(t *testing.T) {
 	if twoFail.Recoveries != 2 {
 		t.Fatalf("2-fail recoveries = %d", twoFail.Recoveries)
 	}
+	threeFail := res.Scenarios[5]
+	if threeFail.Recoveries != 3 {
+		t.Fatalf("3-fail recoveries = %d", threeFail.Recoveries)
+	}
 	simFail := res.Scenarios[6]
 	// Simultaneous exits are usually caught in one scan, but a scan already
 	// in progress when they land legitimately splits them over two epochs
@@ -102,12 +108,13 @@ func TestFig4SmallEndToEnd(t *testing.T) {
 	if simFail.Recoveries < 1 || simFail.Recoveries > 2 {
 		t.Fatalf("3-sim recoveries = %d (want 1, tolerating a scan-split 2)", simFail.Recoveries)
 	}
-	// Shape: every failure scenario is slower than the failure-free HC+CP
-	// run and contains nonzero redo/reinit/detect components.
-	hccp := res.Scenarios[2]
+	// Shape: every failure scenario carries redo/reinit/detect components
+	// the failure-free bars do not. (Not "is slower than the failure-free
+	// run": a millisecond recovery is below the scheduler noise between
+	// two runs.)
 	for _, sc := range res.Scenarios[3:] {
-		if sc.Wall <= hccp.Wall {
-			t.Fatalf("%s (%v) not slower than failure-free (%v)", sc.Name, sc.Wall, hccp.Wall)
+		if sc.Phases[trace.PhaseRedoWork]+sc.Phases[trace.PhaseReinit]+sc.Phases[trace.PhaseDetect] <= 0 {
+			t.Fatalf("%s: no redo/reinit/detect time attributed: %v", sc.Name, sc.Phases)
 		}
 	}
 	// All scenarios agree on the physics.
@@ -131,11 +138,6 @@ func TestTable1SmallEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	// A wide node-count gap (5 vs 23 ping targets) and a few extra scans
-	// in the average keep the scan-time-grows assertion robust against
-	// scheduler noise when other heavy test packages run in parallel on a
-	// small host; at {6,10} nodes the µs-scale means sit ~7% apart and
-	// flake.
 	res, err := RunTable1(Table1Config{
 		NodeCounts: []int{6, 24},
 		Runs:       2,
@@ -149,11 +151,13 @@ func TestTable1SmallEndToEnd(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows: %d", len(res.Rows))
 	}
-	// Scan time grows with node count (linear in pings).
-	if res.Rows[1].ScanMean <= res.Rows[0].ScanMean {
-		t.Fatalf("scan time must grow: %v vs %v", res.Rows[0].ScanMean, res.Rows[1].ScanMean)
-	}
 	for _, row := range res.Rows {
+		// Scan cost is linear in nodes, asserted on what was counted, not
+		// on two µs-scale means: a scan pings every live rank but the FD
+		// itself, one fewer once the victim is on the avoid list.
+		if row.PingsPerScan <= float64(row.Nodes-2) || row.PingsPerScan > float64(row.Nodes-1) {
+			t.Fatalf("row %d: %.2f pings per scan, want in (%d, %d]", row.Nodes, row.PingsPerScan, row.Nodes-2, row.Nodes-1)
+		}
 		if row.DetectMean <= 0 {
 			t.Fatalf("row %d: no detection time", row.Nodes)
 		}
@@ -168,11 +172,15 @@ func TestAblationSmallEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	// The workload (200 iterations of 0.4 ms) has to outlast several 12 ms
+	// detector periods, or a variant ends before its first round; and the
+	// 4 ms ping timeout has to be scheduler-noise safe, or the probers
+	// (which do not retry) suspect live ranks and stop pinging them.
 	res, err := RunAblation(AblationConfig{
 		Workers: 4,
-		Iters:   40,
+		Iters:   200,
 		Nx:      16, Ny: 8,
-		TimeScale: 1000,
+		TimeScale: 250,
 		Seed:      9,
 	})
 	if err != nil {
@@ -188,9 +196,10 @@ func TestAblationSmallEndToEnd(t *testing.T) {
 	if res.Rows[1].Pings == 0 || res.Rows[2].Pings == 0 || res.Rows[3].Pings == 0 {
 		t.Fatalf("detector variants must ping: %+v", res.Rows)
 	}
-	// All-to-all must cost (far) more pings than the dedicated FD.
-	if res.Rows[2].Pings <= res.Rows[1].Pings {
-		t.Fatalf("all-to-all pings %d <= dedicated %d", res.Rows[2].Pings, res.Rows[1].Pings)
+	// All-to-all must cost (far) more pings than the dedicated FD — per
+	// detection period: the totals also scale with how long each run took.
+	if res.Rows[2].PingsPerPeriod <= res.Rows[1].PingsPerPeriod {
+		t.Fatalf("all-to-all %.1f pings per round <= dedicated %.1f per scan", res.Rows[2].PingsPerPeriod, res.Rows[1].PingsPerPeriod)
 	}
 	if res.SerialDetect <= 0 || res.ThreadedDetect <= 0 {
 		t.Fatal("missing detection times")
@@ -228,10 +237,13 @@ func TestCPSweepSmallEndToEnd(t *testing.T) {
 	if neighbor.CPPhase <= 0 || pfs.CPPhase <= 0 {
 		t.Fatalf("missing cp-visible time: neighbor %v, pfs %v", neighbor.CPPhase, pfs.CPPhase)
 	}
-	// Redo-work must grow with the checkpoint interval.
-	if res.Intervals[2].Redo <= res.Intervals[0].Redo {
-		t.Fatalf("redo did not grow with interval: %v vs %v",
-			res.Intervals[0].Redo, res.Intervals[2].Redo)
+	// Redo-work must grow with the checkpoint interval: the failure at
+	// iteration 36 rolls back to 35 at interval 5 and to 30 at interval 30.
+	// Counted in iterations; the two millisecond-scale phase times are
+	// within a loaded host's scheduling noise of each other.
+	if res.Intervals[2].RedoIters <= res.Intervals[0].RedoIters {
+		t.Fatalf("redo did not grow with interval: %d vs %d iterations",
+			res.Intervals[0].RedoIters, res.Intervals[2].RedoIters)
 	}
 	if res.DalyOptimal <= 0 {
 		t.Fatal("no Daly optimum computed")

@@ -81,7 +81,7 @@ type ScenarioSpec struct {
 	PFSEvery int
 	// FullEvery enables the incremental delta checkpoint engine (every
 	// k-th generation a full base, dirty-chunk deltas between; 0 = the
-	// legacy full-blob format).
+	// untagged full-blob format).
 	FullEvery int
 	// Localized enables the non-collective O(degree) group repair
 	// (ft.Config.LocalizedRepair) for this row.
@@ -319,12 +319,6 @@ type ScenarioResult struct {
 	// DetectNS is the worst-case fault-detection time (OHF1): a worker
 	// first stalling on the failure to the acknowledgment arriving.
 	DetectNS int64
-	// PushedRecoveries counts the recoveries whose detecting scan a
-	// survivor's nudge started (the rest of Recoveries waited for the scan
-	// interval); AcksWoken/AcksTimedOut count how the acknowledgment
-	// reached blocked workers: woken by the attention line, or found after
-	// the communication timeout expired.
-	PushedRecoveries, AcksWoken, AcksTimedOut int64
 	// AckNS/RebuildNS/LocalizedNS/FailoverNS/RestoreNS decompose recovery
 	// time by machine phase (max across ranks — the critical path).
 	// LocalizedNS is the localized path's replacement for the rebuild
@@ -338,10 +332,9 @@ type ScenarioResult struct {
 	// recoveries, summed across ranks (zero on a clean hot-shadow
 	// failover).
 	RedoIters int64
-	// ShadowFailovers/ShadowFallbacks count completed zero-restore
-	// takeovers and failover epochs that fell back to the checkpoint
-	// ladder, summed across ranks.
-	ShadowFailovers, ShadowFallbacks int64
+	// ShadowFailovers counts completed zero-restore takeovers, summed
+	// across ranks.
+	ShadowFailovers int64
 	// TTRNS is the scenario's time-to-recover: the per-rank sum of the
 	// detect/ack/rebuild/restore phases, maximized over ranks — the
 	// worst rank's total recovery time (cumulative over epochs when a
@@ -511,9 +504,6 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	out.Recoveries = sum.SumCounter[trace.KFDRecoveries]
 	out.EpochRestarts = sum.SumCounter[ft.CounterEpochRestarts]
 	out.DetectNS = sum.MaxCounter[ft.CounterDetectNS]
-	out.PushedRecoveries = sum.SumCounter[trace.KFDRecoveriesNudged]
-	out.AcksWoken = sum.SumCounter[trace.KFTAckWoken]
-	out.AcksTimedOut = sum.SumCounter[trace.KFTAckTimedOut]
 	out.AckNS = sum.MaxCounter[ft.CounterAckNS]
 	out.RebuildNS = sum.MaxCounter[ft.CounterRebuildNS]
 	out.LocalizedNS = sum.MaxCounter[ft.CounterLocalizedNS]
@@ -521,7 +511,6 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	out.RestoreNS = sum.MaxCounter[ft.CounterRestoreNS]
 	out.RedoIters = sum.SumCounter[trace.KCoreRedoIters]
 	out.ShadowFailovers = sum.SumCounter[trace.KFTShadowFailovers]
-	out.ShadowFallbacks = sum.SumCounter[trace.KFTShadowFallbacks]
 	for _, r := range job.Recorders {
 		t := r.Counter(ft.CounterDetectNS) + r.Counter(ft.CounterAckNS) +
 			r.Counter(ft.CounterRebuildNS) + r.Counter(ft.CounterLocalizedNS) +

@@ -63,6 +63,10 @@ type Table1Row struct {
 	Nodes int
 	// ScanMean is the measured average failure-free ping-scan time.
 	ScanMean time.Duration
+	// PingsPerScan is the average number of pings one scan issued: one per
+	// live rank other than the FD, so Nodes-1 before the kill and Nodes-2
+	// after it. It is the count behind ScanMean's linear growth.
+	PingsPerScan float64
 	// DetectMean/DetectStddev are the failure detection + acknowledgment
 	// time statistics over Runs repetitions.
 	DetectMean, DetectStddev time.Duration
@@ -98,6 +102,7 @@ func runTable1Size(c Table1Config, nodes int, rng *rand.Rand) (*Table1Row, error
 	cal := PaperCalibration()
 	var detectTimes []float64
 	var scanTimes []float64
+	var scanPings []float64
 
 	for run := 0; run < c.Runs; run++ {
 		lay := ft.Layout{Procs: nodes, Spares: 1}
@@ -178,18 +183,24 @@ func runTable1Size(c Table1Config, nodes int, rng *rand.Rand) (*Table1Row, error
 		}
 		detectTimes = append(detectTimes, last.Sub(injected).Seconds())
 
+		// The FD has stopped: its counters are mutually consistent.
+		cl.Shutdown()
 		rec := recs[0]
 		if s := rec.Counter(trace.KFDCleanScans); s > 0 {
 			scanTimes = append(scanTimes, float64(rec.Counter(trace.KFDCleanScanNS))/float64(s)/1e9)
 		}
-		cl.Shutdown()
+		if s := rec.Counter(trace.KFDScans); s > 0 {
+			scanPings = append(scanPings, float64(rec.Counter(trace.KFDPings))/float64(s))
+		}
 	}
 
 	scanMean, _ := trace.MeanStddev(scanTimes)
+	pingsMean, _ := trace.MeanStddev(scanPings)
 	detMean, detStd := trace.MeanStddev(detectTimes)
 	return &Table1Row{
 		Nodes:        nodes,
 		ScanMean:     time.Duration(scanMean * 1e9),
+		PingsPerScan: pingsMean,
 		DetectMean:   time.Duration(detMean * 1e9),
 		DetectStddev: time.Duration(detStd * 1e9),
 	}, nil

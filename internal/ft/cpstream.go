@@ -50,7 +50,7 @@ type CPFrameKind uint32
 
 // Checkpoint-stream frame kinds.
 const (
-	// CPFrameFull is a self-contained checkpoint (legacy blob or delta
+	// CPFrameFull is a self-contained checkpoint (untagged blob or delta
 	// engine full base).
 	CPFrameFull CPFrameKind = iota
 	// CPFrameDelta is a dirty-chunk delta generation.
@@ -95,9 +95,6 @@ type CPStream struct {
 	// posted zero-copy, so it is owned by the fabric until the chunk flush
 	// completes; error paths abandon it (nil) instead of reusing it.
 	hdrBuf []byte
-	// copying disables the zero-copy chunk posts (benchmark knob: the
-	// pre-PR per-chunk copy discipline).
-	copying bool
 
 	stopped atomic.Bool
 	serving atomic.Bool
@@ -113,11 +110,6 @@ func (s *CPStream) Stats() CPStreamStats {
 	defer s.statsMu.Unlock()
 	return s.stats
 }
-
-// SetCopying switches the chunk posts back to the copying Write
-// (benchmarks use it to measure the zero-copy delta). Call before any
-// Push.
-func (s *CPStream) SetCopying(v bool) { s.copying = v }
 
 // NewCPStream creates the staging segment and returns the endpoint.
 // segBytes is the frame capacity (DefaultCPStreamBytes when 0), chunk the
@@ -208,11 +200,7 @@ func (s *CPStream) push(to gaspi.Rank, key string, blob []byte, kind CPFrameKind
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(blob)))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(kind))
 	copy(hdr[cpFrameHeader:], key)
-	post := s.p.WriteFrom
-	if s.copying {
-		post = s.p.Write
-	}
-	if err := post(to, SegCP, 0, hdr, CPQueue); err != nil {
+	if err := s.p.WriteFrom(to, SegCP, 0, hdr, CPQueue); err != nil {
 		return err
 	}
 	// All chunks target one receiver rank, i.e. one fabric shard: the
@@ -221,7 +209,7 @@ func (s *CPStream) push(to gaspi.Rank, key string, blob []byte, kind CPFrameKind
 	base := int64(len(hdr))
 	for off := 0; off < len(blob); off += s.chunk {
 		end := min(off+s.chunk, len(blob))
-		if err := post(to, SegCP, base+int64(off), blob[off:end], CPQueue); err != nil {
+		if err := s.p.WriteFrom(to, SegCP, base+int64(off), blob[off:end], CPQueue); err != nil {
 			return err
 		}
 	}

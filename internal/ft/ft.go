@@ -28,9 +28,9 @@
 //     segment, where an applier goroutine commits complete frames to the
 //     node-local store — the replica that survives the sender's death.
 //
-// The package also contains the two alternative detectors the paper
-// investigated and rejected (all-to-all ping and neighbor-ring ping) for
-// the ablation benchmarks.
+// The two alternative detectors the paper investigated and rejected
+// (all-to-all ping and neighbor-ring ping) live beside their only user,
+// the ablation, in internal/experiment.
 package ft
 
 import (

@@ -397,7 +397,12 @@ func (w *Worker) NotifyWaitsome(seg gaspi.SegmentID, begin gaspi.NotificationID,
 	return id, err
 }
 
-// PassiveSend implements spmvm.Comm.
+// PassiveSend implements spmvm.Comm. Delivery is at-least-once: a
+// gaspi.PassiveSend that times out has already posted its message, and
+// retry — the paper's "processes keep on returning with GASPI_TIMEOUT"
+// loop — posts it again, so a receiver slow to complete the first copy
+// gets two. Receivers must tolerate duplicates (spmvm.Preprocess, the only
+// passive-message user, serves each sender once).
 func (w *Worker) PassiveSend(to int, data []byte) error {
 	return w.retry(func(t time.Duration) error {
 		return w.p.PassiveSend(w.rm.Phys(to), data, t)

@@ -22,38 +22,26 @@ const (
 )
 
 // Barrier synchronizes all ranks of a committed group (gaspi_barrier): a
-// dissemination barrier, ceil(log2(n)) pairwise rounds. On the default
-// fast path the rounds are one-sided notifications into the group's
-// registered collective segment (zero allocations in steady state); the
-// legacy message path remains selectable via Config.LegacyCollectives.
-// On ErrTimeout the barrier may be resumed by calling it again; a dead
-// group member fails it promptly with ErrConnBroken.
+// dissemination barrier, ceil(log2(n)) pairwise rounds of one-sided
+// notifications into the group's registered collective segment (zero
+// allocations in steady state). On ErrTimeout the barrier may be resumed
+// by calling it again; a dead group member fails it promptly with
+// ErrConnBroken.
 func (p *Proc) Barrier(gid GroupID, timeout time.Duration) error {
 	p.checkAlive()
 	g, st, _, err := p.startCollective(gid, collBarrier, 0)
 	if err != nil {
 		return err
 	}
-	if g.fast != nil {
-		return p.barrierFast(g, st, timeout)
-	}
-	n := len(g.members)
-	for k, dist := int32(0), 1; dist < n; k, dist = k+1, dist*2 {
-		to := g.members[(g.myIdx+dist)%n]
-		from := g.members[((g.myIdx-dist)%n+n)%n]
-		if _, err := p.collExchange(g, st.seq, k, collBarrier, to, from, nil, timeout); err != nil {
-			return err
-		}
-	}
-	p.finishCollective(gid, st.seq)
-	return nil
+	return p.barrierFast(g, st, timeout)
 }
 
 // AllreduceF64 combines the input vectors of all group members element-wise
 // with the given operation and returns the result, identical on every rank
 // (gaspi_allreduce with GASPI_TYPE_DOUBLE). The reduction uses a binomial
 // tree to member index 0 followed by a binomial broadcast: 2*ceil(log2(n))
-// message rounds.
+// rounds of one-sided writes into the group's collective segment. Vectors
+// longer than collMaxElems are rejected with ErrInvalid.
 func (p *Proc) AllreduceF64(gid GroupID, in []float64, op ReduceOp, timeout time.Duration) ([]float64, error) {
 	out := make([]float64, len(in))
 	if err := p.AllreduceF64Into(gid, in, out, op, timeout); err != nil {
@@ -70,79 +58,34 @@ func (p *Proc) AllreduceF64(gid GroupID, in []float64, op ReduceOp, timeout time
 // partially reduced state is kept).
 func (p *Proc) AllreduceF64Into(gid GroupID, in, out []float64, op ReduceOp, timeout time.Duration) error {
 	p.checkAlive()
-	if len(out) != len(in) {
-		return fmt.Errorf("%w: allreduce out length %d, want %d", ErrInvalid, len(out), len(in))
+	if err := checkAllreduceLen(len(in), len(out)); err != nil {
+		return err
 	}
 	g, st, fresh, err := p.startCollective(gid, collReduce, len(in))
 	if err != nil {
 		return err
 	}
-	if g.fast != nil && len(in) <= collMaxElems {
-		if fresh {
-			g.accF = append(g.accF[:0], in...)
-		}
-		return allreduceFast(p, g, st, g.fast.view, g.accF, out, combineF64, op, timeout)
+	if fresh {
+		g.accF = append(g.accF[:0], in...)
 	}
-	return p.allreduceLegacyF64(g, st, in, out, op, timeout)
+	return allreduceFast(p, g, st, g.fast.view, g.accF, out, combineF64, op, timeout)
 }
 
-// allreduceLegacyF64 is the two-sided message implementation. A resumed
-// call replays all rounds from the in vector; buffered rounds stay
-// available until finishCollective, so the replay re-reads them.
-func (p *Proc) allreduceLegacyF64(g *group, st *inflightColl, in, out []float64, op ReduceOp, timeout time.Duration) error {
-	acc := append(g.accF[:0], in...)
-	g.accF = acc
-	n := len(g.members)
-	myIdx := g.myIdx
-	rounds := int32(collRounds(n))
-	// Reduce towards index 0 (mirror of the broadcast tree below).
-	for k := rounds - 1; k >= 0; k-- {
-		dist := 1 << k
-		switch {
-		case myIdx >= dist && myIdx < 2*dist:
-			if err := p.collSend(g.id, st.seq, k, collReduce, g.members[myIdx-dist], encodeF64(acc)); err != nil {
-				return err
-			}
-		case myIdx < dist && myIdx+dist < n:
-			b, err := p.collRecv(g, st.seq, k, collReduce, g.members[myIdx+dist], timeout)
-			if err != nil {
-				return err
-			}
-			other, err := decodeF64(b, len(acc))
-			if err != nil {
-				return err
-			}
-			combineF64(acc, other, op)
-		}
+// checkAllreduceLen validates the vector lengths of an allreduce before it
+// pins a sequence number.
+func checkAllreduceLen(in, out int) error {
+	if out != in {
+		return fmt.Errorf("%w: allreduce out length %d, want %d", ErrInvalid, out, in)
 	}
-	// Broadcast from index 0.
-	for k := int32(0); k < rounds; k++ {
-		dist := 1 << k
-		switch {
-		case myIdx < dist && myIdx+dist < n:
-			if err := p.collSend(g.id, st.seq, rounds+k, collBcast, g.members[myIdx+dist], encodeF64(acc)); err != nil {
-				return err
-			}
-		case myIdx >= dist && myIdx < 2*dist:
-			b, err := p.collRecv(g, st.seq, rounds+k, collBcast, g.members[myIdx-dist], timeout)
-			if err != nil {
-				return err
-			}
-			got, err := decodeF64(b, len(acc))
-			if err != nil {
-				return err
-			}
-			copy(acc, got)
-		}
+	if in > collMaxElems {
+		return fmt.Errorf("%w: allreduce of %d elements, limit %d", ErrInvalid, in, collMaxElems)
 	}
-	copy(out, acc)
-	p.finishCollective(g.id, st.seq)
 	return nil
 }
 
 // AllreduceI64 is AllreduceF64 for 8-byte integers
-// (gaspi_allreduce with GASPI_TYPE_LONG). Implemented as its own binomial
-// tree so integer arithmetic is exact.
+// (gaspi_allreduce with GASPI_TYPE_LONG). The rounds read the wire chunks
+// through an int64 view of the same slots, so integer arithmetic is exact.
 func (p *Proc) AllreduceI64(gid GroupID, in []int64, op ReduceOp, timeout time.Duration) ([]int64, error) {
 	out := make([]int64, len(in))
 	if err := p.AllreduceI64Into(gid, in, out, op, timeout); err != nil {
@@ -155,74 +98,27 @@ func (p *Proc) AllreduceI64(gid GroupID, in []int64, op ReduceOp, timeout time.D
 // see AllreduceF64Into for the resume semantics.
 func (p *Proc) AllreduceI64Into(gid GroupID, in, out []int64, op ReduceOp, timeout time.Duration) error {
 	p.checkAlive()
-	if len(out) != len(in) {
-		return fmt.Errorf("%w: allreduce out length %d, want %d", ErrInvalid, len(out), len(in))
+	if err := checkAllreduceLen(len(in), len(out)); err != nil {
+		return err
 	}
 	g, st, fresh, err := p.startCollective(gid, collReduceI, len(in))
 	if err != nil {
 		return err
 	}
-	if g.fast != nil && len(in) <= collMaxElems {
-		if fresh {
-			g.accI = append(g.accI[:0], in...)
-		}
-		return allreduceFast(p, g, st, g.fast.viewI, g.accI, out, combineI64, op, timeout)
+	if fresh {
+		g.accI = append(g.accI[:0], in...)
 	}
-	return p.allreduceLegacyI64(g, st, in, out, op, timeout)
+	return allreduceFast(p, g, st, g.fast.viewI, g.accI, out, combineI64, op, timeout)
 }
 
-func (p *Proc) allreduceLegacyI64(g *group, st *inflightColl, in, out []int64, op ReduceOp, timeout time.Duration) error {
-	acc := append(g.accI[:0], in...)
-	g.accI = acc
-	n := len(g.members)
-	myIdx := g.myIdx
-	rounds := int32(collRounds(n))
-	for k := rounds - 1; k >= 0; k-- {
-		dist := 1 << k
-		switch {
-		case myIdx >= dist && myIdx < 2*dist:
-			if err := p.collSend(g.id, st.seq, k, collReduceI, g.members[myIdx-dist], encodeI64(acc)); err != nil {
-				return err
-			}
-		case myIdx < dist && myIdx+dist < n:
-			b, err := p.collRecv(g, st.seq, k, collReduceI, g.members[myIdx+dist], timeout)
-			if err != nil {
-				return err
-			}
-			other, err := decodeI64(b, len(acc))
-			if err != nil {
-				return err
-			}
-			combineI64(acc, other, op)
-		}
-	}
-	for k := int32(0); k < rounds; k++ {
-		dist := 1 << k
-		switch {
-		case myIdx < dist && myIdx+dist < n:
-			if err := p.collSend(g.id, st.seq, rounds+k, collBcast, g.members[myIdx+dist], encodeI64(acc)); err != nil {
-				return err
-			}
-		case myIdx >= dist && myIdx < 2*dist:
-			b, err := p.collRecv(g, st.seq, rounds+k, collBcast, g.members[myIdx-dist], timeout)
-			if err != nil {
-				return err
-			}
-			got, err := decodeI64(b, len(acc))
-			if err != nil {
-				return err
-			}
-			copy(acc, got)
-		}
-	}
-	copy(out, acc)
-	p.finishCollective(g.id, st.seq)
-	return nil
-}
+// --- two-sided round transport ------------------------------------------------
+//
+// The group-commit handshake (which runs before a group's collective
+// segment can be trusted to exist on every member) and AllreduceUser
+// (whose arbitrary ReduceFunc has no typed combine) exchange their rounds
+// as kColl messages buffered in collBuf.
 
-// --- legacy two-sided round transport -----------------------------------------
-
-// collSend posts one collective round message (legacy path). Collectives
+// collSend posts one two-sided collective round message. Collectives
 // use internal transport resources (not user queues), as in GPI-2. A send
 // can only fail locally when this process itself is dead (which unwinds
 // via checkAlive) — a dead PARTNER surfaces asynchronously as a NACK that
@@ -329,25 +225,6 @@ func combineF64(dst, src []float64, op ReduceOp) {
 			dst[i] = math.Max(dst[i], src[i])
 		}
 	}
-}
-
-func encodeI64(v []int64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-	return b
-}
-
-func decodeI64(b []byte, want int) ([]int64, error) {
-	if len(b) != 8*want {
-		return nil, fmt.Errorf("%w: allreduce payload size %d, want %d", ErrInvalid, len(b), 8*want)
-	}
-	v := make([]int64, want)
-	for i := range v {
-		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v, nil
 }
 
 func combineI64(dst, src []int64, op ReduceOp) {

@@ -9,9 +9,9 @@ import (
 	"repro/internal/fabric"
 )
 
-// This file is the registered-segment collective fast path: Barrier and
-// Allreduce rebuilt on the one-sided data plane instead of the two-sided
-// kColl message channel.
+// This file implements Barrier and Allreduce on the one-sided data plane:
+// rounds are writes and notifications into a registered segment, not
+// messages.
 //
 // Every committed group owns a dedicated collective segment (a reserved
 // negative segment ID derived from the group ID, created before the commit
@@ -84,14 +84,12 @@ func collRounds(n int) int {
 
 // collVal tags a data or ack notification with (sequence, chunk); the +1
 // keeps the value non-zero for chunk 0 of any sequence. The chunk field
-// is 20 bits; vectors needing more chunks than that take the legacy path
-// (collMaxElems).
+// is 20 bits, which bounds the vector length (collMaxElems).
 func collVal(seq uint64, chunk int) int64 { return int64(seq)<<20 | int64(chunk+1) }
 
-// collMaxElems is the largest vector the fast path accepts: the chunk
-// index must fit collVal's 20-bit field. Anything larger (≥4 GiB of
-// float64s) falls back to the legacy message path on every member alike
-// (vector lengths agree across a collective by contract).
+// collMaxElems is the largest vector an allreduce accepts: the chunk
+// index must fit collVal's 20-bit field. Anything larger (≥8 GiB of
+// float64s) is rejected with ErrInvalid.
 const collMaxElems = collChunkElems * (1<<20 - 1)
 
 // collFast is a group's registered-segment collective state.
@@ -119,34 +117,29 @@ func (f *collFast) ackSlot(parity, round, cp int) NotificationID {
 	return NotificationID(8*f.r + (parity*2*f.r+round)*2 + cp)
 }
 
-// collSetup equips a group with its collective segment and fast-path
-// state. A nil result (g.fast stays nil) selects the legacy message path:
-// explicitly requested (Config.LegacyCollectives), a big-endian host (no
-// float64 segment view), or a group so large its rounds outgrow the
-// notification slot budget. Existing state sized for a DIFFERENT round
-// count is rebuilt — membership may legally grow between a timed-out
-// commit and its retry (the group is still uncommitted), and a stale
-// layout would silently desynchronize the slot scheme across members.
+// collSetup equips a group with its collective segment and round state;
+// every committed group has one (g.fast != nil). The segment sizes its
+// notification array from its own layout — 16·r slots, see dataSlot and
+// ackSlot — so no group is too large for it. Existing state sized for a
+// DIFFERENT round count is rebuilt — membership may legally grow between a
+// timed-out commit and its retry (the group is still uncommitted), and a
+// stale layout would silently desynchronize the slot scheme across
+// members.
+//
+// No host byte-order check is needed here, unlike SegmentFloat64s: all
+// ranks share one address space and this segment is only ever written and
+// read through the same native []float64/[]int64 view (the fabric copies
+// the staged bytes verbatim), so the layout is endian-clean.
 func (p *Proc) collSetup(g *group) {
-	if p.cfg.LegacyCollectives || !hostLittleEndian {
-		return
-	}
 	r := collRounds(len(g.members))
 	if g.fast != nil && g.fast.r == r {
 		return
 	}
-	if 16*r > p.cfg.NotifySlots {
-		p.collTeardown(g.id, g)
-		return
-	}
-	elems := 16 * r * collChunkElems
-	if elems == 0 {
-		elems = 1 // single-member group: no rounds, but keep the view valid
-	}
+	elems := max(16*r*collChunkElems, 1) // single-member group: no rounds, but keep the view valid
 	s := &segment{
 		id:        collSegID(g.id),
 		buf:       make([]byte, 8*elems),
-		notifVals: make([]int64, p.cfg.NotifySlots),
+		notifVals: make([]int64, 16*r),
 	}
 	p.mu.Lock()
 	p.segs[s.id] = s
@@ -301,8 +294,8 @@ func (s *segment) takeNotif(slot NotificationID, want int64) bool {
 	return false
 }
 
-// collPark is the shared cold-path wait of every collective waiter (fast
-// slot awaits and legacy round receives): parked until cond succeeds,
+// collPark is the shared cold-path wait of every collective waiter (slot
+// awaits and two-sided round receives): parked until cond succeeds,
 // woken by the condition's pulse, a corrupt-marking NACK, the probe tick
 // (re-probing the ring successor; a death elsewhere in the group reaches
 // this waiter through the predecessor's verified gossip — so a member
@@ -376,7 +369,7 @@ func (p *Proc) collAwait(g *group, slot NotificationID, want int64, timeout time
 	return p.collPark(g, &s.notifPulse, timeout, func() bool { return s.takeNotif(slot, want) })
 }
 
-// barrierFast runs the dissemination barrier over the fast path. st.round
+// barrierFast runs the dissemination barrier. st.round
 // (plus st.sent, marking a posted-but-unanswered round) is the resume
 // cursor.
 //
@@ -441,8 +434,7 @@ func (f *collFast) collChunks(vecLen int) int {
 	return (vecLen + f.chunk - 1) / f.chunk
 }
 
-// allreduceFast runs the binomial allreduce over the fast path for both
-// element types (the int64 variant reads the wire chunks through an int64
+// allreduceFast runs the binomial allreduce for both element types (the int64 variant reads the wire chunks through an int64
 // view of the same slots, so integer arithmetic stays exact). acc is the
 // group-cached accumulator already holding this rank's contribution (or
 // the partial state of a resumed call); view aliases the collective

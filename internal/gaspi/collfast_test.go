@@ -6,49 +6,20 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/fabric"
 )
 
-// The collective fast-path regression suite: correctness across group
-// sizes (including non-powers-of-two) and vector sizes (including the
-// segmented large-vector protocol), resume-after-timeout semantics,
-// prompt ErrConnBroken on member death, recommit invalidation, and the
-// legacy collBuf sweep. Everything runs under -race in CI (bench-smoke
-// job, `-run Coll`).
+// The collective regression suite: correctness across group sizes
+// (including non-powers-of-two) and vector sizes (including the segmented
+// large-vector protocol), resume-after-timeout semantics, prompt
+// ErrConnBroken on member death, recommit invalidation, and the collBuf
+// sweep of the two-sided rounds. Everything runs under -race in CI
+// (bench-smoke job, `-run Coll`).
 
-func collTestCfg(n int, legacy bool) Config {
-	return Config{
-		Procs:             n,
-		Latency:           fabric.LatencyModel{Base: 2 * time.Microsecond, PerByte: time.Nanosecond},
-		Seed:              7,
-		LegacyCollectives: legacy,
-	}
-}
-
-// runCollJob launches main on n ranks under both the fast and the legacy
-// collective path.
+// runCollJob is launch in a subtest; the "fast" level keeps the test IDs
+// stable.
 func runCollJob(t *testing.T, n int, main func(p *Proc) error) {
 	t.Helper()
-	for _, legacy := range []bool{false, true} {
-		name := "fast"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
-			job := Launch(collTestCfg(n, legacy), main)
-			t.Cleanup(job.Close)
-			res, ok := job.WaitTimeout(testWait)
-			if !ok {
-				t.Fatal("job hung")
-			}
-			for _, r := range res {
-				if r.Err != nil {
-					t.Fatalf("rank %d: %v", r.Rank, r.Err)
-				}
-			}
-		})
-	}
+	t.Run("fast", func(t *testing.T) { launch(t, n, main) })
 }
 
 func TestCollGroupSizes(t *testing.T) {
@@ -127,8 +98,8 @@ func TestCollLargeVectorSegmented(t *testing.T) {
 	})
 }
 
-// TestCollAllreduceInto checks the allocation-free form and that fast and
-// legacy paths agree bit-for-bit on the same reduction tree.
+// TestCollAllreduceInto checks the allocation-free form and its argument
+// validation.
 func TestCollAllreduceInto(t *testing.T) {
 	const n = 3
 	runCollJob(t, n, func(p *Proc) error {
@@ -147,11 +118,15 @@ func TestCollAllreduceInto(t *testing.T) {
 		}
 		return nil
 	})
+	// Too long for collVal's chunk field (and for a test to allocate).
+	if err := checkAllreduceLen(collMaxElems+1, collMaxElems+1); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("oversized vector: %v", err)
+	}
 }
 
 // TestCollResumeAfterTimeout: a straggler makes the prompt ranks time out;
 // re-calling with identical arguments must resume and complete with the
-// correct result on both paths (GASPI timeout semantics).
+// correct result (GASPI timeout semantics).
 func TestCollResumeAfterTimeout(t *testing.T) {
 	const n = 3
 	runCollJob(t, n, func(p *Proc) error {
@@ -200,100 +175,78 @@ func TestCollResumeAfterTimeout(t *testing.T) {
 // must fail the survivors promptly with ErrConnBroken — even with
 // timeout=Block, which would hang forever without the fault awareness.
 func TestCollMemberDeathPromptErrConnBroken(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		name := "fast"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
-			var mu sync.Mutex
-			errs := make(map[Rank]error)
-			job := Launch(collTestCfg(3, legacy), func(p *Proc) error {
-				if p.Rank() == 2 {
-					// Never joins the collective; killed below.
-					if err := p.SegmentCreate(9, 8); err != nil {
-						return err
-					}
-					_, err := p.NotifyWaitsome(9, 0, 1, Block)
+	t.Run("fast", func(t *testing.T) {
+		var mu sync.Mutex
+		errs := make(map[Rank]error)
+		job := launchJob(t, 3, func(p *Proc) error {
+			if p.Rank() == 2 {
+				// Never joins the collective; killed below.
+				if err := p.SegmentCreate(9, 8); err != nil {
 					return err
 				}
-				err := p.Barrier(GroupAll, Block)
-				mu.Lock()
-				errs[p.Rank()] = err
-				mu.Unlock()
-				if err == nil {
-					return errors.New("barrier with a dead member completed")
-				}
-				return nil
-			})
-			t.Cleanup(job.Close)
-			time.Sleep(20 * time.Millisecond) // ranks 0 and 1 are parked in the barrier
-			job.Kill(2, "test")
-			res, ok := job.WaitTimeout(testWait)
-			if !ok {
-				t.Fatal("job hung: dead member did not break the barrier")
+				_, err := p.NotifyWaitsome(9, 0, 1, Block)
+				return err
 			}
-			for _, r := range res {
-				if r.Rank != 2 && r.Err != nil {
-					t.Fatalf("rank %d: %v", r.Rank, r.Err)
-				}
-			}
+			err := p.Barrier(GroupAll, Block)
 			mu.Lock()
-			defer mu.Unlock()
-			for r, err := range errs {
-				if !errors.Is(err, ErrConnBroken) || !errors.Is(err, ErrConnection) {
-					t.Fatalf("rank %d: %v, want ErrConnBroken", r, err)
-				}
+			errs[p.Rank()] = err
+			mu.Unlock()
+			if err == nil {
+				return errors.New("barrier with a dead member completed")
 			}
+			return nil
 		})
-	}
+		time.Sleep(20 * time.Millisecond) // ranks 0 and 1 are parked in the barrier
+		job.Kill(2, "test")
+		for _, r := range waitAll(t, job) {
+			if r.Rank != 2 && r.Err != nil {
+				t.Fatalf("rank %d: %v", r.Rank, r.Err)
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for r, err := range errs {
+			if !errors.Is(err, ErrConnBroken) || !errors.Is(err, ErrConnection) {
+				t.Fatalf("rank %d: %v, want ErrConnBroken", r, err)
+			}
+		}
+	})
 }
 
 // TestCollMemberDeathMidAllreduce is the allreduce variant: the victim
 // dies after contributing to some rounds.
 func TestCollMemberDeathMidAllreduce(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		name := "fast"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
-			job := Launch(collTestCfg(4, legacy), func(p *Proc) error {
-				if p.Rank() == 3 {
-					if err := p.SegmentCreate(9, 8); err != nil {
-						return err
-					}
-					_, err := p.NotifyWaitsome(9, 0, 1, Block)
+	t.Run("fast", func(t *testing.T) {
+		job := launchJob(t, 4, func(p *Proc) error {
+			if p.Rank() == 3 {
+				if err := p.SegmentCreate(9, 8); err != nil {
 					return err
 				}
-				in := []float64{1, 2}
-				start := time.Now()
-				_, err := p.AllreduceF64(GroupAll, in, OpSum, Block)
-				if err == nil {
-					return errors.New("allreduce with a dead member completed")
-				}
-				if !errors.Is(err, ErrConnBroken) {
-					return fmt.Errorf("want ErrConnBroken, got %v", err)
-				}
-				if time.Since(start) > 10*time.Second {
-					return fmt.Errorf("ErrConnBroken took %v — not prompt", time.Since(start))
-				}
-				return nil
-			})
-			t.Cleanup(job.Close)
-			time.Sleep(20 * time.Millisecond)
-			job.Kill(3, "test")
-			res, ok := job.WaitTimeout(testWait)
-			if !ok {
-				t.Fatal("job hung")
+				_, err := p.NotifyWaitsome(9, 0, 1, Block)
+				return err
 			}
-			for _, r := range res {
-				if r.Rank != 3 && r.Err != nil {
-					t.Fatalf("rank %d: %v", r.Rank, r.Err)
-				}
+			in := []float64{1, 2}
+			start := time.Now()
+			_, err := p.AllreduceF64(GroupAll, in, OpSum, Block)
+			if err == nil {
+				return errors.New("allreduce with a dead member completed")
 			}
+			if !errors.Is(err, ErrConnBroken) {
+				return fmt.Errorf("want ErrConnBroken, got %v", err)
+			}
+			if time.Since(start) > 10*time.Second {
+				return fmt.Errorf("ErrConnBroken took %v — not prompt", time.Since(start))
+			}
+			return nil
 		})
-	}
+		time.Sleep(20 * time.Millisecond)
+		job.Kill(3, "test")
+		for _, r := range waitAll(t, job) {
+			if r.Rank != 3 && r.Err != nil {
+				t.Fatalf("rank %d: %v", r.Rank, r.Err)
+			}
+		}
+	})
 }
 
 // TestCollKindConfusionI64F64: an in-flight (timed-out) integer allreduce
@@ -389,46 +342,38 @@ func TestCollRecommitInvalidatesInflight(t *testing.T) {
 	})
 }
 
-// TestCollBufSweepDrains: the legacy-path leak regression. A rank polling
-// a barrier with GASPI_TEST replays its round sends on every attempt;
-// duplicates that land after a peer completed (and swept) the collective
-// must be dropped by the sequence horizon, not re-buffered forever.
+// TestCollBufSweepDrains: the leak regression of the two-sided rounds
+// (commit handshake, AllreduceUser). A rank polling a user allreduce with
+// GASPI_TEST replays its reduce-phase send on every attempt; duplicates
+// that land after the receiver completed (and swept) the collective must
+// be dropped by the sequence horizon, not re-buffered forever.
 func TestCollBufSweepDrains(t *testing.T) {
 	const n = 3
-	job := Launch(collTestCfg(n, true), func(p *Proc) error {
+	sum := func(dst, src []float64) { dst[0] += src[0] }
+	job := runJob(t, testCfg(n), func(p *Proc) error {
 		for iter := 0; iter < 10; iter++ {
+			// Ranks 1 and 2 send towards rank 0 in the reduce phase:
+			// Test-polling floods it with duplicate round messages.
+			timeout := Test
 			if p.Rank() == 0 {
-				// Aggressive Test-polling: every failed attempt replays
-				// the dissemination rounds, flooding peers with duplicate
-				// round messages.
-				for {
-					err := p.Barrier(GroupAll, Test)
-					if err == nil {
-						break
+				timeout = Block
+			}
+			for {
+				out, err := p.AllreduceUser(GroupAll, []float64{1}, sum, timeout)
+				if err == nil {
+					if out[0] != n {
+						return fmt.Errorf("iter %d: out = %v", iter, out)
 					}
-					if !errors.Is(err, ErrTimeout) {
-						return err
-					}
+					break
 				}
-			} else {
-				if err := p.Barrier(GroupAll, Block); err != nil {
+				if !errors.Is(err, ErrTimeout) {
 					return err
 				}
 			}
 		}
 		return nil
 	})
-	t.Cleanup(job.Close)
-	res, ok := job.WaitTimeout(testWait)
-	if !ok {
-		t.Fatal("job hung")
-	}
-	for _, r := range res {
-		if r.Err != nil {
-			t.Fatalf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
-	// All ranks completed every barrier; once the late duplicates drain,
+	// All ranks completed every allreduce; once the late duplicates drain,
 	// every collBuf must be empty — abandoned entries may not accumulate.
 	deadline := time.Now().Add(5 * time.Second)
 	for r := Rank(0); int(r) < n; r++ {
@@ -451,10 +396,10 @@ func TestCollBufSweepDrains(t *testing.T) {
 // TestCollFinishSweepsOlderSeqs: finishCollective must reclaim buffered
 // rounds of every earlier sequence, not only its own.
 func TestCollFinishSweepsOlderSeqs(t *testing.T) {
-	job := Launch(collTestCfg(2, true), func(p *Proc) error {
+	launch(t, 2, func(p *Proc) error {
 		// Plant a stale buffered round from a long-gone sequence.
 		p.collMu.Lock()
-		p.collBuf[collKey{gid: GroupAll, seq: 1, round: 0, op: collBarrier, from: 0}] = nil
+		p.collBuf[collKey{gid: GroupAll, seq: 1, round: 0, op: collUser, from: 0}] = nil
 		p.collMu.Unlock()
 		for i := 0; i < 3; i++ {
 			if err := p.Barrier(GroupAll, Block); err != nil {
@@ -470,23 +415,35 @@ func TestCollFinishSweepsOlderSeqs(t *testing.T) {
 		}
 		return nil
 	})
-	t.Cleanup(job.Close)
-	res, ok := job.WaitTimeout(testWait)
-	if !ok {
-		t.Fatal("job hung")
-	}
-	for _, r := range res {
-		if r.Err != nil {
-			t.Fatalf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
 }
 
-// TestCollFastDeliversViaSink asserts the fast-path collective rounds ride
+// TestCollSegmentOwnsItsSlots: the collective segment sizes its
+// notification array from its own layout, so a job configured with fewer
+// application slots than a group's rounds need (5 ranks: 48) still gets
+// the one-sided collectives.
+func TestCollSegmentOwnsItsSlots(t *testing.T) {
+	cfg := testCfg(5)
+	cfg.NotifySlots = 8
+	runJob(t, cfg, func(p *Proc) error {
+		if p.groups[GroupAll].fast == nil {
+			return errors.New("GroupAll has no collective segment")
+		}
+		out, err := p.AllreduceF64(GroupAll, []float64{float64(p.Rank())}, OpSum, Block)
+		if err != nil {
+			return err
+		}
+		if out[0] != 10 {
+			return fmt.Errorf("sum = %v", out)
+		}
+		return nil
+	})
+}
+
+// TestCollFastDeliversViaSink asserts the collective rounds ride
 // the registered-memory delivery sink (one-sided writes/notifies), not the
 // two-sided kColl channel.
 func TestCollFastDeliversViaSink(t *testing.T) {
-	job := Launch(collTestCfg(4, false), func(p *Proc) error {
+	job := runJob(t, testCfg(4), func(p *Proc) error {
 		in := []float64{1, 2, 3}
 		for i := 0; i < 20; i++ {
 			if err := p.Barrier(GroupAll, Block); err != nil {
@@ -498,27 +455,17 @@ func TestCollFastDeliversViaSink(t *testing.T) {
 		}
 		return nil
 	})
-	t.Cleanup(job.Close)
-	res, ok := job.WaitTimeout(testWait)
-	if !ok {
-		t.Fatal("job hung")
-	}
-	for _, r := range res {
-		if r.Err != nil {
-			t.Fatalf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
 	st := job.Transport().Stats()
 	if st.PerKind[kColl] != 0 {
-		t.Fatalf("fast-path run sent %d kColl messages", st.PerKind[kColl])
+		t.Fatalf("run sent %d kColl messages", st.PerKind[kColl])
 	}
 	if st.FastDelivered == 0 {
-		t.Fatal("no sink-delivered messages — collective rounds missed the fast path")
+		t.Fatal("no sink-delivered messages — collective rounds missed the delivery sink")
 	}
 }
 
-// TestCollSubsetGroupFast: collectives on a committed subset group over
-// the fast path, interleaved with all-group traffic.
+// TestCollSubsetGroupFast: collectives on a committed subset group,
+// interleaved with all-group traffic.
 func TestCollSubsetGroupFast(t *testing.T) {
 	const gid GroupID = 5
 	members := []Rank{0, 2, 3}

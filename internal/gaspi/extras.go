@@ -23,8 +23,9 @@ type ReduceFunc func(dst, src []float64)
 // AllreduceUser performs an allreduce with a user-provided reduction
 // (gaspi_allreduce_user). Timeout semantics follow the other collectives:
 // a timed-out call is resumed by calling it again with identical
-// arguments. The user reduction always runs over the legacy message
-// rounds — an arbitrary ReduceFunc has no fast-path combine.
+// arguments. The user reduction runs over the two-sided message rounds —
+// an arbitrary ReduceFunc has no typed combine over the collective
+// segment's view.
 func (p *Proc) AllreduceUser(gid GroupID, in []float64, f ReduceFunc, timeout time.Duration) ([]float64, error) {
 	p.checkAlive()
 	if f == nil {

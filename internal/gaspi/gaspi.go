@@ -173,17 +173,14 @@ const (
 	atomCompareSwap
 )
 
-// collective op codes (packed into Args[3] of kColl). They double as the
-// in-flight kind tag pinned by startCollective, so a collective resumed
-// after a timeout is matched against the operation that started it:
-// collReduce is the float64 allreduce, collReduceI the int64 variant (its
-// own kind, so a resumed F64 broadcast round can never be confused with an
-// I64 allreduce on the same group), collBcast tags broadcast-phase rounds
-// on the wire only.
+// collective kinds: the in-flight tag pinned by startCollective, so a
+// collective resumed after a timeout is matched against the operation
+// that started it (collReduce is the float64 allreduce, collReduceI the
+// int64 variant). collCommit and collUser (extras.go) also travel in
+// Args[3] of their kColl round messages.
 const (
 	collBarrier uint8 = iota + 1
 	collCommit
 	collReduce
-	collBcast
 	collReduceI
 )

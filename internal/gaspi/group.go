@@ -25,12 +25,11 @@ type group struct {
 	// round with a dead member.
 	view uint64
 
-	// fast is the registered-segment collective state; nil means the
-	// legacy two-sided message path (Config.LegacyCollectives, big-endian
-	// hosts, or too few notification slots for the group's round count).
+	// fast is the registered-segment collective state, set by collSetup
+	// before the group commits: never nil on a committed group.
 	fast *collFast
-	// accF/accI are the reduction accumulators of the fast path, cached on
-	// the group so a steady-state small-vector allreduce allocates nothing.
+	// accF/accI are the reduction accumulators, cached on the group so a
+	// steady-state small-vector allreduce allocates nothing.
 	accF []float64
 	accI []int64
 }

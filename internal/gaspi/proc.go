@@ -34,12 +34,12 @@ type Proc struct {
 	// passive communication
 	passiveCh chan passiveMsg
 
-	// collective round buffers (filled by the NIC, legacy message path)
+	// collective round buffers (filled by the NIC, two-sided message path)
 	collMu    sync.Mutex
 	collBuf   map[collKey][]byte
 	collPulse pulse
 	// collHorizon maps a group to one past the highest collective sequence
-	// this process has completed on it. Incoming legacy round messages
+	// this process has completed on it. Incoming two-sided round messages
 	// below the horizon are duplicates of finished operations (a timed-out
 	// peer resuming replays its sends from round 0) and are dropped instead
 	// of buffered, so abandoned entries can never accumulate in collBuf.

@@ -38,13 +38,6 @@ type Config struct {
 	// waits before they park (default DefaultSpinYields; see its doc for
 	// the tuning trade-off).
 	SpinYields int
-	// LegacyCollectives disables the registered-segment collective fast
-	// path: Barrier/Allreduce fall back to the pre-optimization two-sided
-	// message protocol. It exists so the hot-path benchmarks can measure
-	// the before/after delta in one binary (like spmvm.Engine.Legacy);
-	// every rank of a job shares the setting, so the paths never mix
-	// within a group.
-	LegacyCollectives bool
 }
 
 func (c Config) withDefaults() Config {

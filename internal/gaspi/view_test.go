@@ -109,7 +109,7 @@ func TestStaleViewFailsFast(t *testing.T) {
 // TestGroupAdoptCommitErrors pins the adopt-commit preconditions: the
 // group must exist, be uncommitted, and contain the adopting rank.
 func TestGroupAdoptCommitErrors(t *testing.T) {
-	job := Launch(collTestCfg(2, false), func(p *Proc) error {
+	job := Launch(testCfg(2), func(p *Proc) error {
 		if p.Rank() != 0 {
 			return p.Barrier(GroupAll, Block)
 		}

@@ -102,16 +102,6 @@ type Engine struct {
 	tasks     chan mulTask
 	mulWG     sync.WaitGroup
 	closeOnce sync.Once
-
-	// Legacy replays the pre-optimization data path (per-iteration halo
-	// vector allocation, re-marshalled send buffer, linear producer scan,
-	// goroutine-per-call sharding, copying WriteNotify, no parity regions
-	// — so iterations must be barrier-separated). It exists solely so the
-	// hot-path benchmarks can measure the before/after delta in one
-	// binary; every rank of a job must agree on the setting.
-	Legacy bool
-
-	recvSet []bool // legacy collectHalo state
 }
 
 // NewEngine builds an engine: it creates the halo segment, splits the local
@@ -181,7 +171,6 @@ func NewEngine(c Comm, plan *Plan, csr *matrix.CSR, seg gaspi.SegmentID) (*Engin
 		e.expectFrom[plan.RecvFrom[i].From] = true
 	}
 	e.recvGen = make([]int64, plan.Workers)
-	e.recvSet = make([]bool, plan.Workers)
 	return e, nil
 }
 
@@ -218,7 +207,7 @@ func (e *Engine) LocalRows() int { return int(e.plan.Hi - e.plan.Lo) }
 
 // FastPath reports whether the zero-copy registered-segment path is
 // active (the Comm supports it and the host offers the float64 view).
-func (e *Engine) FastPath() bool { return e.segF != nil && !e.Legacy }
+func (e *Engine) FastPath() bool { return e.segF != nil }
 
 // Close releases the engine's persistent worker pool. Safe to call more
 // than once; the engine must not be used afterwards. Callers that rebuild
@@ -245,9 +234,6 @@ func (e *Engine) SpMV(x, y []float64, it int64) error {
 	if len(x) != e.LocalRows() || len(y) != e.LocalRows() {
 		//ftlint:ignore hotpath: error path, taken once per misuse, never per iteration
 		return fmt.Errorf("spmvm: vector length %d/%d, want %d", len(x), len(y), e.LocalRows())
-	}
-	if e.Legacy {
-		return e.spmvLegacy(x, y, it)
 	}
 	epoch := e.comm.Epoch()
 	val := notifVal(epoch, it)
@@ -397,10 +383,6 @@ func (e *Engine) mul(s *splitCSR, x, y []float64, add bool) {
 		mulRange(s, x, y, add, 0, rows)
 		return
 	}
-	if e.Legacy {
-		e.mulLegacy(s, x, y, add, rows)
-		return
-	}
 	if e.tasks == nil {
 		e.tasks = make(chan mulTask, e.Threads) //ftlint:ignore hotpath: lazy one-time pool start
 		for i := 0; i < e.Threads-1; i++ {
@@ -470,7 +452,7 @@ func (d *DotScratch) Dot(c Comm, a, b []float64) (float64, error) {
 		}
 		return d.out[0], nil
 	}
-	//ftlint:ignore hotpath: legacy Comm fallback; the CollInto branch above is the fast path
+	//ftlint:ignore hotpath: plain-Comm fallback; the CollInto branch above is the fast path
 	out, err := c.AllreduceF64([]float64{local}, gaspi.OpSum)
 	if err != nil {
 		return 0, err

@@ -33,61 +33,6 @@ func TestSpMVFastPathActive(t *testing.T) {
 	})
 }
 
-// TestSpMVLegacyMatchesFast runs the same power iteration through the
-// legacy (pre-optimization) data path and the current one; the results
-// must agree bit-for-bit — the two paths differ in copies, buffers and
-// synchronization, never in arithmetic.
-func TestSpMVLegacyMatchesFast(t *testing.T) {
-	gen := matrix.DefaultGraphene(8, 6, 17)
-	dim := gen.Dim()
-	const workers = 3
-	const iters = 4
-	xg := globalVec(dim)
-
-	run := func(legacy bool) []float64 {
-		var mu sync.Mutex
-		got := make([]float64, dim)
-		runWorkers(t, workers, func(c Comm) error {
-			lo, hi := matrix.BlockRange(dim, workers, c.Logical())
-			csr := matrix.Build(gen, lo, hi)
-			plan, err := Preprocess(c, csr)
-			if err != nil {
-				return err
-			}
-			eng, err := NewEngine(c, plan, csr, 7)
-			if err != nil {
-				return err
-			}
-			defer eng.Close()
-			eng.Legacy = legacy
-			x := append([]float64(nil), xg[lo:hi]...)
-			y := make([]float64, hi-lo)
-			for it := 0; it < iters; it++ {
-				if err := eng.SpMV(x, y, int64(it)); err != nil {
-					return err
-				}
-				x, y = y, x
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-			}
-			mu.Lock()
-			copy(got[lo:hi], x)
-			mu.Unlock()
-			return nil
-		})
-		return got
-	}
-
-	legacy := run(true)
-	fast := run(false)
-	for i := range legacy {
-		if legacy[i] != fast[i] {
-			t.Fatalf("row %d: legacy %v != fast %v", i, legacy[i], fast[i])
-		}
-	}
-}
-
 // TestSpMVBackToBackNoBarrier drives iterations with no inter-iteration
 // collective at all: the parity-alternated halo regions must keep
 // producers from clobbering values a consumer has not yet read. The

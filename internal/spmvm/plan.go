@@ -125,7 +125,12 @@ func Preprocess(c Comm, csr *matrix.CSR) (*Plan, error) {
 		}
 	}
 
-	for i := 0; i < expect; i++ {
+	// Passive delivery is at-least-once (ft.Worker.PassiveSend re-sends a
+	// request whose completion timed out although it was delivered), so
+	// expect counts distinct senders: a duplicate must not stand in for a
+	// request still to come.
+	served := make([]bool, w)
+	for got := 0; got < expect; {
 		_, data, err := c.PassiveReceive()
 		if err != nil {
 			return nil, fmt.Errorf("spmvm: preprocess receive: %w", err)
@@ -134,6 +139,14 @@ func Preprocess(c Comm, csr *matrix.CSR) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		if req.From < 0 || req.From >= w {
+			return nil, fmt.Errorf("spmvm: request from rank %d outside [0,%d)", req.From, w)
+		}
+		if served[req.From] {
+			continue
+		}
+		served[req.From] = true
+		got++
 		sp := SendPartner{To: req.From, DstOff: req.DstOff, DstStride: req.Stride, LocalIdx: make([]int32, len(req.Cols))}
 		for k, col := range req.Cols {
 			if col < lo || col >= hi {

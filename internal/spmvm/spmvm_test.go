@@ -2,9 +2,11 @@ package spmvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -23,8 +25,9 @@ func testGaspiCfg(n int) gaspi.Config {
 	}
 }
 
-// runWorkers launches n ranks, giving each a Direct comm over GroupAll.
-func runWorkers(t *testing.T, n int, body func(c Comm) error) {
+// workerResults launches n ranks, giving each a Direct comm over GroupAll,
+// and returns their results.
+func workerResults(t *testing.T, n int, body func(c Comm) error) []gaspi.Result {
 	t.Helper()
 	job := gaspi.Launch(testGaspiCfg(n), func(p *gaspi.Proc) error {
 		c := &Direct{P: p, Base: 0, Workers: n, Group: gaspi.GroupAll}
@@ -35,7 +38,13 @@ func runWorkers(t *testing.T, n int, body func(c Comm) error) {
 	if !ok {
 		t.Fatal("job hung")
 	}
-	for _, r := range res {
+	return res
+}
+
+// runWorkers is workerResults for bodies that must not fail.
+func runWorkers(t *testing.T, n int, body func(c Comm) error) {
+	t.Helper()
+	for _, r := range workerResults(t, n, body) {
 		if r.Err != nil {
 			t.Fatalf("rank %d: %v", r.Rank, r.Err)
 		}
@@ -52,20 +61,26 @@ func globalVec(dim int64) []float64 {
 	return x
 }
 
-func testSpMVAgainstSerial(t *testing.T, gen matrix.Generator, workers int, iters int) {
-	t.Helper()
-	dim := gen.Dim()
-	xg := globalVec(dim)
+// serialPower is the serial reference: iterate y = A x, then x = y
+// (unnormalized power iteration, few steps to avoid overflow).
+func serialPower(gen matrix.Generator, iters int) []float64 {
 	full := matrix.Full(gen)
-
-	// Serial reference: iterate y = A x, then x = y (unnormalized power
-	// iteration, few steps to avoid overflow).
-	ref := append([]float64(nil), xg...)
+	ref := globalVec(gen.Dim())
 	for it := 0; it < iters; it++ {
-		y := make([]float64, dim)
+		y := make([]float64, len(ref))
 		full.MulVec(ref, y)
 		ref = y
 	}
+	return ref
+}
+
+// distPower runs the same iteration distributed over workers ranks and
+// returns the global result. Preprocess runs over wrap(c), the engine
+// over the plain comm.
+func distPower(t *testing.T, gen matrix.Generator, workers, iters int, wrap func(Comm) Comm) []float64 {
+	t.Helper()
+	dim := gen.Dim()
+	xg := globalVec(dim)
 
 	var mu sync.Mutex
 	got := make([]float64, dim)
@@ -73,7 +88,7 @@ func testSpMVAgainstSerial(t *testing.T, gen matrix.Generator, workers int, iter
 	runWorkers(t, workers, func(c Comm) error {
 		lo, hi := matrix.BlockRange(dim, workers, c.Logical())
 		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		plan, err := Preprocess(wrap(c), csr)
 		if err != nil {
 			return err
 		}
@@ -99,11 +114,107 @@ func testSpMVAgainstSerial(t *testing.T, gen matrix.Generator, workers int, iter
 		mu.Unlock()
 		return nil
 	})
+	return got
+}
 
+// encodedPlans runs Preprocess alone, over wrap(c), and returns every
+// rank's encoded plan.
+func encodedPlans(t *testing.T, gen matrix.Generator, workers int, wrap func(Comm) Comm) [][]byte {
+	t.Helper()
+	plans := make([][]byte, workers) // one slot per rank, read after the job ended
+	runWorkers(t, workers, func(c Comm) error {
+		lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
+		plan, err := Preprocess(wrap(c), matrix.Build(gen, lo, hi))
+		if err != nil {
+			return err
+		}
+		plans[c.Logical()] = plan.Encode()
+		return nil
+	})
+	return plans
+}
+
+func plainComm(c Comm) Comm { return c }
+
+func checkAgainstSerial(t *testing.T, got, ref []float64) {
+	t.Helper()
 	for i := range ref {
 		scale := math.Max(1, math.Abs(ref[i]))
 		if math.Abs(got[i]-ref[i]) > 1e-9*scale {
-			t.Fatalf("workers=%d: row %d: got %v want %v", workers, i, got[i], ref[i])
+			t.Fatalf("row %d: got %v want %v", i, got[i], ref[i])
+		}
+	}
+}
+
+func testSpMVAgainstSerial(t *testing.T, gen matrix.Generator, workers int, iters int) {
+	t.Helper()
+	checkAgainstSerial(t, distPower(t, gen, workers, iters, plainComm), serialPower(gen, iters))
+}
+
+// dupComm delivers rank 0's pre-processing request twice and holds rank
+// 2's back until the duplicate is queued — what ft.Worker.PassiveSend's
+// retry does when a completion times out after the message was delivered.
+type dupComm struct {
+	Comm
+	dupQueued chan struct{}
+}
+
+func (d *dupComm) PassiveSend(to int, data []byte) error {
+	switch d.Logical() {
+	case 0:
+		// A passive send returns once the target NIC queued the message,
+		// so after the close rank 1 reads both copies before rank 2's.
+		defer close(d.dupQueued)
+		if err := d.Comm.PassiveSend(to, data); err != nil {
+			return err
+		}
+	case 2:
+		<-d.dupQueued
+	}
+	return d.Comm.PassiveSend(to, data)
+}
+
+// TestPreprocessIgnoresDuplicateRequest: a re-sent request must not be
+// counted in place of one still to come. Rank 1 of the 3-rank 1-D
+// Laplacian serves ranks 0 and 2; counting rank 0 twice left rank 2 out of
+// SendTo, and rank 2 then waited for its iteration-0 halo forever.
+func TestPreprocessIgnoresDuplicateRequest(t *testing.T) {
+	gen := matrix.Laplacian1D{N: 12}
+	const workers, iters = 3, 3
+	withDup := func() func(Comm) Comm {
+		dupQueued := make(chan struct{})
+		return func(c Comm) Comm { return &dupComm{Comm: c, dupQueued: dupQueued} }
+	}
+	want := encodedPlans(t, gen, workers, plainComm)
+	for r, enc := range encodedPlans(t, gen, workers, withDup()) {
+		if !bytes.Equal(enc, want[r]) {
+			plan, _ := DecodePlan(enc)
+			t.Fatalf("rank %d: plan differs from the duplicate-free one: SendTo = %+v", r, plan.SendTo)
+		}
+	}
+	checkAgainstSerial(t, distPower(t, gen, workers, iters, withDup()), serialPower(gen, iters))
+}
+
+// foreignComm stamps every pre-processing request with a sender rank
+// outside the job.
+type foreignComm struct{ Comm }
+
+func (f foreignComm) PassiveSend(to int, data []byte) error {
+	forged := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(forged, uint64(f.NumWorkers()))
+	return f.Comm.PassiveSend(to, forged)
+}
+
+func TestPreprocessRejectsForeignSender(t *testing.T) {
+	gen := matrix.Laplacian1D{N: 8}
+	res := workerResults(t, 2, func(c Comm) error {
+		lo, hi := matrix.BlockRange(gen.Dim(), 2, c.Logical())
+		_, err := Preprocess(foreignComm{c}, matrix.Build(gen, lo, hi))
+		return err
+	})
+	for _, r := range res {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "outside [0,2)") {
+			t.Fatalf("rank %d: err = %v, want a rejected sender rank", r.Rank, r.Err)
 		}
 	}
 }
