@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -14,6 +15,8 @@ import (
 	"repro/internal/gaspi"
 	"repro/internal/lanczos"
 	"repro/internal/matrix"
+	"repro/internal/spmvm"
+	"repro/internal/trace"
 )
 
 func testClusterCfg(nodes int) cluster.Config {
@@ -187,5 +190,66 @@ func TestLanczosAppStepDelayApplied(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < iters*delay {
 		t.Fatalf("run took %v, want ≥ %v (StepDelay not applied)", elapsed, iters*delay)
+	}
+}
+
+// TestRescueInitValidatesPlanIdentity: the plan blob a rescue adopts comes
+// off a store and is checked against the identity being adopted before its
+// row range reaches matrix.Build. Logical 2's plan under logical 1's key
+// used to be taken as is (logical 1 then computed on logical 2's rows), and
+// a row range beyond the matrix panicked the rescue.
+func TestRescueInitValidatesPlanIdentity(t *testing.T) {
+	const dim, workers = 16, 4
+	cl := cluster.New(testClusterCfg(2), func(*cluster.ProcCtx) error { return nil })
+	t.Cleanup(cl.Close)
+	if _, ok := cl.WaitTimeout(10 * time.Second); !ok {
+		t.Fatal("cluster hung")
+	}
+	cp := checkpoint.New(cl, 0, checkpoint.Config{})
+	defer cp.Stop()
+	cp.SetWorkerNodes([]int{0, 1})
+	plan := func(logical int) *spmvm.Plan {
+		lo, hi := matrix.BlockRange(dim, workers, logical)
+		return &spmvm.Plan{Workers: workers, Logical: logical, Lo: lo, Hi: hi}
+	}
+	beyond := plan(1)
+	beyond.Hi = dim + 5
+	fewer := plan(1)
+	fewer.Workers = 2
+	newApps := map[string]func() core.App{
+		"lanczos": func() core.App {
+			return apps.NewLanczos(apps.LanczosConfig{Gen: matrix.Diagonal{Values: make([]float64, dim)}})
+		},
+		"heat": func() core.App { return apps.NewHeat(apps.HeatConfig{N: dim, R: 0.25, Steps: 1}) },
+	}
+	rescueCtx := func(planName string) *core.Ctx {
+		return &core.Ctx{
+			CP: cp, Logical: 1, Layout: ft.Layout{Procs: 1 + workers}, Rec: trace.NewRecorder(),
+			Cfg: core.Config{PlanName: planName},
+		}
+	}
+	for name, bad := range map[string]*spmvm.Plan{
+		"another rank's plan":    plan(2),
+		"rows beyond the matrix": beyond,
+		"another worker count":   fewer,
+	} {
+		if err := cp.Write(name, 1, core.PlanVersion, bad.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		cp.WaitIdle()
+		for appName, newApp := range newApps {
+			if err := newApp().Init(rescueCtx(name), true); err == nil {
+				t.Errorf("%s rescue adopted %s", appName, name)
+			}
+		}
+	}
+	// The diagonal matrix has no halo, so the bare plan is logical 1's whole
+	// and correct plan: the same path accepts it.
+	if err := cp.Write("good", 1, core.PlanVersion, plan(1).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	cp.WaitIdle()
+	if err := newApps["lanczos"]().Init(rescueCtx("good"), true); err != nil {
+		t.Fatalf("rescue refused its own plan: %v", err)
 	}
 }

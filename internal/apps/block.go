@@ -1,0 +1,161 @@
+package apps
+
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/gaspi"
+	"repro/internal/matrix"
+	"repro/internal/spmvm"
+	"repro/internal/trace"
+)
+
+// HaloSeg is the segment id used for the spMVM halo exchange (the notice
+// board occupies segment 1).
+const HaloSeg gaspi.SegmentID = 2
+
+// rowBlock is what both applications derive from their row block of the
+// matrix: the communication plan and the local/remote split, kept for the
+// life of the process, and the engine currently bound to the worker group.
+// Embedded in an App it supplies Init and the hooks the framework finds by
+// interface assertion (Prewarm, HaloPartners, Close).
+type rowBlock struct {
+	gen     matrix.Generator
+	threads int
+	split   *spmvm.Split
+	eng     *spmvm.Engine
+}
+
+// Init implements core.App. On a fresh start it builds the local matrix
+// block and runs the pre-processing stage, then checkpoints the resulting
+// communication plan once ("each process writes a checkpoint after the
+// pre-processing stage"). On a rescue (restore=true) it adopts the block a
+// Prewarm already loaded for this rank, or loads it now: the plan from the
+// failed process's checkpoint — resuming communication without repeating
+// pre-processing — and the matrix block regenerated locally. The
+// global-index block is dropped once it is split: nothing reads it again.
+func (b *rowBlock) Init(ctx *core.Ctx, restore bool) error {
+	if restore {
+		if b.split != nil && b.split.Plan().Logical == ctx.Logical {
+			return nil
+		}
+		return b.Prewarm(ctx, ctx.Logical)
+	}
+	lo, hi := matrix.BlockRange(b.gen.Dim(), ctx.Comm.NumWorkers(), ctx.Logical)
+	csr := matrix.Build(b.gen, lo, hi)
+	plan, err := spmvm.Preprocess(ctx.Comm, csr)
+	if err != nil {
+		return err
+	}
+	if b.split, err = spmvm.NewSplit(plan, csr); err != nil {
+		return err
+	}
+	if ctx.CP != nil {
+		if err := ctx.CP.Write(ctx.Cfg.PlanName, ctx.Logical, core.PlanVersion, plan.Encode()); err != nil {
+			return err
+		}
+		// The plan is written exactly once and every rescue depends on it:
+		// wait for replication (in async mode the write is otherwise only
+		// staged) before any iteration can fail.
+		ctx.CP.WaitIdle()
+	}
+	return nil
+}
+
+// Prewarm implements the framework's optional warm-up hook and is the one
+// rescue loader: it makes this process hold logical's plan and split
+// without communicating, so a hot shadow can run it while idle and
+// Init(restore=true) has nothing left to do. A block held for another rank
+// is dropped first.
+func (b *rowBlock) Prewarm(ctx *core.Ctx, logical int) error {
+	b.split = nil
+	if ctx.CP == nil {
+		return errors.New("apps: recovery requires checkpointing enabled")
+	}
+	// FetchFrom, not Fetch: the plan restore's provenance feeds the same
+	// core.restore_from_* counters as the state restore, so the traced
+	// source can never disagree with the replica actually used.
+	blob, src, err := ctx.CP.FetchFrom(ctx.Cfg.PlanName, logical, core.PlanVersion)
+	if err != nil {
+		return fmt.Errorf("apps: plan checkpoint: %w", err)
+	}
+	ctx.Rec.Inc(trace.RestoreFromKey(src.String()), 1)
+	plan, err := spmvm.DecodePlan(blob)
+	if err != nil {
+		return err
+	}
+	// The blob comes off a store: it must be the plan of the identity being
+	// adopted, over the block distribution this job uses, before its row
+	// range reaches matrix.Build (which panics on a bad one).
+	workers := ctx.Layout.Workers()
+	lo, hi := matrix.BlockRange(b.gen.Dim(), workers, logical)
+	if plan.Logical != logical || plan.Workers != workers || plan.Lo != lo || plan.Hi != hi {
+		return fmt.Errorf("apps: plan checkpoint is rank %d of %d, rows [%d,%d); adopting rank %d of %d, rows [%d,%d)",
+			plan.Logical, plan.Workers, plan.Lo, plan.Hi, logical, workers, lo, hi)
+	}
+	b.split, err = spmvm.NewSplit(plan, matrix.Build(b.gen, lo, hi))
+	return err
+}
+
+// rebind is the shared part of App.Rebuild: it (re)creates the halo engine
+// on the current worker group from the kept split. Collective (engine
+// binding barriers).
+func (b *rowBlock) rebind(ctx *core.Ctx) (*spmvm.Engine, error) {
+	if b.eng != nil {
+		b.eng.Close() // release the old engine's worker pool (idempotent)
+		b.eng = nil
+	}
+	// Delete-if-present rather than delete-if-engine: a bind aborted by a
+	// mid-rebuild death rolls its own segment back, so either state
+	// (segment present or absent) is legal here on a retry.
+	if _, err := ctx.Proc.SegmentSize(HaloSeg); err == nil {
+		if err := ctx.Proc.SegmentDelete(HaloSeg); err != nil {
+			return nil, err
+		}
+	}
+	eng, err := b.split.Bind(ctx.Comm, HaloSeg)
+	if err != nil {
+		return nil, err
+	}
+	if b.threads > 1 {
+		eng.Threads = b.threads
+	}
+	eng.Rec = ctx.Rec
+	b.eng = eng
+	return eng, nil
+}
+
+// HaloPartners reports the logical ranks this worker exchanges halo data
+// with (consumers and producers alike, deduplicated), from the
+// communication plan — the application-derived half of the localized
+// repair set the framework hands to the FT worker after every rebuild.
+func (b *rowBlock) HaloPartners(*core.Ctx) []int {
+	if b.split == nil {
+		return nil
+	}
+	p := b.split.Plan()
+	seen := make(map[int]bool)
+	var out []int
+	add := func(rank int) {
+		if !seen[rank] {
+			seen[rank] = true
+			out = append(out, rank)
+		}
+	}
+	for _, s := range p.SendTo {
+		add(s.To)
+	}
+	for _, r := range p.RecvFrom {
+		add(r.From)
+	}
+	return out
+}
+
+// Close releases the engine's worker pool; the framework calls it when
+// the worker flow ends (rebind already closes superseded engines).
+func (b *rowBlock) Close() {
+	if b.eng != nil {
+		b.eng.Close()
+	}
+}

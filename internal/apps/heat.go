@@ -2,15 +2,12 @@ package apps
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/gaspi"
 	"repro/internal/matrix"
-	"repro/internal/spmvm"
-	"repro/internal/trace"
 )
 
 // HeatConfig parameterizes the 1-D heat-equation application.
@@ -34,18 +31,18 @@ type HeatConfig struct {
 // u^k = (1 − r·λ₁)^k · u⁰ with λ₁ = 2 − 2cos(π/(N+1)), so correctness after
 // failures is verifiable in closed form.
 type Heat struct {
-	cfg  HeatConfig
-	csr  *matrix.CSR
-	plan *spmvm.Plan
-	eng  *spmvm.Engine
-	u, w []float64
-	it   int64
+	rowBlock // Init, Prewarm, HaloPartners, Close
+	cfg      HeatConfig
+	u, w     []float64
+	it       int64
 }
 
 var _ core.App = (*Heat)(nil)
 
 // NewHeat builds the application.
-func NewHeat(cfg HeatConfig) *Heat { return &Heat{cfg: cfg} }
+func NewHeat(cfg HeatConfig) *Heat {
+	return &Heat{rowBlock: rowBlock{gen: matrix.Laplacian1D{N: cfg.N}}, cfg: cfg}
+}
 
 // U returns the owned chunk of the current solution.
 func (h *Heat) U() []float64 { return h.u }
@@ -65,83 +62,18 @@ func (h *Heat) Exact(i, k int64) float64 {
 	return h.Amplitude(k) * math.Sin(math.Pi*float64(i+1)/float64(h.cfg.N+1))
 }
 
-// Init implements core.App (see Lanczos.Init for the two paths).
-func (h *Heat) Init(ctx *core.Ctx, restore bool) error {
-	gen := matrix.Laplacian1D{N: h.cfg.N}
-	if restore {
-		if ctx.CP == nil {
-			return errors.New("apps: recovery requires checkpointing enabled")
-		}
-		// See Lanczos.Init: plan-restore provenance rides the same
-		// counters as the state restore.
-		blob, src, err := ctx.CP.FetchFrom(ctx.Cfg.PlanName, ctx.Logical, core.PlanVersion)
-		if err != nil {
-			return err
-		}
-		ctx.Rec.Inc(trace.RestoreFromKey(src.String()), 1)
-		plan, err := spmvm.DecodePlan(blob)
-		if err != nil {
-			return err
-		}
-		h.plan = plan
-		h.csr = matrix.Build(gen, plan.Lo, plan.Hi)
-		return nil
-	}
-	lo, hi := matrix.BlockRange(h.cfg.N, ctx.Comm.NumWorkers(), ctx.Logical)
-	h.csr = matrix.Build(gen, lo, hi)
-	plan, err := spmvm.Preprocess(ctx.Comm, h.csr)
-	if err != nil {
-		return err
-	}
-	h.plan = plan
-	if ctx.CP != nil {
-		if err := ctx.CP.Write(ctx.Cfg.PlanName, ctx.Logical, core.PlanVersion, plan.Encode()); err != nil {
-			return err
-		}
-		// As in the Lanczos app: the once-written plan must be replicated
-		// before compute starts, or a rescue could find it unflushed.
-		ctx.CP.WaitIdle()
-	}
-	return nil
-}
-
 // Rebuild implements core.App.
 func (h *Heat) Rebuild(ctx *core.Ctx) error {
-	if h.eng != nil {
-		h.eng.Close() // release the old engine's worker pool (idempotent)
-		h.eng = nil
-	}
-	// Delete-if-present, as in the Lanczos app: an aborted engine build
-	// rolls its own segment back, so the retry may find it already gone.
-	if _, err := ctx.Proc.SegmentSize(HaloSeg); err == nil {
-		if err := ctx.Proc.SegmentDelete(HaloSeg); err != nil {
-			return err
-		}
-	}
-	eng, err := spmvm.NewEngine(ctx.Comm, h.plan, h.csr, HaloSeg)
+	eng, err := h.rebind(ctx)
 	if err != nil {
 		return err
 	}
-	eng.Rec = ctx.Rec
-	h.eng = eng
 	n := eng.LocalRows()
 	if h.u == nil {
 		h.u = make([]float64, n)
 	}
 	h.w = make([]float64, n)
 	return nil
-}
-
-// HaloPartners reports the halo partner set from the communication plan
-// (see Lanczos.HaloPartners).
-func (h *Heat) HaloPartners(*core.Ctx) []int { return planPartners(h.plan) }
-
-// Close releases the engine's worker pool; the framework calls it when
-// the worker flow ends (Rebuild already closes superseded engines).
-func (h *Heat) Close() {
-	if h.eng != nil {
-		h.eng.Close()
-	}
 }
 
 // Checkpoint implements core.App: the solution chunk plus the step count.
@@ -159,7 +91,7 @@ func (h *Heat) Restore(ctx *core.Ctx, payload []byte, iter int64) error {
 	n := h.eng.LocalRows()
 	if payload == nil {
 		h.u = make([]float64, n)
-		lo := h.plan.Lo
+		lo := h.split.Plan().Lo
 		for i := range h.u {
 			h.u[i] = math.Sin(math.Pi * float64(lo+int64(i)+1) / float64(h.cfg.N+1))
 		}

@@ -6,21 +6,13 @@
 package apps
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gaspi"
 	"repro/internal/lanczos"
 	"repro/internal/matrix"
-	"repro/internal/spmvm"
-	"repro/internal/trace"
 )
-
-// HaloSeg is the segment id used for the spMVM halo exchange (the notice
-// board occupies segment 1).
-const HaloSeg gaspi.SegmentID = 2
 
 // LanczosConfig parameterizes the Lanczos application.
 type LanczosConfig struct {
@@ -45,136 +37,35 @@ type LanczosConfig struct {
 // with communication-plan checkpointing after pre-processing and
 // state checkpoints holding two Lanczos vectors plus α and β.
 type Lanczos struct {
-	cfg    LanczosConfig
-	csr    *matrix.CSR
-	plan   *spmvm.Plan
-	eng    *spmvm.Engine
-	solver *lanczos.Solver
+	rowBlock // Init, Prewarm, HaloPartners, Close
+	cfg      LanczosConfig
+	solver   *lanczos.Solver
+	live     bool // a Restore has installed solver state (see LiveIteration)
 }
 
 var _ core.App = (*Lanczos)(nil)
 
 // NewLanczos builds the application; pass as the core.App factory.
 func NewLanczos(cfg LanczosConfig) *Lanczos {
-	return &Lanczos{cfg: cfg}
+	return &Lanczos{rowBlock: rowBlock{gen: cfg.Gen, threads: cfg.Threads}, cfg: cfg}
 }
 
 // Solver exposes the eigensolver (for result collection after the run).
 func (a *Lanczos) Solver() *lanczos.Solver { return a.solver }
 
-// Init implements core.App. On a fresh start it builds the local matrix
-// block and runs the pre-processing stage, then checkpoints the resulting
-// communication plan once ("each process writes a checkpoint after the
-// pre-processing stage"). On a rescue (restore=true) it loads the failed
-// process's plan checkpoint instead — resuming communication without
-// repeating pre-processing — and regenerates the matrix block locally.
-func (a *Lanczos) Init(ctx *core.Ctx, restore bool) error {
-	if restore {
-		if ctx.CP == nil {
-			return errors.New("apps: recovery requires checkpointing enabled")
-		}
-		// FetchFrom, not Fetch: the plan restore's provenance feeds the
-		// same core.restore_from_* counters as the state restore, so the
-		// traced source can never disagree with the replica actually used.
-		blob, src, err := ctx.CP.FetchFrom(ctx.Cfg.PlanName, ctx.Logical, core.PlanVersion)
-		if err != nil {
-			return fmt.Errorf("apps: plan checkpoint: %w", err)
-		}
-		ctx.Rec.Inc(trace.RestoreFromKey(src.String()), 1)
-		plan, err := spmvm.DecodePlan(blob)
-		if err != nil {
-			return err
-		}
-		a.plan = plan
-		a.csr = matrix.Build(a.cfg.Gen, plan.Lo, plan.Hi)
-		return nil
-	}
-	lo, hi := matrix.BlockRange(a.cfg.Gen.Dim(), ctx.Comm.NumWorkers(), ctx.Logical)
-	a.csr = matrix.Build(a.cfg.Gen, lo, hi)
-	plan, err := spmvm.Preprocess(ctx.Comm, a.csr)
-	if err != nil {
-		return err
-	}
-	a.plan = plan
-	if ctx.CP != nil {
-		if err := ctx.CP.Write(ctx.Cfg.PlanName, ctx.Logical, core.PlanVersion, plan.Encode()); err != nil {
-			return err
-		}
-		// The plan is written exactly once and every rescue depends on it:
-		// wait for replication (in async mode the write is otherwise only
-		// staged) before any iteration can fail.
-		ctx.CP.WaitIdle()
-	}
-	return nil
-}
-
-// Rebuild implements core.App: (re)creates the halo engine on the current
-// worker group. Collective (engine creation barriers).
+// Rebuild implements core.App: re-binds the halo engine to the current
+// worker group and points the solver at it. Collective.
 func (a *Lanczos) Rebuild(ctx *core.Ctx) error {
-	if a.eng != nil {
-		a.eng.Close() // release the old engine's worker pool (idempotent)
-		a.eng = nil
-	}
-	// Delete-if-present rather than delete-if-engine: an engine build
-	// aborted by a mid-rebuild death rolls its own segment back, so either
-	// state (segment present or absent) is legal here on a retry.
-	if _, err := ctx.Proc.SegmentSize(HaloSeg); err == nil {
-		if err := ctx.Proc.SegmentDelete(HaloSeg); err != nil {
-			return err
-		}
-	}
-	eng, err := spmvm.NewEngine(ctx.Comm, a.plan, a.csr, HaloSeg)
+	eng, err := a.rebind(ctx)
 	if err != nil {
 		return err
 	}
-	if a.cfg.Threads > 1 {
-		eng.Threads = a.cfg.Threads
-	}
-	eng.Rec = ctx.Rec
-	a.eng = eng
 	if a.solver == nil {
 		a.solver = lanczos.NewShell(ctx.Comm, eng, a.cfg.Opts)
 	} else {
 		a.solver.SetEngine(eng)
 	}
 	return nil
-}
-
-// HaloPartners reports the logical ranks this worker exchanges halo data
-// with, from the communication plan — the application-derived half of the
-// localized repair set the framework hands to the FT worker after every
-// rebuild.
-func (a *Lanczos) HaloPartners(*core.Ctx) []int { return planPartners(a.plan) }
-
-// planPartners derives the deduplicated halo partner set (consumers and
-// producers alike) from a communication plan.
-func planPartners(p *spmvm.Plan) []int {
-	if p == nil {
-		return nil
-	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, s := range p.SendTo {
-		if !seen[s.To] {
-			seen[s.To] = true
-			out = append(out, s.To)
-		}
-	}
-	for _, r := range p.RecvFrom {
-		if !seen[r.From] {
-			seen[r.From] = true
-			out = append(out, r.From)
-		}
-	}
-	return out
-}
-
-// Close releases the engine's worker pool; the framework calls it when
-// the worker flow ends (Rebuild already closes superseded engines).
-func (a *Lanczos) Close() {
-	if a.eng != nil {
-		a.eng.Close()
-	}
 }
 
 // Checkpoint implements core.App.
@@ -184,15 +75,20 @@ func (a *Lanczos) Checkpoint(*core.Ctx) ([]byte, error) {
 
 // Restore implements core.App.
 func (a *Lanczos) Restore(ctx *core.Ctx, payload []byte, iter int64) error {
+	a.live = false
 	if payload == nil {
-		return a.solver.ResetStart()
+		if err := a.solver.ResetStart(); err != nil {
+			return err
+		}
+	} else {
+		if err := a.solver.Restore(payload); err != nil {
+			return err
+		}
+		if a.solver.It != iter {
+			return fmt.Errorf("apps: checkpoint iteration %d under version %d", a.solver.It, iter)
+		}
 	}
-	if err := a.solver.Restore(payload); err != nil {
-		return err
-	}
-	if a.solver.It != iter {
-		return fmt.Errorf("apps: checkpoint iteration %d under version %d", a.solver.It, iter)
-	}
+	a.live = true
 	return nil
 }
 
@@ -200,9 +96,13 @@ func (a *Lanczos) Restore(ctx *core.Ctx, payload []byte, iter int64) error {
 // candidate a survivor contributes to the hot-shadow failover agreement.
 // The solver mutates durable state only after its last collective, so a
 // step aborted by a peer's failure leaves It exactly at the iteration to
-// resume from. Not valid before the first Rebuild.
+// resume from. Valid only once a Restore has installed a state: the shell
+// Rebuild creates also reads iteration 0, and a rescue without a mirror —
+// or a survivor whose initial Restore the failure cut short — offering
+// that as live state would win an agreement at step 0 and resume on
+// vectors nobody initialized.
 func (a *Lanczos) LiveIteration(*core.Ctx) (int64, bool) {
-	if a.solver == nil {
+	if !a.live {
 		return 0, false
 	}
 	return a.solver.It, true

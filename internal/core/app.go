@@ -30,6 +30,28 @@ import (
 // the paper's trick to avoid repeating pre-processing). Rebuild runs on
 // every group member after Init and after every recovery and may
 // communicate; it recreates the communication structures (halo segments).
+//
+// Optional warm-up, found by interface assertion like HaloPartners,
+// LiveIteration and Close — App itself does not grow:
+//
+//	Prewarm(ctx *Ctx, logical int) error
+//
+// A hot shadow calls it once, while idle, for the logical rank it mirrors
+// (after that rank's first mirror frame, see shadowMain), so that whatever
+// Init(restore=true) would build for that rank — everything that depends
+// on the rank but not on the failure — already exists when the rank fails.
+// The rules are Init(restore=true)'s, tightened: Prewarm must NOT
+// communicate, and cannot — the process has no group, no identity and no
+// worker yet, so ctx.Comm and ctx.Worker are nil; ctx.CP is a checkpoint
+// library good for fetching, ctx.Logical is logical. It runs on a goroutine
+// of its own, concurrent with nothing of the App (no other method is called
+// until it has returned) and with nothing of the framework but the
+// shadow's mirror applier. The App it ran on is the one the process then
+// runs: Init(restore=true) follows exactly once, after activation, possibly
+// for ANOTHER logical rank than the one warmed up (the detector spent the
+// shadow as a plain rescue) and also after a Prewarm that returned an
+// error (counted, not fatal) — it must check what it holds and load what
+// it lacks. An App without the method is simply never warmed up.
 type App interface {
 	// Init prepares the application: pre-processing on a fresh start, or
 	// loading the plan checkpoint on a rescue process (restore=true).

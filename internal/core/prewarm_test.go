@@ -1,0 +1,409 @@
+package core_test
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/apps"
+	"repro/internal/checkpoint"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/lanczos"
+	"repro/internal/matrix"
+	"repro/internal/trace"
+)
+
+// The hot-shadow warm-up tests. Every ordering they need — the warm-up done
+// before the kill, the kill while the warm-up is blocked, the job over
+// while it is blocked — is built from channels between the hooks below and
+// the victim's own Step, and every assertion is a count. The layout is FD
+// 0, spares 1..Spares, workers after them; logical 0 is the one shadowed
+// rank, its shadow is physical rank 1.
+
+// warmHooks is what one test shares with the Apps of its job.
+type warmHooks struct {
+	// entered closes when the framework's Prewarm call starts, finished
+	// when it has returned (err is its result). A non-nil gate holds the
+	// call in between until the test closes it.
+	entered, finished chan struct{}
+	gate              chan struct{}
+	err               error
+	// planName, when set, makes that call look for the plan checkpoint under
+	// a name nobody wrote: a fetch that fails.
+	planName string
+
+	// The original holder of logical holdLogical starts iteration holdIter
+	// only once holdFor is closed: the FailPlan kill one iteration later
+	// cannot come before the event the test orders it after.
+	holdLogical int
+	holdIter    int64
+	holdFor     <-chan struct{}
+
+	newApps atomic.Int64
+	// builds counts, per logical rank, how often that rank's row block was
+	// generated anywhere in the job (its first row, to be exact).
+	builds [testWorker]atomic.Int64
+
+	mu        sync.Mutex
+	instances []*apps.Lanczos
+}
+
+func newWarmHooks() *warmHooks {
+	return &warmHooks{entered: make(chan struct{}), finished: make(chan struct{}), holdLogical: -1}
+}
+
+// countingGen is testGen counting the generations of each block's first row.
+type countingGen struct {
+	matrix.Graphene
+	h *warmHooks
+}
+
+func (g countingGen) Row(i int64, cols []int64, vals []float64) ([]int64, []float64) {
+	for l := range g.h.builds {
+		if lo, _ := matrix.BlockRange(g.Dim(), testWorker, l); lo == i {
+			g.h.builds[l].Add(1)
+		}
+	}
+	return g.Graphene.Row(i, cols, vals)
+}
+
+// hookedApp is the Lanczos app with the test's hooks around the two calls
+// the orderings hang on. Only the framework's warm-up goes through this
+// Prewarm: a rescue's Init reaches the loader below it directly.
+type hookedApp struct {
+	*apps.Lanczos
+	h *warmHooks
+}
+
+func (a *hookedApp) Prewarm(ctx *core.Ctx, logical int) error {
+	h := a.h
+	close(h.entered)
+	if h.gate != nil {
+		<-h.gate
+	}
+	if h.planName != "" {
+		c := *ctx
+		c.Cfg.PlanName = h.planName
+		ctx = &c
+	}
+	h.err = a.Lanczos.Prewarm(ctx, logical)
+	close(h.finished)
+	return h.err
+}
+
+func (a *hookedApp) Step(ctx *core.Ctx, iter int64) error {
+	h := a.h
+	if ctx.Logical == h.holdLogical && iter == h.holdIter &&
+		ctx.Proc.Rank() == ctx.Layout.InitialPhysical(ctx.Logical) {
+		<-h.holdFor
+	}
+	return a.Lanczos.Step(ctx, iter)
+}
+
+func (h *warmHooks) newApp() core.App {
+	h.newApps.Add(1)
+	a := &hookedApp{h: h, Lanczos: apps.NewLanczos(apps.LanczosConfig{
+		Gen:       countingGen{Graphene: testGen, h: h},
+		Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
+		StepDelay: time.Millisecond,
+	})}
+	h.mu.Lock()
+	h.instances = append(h.instances, a.Lanczos)
+	h.mu.Unlock()
+	return a
+}
+
+func (h *warmHooks) eigs() []float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, a := range h.instances {
+		if s := a.Solver(); s != nil && s.Finished() && len(s.Eigs) > 0 {
+			return append([]float64(nil), s.Eigs...)
+		}
+	}
+	return nil
+}
+
+// shadowCfg shadows logical 0 (replication degree 1) and kills the original
+// holder of logical `victim` at iteration 25 (none when victim < 0).
+func shadowCfg(spares, victim int) core.Config {
+	f := ftCfg()
+	f.LocalizedRepair = true
+	f.Replication = map[string]int{"state": 1}
+	cfg := core.Config{
+		Spares: spares, FT: f, EnableHC: true, EnableCP: true, CheckpointEvery: 10,
+		CP: checkpoint.Config{CheckpointMode: checkpoint.Async, FullEvery: 4},
+	}
+	if victim >= 0 {
+		cfg.FailPlan = map[int64][]int{25: {victim}}
+	}
+	return cfg
+}
+
+const shadowRank = 1
+
+// storeFetches is how many checkpoint fetches (plan or state) rank r's
+// process made, by the provenance counters every fetch site feeds.
+func storeFetches(r *trace.Recorder) int64 {
+	return r.Counter(trace.KCoreRestoreFromLocal) + r.Counter(trace.KCoreRestoreFromNeighbor) +
+		r.Counter(trace.KCoreRestoreFromRemote) + r.Counter(trace.KCoreRestoreFromPFS)
+}
+
+func expectCounts(t *testing.T, job *core.Job, want map[string]int64) {
+	t.Helper()
+	sum := trace.Aggregate(job.Recorders).SumCounter
+	for key, n := range want {
+		if got := sum[key]; got != n {
+			t.Errorf("%s = %d, want %d", key, got, n)
+		}
+	}
+}
+
+// TestShadowWarmTakeover: the shadowed primary dies after its shadow's
+// warm-up finished. The takeover finds plan and split in place — no plan
+// fetch and no matrix build after the activation — and is still the
+// zero-restore, zero-redo failover.
+func TestShadowWarmTakeover(t *testing.T) {
+	want := referenceEigs(t)
+	h := newWarmHooks()
+	h.holdLogical, h.holdIter, h.holdFor = 0, 24, h.finished
+	cfg := shadowCfg(2, 0)
+	lay := cfg.Layout(1 + cfg.Spares + testWorker)
+	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	t.Cleanup(job.Close)
+	<-h.finished
+	if h.err != nil {
+		t.Fatalf("warm-up: %v", h.err)
+	}
+	if n := storeFetches(job.Recorders[shadowRank]); n != 1 {
+		t.Fatalf("warm-up made %d fetches, want the plan's one", n)
+	}
+	waitClean(t, job, lay.InitialPhysical(0))
+	expectEigs(t, h.eigs(), want, 1e-6, 1, "warm takeover")
+	expectCounts(t, job, map[string]int64{
+		trace.KCorePrewarmHits:      1,
+		trace.KCorePrewarmDiscarded: 0,
+		trace.KCorePrewarmFailed:    0,
+		trace.KFTShadowFailovers:    1,
+		trace.KFTShadowFallbacks:    0,
+		trace.KCoreRedoIters:        0,
+	})
+	if n := storeFetches(job.Recorders[shadowRank]); n != 1 {
+		t.Errorf("shadow made %d fetches in all: the takeover fetched again", n)
+	}
+	if n := h.builds[0].Load(); n != 2 {
+		t.Errorf("logical 0's block was built %d times, want 2 (its first holder, the warm-up)", n)
+	}
+	if n := h.newApps.Load(); n != testWorker+1 {
+		t.Errorf("newApp called %d times, want once per worker and once on the shadow", n)
+	}
+}
+
+// TestShadowActivationJoinsPrewarm: the primary dies while its shadow's
+// warm-up is blocked. The activation waits for that warm-up and adopts what
+// it loads: one App on the shadow process, one build, one fetch.
+func TestShadowActivationJoinsPrewarm(t *testing.T) {
+	want := referenceEigs(t)
+	h := newWarmHooks()
+	h.gate = make(chan struct{})
+	h.holdLogical, h.holdIter, h.holdFor = 0, 24, h.entered
+	cfg := shadowCfg(2, 0)
+	lay := cfg.Layout(1 + cfg.Spares + testWorker)
+	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	t.Cleanup(job.Close)
+	// The detector has named the shadow as the rescue: the activation is on
+	// its board, and only the warm-up stands between it and the worker flow.
+	deadline := time.Now().Add(30 * time.Second)
+	for job.Recorders[0].Counter(trace.KFDRecoveries) < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the kill was never detected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := storeFetches(job.Recorders[shadowRank]); n != 0 {
+		t.Fatalf("shadow fetched %d times beside a blocked warm-up", n)
+	}
+	close(h.gate)
+	waitClean(t, job, lay.InitialPhysical(0))
+	expectEigs(t, h.eigs(), want, 1e-6, 1, "joined warm-up")
+	expectCounts(t, job, map[string]int64{
+		trace.KCorePrewarmHits:   1,
+		trace.KFTShadowFailovers: 1,
+		trace.KFTShadowFallbacks: 0,
+		trace.KCoreRedoIters:     0,
+	})
+	if n := storeFetches(job.Recorders[shadowRank]); n != 1 {
+		t.Errorf("shadow made %d fetches, want the warm-up's one", n)
+	}
+	if n := h.builds[0].Load(); n != 2 {
+		t.Errorf("logical 0's block was built %d times, want 2 (its first holder, the warm-up)", n)
+	}
+	if n := h.newApps.Load(); n != testWorker+1 {
+		t.Errorf("newApp called %d times, want once per worker and once on the shadow", n)
+	}
+}
+
+// TestShadowConsumedForOtherLogicalDiscardsPrewarm: the only spare is
+// logical 0's shadow and logical 2 dies, so the detector spends the shadow
+// as a plain rescue. What it warmed up is for the wrong rank: dropped, and
+// the rescue loads logical 2's block cold, exactly as an unshadowed spare
+// would.
+func TestShadowConsumedForOtherLogicalDiscardsPrewarm(t *testing.T) {
+	want := referenceEigs(t)
+	h := newWarmHooks()
+	h.holdLogical, h.holdIter, h.holdFor = 2, 24, h.finished
+	cfg := shadowCfg(1, 2)
+	lay := cfg.Layout(1 + cfg.Spares + testWorker)
+	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	t.Cleanup(job.Close)
+	waitClean(t, job, lay.InitialPhysical(2))
+	expectEigs(t, h.eigs(), want, 1e-6, 1, "discarded warm-up")
+	expectCounts(t, job, map[string]int64{
+		trace.KCorePrewarmHits:      0,
+		trace.KCorePrewarmDiscarded: 1,
+		trace.KCorePrewarmFailed:    0,
+		trace.KFTShadowFailovers:    0,
+		trace.KFDRecoveries:         1,
+	})
+	// Logical 0: its holder and the discarded warm-up. Logical 2: its holder
+	// and the rescue's cold load.
+	for l, n := range map[int]int64{0: 2, 1: 1, 2: 2, 3: 1} {
+		if got := h.builds[l].Load(); got != n {
+			t.Errorf("logical %d's block was built %d times, want %d", l, got, n)
+		}
+	}
+	// The warm-up's plan, the rescue's plan, the rescue's state.
+	if n := storeFetches(job.Recorders[shadowRank]); n != 3 {
+		t.Errorf("shadow made %d fetches, want 3", n)
+	}
+	if n := h.newApps.Load(); n != testWorker+1 {
+		t.Errorf("newApp called %d times, want once per worker and once on the shadow", n)
+	}
+}
+
+// TestShadowPrewarmFetchFailureIsNotFatal: the warm-up cannot find the plan.
+// That is counted and nothing more: the takeover loads cold and is the same
+// failover as without a warm-up.
+func TestShadowPrewarmFetchFailureIsNotFatal(t *testing.T) {
+	want := referenceEigs(t)
+	h := newWarmHooks()
+	h.planName = "no-such-plan"
+	h.holdLogical, h.holdIter, h.holdFor = 0, 24, h.finished
+	cfg := shadowCfg(2, 0)
+	lay := cfg.Layout(1 + cfg.Spares + testWorker)
+	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	t.Cleanup(job.Close)
+	waitClean(t, job, lay.InitialPhysical(0))
+	if h.err == nil {
+		t.Fatal("the warm-up found a plan nobody wrote")
+	}
+	expectEigs(t, h.eigs(), want, 1e-6, 1, "failed warm-up")
+	expectCounts(t, job, map[string]int64{
+		trace.KCorePrewarmHits:      0,
+		trace.KCorePrewarmDiscarded: 0,
+		trace.KCorePrewarmFailed:    1,
+		trace.KFTShadowFailovers:    1,
+		trace.KFTShadowFallbacks:    0,
+		trace.KCoreRedoIters:        0,
+	})
+	if n := storeFetches(job.Recorders[shadowRank]); n != 1 {
+		t.Errorf("shadow made %d successful fetches, want the cold load's one", n)
+	}
+	if n := h.builds[0].Load(); n != 2 {
+		t.Errorf("logical 0's block was built %d times, want 2 (its first holder, the cold load)", n)
+	}
+}
+
+// TestShadowWithoutMirrorFrameRecoversCold: the primary dies before it has
+// pushed a frame, so nothing ever triggered the warm-up. The shadow is a
+// cold rescue with no mirror, as it was before the warm-up existed: no
+// warm-up outcome is counted, the one App is built after the activation,
+// and the group restarts from the store.
+func TestShadowWithoutMirrorFrameRecoversCold(t *testing.T) {
+	want := referenceEigs(t)
+	h := newWarmHooks()
+	cfg := shadowCfg(2, 0)
+	cfg.FailPlan = map[int64][]int{0: {0}} // before the first Step, hence the first frame
+	lay := cfg.Layout(1 + cfg.Spares + testWorker)
+	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	t.Cleanup(job.Close)
+	waitClean(t, job, lay.InitialPhysical(0))
+	select {
+	case <-h.entered:
+		t.Fatal("a warm-up ran without a mirror frame")
+	default:
+	}
+	expectEigs(t, h.eigs(), want, 1e-6, 1, "no warm-up")
+	expectCounts(t, job, map[string]int64{
+		trace.KCorePrewarmHits:       0,
+		trace.KCorePrewarmDiscarded:  0,
+		trace.KCorePrewarmFailed:     0,
+		trace.KFTShadowAppliedFrames: 0,
+		trace.KFTShadowFailovers:     0,
+		trace.KFDRecoveries:          1,
+	})
+	if n := h.builds[0].Load(); n != 2 {
+		t.Errorf("logical 0's block was built %d times, want 2 (its first holder, the cold load)", n)
+	}
+	if n := h.newApps.Load(); n != testWorker+1 {
+		t.Errorf("newApp called %d times, want once per worker and once on the rescue", n)
+	}
+}
+
+// TestShadowShutdownWaitsForPrewarm: the job completes while the shadow's
+// warm-up is blocked. The shadow process does not return before the warm-up
+// has — nothing of a finished process is still reading the cluster's stores.
+func TestShadowShutdownWaitsForPrewarm(t *testing.T) {
+	h := newWarmHooks()
+	h.gate = make(chan struct{})
+	cfg := shadowCfg(2, -1)
+	procs := 1 + cfg.Spares + testWorker
+	lay := cfg.Layout(procs)
+	recs := make([]*trace.Recorder, procs)
+	for i := range recs {
+		recs[i] = trace.NewRecorder()
+	}
+	var returned, early atomic.Int64
+	cl := cluster.New(clusterCfg(procs), func(ctx *cluster.ProcCtx) error {
+		err := core.Main(ctx, cfg, lay, h.newApp, recs[ctx.Rank()])
+		if ctx.Rank() == shadowRank {
+			select {
+			case <-h.finished:
+			default:
+				early.Add(1)
+			}
+		}
+		returned.Add(1)
+		return err
+	})
+	t.Cleanup(cl.Close)
+	<-h.entered
+	deadline := time.Now().Add(30 * time.Second)
+	for returned.Load() < int64(procs-1) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d other ranks finished", returned.Load(), procs-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(h.gate)
+	res, ok := cl.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res {
+		if r.Err != nil || r.Death != nil {
+			t.Fatalf("rank %d: err %v, death %+v", r.Rank, r.Err, r.Death)
+		}
+	}
+	if early.Load() != 0 {
+		t.Fatal("the shadow process returned while its warm-up was still running")
+	}
+	if h.err != nil {
+		t.Fatalf("warm-up: %v", h.err)
+	}
+	if n := recs[shadowRank].Counter(trace.KCorePrewarmHits) + recs[shadowRank].Counter(trace.KCorePrewarmDiscarded); n != 0 {
+		t.Fatalf("a shadow that was never activated counted %d warm-up outcomes", n)
+	}
+}

@@ -180,6 +180,13 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 // step. Activated for any OTHER logical (the detector consumed this
 // shadow as a plain spare), the mirror is discarded and the cold rescue
 // path runs unchanged.
+//
+// The first applied frame also starts the warm-up of the primary's
+// application structures (see prewarm): it proves the primary is iterating,
+// hence past Init, hence that the plan checkpoint every rescue loads is
+// replicated — and that job set-up, which the warm-up's CPU time should
+// stay out of, is over. An activation joins a warm-up still running
+// instead of starting a second load next to it.
 func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, rec *trace.Recorder) error {
 	p := cctx.Proc
 	primary := int(p.Rank()) - 1 // inverse of ft.ShadowOf
@@ -189,6 +196,8 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	}
 	mirror := checkpoint.NewLiveMirror()
 	inj := cctx.Cluster.Injector()
+	warm := startPrewarm(cctx, cfg, lay, newApp, rec, primary)
+	defer warm.settle() // process death unwinds by panic, past the call below
 	apply := func(key string, blob []byte) error {
 		// A torn or corrupt frame is acked anyway (dropping the ack would
 		// stall the primary's compute loop for the full push timeout); the
@@ -198,6 +207,7 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 			return nil
 		}
 		rec.Inc(trace.KFTShadowAppliedFrames, 1)
+		warm.Trigger()
 		if inj != nil {
 			if _, v, ok := mirror.Snapshot(); ok {
 				inj.NoteShadowFrame(p.Rank(), primary, v)
@@ -208,6 +218,7 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	go cps.Serve(apply)
 	notice, logical, shutdown, werr := ft.WaitActivation(p, lay, cfg.FT)
 	cps.Stop()
+	warm.settle()
 	if werr != nil {
 		return werr
 	}
@@ -225,6 +236,20 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	if logical == primary && !mirror.Torn() {
 		if payload, version, ok := mirror.Snapshot(); ok {
 			fo = &failoverState{version: version, payload: payload}
+		}
+	}
+	if warm.app != nil {
+		// The App the warm-up built is this process's App — one newApp call
+		// per process — whether or not what it holds is for this rank:
+		// Init(restore=true) keeps a block loaded for its own logical and
+		// replaces any other.
+		newApp = func() App { return warm.app }
+	}
+	if warm.warmed {
+		if logical == primary {
+			rec.Inc(trace.KCorePrewarmHits, 1)
+		} else {
+			rec.Inc(trace.KCorePrewarmDiscarded, 1)
 		}
 	}
 	return workerMain(cctx, cfg, lay, newApp, rec, w, notice, fo)

@@ -48,7 +48,11 @@ func (c *CSR) LocalRows() int { return len(c.RowPtr) - 1 }
 // NNZ returns the number of stored entries.
 func (c *CSR) NNZ() int64 { return c.RowPtr[len(c.RowPtr)-1] }
 
-// Build materializes rows [lo, hi) of gen as a CSR block.
+// Build materializes rows [lo, hi) of gen as a CSR block. Col and Val are
+// sized once, from the first row: the generators' rows are all about as
+// long as each other, and a rescue rebuilds its block on the recovery
+// path, where growing two multi-megabyte slices by doubling is most of
+// the cost. A block with longer rows further down still grows by append.
 func Build(gen Generator, lo, hi int64) *CSR {
 	if lo < 0 || hi < lo || hi > gen.Dim() {
 		panic(fmt.Sprintf("matrix: invalid row range [%d,%d) of %d", lo, hi, gen.Dim()))
@@ -63,6 +67,10 @@ func Build(gen Generator, lo, hi int64) *CSR {
 	for i := lo; i < hi; i++ {
 		cols, vals = gen.Row(i, cols[:0], vals[:0])
 		sortRow(cols, vals)
+		if i == lo {
+			n := len(cols) * int(hi-lo)
+			c.Col, c.Val = make([]int64, 0, n), make([]float64, 0, n)
+		}
 		c.Col = append(c.Col, cols...)
 		c.Val = append(c.Val, vals...)
 		c.RowPtr = append(c.RowPtr, int64(len(c.Col)))
@@ -165,8 +173,27 @@ func min64(a, b int64) int64 {
 	return b
 }
 
+// insertionSortMax is the longest row sortRow sorts by insertion. The
+// lattice generators' rows (13 entries for graphene) stay far below it.
+const insertionSortMax = 24
+
+// sortRow sorts one row by column, values alongside. Columns are distinct
+// (Generator's contract), so every correct sort yields the same row; short
+// rows take an insertion sort that needs no sort.Interface value on the
+// heap.
 func sortRow(cols []int64, vals []float64) {
-	sort.Sort(&rowSorter{cols, vals})
+	if len(cols) > insertionSortMax {
+		sort.Sort(&rowSorter{cols, vals})
+		return
+	}
+	for i := 1; i < len(cols); i++ {
+		c, v := cols[i], vals[i]
+		j := i
+		for ; j > 0 && cols[j-1] > c; j-- {
+			cols[j], vals[j] = cols[j-1], vals[j-1]
+		}
+		cols[j], vals[j] = c, v
+	}
 }
 
 type rowSorter struct {

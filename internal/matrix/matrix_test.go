@@ -3,6 +3,8 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -322,5 +324,73 @@ func TestRandomSparseTinyDim(t *testing.T) {
 	c := Full(g)
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceBuild is Build as it was before the presizing and the insertion
+// sort: one sort.Sort per row, Col/Val grown by append from nothing.
+func referenceBuild(gen Generator, lo, hi int64) *CSR {
+	c := &CSR{GlobalDim: gen.Dim(), RowOffset: lo, RowPtr: []int64{0}}
+	for i := lo; i < hi; i++ {
+		cols, vals := gen.Row(i, nil, nil)
+		sort.Sort(&rowSorter{cols, vals})
+		c.Col = append(c.Col, cols...)
+		c.Val = append(c.Val, vals...)
+		c.RowPtr = append(c.RowPtr, int64(len(c.Col)))
+	}
+	return c
+}
+
+// TestBuildBitIdenticalToSortReference: presizing and the short-row
+// insertion sort change how Build gets there, not what it returns — same
+// RowPtr, same columns, same value bits — for every generator, on the full
+// matrix and on an interior block whose first row is not the matrix's.
+func TestBuildBitIdenticalToSortReference(t *testing.T) {
+	gens := map[string]Generator{
+		"graphene":          DefaultGraphene(12, 9, 7),
+		"graphene aliasing": DefaultGraphene(2, 2, 5),
+		"laplacian1d":       Laplacian1D{N: 57},
+		"laplacian2d":       Laplacian2D{Nx: 9, Ny: 7},
+		"diagonal":          Diagonal{Values: randomVec(31, 4)},
+		// Rows longer than the cut-off take sort.Sort, shorter ones the
+		// insertion sort; 40 draws out of 300 columns rarely collide.
+		"random long rows":  RandomSparse{N: 300, NNZPerRow: 40, Seed: 9},
+		"random short rows": RandomSparse{N: 300, NNZPerRow: 5, Seed: 9},
+	}
+	for name, gen := range gens {
+		dim := gen.Dim()
+		for _, r := range [][2]int64{{0, dim}, {dim / 3, dim - dim/4}, {dim / 2, dim / 2}} {
+			got, want := Build(gen, r[0], r[1]), referenceBuild(gen, r[0], r[1])
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s [%d,%d): %v", name, r[0], r[1], err)
+			}
+			if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
+				t.Fatalf("%s [%d,%d): structure differs from the reference", name, r[0], r[1])
+			}
+			for k := range want.Val {
+				if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+					t.Fatalf("%s [%d,%d): value %d = %v, reference %v", name, r[0], r[1], k, got.Val[k], want.Val[k])
+				}
+			}
+		}
+	}
+	long := RandomSparse{N: 300, NNZPerRow: 40, Seed: 9}
+	if cols, _ := long.Row(0, nil, nil); len(cols) <= insertionSortMax {
+		t.Fatalf("long-row generator yields %d entries, cut-off is %d", len(cols), insertionSortMax)
+	}
+}
+
+// BenchmarkMatrixBuild builds the kill workloads' row block: 8192 rows of
+// the 128x128-cell graphene sheet, one worker's quarter. CI gates its
+// allocs/op — a rescue pays this build on the recovery path.
+func BenchmarkMatrixBuild(b *testing.B) {
+	gen := DefaultGraphene(128, 128, 7)
+	lo, hi := BlockRange(gen.Dim(), 4, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := Build(gen, lo, hi); c.NNZ() == 0 {
+			b.Fatal("empty block")
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/gaspi"
@@ -44,8 +45,80 @@ type mulTask struct {
 	wg     *sync.WaitGroup
 }
 
-// Engine executes distributed y = A·x with overlapping halo exchange, bound
-// to one halo segment and one communication plan.
+// Split is the failure-independent half of an engine: the row block cut
+// against the plan into a local part (columns into the owned chunk) and a
+// remote part (columns into the halo buffer), and the layout of the halo
+// segment. It is a pure function of (plan, csr) and immutable once built,
+// so it outlives the global-index CSR it was cut from and any number of
+// Bind calls: a recovery re-binds the communication, it does not cut the
+// unchanged block again, and a hot shadow can hold its primary's Split
+// before it has a group to bind to.
+type Split struct {
+	plan          *Plan
+	local, remote splitCSR
+
+	haloN      int     // len(plan.HaloCols)
+	sendOff    []int64 // per SendTo partner: element offset of its staging slot
+	segElems   int     // halo segment length in float64 elements
+	expectFrom []bool  // producer rank → this process receives from it
+}
+
+// NewSplit cuts csr against plan. The plan must describe exactly the rows
+// of csr, and its halo every remote column csr references. The parts grow
+// by append; sizing them with a counting pass first is measured and held
+// back by the benchmark's recovery probe, not by this code (ROADMAP 3c).
+func NewSplit(plan *Plan, csr *matrix.CSR) (*Split, error) {
+	rows := csr.LocalRows()
+	lo, hi := plan.Lo, plan.Hi
+	if csr.RowOffset != lo || csr.RowOffset+int64(rows) != hi {
+		return nil, fmt.Errorf("spmvm: plan rows [%d,%d) do not match matrix rows [%d,%d)",
+			lo, hi, csr.RowOffset, csr.RowOffset+int64(rows))
+	}
+	s := &Split{plan: plan, haloN: len(plan.HaloCols)}
+	s.local.rowPtr = make([]int64, 1, rows+1)
+	s.remote.rowPtr = make([]int64, 1, rows+1)
+	for r := 0; r < rows; r++ {
+		for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
+			col, val := csr.Col[k], csr.Val[k]
+			if col >= lo && col < hi {
+				s.local.col = append(s.local.col, int32(col-lo))
+				s.local.val = append(s.local.val, val)
+				continue
+			}
+			slot, ok := slices.BinarySearch(plan.HaloCols, col)
+			if !ok {
+				return nil, fmt.Errorf("spmvm: column %d missing from plan halo", col)
+			}
+			s.remote.col = append(s.remote.col, int32(slot))
+			s.remote.val = append(s.remote.val, val)
+		}
+		s.local.rowPtr = append(s.local.rowPtr, int64(len(s.local.col)))
+		s.remote.rowPtr = append(s.remote.rowPtr, int64(len(s.remote.col)))
+	}
+	// Segment layout in float64 elements: two parity halo regions, then one
+	// send staging slot per consumer.
+	s.sendOff = make([]int64, len(plan.SendTo))
+	off := 2 * s.haloN
+	for i := range plan.SendTo {
+		s.sendOff[i] = int64(off)
+		off += len(plan.SendTo[i].LocalIdx)
+	}
+	s.segElems = off
+	s.expectFrom = make([]bool, plan.Workers)
+	for i := range plan.RecvFrom {
+		s.expectFrom[plan.RecvFrom[i].From] = true
+	}
+	return s, nil
+}
+
+// Plan returns the communication plan the block was cut against.
+func (s *Split) Plan() *Plan { return s.plan }
+
+// LocalRows returns the number of owned rows.
+func (s *Split) LocalRows() int { return int(s.plan.Hi - s.plan.Lo) }
+
+// Engine executes distributed y = A·x with overlapping halo exchange: a
+// Split bound to one Comm and one halo segment.
 //
 // The halo segment is the engine's registered memory region, laid out as
 //
@@ -66,12 +139,9 @@ type mulTask struct {
 // segment) and posted zero-copy; the remote part reads the halo region in
 // place through the same view.
 type Engine struct {
+	*Split
 	comm Comm
-	plan *Plan
 	seg  gaspi.SegmentID
-
-	local, remote splitCSR
-	haloIdx       map[int64]int32 // global col → halo slot
 
 	// Threads shards the compute loops (the paper runs 12 OpenMP threads
 	// per process; sharding preserves the compute structure). Set before
@@ -82,11 +152,9 @@ type Engine struct {
 	// (spmvm.fastpath_iters / spmvm.fallback_iters).
 	Rec *trace.Recorder
 
-	haloN    int       // len(plan.HaloCols)
 	segBytes []byte    // raw registered segment memory
 	segF     []float64 // float64 view of segBytes; nil → byte fallback path
 	fc       FastComm  // non-nil iff segF != nil
-	sendOff  []int64   // per SendTo partner: element offset of its staging slot
 
 	// fallback-path caches (alloc-free even without the zero-copy path)
 	sendBuf []byte
@@ -94,9 +162,8 @@ type Engine struct {
 
 	// collectHalo bookkeeping: producer rank → generation of the last
 	// accepted notification. Bumping gen replaces the per-call reset loop.
-	expectFrom []bool
-	recvGen    []int64
-	gen        int64
+	recvGen []int64
+	gen     int64
 
 	// persistent compute worker pool (started lazily at first sharded mul)
 	tasks     chan mulTask
@@ -104,38 +171,29 @@ type Engine struct {
 	closeOnce sync.Once
 }
 
-// NewEngine builds an engine: it creates the halo segment, splits the local
-// matrix block into local and remote parts, and prepares gather buffers.
-// The plan must describe exactly the rows of csr.
+// NewEngine builds an engine in one go: split, then bind.
 func NewEngine(c Comm, plan *Plan, csr *matrix.CSR, seg gaspi.SegmentID) (*Engine, error) {
-	if csr.RowOffset != plan.Lo || csr.RowOffset+int64(csr.LocalRows()) != plan.Hi {
-		return nil, fmt.Errorf("spmvm: plan rows [%d,%d) do not match matrix rows [%d,%d)",
-			plan.Lo, plan.Hi, csr.RowOffset, csr.RowOffset+int64(csr.LocalRows()))
-	}
-	if slots := c.Proc().Config().NotifySlots; 2*plan.Workers > slots {
-		return nil, fmt.Errorf("spmvm: %d workers need %d notification slots, segment has %d (raise gaspi.Config.NotifySlots)",
-			plan.Workers, 2*plan.Workers, slots)
-	}
-	e := &Engine{comm: c, plan: plan, seg: seg, Threads: 1}
-	e.haloIdx = make(map[int64]int32, len(plan.HaloCols))
-	for i, col := range plan.HaloCols {
-		e.haloIdx[col] = int32(i)
-	}
-	if err := e.split(csr); err != nil {
+	s, err := NewSplit(plan, csr)
+	if err != nil {
 		return nil, err
 	}
-	e.haloN = len(plan.HaloCols)
-	// Segment layout in float64 elements: two parity halo regions plus the
-	// send staging region; one notification slot per producer per parity.
-	sendTotal := 0
-	for i := range plan.SendTo {
-		sendTotal += len(plan.SendTo[i].LocalIdx)
+	return s.Bind(c, seg)
+}
+
+// Bind is the communication half of an engine: it creates the halo
+// segment on c's process, synchronizes with the group, and starts the
+// halo generation count afresh. Collective. The same Split may be bound
+// again after a recovery once the previous engine is closed and its
+// segment deleted.
+func (s *Split) Bind(c Comm, seg gaspi.SegmentID) (*Engine, error) {
+	workers := s.plan.Workers
+	// One notification slot per producer per parity.
+	if slots := c.Proc().Config().NotifySlots; 2*workers > slots {
+		return nil, fmt.Errorf("spmvm: %d workers need %d notification slots, segment has %d (raise gaspi.Config.NotifySlots)",
+			workers, 2*workers, slots)
 	}
-	size := 8 * (2*e.haloN + sendTotal)
-	if size == 0 {
-		size = 8
-	}
-	if err := c.Proc().SegmentCreate(seg, size); err != nil {
+	e := &Engine{Split: s, comm: c, seg: seg, Threads: 1}
+	if err := c.Proc().SegmentCreate(seg, max(8*s.segElems, 8)); err != nil {
 		return nil, fmt.Errorf("spmvm: halo segment: %w", err)
 	}
 	// Segment creation is collective in GASPI: nobody may start pushing
@@ -159,51 +217,12 @@ func NewEngine(c Comm, plan *Plan, csr *matrix.CSR, seg gaspi.SegmentID) (*Engin
 			e.segF = f64
 		}
 	}
-	e.sendOff = make([]int64, len(plan.SendTo))
-	off := int64(2 * e.haloN)
-	for i := range plan.SendTo {
-		e.sendOff[i] = off
-		off += int64(len(plan.SendTo[i].LocalIdx))
+	if e.segF == nil {
+		e.halo = make([]float64, s.haloN)
 	}
-	e.halo = make([]float64, e.haloN)
-	e.expectFrom = make([]bool, plan.Workers)
-	for i := range plan.RecvFrom {
-		e.expectFrom[plan.RecvFrom[i].From] = true
-	}
-	e.recvGen = make([]int64, plan.Workers)
+	e.recvGen = make([]int64, workers)
 	return e, nil
 }
-
-func (e *Engine) split(csr *matrix.CSR) error {
-	lo, hi := e.plan.Lo, e.plan.Hi
-	e.local.rowPtr = make([]int64, 1, csr.LocalRows()+1)
-	e.remote.rowPtr = make([]int64, 1, csr.LocalRows()+1)
-	for r := 0; r < csr.LocalRows(); r++ {
-		for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
-			col, val := csr.Col[k], csr.Val[k]
-			if col >= lo && col < hi {
-				e.local.col = append(e.local.col, int32(col-lo))
-				e.local.val = append(e.local.val, val)
-			} else {
-				slot, ok := e.haloIdx[col]
-				if !ok {
-					return fmt.Errorf("spmvm: column %d missing from plan halo", col)
-				}
-				e.remote.col = append(e.remote.col, slot)
-				e.remote.val = append(e.remote.val, val)
-			}
-		}
-		e.local.rowPtr = append(e.local.rowPtr, int64(len(e.local.col)))
-		e.remote.rowPtr = append(e.remote.rowPtr, int64(len(e.remote.col)))
-	}
-	return nil
-}
-
-// Plan returns the engine's communication plan.
-func (e *Engine) Plan() *Plan { return e.plan }
-
-// LocalRows returns the number of owned rows.
-func (e *Engine) LocalRows() int { return int(e.plan.Hi - e.plan.Lo) }
 
 // FastPath reports whether the zero-copy registered-segment path is
 // active (the Comm supports it and the host offers the float64 view).

@@ -567,3 +567,118 @@ func TestPreprocessManyPartners(t *testing.T) {
 		return nil
 	})
 }
+
+// abortedBarrier is a Comm on which the next Barrier fails without
+// synchronizing, on every rank alike — what every survivor sees when a peer
+// dies inside the engine's segment barrier.
+type abortedBarrier struct{ Comm }
+
+func (abortedBarrier) Barrier() error { return gaspi.ErrTimeout }
+
+// TestRebindFromKeptSplit: a recovery keeps the Split and re-binds it to the
+// recommitted group; the engine it gets multiplies exactly like one built
+// from scratch by NewEngine, also when the first attempt to bind dies in
+// the segment barrier and has to be retried.
+func TestRebindFromKeptSplit(t *testing.T) {
+	const workers = 3
+	const seg, freshSeg = 7, 8
+	gen := matrix.DefaultGraphene(6, 5, 3)
+	dim := gen.Dim()
+	xg := globalVec(dim)
+	runWorkers(t, workers, func(c Comm) error {
+		p := c.Proc()
+		lo, hi := matrix.BlockRange(dim, workers, c.Logical())
+		x := xg[lo:hi]
+		// multiply runs one SpMV and the collective that separates it from
+		// the next engine's traffic.
+		multiply := func(e *Engine, c Comm, it int64) ([]float64, error) {
+			y := make([]float64, hi-lo)
+			if err := e.SpMV(x, y, it); err != nil {
+				return nil, err
+			}
+			return y, c.Barrier()
+		}
+		csr := matrix.Build(gen, lo, hi)
+		plan, err := Preprocess(c, csr)
+		if err != nil {
+			return err
+		}
+		split, err := NewSplit(plan, csr)
+		if err != nil {
+			return err
+		}
+		fresh, err := NewEngine(c, plan, csr, freshSeg)
+		if err != nil {
+			return err
+		}
+		want, err := multiply(fresh, c, 0)
+		if err != nil {
+			return err
+		}
+		eng, err := split.Bind(c, seg)
+		if err != nil {
+			return err
+		}
+		first, err := multiply(eng, c, 0)
+		if err != nil {
+			return err
+		}
+
+		// The recovery: the old engine and its segment go, the group is
+		// committed anew, the split stays.
+		eng.Close()
+		if err := p.SegmentDelete(seg); err != nil {
+			return err
+		}
+		const regroup gaspi.GroupID = 5
+		if err := p.GroupCreate(regroup); err != nil {
+			return err
+		}
+		for r := 0; r < workers; r++ {
+			if err := p.GroupAdd(regroup, gaspi.Rank(r)); err != nil {
+				return err
+			}
+		}
+		if err := p.GroupCommit(regroup, gaspi.Block); err != nil {
+			return err
+		}
+		rc := &Direct{P: p, Base: 0, Workers: workers, Group: regroup}
+
+		if _, err := split.Bind(abortedBarrier{rc}, seg); err == nil {
+			return fmt.Errorf("bind survived a dead barrier")
+		}
+		if _, err := p.SegmentSize(seg); err == nil {
+			return fmt.Errorf("aborted bind left its segment behind")
+		}
+		eng, err = split.Bind(rc, seg)
+		if err != nil {
+			return fmt.Errorf("second bind: %w", err)
+		}
+		defer eng.Close()
+		// Another iteration parity than the first engine used last: nothing
+		// of the old generation state may be needed.
+		again, err := multiply(eng, rc, 1)
+		if err != nil {
+			return err
+		}
+		for i := range want {
+			if math.Float64bits(first[i]) != math.Float64bits(want[i]) || math.Float64bits(again[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("row %d: fresh engine %v, bound split %v, re-bound split %v", i, want[i], first[i], again[i])
+			}
+		}
+		return nil
+	})
+}
+
+// TestSplitRejectsColumnOutsideHalo: a plan whose halo misses a remote
+// column of the block is an error at split time, not a wrong product later.
+func TestSplitRejectsColumnOutsideHalo(t *testing.T) {
+	gen := matrix.Laplacian1D{N: 10}
+	csr := matrix.Build(gen, 0, 5) // row 4 references column 5
+	if _, err := NewSplit(&Plan{Workers: 2, Lo: 0, Hi: 5, HaloCols: []int64{7}}, csr); err == nil {
+		t.Fatal("split accepted a halo without column 5")
+	}
+	if _, err := NewSplit(&Plan{Workers: 2, Lo: 0, Hi: 5, HaloCols: []int64{5}}, csr); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -37,6 +37,14 @@ const (
 	// hot-shadow failover path — its acceptance criterion.
 	KCoreRedoIters = "core.redo_iters"
 
+	// A hot shadow's warm-up of its primary's application structures
+	// (core.shadowMain): takeovers that found it done, warm-ups thrown away
+	// because the shadow was activated for another rank, and warm-ups that
+	// returned an error (the rescue then loads cold).
+	KCorePrewarmHits      = "core.prewarm.hits"
+	KCorePrewarmDiscarded = "core.prewarm.discarded"
+	KCorePrewarmFailed    = "core.prewarm.failed"
+
 	// Restore-source classification (suffix = cluster.RestoreSource.String()).
 	KCoreRestoreFromLocal    = "core.restore_from_local"
 	KCoreRestoreFromNeighbor = "core.restore_from_neighbor"
@@ -118,6 +126,9 @@ var knownCounters = map[string]bool{
 	KCoreTTRFailoverNS:       true,
 	KCoreTTRTotalNS:          true,
 	KCoreRedoIters:           true,
+	KCorePrewarmHits:         true,
+	KCorePrewarmDiscarded:    true,
+	KCorePrewarmFailed:       true,
 	KCoreRestoreFromLocal:    true,
 	KCoreRestoreFromNeighbor: true,
 	KCoreRestoreFromRemote:   true,
