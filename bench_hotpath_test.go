@@ -250,3 +250,42 @@ func BenchmarkCPStreamPush(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRescueLoad is what an unshadowed rescue computes for the rank it
+// adopts, beside its recovery: decode the plan checkpoint, regenerate the
+// row block, cut it against the plan — for the kill workloads' block, 8192
+// rows of the 128x128-cell graphene sheet, logical 1 of 4. NewSplit runs the same layout and cut as the loader's
+// NewPendingSplit + Cut, less the two small allocations of the pending state,
+// so B/op is comparable with Build + NewSplit at any earlier commit. ms/op,
+// B/op and allocs/op are the numbers an exact sizing of the cut (ROADMAP 3c)
+// diffs.
+func BenchmarkRescueLoad(b *testing.B) {
+	const workers, logical = 4, 1
+	gen := matrix.DefaultGraphene(128, 128, 7)
+	lo, hi := matrix.BlockRange(gen.Dim(), workers, logical)
+	var blob []byte
+	benchJobCfg(b, gaspi.Config{
+		Procs:   workers,
+		Latency: fabric.LatencyModel{Base: 2 * time.Microsecond},
+	}, func(p *gaspi.Proc) error {
+		c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
+		l, h := matrix.BlockRange(gen.Dim(), workers, c.Logical())
+		plan, err := spmvm.Preprocess(c, matrix.Build(gen, l, h))
+		if err == nil && c.Logical() == logical {
+			blob = plan.Encode()
+		}
+		return err
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := spmvm.DecodePlan(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := spmvm.NewSplit(plan, matrix.Build(gen, lo, hi)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(1e3*b.Elapsed().Seconds()/float64(b.N), "ms/op")
+}

@@ -2,6 +2,7 @@ package apps_test
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -251,5 +252,51 @@ func TestRescueInitValidatesPlanIdentity(t *testing.T) {
 	cp.WaitIdle()
 	if err := newApps["lanczos"]().Init(rescueCtx("good"), true); err != nil {
 		t.Fatalf("rescue refused its own plan: %v", err)
+	}
+}
+
+// TestRescueLoadCutErrorComesFromTheJoin: a plan of the right identity whose
+// halo does not cover the regenerated block passes Init's validation — the
+// misfit is only found by the cut, behind Init. Whoever joins the load gets
+// the error: Close swallows it (the first Step reports it, see spmvm's
+// TestFailedCutIsEverySpMVsError), Prewarm returns it and drops the block.
+func TestRescueLoadCutErrorComesFromTheJoin(t *testing.T) {
+	const dim, workers = 16, 4
+	cl := cluster.New(testClusterCfg(2), func(*cluster.ProcCtx) error { return nil })
+	t.Cleanup(cl.Close)
+	if _, ok := cl.WaitTimeout(10 * time.Second); !ok {
+		t.Fatal("cluster hung")
+	}
+	cp := checkpoint.New(cl, 0, checkpoint.Config{})
+	defer cp.Stop()
+	cp.SetWorkerNodes([]int{0, 1})
+	lo, hi := matrix.BlockRange(dim, workers, 1)
+	noHalo := &spmvm.Plan{Workers: workers, Logical: 1, Lo: lo, Hi: hi} // rows 4..7 reference columns 3 and 8
+	if err := cp.Write("nohalo", 1, core.PlanVersion, noHalo.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	cp.WaitIdle()
+	ctx := &core.Ctx{
+		CP: cp, Logical: 1, Layout: ft.Layout{Procs: 1 + workers}, Rec: trace.NewRecorder(),
+		Cfg: core.Config{PlanName: "nohalo"},
+	}
+	heat := apps.NewHeat(apps.HeatConfig{N: dim, R: 0.25, Steps: 1})
+	if err := heat.Init(ctx, true); err != nil {
+		t.Fatalf("Init reported what only the cut can know: %v", err)
+	}
+	heat.Close()
+	if n := ctx.Rec.Counter(trace.KAppsBlockLoads); n != 1 {
+		t.Fatalf("Close returned with %d loads finished, want 1", n)
+	}
+	if err := heat.Prewarm(ctx, 1); err == nil || !strings.Contains(err.Error(), "missing from plan halo") {
+		t.Fatalf("Prewarm: %v, want the cut's error", err)
+	}
+	// Nothing is kept of a warm-up whose cut failed: the rescue loads again.
+	if err := heat.Init(ctx, true); err != nil {
+		t.Fatal(err)
+	}
+	heat.Close()
+	if n := ctx.Rec.Counter(trace.KAppsBlockLoads); n != 3 {
+		t.Fatalf("%d loads after a failed warm-up and a rescue, want 3", n)
 	}
 }

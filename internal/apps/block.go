@@ -3,6 +3,8 @@ package apps
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gaspi"
@@ -25,22 +27,28 @@ type rowBlock struct {
 	threads int
 	split   *spmvm.Split
 	eng     *spmvm.Engine
+
+	// The rescue loader's goroutine (see load): loading counts it while it
+	// runs, loadErr is its result, read after loading.Wait.
+	loading sync.WaitGroup
+	loadErr error
 }
 
 // Init implements core.App. On a fresh start it builds the local matrix
 // block and runs the pre-processing stage, then checkpoints the resulting
 // communication plan once ("each process writes a checkpoint after the
 // pre-processing stage"). On a rescue (restore=true) it adopts the block a
-// Prewarm already loaded for this rank, or loads it now: the plan from the
-// failed process's checkpoint — resuming communication without repeating
-// pre-processing — and the matrix block regenerated locally. The
+// Prewarm already loaded for this rank, or starts loading it now: the plan
+// from the failed process's checkpoint — resuming communication without
+// repeating pre-processing — and the matrix block regenerated locally,
+// behind the recovery this rank then joins without waiting for it. The
 // global-index block is dropped once it is split: nothing reads it again.
 func (b *rowBlock) Init(ctx *core.Ctx, restore bool) error {
 	if restore {
 		if b.split != nil && b.split.Plan().Logical == ctx.Logical {
 			return nil
 		}
-		return b.Prewarm(ctx, ctx.Logical)
+		return b.load(ctx, ctx.Logical)
 	}
 	lo, hi := matrix.BlockRange(b.gen.Dim(), ctx.Comm.NumWorkers(), ctx.Logical)
 	csr := matrix.Build(b.gen, lo, hi)
@@ -63,13 +71,17 @@ func (b *rowBlock) Init(ctx *core.Ctx, restore bool) error {
 	return nil
 }
 
-// Prewarm implements the framework's optional warm-up hook and is the one
-// rescue loader: it makes this process hold logical's plan and split
-// without communicating, so a hot shadow can run it while idle and
-// Init(restore=true) has nothing left to do. A block held for another rank
-// is dropped first.
-func (b *rowBlock) Prewarm(ctx *core.Ctx, logical int) error {
-	b.split = nil
+// load is the one rescue loader: it makes this process hold logical's plan
+// and split without communicating. Its head is synchronous — fetch, decode
+// and validate the plan, lay the halo segment out from it — and leaves
+// everything Rebuild, Restore and HaloPartners read. The matrix half,
+// matrix.Build and the cut, runs on a goroutine the block owns: Prewarm,
+// the next load and Close wait for it to exit, and the first multiply for
+// its cut (spmvm.Engine.SpMV); nothing earlier on a rescue's path does.
+// A block held for another rank is dropped first.
+func (b *rowBlock) load(ctx *core.Ctx, logical int) error {
+	b.loading.Wait() // a load still running is for the block this one replaces
+	b.split, b.loadErr = nil, nil
 	if ctx.CP == nil {
 		return errors.New("apps: recovery requires checkpointing enabled")
 	}
@@ -94,8 +106,33 @@ func (b *rowBlock) Prewarm(ctx *core.Ctx, logical int) error {
 		return fmt.Errorf("apps: plan checkpoint is rank %d of %d, rows [%d,%d); adopting rank %d of %d, rows [%d,%d)",
 			plan.Logical, plan.Workers, plan.Lo, plan.Hi, logical, workers, lo, hi)
 	}
-	b.split, err = spmvm.NewSplit(plan, matrix.Build(b.gen, lo, hi))
-	return err
+	split := spmvm.NewPendingSplit(plan)
+	b.split = split
+	rec := ctx.Rec
+	b.loading.Add(1)
+	go func() {
+		defer b.loading.Done()
+		t0 := time.Now()
+		b.loadErr = split.Cut(matrix.Build(b.gen, lo, hi))
+		rec.Inc(trace.KAppsBlockLoadNS, int64(time.Since(t0)))
+		rec.Inc(trace.KAppsBlockLoads, 1)
+	}()
+	return nil
+}
+
+// Prewarm implements the framework's optional warm-up hook: the rescue
+// loader, joined. A hot shadow runs it while idle, so that
+// Init(restore=true) has nothing left to do and the takeover's first
+// multiply nothing to wait for.
+func (b *rowBlock) Prewarm(ctx *core.Ctx, logical int) error {
+	if err := b.load(ctx, logical); err != nil {
+		return err
+	}
+	b.loading.Wait()
+	if b.loadErr != nil {
+		b.split = nil
+	}
+	return b.loadErr
 }
 
 // rebind is the shared part of App.Rebuild: it (re)creates the halo engine
@@ -152,9 +189,11 @@ func (b *rowBlock) HaloPartners(*core.Ctx) []int {
 	return out
 }
 
-// Close releases the engine's worker pool; the framework calls it when
-// the worker flow ends (rebind already closes superseded engines).
+// Close joins a load still in flight and releases the engine's worker
+// pool; the framework calls it when the worker flow ends, process death
+// included (rebind already closes superseded engines).
 func (b *rowBlock) Close() {
+	b.loading.Wait() // its error is the first Step's to report
 	if b.eng != nil {
 		b.eng.Close()
 	}

@@ -31,6 +31,16 @@ import (
 // every group member after Init and after every recovery and may
 // communicate; it recreates the communication structures (halo segments).
 //
+// Init(restore=true) is on every survivor's recovery path — the group
+// commit waits for the rescue — so it may return with rank-local,
+// non-communicating work still running on a goroutine the App owns (the
+// Lanczos and heat apps regenerate their row block that way). Rebuild,
+// Restore and HaloPartners must need only what Init finished synchronously;
+// the rest must be complete before the first Step multiplies, and is the
+// App's to wait for there. It must be joined by Close, which the framework
+// calls on every way out of the worker flow, so that nothing of it outlives
+// the process; a failure of it is the first Step's error.
+//
 // Optional warm-up, found by interface assertion like HaloPartners,
 // LiveIteration and Close — App itself does not grow:
 //
@@ -51,7 +61,9 @@ import (
 // for ANOTHER logical rank than the one warmed up (the detector spent the
 // shadow as a plain rescue) and also after a Prewarm that returned an
 // error (counted, not fatal) — it must check what it holds and load what
-// it lacks. An App without the method is simply never warmed up.
+// it lacks. Unlike Init(restore=true), Prewarm leaves nothing running when
+// it returns: being warm means the first Step after a takeover has nothing
+// to wait for. An App without the method is simply never warmed up.
 type App interface {
 	// Init prepares the application: pre-processing on a fresh start, or
 	// loading the plan checkpoint on a rescue process (restore=true).

@@ -41,6 +41,17 @@ type warmHooks struct {
 	holdIter    int64
 	holdFor     <-chan struct{}
 
+	// The loadNth generation of logical loadLogical's row block anywhere in
+	// the job (the first is its original holder's Init, the second the first
+	// rescue's load) stops before its first row: loadEntered closes, and the
+	// build goes on once the test closes loadGate.
+	loadLogical           int
+	loadNth               int64
+	loadEntered, loadGate chan struct{}
+	// afterRebuild, when set, runs on the rank's own goroutine after every
+	// App.Rebuild that returned nil.
+	afterRebuild func(ctx *core.Ctx)
+
 	newApps atomic.Int64
 	// builds counts, per logical rank, how often that rank's row block was
 	// generated anywhere in the job (its first row, to be exact).
@@ -51,7 +62,10 @@ type warmHooks struct {
 }
 
 func newWarmHooks() *warmHooks {
-	return &warmHooks{entered: make(chan struct{}), finished: make(chan struct{}), holdLogical: -1}
+	return &warmHooks{
+		entered: make(chan struct{}), finished: make(chan struct{}), holdLogical: -1,
+		loadEntered: make(chan struct{}), loadGate: make(chan struct{}), loadLogical: -1,
+	}
 }
 
 // countingGen is testGen counting the generations of each block's first row.
@@ -63,14 +77,17 @@ type countingGen struct {
 func (g countingGen) Row(i int64, cols []int64, vals []float64) ([]int64, []float64) {
 	for l := range g.h.builds {
 		if lo, _ := matrix.BlockRange(g.Dim(), testWorker, l); lo == i {
-			g.h.builds[l].Add(1)
+			if n := g.h.builds[l].Add(1); l == g.h.loadLogical && n == g.h.loadNth {
+				close(g.h.loadEntered)
+				<-g.h.loadGate
+			}
 		}
 	}
 	return g.Graphene.Row(i, cols, vals)
 }
 
-// hookedApp is the Lanczos app with the test's hooks around the two calls
-// the orderings hang on. Only the framework's warm-up goes through this
+// hookedApp is the Lanczos app with the test's hooks around the calls the
+// orderings hang on. Only the framework's warm-up goes through this
 // Prewarm: a rescue's Init reaches the loader below it directly.
 type hookedApp struct {
 	*apps.Lanczos
@@ -91,6 +108,14 @@ func (a *hookedApp) Prewarm(ctx *core.Ctx, logical int) error {
 	h.err = a.Lanczos.Prewarm(ctx, logical)
 	close(h.finished)
 	return h.err
+}
+
+func (a *hookedApp) Rebuild(ctx *core.Ctx) error {
+	err := a.Lanczos.Rebuild(ctx)
+	if err == nil && a.h.afterRebuild != nil {
+		a.h.afterRebuild(ctx)
+	}
+	return err
 }
 
 func (a *hookedApp) Step(ctx *core.Ctx, iter int64) error {
@@ -189,6 +214,10 @@ func TestShadowWarmTakeover(t *testing.T) {
 		trace.KFTShadowFailovers:    1,
 		trace.KFTShadowFallbacks:    0,
 		trace.KCoreRedoIters:        0,
+		// The one load in the job is the warm-up's, joined before the kill:
+		// the takeover's first multiply had nothing to wait for.
+		trace.KAppsBlockLoads:      1,
+		trace.KAppsBlockJoinWaitNS: 0,
 	})
 	if n := storeFetches(job.Recorders[shadowRank]); n != 1 {
 		t.Errorf("shadow made %d fetches in all: the takeover fetched again", n)

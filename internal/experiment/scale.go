@@ -139,12 +139,12 @@ type StreamScaleRow struct {
 
 // ScaleResult is the payload of BENCH_scale.json.
 type ScaleResult struct {
-	HostCPUs  int             `json:"host_cpus"`
-	Ranks     []int           `json:"ranks"`
-	Cores     []int           `json:"cores"`
-	MsgSizes  []int           `json:"msg_sizes"`
-	SpMVM     []SpMVScaleRow  `json:"spmvm"`
-	Allreduce []CollScaleRow  `json:"allreduce"`
+	HostCPUs  int              `json:"host_cpus"`
+	Ranks     []int            `json:"ranks"`
+	Cores     []int            `json:"cores"`
+	MsgSizes  []int            `json:"msg_sizes"`
+	SpMVM     []SpMVScaleRow   `json:"spmvm"`
+	Allreduce []CollScaleRow   `json:"allreduce"`
 	Stream    []StreamScaleRow `json:"stream"`
 }
 

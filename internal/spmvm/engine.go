@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/gaspi"
 	"repro/internal/matrix"
@@ -45,58 +46,43 @@ type mulTask struct {
 	wg     *sync.WaitGroup
 }
 
-// Split is the failure-independent half of an engine: the row block cut
-// against the plan into a local part (columns into the owned chunk) and a
-// remote part (columns into the halo buffer), and the layout of the halo
-// segment. It is a pure function of (plan, csr) and immutable once built,
-// so it outlives the global-index CSR it was cut from and any number of
-// Bind calls: a recovery re-binds the communication, it does not cut the
-// unchanged block again, and a hot shadow can hold its primary's Split
-// before it has a group to bind to.
+// Split is the failure-independent half of an engine, itself in two halves.
+// The layout of the halo segment is a function of the plan alone and is all
+// Bind needs; the matrix parts — the row block cut against the plan into a
+// local part (columns into the owned chunk) and a remote part (columns into
+// the halo buffer) — are first read by SpMV's multiply. NewSplit computes
+// both at once. NewPendingSplit computes the layout and leaves the parts to
+// a later Cut, on any goroutine, so a rescue can join its group, bind and
+// restore while its block is still being generated; an engine bound to such
+// a Split waits for the Cut in its first SpMV, after posting its halo. Once
+// cut a Split is immutable, so it outlives the global-index CSR it was cut
+// from and any number of Bind calls: a recovery re-binds the communication,
+// it does not cut the unchanged block again, and a hot shadow can hold its
+// primary's Split before it has a group to bind to.
 type Split struct {
-	plan          *Plan
-	local, remote splitCSR
+	plan *Plan
 
 	haloN      int     // len(plan.HaloCols)
 	sendOff    []int64 // per SendTo partner: element offset of its staging slot
 	segElems   int     // halo segment length in float64 elements
 	expectFrom []bool  // producer rank → this process receives from it
+
+	// Written by the cut; on a pending Split read only after pending.done.
+	local, remote splitCSR
+	// pending is nil on a Split NewSplit cut in one go.
+	pending *pendingCut
 }
 
-// NewSplit cuts csr against plan. The plan must describe exactly the rows
-// of csr, and its halo every remote column csr references. The parts grow
-// by append; sizing them with a counting pass first is measured and held
-// back by the benchmark's recovery probe, not by this code (ROADMAP 3c).
-func NewSplit(plan *Plan, csr *matrix.CSR) (*Split, error) {
-	rows := csr.LocalRows()
-	lo, hi := plan.Lo, plan.Hi
-	if csr.RowOffset != lo || csr.RowOffset+int64(rows) != hi {
-		return nil, fmt.Errorf("spmvm: plan rows [%d,%d) do not match matrix rows [%d,%d)",
-			lo, hi, csr.RowOffset, csr.RowOffset+int64(rows))
-	}
+// pendingCut is what a Split's Cut leaves for the engines waiting on it.
+type pendingCut struct {
+	done chan struct{} // closed when Cut has returned
+	err  error         // Cut's result, read after done
+}
+
+// layOut is the plan half of a Split. Segment layout in float64 elements:
+// two parity halo regions, then one send staging slot per consumer.
+func layOut(plan *Plan) *Split {
 	s := &Split{plan: plan, haloN: len(plan.HaloCols)}
-	s.local.rowPtr = make([]int64, 1, rows+1)
-	s.remote.rowPtr = make([]int64, 1, rows+1)
-	for r := 0; r < rows; r++ {
-		for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
-			col, val := csr.Col[k], csr.Val[k]
-			if col >= lo && col < hi {
-				s.local.col = append(s.local.col, int32(col-lo))
-				s.local.val = append(s.local.val, val)
-				continue
-			}
-			slot, ok := slices.BinarySearch(plan.HaloCols, col)
-			if !ok {
-				return nil, fmt.Errorf("spmvm: column %d missing from plan halo", col)
-			}
-			s.remote.col = append(s.remote.col, int32(slot))
-			s.remote.val = append(s.remote.val, val)
-		}
-		s.local.rowPtr = append(s.local.rowPtr, int64(len(s.local.col)))
-		s.remote.rowPtr = append(s.remote.rowPtr, int64(len(s.remote.col)))
-	}
-	// Segment layout in float64 elements: two parity halo regions, then one
-	// send staging slot per consumer.
 	s.sendOff = make([]int64, len(plan.SendTo))
 	off := 2 * s.haloN
 	for i := range plan.SendTo {
@@ -108,7 +94,68 @@ func NewSplit(plan *Plan, csr *matrix.CSR) (*Split, error) {
 	for i := range plan.RecvFrom {
 		s.expectFrom[plan.RecvFrom[i].From] = true
 	}
+	return s
+}
+
+// cut is the matrix half of a Split. The plan must describe exactly the
+// rows of csr, and its halo every remote column csr references. The parts
+// grow by append; sizing them with a counting pass first is measured and
+// held back by the benchmark's recovery probe, not by this code (ROADMAP
+// 3c).
+func (s *Split) cut(csr *matrix.CSR) error {
+	rows := csr.LocalRows()
+	lo, hi := s.plan.Lo, s.plan.Hi
+	if csr.RowOffset != lo || csr.RowOffset+int64(rows) != hi {
+		return fmt.Errorf("spmvm: plan rows [%d,%d) do not match matrix rows [%d,%d)",
+			lo, hi, csr.RowOffset, csr.RowOffset+int64(rows))
+	}
+	s.local.rowPtr = make([]int64, 1, rows+1)
+	s.remote.rowPtr = make([]int64, 1, rows+1)
+	for r := 0; r < rows; r++ {
+		for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
+			col, val := csr.Col[k], csr.Val[k]
+			if col >= lo && col < hi {
+				s.local.col = append(s.local.col, int32(col-lo))
+				s.local.val = append(s.local.val, val)
+				continue
+			}
+			slot, ok := slices.BinarySearch(s.plan.HaloCols, col)
+			if !ok {
+				return fmt.Errorf("spmvm: column %d missing from plan halo", col)
+			}
+			s.remote.col = append(s.remote.col, int32(slot))
+			s.remote.val = append(s.remote.val, val)
+		}
+		s.local.rowPtr = append(s.local.rowPtr, int64(len(s.local.col)))
+		s.remote.rowPtr = append(s.remote.rowPtr, int64(len(s.remote.col)))
+	}
+	return nil
+}
+
+// NewSplit lays the halo segment out from plan and cuts csr against it.
+func NewSplit(plan *Plan, csr *matrix.CSR) (*Split, error) {
+	s := layOut(plan)
+	if err := s.cut(csr); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// NewPendingSplit is NewSplit without the matrix: the Split can be bound at
+// once, and whoever holds the block calls Cut, exactly once.
+func NewPendingSplit(plan *Plan) *Split {
+	s := layOut(plan)
+	s.pending = &pendingCut{done: make(chan struct{})}
+	return s
+}
+
+// Cut cuts csr into a pending Split's matrix parts and releases the engines
+// waiting for them. Its error is also what every SpMV on the Split returns.
+func (s *Split) Cut(csr *matrix.CSR) error {
+	err := s.cut(csr)
+	s.pending.err = err
+	close(s.pending.done)
+	return err
 }
 
 // Plan returns the communication plan the block was cut against.
@@ -165,6 +212,10 @@ type Engine struct {
 	recvGen []int64
 	gen     int64
 
+	// cut is the pending Split's Cut until this engine has seen it land, nil
+	// otherwise: SpMV's one test before it touches local/remote.
+	cut *pendingCut
+
 	// persistent compute worker pool (started lazily at first sharded mul)
 	tasks     chan mulTask
 	mulWG     sync.WaitGroup
@@ -182,8 +233,9 @@ func NewEngine(c Comm, plan *Plan, csr *matrix.CSR, seg gaspi.SegmentID) (*Engin
 
 // Bind is the communication half of an engine: it creates the halo
 // segment on c's process, synchronizes with the group, and starts the
-// halo generation count afresh. Collective. The same Split may be bound
-// again after a recovery once the previous engine is closed and its
+// halo generation count afresh. Collective. It reads the plan half of the
+// Split only, so it does not wait for a pending Cut. The same Split may be
+// bound again after a recovery once the previous engine is closed and its
 // segment deleted.
 func (s *Split) Bind(c Comm, seg gaspi.SegmentID) (*Engine, error) {
 	workers := s.plan.Workers
@@ -192,7 +244,7 @@ func (s *Split) Bind(c Comm, seg gaspi.SegmentID) (*Engine, error) {
 		return nil, fmt.Errorf("spmvm: %d workers need %d notification slots, segment has %d (raise gaspi.Config.NotifySlots)",
 			workers, 2*workers, slots)
 	}
-	e := &Engine{Split: s, comm: c, seg: seg, Threads: 1}
+	e := &Engine{Split: s, comm: c, seg: seg, Threads: 1, cut: s.pending}
 	if err := c.Proc().SegmentCreate(seg, max(8*s.segElems, 8)); err != nil {
 		return nil, fmt.Errorf("spmvm: halo segment: %w", err)
 	}
@@ -306,7 +358,13 @@ func (e *Engine) SpMV(x, y []float64, it int64) error {
 		}
 	}
 
-	// 2. Overlap: local part while the fabric moves the halo.
+	// 2. Overlap: local part while the fabric moves the halo. The posts
+	// above needed x and the plan; the matrix parts are first read here.
+	if e.cut != nil {
+		if err := e.joinCut(); err != nil {
+			return err
+		}
+	}
 	e.mul(&e.local, x, y, false)
 
 	// 3. Flush the queue (completions) and collect one notification per
@@ -331,6 +389,24 @@ func (e *Engine) SpMV(x, y []float64, it int64) error {
 			e.Rec.Inc(trace.KSpMVMFallbackIters, 1)
 		}
 	}
+	return nil
+}
+
+// joinCut waits until the pending Split's Cut has returned, and counts the
+// time it blocked, if it did. A failed Cut is returned on this and every
+// later call.
+func (e *Engine) joinCut() error {
+	select {
+	case <-e.cut.done:
+	default:
+		t0 := time.Now()
+		<-e.cut.done
+		e.Rec.Inc(trace.KAppsBlockJoinWaitNS, int64(time.Since(t0)))
+	}
+	if err := e.cut.err; err != nil {
+		return err
+	}
+	e.cut = nil
 	return nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/gaspi"
 	"repro/internal/matrix"
+	"repro/internal/trace"
 )
 
 func testGaspiCfg(n int) gaspi.Config {
@@ -681,4 +682,115 @@ func TestSplitRejectsColumnOutsideHalo(t *testing.T) {
 	if _, err := NewSplit(&Plan{Workers: 2, Lo: 0, Hi: 5, HaloCols: []int64{5}}, csr); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBindBeforeCut: a Split laid out from the plan alone binds like a cut
+// one — same segment, same barrier — and its engine's first SpMV posts the
+// halo, then waits for the cut. Rank 0's cut is released only once every
+// other rank's SpMV has returned, which took rank 0's halo: an SpMV that
+// waited before posting would hang the job, one that did not wait at all
+// would multiply an empty part. The product is bit-identical to a NewEngine
+// engine's either way.
+func TestBindBeforeCut(t *testing.T) {
+	const workers = 3
+	const seg, freshSeg = 7, 8
+	gen := matrix.DefaultGraphene(6, 5, 3)
+	dim := gen.Dim()
+	xg := globalVec(dim)
+	release := make(chan struct{})
+	var others sync.WaitGroup
+	others.Add(workers - 1)
+	go func() {
+		others.Wait()
+		close(release)
+	}()
+	runWorkers(t, workers, func(c Comm) error {
+		p := c.Proc()
+		lo, hi := matrix.BlockRange(dim, workers, c.Logical())
+		x := xg[lo:hi]
+		csr := matrix.Build(gen, lo, hi)
+		plan, err := Preprocess(c, csr)
+		if err != nil {
+			return err
+		}
+		fresh, err := NewEngine(c, plan, csr, freshSeg)
+		if err != nil {
+			return err
+		}
+		want := make([]float64, hi-lo)
+		if err := fresh.SpMV(x, want, 0); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+
+		split := NewPendingSplit(plan)
+		eng, err := split.Bind(c, seg) // every rank's cut is pending here
+		if err != nil {
+			return fmt.Errorf("bind before cut: %w", err)
+		}
+		defer eng.Close()
+		eng.Rec = trace.NewRecorder()
+		if a, _ := p.SegmentSize(seg); a == 0 {
+			return fmt.Errorf("no halo segment")
+		} else if b, _ := p.SegmentSize(freshSeg); a != b {
+			return fmt.Errorf("halo segment of %d bytes, a cut Split's has %d", a, b)
+		}
+		late := c.Logical() == 0
+		cut := make(chan error, 1)
+		if late {
+			go func() {
+				<-release
+				cut <- split.Cut(csr)
+			}()
+		} else {
+			cut <- split.Cut(csr)
+		}
+		got := make([]float64, hi-lo)
+		if err := eng.SpMV(x, got, 0); err != nil {
+			return err
+		}
+		if !late {
+			others.Done()
+		}
+		if err := <-cut; err != nil {
+			return err
+		}
+		if waited := eng.Rec.Counter(trace.KAppsBlockJoinWaitNS) > 0; waited != late {
+			return fmt.Errorf("join wait counted: %v, want %v", waited, late)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("row %d: pending split %v, fresh engine %v", i, got[i], want[i])
+			}
+		}
+		return c.Barrier()
+	})
+}
+
+// TestFailedCutIsEverySpMVsError: a block that does not fit the plan's halo
+// is found by the cut, after Bind has succeeded; the engine reports it from
+// every SpMV instead of multiplying half a matrix.
+func TestFailedCutIsEverySpMVsError(t *testing.T) {
+	gen := matrix.Laplacian1D{N: 10}
+	runWorkers(t, 1, func(c Comm) error {
+		csr := matrix.Build(gen, 0, 5) // row 4 references column 5
+		split := NewPendingSplit(&Plan{Workers: 1, Lo: 0, Hi: 5, HaloCols: []int64{7}})
+		eng, err := split.Bind(c, 7)
+		if err != nil {
+			return err
+		}
+		defer eng.Close()
+		if err := split.Cut(csr); err == nil {
+			return fmt.Errorf("cut accepted a halo without column 5")
+		}
+		x, y := make([]float64, 5), make([]float64, 5)
+		for it := int64(0); it < 2; it++ {
+			if err := eng.SpMV(x, y, it); err == nil || !strings.Contains(err.Error(), "missing from plan halo") {
+				return fmt.Errorf("SpMV %d after a failed cut: %v", it, err)
+			}
+		}
+		return nil
+	})
 }

@@ -96,6 +96,16 @@ const (
 	// spMVM engine path selection.
 	KSpMVMFastpathIters = "spmvm.fastpath_iters"
 	KSpMVMFallbackIters = "spmvm.fallback_iters"
+
+	// The rescue loader's background half (apps.rowBlock.load): loads run,
+	// the time matrix.Build + the cut took on the loader's goroutine, and the
+	// time the rank's first multiply blocked for them (spmvm.Engine.joinCut;
+	// zero when the load had landed — a warm shadow's, or a cold rescue
+	// whose recovery outlasted it). Init(restore=true)'s span contains none
+	// of this.
+	KAppsBlockLoads      = "apps.block.loads"
+	KAppsBlockLoadNS     = "apps.block.load_ns"
+	KAppsBlockJoinWaitNS = "apps.block.join_wait_ns"
 )
 
 // restoreFromPrefix is the registered dynamic prefix behind RestoreFromKey.
@@ -162,6 +172,9 @@ var knownCounters = map[string]bool{
 	KStandbyPromotions:       true,
 	KSpMVMFastpathIters:      true,
 	KSpMVMFallbackIters:      true,
+	KAppsBlockLoads:          true,
+	KAppsBlockLoadNS:         true,
+	KAppsBlockJoinWaitNS:     true,
 }
 
 var knownEvents = map[string]bool{
