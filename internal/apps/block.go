@@ -21,7 +21,7 @@ const HaloSeg gaspi.SegmentID = 2
 // matrix: the communication plan and the local/remote split, kept for the
 // life of the process, and the engine currently bound to the worker group.
 // Embedded in an App it supplies Init and the hooks the framework finds by
-// interface assertion (Prewarm, HaloPartners, Close).
+// interface assertion (Prewarm, Close).
 type rowBlock struct {
 	gen     matrix.Generator
 	threads int
@@ -74,7 +74,7 @@ func (b *rowBlock) Init(ctx *core.Ctx, restore bool) error {
 // load is the one rescue loader: it makes this process hold logical's plan
 // and split without communicating. Its head is synchronous — fetch, decode
 // and validate the plan, lay the halo segment out from it — and leaves
-// everything Rebuild, Restore and HaloPartners read. The matrix half,
+// everything Rebuild and Restore read. The matrix half,
 // matrix.Build and the cut, runs on a goroutine the block owns: Prewarm,
 // the next load and Close wait for it to exit, and the first multiply for
 // its cut (spmvm.Engine.SpMV); nothing earlier on a rescue's path does.
@@ -161,32 +161,6 @@ func (b *rowBlock) rebind(ctx *core.Ctx) (*spmvm.Engine, error) {
 	eng.Rec = ctx.Rec
 	b.eng = eng
 	return eng, nil
-}
-
-// HaloPartners reports the logical ranks this worker exchanges halo data
-// with (consumers and producers alike, deduplicated), from the
-// communication plan — the application-derived half of the localized
-// repair set the framework hands to the FT worker after every rebuild.
-func (b *rowBlock) HaloPartners(*core.Ctx) []int {
-	if b.split == nil {
-		return nil
-	}
-	p := b.split.Plan()
-	seen := make(map[int]bool)
-	var out []int
-	add := func(rank int) {
-		if !seen[rank] {
-			seen[rank] = true
-			out = append(out, rank)
-		}
-	}
-	for _, s := range p.SendTo {
-		add(s.To)
-	}
-	for _, r := range p.RecvFrom {
-		add(r.From)
-	}
-	return out
 }
 
 // Close joins a load still in flight and releases the engine's worker

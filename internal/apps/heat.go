@@ -31,7 +31,7 @@ type HeatConfig struct {
 // u^k = (1 − r·λ₁)^k · u⁰ with λ₁ = 2 − 2cos(π/(N+1)), so correctness after
 // failures is verifiable in closed form.
 type Heat struct {
-	rowBlock // Init, Prewarm, HaloPartners, Close
+	rowBlock // Init, Prewarm, Close
 	cfg      HeatConfig
 	u, w     []float64
 	it       int64

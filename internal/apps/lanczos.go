@@ -37,7 +37,7 @@ type LanczosConfig struct {
 // with communication-plan checkpointing after pre-processing and
 // state checkpoints holding two Lanczos vectors plus α and β.
 type Lanczos struct {
-	rowBlock // Init, Prewarm, HaloPartners, Close
+	rowBlock // Init, Prewarm, Close
 	cfg      LanczosConfig
 	solver   *lanczos.Solver
 	live     bool // a Restore has installed solver state (see LiveIteration)

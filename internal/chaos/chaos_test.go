@@ -66,9 +66,9 @@ func TestGenerateWellFormed(t *testing.T) {
 				// logical actually carries a hot shadow: the replication
 				// degree must cover it, the spare pool must hold the
 				// shadow band, and the mirror stream needs the async
-				// engine plus localized repair.
-				if !ep.Spec.Async || !ep.Spec.Localized {
-					t.Fatalf("seed %d: shadow-apply trigger without async+localized", seed)
+				// engine.
+				if !ep.Spec.Async {
+					t.Fatalf("seed %d: shadow-apply trigger without the async engine", seed)
 				}
 				if ep.Spec.Replication <= e.Logical || ep.Spec.Spares < ep.Spec.Replication {
 					t.Fatalf("seed %d: shadow-apply trigger on logical %d not covered (replication %d, spares %d)",
@@ -154,7 +154,7 @@ func newTestRunner(t *testing.T) *Runner {
 // set. (Wall and TTR times are real durations and legitimately vary.)
 func TestEpisodeReplayDeterministic(t *testing.T) {
 	r := newTestRunner(t)
-	// One recovered compound (a localized repair-set kill) and one crisp
+	// One recovered compound (a flush racing a collective) and one crisp
 	// abort, fixed seeds chosen by shape so the test is stable against
 	// generator evolution only via the determinism test above.
 	eps := []Episode{Generate(20), Generate(0)}

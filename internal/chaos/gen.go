@@ -72,13 +72,12 @@ type Episode struct {
 // is not an available spare, so the pool left for worker deaths shrinks
 // by one per shadow kill.
 //
-// The prediction is deliberately blind to the repair MODE. A localized
-// episode may legally complete through the O(degree) path, take the
-// zero-restore failover onto a hot shadow, restart the epoch localized
-// after a mid-repair death, or fall back to the global recommit (a
-// fresher notice naming several victims routes every survivor to the
-// collective path) — all are correct executions and all must end in the
-// same outcome, which is the only thing the oracle pins.
+// The prediction is deliberately blind to where the state comes from. An
+// episode may legally take the zero-restore takeover onto a hot shadow,
+// restart the epoch after a mid-repair death, or fall through to the
+// checkpoint rungs (a torn mirror, a fresher notice naming several
+// victims) — all are correct executions and all must end in the same
+// outcome, which is the only thing the oracle pins.
 func OracleExpect(workerKills, shadowKills, spares int) (want experiment.ScenarioOutcome, strict bool) {
 	pool := spares - shadowKills
 	if pool < 0 {
@@ -167,11 +166,16 @@ func Generate(seed int64) Episode {
 	case shape < 85:
 		// A compound schedule: the shapes the recovery epoch state
 		// machine exists for.
-		switch rng.Intn(9) {
-		case 0:
+		switch c := rng.Intn(9); c {
+		case 0, 2:
 			// A second rank dies while the first victim's recovery is in
-			// flight (kill during another rank's restore).
+			// flight (kill during another rank's restore). One schedule
+			// under two shape names, both frozen in corpus and episode
+			// logs; the second dates from a deleted group-repair mode.
 			ep.Shape = "compound/kill-during-recovery"
+			if c == 2 {
+				ep.Shape = "compound/kill-during-localized-repair"
+			}
 			events = append(events,
 				cluster.FaultEvent{Kind: kill(rng), Logical: victims[0],
 					Trigger: cluster.Trigger{Kind: cluster.AtIteration, Iter: safeIter(rng, cp)}},
@@ -187,29 +191,12 @@ func Generate(seed int64) Episode {
 					Trigger: cluster.Trigger{Kind: cluster.AtIteration, Iter: iter}},
 				cluster.FaultEvent{Kind: kill(rng), Logical: victims[1],
 					Trigger: cluster.Trigger{Kind: cluster.AtIteration, Iter: iter}})
-		case 2:
-			// Localized repair under fire: while the first victim's
-			// O(degree) repair is in flight, a second rank — possibly a
-			// bystander that skipped the handshake, possibly a repair-set
-			// spoke — is killed. The fresher notice restarts the epoch;
-			// whether the restart stays localized or (with two victims
-			// named) falls back to the global recommit, the run must
-			// recover (see OracleExpect).
-			ep.Shape = "compound/kill-during-localized-repair"
-			ep.Spec.Localized = true
-			events = append(events,
-				cluster.FaultEvent{Kind: kill(rng), Logical: victims[0],
-					Trigger: cluster.Trigger{Kind: cluster.AtIteration, Iter: safeIter(rng, cp)}},
-				cluster.FaultEvent{Kind: kill(rng), Logical: victims[1],
-					Trigger: cluster.Trigger{Kind: cluster.DuringRecovery, Epoch: 1}})
 		case 3:
-			// Kill a member of the victim's repair set: the second death
-			// targets a checkpoint-chain neighbor of the first victim — a
-			// spoke whose join notification the promoted hub is actively
-			// waiting for. The hub must observe the fresher notice and
-			// restart instead of stalling on the dead spoke.
+			// The second death targets a checkpoint-chain neighbor of the
+			// first victim — the rescue's restore source — while the group
+			// commit is waiting for it. Everyone must observe the fresher
+			// notice and restart instead of stalling on the dead member.
 			ep.Shape = "compound/kill-repair-set-member"
-			ep.Spec.Localized = true
 			victim := victims[0]
 			spoke := chainNeighbor(victim, ep.Workers, rng)
 			events = append(events,
@@ -235,7 +222,6 @@ func Generate(seed int64) Episode {
 			// ladder — but either way the run must recover.
 			ep.Shape = "compound/kill-shadowed-primary"
 			ep.Spec.Async = true
-			ep.Spec.Localized = true
 			ep.Spec.Replication = victims[0] + 1
 			ep.Spec.Spares = victims[0] + 1
 			events = append(events,
@@ -248,7 +234,6 @@ func Generate(seed int64) Episode {
 			// dead shadow only shrinks the spare pool.
 			ep.Shape = "compound/kill-the-shadow"
 			ep.Spec.Async = true
-			ep.Spec.Localized = true
 			ep.Spec.Replication = victims[0] + 1
 			ep.Spec.Spares = victims[0] + 1
 			events = append(events,
@@ -261,7 +246,6 @@ func Generate(seed int64) Episode {
 			// spare and the checkpoint ladder.
 			ep.Shape = "compound/kill-primary-and-shadow-same-interval"
 			ep.Spec.Async = true
-			ep.Spec.Localized = true
 			ep.Spec.Replication = victims[0] + 1
 			ep.Spec.Spares = victims[0] + 2
 			iter := safeIter(rng, cp)
@@ -276,7 +260,6 @@ func Generate(seed int64) Episode {
 			// recovery being the zero-restore failover epoch.
 			ep.Shape = "compound/kill-during-failover"
 			ep.Spec.Async = true
-			ep.Spec.Localized = true
 			ep.Spec.Replication = victims[0] + 1
 			ep.Spec.Spares = victims[0] + 1
 			if ep.Spec.Spares < 3 {
@@ -308,16 +291,9 @@ func Generate(seed int64) Episode {
 		ep.Spec.Spares = len(events) + 1
 	}
 	// The async engine and the delta engine are orthogonal to the
-	// schedule: flip them randomly where not already forced. So is the
-	// localized-repair mode: its routing predicate is per-notice, so on
-	// shapes it is not written for (multi-victim epochs, exhaustion) the
-	// flip must degrade to the global recommit with identical outcomes —
-	// exactly the fallback surface worth fuzzing.
+	// schedule: flip them randomly where not already forced.
 	if !ep.Spec.Async && rng.Intn(3) == 0 {
 		ep.Spec.Async = true
-	}
-	if !ep.Spec.Localized && rng.Intn(3) == 0 {
-		ep.Spec.Localized = true
 	}
 	if rng.Intn(3) == 0 {
 		ep.Spec.FullEvery = 4

@@ -61,15 +61,6 @@ func Shrink(r *Runner, failing EpisodeResult) (EpisodeResult, int) {
 		ep.Spec.FullEvery = 0
 		try(ep)
 	}
-	if best.Episode.Spec.Localized && !needsShadow(best.Episode) {
-		// A failure that reproduces under the global recommit is not a
-		// localized-repair bug; drop the mode when the signature survives.
-		// Hot shadows ride the localized path, so the mode stays while a
-		// shadow-apply trigger remains.
-		ep := best.Episode
-		ep.Spec.Localized = false
-		try(ep)
-	}
 	if best.Episode.Spec.Replication != 0 && !needsShadow(best.Episode) {
 		// A failure that reproduces without hot shadows is not a failover
 		// bug; only a remaining shadow-apply trigger pins the knob.
@@ -96,7 +87,7 @@ func needsAsync(ep Episode) bool {
 
 // needsShadow reports whether the schedule still carries a trigger that
 // can only fire on a hot shadow's mirror-apply loop — such a trigger
-// pins the async engine, the localized mode and the replication degree.
+// pins the async engine and the replication degree.
 func needsShadow(ep Episode) bool {
 	for _, e := range ep.Spec.Scenario.Events {
 		if e.Trigger.Kind == cluster.DuringShadowApply {

@@ -34,14 +34,14 @@ import (
 // Init(restore=true) is on every survivor's recovery path — the group
 // commit waits for the rescue — so it may return with rank-local,
 // non-communicating work still running on a goroutine the App owns (the
-// Lanczos and heat apps regenerate their row block that way). Rebuild,
-// Restore and HaloPartners must need only what Init finished synchronously;
+// Lanczos and heat apps regenerate their row block that way). Rebuild
+// and Restore must need only what Init finished synchronously;
 // the rest must be complete before the first Step multiplies, and is the
 // App's to wait for there. It must be joined by Close, which the framework
 // calls on every way out of the worker flow, so that nothing of it outlives
 // the process; a failure of it is the first Step's error.
 //
-// Optional warm-up, found by interface assertion like HaloPartners,
+// Optional warm-up, found by interface assertion like
 // LiveIteration and Close — App itself does not grow:
 //
 //	Prewarm(ctx *Ctx, logical int) error

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/ft"
 	"repro/internal/lanczos"
 	"repro/internal/matrix"
 	"repro/internal/trace"
@@ -155,7 +157,6 @@ func (h *warmHooks) eigs() []float64 {
 // holder of logical `victim` at iteration 25 (none when victim < 0).
 func shadowCfg(spares, victim int) core.Config {
 	f := ftCfg()
-	f.LocalizedRepair = true
 	f.Replication = map[string]int{"state": 1}
 	cfg := core.Config{
 		Spares: spares, FT: f, EnableHC: true, EnableCP: true, CheckpointEvery: 10,
@@ -189,11 +190,22 @@ func expectCounts(t *testing.T, job *core.Job, want map[string]int64) {
 // TestShadowWarmTakeover: the shadowed primary dies after its shadow's
 // warm-up finished. The takeover finds plan and split in place — no plan
 // fetch and no matrix build after the activation — and is still the
-// zero-restore, zero-redo failover.
+// zero-restore, zero-redo failover. It is also an ordinary recovery epoch on
+// every member, survivors and shadow alike (Acked → GroupRebuild → Restore →
+// Resume → Healthy): only the source of the state differs, the live mirror
+// on the shadow and the store on nobody, and the replication policy alone
+// selects that.
 func TestShadowWarmTakeover(t *testing.T) {
 	want := referenceEigs(t)
 	h := newWarmHooks()
 	h.holdLogical, h.holdIter, h.holdFor = 0, 24, h.finished
+	var mu sync.Mutex
+	workers := map[ft.Rank]*ft.Worker{}
+	h.afterRebuild = func(ctx *core.Ctx) {
+		mu.Lock()
+		workers[ctx.Proc.Rank()] = ctx.Worker
+		mu.Unlock()
+	}
 	cfg := shadowCfg(2, 0)
 	lay := cfg.Layout(1 + cfg.Spares + testWorker)
 	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
@@ -221,6 +233,23 @@ func TestShadowWarmTakeover(t *testing.T) {
 	})
 	if n := storeFetches(job.Recorders[shadowRank]); n != 1 {
 		t.Errorf("shadow made %d fetches in all: the takeover fetched again", n)
+	}
+	epoch := []ft.RecoveryState{ft.StateAcked, ft.StateGroupRebuild, ft.StateRestore, ft.StateResume, ft.StateHealthy}
+	for _, r := range append(lay.InitialActPhys()[1:], shadowRank) {
+		var got []ft.RecoveryState
+		for _, tr := range workers[r].Machine().Transitions() {
+			got = append(got, tr.To)
+		}
+		if !slices.Equal(got, epoch) {
+			t.Errorf("rank %d went through %v, want %v", r, got, epoch)
+		}
+		rec := job.Recorders[r]
+		if n := rec.Counter(trace.KFTShadowFailovers); (n == 1) != (r == shadowRank) {
+			t.Errorf("rank %d counted %d failovers", r, n)
+		}
+		if n := rec.Counter(trace.KFTShadowFallbacks) + rec.Counter(trace.KCoreRestores) + rec.Counter(trace.KCoreRedoIters); n != 0 {
+			t.Errorf("rank %d: %d fallbacks + restores + redone iterations, want none", r, n)
+		}
 	}
 	if n := h.builds[0].Load(); n != 2 {
 		t.Errorf("logical 0's block was built %d times, want 2 (its first holder, the warm-up)", n)
@@ -349,10 +378,18 @@ func TestShadowPrewarmFetchFailureIsNotFatal(t *testing.T) {
 // pushed a frame, so nothing ever triggered the warm-up. The shadow is a
 // cold rescue with no mirror, as it was before the warm-up existed: no
 // warm-up outcome is counted, the one App is built after the activation,
-// and the group restarts from the store.
+// and the group restarts from the store: every member finds the live rung
+// empty (one fallback each) and goes down the ladder on the communication
+// structures it rebuilt ONCE for the epoch.
 func TestShadowWithoutMirrorFrameRecoversCold(t *testing.T) {
 	want := referenceEigs(t)
 	h := newWarmHooks()
+	var epochRebuilds [1 + 2 + testWorker]atomic.Int64 // by physical rank
+	h.afterRebuild = func(ctx *core.Ctx) {
+		if ctx.Worker.Epoch() == 1 {
+			epochRebuilds[ctx.Proc.Rank()].Add(1)
+		}
+	}
 	cfg := shadowCfg(2, 0)
 	cfg.FailPlan = map[int64][]int{0: {0}} // before the first Step, hence the first frame
 	lay := cfg.Layout(1 + cfg.Spares + testWorker)
@@ -371,8 +408,18 @@ func TestShadowWithoutMirrorFrameRecoversCold(t *testing.T) {
 		trace.KCorePrewarmFailed:     0,
 		trace.KFTShadowAppliedFrames: 0,
 		trace.KFTShadowFailovers:     0,
+		trace.KFTShadowFallbacks:     testWorker,
 		trace.KFDRecoveries:          1,
 	})
+	members := append(lay.InitialActPhys()[1:], shadowRank)
+	for _, r := range members {
+		if n := job.Recorders[r].Counter(trace.KFTShadowFallbacks); n != 1 {
+			t.Errorf("rank %d counted %d fallbacks, want 1", r, n)
+		}
+		if n := epochRebuilds[r].Load(); n != 1 {
+			t.Errorf("rank %d rebuilt its communication structures %d times in the epoch, want 1", r, n)
+		}
+	}
 	if n := h.builds[0].Load(); n != 2 {
 		t.Errorf("logical 0's block was built %d times, want 2 (its first holder, the cold load)", n)
 	}

@@ -156,7 +156,7 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 	// node); otherwise the spare idles like any other and replication
 	// silently degrades to the plain rescue path.
 	if deg := ft.ReplicationDegree(lay, cfg.FT); deg > 0 &&
-		cfg.EnableHC && cfg.FT.LocalizedRepair && cfg.EnableCP &&
+		cfg.EnableHC && cfg.EnableCP &&
 		cfg.CP.CheckpointMode == checkpoint.Async &&
 		p.NumProcs() == cctx.Cluster.NumNodes() &&
 		int(p.Rank()) >= 1 && int(p.Rank()) <= deg {
@@ -175,9 +175,9 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 
 // shadowMain is the hot-shadow idle loop: receive the shadowed primary's
 // mirror frames over the checkpoint stream and apply them into a live,
-// plan-shaped image, so that on activation for that primary the worker
-// path can skip the restore phase entirely and resume at the mirrored
-// step. Activated for any OTHER logical (the detector consumed this
+// plan-shaped image, so that on activation for that primary reload's top
+// rung installs it — no checkpoint restore — and the group resumes at the
+// mirrored step. Activated for any OTHER logical (the detector consumed this
 // shadow as a plain spare), the mirror is discarded and the cold rescue
 // path runs unchanged.
 //
@@ -297,8 +297,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		// them. The classification happens here because the cluster layer
 		// cannot name ft's states.
 		w.Machine().SetObserver(func(tr ft.Transition) {
-			entry := tr.To == ft.StateAcked || tr.To == ft.StateGroupRebuild ||
-				tr.To == ft.StateLocalizedRepair || tr.To == ft.StateFailover
+			entry := tr.To == ft.StateAcked || tr.To == ft.StateGroupRebuild
 			inj.NoteRecovery(p.Rank(), ctx.Logical, tr.Epoch, entry)
 		})
 		// During-collective triggers observe every collective the worker
@@ -375,7 +374,6 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		// from the post-pre-processing checkpoint onward.
 		serr := app.Rebuild(ctx)
 		if serr == nil {
-			installHaloPartners(ctx, app)
 			serr = app.Restore(ctx, nil, 0)
 		}
 		if serr != nil {
@@ -442,20 +440,13 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		phase := trace.PhaseCompute
 		if iter < maxIterSeen {
 			phase = trace.PhaseRedoWork
-			// Recomputed iterations after a recovery. The hot-shadow
-			// failover path's acceptance criterion is that this stays zero.
+			// Recomputed iterations after a recovery. A hot-shadow
+			// takeover's acceptance criterion is that this stays zero.
 			rec.Inc(trace.KCoreRedoIters, 1)
 		}
 		stop := rec.Start(phase)
 		err := app.Step(ctx, iter)
 		stop()
-		if err == nil && w.RepairPending() {
-			// The step completed while a failure notice newer than this
-			// worker's epoch sat on the board: an iteration computed during
-			// another rank's repair window — the survivor-throughput signal
-			// the localized-repair benchmark reports.
-			rec.Inc(trace.KCoreItersDuringRepair, 1)
-		}
 		if err != nil {
 			var fde *ft.FailureDetectedError
 			if !errors.As(err, &fde) {
@@ -530,8 +521,8 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 // the recovery reload: the mirrored application image and the logical step
 // it reflects. It is nil on every rank except a freshly activated shadow
 // taking over the rank it mirrored, and stays pending across compound
-// epoch restarts until the mirror is either adopted (failover agreement
-// succeeds) or superseded by a checkpoint restore.
+// epoch restarts until the mirror is either adopted (the agreement on
+// reload's top rung succeeds) or superseded by a checkpoint restore.
 type failoverState struct {
 	version int64
 	payload []byte
@@ -539,8 +530,7 @@ type failoverState struct {
 
 // recoverAndReload drives the recovery epoch state machine to completion:
 // group reconstruction (Worker.Recover: Acked → GroupRebuild), data
-// re-initialization (reload, in StateRestore — or failoverReload, in
-// StateFailover when the victim's hot shadow took over), and Resume. A
+// re-initialization (reload, in StateRestore), and Resume. A
 // FURTHER failure acknowledged during the restore phase — the
 // compound-fault case the state machine exists for — restarts the epoch
 // with the fresher notice instead of aborting the job: the machine's Ack
@@ -550,7 +540,7 @@ type failoverState struct {
 // Alongside the state machine's own phase accounting (ft.phase.*), the
 // wall time of the complete recovery is decomposed into core.ttr.* trace
 // counters (rebuild = group reconstruction, restore = data
-// re-initialization, failover = the shadow agreement + mirror adoption,
+// re-initialization from whichever rung supplied the state,
 // resume = the machine's epoch completion, total = everything from the
 // acknowledged notice to the worker re-entering the loop) — the per-phase
 // time-to-recover breakdown the recovery benchmark trajectory tracks.
@@ -566,16 +556,8 @@ func recoverAndReload(ctx *Ctx, app App, n *ft.Notice, fo *failoverState) (int64
 		}
 		ctx.Rec.Inc(trace.KCoreTTRRebuildNS, int64(time.Since(t0)))
 		t1 := time.Now()
-		var it int64
-		var err error
-		if w.Machine().State() == ft.StateFailover {
-			// failoverReload does its own fine-grained ttr accounting
-			// (rebuild vs failover vs fallback-restore).
-			it, err = failoverReload(ctx, app, fo)
-		} else {
-			it, err = reload(ctx, app)
-			ctx.Rec.Inc(trace.KCoreTTRRestoreNS, int64(time.Since(t1)))
-		}
+		it, err := reload(ctx, app, fo)
+		ctx.Rec.Inc(trace.KCoreTTRRestoreNS, int64(time.Since(t1)))
 		if err == nil {
 			t2 := time.Now()
 			err = w.Machine().Resume()
@@ -591,82 +573,6 @@ func recoverAndReload(ctx *Ctx, app App, n *ft.Notice, fo *failoverState) (int64
 		n = fde.Notice
 		t0 = time.Now()
 	}
-}
-
-// failoverReload is the zero-restore path: the victim's hot shadow has
-// adopted the rank carrying a live mirror of its state, so nobody needs
-// the checkpoint store. After the shared communication rebuild, one
-// agreement collective settles whether the takeover is sound: every
-// member contributes its candidate resume step — survivors their live
-// iteration, the shadow its mirror version, anyone without trustworthy
-// live state -1 — folded as [cand, -cand] under a min-reduce, which
-// yields the minimum and (negated) maximum in a single collective. All
-// candidates equal and non-negative: survivors keep their live state
-// untouched, the shadow installs the mirror locally, and the group
-// resumes at that step with zero recomputed iterations. A torn mirror, a
-// missing candidate, or divergence (a frame lost in the victim's final
-// push window) makes every member take the identical fallback branch —
-// the decision reads only the allreduce result — through BeginRestore
-// into the ordinary checkpoint ladder.
-func failoverReload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
-	w := ctx.Worker
-	stop := ctx.Rec.Start(trace.PhaseReinit)
-	stopped := false
-	end := func() {
-		if !stopped {
-			stopped = true
-			stop()
-		}
-	}
-	defer end()
-
-	if ctx.CP != nil {
-		ctx.CP.SetWorkerNodes(workerNodes(ctx.Cluster.Cluster, w.RankMap().Snapshot()))
-	}
-	// The communication rebuild is shared with every recovery mode;
-	// account it with the rebuild phase so ttr.failover isolates what the
-	// shadow path adds.
-	tb := time.Now()
-	if err := app.Rebuild(ctx); err != nil {
-		return 0, err
-	}
-	installHaloPartners(ctx, app)
-	ctx.Rec.Inc(trace.KCoreTTRRebuildNS, int64(time.Since(tb)))
-
-	tf := time.Now()
-	cand := noCheckpoint
-	if fo != nil {
-		cand = fo.version
-	} else if li, ok := app.(interface{ LiveIteration(*Ctx) (int64, bool) }); ok {
-		if v, valid := li.LiveIteration(ctx); valid {
-			cand = v
-		}
-	}
-	agreed, err := w.AllreduceI64([]int64{cand, -cand}, gaspi.OpMin)
-	if err != nil {
-		return 0, err
-	}
-	lo, hi := agreed[0], -agreed[1]
-	if lo < 0 || lo != hi {
-		end()
-		ctx.Rec.Inc(trace.KFTShadowFallbacks, 1)
-		if err := w.Machine().BeginRestore(); err != nil {
-			return 0, err
-		}
-		tr := time.Now()
-		it, err := reload(ctx, app)
-		ctx.Rec.Inc(trace.KCoreTTRRestoreNS, int64(time.Since(tr)))
-		return it, err
-	}
-	if fo != nil {
-		if err := app.Restore(ctx, fo.payload, lo); err != nil {
-			return 0, err
-		}
-		ctx.Rec.Inc(trace.KFTShadowFailovers, 1)
-		ctx.Rec.Event(trace.KEvShadowTakeover)
-	}
-	ctx.Rec.Inc(trace.KCoreTTRFailoverNS, int64(time.Since(tf)))
-	return lo, nil
 }
 
 // maxMirrorPushFails is how many consecutive unexplained mirror-push
@@ -712,9 +618,24 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 }
 
 // reload is the data re-initialization step (OHF3): refresh the
-// fault-aware checkpoint library, agree on the last globally consistent
-// checkpoint version, rebuild communication structures, and restore the
-// application state.
+// fault-aware checkpoint library, rebuild communication structures (once:
+// every source of state below needs them), and install the application
+// state from the first rung of one ladder the whole group can stand on.
+//
+// The top rung is the live mirror. Iff the epoch's notice says the single
+// victim's own hot shadow took over (ft.ShadowTookOver: every member
+// derives the same answer, so the collective runs on all of them or none),
+// one agreement collective settles whether the takeover is sound: every
+// member contributes its candidate resume step — survivors their live
+// iteration, the shadow its mirror version, anyone without trustworthy
+// live state -1 — folded as [cand, -cand] under a min-reduce, which
+// yields the minimum and (negated) maximum in a single collective. All
+// candidates equal and non-negative: survivors keep their live state
+// untouched, the shadow installs the mirror locally, and the group
+// resumes at that step with zero recomputed iterations. A torn mirror, a
+// missing candidate, or divergence (a frame lost in the victim's final
+// push window) makes every member fall through alike — the decision reads
+// only the allreduce result — to the checkpoint rungs.
 //
 // The agreement is a verified loop, not a single allreduce: each round
 // takes the minimum of every member's proposal, every member then
@@ -728,7 +649,7 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 // fetched fine discard the payload and follow, keeping the group
 // consistent. The loop strictly decreases the agreed version, ending at
 // worst in the restart-from-scratch branch.
-func reload(ctx *Ctx, app App) (int64, error) {
+func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 	stop := ctx.Rec.Start(trace.PhaseReinit)
 	defer stop()
 
@@ -738,7 +659,32 @@ func reload(ctx *Ctx, app App) (int64, error) {
 	if err := app.Rebuild(ctx); err != nil {
 		return 0, err
 	}
-	installHaloPartners(ctx, app)
+
+	if ft.ShadowTookOver(ctx.Layout, ctx.Cfg.FT, ctx.Worker.Machine().Notice()) {
+		cand := noCheckpoint
+		if fo != nil {
+			cand = fo.version
+		} else if li, ok := app.(interface{ LiveIteration(*Ctx) (int64, bool) }); ok {
+			if v, valid := li.LiveIteration(ctx); valid {
+				cand = v
+			}
+		}
+		agreed, err := ctx.Worker.AllreduceI64([]int64{cand, -cand}, gaspi.OpMin)
+		if err != nil {
+			return 0, err
+		}
+		if lo, hi := agreed[0], -agreed[1]; lo >= 0 && lo == hi {
+			if fo != nil {
+				if err := app.Restore(ctx, fo.payload, lo); err != nil {
+					return 0, err
+				}
+				ctx.Rec.Inc(trace.KFTShadowFailovers, 1)
+				ctx.Rec.Event(trace.KEvShadowTakeover)
+			}
+			return lo, nil
+		}
+		ctx.Rec.Inc(trace.KFTShadowFallbacks, 1)
+	}
 
 	mine := noCheckpoint
 	if ctx.CP != nil {
@@ -795,17 +741,6 @@ func reload(ctx *Ctx, app App) (int64, error) {
 		if v, ok := ctx.CP.FindLatestBelow(ctx.Cfg.StateName, ctx.Logical, version); ok {
 			mine = v
 		}
-	}
-}
-
-// installHaloPartners hands the application's communication-plan partner
-// set to the FT worker after every (re)build — the application-derived
-// half of the localized repair set. Apps without a partner notion (dense
-// collectives only) simply never implement the interface; the repair set
-// then degrades to the checkpoint-chain neighbors.
-func installHaloPartners(ctx *Ctx, app App) {
-	if hp, ok := app.(interface{ HaloPartners(ctx *Ctx) []int }); ok {
-		ctx.Worker.SetHaloPartners(hp.HaloPartners(ctx))
 	}
 }
 

@@ -44,7 +44,7 @@ func EigMatches(got, want float64, dim int64) bool {
 
 // ttrPhases are the core-side time-to-recover decomposition counters;
 // every one of them measures a sub-span of core.ttr.total_ns.
-var ttrPhases = []string{trace.KCoreTTRRebuildNS, trace.KCoreTTRFailoverNS, trace.KCoreTTRRestoreNS, trace.KCoreTTRResumeNS}
+var ttrPhases = []string{trace.KCoreTTRRebuildNS, trace.KCoreTTRRestoreNS, trace.KCoreTTRResumeNS}
 
 // scenarioInvariants sweeps the per-rank recorders for violations of the
 // episode-level invariants the fault-tolerance stack must uphold in

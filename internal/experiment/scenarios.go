@@ -83,12 +83,9 @@ type ScenarioSpec struct {
 	// k-th generation a full base, dirty-chunk deltas between; 0 = the
 	// untagged full-blob format).
 	FullEvery int
-	// Localized enables the non-collective O(degree) group repair
-	// (ft.Config.LocalizedRepair) for this row.
-	Localized bool
 	// Replication assigns hot shadows to the first k logical ranks (the
 	// ft.Config.Replication degree for the state family). Requires
-	// Localized and Async (the mirror rides the checkpoint stream).
+	// Async (the mirror rides the checkpoint stream).
 	Replication int
 	// Expect is the required outcome.
 	Expect ScenarioOutcome
@@ -96,7 +93,7 @@ type ScenarioSpec struct {
 	// from the PFS (the double-node-loss fallback proof).
 	WantPFSRestore bool
 	// WantZeroRedo additionally requires that no iteration was
-	// re-executed after recovery — the hot-shadow failover acceptance
+	// re-executed after recovery — the hot-shadow takeover acceptance
 	// criterion (iters_lost == 0).
 	WantZeroRedo bool
 }
@@ -256,40 +253,39 @@ func (c ScenarioMatrixConfig) Specs() []ScenarioSpec {
 			Spares: 3, PFSEvery: 1, Expect: OutcomeRecovered, WantPFSRestore: true,
 		},
 		{
-			// Localized repair under fire, case 1: while logical 1's
-			// O(degree) repair is in flight, a BYSTANDER (logical 3, neither
-			// chain neighbor nor 1-D halo partner of the victim) is killed.
-			// The fresh notice restarts the epoch; since it again names a
-			// single victim, the restarted epoch stays localized.
+			// Group repair under fire, case 1: while logical 1's repair is
+			// in flight, logical 3 (neither checkpoint-chain neighbor nor
+			// 1-D halo partner of the victim) is killed. The fresh notice
+			// restarts the epoch against the newer group view.
 			Scenario: cluster.Scenario{Name: "kill during another rank's repair",
 				Events: []cluster.FaultEvent{
 					at(cluster.ProcExit, 1, mid),
 					{Kind: cluster.ProcKill, Logical: 3,
 						Trigger: cluster.Trigger{Kind: cluster.DuringRecovery, Epoch: 1}}}},
-			Spares: 2, Localized: true, Expect: OutcomeRecovered,
+			Spares: 2, Expect: OutcomeRecovered,
 		},
 		{
-			// Localized repair under fire, case 2: the victim's checkpoint-
-			// chain neighbor (logical 2 — a repair-set spoke the hub waits
-			// for) is killed during the repair handshake. The hub's join
-			// wait must observe the fresher notice and restart rather than
-			// stall on the dead spoke.
+			// Group repair under fire, case 2: the victim's checkpoint-
+			// chain neighbor (logical 2, the rescue's restore source) is
+			// killed during the repair. Everyone parked in the commit must
+			// observe the fresher notice and restart rather than stall on
+			// the dead member.
 			Scenario: cluster.Scenario{Name: "kill a repair-set member",
 				Events: []cluster.FaultEvent{
 					at(cluster.ProcExit, 1, mid),
 					{Kind: cluster.ProcKill, Logical: 2,
 						Trigger: cluster.Trigger{Kind: cluster.DuringRecovery, Epoch: 1}}}},
-			Spares: 2, Localized: true, Expect: OutcomeRecovered,
+			Spares: 2, Expect: OutcomeRecovered,
 		},
 		{
-			// Hot shadow failover: logical 1 carries a shadow (Replication
+			// Hot shadow takeover: logical 1 carries a shadow (Replication
 			// 2 covers logicals 0 and 1) continuously applying its mirror
-			// stream. The kill must route through the localized repair into
-			// the zero-restore takeover — recovered with not a single
-			// iteration recomputed anywhere in the group.
+			// stream. The kill must end on the reload ladder's top rung,
+			// the live mirror — recovered with not a single iteration
+			// recomputed anywhere in the group.
 			Scenario: cluster.Scenario{Name: "kill shadowed primary",
 				Events: []cluster.FaultEvent{at(cluster.ProcKill, 1, mid)}},
-			Spares: 2, Async: true, FullEvery: 4, Localized: true,
+			Spares: 2, Async: true, FullEvery: 4,
 			Replication: 2, Expect: OutcomeRecovered, WantZeroRedo: true,
 		},
 		{
@@ -319,18 +315,14 @@ type ScenarioResult struct {
 	// DetectNS is the worst-case fault-detection time (OHF1): a worker
 	// first stalling on the failure to the acknowledgment arriving.
 	DetectNS int64
-	// AckNS/RebuildNS/LocalizedNS/FailoverNS/RestoreNS decompose recovery
-	// time by machine phase (max across ranks — the critical path).
-	// LocalizedNS is the localized path's replacement for the rebuild
-	// phase; FailoverNS is the hot-shadow takeover phase that replaces the
-	// restore phase; at most one of each pair is non-zero per epoch on a
-	// given rank.
-	AckNS, RebuildNS, LocalizedNS, FailoverNS, RestoreNS int64
+	// AckNS/RebuildNS/RestoreNS decompose recovery time by machine phase
+	// (max across ranks — the critical path).
+	AckNS, RebuildNS, RestoreNS int64
 	// Restores by replica source, summed across ranks.
 	RestoreLocal, RestoreNeighbor, RestoreRemote, RestorePFS int64
 	// RedoIters is the total number of iterations re-executed after
 	// recoveries, summed across ranks (zero on a clean hot-shadow
-	// failover).
+	// takeover).
 	RedoIters int64
 	// ShadowFailovers counts completed zero-restore takeovers, summed
 	// across ranks.
@@ -455,7 +447,6 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 		cpMode = checkpoint.Async
 	}
 	ftCfg := c.FT
-	ftCfg.LocalizedRepair = spec.Localized
 	if spec.Replication > 0 {
 		ftCfg.Replication = map[string]int{"state": spec.Replication}
 	}
@@ -506,15 +497,12 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	out.DetectNS = sum.MaxCounter[ft.CounterDetectNS]
 	out.AckNS = sum.MaxCounter[ft.CounterAckNS]
 	out.RebuildNS = sum.MaxCounter[ft.CounterRebuildNS]
-	out.LocalizedNS = sum.MaxCounter[ft.CounterLocalizedNS]
-	out.FailoverNS = sum.MaxCounter[ft.CounterFailoverNS]
 	out.RestoreNS = sum.MaxCounter[ft.CounterRestoreNS]
 	out.RedoIters = sum.SumCounter[trace.KCoreRedoIters]
 	out.ShadowFailovers = sum.SumCounter[trace.KFTShadowFailovers]
 	for _, r := range job.Recorders {
 		t := r.Counter(ft.CounterDetectNS) + r.Counter(ft.CounterAckNS) +
-			r.Counter(ft.CounterRebuildNS) + r.Counter(ft.CounterLocalizedNS) +
-			r.Counter(ft.CounterFailoverNS) + r.Counter(ft.CounterRestoreNS)
+			r.Counter(ft.CounterRebuildNS) + r.Counter(ft.CounterRestoreNS)
 		if t > out.TTRNS {
 			out.TTRNS = t
 		}
@@ -601,8 +589,7 @@ func (r *ScenarioMatrixResult) Render() string {
 			fmt.Sprintf("%.2f", row.Wall.Seconds()),
 			fmt.Sprintf("%d", row.Recoveries),
 			fmt.Sprintf("%d", row.EpochRestarts),
-			ms(row.DetectNS), ms(row.AckNS), ms(row.RebuildNS), ms(row.LocalizedNS),
-			ms(row.FailoverNS), ms(row.RestoreNS),
+			ms(row.DetectNS), ms(row.AckNS), ms(row.RebuildNS), ms(row.RestoreNS),
 			ms(int64(row.TTR())),
 			src,
 			row.Detail,
@@ -610,7 +597,7 @@ func (r *ScenarioMatrixResult) Render() string {
 	}
 	b.WriteString(trace.Table([]string{
 		"scenario", "outcome", "spec", "wall[s]", "recov", "restart",
-		"detect[ms]", "ack[ms]", "rebuild[ms]", "localized[ms]", "failover[ms]", "restore[ms]", "ttr[ms]", "src l/n/r/p", "detail"},
+		"detect[ms]", "ack[ms]", "rebuild[ms]", "restore[ms]", "ttr[ms]", "src l/n/r/p", "detail"},
 		rows))
 	return b.String()
 }

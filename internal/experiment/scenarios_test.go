@@ -96,14 +96,10 @@ func TestScenarioMatrixEndToEnd(t *testing.T) {
 	if row := byName["single kill -9"]; row.RebuildNS == 0 || row.RestoreNS == 0 {
 		t.Errorf("recovery phase durations missing: %+v", row)
 	}
-	// Localized-repair rows: both must have exercised the localized phase
-	// (non-zero localized time on some rank) and restarted the interrupted
-	// epoch — the mid-repair kill lands while epoch 1 is in flight.
+	// Mid-repair kills: both rows must have restarted the interrupted
+	// epoch — the second kill lands while epoch 1 is in flight.
 	for _, name := range []string{"kill during another rank's repair", "kill a repair-set member"} {
 		row := byName[name]
-		if row.LocalizedNS == 0 {
-			t.Errorf("%s: localized phase never charged: %+v", name, row)
-		}
 		if row.Recoveries < 2 || row.EpochRestarts == 0 {
 			t.Errorf("%s: recoveries=%d restarts=%d, want >=2 and >=1",
 				name, row.Recoveries, row.EpochRestarts)

@@ -28,30 +28,19 @@ type Notice struct {
 	// (the paper's restriction 1).
 	Unrecoverable bool
 	// FailedLogicals lists the logical worker ranks whose hosts died in
-	// this epoch (parallel to the worker entries of NewlyFailed). Localized
-	// repair keys off it: it is the deterministic input from which every
-	// survivor derives the same repair mode and repair set — a single
-	// victim routes to the localized path, anything else to the global
-	// recommit.
+	// this epoch (parallel to the worker entries of NewlyFailed). It is the
+	// deterministic input from which every member derives whether the
+	// epoch's single victim was replaced by its own hot shadow (see
+	// ShadowTookOver).
 	FailedLogicals []int32
 }
 
-// BoardSize returns the notice-board segment size for a layout. The last 8
-// bytes are the repair beacon (see BeaconOff): they are never covered by
-// the FD's notice writes, which write only the encoded notice from offset
-// zero.
+// BoardSize returns the notice-board segment size for a layout.
 func BoardSize(l Layout) int {
 	// epoch(8) + flags(2) + counts(4+4+4+4) + status(n) + actPhys(4w) +
-	// newlyFailed(4n) + failedLogicals(4w) + beacon(8)
-	return 26 + l.Procs + 4*l.Workers() + 4*l.Procs + 4*l.Workers() + 8
+	// newlyFailed(4n) + failedLogicals(4w)
+	return 26 + l.Procs + 4*l.Workers() + 4*l.Procs + 4*l.Workers()
 }
-
-// BeaconOff returns the byte offset of the repair beacon within the board
-// segment: 8 bytes where a localized-repair hub publishes (little-endian)
-// the epoch it has adopted the new group for. Repair-set spokes poll it
-// with one-sided reads — hub-passive, so the hub never needs to know which
-// survivors consider themselves part of the repair set.
-func BeaconOff(l Layout) int { return BoardSize(l) - 8 }
 
 // Encode serializes the notice for the one-sided board write.
 func (n *Notice) Encode() []byte {

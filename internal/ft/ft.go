@@ -21,7 +21,10 @@
 //     enter the recovery stage: rescue processes take over the identity (logical
 //     rank) of the failed ones, the worker group is deleted and a new one
 //     is created and committed (Listing 2), and data is re-initialized
-//     from the last consistent checkpoint.
+//     from the last consistent checkpoint. That collective commit is the
+//     only group repair; a hot shadow (Config.Replication) taking over its
+//     primary changes where the state comes from (ShadowTookOver), not how
+//     the group is repaired.
 //   - CPStream (cpstream.go) is the data plane of the asynchronous
 //     checkpoint engine: chunked one-sided writes on a dedicated queue
 //     push sealed checkpoint frames into the ring neighbor's staging
@@ -61,14 +64,6 @@ const (
 	// The nudge names nobody and declares nothing; the scan it triggers
 	// is the ordinary one.
 	NotifSuspect gaspi.NotificationID = 2
-	// NotifJoinPrev and NotifJoinNext are the localized-repair join slots
-	// on the repair hub's board: the victim's checkpoint-chain neighbors
-	// announce themselves by notifying the hub with the repair's epoch as
-	// value, so the hub knows its restore sources are group-ready before it
-	// re-initializes data. Spares parked in WaitActivation wait on slots
-	// 0..1 only, so repair traffic never disturbs them.
-	NotifJoinPrev gaspi.NotificationID = 3
-	NotifJoinNext gaspi.NotificationID = 4
 )
 
 // SuspectQueue carries the NotifSuspect nudges, kept off the application's
@@ -231,27 +226,21 @@ type Config struct {
 	// (e.g. when the FD itself died — the paper's restriction 2). Zero
 	// means 100×CommTimeout.
 	StallLimit time.Duration
-	// LocalizedRepair enables the non-collective O(degree) group repair:
-	// for a single-victim epoch, only the victim's halo partners, its
-	// checkpoint-chain neighbors and the promoted rescue run the repair
-	// handshake; every other survivor adopts the new membership view
-	// locally (GroupAdoptCommit) and keeps iterating until its next
-	// collective reconciles it. Multi-victim epochs — including a repair
-	// losing one of its own members, which restarts the epoch with a fresh
-	// notice — fall back to the global recommit path on every rank alike.
+	// Deprecated: LocalizedRepair is inert. There is one group repair, the
+	// collective commit; the field remains only until its last assignment
+	// (the frozen benchmark module) is removed.
 	LocalizedRepair bool
 	// Replication is the per-checkpoint-family hot-shadow policy: family
 	// name → replication degree. Degree d assigns the first d logical
 	// ranks a dedicated hot shadow (spare rank 1+logical) that
 	// continuously applies the primary's checkpoint-stream mirror frames
 	// into live memory, so a detector NACK for a shadowed primary is
-	// absorbed with no restore phase and no recomputed iterations
-	// (StateFailover). The effective degree is the maximum over all
+	// absorbed with no checkpoint restore and no recomputed iterations
+	// (see ShadowTookOver). The effective degree is the maximum over all
 	// families and is capped by the number of spares; shadows consumed by
 	// a takeover (or assigned to other duties, like the FD-redundancy
 	// standby) do not return to the idle pool. Nil or empty disables
-	// shadowing. Requires LocalizedRepair: failover rides the localized
-	// path.
+	// shadowing.
 	Replication map[string]int
 }
 

@@ -203,6 +203,7 @@ type ftHarness struct {
 	cfg     Config
 	job     *gaspi.Job
 	stop    atomic.Bool
+	ready   atomic.Int64 // ranks a fault may now hit: board up, workers past the initial commit
 	recs    []*trace.Recorder
 	mu      sync.Mutex
 	epochs  map[gaspi.Rank]uint64 // final epoch seen per participant
@@ -226,7 +227,11 @@ func (h *ftHarness) main(p *gaspi.Proc) error {
 	if err := CreateBoard(p, h.lay); err != nil {
 		return err
 	}
-	switch h.lay.RoleOf(p.Rank()) {
+	role := h.lay.RoleOf(p.Rank())
+	if role != RoleWorker {
+		h.ready.Add(1)
+	}
+	switch role {
 	case RoleDetector:
 		d := NewDetector(p, h.lay, h.cfg, rec)
 		outcome, notice, err := d.Run()
@@ -271,6 +276,7 @@ func (h *ftHarness) main(p *gaspi.Proc) error {
 		if err := SetupInitialGroup(p, h.lay, gaspi.Block); err != nil {
 			return err
 		}
+		h.ready.Add(1)
 		logical := int(p.Rank()) - 1 - h.lay.Spares
 		w := NewWorker(p, h.lay, h.cfg, logical, true, rec)
 		return h.workerLoop(w)
@@ -362,12 +368,20 @@ func (h *ftHarness) sumCounter(name string) int64 {
 // FD process a single time slice, so "sleep then assert scans > 0" is
 // inherently flaky while the property under test — the detector makes
 // scan progress during a failure-free run — is not.
+//
+// It also waits until every rank has its board and every worker is past the
+// initial group commit, which a completed scan does not imply: the tests
+// inject their faults after this call, and a kill landing inside that
+// blocking commit (gaspi.Block, no worker wrapper yet, so no acknowledgment
+// check) leaves the survivors in it for good — the protocol covers failures
+// from the committed group onward.
 func (h *ftHarness) waitScans(t *testing.T, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for h.recs[0].Counter("fd.scans") < want {
+	for h.recs[0].Counter("fd.scans") < want || h.ready.Load() < int64(h.lay.Procs) {
 		if time.Now().After(deadline) {
-			t.Fatalf("detector completed %d scans, want %d", h.recs[0].Counter("fd.scans"), want)
+			t.Fatalf("detector completed %d scans, want %d; %d of %d ranks ready",
+				h.recs[0].Counter("fd.scans"), want, h.ready.Load(), h.lay.Procs)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -455,13 +469,20 @@ func TestSequentialFailuresRecovery(t *testing.T) {
 
 func TestSimultaneousFailuresSingleEpoch(t *testing.T) {
 	lay := Layout{Procs: 10, Spares: 3}
-	h := newFTHarness(t, lay, testFTCfg())
-	h.waitScans(t, 1)
+	cfg := testFTCfg()
+	cfg.ScanInterval = 10 * time.Second // the FD scans when a survivor nudges it, not before
+	h := newFTHarness(t, lay, cfg)
+	h.waitScans(t, 0)
 	// Three simultaneous kills: the threaded FD should detect all in one
-	// scan and recover them in a single epoch.
+	// scan and recover them in a single epoch. Simultaneous for the FD: it
+	// is off the data plane — no nudge reaches it, so it does not scan —
+	// while the three die one call after the other; the survivors' next
+	// nudge, a CommTimeout later, finds them all.
+	h.job.Partition(0, true)
 	h.job.Kill(lay.InitialPhysical(0), "sim kill")
 	h.job.Kill(lay.InitialPhysical(2), "sim kill")
 	h.job.Kill(lay.InitialPhysical(4), "sim kill")
+	h.job.Partition(0, false)
 	h.waitRecoveries(t, 1)
 	res := h.finish(t)
 	for _, r := range res {

@@ -197,8 +197,12 @@ func startNackJob(t *testing.T, cfg Config, prepare func(d *Detector), worker fu
 	for i := range recs {
 		recs[i] = trace.NewRecorder()
 	}
-	var grouped sync.WaitGroup
-	grouped.Add(2)
+	// The kill waits for all three ranks: 1 and 2 grouped, and rank 0's board
+	// in place. The survivor's first NotifSuspect nudge goes to that board; on
+	// a board not created yet it is refused, and the next one is a CommTimeout
+	// away.
+	var ready sync.WaitGroup
+	ready.Add(3)
 	killed := make(chan time.Time, 1)
 	job := gaspi.Launch(testGaspiCfg(3), func(p *gaspi.Proc) error {
 		if err := CreateBoard(p, lay); err != nil {
@@ -209,6 +213,7 @@ func startNackJob(t *testing.T, cfg Config, prepare func(d *Detector), worker fu
 			return err
 		}
 		if p.Rank() == 0 {
+			ready.Done()
 			if prepare == nil {
 				return idle()
 			}
@@ -223,7 +228,7 @@ func startNackJob(t *testing.T, cfg Config, prepare func(d *Detector), worker fu
 		if err := p.SegmentCreate(pushAppSeg, 64); err != nil {
 			return err
 		}
-		grouped.Done()
+		ready.Done()
 		if p.Rank() == 2 {
 			return idle() // never returns: the test kills this rank
 		}
@@ -231,7 +236,7 @@ func startNackJob(t *testing.T, cfg Config, prepare func(d *Detector), worker fu
 		return errors.Join(worker(w, <-killed), SignalShutdown(p, lay))
 	})
 	t.Cleanup(job.Close)
-	grouped.Wait()
+	ready.Wait()
 	job.Kill(2, "test kill -9")
 	killed <- time.Now()
 	return job, recs

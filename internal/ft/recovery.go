@@ -49,27 +49,13 @@ const (
 	// StateGroupRebuild: the worker group is being deleted, recreated and
 	// committed (the paper's OHF2).
 	StateGroupRebuild
-	// StateRestore: data re-initialization from the last globally agreed
-	// checkpoint (the paper's OHF3).
+	// StateRestore: data re-initialization (the paper's OHF3) from the last
+	// globally agreed checkpoint — or, one rung above it, from the live
+	// mirror of a hot shadow that took over its own primary.
 	StateRestore
 	// StateResume: the epoch completed; the machine passes through this
 	// state back to Healthy.
 	StateResume
-	// StateLocalizedRepair: the localized alternative to GroupRebuild —
-	// the new group is adopt-committed locally and, on repair-set members
-	// only, the O(degree) hub/spoke handshake synchronizes the ranks that
-	// actually bordered the failure. Declared after StateResume so the
-	// original states keep their values; Ack and BeginRestore treat it
-	// exactly like GroupRebuild.
-	StateLocalizedRepair
-	// StateFailover: the hot-shadow replacement for Restore — the victim's
-	// shadow already holds a live mirror of its state, so after the
-	// localized repair handshake the members agree on the mirror's sealed
-	// step and resume there with no restore phase and no recomputed
-	// iterations. Entered only from LocalizedRepair; a torn mirror or a
-	// disagreement falls back through BeginRestore, and a further failure
-	// mid-failover restarts the epoch like any other in-flight phase.
-	StateFailover
 )
 
 func (s RecoveryState) String() string {
@@ -84,10 +70,6 @@ func (s RecoveryState) String() string {
 		return "Restore"
 	case StateResume:
 		return "Resume"
-	case StateLocalizedRepair:
-		return "LocalizedRepair"
-	case StateFailover:
-		return "Failover"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}
@@ -119,15 +101,6 @@ const (
 	CounterAckNS = trace.KFTPhaseAckNS
 	// CounterRebuildNS is time spent in GroupRebuild (OHF2).
 	CounterRebuildNS = trace.KFTPhaseRebuildNS
-	// CounterLocalizedNS is time spent in LocalizedRepair — the localized
-	// path's replacement for the rebuild phase. Bystanders charge only
-	// their local adopt-commit here (microseconds); repair-set members
-	// additionally charge the O(degree) handshake.
-	CounterLocalizedNS = trace.KFTPhaseLocalizedNS
-	// CounterFailoverNS is time spent in Failover — the hot-shadow
-	// replacement for the restore phase: mirror-tail agreement plus the
-	// shadow's local adoption of its live image.
-	CounterFailoverNS = trace.KFTPhaseFailoverNS
 	// CounterRestoreNS is time spent in Restore (OHF3).
 	CounterRestoreNS = trace.KFTPhaseRestoreNS
 	// CounterEpochs counts completed recovery epochs (Resume reached).
@@ -208,10 +181,6 @@ func phaseCounter(s RecoveryState) string {
 		return CounterAckNS
 	case StateGroupRebuild:
 		return CounterRebuildNS
-	case StateLocalizedRepair:
-		return CounterLocalizedNS
-	case StateFailover:
-		return CounterFailoverNS
 	case StateRestore:
 		return CounterRestoreNS
 	default:
@@ -259,7 +228,7 @@ func (m *RecoveryMachine) Ack(n *Notice) error {
 		return nil
 	}
 	switch m.state {
-	case StateGroupRebuild, StateLocalizedRepair, StateFailover, StateRestore:
+	case StateGroupRebuild, StateRestore:
 		m.rec.Inc(CounterEpochRestarts, 1)
 	case StateHealthy, StateAcked:
 		// Fresh failure, or a newer notice superseding a pending one.
@@ -281,46 +250,19 @@ func (m *RecoveryMachine) BeginRebuild() error {
 	return m.step(StateAcked, StateGroupRebuild)
 }
 
-// BeginLocalizedRepair enters the localized repair phase — the O(degree)
-// replacement for GroupRebuild when a single victim's epoch routes to the
-// non-collective path. Legal only from Acked.
-func (m *RecoveryMachine) BeginLocalizedRepair() error {
-	return m.step(StateAcked, StateLocalizedRepair)
-}
-
-// BeginFailover enters the hot-shadow failover phase. Legal only from
-// LocalizedRepair: failover rides the localized repair path (the shadow
-// was adopt-committed as the victim's replacement), replacing the restore
-// phase that would normally follow.
-func (m *RecoveryMachine) BeginFailover() error {
-	return m.step(StateLocalizedRepair, StateFailover)
-}
-
-// BeginRestore enters data re-initialization (OHF3). Legal from
-// GroupRebuild (global recommit), LocalizedRepair (localized path) or
-// Failover (torn-mirror / disagreement fallback to the global ladder).
+// BeginRestore enters data re-initialization (OHF3). Legal only from
+// GroupRebuild.
 func (m *RecoveryMachine) BeginRestore() error {
-	m.mu.Lock()
-	if m.state != StateGroupRebuild && m.state != StateLocalizedRepair && m.state != StateFailover {
-		defer m.mu.Unlock()
-		return fmt.Errorf("ft: recovery transition to %v from %v (want %v, %v or %v)",
-			StateRestore, m.state, StateGroupRebuild, StateLocalizedRepair, StateFailover)
-	}
-	tr := m.move(StateRestore)
-	obs := m.observer
-	m.mu.Unlock()
-	m.notify(obs, tr)
-	return nil
+	return m.step(StateGroupRebuild, StateRestore)
 }
 
-// Resume completes the epoch: from Restore (the worker path), Failover
-// (the hot-shadow path, which has no restore phase) or directly from
-// Acked (participants with nothing to rebuild: the FD after broadcasting
-// the acknowledgment, a worker absorbing a spare-only death). The machine
-// passes through Resume back to Healthy.
+// Resume completes the epoch: from Restore (the worker path) or directly
+// from Acked (participants with nothing to rebuild: the FD after
+// broadcasting the acknowledgment, a worker absorbing a spare-only death).
+// The machine passes through Resume back to Healthy.
 func (m *RecoveryMachine) Resume() error {
 	m.mu.Lock()
-	if m.state != StateRestore && m.state != StateAcked && m.state != StateFailover {
+	if m.state != StateRestore && m.state != StateAcked {
 		defer m.mu.Unlock()
 		return fmt.Errorf("ft: recovery resume from %v", m.state)
 	}

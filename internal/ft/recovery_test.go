@@ -1,6 +1,7 @@
 package ft
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -123,22 +124,68 @@ func TestRecoveryMachineStaleAckIsNoop(t *testing.T) {
 	}
 }
 
+// TestRecoveryMachineIllegalTransitions pins the whole transition relation of
+// the paper's five states: from every state a driver can rest in (Resume is
+// transient), which forward steps are legal — BeginRestore from GroupRebuild
+// ONLY — and that a newer acknowledgment counts a restart exactly when an
+// epoch is in flight.
 func TestRecoveryMachineIllegalTransitions(t *testing.T) {
-	m := NewRecoveryMachine(nil)
-	if err := m.BeginRebuild(); err == nil {
-		t.Fatal("rebuild from Healthy must fail")
+	if got := (StateResume + 1).String(); got != "state(5)" {
+		t.Fatalf("a sixth recovery state exists: %s", got)
 	}
-	if err := m.BeginRestore(); err == nil {
-		t.Fatal("restore from Healthy must fail")
+	type step = func(*RecoveryMachine) error
+	ack1 := func(m *RecoveryMachine) error { return m.Ack(testNotice(1)) }
+	ops := []struct {
+		name string
+		do   step
+		to   RecoveryState
+	}{
+		{"BeginRebuild", (*RecoveryMachine).BeginRebuild, StateGroupRebuild},
+		{"BeginRestore", (*RecoveryMachine).BeginRestore, StateRestore},
+		{"Resume", (*RecoveryMachine).Resume, StateHealthy},
 	}
-	if err := m.Resume(); err == nil {
-		t.Fatal("resume from Healthy must fail")
-	}
-	if err := m.Ack(testNotice(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.BeginRestore(); err == nil {
-		t.Fatal("restore from Acked must fail")
+	for _, tc := range []struct {
+		state    RecoveryState
+		reach    []step
+		legal    string // names of the legal forward steps
+		restarts int64  // what a newer Ack counts
+	}{
+		{StateHealthy, nil, "", 0},
+		{StateAcked, []step{ack1}, "BeginRebuild Resume", 0},
+		{StateGroupRebuild, []step{ack1, ops[0].do}, "BeginRestore", 1},
+		{StateRestore, []step{ack1, ops[0].do, ops[1].do}, "Resume", 1},
+	} {
+		drive := func() (*RecoveryMachine, *trace.Recorder) {
+			rec := trace.NewRecorder()
+			m := NewRecoveryMachine(rec)
+			for _, s := range tc.reach {
+				if err := s(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m.State() != tc.state {
+				t.Fatalf("drove to %v, want %v", m.State(), tc.state)
+			}
+			return m, rec
+		}
+		for _, o := range ops {
+			m, _ := drive()
+			err := o.do(m)
+			legal, want := strings.Contains(tc.legal, o.name), tc.state
+			if legal {
+				want = o.to // a refused step leaves the machine where it was
+			}
+			if (err == nil) != legal || m.State() != want {
+				t.Errorf("%s from %v: err %v, state %v; legal %v, want state %v", o.name, tc.state, err, m.State(), legal, want)
+			}
+		}
+		m, rec := drive()
+		if err := m.Ack(testNotice(2)); err != nil || m.State() != StateAcked || m.Epoch() != 2 {
+			t.Errorf("newer ack from %v: err %v, state %v, epoch %d", tc.state, err, m.State(), m.Epoch())
+		}
+		if got := rec.Counter(CounterEpochRestarts); got != tc.restarts {
+			t.Errorf("newer ack from %v counted %d restarts, want %d", tc.state, got, tc.restarts)
+		}
 	}
 }
 

@@ -60,13 +60,6 @@ type Worker struct {
 	// versa, and no recovery ever comes to resynchronize them.
 	commEpoch uint64
 
-	// haloPartners are the logical ranks this worker exchanges halo data
-	// with (set by the framework from the application's communication
-	// plan). Localized repair derives the repair set from it: this worker
-	// joins a victim's repair handshake iff the victim is a halo partner
-	// or a checkpoint-chain neighbor.
-	haloPartners []int
-
 	cps *CPStream // async checkpoint replication endpoint; nil in sync mode
 
 	// fd is the rank the suspicion nudges go to: the detector named by the
@@ -135,31 +128,6 @@ func (w *Worker) RankMap() *RankMap { return w.rm }
 // SetLogical rebinds the wrapper to a logical rank (used by a rescue
 // process adopting a failed identity).
 func (w *Worker) SetLogical(l int) { w.logical = l }
-
-// SetHaloPartners installs the worker's halo-exchange partner set (logical
-// ranks), the application-derived half of the localized repair set. Safe to
-// call again after a rebuild (the plan's partner structure is identical
-// across epochs for a fixed worker count).
-func (w *Worker) SetHaloPartners(ps []int) {
-	w.haloPartners = append(w.haloPartners[:0], ps...)
-}
-
-// HaloPartners returns the installed halo partner set (nil if the
-// application never declared one; the repair set then degrades to the
-// checkpoint-chain neighbors on every rank alike).
-func (w *Worker) HaloPartners() []int { return w.haloPartners }
-
-// RepairPending reports whether a failure notice newer than this worker's
-// epoch is visible on the board — i.e. a repair is in flight that this
-// worker has not yet acted on. The framework uses it to attribute
-// iterations completed during another rank's repair window.
-func (w *Worker) RepairPending() bool {
-	if !w.hc {
-		return false
-	}
-	val, err := w.p.NotifyPeek(SegBoard, NotifAck)
-	return err == nil && uint64(val) > w.epoch
-}
 
 // AttachCPStream hands the worker the checkpoint-stream endpoint used by
 // the asynchronous checkpoint engine. The stream survives recovery:

@@ -152,15 +152,6 @@ func (p *Proc) collSetup(g *group) {
 		r:     r,
 		chunk: collChunkElems,
 	}
-	// Replay fast-path posts that arrived before this segment existed (an
-	// early-adopting repair-set peer racing ahead of our GroupAdoptCommit).
-	// Safe without cross-slot ordering: while the segment was missing this
-	// rank never acked anything, so the window protocol bounds each slot to
-	// at most one outstanding value — a stashed message and a direct-applied
-	// one can never target the same slot.
-	for _, m := range p.takePendingColl(s.id) {
-		p.applyOneSided(m)
-	}
 }
 
 // collTeardown releases a group's collective segment (failed commit,

@@ -119,9 +119,9 @@ var (
 	ErrRemote = errors.New("gaspi: remote error")
 	// ErrStaleView reports that a collective was attempted on a group whose
 	// membership view is older than the process's published view version:
-	// the caller missed a localized repair and must apply the new view
-	// (rebuild the group from the latest notice) before collectives on the
-	// group can proceed.
+	// the caller has yet to act on a failure notice and must apply the new
+	// view (rebuild the group from the latest notice) before collectives on
+	// the group can proceed.
 	ErrStaleView = errors.New("gaspi: stale membership view")
 )
 

@@ -20,7 +20,7 @@ type group struct {
 	cur       inflightColl
 	// view is the membership view version (Proc.viewVersion) this group was
 	// committed under. A group older than the process's published view is
-	// stale — a localized repair replaced some member since — and
+	// stale — a failure notice replaced some member since — and
 	// collectives on it fail fast with ErrStaleView instead of parking in a
 	// round with a dead member.
 	view uint64
@@ -126,9 +126,6 @@ func (p *Proc) GroupDelete(gid GroupID) {
 		}
 	}
 	p.collMu.Unlock()
-	// Parked fast-path posts for the deleted instance's segment are stale:
-	// a recreated instance's traffic must not see them replayed.
-	p.takePendingColl(collSegID(gid))
 }
 
 // GroupSize returns the number of ranks in a group (gaspi_group_size).
@@ -212,52 +209,6 @@ func (p *Proc) GroupCommit(gid GroupID, timeout time.Duration) error {
 	return nil
 }
 
-// GroupAdoptCommit commits a group locally, without the collective
-// handshake: members adopt the new membership view unilaterally, trusting
-// that every rank derives the identical sorted member list from the same
-// failure notice. This is the non-collective commit of the localized
-// repair protocol — survivors outside the repair set (and repair-set
-// members, whose synchronization happens in the ft-layer handshake) never
-// park in a global commit. The group must exist, be uncommitted, and
-// contain this rank. Collective sequencing starts exactly as after
-// GroupCommit (seq 1, handshake slot 0 retired), so adopt-committed and
-// handshake-committed instances are wire-compatible — but a single group
-// instance must be committed the same way on every member: mixing modes
-// would let an adopter's retired seq 0 drop a handshaker's commit rounds.
-func (p *Proc) GroupAdoptCommit(gid GroupID) error {
-	p.checkAlive()
-	p.mu.Lock()
-	g, ok := p.groups[gid]
-	if !ok {
-		p.mu.Unlock()
-		return fmt.Errorf("%w: unknown group %d", ErrInvalid, gid)
-	}
-	if g.committed {
-		p.mu.Unlock()
-		return fmt.Errorf("%w: group %d already committed", ErrInvalid, gid)
-	}
-	slices.Sort(g.members)
-	g.myIdx = slices.Index(g.members, p.rank)
-	if g.myIdx < 0 {
-		p.mu.Unlock()
-		return fmt.Errorf("%w: adopt-commit of group %d by non-member rank %d", ErrInvalid, gid, p.rank)
-	}
-	p.mu.Unlock()
-
-	// Register the collective segment before publishing the commit, so a
-	// peer's fast-path post can only race the registration (and then only
-	// into the pendingColl stash, replayed by collSetup).
-	p.collSetup(g)
-
-	p.mu.Lock()
-	g.committed = true
-	g.seq = 1
-	g.view = p.viewVersion.Load()
-	p.mu.Unlock()
-	p.finishCollective(gid, 0) // retire the (never-run) handshake slot
-	return nil
-}
-
 func (p *Proc) groupLookup(gid GroupID) (*group, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -289,7 +240,7 @@ func (p *Proc) startCollective(gid GroupID, kind uint8, vecLen int) (*group, *in
 	}
 	if gid != GroupAll && g.view < p.viewVersion.Load() {
 		// The membership view moved on since this group was committed (a
-		// localized repair replaced a member). Fail fast — before any round
+		// failure notice replaced a member). Fail fast — before any round
 		// traffic goes out — so the caller reconciles against the new view
 		// instead of parking in a collective a dead member can never join.
 		// GroupAll is exempt: it is permanent by construction and the

@@ -55,16 +55,6 @@ func (p *Proc) applyOneSided(m fabric.Message) {
 			if code == remOK && m.Args[2] > 0 {
 				code = s.setNotification(m.Args[2]-1, m.Args[3])
 			}
-		} else if m.Token == 0 && SegmentID(m.Args[0]) < 0 {
-			// Fire-and-forget fast-path collective post for a registered
-			// collective segment this process hasn't created yet: during a
-			// localized repair the repair set adopts the new group at
-			// different times, and the sender's resume cursor would never
-			// re-send a dropped round. Park it; collSetup replays the stash.
-			if !p.stashPendingColl(m) {
-				p.applyOneSided(m) // the segment appeared meanwhile
-			}
-			return
 		}
 		if m.Token != 0 {
 			// Token 0 is a fire-and-forget post (collective round data):
@@ -76,12 +66,6 @@ func (p *Proc) applyOneSided(m fabric.Message) {
 		code := int64(remBadSegment)
 		if s, err := p.segLookup(SegmentID(m.Args[0])); err == nil {
 			code = s.setNotification(m.Args[2]-1, m.Args[3])
-		} else if m.Token == 0 && SegmentID(m.Args[0]) < 0 {
-			// Same early-adopter race as the kWrite arm above.
-			if !p.stashPendingColl(m) {
-				p.applyOneSided(m)
-			}
-			return
 		}
 		if m.Token != 0 {
 			// Token 0 is a fire-and-forget post (collective round

@@ -45,19 +45,6 @@ type Proc struct {
 	// of buffered, so abandoned entries can never accumulate in collBuf.
 	collHorizon map[GroupID]uint64
 
-	// pendingColl parks fire-and-forget fast-path collective posts (token-0
-	// kWrite/kNotify) that arrived for a registered collective segment this
-	// process has not created yet. During a localized repair, repair-set
-	// ranks adopt the new group (and its segment) at different times; a
-	// post from an early adopter must not be silently dropped — the
-	// sender's resume cursor would never re-send it and the round would
-	// deadlock. collSetup replays the stash once the segment exists;
-	// GroupDelete purges it. Guarded by pendCollMu.
-	pendCollMu   sync.Mutex
-	pendingColl  map[SegmentID][]fabric.Message
-	pendCollN    int
-	pendCollDrop atomic.Uint64
-
 	// viewVersion is the membership view version this process has observed
 	// (the latest worker-failure notice epoch). Groups committed before the
 	// current version are stale: collectives on them fail fast with
@@ -273,52 +260,6 @@ func (p *Proc) SetViewVersion(v uint64) {
 
 // ViewVersion returns the membership view version this process has observed.
 func (p *Proc) ViewVersion() uint64 { return p.viewVersion.Load() }
-
-// pendCollMax bounds the total number of parked fast-path collective posts;
-// beyond it new arrivals are counted and dropped (the sender's collective
-// then times out and resumes, the pre-existing behavior).
-const pendCollMax = 4096
-
-// stashPendingColl parks a fast-path collective post whose target segment
-// does not exist yet (see the pendingColl field comment). It reports false
-// — nothing parked, apply the post directly — when the segment has appeared
-// since the caller's failed lookup. The re-check happens under pendCollMu,
-// which collSetup takes (in takePendingColl) only AFTER publishing the
-// segment: either this post is in the stash before collSetup drains it, or
-// the re-check sees the segment. Without it a post could miss the segment,
-// lose the race against publish+drain, and sit in the stash forever — the
-// sender's resume cursor never re-sends a round, so the collective hangs.
-func (p *Proc) stashPendingColl(m fabric.Message) bool {
-	p.pendCollMu.Lock()
-	defer p.pendCollMu.Unlock()
-	sid := SegmentID(m.Args[0])
-	if _, err := p.segLookup(sid); err == nil {
-		return false
-	}
-	if p.pendCollN >= pendCollMax {
-		p.pendCollDrop.Add(1)
-		return true
-	}
-	if p.pendingColl == nil {
-		p.pendingColl = make(map[SegmentID][]fabric.Message)
-	}
-	p.pendingColl[sid] = append(p.pendingColl[sid], m)
-	p.pendCollN++
-	return true
-}
-
-// takePendingColl removes and returns the parked posts for segment sid in
-// arrival order.
-func (p *Proc) takePendingColl(sid SegmentID) []fabric.Message {
-	p.pendCollMu.Lock()
-	defer p.pendCollMu.Unlock()
-	ms := p.pendingColl[sid]
-	if ms != nil {
-		delete(p.pendingColl, sid)
-		p.pendCollN -= len(ms)
-	}
-	return ms
-}
 
 // State returns the error state vector entry for rank r
 // (gaspi_state_vec_get). A rank becomes StateCorrupt after an erroneous

@@ -5,19 +5,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/fabric"
 )
 
-// Membership-view reconciliation suite: the versioned-view machinery the
-// localized O(degree) repair rests on. A survivor that missed a repair
-// must fail fast (ErrStaleView) at its next collective and reconcile by
-// adopting the current view — never park in a round with a dead member.
-// Covers: fail-fast staleness + GroupAll exemption, non-collective
-// adopt-commit, a stale bystander entering a collective mid-repair (the
-// repair set already parked in the new group's round), two disjoint
-// repairs racing, a survivor that sleeps through two consecutive repairs
-// (version skips by 2), and the parked fast-path post stash.
+// Membership-view suite: a survivor that has not yet acted on a failure
+// notice must fail fast (ErrStaleView) at its next collective and reconcile
+// by committing the current view's group — never park in a round with a
+// dead member. The non-collective adopt-commit these tests were written
+// around is gone, with TestGroupAdoptCommitErrors, TestPendingCollStash and
+// TestDisjointRepairsRacing: there is one commit primitive, the handshake.
 
 // waitViewJob drains a job and fails the test on any rank error.
 func waitViewJob(t *testing.T, job *Job) {
@@ -33,8 +28,9 @@ func waitViewJob(t *testing.T, job *Job) {
 	}
 }
 
-// commitAll creates and handshake-commits a group holding every rank.
-func commitAll(p *Proc, gid GroupID, n int) error {
+// commitAll creates a group holding every rank and handshake-commits it
+// within timeout.
+func commitAll(p *Proc, gid GroupID, n int, timeout time.Duration) error {
 	if err := p.GroupCreate(gid); err != nil {
 		return err
 	}
@@ -43,33 +39,19 @@ func commitAll(p *Proc, gid GroupID, n int) error {
 			return err
 		}
 	}
-	return p.GroupCommit(gid, Block)
-}
-
-// adoptAll creates and adopt-commits (no handshake) a group holding every
-// rank.
-func adoptAll(p *Proc, gid GroupID, n int) error {
-	if err := p.GroupCreate(gid); err != nil {
-		return err
-	}
-	for r := Rank(0); int(r) < n; r++ {
-		if err := p.GroupAdd(gid, r); err != nil {
-			return err
-		}
-	}
-	return p.GroupAdoptCommit(gid)
+	return p.GroupCommit(gid, timeout)
 }
 
 // TestStaleViewFailsFast: a group committed under an older view fails its
 // next collective with ErrStaleView — before any round traffic — while
-// GroupAll (exempt by construction) keeps working; a group adopted under
+// GroupAll (exempt by construction) keeps working; a group committed under
 // the current view proceeds. Also pins the view-version monotonicity: a
 // lower version never rolls the published view back.
 func TestStaleViewFailsFast(t *testing.T) {
 	const n = 3
 	const gidOld, gidNew GroupID = 30, 31
 	runCollJob(t, n, func(p *Proc) error {
-		if err := commitAll(p, gidOld, n); err != nil {
+		if err := commitAll(p, gidOld, n, Block); err != nil {
 			return err
 		}
 		if err := p.Barrier(gidOld, Block); err != nil {
@@ -91,8 +73,8 @@ func TestStaleViewFailsFast(t *testing.T) {
 		if err := p.Barrier(GroupAll, Block); err != nil {
 			return fmt.Errorf("GroupAll barrier under a moved view: %w", err)
 		}
-		// A group adopted under the current view proceeds.
-		if err := adoptAll(p, gidNew, n); err != nil {
+		// A group committed under the current view proceeds.
+		if err := commitAll(p, gidNew, n, Block); err != nil {
 			return err
 		}
 		sum, err := p.AllreduceF64(gidNew, []float64{float64(p.Rank() + 1)}, OpSum, Block)
@@ -100,64 +82,23 @@ func TestStaleViewFailsFast(t *testing.T) {
 			return err
 		}
 		if want := float64(n*(n+1)) / 2; sum[0] != want {
-			return fmt.Errorf("adopted-group sum = %v, want %v", sum[0], want)
+			return fmt.Errorf("new-view group sum = %v, want %v", sum[0], want)
 		}
 		return nil
 	})
 }
 
-// TestGroupAdoptCommitErrors pins the adopt-commit preconditions: the
-// group must exist, be uncommitted, and contain the adopting rank.
-func TestGroupAdoptCommitErrors(t *testing.T) {
-	job := Launch(testCfg(2), func(p *Proc) error {
-		if p.Rank() != 0 {
-			return p.Barrier(GroupAll, Block)
-		}
-		if err := p.GroupAdoptCommit(77); !errors.Is(err, ErrInvalid) {
-			return fmt.Errorf("adopt of unknown group: %v, want ErrInvalid", err)
-		}
-		// Non-member adopt: a group holding only rank 1.
-		if err := p.GroupCreate(78); err != nil {
-			return err
-		}
-		if err := p.GroupAdd(78, 1); err != nil {
-			return err
-		}
-		if err := p.GroupAdoptCommit(78); !errors.Is(err, ErrInvalid) {
-			return fmt.Errorf("non-member adopt: %v, want ErrInvalid", err)
-		}
-		// Double commit.
-		if err := p.GroupCreate(79); err != nil {
-			return err
-		}
-		for r := Rank(0); r < 2; r++ {
-			if err := p.GroupAdd(79, r); err != nil {
-				return err
-			}
-		}
-		if err := p.GroupAdoptCommit(79); err != nil {
-			return err
-		}
-		if err := p.GroupAdoptCommit(79); !errors.Is(err, ErrInvalid) {
-			return fmt.Errorf("adopt of committed group: %v, want ErrInvalid", err)
-		}
-		return p.Barrier(GroupAll, Block)
-	})
-	t.Cleanup(job.Close)
-	waitViewJob(t, job)
-}
-
-// TestStaleViewSurvivorMidRepair: the repair set adopts the new group and
-// parks in its first collective while a bystander still holds the old
-// group. The bystander's next collective on the old group fails stale; it
-// adopts the new group and the parked collective completes. The early
-// adopters' fast-path round posts reach the bystander before its segment
-// exists — the pendingColl stash/replay path.
+// TestStaleViewSurvivorMidRepair: everyone else is already parked in the
+// new group's commit handshake while a late survivor still holds the old
+// group. Its next collective on the old group fails stale; it commits the
+// new group and the parked handshake completes. The others' commit rounds
+// reached it before it created the group: two-sided round messages, which
+// wait in its round buffer — no fast-path post can precede its own commit.
 func TestStaleViewSurvivorMidRepair(t *testing.T) {
 	const n = 4
 	const gidOld, gidNew GroupID = 40, 41
 	runCollJob(t, n, func(p *Proc) error {
-		if err := commitAll(p, gidOld, n); err != nil {
+		if err := commitAll(p, gidOld, n, Block); err != nil {
 			return err
 		}
 		if err := p.Barrier(gidOld, Block); err != nil {
@@ -165,8 +106,8 @@ func TestStaleViewSurvivorMidRepair(t *testing.T) {
 		}
 		late := p.Rank() == n-1
 		if late {
-			// Let the repair set adopt and park in the new group's round
-			// first (correctness does not depend on this window — only the
+			// Let the others park in the new group's commit first
+			// (correctness does not depend on this window — only the
 			// parked-peers coverage does).
 			time.Sleep(20 * time.Millisecond)
 		}
@@ -176,7 +117,7 @@ func TestStaleViewSurvivorMidRepair(t *testing.T) {
 				return fmt.Errorf("stale survivor's collective: %v, want ErrStaleView", err)
 			}
 		}
-		if err := adoptAll(p, gidNew, n); err != nil {
+		if err := commitAll(p, gidNew, n, Block); err != nil {
 			return err
 		}
 		sum, err := p.AllreduceF64(gidNew, []float64{float64(p.Rank() + 1)}, OpSum, Block)
@@ -190,79 +131,17 @@ func TestStaleViewSurvivorMidRepair(t *testing.T) {
 	})
 }
 
-// TestDisjointRepairsRacing: two halves of the job repair disjoint groups
-// concurrently — each half bumps its view, adopts its replacement group,
-// and runs collectives on it while the other half does the same. No
-// cross-talk: both old groups are stale afterwards, both new groups
-// reduce correctly.
-func TestDisjointRepairsRacing(t *testing.T) {
-	const n = 6
-	runCollJob(t, n, func(p *Proc) error {
-		half := 0
-		if int(p.Rank()) >= n/2 {
-			half = 1
-		}
-		gidOld := GroupID(50 + half)
-		gidNew := GroupID(52 + half)
-		base := Rank(half * n / 2)
-		commitHalf := func(gid GroupID, adopt bool) error {
-			if err := p.GroupCreate(gid); err != nil {
-				return err
-			}
-			for r := base; r < base+Rank(n/2); r++ {
-				if err := p.GroupAdd(gid, r); err != nil {
-					return err
-				}
-			}
-			if adopt {
-				return p.GroupAdoptCommit(gid)
-			}
-			return p.GroupCommit(gid, Block)
-		}
-		if err := commitHalf(gidOld, false); err != nil {
-			return err
-		}
-		if err := p.Barrier(gidOld, Block); err != nil {
-			return err
-		}
-		p.SetViewVersion(1)
-		if err := commitHalf(gidNew, true); err != nil {
-			return err
-		}
-		for i := 0; i < 5; i++ {
-			sum, err := p.AllreduceF64(gidNew, []float64{float64(p.Rank() + 1)}, OpSum, Block)
-			if err != nil {
-				return err
-			}
-			want := 0.0
-			for r := base; r < base+Rank(n/2); r++ {
-				want += float64(r + 1)
-			}
-			if sum[0] != want {
-				return fmt.Errorf("half %d sum = %v, want %v", half, sum[0], want)
-			}
-			if err := p.Barrier(gidNew, Block); err != nil {
-				return err
-			}
-		}
-		if err := p.Barrier(gidOld, Block); !errors.Is(err, ErrStaleView) {
-			return fmt.Errorf("old half-group: %v, want ErrStaleView", err)
-		}
-		return p.Barrier(GroupAll, Block)
-	})
-}
-
 // TestViewSkipsTwoRepairs: a survivor sleeps through two consecutive
-// repairs. The active ranks' first replacement group times out (the
-// sleeper never adopts it), goes stale when the second repair bumps the
-// view again, and is abandoned for the final group. The sleeper wakes to
-// a version that skipped by 2 and reconciles against the LATEST view
-// directly — it never has to visit the intermediate group.
+// repairs. The active ranks' first replacement group cannot commit (the
+// sleeper never joins the handshake), is superseded when the second repair
+// bumps the view again, and is abandoned mid-commit for the final group.
+// The sleeper wakes to a version that skipped by 2 and reconciles against
+// the LATEST view directly — it never has to visit the intermediate group.
 func TestViewSkipsTwoRepairs(t *testing.T) {
 	const n = 4
 	const gid0, gid1, gid2 GroupID = 60, 61, 62
 	runCollJob(t, n, func(p *Proc) error {
-		if err := commitAll(p, gid0, n); err != nil {
+		if err := commitAll(p, gid0, n, Block); err != nil {
 			return err
 		}
 		if err := p.Barrier(gid0, Block); err != nil {
@@ -270,25 +149,18 @@ func TestViewSkipsTwoRepairs(t *testing.T) {
 		}
 		sleeper := p.Rank() == n-2
 		if !sleeper {
-			// First repair: adopt gid1 and try a round. The sleeper never
-			// joins, so the collective can only time out.
+			// First repair: create gid1 and try to commit it. The sleeper
+			// never joins, so the handshake can only time out.
 			p.SetViewVersion(1)
-			if err := adoptAll(p, gid1, n); err != nil {
-				return err
+			if err := commitAll(p, gid1, n, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+				return fmt.Errorf("commit missing the sleeper: %v, want ErrTimeout", err)
 			}
-			_, err := p.AllreduceF64(gid1, []float64{1}, OpSum, 30*time.Millisecond)
-			if !errors.Is(err, ErrTimeout) {
-				return fmt.Errorf("round missing the sleeper: %v, want ErrTimeout", err)
-			}
-			// Second repair while the first is still incomplete: gid1 is
-			// now stale mid-flight; abandon it.
+			// Second repair while the first is still incomplete: abandon
+			// gid1 mid-commit.
 			p.SetViewVersion(2)
-			if _, err := p.AllreduceF64(gid1, []float64{1}, OpSum, Block); !errors.Is(err, ErrStaleView) {
-				return fmt.Errorf("resumed round on a superseded group: %v, want ErrStaleView", err)
-			}
 			p.GroupDelete(gid1)
-			if err := adoptAll(p, gid2, n); err != nil {
-				return err
+			if _, err := p.AllreduceF64(gid0, []float64{1}, OpSum, Block); !errors.Is(err, ErrStaleView) {
+				return fmt.Errorf("collective on the twice-superseded group: %v, want ErrStaleView", err)
 			}
 		} else {
 			time.Sleep(100 * time.Millisecond)
@@ -296,9 +168,9 @@ func TestViewSkipsTwoRepairs(t *testing.T) {
 			if err := p.Barrier(gid0, Block); !errors.Is(err, ErrStaleView) {
 				return fmt.Errorf("sleeper's collective after skip-by-2: %v, want ErrStaleView", err)
 			}
-			if err := adoptAll(p, gid2, n); err != nil {
-				return err
-			}
+		}
+		if err := commitAll(p, gid2, n, Block); err != nil {
+			return err
 		}
 		sum, err := p.AllreduceF64(gid2, []float64{float64(p.Rank() + 1)}, OpSum, Block)
 		if err != nil {
@@ -311,38 +183,75 @@ func TestViewSkipsTwoRepairs(t *testing.T) {
 	})
 }
 
-// TestPendingCollStash pins the parked-post stash mechanics: FIFO order
-// per segment, emptied by take, purged keys independent, and the global
-// cap counting (not storing) overflow.
-func TestPendingCollStash(t *testing.T) {
-	job := Launch(testCfg(1), func(p *Proc) error {
-		mk := func(seg SegmentID, tag int64) fabric.Message {
-			return fabric.Message{Kind: kWrite, Args: [4]int64{int64(seg), tag, 0, 0}}
+// TestStragglerPostToDeletedGroupDropped: a straggler's fire-and-forget
+// collective post (token-0 kWrite / kNotify) for a group this rank already
+// deleted is dropped like any write to a missing segment — no reply, nothing
+// kept — and the id stays usable: GroupCreate + GroupCommit of it with live
+// peers completes.
+func TestStragglerPostToDeletedGroupDropped(t *testing.T) {
+	const n = 3
+	const gid GroupID = 70
+	const fenceSeg SegmentID = 5
+	launch(t, n, func(p *Proc) error {
+		if err := commitAll(p, gid, n, Block); err != nil {
+			return err
 		}
-		p.stashPendingColl(mk(-3, 1))
-		p.stashPendingColl(mk(-3, 2))
-		p.stashPendingColl(mk(-4, 9))
-		got := p.takePendingColl(-3)
-		if len(got) != 2 || got[0].Args[1] != 1 || got[1].Args[1] != 2 {
-			return fmt.Errorf("take(-3) = %v, want tags [1 2] in order", got)
+		if err := p.Barrier(gid, Block); err != nil {
+			return err
 		}
-		if again := p.takePendingColl(-3); len(again) != 0 {
-			return fmt.Errorf("second take(-3) returned %d entries", len(again))
+		if p.Rank() == 0 {
+			if err := p.SegmentCreate(fenceSeg, 8); err != nil {
+				return err
+			}
+			p.GroupDelete(gid)
 		}
-		if other := p.takePendingColl(-4); len(other) != 1 || other[0].Args[1] != 9 {
-			return fmt.Errorf("take(-4) = %v, want tag [9]", other)
+		if err := p.Barrier(GroupAll, Block); err != nil {
+			return err
 		}
-		for i := 0; i < pendCollMax+5; i++ {
-			p.stashPendingColl(mk(-5, int64(i)))
+		if p.Rank() == 1 {
+			// The straggler still holds the group. The other ranks sit in a
+			// GroupAll barrier meanwhile, whose rounds are token-0 posts
+			// themselves: the one acknowledgment on the fabric is the fence's.
+			g, err := p.groupLookup(gid)
+			if err != nil {
+				return err
+			}
+			acks := p.job.tr.Stats().PerKind[kWriteAck]
+			p.collDataPost(0, g.fast, 0, make([]byte, 8), 0, 1)
+			p.collNotifyPost(0, g.fast, 1, 1)
+			// Fence: per-pair FIFO delivery puts this tracked notification
+			// behind both posts, so its completion means they were handled.
+			if err := p.Notify(0, fenceSeg, 0, 1, 0); err != nil {
+				return err
+			}
+			if err := p.WaitQueue(0, Block); err != nil {
+				return err
+			}
+			if got := p.job.tr.Stats().PerKind[kWriteAck] - acks; got != 1 {
+				return fmt.Errorf("%d acknowledgments in the window, want 1 (the fence's): a dropped post was answered", got)
+			}
 		}
-		if n := p.pendCollDrop.Load(); n != 5 {
-			return fmt.Errorf("dropped %d over-cap posts, want 5", n)
+		// Every old instance goes before anybody recreates the id: a rank still
+		// holding it would drop a recommit round as a duplicate.
+		p.GroupDelete(gid)
+		if err := p.Barrier(GroupAll, Block); err != nil {
+			return err
 		}
-		if kept := p.takePendingColl(-5); len(kept) != pendCollMax {
-			return fmt.Errorf("kept %d capped posts, want %d", len(kept), pendCollMax)
+		if p.Rank() == 0 {
+			if _, err := p.segLookup(collSegID(gid)); err == nil {
+				return errors.New("a post to the deleted group's segment brought it back")
+			}
 		}
-		return nil
+		if err := commitAll(p, gid, n, Block); err != nil {
+			return fmt.Errorf("recommit of the reused group id: %w", err)
+		}
+		sum, err := p.AllreduceF64(gid, []float64{float64(p.Rank() + 1)}, OpSum, Block)
+		if err != nil {
+			return err
+		}
+		if want := float64(n*(n+1)) / 2; sum[0] != want {
+			return fmt.Errorf("sum on the recreated group = %v, want %v", sum[0], want)
+		}
+		return p.Barrier(gid, Block)
 	})
-	t.Cleanup(job.Close)
-	waitViewJob(t, job)
 }

@@ -18,7 +18,6 @@ import (
 const (
 	// Core iteration-loop and recovery counters (internal/core).
 	KCoreCheckpoints         = "core.checkpoints"
-	KCoreItersDuringRepair   = "core.iters_during_repair"
 	KCoreCPFlushErrors       = "core.cp_flush_errors"
 	KCoreRecoveryRestarts    = "core.recovery_restarts"
 	KCoreRestartsFromScratch = "core.restarts_from_scratch"
@@ -27,14 +26,13 @@ const (
 	KCoreAgreementViolations = "core.agreement_violations"
 
 	// Per-phase TTR decomposition around core.recoverAndReload.
-	KCoreTTRRebuildNS  = "core.ttr.rebuild_ns"
-	KCoreTTRRestoreNS  = "core.ttr.restore_ns"
-	KCoreTTRResumeNS   = "core.ttr.resume_ns"
-	KCoreTTRFailoverNS = "core.ttr.failover_ns"
-	KCoreTTRTotalNS    = "core.ttr.total_ns"
+	KCoreTTRRebuildNS = "core.ttr.rebuild_ns"
+	KCoreTTRRestoreNS = "core.ttr.restore_ns"
+	KCoreTTRResumeNS  = "core.ttr.resume_ns"
+	KCoreTTRTotalNS   = "core.ttr.total_ns"
 
 	// Iterations re-executed after a recovery (redo work). Zero in the
-	// hot-shadow failover path — its acceptance criterion.
+	// hot-shadow takeover — its acceptance criterion.
 	KCoreRedoIters = "core.redo_iters"
 
 	// A hot shadow's warm-up of its primary's application structures
@@ -72,8 +70,6 @@ const (
 	KFTPhaseDetectNS    = "ft.phase.detect_ns"
 	KFTPhaseAckNS       = "ft.phase.ack_ns"
 	KFTPhaseRebuildNS   = "ft.phase.rebuild_ns"
-	KFTPhaseLocalizedNS = "ft.phase.localized_ns"
-	KFTPhaseFailoverNS  = "ft.phase.failover_ns"
 	KFTPhaseRestoreNS   = "ft.phase.restore_ns"
 
 	// How a failure acknowledgment reached a blocked worker: woken by the
@@ -123,7 +119,6 @@ const (
 
 var knownCounters = map[string]bool{
 	KCoreCheckpoints:         true,
-	KCoreItersDuringRepair:   true,
 	KCoreCPFlushErrors:       true,
 	KCoreRecoveryRestarts:    true,
 	KCoreRestartsFromScratch: true,
@@ -133,7 +128,6 @@ var knownCounters = map[string]bool{
 	KCoreTTRRebuildNS:        true,
 	KCoreTTRRestoreNS:        true,
 	KCoreTTRResumeNS:         true,
-	KCoreTTRFailoverNS:       true,
 	KCoreTTRTotalNS:          true,
 	KCoreRedoIters:           true,
 	KCorePrewarmHits:         true,
@@ -158,8 +152,6 @@ var knownCounters = map[string]bool{
 	KFTPhaseDetectNS:         true,
 	KFTPhaseAckNS:            true,
 	KFTPhaseRebuildNS:        true,
-	KFTPhaseLocalizedNS:      true,
-	KFTPhaseFailoverNS:       true,
 	KFTPhaseRestoreNS:        true,
 	KFTAckWoken:              true,
 	KFTAckTimedOut:           true,
