@@ -86,6 +86,7 @@ type Pkg struct {
 	TypeErrs []error
 
 	directives *directives
+	loader     *Loader
 }
 
 // ignored reports whether a finding of pass at (file, line) is waived by

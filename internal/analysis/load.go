@@ -21,6 +21,8 @@ import (
 type Loader struct {
 	fset *token.FileSet
 	imp  types.Importer
+	// traceKeys caches TraceKeys: one registry per run.
+	traceKeys *TraceKeys
 }
 
 func NewLoader() *Loader {
@@ -104,6 +106,7 @@ func (l *Loader) loadOne(lp listedPkg) (*Pkg, error) {
 		Dir:        lp.Dir,
 		Fset:       l.fset,
 		Files:      files,
+		loader:     l,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},

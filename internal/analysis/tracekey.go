@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/constant"
-
-	"repro/internal/trace"
+	"go/token"
+	"go/types"
+	"strings"
 )
 
 // tracekey enforces the trace-key registry: every counter key reaching
@@ -20,9 +21,65 @@ type tracekey struct{}
 
 func (tracekey) Name() string { return "tracekey" }
 
+// tracePkgPath is the package whose constant block is the registry.
+const tracePkgPath = "repro/internal/trace"
+
+// TraceKeys is the trace-key registry as the type checker sees it: the
+// values of internal/trace's exported string constants, K* being counter
+// keys and KEv* event keys. The constant block is the only list there is.
+type TraceKeys struct {
+	Counters map[string]bool
+	Events   map[string]bool
+	// restorePrefix is trace.RestoreFromKey's prefix: any key it can build
+	// is a counter key, so novel restore-source names need no constant.
+	restorePrefix string
+}
+
+// KnownCounter reports whether k is a registered counter key.
+func (r *TraceKeys) KnownCounter(k string) bool {
+	return r.Counters[k] || (strings.HasPrefix(k, r.restorePrefix) && len(k) > len(r.restorePrefix))
+}
+
+// TraceKeys type-checks internal/trace (resolved from dir, which must lie
+// inside the module) and reads the registry out of its package scope.
+func (l *Loader) TraceKeys(dir string) (*TraceKeys, error) {
+	if l.traceKeys != nil {
+		return l.traceKeys, nil
+	}
+	tp, err := l.imp.(types.ImporterFrom).ImportFrom(tracePkgPath, dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("loading the trace-key registry: %v", err)
+	}
+	r := &TraceKeys{Counters: map[string]bool{}, Events: map[string]bool{}}
+	scope := tp.Scope()
+	for _, name := range scope.Names() {
+		c, ok := scope.Lookup(name).(*types.Const)
+		if !ok || c.Val().Kind() != constant.String {
+			continue
+		}
+		switch v := constant.StringVal(c.Val()); {
+		case name == "restoreFromPrefix":
+			r.restorePrefix = v
+		case strings.HasPrefix(name, "KEv"):
+			r.Events[v] = true
+		case strings.HasPrefix(name, "K"):
+			r.Counters[v] = true
+		}
+	}
+	if r.restorePrefix == "" || len(r.Counters) == 0 || len(r.Events) == 0 {
+		return nil, fmt.Errorf("%s declares no K*/KEv* key constants or no restoreFromPrefix", tracePkgPath)
+	}
+	l.traceKeys = r
+	return r, nil
+}
+
 func (tracekey) Run(p *Pkg) []Finding {
+	keys, err := p.loader.TraceKeys(p.Dir)
+	if err != nil {
+		return []Finding{{Pos: token.Position{Filename: p.Dir}, Pass: "tracekey", Msg: err.Error()}}
+	}
 	var out []Finding
-	t := &tkChecker{pkg: p}
+	t := &tkChecker{pkg: p, keys: keys}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -40,6 +97,7 @@ func (tracekey) Run(p *Pkg) []Finding {
 
 type tkChecker struct {
 	pkg      *Pkg
+	keys     *TraceKeys
 	findings []Finding
 }
 
@@ -86,10 +144,10 @@ func (t *tkChecker) index(ie *ast.IndexExpr) {
 
 func (t *tkChecker) checkKey(arg ast.Expr, event bool) {
 	kind := "counter"
-	known := trace.KnownKey
+	known := t.keys.KnownCounter
 	if event {
 		kind = "event"
-		known = trace.KnownEventKey
+		known = func(k string) bool { return t.keys.Events[k] }
 	}
 	if lit, ok := ast.Unparen(arg).(*ast.BasicLit); ok {
 		t.emit(arg, fmt.Sprintf("raw string %s key %s: use an internal/trace registry constant", kind, lit.Value))

@@ -71,7 +71,7 @@ func newAsyncWriter(l *Library) *asyncWriter {
 
 // stage encodes the checkpoint into a free buffer half and hands it to the
 // writer goroutine. It never touches the storage tiers: the only cost the
-// application observes is the frame encode (with the delta engine on, the
+// application observes is the frame encode (with FullEvery > 1, the
 // chunk-hash diff plus the dirty chunks only) and, when the writer has
 // fallen two epochs behind, the back-pressure wait for a free buffer.
 func (w *asyncWriter) stage(name string, logical int, version int64, payload []byte) error {
@@ -90,12 +90,7 @@ func (w *asyncWriter) stage(name string, logical int, version int64, payload []b
 			return ErrStopped
 		}
 	}
-	blob, err := w.l.encodeNext(b.data[:0], name, logical, version, payload)
-	if err != nil {
-		w.free <- b
-		return err
-	}
-	b.data = blob
+	b.data = w.l.encodeNext(b.data[:0], name, logical, version, payload)
 	b.key = Key(name, logical, version)
 	b.name = name
 	b.logical = logical

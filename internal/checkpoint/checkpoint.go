@@ -30,21 +30,21 @@
 //     whole checkpoint with computation. Write only blocks when both
 //     buffers are in flight (the writer is two checkpoints behind).
 //
+// Every generation, stored or mirrored, is one of two CRC-stamped frames
+// from one chain encoder (delta.go): a generation-tagged full base (GCP4)
+// or a dirty-chunk delta chained onto its predecessor's tag (GCP3).
+// Config.FullEvery is only the cadence between the two.
+//
 // Every committed replica is accompanied by a seal object written strictly
-// after its data. FindLatest counts only sealed replicas, so a flush torn
-// by a failure (a truncated neighbor copy, a data object without its seal)
-// is never selected for restore; Fetch additionally CRC-verifies whatever
-// it reads.
+// after its data, echoing the frame's version and chain identity.
+// FindLatest counts only sealed replicas, so a flush torn by a failure (a
+// truncated neighbor copy, a data object without its seal) is never
+// selected for restore; Fetch additionally CRC-verifies whatever it reads.
 package checkpoint
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,12 +107,6 @@ type Config struct {
 	// (0 = keep everything). Must be ≥2 for crash consistency: a failure
 	// during the version-k checkpoint wave forces a restart from k-1.
 	KeepVersions int
-	// Compress gzips checkpoint payloads before framing. Worthwhile for
-	// highly compressible state; the Lanczos vectors are dense doubles, so
-	// the default is off.
-	Compress bool
-	// Name is the default checkpoint family name.
-	Name string
 	// CheckpointMode selects the synchronous (default) or the asynchronous
 	// double-buffered commit discipline.
 	CheckpointMode CheckpointMode
@@ -127,12 +121,11 @@ type Config struct {
 	// checkpoint or neighbor replication will fail (visible via Err and
 	// ErrCount).
 	StreamBytes int
-	// FullEvery enables the incremental delta engine: every FullEvery-th
-	// generation of a checkpoint family is a self-contained full base and
-	// the generations between are dirty-chunk deltas (chunked at
-	// ChunkSize, chained by generation tag; see delta.go). 0 or 1 writes
-	// every generation as an untagged full blob. Ignored when Compress is
-	// set (compressed payloads have no stable chunk identity to diff).
+	// FullEvery is the full-base cadence of a checkpoint family's chain:
+	// every FullEvery-th generation is a self-contained full base and the
+	// generations between are dirty-chunk deltas (chunked at ChunkSize,
+	// chained by generation tag; see delta.go). 0 or 1 makes every
+	// generation a full base.
 	FullEvery int
 }
 
@@ -178,11 +171,11 @@ type Library struct {
 
 	async *asyncWriter // non-nil in CheckpointMode Async
 
-	// deltaMu guards the incremental engine's chunk-hash tables and
-	// counters (see delta.go). Writes are single-threaded per library, but
-	// the reset on SetWorkerNodes and the stats readers are not.
+	// deltaMu guards the per-family chain encoders and their counters (see
+	// delta.go). Writes are single-threaded per library, but the reset on
+	// SetWorkerNodes and the stats readers are not.
 	deltaMu sync.Mutex
-	deltas  map[deltaKey]*deltaState
+	chains  map[chainKey]*chainEncoder
 	dstats  DeltaStats
 
 	// stripeHook, when set (tests only), runs before every striped range
@@ -272,19 +265,12 @@ type copyReq struct {
 // copier thread. Call SetWorkerNodes before the first Write so a neighbor
 // is known.
 func New(cl *cluster.Cluster, nodeID int, cfg Config) *Library {
-	if cfg.Name == "" {
-		cfg.Name = "cp"
-	}
-	if cfg.Compress {
-		// Compressed payloads shift under the chunk grid on any edit; the
-		// delta engine needs stable chunk identity, so it is disabled.
-		cfg.FullEvery = 0
-	}
 	l := &Library{
 		cl:       cl,
 		nodeID:   nodeID,
 		cfg:      cfg,
 		neighbor: -1,
+		chains:   make(map[chainKey]*chainEncoder),
 		reqCh:    make(chan copyReq, 64),
 		done:     make(chan struct{}),
 	}
@@ -298,12 +284,12 @@ func New(cl *cluster.Cluster, nodeID int, cfg Config) *Library {
 
 // SetWorkerNodes informs the library of the current set of worker nodes;
 // the neighbor is the next node in the sorted ring. This is the fault-aware
-// refresh hook called after every recovery. It also re-bases the delta
-// engine: the next generation of every checkpoint family is written as a
-// full base, so fresh chains never depend on replicas that may have died
-// with the failed node.
+// refresh hook called after every recovery. It also re-bases every chain:
+// the next generation of every checkpoint family is written as a full
+// base, so fresh chains never depend on replicas that may have died with
+// the failed node.
 func (l *Library) SetWorkerNodes(nodes []int) {
-	l.resetDeltaState()
+	l.rebaseChains()
 	sorted := append([]int(nil), nodes...)
 	sort.Ints(sorted)
 	nb := -1
@@ -343,19 +329,6 @@ const sealSuffix = "/ok"
 // SealKey returns the key of the seal object for a checkpoint key.
 func SealKey(key string) string { return key + sealSuffix }
 
-// sealBlob is the (tiny) seal object content: a magic plus the sealed
-// version. Readers key on the seal's PRESENCE only (seal keys are
-// version-unique, so a mismatched seal cannot arise by construction);
-// the content exists for debugging store dumps, not for validation.
-func sealBlob(version int64) []byte {
-	b := make([]byte, 12)
-	binary.LittleEndian.PutUint32(b[0:], sealMagic)
-	binary.LittleEndian.PutUint64(b[4:], uint64(version))
-	return b
-}
-
-const sealMagic = uint32(0x4b4f4347) // "GCOK"
-
 // parseKey inverts Key; ok is false for foreign keys.
 func parseKey(key string) (name string, logical int, version int64, ok bool) {
 	parts := strings.Split(key, "/")
@@ -390,16 +363,10 @@ func (l *Library) Write(name string, logical int, version int64, payload []byte)
 	if l.async != nil {
 		return l.async.stage(name, logical, version, payload)
 	}
-	blob, err := l.encodeNext(nil, name, logical, version, payload)
-	if err != nil {
-		return err
-	}
+	blob := l.encodeNext(nil, name, logical, version, payload)
 	key := Key(name, logical, version)
 	if l.cfg.Mode == ModeGlobalPFS {
-		if err := l.putPFS(key, blob, version); err != nil {
-			return err
-		}
-		return nil
+		return l.putPFS(key, blob, version)
 	}
 	if err := l.putLocal(key, blob, version); err != nil {
 		return err
@@ -535,34 +502,31 @@ func (l *Library) pushNeighbor(nb int, key string, blob []byte, version int64) e
 }
 
 // prune removes versions older than the newest KeepVersions (data and
-// seals) from the local node and the current neighbor. With the delta
-// engine on, the limit is lowered to the newest full base at or below it:
-// a kept delta's chain never reaches past the last full base before it,
-// so keeping [base, newest] keeps every kept version restorable.
+// seals) from the local node and the current neighbor. The limit is
+// lowered to the newest full base at or below it: a kept delta's chain
+// never reaches past the last full base before it, so keeping [base,
+// newest] keeps every kept version restorable.
 func (l *Library) prune(name string, logical int, newest int64, nb int) {
 	limit := newest - int64(l.cfg.KeepVersions) + 1
-	if l.deltaEnabled() {
-		base := int64(-1)
-		node := l.cl.Node(l.nodeID)
-		for _, k := range node.Keys() {
-			dataKey, isSeal := strings.CutSuffix(k, sealSuffix)
-			if !isSeal {
-				continue
-			}
-			kn, kl, kv, ok := parseKey(dataKey)
-			if !ok || kn != name || kl != logical || kv > limit || kv <= base {
-				continue
-			}
-			if blob, ok := node.GetMeta(k); ok {
-				if _, ci, ok := parseSeal(blob); ok && ci.kind != KindDelta {
-					base = kv
-				}
+	base := int64(-1)
+	local := l.cl.Node(l.nodeID)
+	for _, k := range local.Keys() {
+		dataKey, isSeal := strings.CutSuffix(k, sealSuffix)
+		if !isSeal {
+			continue
+		}
+		kn, kl, kv, ok := parseKey(dataKey)
+		if !ok || kn != name || kl != logical || kv > limit || kv <= base {
+			continue
+		}
+		if blob, ok := local.GetMeta(k); ok {
+			if _, ci, ok := parseSeal(blob); ok && ci.kind == KindFull {
+				base = kv
 			}
 		}
-		if base < 0 {
-			return // no reachable full base below the limit: keep everything
-		}
-		limit = base
+	}
+	if base < 0 {
+		return // no reachable full base below the limit: keep everything
 	}
 	for _, nodeID := range []int{l.nodeID, nb} {
 		if nodeID < 0 {
@@ -571,7 +535,7 @@ func (l *Library) prune(name string, logical int, newest int64, nb int) {
 		node := l.cl.Node(nodeID)
 		for _, k := range node.Keys() {
 			kn, kl, kv, ok := parseKey(strings.TrimSuffix(k, sealSuffix))
-			if ok && kn == name && kl == logical && kv < limit {
+			if ok && kn == name && kl == logical && kv < base {
 				node.Delete(k)
 			}
 		}
@@ -627,7 +591,7 @@ func (l *Library) setErr(err error) {
 // — the storage-tier fallback order FetchFrom walks.
 type RestoreSource int
 
-// Restore sources.
+// Restore sources, cheapest tier first: the order a fetch prefers them in.
 const (
 	// RestoreNone: no intact replica anywhere.
 	RestoreNone RestoreSource = iota
@@ -672,30 +636,12 @@ func (l *Library) storage() cluster.StorageModel { return l.cl.Storage() }
 
 // StoreReplica commits a received checkpoint frame (data plus seal) to a
 // node's local store — the commit step a GASPI checkpoint-stream receiver
-// performs on behalf of its upstream neighbor. The frame (full or delta)
-// is verified before the seal is written, so a mangled stream can never
-// produce a sealed-but-corrupt replica; the seal echoes the frame's chain
-// identity so the restore side can resolve base+delta chains from
-// metadata alone.
+// performs on behalf of its upstream neighbor. Foreign keys are rejected
+// and the frame (full or delta) is verified before the seal is written, so
+// a mangled stream can never produce a sealed-but-corrupt replica; the seal
+// echoes the frame's chain identity so the restore side can resolve
+// base+delta chains from metadata alone.
 func StoreReplica(cl *cluster.Cluster, nodeID int, key string, blob []byte) error {
-	n := cl.Node(nodeID)
-	return storeReplicaTo(
-		func(k string, b []byte) error { return n.Put(k, b, cl.Storage()) },
-		n.PutMeta, key, blob)
-}
-
-// StorePFSReplica commits a verified checkpoint frame (data plus seal) to
-// the parallel file system — StoreReplica's PFS twin, used by harnesses
-// that widen a checkpoint's replica set by hand (the restore-bandwidth
-// benchmark seeds one generation across several stores with it).
-func StorePFSReplica(cl *cluster.Cluster, key string, blob []byte) error {
-	return storeReplicaTo(cl.PFS().Put, cl.PFS().PutMeta, key, blob)
-}
-
-// storeReplicaTo is the shared verify-then-commit sequence: reject
-// foreign keys, validate the frame (any kind), land the data, then the
-// chain-carrying seal.
-func storeReplicaTo(put, putMeta func(string, []byte) error, key string, blob []byte) error {
 	name, _, version, ok := parseKey(key)
 	if !ok {
 		return fmt.Errorf("checkpoint: replica under foreign key %q", key)
@@ -703,93 +649,9 @@ func storeReplicaTo(put, putMeta func(string, []byte) error, key string, blob []
 	if _, err := decodeFrame(blob); err != nil {
 		return fmt.Errorf("checkpoint: replica %s/%s: %w", name, key, err)
 	}
-	if err := put(key, blob); err != nil {
+	n := cl.Node(nodeID)
+	if err := n.Put(key, blob, cl.Storage()); err != nil {
 		return err
 	}
-	return putMeta(SealKey(key), sealFor(blob, version))
-}
-
-// --- wire format -------------------------------------------------------------
-
-const (
-	magic     = uint32(0x31504347) // "GCP1": raw payload
-	magicGzip = uint32(0x32504347) // "GCP2": gzip-compressed payload
-	headerLen = 4 + 4 + 8 + 8 + 4
-)
-
-// encode frames a checkpoint payload with its identity and a CRC32
-// covering both the identity header and the (possibly compressed) payload.
-func encode(logical int, version int64, payload []byte, compress bool) ([]byte, error) {
-	return encodeInto(nil, logical, version, payload, compress)
-}
-
-// encodeInto is encode appending into dst's backing array (the async
-// writer reuses its two buffers across flushes instead of allocating a
-// fresh frame per checkpoint epoch).
-func encodeInto(dst []byte, logical int, version int64, payload []byte, compress bool) ([]byte, error) {
-	m := magic
-	if compress {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(payload); err != nil {
-			return nil, fmt.Errorf("checkpoint: compress: %w", err)
-		}
-		if err := zw.Close(); err != nil {
-			return nil, fmt.Errorf("checkpoint: compress: %w", err)
-		}
-		payload = buf.Bytes()
-		m = magicGzip
-	}
-	need := headerLen + len(payload)
-	var blob []byte
-	if cap(dst) >= need {
-		blob = dst[:need]
-	} else {
-		blob = make([]byte, need)
-	}
-	binary.LittleEndian.PutUint32(blob[0:], m)
-	binary.LittleEndian.PutUint32(blob[4:], uint32(logical))
-	binary.LittleEndian.PutUint64(blob[8:], uint64(version))
-	binary.LittleEndian.PutUint64(blob[16:], uint64(len(payload)))
-	copy(blob[headerLen:], payload)
-	crc := crc32.ChecksumIEEE(blob[:24])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(blob[24:], crc)
-	return blob, nil
-}
-
-// decode validates a framed checkpoint and returns its payload and
-// identity; compression is detected from the frame magic.
-func decode(blob []byte) (payload []byte, logical int, version int64, err error) {
-	if len(blob) < headerLen {
-		return nil, 0, 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	m := binary.LittleEndian.Uint32(blob[0:])
-	if m != magic && m != magicGzip {
-		return nil, 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	logical = int(int32(binary.LittleEndian.Uint32(blob[4:])))
-	version = int64(binary.LittleEndian.Uint64(blob[8:]))
-	n := binary.LittleEndian.Uint64(blob[16:])
-	if uint64(len(blob)-headerLen) != n {
-		return nil, 0, 0, fmt.Errorf("%w: truncated payload", ErrCorrupt)
-	}
-	payload = blob[headerLen:]
-	crc := crc32.ChecksumIEEE(blob[:24])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != binary.LittleEndian.Uint32(blob[24:]) {
-		return nil, 0, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
-	}
-	if m == magicGzip {
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		out, err := io.ReadAll(zr)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		payload = out
-	}
-	return payload, logical, version, nil
+	return n.PutMeta(SealKey(key), sealFor(blob, version))
 }

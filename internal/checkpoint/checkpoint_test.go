@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -27,46 +28,41 @@ func testCluster(t *testing.T, nodes int) *cluster.Cluster {
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	payload := []byte("lanczos vectors + alpha + beta")
-	blob, err2 := encode(7, 42, payload, false)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	got, logical, version, err := decode(blob)
+	f, err := decodeFrame(encodeFullInto(nil, 7, 42, 9, payload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if logical != 7 || version != 42 || !bytes.Equal(got, payload) {
-		t.Fatalf("logical=%d version=%d payload=%q", logical, version, got)
+	if f.logical != 7 || f.version != 42 || f.chain != (chainInfo{kind: KindFull, gen: 9}) || !bytes.Equal(f.payload, payload) {
+		t.Fatalf("logical=%d version=%d chain=%+v payload=%q", f.logical, f.version, f.chain, f.payload)
 	}
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(logical uint16, version uint32, payload []byte) bool {
-		blob, eerr := encode(int(logical), int64(version), payload, false)
-		if eerr != nil {
-			return false
-		}
-		got, lr, v, err := decode(blob)
-		return err == nil && lr == int(logical) && v == int64(version) && bytes.Equal(got, payload)
+	prop := func(logical uint16, version uint32, gen uint64, payload []byte) bool {
+		f, err := decodeFrame(encodeFullInto(nil, int(logical), int64(version), gen, payload))
+		return err == nil && f.logical == int(logical) && f.version == int64(version) &&
+			f.chain == (chainInfo{kind: KindFull, gen: gen}) && bytes.Equal(f.payload, payload)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDecodeDetectsCorruption(t *testing.T) {
-	blob, _ := encode(1, 1, []byte("data-data-data"), false)
+	blob := encodeFullInto(nil, 1, 1, 1, []byte("data-data-data"))
+	// Byte 0 is the magic, 5 and 10 the identity, headerLen the generation
+	// tag, the last one payload.
 	for _, i := range []int{0, 5, 10, headerLen, len(blob) - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[i] ^= 0xFF
-		if _, _, _, err := decode(bad); err == nil {
-			t.Fatalf("corruption at byte %d not detected", i)
+		if _, err := decodeFrame(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("corruption at byte %d: %v", i, err)
 		}
 	}
-	if _, _, _, err := decode(blob[:10]); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("truncated blob accepted")
+	if _, err := decodeFrame(blob[:10]); !errors.Is(err, ErrCorrupt) {
+		t.Fatal("truncated header accepted")
 	}
-	if _, _, _, err := decode(blob[:len(blob)-3]); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeFrame(blob[:len(blob)-3]); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("truncated payload accepted")
 	}
 }
@@ -167,6 +163,46 @@ func TestFindLatestAcrossVersions(t *testing.T) {
 	}
 	if _, ok := lib.FindLatest("state", 99); ok {
 		t.Fatal("found checkpoint for unknown rank")
+	}
+}
+
+// TestFindLatestIgnoresForeignSeals: only a 40-byte seal whose version
+// matches its key makes a replica visible. A data object sealed with the
+// retired 12-byte version-only layout, or with another version's seal, is
+// as invisible as an unsealed one.
+func TestFindLatestIgnoresForeignSeals(t *testing.T) {
+	cl := testCluster(t, 2)
+	lib := New(cl, 0, Config{})
+	defer lib.Stop()
+	lib.SetWorkerNodes([]int{0, 1})
+	for v := int64(1); v <= 3; v++ {
+		if err := lib.Write("state", 0, v, []byte{byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib.WaitIdle()
+	short := make([]byte, 12)
+	binary.LittleEndian.PutUint32(short, 0x4b4f4347) // "GCOK"
+	binary.LittleEndian.PutUint64(short[4:], 3)
+	blob2, err := cl.Node(0).Get(Key("state", 0, 2), cl.Storage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1} {
+		if err := cl.Node(n).PutMeta(SealKey(Key("state", 0, 3)), short); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := lib.FindLatest("state", 0); !ok || v != 2 {
+		t.Fatalf("FindLatest with a 12-byte seal on v3 = %d, %v; want 2", v, ok)
+	}
+	for _, n := range []int{0, 1} {
+		if err := cl.Node(n).PutMeta(SealKey(Key("state", 0, 2)), sealFor(blob2, 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := lib.FindLatest("state", 0); !ok || v != 1 {
+		t.Fatalf("FindLatest with v7's seal on v2 = %d, %v; want 1", v, ok)
 	}
 }
 
@@ -362,53 +398,6 @@ func TestGlobalPFSMode(t *testing.T) {
 	got, err := rescue.Fetch("state", 0, 1)
 	if err != nil || string(got) != "global" {
 		t.Fatalf("got %q err=%v", got, err)
-	}
-}
-
-func TestCompressedRoundtripAndFallback(t *testing.T) {
-	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{Compress: true})
-	defer lib.Stop()
-	lib.SetWorkerNodes([]int{0, 1})
-	payload := bytes.Repeat([]byte("compressible! "), 1000)
-	if err := lib.Write("state", 0, 1, payload); err != nil {
-		t.Fatal(err)
-	}
-	lib.WaitIdle()
-	// The stored blob must actually be smaller than the payload.
-	blob, err := cl.Node(0).Get(Key("state", 0, 1), cl.Storage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob) >= len(payload) {
-		t.Fatalf("blob %d not smaller than payload %d", len(blob), len(payload))
-	}
-	got, err := lib.Fetch("state", 0, 1)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("roundtrip failed: %d bytes err=%v", len(got), err)
-	}
-	// A plain library can read compressed frames (magic-based detection).
-	plain := New(cl, 1, Config{})
-	defer plain.Stop()
-	got, err = plain.Fetch("state", 0, 1)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("cross-config fetch failed: err=%v", err)
-	}
-}
-
-func TestCompressedCorruptionDetected(t *testing.T) {
-	blob, err := encode(1, 2, bytes.Repeat([]byte("abc"), 100), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), blob...)
-	bad[len(bad)-1] ^= 0xFF
-	if _, _, _, err := decode(bad); err == nil {
-		t.Fatal("corrupted compressed frame accepted")
-	}
-	got, lr, v, err := decode(blob)
-	if err != nil || lr != 1 || v != 2 || len(got) != 300 {
-		t.Fatalf("roundtrip: lr=%d v=%d len=%d err=%v", lr, v, len(got), err)
 	}
 }
 

@@ -7,16 +7,18 @@ import (
 	"sync/atomic"
 )
 
-// The incremental delta engine. Iterative applications mutate only part of
-// their state between checkpoint epochs (a Lanczos step touches the two
-// rotating vectors, not the whole basis), yet a full-blob write ships
-// every byte every interval — local commit, neighbor replication, and
-// the optional PFS copy all pay for bytes that did not change. With
-// Config.FullEvery > 1 the library chunks each payload at the replication
-// granularity (Config.ChunkSize), keeps a per-(name,logical) chunk-hash
-// table, and writes only the dirty chunks as a *delta generation* chained
-// onto the previous generation; every FullEvery-th generation is a
-// self-contained full base so chains stay short.
+// The frame chain. Every generation of a checkpoint family — a stored
+// checkpoint or a hot shadow's mirror frame — is one of two frames: a
+// self-contained full base (GCP4) or a delta (GCP3) carrying only the
+// chunks that changed since the previous generation. Iterative
+// applications mutate only part of their state between epochs (a Lanczos
+// step touches the two rotating vectors, not the whole basis), so with
+// Config.FullEvery > 1 the chain encoder chunks each payload at the
+// replication granularity (Config.ChunkSize), keeps the chunk hashes of the
+// last generation, and writes only the dirty chunks, chained onto that
+// generation; every FullEvery-th generation is a full base so chains stay
+// short. With FullEvery <= 1 every generation is a full base and nothing is
+// hashed.
 //
 // Chain identity. Restoring a delta requires the exact payload it was
 // diffed against. Version numbers alone cannot guarantee that: after a
@@ -30,34 +32,24 @@ import (
 // tag, so a forked chain is detected as broken (and an older intact chain
 // is selected) instead of being silently mis-assembled. As a second line
 // of defense each delta carries a CRC of the complete reassembled payload.
-//
-// With FullEvery <= 1 (the default) every generation is an untagged full
-// blob.
 
-// Frame kinds (FrameKind classifies an encoded checkpoint frame).
+// FrameKind classifies an encoded checkpoint frame.
 type FrameKind byte
 
-// Frame kinds.
+// Frame kinds. The values are the seal's kind byte; 0 is no frame.
 const (
-	// KindUntagged is the full-blob frame without a generation tag
-	// (GCP1/GCP2), written when the delta engine is disabled.
-	KindUntagged FrameKind = iota
 	// KindFull is a generation-tagged full base frame (GCP4).
-	KindFull
+	KindFull FrameKind = iota + 1
 	// KindDelta is a dirty-chunk delta frame (GCP3) chained onto the
 	// previous generation.
 	KindDelta
 )
 
 func (k FrameKind) String() string {
-	switch k {
-	case KindFull:
-		return "full"
-	case KindDelta:
+	if k == KindDelta {
 		return "delta"
-	default:
-		return "untagged"
 	}
+	return "full"
 }
 
 // chainInfo is the chain identity of a frame: its own generation tag and,
@@ -71,8 +63,8 @@ type chainInfo struct {
 
 // genCounter issues process-unique generation tags. The whole simulated
 // cluster lives in one OS process, so a single atomic counter makes tags
-// unique across every rank and every library instance; 0 is reserved for
-// untagged frames.
+// unique across every rank and every library instance; 0 is never issued
+// (an encoder whose last tag is 0 has no generation to diff against).
 var genCounter atomic.Uint64
 
 func nextGen() uint64 { return genCounter.Add(1) }
@@ -111,26 +103,16 @@ func hashMix(x uint64) uint64 {
 	return x
 }
 
-// deltaKey identifies one checkpoint family's chain state.
-type deltaKey struct {
+// chainKey identifies one checkpoint family's chain.
+type chainKey struct {
 	name    string
 	logical int
 }
 
-// deltaState is the per-(name,logical) chunk-hash table: the hashes of the
-// last staged payload (what the next delta is diffed against), the chain
-// head, and the full-base cadence counter.
-type deltaState struct {
-	hashes    []uint64 // chunk hashes of the last staged payload
-	scratch   []uint64 // next generation's hashes (swapped, not reallocated)
-	lastVer   int64
-	lastGen   uint64
-	sinceFull int
-}
-
-// DeltaStats describes what the delta write path has done (totals since
-// New). FullBytes/DeltaBytes are encoded frame sizes — the bytes that hit
-// the local store and the replication transports.
+// DeltaStats describes what the store-bound chains have written (totals
+// since New). FullBytes/DeltaBytes are encoded frame sizes — the bytes that
+// hit the local store and the replication transports. TotalChunks and
+// DirtyChunks count hashed chunks, so they stay 0 with FullEvery <= 1.
 type DeltaStats struct {
 	FullFrames  int64
 	DeltaFrames int64
@@ -140,89 +122,117 @@ type DeltaStats struct {
 	TotalChunks int64
 }
 
-// DeltaStats returns the delta engine's counters (zero when the engine is
-// disabled).
+// DeltaStats returns the chain encoders' counters.
 func (l *Library) DeltaStats() DeltaStats {
 	l.deltaMu.Lock()
 	defer l.deltaMu.Unlock()
 	return l.dstats
 }
 
-// deltaEnabled reports whether the incremental engine is active.
-func (l *Library) deltaEnabled() bool { return l.cfg.FullEvery > 1 }
-
-// resetDeltaState drops every chunk-hash table, forcing the next write of
-// each family to be a full base. Called by SetWorkerNodes: after a
-// recovery the surviving replicas of recent generations may be gone with
-// the failed node, and re-basing bounds the window during which new deltas
-// would chain onto unreachable predecessors.
-func (l *Library) resetDeltaState() {
+// rebaseChains forces the next write of each family to be a full base.
+// Called by SetWorkerNodes: after a recovery the surviving replicas of
+// recent generations may be gone with the failed node, and re-basing bounds
+// the window during which new deltas would chain onto unreachable
+// predecessors.
+func (l *Library) rebaseChains() {
 	l.deltaMu.Lock()
-	l.deltas = nil
+	for _, e := range l.chains {
+		e.rebase()
+	}
 	l.deltaMu.Unlock()
 }
 
 // encodeNext encodes the next generation of (name, logical) into dst's
-// backing array: the untagged full blob when the delta engine is off, and
-// otherwise a tagged full base or a dirty-chunk delta per the FullEvery
-// cadence. It updates the chunk-hash table, so generations follow staging
-// order (the async writer stages strictly in Write order).
+// backing array through the family's chain encoder. Generations follow
+// staging order (the async writer stages strictly in Write order).
 //
 //ftlint:hotpath
-func (l *Library) encodeNext(dst []byte, name string, logical int, version int64, payload []byte) ([]byte, error) {
-	if !l.deltaEnabled() {
-		return encodeInto(dst, logical, version, payload, l.cfg.Compress)
-	}
+func (l *Library) encodeNext(dst []byte, name string, logical int, version int64, payload []byte) []byte {
 	l.deltaMu.Lock()
 	defer l.deltaMu.Unlock()
-	if l.deltas == nil {
-		l.deltas = make(map[deltaKey]*deltaState) //ftlint:ignore hotpath: lazy one-time table init
+	k := chainKey{name: name, logical: logical}
+	e := l.chains[k]
+	if e == nil {
+		e = &chainEncoder{chunk: l.cfg.ChunkSize(), fullEvery: l.cfg.FullEvery} //ftlint:ignore hotpath: one-time per checkpoint family
+		l.chains[k] = e
 	}
-	k := deltaKey{name: name, logical: logical}
-	st := l.deltas[k]
-	if st == nil {
-		st = &deltaState{} //ftlint:ignore hotpath: one-time per checkpoint family
-		l.deltas[k] = st
-	}
-	chunk := l.cfg.ChunkSize()
-	n := (len(payload) + chunk - 1) / chunk
-	if cap(st.scratch) < n {
-		st.scratch = make([]uint64, n) //ftlint:ignore hotpath: amortized growth, swapped across generations
-	}
-	cur := st.scratch[:n]
-	for i := 0; i < n; i++ {
-		end := min((i+1)*chunk, len(payload))
-		cur[i] = chunkHash(payload[i*chunk : end])
-	}
-	gen := nextGen()
-	var blob []byte
-	var err error
-	if st.lastGen == 0 || st.sinceFull+1 >= l.cfg.FullEvery {
-		blob, err = encodeFullInto(dst, logical, version, gen, payload)
-		if err != nil {
-			return nil, err
-		}
-		st.sinceFull = 0
-		l.dstats.FullFrames++
-		l.dstats.FullBytes += int64(len(blob))
-	} else {
-		blob = encodeDeltaInto(dst, logical, version, chainInfo{
-			kind: KindDelta, gen: gen, prevGen: st.lastGen, prevVer: st.lastVer,
-		}, payload, chunk, st.hashes, cur, &l.dstats)
-		st.sinceFull++
+	blob, hashed, dirty := e.encodeNext(dst, logical, version, payload)
+	if IsDeltaFrame(blob) {
 		l.dstats.DeltaFrames++
 		l.dstats.DeltaBytes += int64(len(blob))
+	} else {
+		l.dstats.FullFrames++
+		l.dstats.FullBytes += int64(len(blob))
 	}
-	l.dstats.TotalChunks += int64(n)
-	st.hashes, st.scratch = cur, st.hashes
-	st.lastVer = version
-	st.lastGen = gen
-	return blob, nil
+	l.dstats.TotalChunks += int64(hashed)
+	l.dstats.DirtyChunks += int64(dirty)
+	return blob
 }
 
-// --- tagged wire formats -----------------------------------------------------
+// chainEncoder is the one encoder of a frame chain: the full-vs-delta
+// cadence, the chunk-hash table of the last generation (what the next
+// delta is diffed against) and the chain head. The Library keeps one per
+// (name, logical); a MirrorEncoder wraps one. Not safe for concurrent use.
+type chainEncoder struct {
+	chunk     int
+	fullEvery int
+
+	hashes    []uint64 // chunk hashes of the last generation
+	scratch   []uint64 // next generation's hashes (swapped, not reallocated)
+	lastVer   int64
+	lastGen   uint64
+	sinceFull int
+}
+
+// rebase makes the next generation a full base.
+func (e *chainEncoder) rebase() {
+	e.lastGen = 0
+	e.sinceFull = 0
+}
+
+// encodeNext encodes payload as the chain's next generation into dst's
+// backing array: a full base when the chain has no head or the FullEvery
+// cadence says so, else a delta of the chunks whose hash moved. It also
+// returns how many chunks it hashed and how many of them a delta carried.
+// With fullEvery <= 1 nothing is ever diffed against a generation, so the
+// hash pass is skipped and a frame costs copy + CRC.
+//
+//ftlint:hotpath
+func (e *chainEncoder) encodeNext(dst []byte, logical int, version int64, payload []byte) (blob []byte, hashed, dirty int) {
+	var cur []uint64
+	if e.fullEvery > 1 {
+		n := (len(payload) + e.chunk - 1) / e.chunk
+		if cap(e.scratch) < n {
+			e.scratch = make([]uint64, n) //ftlint:ignore hotpath: amortized growth, swapped across generations
+		}
+		cur = e.scratch[:n]
+		for i := 0; i < n; i++ {
+			end := min((i+1)*e.chunk, len(payload))
+			cur[i] = chunkHash(payload[i*e.chunk : end])
+		}
+	}
+	gen := nextGen()
+	if e.lastGen == 0 || e.sinceFull+1 >= e.fullEvery {
+		blob = encodeFullInto(dst, logical, version, gen, payload)
+		e.sinceFull = 0
+	} else {
+		blob, dirty = encodeDeltaInto(dst, logical, version, chainInfo{
+			kind: KindDelta, gen: gen, prevGen: e.lastGen, prevVer: e.lastVer,
+		}, payload, e.chunk, e.hashes, cur)
+		e.sinceFull++
+	}
+	e.hashes, e.scratch = cur, e.hashes
+	e.lastVer = version
+	e.lastGen = gen
+	return blob, len(cur), dirty
+}
+
+// --- wire formats -----------------------------------------------------
 
 const (
+	// headerLen is the shared frame header:
+	// [4B magic][4B logical][8B version][8B body length][4B CRC].
+	headerLen = 4 + 4 + 8 + 8 + 4
 	// magicFull tags a generation-carrying full base frame ("GCP4").
 	magicFull = uint32(0x34504347)
 	// magicDelta tags a dirty-chunk delta frame ("GCP3").
@@ -265,20 +275,20 @@ func grow(dst []byte, need int) []byte {
 // encodeFullInto frames a generation-tagged full base (GCP4).
 //
 //ftlint:hotpath
-func encodeFullInto(dst []byte, logical int, version int64, gen uint64, payload []byte) ([]byte, error) {
+func encodeFullInto(dst []byte, logical int, version int64, gen uint64, payload []byte) []byte {
 	blob := grow(dst, headerLen+fullBodyHeader+len(payload)) //ftlint:ignore hotpath: inlined grow; amortized growth
 	binary.LittleEndian.PutUint64(blob[headerLen:], gen)
 	copy(blob[headerLen+fullBodyHeader:], payload)
 	stampFrame(blob, magicFull, logical, version)
-	return blob, nil
+	return blob
 }
 
 // encodeDeltaInto frames the dirty chunks of payload (those whose hash
 // differs from prev, plus any chunk beyond prev's table) as a delta
-// generation (GCP3).
+// generation (GCP3), returning the frame and its dirty-chunk count.
 //
 //ftlint:hotpath
-func encodeDeltaInto(dst []byte, logical int, version int64, ci chainInfo, payload []byte, chunk int, prev, cur []uint64, ds *DeltaStats) []byte {
+func encodeDeltaInto(dst []byte, logical int, version int64, ci chainInfo, payload []byte, chunk int, prev, cur []uint64) ([]byte, int) {
 	// Size the frame: one header per dirty chunk plus its bytes.
 	need := headerLen + deltaBodyHeader
 	dirty := 0
@@ -310,21 +320,18 @@ func encodeDeltaInto(dst []byte, logical int, version int64, ci chainInfo, paylo
 		copy(b[off+deltaChunkHeader:], payload[i*chunk:end])
 		off += deltaChunkHeader + (end - i*chunk)
 	}
-	if ds != nil {
-		ds.DirtyChunks += int64(dirty)
-	}
 	stampFrame(blob, magicDelta, logical, version)
-	return blob
+	return blob, dirty
 }
 
-// frame is a decoded checkpoint frame of any kind. For full kinds payload
-// is the application payload; for deltas the dirty chunks reference the
-// frame blob (no copy).
+// frame is a decoded checkpoint frame. For a full base payload is the
+// application payload; for a delta the dirty chunks reference the frame
+// blob (no copy).
 type frame struct {
 	chain   chainInfo
 	logical int
 	version int64
-	payload []byte // KindUntagged / KindFull
+	payload []byte // KindFull
 
 	// Delta fields.
 	fullLen   int
@@ -338,8 +345,8 @@ type deltaChunk struct {
 	data []byte
 }
 
-// decodeFrame validates any checkpoint frame (CRC over header and body)
-// and returns its decoded form.
+// decodeFrame validates a checkpoint frame (CRC over header and body) and
+// returns its decoded form.
 func decodeFrame(blob []byte) (*frame, error) {
 	f := &frame{}
 	if err := decodeFrameInto(f, blob); err != nil {
@@ -360,17 +367,7 @@ func decodeFrameInto(f *frame, blob []byte) error {
 		return fmt.Errorf("%w: truncated header", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
 	}
 	m := binary.LittleEndian.Uint32(blob[0:])
-	switch m {
-	case magic, magicGzip:
-		payload, logical, version, err := decode(blob) //ftlint:ignore hotpath: untagged frames are off the mirror path
-		if err != nil {
-			return err
-		}
-		f.chain = chainInfo{kind: KindUntagged}
-		f.logical, f.version, f.payload = logical, version, payload
-		return nil
-	case magicFull, magicDelta:
-	default:
+	if m != magicFull && m != magicDelta {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
 	}
 	logical := int(int32(binary.LittleEndian.Uint32(blob[4:])))
@@ -434,10 +431,11 @@ func decodeFrameInto(f *frame, blob []byte) error {
 
 // frameChain reads a frame's chain identity without the full CRC pass
 // (used on the seal-write path, where the frame was just encoded or
-// already verified).
+// already verified). Anything else yields the zero chainInfo, whose seal
+// parseSeal rejects.
 func frameChain(blob []byte) chainInfo {
 	if len(blob) < headerLen {
-		return chainInfo{kind: KindUntagged}
+		return chainInfo{}
 	}
 	switch binary.LittleEndian.Uint32(blob[0:]) {
 	case magicFull:
@@ -455,7 +453,7 @@ func frameChain(blob []byte) chainInfo {
 			}
 		}
 	}
-	return chainInfo{kind: KindUntagged}
+	return chainInfo{}
 }
 
 // IsDeltaFrame reports whether an encoded checkpoint blob is a delta
@@ -490,26 +488,22 @@ func applyDelta(base []byte, f *frame) ([]byte, error) {
 	return out, nil
 }
 
-// --- chain-aware seals -------------------------------------------------------
+// --- seals --------------------------------------------------------------------
 
-// sealMagic2 marks the extended seal carrying chain identity.
-const sealMagic2 = uint32(0x4b4f4332) // "2COK"
+// sealMagic marks a seal object ("2COK").
+const sealMagic = uint32(0x4b4f4332)
 
-// sealBlobLen2 is the v2 seal length:
+// sealLen is the seal length:
 // [4B magic][1B kind][3B pad][8B version][8B gen][8B prevGen][8B prevVer].
-const sealBlobLen2 = 40
+const sealLen = 40
 
-// sealFor builds the seal object for an encoded frame: the 12-byte
-// version-only seal for untagged frames, the extended chain-carrying seal
-// for tagged frames. The restore side resolves base+delta chains from
-// seal metadata alone, without fetching frame bodies.
+// sealFor builds the seal object for an encoded frame: its version and
+// chain identity. The restore side resolves base+delta chains from seal
+// metadata alone, without fetching frame bodies.
 func sealFor(blob []byte, version int64) []byte {
 	ci := frameChain(blob)
-	if ci.kind == KindUntagged {
-		return sealBlob(version)
-	}
-	s := make([]byte, sealBlobLen2)
-	binary.LittleEndian.PutUint32(s[0:], sealMagic2)
+	s := make([]byte, sealLen)
+	binary.LittleEndian.PutUint32(s[0:], sealMagic)
 	s[4] = byte(ci.kind)
 	binary.LittleEndian.PutUint64(s[8:], uint64(version))
 	binary.LittleEndian.PutUint64(s[16:], ci.gen)
@@ -518,19 +512,20 @@ func sealFor(blob []byte, version int64) []byte {
 	return s
 }
 
-// parseSeal decodes a seal object of either format.
+// parseSeal decodes a seal object; ok is false for anything that is not a
+// seal of a full or delta frame.
 func parseSeal(blob []byte) (version int64, ci chainInfo, ok bool) {
-	switch {
-	case len(blob) == sealBlobLen2 && binary.LittleEndian.Uint32(blob) == sealMagic2:
-		ci = chainInfo{
-			kind:    FrameKind(blob[4]),
-			gen:     binary.LittleEndian.Uint64(blob[16:]),
-			prevGen: binary.LittleEndian.Uint64(blob[24:]),
-			prevVer: int64(binary.LittleEndian.Uint64(blob[32:])),
-		}
-		return int64(binary.LittleEndian.Uint64(blob[8:])), ci, true
-	case len(blob) >= 12 && binary.LittleEndian.Uint32(blob) == sealMagic:
-		return int64(binary.LittleEndian.Uint64(blob[4:])), chainInfo{kind: KindUntagged}, true
+	if len(blob) != sealLen || binary.LittleEndian.Uint32(blob) != sealMagic {
+		return 0, chainInfo{}, false
 	}
-	return 0, chainInfo{}, false
+	ci = chainInfo{
+		kind:    FrameKind(blob[4]),
+		gen:     binary.LittleEndian.Uint64(blob[16:]),
+		prevGen: binary.LittleEndian.Uint64(blob[24:]),
+		prevVer: int64(binary.LittleEndian.Uint64(blob[32:])),
+	}
+	if ci.kind != KindFull && ci.kind != KindDelta {
+		return 0, chainInfo{}, false
+	}
+	return int64(binary.LittleEndian.Uint64(blob[8:])), ci, true
 }

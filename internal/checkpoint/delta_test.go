@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -184,7 +185,17 @@ func TestFindLatestBelowSkipsHoledChain(t *testing.T) {
 // TestStripedRestoreSourceDeath kills one replica node in the middle of a
 // striped fetch: its outstanding stripes must be re-queued and re-fetched
 // from the surviving sources, and the reassembled payload must verify.
+// Every writer cadence stripes alike — FullEvery 0 frames carry a
+// generation tag like any other, so their replicas are known byte-identical.
 func TestStripedRestoreSourceDeath(t *testing.T) {
+	for _, fullEvery := range []int{0, 2} {
+		t.Run(fmt.Sprintf("FullEvery=%d", fullEvery), func(t *testing.T) {
+			stripedRestoreSourceDeath(t, fullEvery)
+		})
+	}
+}
+
+func stripedRestoreSourceDeath(t *testing.T, fullEvery int) {
 	const chunk = 4 << 10
 	// Modeled read latency so every source goroutine gets to claim
 	// stripes before the queue drains (on a single-CPU host a zero-cost
@@ -200,7 +211,8 @@ func TestStripedRestoreSourceDeath(t *testing.T) {
 	if _, ok := cl.WaitTimeout(10 * time.Second); !ok {
 		t.Fatal("cluster hung")
 	}
-	writer := New(cl, 1, Config{ChunkBytes: chunk, FullEvery: 2})
+	writer := New(cl, 1, Config{ChunkBytes: chunk, FullEvery: fullEvery})
+	defer writer.Stop()
 	writer.SetWorkerNodes([]int{1, 2})
 	rng := rand.New(rand.NewSource(11))
 	payload := make([]byte, 64*chunk)
@@ -209,7 +221,24 @@ func TestStripedRestoreSourceDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	writer.WaitIdle()
-	writer.Stop()
+
+	// The writer's own restore sees its local and its neighbor replica and
+	// must put both to work.
+	var mu sync.Mutex
+	seen := map[int]bool{}
+	writer.stripeHook = func(nodeID, stripe int) {
+		mu.Lock()
+		seen[nodeID] = true
+		mu.Unlock()
+	}
+	got, _, err := writer.FetchFrom("state", 0, 1)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("striped fetch from local + neighbor: err=%v", err)
+	}
+	if !seen[1] || !seen[2] {
+		t.Fatalf("fetch of a 64-chunk blob with two replicas read stripes from %v, want nodes 1 and 2", seen)
+	}
+
 	key := Key("state", 0, 1)
 	blob, err := cl.Node(1).Get(key, cl.Storage())
 	if err != nil {
@@ -294,26 +323,34 @@ func TestReplicateOverlapsNeighborAndPFS(t *testing.T) {
 	}
 }
 
-// TestDeltaLegacyInterop: a library with the delta engine off writes
-// untagged frames a delta-enabled reader must restore.
-func TestDeltaLegacyInterop(t *testing.T) {
-	cl := testCluster(t, 3)
-	untagged := New(cl, 0, Config{})
-	defer untagged.Stop()
-	untagged.SetWorkerNodes([]int{0, 1, 2})
-	if err := untagged.Write("state", 0, 1, []byte("full blob")); err != nil {
-		t.Fatal(err)
-	}
-	untagged.WaitIdle()
-	deltaReader := New(cl, 0, Config{FullEvery: 4})
-	defer deltaReader.Stop()
-	deltaReader.SetWorkerNodes([]int{0, 1, 2})
-	if v, ok := deltaReader.FindLatest("state", 0); !ok || v != 1 {
-		t.Fatalf("delta reader FindLatest on untagged store = %d, %v", v, ok)
-	}
-	got, err := deltaReader.Fetch("state", 0, 1)
-	if err != nil || string(got) != "full blob" {
-		t.Fatalf("delta reader on untagged frame: %q, %v", got, err)
+// TestDeltaCadenceInterop: FullEvery is a writer's cadence, not a format —
+// a reader configured with any other cadence finds and restores the chain.
+func TestDeltaCadenceInterop(t *testing.T) {
+	for _, c := range []struct{ write, read int }{{0, 4}, {4, 0}} {
+		t.Run(fmt.Sprintf("write=%d/read=%d", c.write, c.read), func(t *testing.T) {
+			cl := testCluster(t, 3)
+			writer := New(cl, 0, Config{FullEvery: c.write})
+			defer writer.Stop()
+			writer.SetWorkerNodes([]int{0, 1, 2})
+			payload := []byte("generation 0")
+			for v := int64(1); v <= 3; v++ {
+				payload[len(payload)-1] = byte('0' + v)
+				if err := writer.Write("state", 0, v, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			writer.WaitIdle()
+			reader := New(cl, 0, Config{FullEvery: c.read})
+			defer reader.Stop()
+			reader.SetWorkerNodes([]int{0, 1, 2})
+			if v, ok := reader.FindLatest("state", 0); !ok || v != 3 {
+				t.Fatalf("FindLatest = %d, %v; want 3", v, ok)
+			}
+			got, err := reader.Fetch("state", 0, 3)
+			if err != nil || string(got) != "generation 3" {
+				t.Fatalf("fetch: %q, %v", got, err)
+			}
+		})
 	}
 }
 
@@ -350,7 +387,7 @@ func TestDeltaFrameRoundtrip(t *testing.T) {
 			return out
 		}
 		ci := chainInfo{kind: KindDelta, gen: 2, prevGen: 1, prevVer: 10}
-		blob := encodeDeltaInto(nil, 3, 11, ci, cur, chunk, hash(prev), hash(cur), nil)
+		blob, _ := encodeDeltaInto(nil, 3, 11, ci, cur, chunk, hash(prev), hash(cur))
 		f, err := decodeFrame(blob)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
@@ -425,10 +462,6 @@ func BenchmarkDeltaStage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload[(i*4096+i)%len(payload)] ^= 0xA5 // ~1 dirty chunk per epoch
-		blob, err := lib.encodeNext(buf[:0], "bench", 0, int64(i+1), payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = blob
+		buf = lib.encodeNext(buf[:0], "bench", 0, int64(i+1), payload)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Hot-shadow mirroring. A shadowed primary encodes its state every
 // iteration as a chain of generation-tagged full/delta frames (the same
-// GCP4/GCP3 wire formats the incremental store path uses) and pushes them
+// GCP4/GCP3 frames from the same chain encoder as the store) and pushes them
 // over the checkpoint stream to its shadow, which applies them into live,
 // plan-shaped memory — not into the store. On takeover the shadow's
 // mirror IS the restore image: no fetch, no chain resolution, no
@@ -18,43 +18,30 @@ import (
 // ladder instead of resuming on corrupt state.
 
 // MirrorEncoder encodes the per-iteration frame chain a primary streams to
-// its hot shadow. It is independent of the Library's store-bound delta
-// chains (different cadence, different consumer) but shares the wire
-// format, so the shadow's apply loop and the torn-tail defenses are the
-// same code the restore path trusts. Not safe for concurrent use: it
-// belongs to the primary's iteration loop.
+// its hot shadow: the same chain encoder the Library keeps per checkpoint
+// family (its own chain — different cadence counter, different consumer),
+// writing into one reused frame buffer that a failed push can abandon. Not
+// safe for concurrent use: it belongs to the primary's iteration loop.
 type MirrorEncoder struct {
-	chunk     int
-	fullEvery int
-	buf       []byte
-	hashes    []uint64
-	scratch   []uint64
-	lastVer   int64
-	lastGen   uint64
-	sinceFull int
+	chain chainEncoder
+	buf   []byte
 }
 
 // NewMirrorEncoder returns an encoder chunking payloads at chunkBytes and
-// emitting a self-contained full base every fullEvery frames (minimum 1:
-// every frame full).
+// emitting a self-contained full base every fullEvery frames (<= 1: every
+// frame full).
 func NewMirrorEncoder(chunkBytes, fullEvery int) *MirrorEncoder {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
-	if fullEvery < 1 {
-		fullEvery = 1
-	}
-	return &MirrorEncoder{chunk: chunkBytes, fullEvery: fullEvery}
+	return &MirrorEncoder{chain: chainEncoder{chunk: chunkBytes, fullEvery: fullEvery}}
 }
 
-// Rebase forces the next frame to be a full base, discarding the chunk-hash
-// table. Called after a takeover or a push failure: the shadow's chain
-// position is unknown, and a delta chained onto an unreceived generation
-// would only be detected (and dropped) as torn.
-func (e *MirrorEncoder) Rebase() {
-	e.lastGen = 0
-	e.sinceFull = 0
-}
+// Rebase forces the next frame to be a full base. Called after a takeover
+// or a push failure: the shadow's chain position is unknown, and a delta
+// chained onto an unreceived generation would only be detected (and
+// dropped) as torn.
+func (e *MirrorEncoder) Rebase() { e.chain.rebase() }
 
 // Abandon releases the frame buffer to the GC. Called after a failed push:
 // the fabric may still reference the last EncodeNext's frame, so reusing
@@ -62,39 +49,14 @@ func (e *MirrorEncoder) Rebase() {
 func (e *MirrorEncoder) Abandon() { e.buf = nil }
 
 // EncodeNext encodes payload as the next frame of the mirror chain into the
-// encoder's reused buffer, returning the frame and its kind. The returned
-// slice is borrowed: it is overwritten by the next EncodeNext.
+// encoder's reused buffer. The returned slice is borrowed: it is
+// overwritten by the next EncodeNext.
 //
 //ftlint:hotpath
-func (e *MirrorEncoder) EncodeNext(logical int, version int64, payload []byte) ([]byte, FrameKind) {
-	n := (len(payload) + e.chunk - 1) / e.chunk
-	if cap(e.scratch) < n {
-		e.scratch = make([]uint64, n) //ftlint:ignore hotpath: amortized growth, swapped across generations
-	}
-	cur := e.scratch[:n]
-	for i := 0; i < n; i++ {
-		end := min((i+1)*e.chunk, len(payload))
-		cur[i] = chunkHash(payload[i*e.chunk : end])
-	}
-	gen := nextGen()
-	var blob []byte
-	var kind FrameKind
-	if e.lastGen == 0 || e.sinceFull+1 >= e.fullEvery {
-		blob, _ = encodeFullInto(e.buf, logical, version, gen, payload)
-		e.sinceFull = 0
-		kind = KindFull
-	} else {
-		blob = encodeDeltaInto(e.buf, logical, version, chainInfo{
-			kind: KindDelta, gen: gen, prevGen: e.lastGen, prevVer: e.lastVer,
-		}, payload, e.chunk, e.hashes, cur, nil)
-		e.sinceFull++
-		kind = KindDelta
-	}
+func (e *MirrorEncoder) EncodeNext(logical int, version int64, payload []byte) []byte {
+	blob, _, _ := e.chain.encodeNext(e.buf, logical, version, payload)
 	e.buf = blob[:0]
-	e.hashes, e.scratch = cur, e.hashes
-	e.lastVer = version
-	e.lastGen = gen
-	return blob, kind
+	return blob
 }
 
 // ErrMirrorTorn marks a mirror whose chain broke: a delta arrived whose
@@ -139,11 +101,8 @@ func (m *LiveMirror) Apply(blob []byte) error {
 	}
 	f := &m.scratch
 	switch f.chain.kind {
-	case KindFull, KindUntagged:
-		if cap(m.base) < len(f.payload) {
-			m.base = make([]byte, len(f.payload)) //ftlint:ignore hotpath: amortized growth, image reused across frames
-		}
-		m.base = m.base[:len(f.payload)]
+	case KindFull:
+		m.base = grow(m.base, len(f.payload)) //ftlint:ignore hotpath: inlined grow; amortized growth, image reused across frames
 		copy(m.base, f.payload)
 		m.gen = f.chain.gen
 	case KindDelta:

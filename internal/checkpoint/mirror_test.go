@@ -29,8 +29,8 @@ func TestMirrorRoundtrip(t *testing.T) {
 	fulls, deltas := 0, 0
 	for v := int64(1); v <= 12; v++ {
 		payload[rng.Intn(len(payload))] ^= 0xA5
-		blob, kind := enc.EncodeNext(3, v, payload)
-		if kind == KindFull {
+		blob := enc.EncodeNext(3, v, payload)
+		if frameChain(blob).kind == KindFull {
 			fulls++
 		} else {
 			deltas++
@@ -52,6 +52,82 @@ func TestMirrorRoundtrip(t *testing.T) {
 	}
 }
 
+// TestMirrorAndStoreChainsShareOneEncoder feeds one payload sequence
+// (random sizes, random dirty fraction, a re-base in the middle) through
+// the Library's store path and the mirror path: for every cadence both
+// chains make the same full/delta decision at every generation, the store
+// chain restores and the mirror chain applies to the last payload, and
+// only FullEvery > 1 pays for chunk hashes.
+func TestMirrorAndStoreChainsShareOneEncoder(t *testing.T) {
+	for _, fullEvery := range []int{0, 1, 2, 4} {
+		t.Run(fmt.Sprintf("FullEvery=%d", fullEvery), func(t *testing.T) {
+			const chunk, last, rebaseAt = 512, int64(14), int64(6)
+			cl := testCluster(t, 3)
+			lib := New(cl, 0, Config{ChunkBytes: chunk, FullEvery: fullEvery})
+			defer lib.Stop()
+			lib.SetWorkerNodes([]int{0, 1, 2})
+			enc := NewMirrorEncoder(chunk, fullEvery)
+			m := NewLiveMirror()
+
+			rng := rand.New(rand.NewSource(int64(40 + fullEvery)))
+			payload := make([]byte, 0, 16*chunk)
+			fulls := 0
+			for v := int64(1); v <= last; v++ {
+				payload = payload[:1+rng.Intn(cap(payload))]
+				for i, dirty := 0, rng.Intn(len(payload)/chunk+2); i < dirty; i++ {
+					payload[rng.Intn(len(payload))] ^= byte(1 + rng.Intn(255))
+				}
+				if v == rebaseAt {
+					lib.SetWorkerNodes([]int{0, 1, 2})
+					enc.Rebase()
+				}
+				if err := lib.Write("state", 0, v, payload); err != nil {
+					t.Fatal(err)
+				}
+				seal, ok := cl.Node(0).GetMeta(SealKey(Key("state", 0, v)))
+				_, stored, sealed := parseSeal(seal)
+				if !ok || !sealed {
+					t.Fatalf("v%d: no local seal after a Sync write", v)
+				}
+				blob := enc.EncodeNext(0, v, payload)
+				if mirrored := frameChain(blob).kind; mirrored != stored.kind {
+					t.Fatalf("v%d: store wrote a %v frame, mirror a %v frame", v, stored.kind, mirrored)
+				}
+				if stored.kind == KindFull {
+					fulls++
+				} else if fullEvery <= 1 || v == 1 || v == rebaseAt {
+					t.Fatalf("v%d: delta frame where the cadence requires a full base", v)
+				}
+				if err := m.Apply(blob); err != nil {
+					t.Fatalf("v%d: %v", v, err)
+				}
+			}
+			lib.WaitIdle()
+			if fullEvery <= 1 && fulls != int(last) {
+				t.Fatalf("%d of %d generations full, want all", fulls, last)
+			}
+			if fullEvery > 1 && fulls == int(last) {
+				t.Fatal("no delta frame in 14 generations; test vacuous")
+			}
+			got, err := lib.Fetch("state", 0, last)
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("store chain does not restore the last payload: err=%v", err)
+			}
+			img, ver, ok := m.Snapshot()
+			if !ok || ver != last || !bytes.Equal(img, payload) {
+				t.Fatalf("mirror chain does not hold the last payload: ok=%v ver=%d", ok, ver)
+			}
+			ds := lib.DeltaStats()
+			if ds.FullFrames != int64(fulls) || ds.FullFrames+ds.DeltaFrames != last {
+				t.Fatalf("stats count %d full + %d delta frames, seals say %d full of %d", ds.FullFrames, ds.DeltaFrames, fulls, last)
+			}
+			if hashed := ds.TotalChunks > 0; hashed != (fullEvery > 1) {
+				t.Fatalf("FullEvery %d hashed %d chunks", fullEvery, ds.TotalChunks)
+			}
+		})
+	}
+}
+
 // TestMirrorRebaseAndAbandon pins the push-failure protocol: Abandon
 // releases the (possibly fabric-referenced) frame buffer, Rebase forces
 // the next frame to be a self-contained full base, and the rebased
@@ -62,8 +138,8 @@ func TestMirrorRebaseAndAbandon(t *testing.T) {
 	m := NewLiveMirror()
 	payload := bytes.Repeat([]byte{7}, 4*chunk)
 
-	blob, kind := enc.EncodeNext(0, 1, payload)
-	if kind != KindFull {
+	blob := enc.EncodeNext(0, 1, payload)
+	if kind := frameChain(blob).kind; kind != KindFull {
 		t.Fatalf("first frame: %v", kind)
 	}
 	if err := m.Apply(blob); err != nil {
@@ -77,8 +153,8 @@ func TestMirrorRebaseAndAbandon(t *testing.T) {
 	enc.Abandon()
 	enc.Rebase()
 	payload[2] ^= 1
-	blob, kind = enc.EncodeNext(0, 4, payload)
-	if kind != KindFull {
+	blob = enc.EncodeNext(0, 4, payload)
+	if kind := frameChain(blob).kind; kind != KindFull {
 		t.Fatalf("post-rebase frame: %v", kind)
 	}
 	if err := m.Apply(blob); err != nil {
@@ -125,7 +201,8 @@ func mirrorTrial(t *testing.T, seed int64) {
 		}
 		golden[v] = append([]byte(nil), payload...)
 
-		blob, kind := enc.EncodeNext(1, v, payload)
+		blob := enc.EncodeNext(1, v, payload)
+		kind := frameChain(blob).kind
 		damage := rng.Intn(4)
 		if kind == KindFull && damage != 1 {
 			// An intact full base must repair any prior damage.
@@ -192,8 +269,8 @@ func mirrorTrial(t *testing.T, seed int64) {
 	// Liveness: an explicit rebase (what the primary does after any push
 	// failure) heals the mirror with one frame, whatever came before.
 	enc.Rebase()
-	blob, kind := enc.EncodeNext(1, 1000, payload)
-	if kind != KindFull {
+	blob := enc.EncodeNext(1, 1000, payload)
+	if frameChain(blob).kind != KindFull {
 		t.Fatalf("seed %d: rebase did not force a full base", seed)
 	}
 	if err := m.Apply(blob); err != nil {
@@ -235,18 +312,15 @@ func BenchmarkMirrorApply(b *testing.B) {
 	}
 	// Warm both reused buffers (encoder frame + mirror image) before
 	// counting: steady state, like the delta staging gate.
-	if err := m.Apply(first(enc.EncodeNext(0, 1, payload))); err != nil {
+	if err := m.Apply(enc.EncodeNext(0, 1, payload)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload[(i*4096+i)%len(payload)] ^= 0xA5
-		blob, _ := enc.EncodeNext(0, int64(i+2), payload)
-		if err := m.Apply(blob); err != nil {
+		if err := m.Apply(enc.EncodeNext(0, int64(i+2), payload)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func first(blob []byte, _ FrameKind) []byte { return blob }

@@ -18,8 +18,10 @@ import (
 // work queue: fast sources naturally claim more stripes, a source dying
 // mid-fetch has its stripes re-queued and re-fetched elsewhere
 // (first-complete-wins per stripe), and the assembled frame is CRC-checked
-// before use. Delta chains are resolved link by link (each link fetched
-// striped) and reassembled base-first with an end-to-end payload CRC.
+// before use. A blob of one stripe has nothing to spread and is read whole
+// from the cheapest source. Delta chains are resolved link by link (each
+// link fetched this way) and reassembled base-first with an end-to-end
+// payload CRC.
 
 // replicaRef is one alive store holding a sealed replica.
 type replicaRef struct {
@@ -70,7 +72,7 @@ func (l *Library) sealScan(name string, logical int) map[int64][]replicaRef {
 				continue
 			}
 			sv, ci, ok := parseSeal(blob)
-			if !ok || (ci.kind != KindUntagged && sv != kv) {
+			if !ok || sv != kv {
 				continue
 			}
 			out[kv] = append(out[kv], replicaRef{node: nodeID, src: classify(nodeID), ci: ci})
@@ -87,33 +89,18 @@ func (l *Library) sealScan(name string, logical int) map[int64][]replicaRef {
 	return out
 }
 
-// srcRank orders sources by tier preference (cheapest first).
-func srcRank(s RestoreSource) int {
-	switch s {
-	case RestoreLocal:
-		return 0
-	case RestoreNeighbor:
-		return 1
-	case RestoreRemote:
-		return 2
-	default:
-		return 3
-	}
-}
-
 // resolveChain returns the base-first chain of links needed to reassemble
 // version v, or ok=false when no intact chain exists: every link must be
 // sealed on at least one alive store, and a delta only links to a
 // predecessor sealed with the exact generation tag it was diffed against
 // (a version overwritten after a recovery gets a fresh tag, so a forked
-// chain is detected as broken instead of being mis-assembled). Untagged
-// replicas are self-contained single-link chains.
+// chain is detected as broken instead of being mis-assembled).
 func resolveChain(reps map[int64][]replicaRef, v int64) (links []chainLink, ok bool) {
 	variants := func(version int64) []chainLink {
 		byGen := make(map[uint64]*chainLink)
 		var order []uint64
 		for _, r := range reps[version] {
-			key := r.ci.gen // 0 for untagged
+			key := r.ci.gen
 			cl, ok := byGen[key]
 			if !ok {
 				cl = &chainLink{version: version, ci: r.ci}
@@ -247,7 +234,7 @@ func (l *Library) fetchChain(name string, logical int, links []chainLink) ([]byt
 	best := RestoreNone
 	var bestBytes int64 = -1
 	for src, b := range tierBytes {
-		if b > bestBytes || (b == bestBytes && srcRank(src) < srcRank(best)) {
+		if b > bestBytes || (b == bestBytes && src < best) {
 			best, bestBytes = src, b
 		}
 	}
@@ -255,21 +242,24 @@ func (l *Library) fetchChain(name string, logical int, links []chainLink) ([]byt
 }
 
 // fetchBlob reads one link's frame: striped across all of the link's
-// sources when the striped fetcher applies, else sequentially from the
-// cheapest source that delivers an intact copy. tierBytes accumulates
-// delivered bytes per tier for the provenance classification.
+// sources (byte-identical by their shared generation tag) when there is
+// more than one stripe to spread, else whole from the cheapest source that
+// delivers a copy. tierBytes accumulates delivered bytes per tier for the
+// provenance classification.
 func (l *Library) fetchBlob(key string, link chainLink, tierBytes map[RestoreSource]int64) ([]byte, error) {
 	sources := append([]replicaRef(nil), link.sources...)
-	sort.Slice(sources, func(i, j int) bool { return srcRank(sources[i].src) < srcRank(sources[j].src) })
-	// Striping requires byte-identical copies, which only the generation
-	// tag guarantees; untagged (gen-0) replicas and single sources read
-	// sequentially.
-	if link.ci.gen != 0 && len(sources) > 1 {
-		if blob, err := l.fetchStriped(key, sources, tierBytes); err == nil {
-			return blob, nil
+	sort.Slice(sources, func(i, j int) bool { return sources[i].src < sources[j].src })
+	// A blob that fits one stripe is never striped: the work queue would
+	// hand its only stripe to whichever source dequeues first, losing the
+	// tier preference exactly where striping buys nothing.
+	if len(sources) > 1 {
+		if size, ok := l.replicaSize(key, sources); ok && size > l.cfg.ChunkSize() {
+			if blob, err := l.fetchStriped(key, size, sources, tierBytes); err == nil {
+				return blob, nil
+			}
+			// Striped failure (every source died mid-fetch): fall back to
+			// the sequential walk over whatever still answers.
 		}
-		// Striped failure (every source died mid-fetch): fall back to the
-		// sequential walk over whatever still answers.
 	}
 	var lastErr error
 	for _, s := range sources {
@@ -301,13 +291,8 @@ func (l *Library) readRange(s replicaRef, key string, off, length int) ([]byte, 
 	return l.cl.Node(s.node).GetRange(key, off, length, l.storage())
 }
 
-// fetchStriped reads one blob concurrently from several byte-identical
-// sources: stripes go through a shared work queue (fast sources claim
-// more), a failed source re-queues its stripe and retires, and the first
-// completed copy of each stripe wins. Fails only when every source dies
-// with stripes outstanding.
-func (l *Library) fetchStriped(key string, sources []replicaRef, tierBytes map[RestoreSource]int64) ([]byte, error) {
-	size := -1
+// replicaSize asks the sources in order for the stored size of key.
+func (l *Library) replicaSize(key string, sources []replicaRef) (int, bool) {
 	for _, s := range sources {
 		var n int
 		var ok bool
@@ -317,13 +302,18 @@ func (l *Library) fetchStriped(key string, sources []replicaRef, tierBytes map[R
 			n, ok = l.cl.Node(s.node).Size(key)
 		}
 		if ok {
-			size = n
-			break
+			return n, true
 		}
 	}
-	if size < 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoCheckpoint, key)
-	}
+	return 0, false
+}
+
+// fetchStriped reads one blob of size bytes (more than one chunk)
+// concurrently from several byte-identical sources: stripes go through a
+// shared work queue (fast sources claim more), a failed source re-queues
+// its stripe and retires, and the first completed copy of each stripe
+// wins. Fails only when every source dies with stripes outstanding.
+func (l *Library) fetchStriped(key string, size int, sources []replicaRef, tierBytes map[RestoreSource]int64) ([]byte, error) {
 	// Stripe sizing: chunk-aligned, but targeting a few stripes per source
 	// rather than one stripe per chunk — each range read pays a per-op
 	// latency floor, so sub-megabyte stripes would drown the parallelism
@@ -334,13 +324,7 @@ func (l *Library) fetchStriped(key string, sources []replicaRef, tierBytes map[R
 	chunk := l.cfg.ChunkSize()
 	stripe := (size + stripesPerSource*len(sources) - 1) / (stripesPerSource * len(sources))
 	stripe = (stripe + chunk - 1) / chunk * chunk
-	if stripe < chunk {
-		stripe = chunk
-	}
 	nStripes := (size + stripe - 1) / stripe
-	if nStripes == 0 {
-		nStripes = 1 // zero-length blob: one empty stripe keeps the flow uniform
-	}
 	buf := make([]byte, size)
 	pending := make(chan int, nStripes+len(sources))
 	for i := 0; i < nStripes; i++ {

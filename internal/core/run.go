@@ -598,12 +598,8 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 		enc.Rebase()
 		return true, nil
 	}
-	blob, kind := enc.EncodeNext(ctx.Logical, iter, payload)
-	fkind := ft.CPFrameFull
-	if kind == checkpoint.KindDelta {
-		fkind = ft.CPFrameDelta
-	}
-	if perr := w.CPStream().PushTyped(to, key, blob, fkind); perr != nil {
+	blob := enc.EncodeNext(ctx.Logical, iter, payload)
+	if perr := w.CPStream().PushTyped(to, key, blob, streamFrameKind(blob)); perr != nil {
 		// The fabric may still reference the frame buffer after a timeout;
 		// hand it to the GC rather than reusing it.
 		enc.Abandon()
@@ -640,11 +636,11 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 // The agreement is a verified loop, not a single allreduce: each round
 // takes the minimum of every member's proposal, every member then
 // actually fetches the agreed version, and a second allreduce confirms
-// everyone succeeded. With the incremental delta engine, restorability is
+// everyone succeeded. With delta chains in the store, restorability is
 // not monotonic in version (a chain broken by lost replicas can hole out
 // an old version while a newer full base stays intact), so a version
 // below some member's newest can still be unrestorable for it — as can a
-// pruned version under the untagged format. A failed fetch retreats the
+// pruned version. A failed fetch retreats the
 // proposal below the failed version and the loop re-agrees; members that
 // fetched fine discard the payload and follow, keeping the group
 // consistent. The loop strictly decreases the agreed version, ending at
@@ -754,16 +750,21 @@ type cpStreamTransport struct {
 }
 
 func (t *cpStreamTransport) Push(nbNode int, key string, blob []byte) error {
-	kind := ft.CPFrameFull
-	if checkpoint.IsDeltaFrame(blob) {
-		kind = ft.CPFrameDelta
-	}
 	for _, r := range t.w.RankMap().Snapshot() {
 		if t.cctx.Cluster.NodeOf(r) == nbNode {
-			return t.w.CPStream().PushTyped(r, key, blob, kind)
+			return t.w.CPStream().PushTyped(r, key, blob, streamFrameKind(blob))
 		}
 	}
 	return fmt.Errorf("core: no worker rank hosted on neighbor node %d", nbNode)
+}
+
+// streamFrameKind types a checkpoint frame — a replica or a mirror frame,
+// one encoder writes both — for the stream's full/delta accounting.
+func streamFrameKind(blob []byte) ft.CPFrameKind {
+	if checkpoint.IsDeltaFrame(blob) {
+		return ft.CPFrameDelta
+	}
+	return ft.CPFrameFull
 }
 
 // workerNodes maps the current worker physical ranks to their hosting

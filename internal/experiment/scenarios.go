@@ -79,9 +79,9 @@ type ScenarioSpec struct {
 	Async bool
 	// PFSEvery writes every k-th checkpoint version also to the PFS.
 	PFSEvery int
-	// FullEvery enables the incremental delta checkpoint engine (every
-	// k-th generation a full base, dirty-chunk deltas between; 0 = the
-	// untagged full-blob format).
+	// FullEvery is the checkpoint chain's full-base cadence (every k-th
+	// generation a full base, dirty-chunk deltas between; 0 = every
+	// generation full).
 	FullEvery int
 	// Replication assigns hot shadows to the first k logical ranks (the
 	// ft.Config.Replication degree for the state family). Requires

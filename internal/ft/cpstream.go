@@ -50,8 +50,7 @@ type CPFrameKind uint32
 
 // Checkpoint-stream frame kinds.
 const (
-	// CPFrameFull is a self-contained checkpoint (untagged blob or delta
-	// engine full base).
+	// CPFrameFull is a self-contained full base generation.
 	CPFrameFull CPFrameKind = iota
 	// CPFrameDelta is a dirty-chunk delta generation.
 	CPFrameDelta

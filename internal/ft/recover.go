@@ -183,41 +183,63 @@ func AdoptIdentity(p *gaspi.Proc, lay Layout, cfg Config, n *Notice, logical int
 // to act as rescue processes"). It returns the activating notice and the
 // adopted logical rank, or shutdown=true when the application completed.
 func WaitActivation(p *gaspi.Proc, lay Layout, cfg Config) (n *Notice, logical int, shutdown bool, err error) {
+	out, n, logical, err := idleSpare(p, lay, cfg, false)
+	return n, logical, err == nil && out == StandbyShutdown, err
+}
+
+// idleSpare is the one idle-spare loop: wait for board traffic, return on
+// shutdown (StandbyShutdown), on a notice naming this rank a rescue
+// (StandbyActivated, the notice and the adopted logical rank) or on an
+// unrecoverable one (ErrUnrecoverable). With probeFD — the standby
+// detector's vigil — the wait is bounded by the scan interval and every
+// lap also pings the FD; a dead FD ends the loop with StandbyPromoted and
+// the last notice seen (nil when no failure ever happened).
+func idleSpare(p *gaspi.Proc, lay Layout, cfg Config, probeFD bool) (StandbyOutcome, *Notice, int, error) {
 	cfg = cfg.withDefaults()
+	wait := gaspi.Block
+	if probeFD {
+		wait = cfg.ScanInterval
+	}
+	var last *Notice
 	var lastEpoch uint64
 	for {
-		if _, err := p.NotifyWaitsome(SegBoard, 0, 2, gaspi.Block); err != nil {
-			return nil, 0, false, err
+		// Board traffic, a shutdown, or (probing) the next FD probe tick.
+		if _, err := p.NotifyWaitsome(SegBoard, 0, 2, wait); err != nil && !errors.Is(err, gaspi.ErrTimeout) {
+			return StandbyShutdown, nil, 0, err
 		}
 		if v, err := p.NotifyPeek(SegBoard, NotifShutdown); err != nil {
-			return nil, 0, false, err
+			return StandbyShutdown, nil, 0, err
 		} else if v != 0 {
-			return nil, 0, true, nil
+			return StandbyShutdown, nil, 0, nil
 		}
-		val, err := p.NotifyReset(SegBoard, NotifAck)
-		if err != nil {
-			return nil, 0, false, err
+		if val, err := p.NotifyReset(SegBoard, NotifAck); err != nil {
+			return StandbyShutdown, nil, 0, err
+		} else if uint64(val) > lastEpoch {
+			blob, err := p.SegmentCopyOut(SegBoard, 0, BoardSize(lay))
+			if err != nil {
+				return StandbyShutdown, nil, 0, err
+			}
+			n, err := DecodeNotice(blob)
+			if err != nil {
+				return StandbyShutdown, nil, 0, err
+			}
+			if n.Epoch > lastEpoch {
+				lastEpoch = n.Epoch
+				last = n
+				if n.Unrecoverable {
+					return StandbyShutdown, n, 0, ErrUnrecoverable
+				}
+				if l, ok := n.RescueOf(p.Rank()); ok {
+					return StandbyActivated, n, l, nil
+				}
+			}
 		}
-		if uint64(val) <= lastEpoch {
-			continue
-		}
-		blob, err := p.SegmentCopyOut(SegBoard, 0, BoardSize(lay))
-		if err != nil {
-			return nil, 0, false, err
-		}
-		notice, err := DecodeNotice(blob)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if notice.Epoch <= lastEpoch {
-			continue
-		}
-		lastEpoch = notice.Epoch
-		if notice.Unrecoverable {
-			return notice, 0, false, ErrUnrecoverable
-		}
-		if l, ok := notice.RescueOf(p.Rank()); ok {
-			return notice, l, false, nil
+		// Probe the FD (management questions go over the data plane like
+		// every ping; a dead or partitioned FD fails the probe). The probe
+		// uses the same retry-tolerant policy as the FD's own scan, so the
+		// standby does not promote itself on a single scheduler stall.
+		if probeFD && pingDead(p, 0, cfg) {
+			return StandbyPromoted, last, 0, nil
 		}
 	}
 }

@@ -87,7 +87,7 @@ type Transition struct {
 }
 
 // Trace counter names the machine maintains (per phase, accumulated
-// nanoseconds across epochs, plus epoch accounting). bench-scenarios
+// nanoseconds across epochs, plus epoch accounting). ftlanczos -mode scenarios
 // reports them to show where recovery time goes.
 const (
 	// CounterDetectNS is time between a worker first stalling on a

@@ -1,8 +1,6 @@
 package ft
 
 import (
-	"errors"
-
 	"repro/internal/gaspi"
 	"repro/internal/trace"
 )
@@ -37,58 +35,21 @@ const (
 	StandbyPromoted
 )
 
-// WaitStandby is the standby detector's idle loop: the spare behaviour of
-// WaitActivation plus a periodic liveness probe of the FD. On FD death it
+// WaitStandby is the standby detector's idle loop: the spare loop of
+// WaitActivation with a periodic liveness probe of the FD. On FD death it
 // returns a promoted Detector that carries on from the last known global
 // state.
 func WaitStandby(p *gaspi.Proc, lay Layout, cfg Config, rec *trace.Recorder) (StandbyOutcome, *Detector, *Notice, int, error) {
-	cfg = cfg.withDefaults()
-	var lastNotice *Notice
-	var lastEpoch uint64
-	for {
-		// Wait for board traffic, a shutdown, or the next FD probe tick.
-		_, err := p.NotifyWaitsome(SegBoard, 0, 2, cfg.ScanInterval)
-		if err != nil && !errors.Is(err, gaspi.ErrTimeout) {
-			return StandbyShutdown, nil, nil, 0, err
-		}
-		if v, err := p.NotifyPeek(SegBoard, NotifShutdown); err != nil {
-			return StandbyShutdown, nil, nil, 0, err
-		} else if v != 0 {
-			return StandbyShutdown, nil, nil, 0, nil
-		}
-		if val, err := p.NotifyReset(SegBoard, NotifAck); err != nil {
-			return StandbyShutdown, nil, nil, 0, err
-		} else if uint64(val) > lastEpoch {
-			blob, err := p.SegmentCopyOut(SegBoard, 0, BoardSize(lay))
-			if err != nil {
-				return StandbyShutdown, nil, nil, 0, err
-			}
-			n, err := DecodeNotice(blob)
-			if err != nil {
-				return StandbyShutdown, nil, nil, 0, err
-			}
-			if n.Epoch > lastEpoch {
-				lastEpoch = n.Epoch
-				lastNotice = n
-				if n.Unrecoverable {
-					return StandbyShutdown, nil, nil, 0, ErrUnrecoverable
-				}
-				if l, ok := n.RescueOf(p.Rank()); ok {
-					return StandbyActivated, nil, n, l, nil
-				}
-			}
-		}
-		// Probe the FD (management questions go over the data plane like
-		// every ping; a dead or partitioned FD fails the probe). The probe
-		// uses the same retry-tolerant policy as the FD's own scan, so the
-		// standby does not promote itself on a single scheduler stall.
-		if pingDead(p, 0, cfg) {
-			rec.Event(trace.KEvStandbyDead)
-			rec.Inc(trace.KStandbyPromotions, 1)
-			d := promoteStandby(p, lay, cfg, rec, lastNotice)
-			return StandbyPromoted, d, nil, 0, nil
-		}
+	out, n, logical, err := idleSpare(p, lay, cfg, true)
+	if err != nil {
+		return StandbyShutdown, nil, nil, 0, err
 	}
+	if out == StandbyPromoted {
+		rec.Event(trace.KEvStandbyDead)
+		rec.Inc(trace.KStandbyPromotions, 1)
+		return StandbyPromoted, promoteStandby(p, lay, cfg, rec, n), nil, 0, nil
+	}
+	return out, nil, n, logical, nil
 }
 
 // promoteStandby builds a Detector on the standby process, seeded from the
@@ -124,11 +85,4 @@ func promoteStandby(p *gaspi.Proc, lay Layout, cfg Config, rec *trace.Recorder, 
 	d.avoid[0] = true
 	_ = p.ProcKill(0, gaspi.Block) // enforce, in case it was a false positive
 	return d
-}
-
-// RunStandbyDetector drives a promoted detector exactly like the primary
-// (Run), and is provided as a named entry point for readability at the
-// call site.
-func RunStandbyDetector(d *Detector) (DetectorOutcome, *Notice, error) {
-	return d.Run()
 }

@@ -1,18 +1,15 @@
 package trace
 
-import (
-	"sort"
-	"strings"
-)
-
 // This file is the canonical registry of trace counter and event keys.
 // Counter names used to be stringly-typed across the tree; every
 // Recorder.Inc / Recorder.Counter / Summary.SumCounter lookup now goes
 // through one of these constants (or a registered dynamic-prefix helper
 // like RestoreFromKey), and the ftlint `tracekey` pass fails the build on
-// any raw string literal or unknown key at a call site. Adding a counter
-// means adding it here first — the registry, not the call site, is the
-// source of truth.
+// any raw string literal or unknown key at a call site. The pass reads the
+// registry out of this package's type-checked scope: an exported string
+// constant named K* is a counter key, KEv* an event key, and there is no
+// second list to keep in step. Adding a counter means adding its constant
+// here first — the registry, not the call site, is the source of truth.
 
 // Counter keys.
 const (
@@ -104,7 +101,8 @@ const (
 	KAppsBlockJoinWaitNS = "apps.block.join_wait_ns"
 )
 
-// restoreFromPrefix is the registered dynamic prefix behind RestoreFromKey.
+// restoreFromPrefix is the registered dynamic prefix behind RestoreFromKey
+// (the tracekey pass accepts any key under it, by this constant's name).
 const restoreFromPrefix = "core.restore_from_"
 
 // Event keys (Recorder.Event / Recorder.FirstEvent markers).
@@ -117,105 +115,10 @@ const (
 	KEvShadowTakeover = "shadow:takeover"
 )
 
-var knownCounters = map[string]bool{
-	KCoreCheckpoints:         true,
-	KCoreCPFlushErrors:       true,
-	KCoreRecoveryRestarts:    true,
-	KCoreRestartsFromScratch: true,
-	KCoreRestores:            true,
-	KCoreRestoreRetreats:     true,
-	KCoreAgreementViolations: true,
-	KCoreTTRRebuildNS:        true,
-	KCoreTTRRestoreNS:        true,
-	KCoreTTRResumeNS:         true,
-	KCoreTTRTotalNS:          true,
-	KCoreRedoIters:           true,
-	KCorePrewarmHits:         true,
-	KCorePrewarmDiscarded:    true,
-	KCorePrewarmFailed:       true,
-	KCoreRestoreFromLocal:    true,
-	KCoreRestoreFromNeighbor: true,
-	KCoreRestoreFromRemote:   true,
-	KCoreRestoreFromPFS:      true,
-	KFDRecoveries:            true,
-	KFDScans:                 true,
-	KFDPings:                 true,
-	KFDScanNS:                true,
-	KFDCleanScans:            true,
-	KFDCleanScanNS:           true,
-	KFDScansNudged:           true,
-	KFDRecoveriesNudged:      true,
-	KFTRecoveries:            true,
-	KFTEpochs:                true,
-	KFTEpochRestarts:         true,
-	KFTEpochRegressions:      true,
-	KFTPhaseDetectNS:         true,
-	KFTPhaseAckNS:            true,
-	KFTPhaseRebuildNS:        true,
-	KFTPhaseRestoreNS:        true,
-	KFTAckWoken:              true,
-	KFTAckTimedOut:           true,
-	KFTSuspectNudges:         true,
-	KFTShadowAppliedFrames:   true,
-	KFTShadowFailovers:       true,
-	KFTShadowFallbacks:       true,
-	KFTShadowTornTails:       true,
-	KProberPings:             true,
-	KStandbyPromotions:       true,
-	KSpMVMFastpathIters:      true,
-	KSpMVMFallbackIters:      true,
-	KAppsBlockLoads:          true,
-	KAppsBlockLoadNS:         true,
-	KAppsBlockJoinWaitNS:     true,
-}
-
-var knownEvents = map[string]bool{
-	KEvFDDetect:       true,
-	KEvFDAck:          true,
-	KEvFTAck:          true,
-	KEvProberSuspect:  true,
-	KEvStandbyDead:    true,
-	KEvShadowTakeover: true,
-}
-
 // RestoreFromKey builds the per-source restore counter key from a restore
 // source's String() form (local / neighbor / remote / pfs). It is the one
 // registered way to build a counter key dynamically; the tracekey pass
 // rejects ad-hoc string concatenation at call sites.
 func RestoreFromKey(source string) string {
 	return restoreFromPrefix + source
-}
-
-// KnownKey reports whether k is a registered counter key. Keys produced by
-// RestoreFromKey are accepted by prefix, so novel restore-source names do
-// not invalidate old recordings.
-func KnownKey(k string) bool {
-	if knownCounters[k] {
-		return true
-	}
-	return strings.HasPrefix(k, restoreFromPrefix) && len(k) > len(restoreFromPrefix)
-}
-
-// KnownEventKey reports whether k is a registered event key.
-func KnownEventKey(k string) bool { return knownEvents[k] }
-
-// KnownKeys returns the registered counter keys, sorted. Used by the
-// registry self-test and by tooling that wants to enumerate the schema.
-func KnownKeys() []string {
-	out := make([]string, 0, len(knownCounters))
-	for k := range knownCounters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// KnownEventKeys returns the registered event keys, sorted.
-func KnownEventKeys() []string {
-	out := make([]string, 0, len(knownEvents))
-	for k := range knownEvents {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
