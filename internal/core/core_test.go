@@ -548,9 +548,16 @@ func TestRestrictionThreeNonUniformNetworkFailure(t *testing.T) {
 		}
 		t.Fatal("undetectable network failure should stall the affected workers")
 	}
-	// The FD never acknowledged anything.
+	// The FD never acknowledged anything, and nobody asked it to look: the
+	// pings logical 0 sent its successor over the downed link were swallowed
+	// (fabric.dropped), timed out, and a timeout is not evidence.
 	if job.Recorders[0].Counter("fd.recoveries") != 0 {
 		t.Fatal("the FD should not have detected the non-uniform failure")
+	}
+	sum := trace.Aggregate(job.Recorders).SumCounter
+	if sum[trace.KFTProbePings] == 0 || sum[trace.KFTProbeNacks] != 0 || sum[trace.KFDScansNudged] != 0 {
+		t.Fatalf("ft.probe.pings = %d, ft.probe.nacks = %d, fd.scans.nudged = %d, want >0, 0, 0",
+			sum[trace.KFTProbePings], sum[trace.KFTProbeNacks], sum[trace.KFDScansNudged])
 	}
 }
 

@@ -63,7 +63,8 @@ type AblationRow struct {
 	Name string
 	// Wall is the failure-free workload runtime.
 	Wall time.Duration
-	// Pings is the total number of pings issued fabric-wide.
+	// Pings is the total number of pings issued fabric-wide — under the
+	// dedicated FD its scans plus the successor pings of blocked workers.
 	Pings uint64
 	// PingsPerPeriod is Pings over the detection periods the run lasted
 	// (the FD's scans, or the probers' average round count): the

@@ -327,6 +327,11 @@ type ScenarioResult struct {
 	// ShadowFailovers counts completed zero-restore takeovers, summed
 	// across ranks.
 	ShadowFailovers int64
+	// ProbeNacks counts the successor pings of blocked workers that a dead
+	// endpoint NACKed, summed across ranks. Zero on a network loss: the
+	// fabric swallows what crosses a downed link, the ping times out, and
+	// a timeout is not evidence.
+	ProbeNacks int64
 	// TTRNS is the scenario's time-to-recover: the per-rank sum of the
 	// detect/ack/rebuild/restore phases, maximized over ranks — the
 	// worst rank's total recovery time (cumulative over epochs when a
@@ -500,6 +505,7 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	out.RestoreNS = sum.MaxCounter[ft.CounterRestoreNS]
 	out.RedoIters = sum.SumCounter[trace.KCoreRedoIters]
 	out.ShadowFailovers = sum.SumCounter[trace.KFTShadowFailovers]
+	out.ProbeNacks = sum.SumCounter[trace.KFTProbeNacks]
 	for _, r := range job.Recorders {
 		t := r.Counter(ft.CounterDetectNS) + r.Counter(ft.CounterAckNS) +
 			r.Counter(ft.CounterRebuildNS) + r.Counter(ft.CounterRestoreNS)

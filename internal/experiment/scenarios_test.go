@@ -82,6 +82,12 @@ func TestScenarioMatrixEndToEnd(t *testing.T) {
 		t.Errorf("compound scenario: recoveries=%d restarts=%d, want >=2 and >=1",
 			row.Recoveries, row.EpochRestarts)
 	}
+	// A partitioned rank is the detector's to judge, with its retry budget:
+	// the survivors' successor pings cross the downed links, time out and
+	// nudge nobody, and the one recovery is the scan's.
+	if row := byName["network drop"]; row.ProbeNacks != 0 || row.Recoveries != 1 {
+		t.Errorf("network drop: ft.probe.nacks=%d recoveries=%d, want 0 and 1", row.ProbeNacks, row.Recoveries)
+	}
 	// Whole-node loss: the rescue cannot have used a local copy only —
 	// some restore came from another node's replica (or the PFS).
 	if row := byName["whole node down"]; row.RestoreNeighbor+row.RestoreRemote+row.RestorePFS == 0 {

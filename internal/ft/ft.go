@@ -14,10 +14,14 @@
 //   - Worker processes check for the failure-acknowledgment signal in
 //     every blocking communication call. The paper looks at the board
 //     after a call returned GASPI_TIMEOUT; here the acknowledgment itself
-//     wakes the blocked call (the gaspi attention line) and a worker
-//     holding a broken-connection error asks the FD to scan now
-//     (NotifSuspect) — the timeout and the periodic scan remain as the
-//     backstop. On acknowledgment they stop application communication and
+//     wakes the blocked call (the gaspi attention line), and a worker
+//     with first-hand evidence of a death asks the FD to scan now
+//     (NotifSuspect): a broken-connection error on its own write, or the
+//     NACK of the one ping a blocked call sends its ring successor when a
+//     slice of the communication timeout expires with nothing on the
+//     board. A ping that merely times out is no evidence; the timeout and
+//     the periodic scan remain as the backstop, and the FD alone declares
+//     a rank dead. On acknowledgment they stop application communication and
 //     enter the recovery stage: rescue processes take over the identity (logical
 //     rank) of the failed ones, the worker group is deleted and a new one
 //     is created and committed (Listing 2), and data is re-initialized
@@ -197,16 +201,20 @@ const DefaultPingRetries = 10
 type Config struct {
 	// ScanInterval is the FD's pause between ping scans. It bounds the
 	// detection of a failure nobody is blocked on (a dead spare, an idle
-	// job); a failure a survivor runs into is scanned for at once, on that
-	// survivor's NotifSuspect nudge.
+	// job) and of an unreachable-but-alive rank; a death a survivor runs
+	// into — a NACKed write, or the NACKed successor ping of a blocked
+	// call — is scanned for at once, on that survivor's NotifSuspect nudge.
 	ScanInterval time.Duration
 	// PingTimeout bounds each individual ping.
 	PingTimeout time.Duration
 	// CommTimeout is the worker-side blocking-call timeout after which the
 	// failure-acknowledgment signal is checked. The acknowledgment landing
 	// on the board ends the blocked call early, so the expiry is the
-	// fallback; the timeout also paces a worker's nudges to the FD (at
-	// most one per CommTimeout).
+	// fallback. A blocked call spends it in slices — CommTimeout/16 first,
+	// doubling per expiry up to the whole — and pings its ring successor
+	// after each expired slice, so it also sets how soon a death that left
+	// no NACK is noticed; and it paces a worker's nudges to the FD (at most
+	// one per CommTimeout).
 	CommTimeout time.Duration
 	// Threads is the FD's scan parallelism (the paper uses 8 so multiple
 	// simultaneous failures are detected at the cost of one).

@@ -192,12 +192,21 @@ func TestAckWakesBlockedWorker(t *testing.T) {
 // else knows about.
 func startNackJob(t *testing.T, cfg Config, prepare func(d *Detector), worker func(w *Worker, killedAt time.Time) error) (*gaspi.Job, [3]*trace.Recorder) {
 	t.Helper()
+	return startFaultJob(t, cfg, func(job *gaspi.Job) { job.Kill(2, "test kill -9") }, prepare, worker)
+}
+
+// startFaultJob is startNackJob with the fault chosen by the test. It is
+// injected once all three ranks are set up and rank 1's one post to rank 2
+// has landed and been flushed: whatever the fault does to rank 2, rank 1
+// holds no error from it.
+func startFaultJob(t *testing.T, cfg Config, fault func(job *gaspi.Job), prepare func(d *Detector), worker func(w *Worker, faultAt time.Time) error) (*gaspi.Job, [3]*trace.Recorder) {
+	t.Helper()
 	lay := Layout{Procs: 3}
 	var recs [3]*trace.Recorder
 	for i := range recs {
 		recs[i] = trace.NewRecorder()
 	}
-	// The kill waits for all three ranks: 1 and 2 grouped, and rank 0's board
+	// The fault waits for all three ranks: 1 and 2 grouped, and rank 0's board
 	// in place. The survivor's first NotifSuspect nudge goes to that board; on
 	// a board not created yet it is refused, and the next one is a CommTimeout
 	// away.
@@ -222,27 +231,33 @@ func startNackJob(t *testing.T, cfg Config, prepare func(d *Detector), worker fu
 			_, _, err := d.Run()
 			return err
 		}
-		if err := SetupInitialGroup(p, lay, gaspi.Block); err != nil {
-			return err
-		}
+		// The segment first: the group commit then orders rank 2's segment
+		// before rank 1's post to it.
 		if err := p.SegmentCreate(pushAppSeg, 64); err != nil {
 			return err
 		}
-		ready.Done()
+		if err := SetupInitialGroup(p, lay, gaspi.Block); err != nil {
+			return err
+		}
 		if p.Rank() == 2 {
-			return idle() // never returns: the test kills this rank
+			ready.Done()
+			return idle() // until shutdown, or the test kills this rank
 		}
 		w := NewWorker(p, lay, cfg, 0, true, recs[1])
+		if err := writeToPartner(w); err != nil {
+			return err
+		}
+		ready.Done()
 		return errors.Join(worker(w, <-killed), SignalShutdown(p, lay))
 	})
 	t.Cleanup(job.Close)
 	ready.Wait()
-	job.Kill(2, "test kill -9")
+	fault(job)
 	killed <- time.Now()
 	return job, recs
 }
 
-func writeToDeadPartner(w *Worker) error {
+func writeToPartner(w *Worker) error {
 	if err := w.WriteNotify(1, pushAppSeg, 0, []byte{1}, 0, 1, 0); err != nil {
 		return err
 	}
@@ -260,7 +275,7 @@ func TestNackedSurvivorWakesDetector(t *testing.T) {
 	var killedAt atomic.Int64
 	job, recs := startNackJob(t, cfg, func(*Detector) {}, func(w *Worker, at time.Time) error {
 		killedAt.Store(at.UnixNano())
-		err := writeToDeadPartner(w)
+		err := writeToPartner(w)
 		var fde *FailureDetectedError
 		if !errors.As(err, &fde) {
 			return fmt.Errorf("NACKed write returned %v, want FailureDetectedError", err)
@@ -301,7 +316,7 @@ func TestNudgesArePaced(t *testing.T) {
 	job, recs := startNackJob(t, cfg,
 		func(d *Detector) { d.status[2], d.avoid[2] = StatusFailed, true },
 		func(w *Worker, _ time.Time) error {
-			if err := writeToDeadPartner(w); !errors.Is(err, ErrStalled) {
+			if err := writeToPartner(w); !errors.Is(err, ErrStalled) {
 				return fmt.Errorf("unacknowledged NACK returned %v, want ErrStalled", err)
 			}
 			return nil
@@ -327,6 +342,112 @@ func TestNudgesArePaced(t *testing.T) {
 	}
 }
 
+// TestUnwitnessedDeathNudgesDetector: the partner dies after everything
+// posted to it has landed, so the survivor parks waiting for its halo with
+// no error in hand and a 10 s scan interval ahead. The first slice of its
+// wait expiring sends the ping whose NACK starts the scan that acknowledges
+// it — one nudged scan, one nudged recovery, none from the interval.
+func TestUnwitnessedDeathNudgesDetector(t *testing.T) {
+	cfg := testFTCfg()
+	cfg.ScanInterval = 10 * time.Second
+	cfg.CommTimeout = 2 * time.Second
+	cfg.StallLimit = 30 * time.Second
+	job, recs := startNackJob(t, cfg, func(*Detector) {}, func(w *Worker, _ time.Time) error {
+		_, err := w.NotifyWaitsome(pushAppSeg, 0, 1)
+		var fde *FailureDetectedError
+		if !errors.As(err, &fde) {
+			return fmt.Errorf("wait for the dead partner's halo returned %v, want FailureDetectedError", err)
+		}
+		return nil
+	})
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res[:2] {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	if n := recs[1].Counter(trace.KFTProbeNacks); n < 1 {
+		t.Fatalf("ft.probe.nacks = %d of %d pings", n, recs[1].Counter(trace.KFTProbePings))
+	}
+	scans, nudged, recovered := recs[0].Counter(trace.KFDScans), recs[0].Counter(trace.KFDScansNudged), recs[0].Counter(trace.KFDRecoveriesNudged)
+	if scans != 1 || nudged != 1 || recovered != 1 {
+		t.Fatalf("fd.scans = %d, fd.scans.nudged = %d, fd.recoveries.nudged = %d, want 1 each", scans, nudged, recovered)
+	}
+	if n := recs[1].Counter(trace.KFTAckTimedOut); n != 0 {
+		t.Fatalf("ft.ack.timed_out = %d: a slice expiring is not the communication timeout", n)
+	}
+}
+
+// TestSlowSuccessorIsNeverSuspected: a successor that is alive but posts
+// nothing answers every ping; partitioned, it lets them time out. Neither
+// is evidence, however many slices expire: no NACK, no nudge, no scan
+// outside the interval, nobody declared dead — the waits end on the stall
+// limit. A worker whose FD has joined the workers has nobody to nudge and
+// sends no ping at all.
+func TestSlowSuccessorIsNeverSuspected(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		fd   Rank
+	}{{"detector", 0}, {"detector-joined", NilRank}} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := testFTCfg()
+			cfg.ScanInterval = 10 * time.Second
+			cfg.CommTimeout = 64 * time.Millisecond
+			cfg.StallLimit = 200 * time.Millisecond
+			var job *gaspi.Job
+			stall := func(w *Worker) error {
+				if _, err := w.NotifyWaitsome(pushAppSeg, 0, 1); !errors.Is(err, ErrStalled) {
+					return fmt.Errorf("wait for a silent partner returned %v, want ErrStalled", err)
+				}
+				return nil
+			}
+			var answered int64
+			_, recs := startFaultJob(t, cfg, func(j *gaspi.Job) { job = j }, func(*Detector) {}, func(w *Worker, _ time.Time) error {
+				w.fd = row.fd
+				if err := stall(w); err != nil {
+					return err
+				}
+				answered = w.rec.Counter(trace.KFTProbePings)
+				job.Partition(2, true)
+				err := stall(w)
+				job.Partition(2, false) // let the shutdown signal through
+				return err
+			})
+			res, ok := job.WaitTimeout(60 * time.Second)
+			if !ok {
+				t.Fatal("job hung")
+			}
+			for _, r := range res {
+				if r.Err != nil {
+					t.Fatalf("rank %d: %v", r.Rank, r.Err)
+				}
+			}
+			pings := recs[1].Counter(trace.KFTProbePings)
+			if row.fd == NilRank {
+				if pings != 0 {
+					t.Fatalf("ft.probe.pings = %d with no detector to nudge", pings)
+				}
+			} else if answered == 0 || pings == answered {
+				t.Fatalf("ft.probe.pings = %d answered + %d timed out, want both above 0", answered, pings-answered)
+			}
+			for _, c := range []struct {
+				rec *trace.Recorder
+				key string
+			}{
+				{recs[1], trace.KFTProbeNacks}, {recs[1], trace.KFTSuspectNudges},
+				{recs[0], trace.KFDScansNudged}, {recs[0], trace.KFDRecoveries},
+			} {
+				if n := c.rec.Counter(c.key); n != 0 {
+					t.Fatalf("%s = %d, want 0: a slow or unreachable rank was suspected", c.key, n)
+				}
+			}
+		})
+	}
+}
+
 // TestRetryLatchesNackedWrite is the regression for retry reporting
 // success for a NACKed write: WaitQueue returns the queue error once and
 // clears it, so the re-issued WaitQueue used to return nil and the lost
@@ -336,7 +457,7 @@ func TestRetryLatchesNackedWrite(t *testing.T) {
 	cfg := testFTCfg()
 	cfg.StallLimit = 200 * time.Millisecond
 	job, _ := startNackJob(t, cfg, nil, func(w *Worker, _ time.Time) error {
-		if err := writeToDeadPartner(w); !errors.Is(err, ErrStalled) {
+		if err := writeToPartner(w); !errors.Is(err, ErrStalled) {
 			return fmt.Errorf("NACKed write returned %v, want ErrStalled", err)
 		}
 		return nil

@@ -222,7 +222,7 @@ func (w *Worker) CheckFailure() error {
 	return nil
 }
 
-// retry runs op with the communication timeout, checking the
+// retry runs op under the communication timeout, checking the
 // acknowledgment signal after every unsuccessful attempt — the paper's
 // "processes keep on returning with GASPI_TIMEOUT unless a failure
 // acknowledgment is received". The attention line is armed for the
@@ -230,14 +230,23 @@ func (w *Worker) CheckFailure() error {
 // at once (gaspi.ErrAttention) and the timeout's expiry is only the
 // fallback.
 //
+// The timeout is spent in slices: the first attempt lasts
+// CommTimeout/firstSliceDiv, each expired one doubles the next up to the
+// full CommTimeout. A slice that expires with no notice on the board asks
+// the ring successor whether it is alive (probeSuccessor) before op is
+// resumed, so a death that left this worker no NACK — every post to the
+// victim had landed — still reaches the FD as a suspicion instead of
+// waiting out the scan interval.
+//
 // A hard error (broken connection, queue error) is latched: only the FD
 // establishes the consistent global view, so the error is held back until
 // the acknowledgment arrives, and op is not issued again — a WaitQueue
 // whose error list the failed attempt cleared would report success for a
 // write that never landed. From then on retry leaves only with a
 // FailureDetectedError, a board error or ErrStalled; while it waits it
-// nudges the FD to scan now. If no acknowledgment ever arrives the stall
-// limit aborts.
+// nudges the FD to scan now, a full CommTimeout per wait — the evidence is
+// in hand, there is nothing left to probe for. If no acknowledgment ever
+// arrives the stall limit aborts.
 //
 //ftlint:hotpath
 func (w *Worker) retry(op func(timeout time.Duration) error) error {
@@ -250,14 +259,23 @@ func (w *Worker) retry(op func(timeout time.Duration) error) error {
 	return err
 }
 
+// firstSliceDiv sizes the first slice of an armed blocking call:
+// CommTimeout/16, 0.6 ms at the benchmark's 10 ms. It trades detection of
+// an unwitnessed death against probe traffic on healthy waits that outlast
+// a slice: on kill_failover (ttr_ms_p75 3.4 ms, 0.18 pings per iteration
+// summed over ranks) /8 read 0.3 ms more with a third of the pings, /64
+// 0.35 ms less with twelve times as many; /16 was kept.
+const firstSliceDiv = 16
+
 func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
 	var detectStart, deadline time.Time
 	var hard error
+	slice := w.cfg.CommTimeout / firstSliceDiv
 	for {
 		attemptStart := time.Now()
 		err, expired := hard, false
 		if hard == nil {
-			if err = op(w.cfg.CommTimeout); err == nil {
+			if err = op(slice); err == nil {
 				return nil
 			}
 			expired = timerExpired(err)
@@ -265,7 +283,7 @@ func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
 			if errors.Is(hard, gaspi.ErrConnection) || errors.Is(hard, gaspi.ErrQueue) {
 				w.nudgeDetector()
 			}
-			expired = !w.p.AttentionWait(w.cfg.CommTimeout)
+			expired = !w.p.AttentionWait(slice)
 		}
 		if detectStart.IsZero() {
 			// OHF1 starts when the process first stalls on the failure,
@@ -281,16 +299,23 @@ func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
 			d := time.Since(detectStart)
 			w.rec.Add(trace.PhaseDetect, d)
 			w.rec.Inc(CounterDetectNS, int64(d))
-			return w.acked(n, expired)
+			// Only a full communication timeout running out beside the
+			// board write names a wait the line does not reach; a slice
+			// expires beside one by chance.
+			return w.acked(n, expired && slice == w.cfg.CommTimeout)
 		}
 		if !errors.Is(err, gaspi.ErrTimeout) && !errors.Is(err, gaspi.ErrStaleView) {
 			// A stale-view error is not latched: the notice that advanced
 			// the view is already on the board, so the very next
 			// checkNotice resolves it.
-			hard = err
+			hard, slice = err, w.cfg.CommTimeout
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%w: last error: %v", ErrStalled, err)
+		}
+		if expired && hard == nil {
+			w.probeSuccessor()
+			slice = min(2*slice, w.cfg.CommTimeout)
 		}
 	}
 }
@@ -318,11 +343,35 @@ func (w *Worker) acked(n *Notice, expired bool) error {
 	return &FailureDetectedError{Notice: n}
 }
 
+// probeSuccessor pings the physical rank of the next logical rank once.
+// Only the dead endpoint's NACK is evidence — the same class as a NACKed
+// write — and it only moves the FD's next scan forward; a ping that times
+// out says the successor is slow or unreachable, which is the FD's to
+// judge with its retry budget, and nudges nobody. One successor suffices:
+// the allreduces block every rank within an iteration of any death, so the
+// victim's ring predecessor is among the blocked. The line does not cut a
+// ping short, so behind an unreachable successor an acknowledgment waits
+// up to a PingTimeout for this worker.
+func (w *Worker) probeSuccessor() {
+	if w.fd == NilRank {
+		return // nobody to nudge
+	}
+	succ := w.rm.Phys((w.logical + 1) % w.lay.Workers())
+	if succ == w.p.Rank() {
+		return
+	}
+	w.rec.Inc(trace.KFTProbePings, 1)
+	if errors.Is(w.p.ProcPing(succ, w.cfg.PingTimeout), gaspi.ErrConnection) {
+		w.rec.Inc(trace.KFTProbeNacks, 1)
+		w.nudgeDetector()
+	}
+}
+
 // nudgeDetector asks the FD to scan now: a worker holding a hard
-// communication error has seen a failure first-hand, and the FD would
-// otherwise find it only at the end of its scan interval. The nudge
-// declares nothing — the FD runs its ordinary scan and decides alone. At
-// most one goes out per communication timeout.
+// communication error or its dead successor's NACK has seen a failure
+// first-hand, and the FD would otherwise find it only at the end of its
+// scan interval. The nudge declares nothing — the FD runs its ordinary scan
+// and decides alone. At most one goes out per communication timeout.
 func (w *Worker) nudgeDetector() {
 	now := time.Now()
 	if w.fd == NilRank || now.Sub(w.lastNudge) < w.cfg.CommTimeout {

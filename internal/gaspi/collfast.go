@@ -199,8 +199,12 @@ func (p *Proc) gossipDead(g *group, dead Rank) {
 // go unnoticed by a waiter that nothing else would ever contact again.
 // Within one parked wait the gap backs off exponentially to
 // collProbeMaxInterval, so ordinary load-imbalance waits do not sustain
-// O(members) probe traffic per waiter per tick; every new wait (ft-layer
-// calls re-enter per communication timeout) restarts at the fast rate.
+// O(members) probe traffic per waiter per tick. Every new wait posts one
+// probe on entry and restarts at the fast rate, and an ft-layer call
+// re-enters once per expired slice of its communication timeout (a
+// sixteenth of it first, doubling) — still a handful of probes per blocked
+// rank, all to the one successor, and none on a collective that completes
+// within its first slice.
 const collProbeInterval = 2 * time.Millisecond
 
 // collProbeMaxInterval caps the probe backoff of a long-parked waiter.

@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/ft"
 	"repro/internal/gaspi"
 	"repro/internal/matrix"
 	"repro/internal/trace"
@@ -194,6 +196,68 @@ func TestPreprocessIgnoresDuplicateRequest(t *testing.T) {
 		}
 	}
 	checkAgainstSerial(t, distPower(t, gen, workers, iters, withDup()), serialPower(gen, iters))
+}
+
+// requestCounter counts the passive sends Preprocess asks for.
+type requestCounter struct {
+	Comm
+	n *atomic.Int64
+}
+
+func (c requestCounter) PassiveSend(to int, data []byte) error {
+	c.n.Add(1)
+	return c.Comm.PassiveSend(to, data)
+}
+
+// TestPreprocessPostsEachRequestOnce: ft.Worker.PassiveSend posts again on
+// every attempt that times out, and an attempt is a slice of the
+// communication timeout, not the whole of it. On a healthy job no slice
+// expires (the first is a second long here), so the duplicates Preprocess
+// tolerates are never made by the retry loop itself: the fabric carries
+// exactly one passive message per request.
+func TestPreprocessPostsEachRequestOnce(t *testing.T) {
+	const workers = 4
+	gen := matrix.Laplacian1D{N: 16}
+	lay := ft.Layout{Procs: 1 + workers}
+	cfg := ft.Config{CommTimeout: 16 * time.Second}
+	var requests atomic.Int64
+	job := gaspi.Launch(testGaspiCfg(lay.Procs), func(p *gaspi.Proc) error {
+		if err := ft.CreateBoard(p, lay); err != nil {
+			return err
+		}
+		if p.Rank() == 0 { // the detector's seat: nothing to detect
+			_, err := p.NotifyWaitsome(ft.SegBoard, ft.NotifShutdown, 1, gaspi.Block)
+			return err
+		}
+		if err := ft.SetupInitialGroup(p, lay, gaspi.Block); err != nil {
+			return err
+		}
+		w := ft.NewWorker(p, lay, cfg, int(p.Rank())-1, true, trace.NewRecorder())
+		lo, hi := matrix.BlockRange(gen.Dim(), workers, w.Logical())
+		if _, err := Preprocess(requestCounter{w, &requests}, matrix.Build(gen, lo, hi)); err != nil {
+			return err
+		}
+		if err := w.Barrier(); err != nil || w.Logical() != 0 {
+			return err
+		}
+		return ft.SignalShutdown(p, lay)
+	})
+	t.Cleanup(job.Close)
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	// Each interior rank of the 1-D Laplacian asks both neighbours, the two
+	// end ranks one each.
+	posted := job.Transport().Stats().PerKind[6] // kPassive
+	if want := int64(2*workers - 2); requests.Load() != want || posted != uint64(want) {
+		t.Fatalf("%d requests, %d passive messages posted, want %d of each", requests.Load(), posted, want)
+	}
 }
 
 // foreignComm stamps every pre-processing request with a sender rank

@@ -71,10 +71,15 @@ const (
 
 	// How a failure acknowledgment reached a blocked worker: woken by the
 	// attention line, or found after the communication timeout expired (the
-	// fallback); and the nudges workers sent the FD on a hard error.
+	// fallback — a full CommTimeout, not a slice of it); the nudges workers
+	// sent the FD on first-hand evidence; and where the unwitnessed part of
+	// that evidence comes from: the pings blocked workers sent their ring
+	// successor after a slice expired, and how many a dead endpoint NACKed.
 	KFTAckWoken      = "ft.ack.woken"
 	KFTAckTimedOut   = "ft.ack.timed_out"
 	KFTSuspectNudges = "ft.suspect.nudges"
+	KFTProbePings    = "ft.probe.pings"
+	KFTProbeNacks    = "ft.probe.nacks"
 
 	// Hot shadow ranks (internal/ft standby mirror + failover takeover).
 	KFTShadowAppliedFrames = "ft.shadow.applied_frames"
