@@ -182,8 +182,10 @@ func BenchmarkCollAllreduceF64Sharded(b *testing.B) {
 	benchCollJob(b, 8, 4, benchAllreduce)
 }
 
-// BenchmarkCollAllreduceF64Large exercises the segmented (chunked,
-// ack-flow-controlled) large-vector protocol.
+// BenchmarkCollAllreduceF64Large exercises the windowed (chunked,
+// ack-flow-controlled) large-vector protocol; the warm-up materialises the
+// chunk window and pays its rendezvous, so the timed loop runs at 0
+// allocs/op.
 func BenchmarkCollAllreduceF64Large(b *testing.B) {
 	benchCollJob(b, 4, 0, func(p *gaspi.Proc, n int) error {
 		in := make([]float64, 4096)
@@ -195,6 +197,81 @@ func BenchmarkCollAllreduceF64Large(b *testing.B) {
 			if err := p.AllreduceF64Into(gaspi.GroupAll, in, out, gaspi.OpSum, gaspi.Block); err != nil {
 				return err
 			}
+		}
+		return nil
+	})
+}
+
+// BenchmarkJobLaunch and BenchmarkGroupRecommit gate what the
+// communication layer allocates whether or not a job ever uses it: B/op of
+// launching and closing an 8-process job (fabric rings and inboxes sized
+// from the process count, GroupAll's resident collective tier; CI ceiling
+// 1.5 MB), and B/member of one delete + create + commit of a 4-member
+// group, the allocation every survivor pays on the recovery path (CI
+// ceiling 16 KiB: the chunk window is not part of a commit).
+
+func BenchmarkJobLaunch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchJobCfg(b, gaspi.Config{
+			Procs:   8,
+			Latency: fabric.LatencyModel{Base: 2 * time.Microsecond},
+		}, func(*gaspi.Proc) error { return nil })
+	}
+}
+
+func BenchmarkGroupRecommit(b *testing.B) {
+	const members = 4
+	// Two ids in turn, as a recovery moves to the next group id: a member
+	// that is a commit ahead posts its handshake rounds under an id the
+	// slower ones have already deleted and purged, never under the one they
+	// are still committing.
+	commit := func(p *gaspi.Proc, gid gaspi.GroupID) error {
+		if err := p.GroupCreate(gid); err != nil {
+			return err
+		}
+		for r := gaspi.Rank(0); r < members; r++ {
+			if err := p.GroupAdd(gid, r); err != nil {
+				return err
+			}
+		}
+		return p.GroupCommit(gid, gaspi.Block)
+	}
+	benchJobCfg(b, gaspi.Config{
+		Procs:   members,
+		Latency: fabric.LatencyModel{Base: 2 * time.Microsecond},
+	}, func(p *gaspi.Proc) error {
+		cur, next := gaspi.GroupID(1), gaspi.GroupID(2)
+		if err := commit(p, cur); err != nil {
+			return err
+		}
+		if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+			return err
+		}
+		var before runtime.MemStats
+		if p.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+			return err
+		}
+		for i := 0; i < b.N; i++ {
+			p.GroupDelete(cur)
+			if err := commit(p, next); err != nil {
+				return err
+			}
+			cur, next = next, cur
+		}
+		if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			b.StopTimer()
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/members, "B/member")
 		}
 		return nil
 	})
@@ -257,7 +334,7 @@ func BenchmarkCPStreamPush(b *testing.B) {
 // rows of the 128x128-cell graphene sheet, logical 1 of 4. NewSplit runs the same layout and cut as the loader's
 // NewPendingSplit + Cut, less the two small allocations of the pending state,
 // so B/op is comparable with Build + NewSplit at any earlier commit. ms/op,
-// B/op and allocs/op are the numbers an exact sizing of the cut (ROADMAP 3c)
+// B/op and allocs/op are the numbers an exact sizing of the cut (ROADMAP 2a)
 // diffs.
 func BenchmarkRescueLoad(b *testing.B) {
 	const workers, logical = 4, 1

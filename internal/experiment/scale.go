@@ -52,7 +52,10 @@ type ScaleConfig struct {
 	// fans out an observed death), so the full sweep is affordable and
 	// the field remains only as a manual trim for slow hosts.
 	StreamMaxRanks int
-	// VecLen is the allreduce vector length (fits one chunk).
+	// VecLen is the allreduce vector length: one chunk, no acks. The
+	// default 64 is longer than a resident collective sub-slot below 64
+	// ranks, so those points reduce through the chunk window their first
+	// operation materialises.
 	VecLen int
 	// Seed seeds the fabric jitter streams.
 	Seed int64

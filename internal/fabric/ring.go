@@ -52,18 +52,16 @@ type postRing struct {
 	head  uint64 // consumer-only
 }
 
-// ringDepth is the per-shard intake capacity. Must be a power of two.
+// newPostRing makes a ring of depth slots, a power of two (intakeDepth).
 // A full ring splits by caller (shard.enqueue): ordinary producers wait
 // for space — that wait is the fabric's flow control — while delivery
 // goroutines, which can arrive here posting NACKs or sink completion
 // replies into their own ring, divert to the shard's spill queue instead
 // of deadlocking.
-const ringDepth = 4096
-
-func newPostRing() *postRing {
+func newPostRing(depth int) *postRing {
 	r := &postRing{
-		slots: make([]ringSlot, ringDepth),
-		mask:  ringDepth - 1,
+		slots: make([]ringSlot, depth),
+		mask:  uint64(depth) - 1,
 	}
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))

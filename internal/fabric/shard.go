@@ -183,7 +183,7 @@ func newShard(t *Transport, id int, seed int64) *shard {
 	s := &shard{
 		t:        t,
 		id:       id,
-		ring:     newPostRing(),
+		ring:     newPostRing(intakeDepth(t.cfg.N)),
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		lastDue:  make(map[pairKey]time.Time),

@@ -50,6 +50,25 @@ func TestShardCountDefaults(t *testing.T) {
 	}
 }
 
+// TestIntakeDepthFollowsEndpointCount pins the sizing rule of rings and
+// inboxes: 64 slots per endpoint, a power of two, within [512, 4096] — and
+// that a transport's queues are made to it.
+func TestIntakeDepthFollowsEndpointCount(t *testing.T) {
+	for n, want := range map[int]int{1: 512, 7: 512, 8: 512, 9: 1024, 16: 1024, 33: 4096, 64: 4096, 256: 4096} {
+		if got := intakeDepth(n); got != want {
+			t.Errorf("intakeDepth(%d) = %d, want %d", n, got, want)
+		}
+	}
+	tr := New(fastCfg(9))
+	defer tr.Close()
+	if got := cap(tr.eps[0].in); got != 1024 {
+		t.Errorf("inbox depth %d at 9 endpoints, want 1024", got)
+	}
+	if got := len(tr.shards[0].ring.slots); got != 1024 {
+		t.Errorf("ring depth %d at 9 endpoints, want 1024", got)
+	}
+}
+
 // TestCrossShardFIFOProperty is the sharded-data-plane ordering property:
 // per-(source,destination) FIFO must survive any shard count, jitter, and
 // concurrent posting from multiple sources. Several sources post token
@@ -373,5 +392,169 @@ func TestShardsEqualRanksMatchesPumpLayout(t *testing.T) {
 		if m.Token != uint64(i) {
 			t.Fatalf("got token %d want %d", m.Token, i)
 		}
+	}
+}
+
+// waitUntil polls cond (an atomic or a channel length) until it holds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestUndrainedEndpointFlood drives both bounded queues of the intake to
+// their limit: four producers post 8 × depth messages each to an endpoint
+// nobody reads, so its inbox fills, the rest parks in the shard's overflow
+// FIFO, and the producers outrun a ring a fraction of their burst deep.
+// Every producer must return (the full-ring wait is flow control, not a
+// deadlock), and once the endpoint drains everything arrives, in
+// per-pair order, with nothing dropped.
+func TestUndrainedEndpointFlood(t *testing.T) {
+	const producers = 4
+	cfg := fastCfg(producers + 1)
+	tr := New(cfg)
+	defer tr.Close()
+	per := 8 * intakeDepth(cfg.N)
+	dst := tr.Endpoint(producers)
+
+	var wg sync.WaitGroup
+	for r := 0; r < producers; r++ {
+		wg.Add(1)
+		go func(e *Endpoint) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := e.Send(dst.Rank(), Message{Kind: 2, Token: uint64(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(tr.Endpoint(Rank(r)))
+	}
+	wg.Wait()
+	waitUntil(t, "a full inbox", func() bool { return len(dst.in) == intakeDepth(cfg.N) })
+
+	next := make([]uint64, producers)
+	for i := 0; i < producers*per; i++ {
+		m := recvOne(t, dst, 10*time.Second)
+		if m.Token != next[m.From] {
+			t.Fatalf("from %d: got token %d, want %d", m.From, m.Token, next[m.From])
+		}
+		next[m.From]++
+	}
+	if st := tr.Stats(); st.Dropped != 0 || st.Delivered != uint64(producers*per) {
+		t.Fatalf("dropped %d, delivered %d of %d", st.Dropped, st.Delivered, producers*per)
+	}
+}
+
+// TestShardNackIntoFullRingSpills holds the one shard inside a delivery (a
+// sink that waits on a gate) while a producer fills its ring to the last
+// slot and goes on waiting for space. Released, the shard delivers to a
+// closed endpoint and posts the NACKs into its own full ring: waiting
+// there would deadlock the only goroutine that drains it, so they must
+// take the spill queue — checked by holding the shard at a second gate —
+// and still reach the sender in post order, behind nothing they were
+// posted before, with the waiting producer's tail delivered as well.
+func TestShardNackIntoFullRingSpills(t *testing.T) {
+	const (
+		src, closedDst, sinkDst = Rank(0), Rank(1), Rank(2)
+		kindGate, kindFill      = 3, 2
+		nacks                   = 8
+		extra                   = 64 // what the producer still has to post when the ring is full
+	)
+	cfg := fastCfg(3)
+	cfg.Shards = 1
+	tr := New(cfg)
+	defer tr.Close()
+	depth := intakeDepth(cfg.N)
+	a, s := tr.Endpoint(src), tr.shards[0]
+	tr.Endpoint(closedDst).Close()
+
+	gates := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	entered := make(chan uint64)
+	var fills atomic.Uint64
+	var misordered atomic.Bool
+	tr.Endpoint(sinkDst).SetSink(func(m Message) bool {
+		if m.Kind == kindGate {
+			entered <- m.Token
+			<-gates[m.Token]
+		} else if fills.Add(1)-1 != m.Token {
+			misordered.Store(true)
+		}
+		return true
+	})
+	send := func(to Rank, kind uint8, token uint64) {
+		t.Helper()
+		if err := a.Send(to, Message{Kind: kind, Token: token}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enter := func(gate uint64) {
+		t.Helper()
+		select {
+		case got := <-entered:
+			if got != gate {
+				t.Fatalf("shard entered gate %d, want %d", got, gate)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("shard never reached gate %d", gate)
+		}
+	}
+
+	// Behind gate 0, queue up the pass the test is about: gate 1, the posts
+	// that will be NACKed, gate 2 — delivered in that order.
+	send(sinkDst, kindGate, 0)
+	enter(0)
+	send(sinkDst, kindGate, 1)
+	for i := 0; i < nacks; i++ {
+		send(closedDst, kindFill, uint64(i))
+	}
+	send(sinkDst, kindGate, 2)
+	close(gates[0])
+	enter(1)
+
+	// The shard gathered that pass, so its ring is empty; it pops nothing
+	// while it sits at gate 1. Fill it.
+	full := s.ring.tail.Load() + uint64(depth)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < depth+extra; i++ {
+			if err := a.Send(sinkDst, Message{Kind: kindFill, Token: uint64(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	waitUntil(t, "a full ring", func() bool { return s.ring.tail.Load() == full })
+	close(gates[1])
+	enter(2)
+
+	s.spillMu.Lock()
+	spilled, on := len(s.spill), s.spillOn.Load()
+	s.spillMu.Unlock()
+	if spilled != nacks || !on {
+		t.Fatalf("%d NACKs in the spill queue (engaged: %v), want %d", spilled, on, nacks)
+	}
+	close(gates[2])
+
+	for i := 0; i < nacks; i++ {
+		m := recvOne(t, a, 10*time.Second)
+		if m.Kind != KindNack || m.From != closedDst || m.Token != uint64(i) {
+			t.Fatalf("NACK %d: got kind %d from %d token %d", i, m.Kind, m.From, m.Token)
+		}
+	}
+	wg.Wait()
+	waitUntil(t, "the producer's tail", func() bool { return fills.Load() == uint64(depth+extra) })
+	if misordered.Load() {
+		t.Fatal("fill messages reached the sink out of post order")
+	}
+	if st := tr.Stats(); st.Dropped != 0 {
+		t.Fatalf("dropped %d", st.Dropped)
 	}
 }

@@ -51,8 +51,6 @@ type Config struct {
 	N int
 	// Latency is the fabric latency model.
 	Latency LatencyModel
-	// InboxDepth is the per-endpoint receive queue depth (default 4096).
-	InboxDepth int
 	// Seed seeds the deterministic jitter streams.
 	Seed int64
 	// Shards is the number of data-plane delivery shards. Destinations are
@@ -67,9 +65,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	cc := *c
-	if cc.InboxDepth <= 0 {
-		cc.InboxDepth = 4096
-	}
 	if cc.Latency.MgmtDelay == 0 {
 		cc.Latency.MgmtDelay = cc.Latency.Base
 	}
@@ -83,6 +78,21 @@ func (c *Config) withDefaults() Config {
 		cc.Shards = 1
 	}
 	return cc
+}
+
+// intakeDepth is the capacity of both bounded queues a message crosses: a
+// shard's post ring and an endpoint's inbox. 64 slots per endpoint, as a
+// power of two (the ring masks its cursor) within [512, 4096], so what a
+// job keeps resident follows its size up to 64 endpoints. Depth is no
+// correctness parameter: a shallower queue only fills sooner, and the
+// producer's full-ring wait (shard.enqueue) and the per-destination
+// overflow FIFO (shard.deliverOrDefer) are the flow control at any depth.
+func intakeDepth(n int) int {
+	d := 512
+	for d < 64*n && d < 4096 {
+		d *= 2
+	}
+	return d
 }
 
 // Stats holds fabric-wide message counters. All fields are read with
@@ -188,7 +198,7 @@ func New(cfg Config) *Transport {
 		t.eps[i] = &Endpoint{
 			rank: Rank(i),
 			t:    t,
-			in:   make(chan Message, cfg.InboxDepth),
+			in:   make(chan Message, intakeDepth(cfg.N)), // sized with the rings
 			done: make(chan struct{}),
 		}
 	}

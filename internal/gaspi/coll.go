@@ -68,7 +68,7 @@ func (p *Proc) AllreduceF64Into(gid GroupID, in, out []float64, op ReduceOp, tim
 	if fresh {
 		g.accF = append(g.accF[:0], in...)
 	}
-	return allreduceFast(p, g, st, g.fast.view, g.accF, out, combineF64, op, timeout)
+	return allreduceFast(p, g, st, g.accF, out, combineF64, op, timeout)
 }
 
 // checkAllreduceLen validates the vector lengths of an allreduce before it
@@ -108,7 +108,7 @@ func (p *Proc) AllreduceI64Into(gid GroupID, in, out []int64, op ReduceOp, timeo
 	if fresh {
 		g.accI = append(g.accI[:0], in...)
 	}
-	return allreduceFast(p, g, st, g.fast.viewI, g.accI, out, combineI64, op, timeout)
+	return allreduceFast(p, g, st, g.accI, out, combineI64, op, timeout)
 }
 
 // --- two-sided round transport ------------------------------------------------

@@ -17,19 +17,29 @@ import (
 // negative segment ID derived from the group ID, created before the commit
 // handshake so peers can never observe a member without it). The segment
 // is laid out as per-round, parity-double-buffered slots, each split into
-// a two-deep chunk window (sub-slots cp ∈ {0,1}):
+// two sub-slots cp ∈ {0,1}:
 //
 //	[ recv  (parity, round, cp) ... ] [ stage (parity, round, cp) ... ]
 //
-// with R = ceil(log2(n)) rounds per parity per phase and one chunk
-// (collChunkElems float64s) per sub-slot. Notification slots mirror the
-// layout: slot (parity*2R+round)*2+cp signals data arrival, slot
-// 8R+(parity*2R+round)*2+cp carries the consumption ack of the segmented
-// large-vector protocol. Consecutive collectives alternate parity
-// (sequence number parity), and the completion invariant — no member can
-// finish collective s before every member has started s — makes the
-// two-deep parity buffering sufficient: by the time parity p is reused
-// (s+2), every slot written during s has been consumed.
+// with R = ceil(log2(n)) rounds per parity per phase. Notification slots
+// mirror the layout: slot (parity*2R+round)*2+cp signals data arrival,
+// slot 8R+(parity*2R+round)*2+cp carries the grants and consumption acks
+// of the windowed large-vector protocol. Consecutive collectives alternate
+// parity (sequence number parity), and the completion invariant — no
+// member can finish collective s before every member has started s —
+// makes the two-deep parity buffering sufficient: by the time parity p is
+// reused (s+2), every slot written during s has been consumed.
+//
+// The layout exists in two tiers. Resident from the group's creation are
+// the notification array and sub-slots of collFast.small elements — room
+// for what the fault-tolerance framework and the solvers reduce (dot
+// products, norms, agreement vectors of one element per member at most).
+// The chunk window, the same layout with collChunkElems elements per
+// sub-slot, is appended to the segment by the group's first allreduce of a
+// longer vector (collWindow) — bench-scale's 64-element sweep on 4 and 16
+// ranks is the one in this tree: a group that only ever reduces short
+// vectors never allocates, zeroes or carries it, and a group recommit on
+// the recovery path costs kilobytes.
 //
 // Dissemination (Barrier) and binomial reduce+broadcast (Allreduce) rounds
 // post their payloads with borrowed-buffer one-sided writes straight from
@@ -48,11 +58,28 @@ import (
 // posts of one round therefore land on distinct shard heaps and deliver
 // in parallel instead of serializing behind a single timer heap.
 //
-// Vectors longer than one chunk run the segmented pipelined protocol:
-// chunks alternate between the two sub-slots of the round, and the sender
-// posts chunk c only after the receiver's ack of chunk c-2 — a two-chunk
-// window that overlaps the transfer of one chunk with the consumption of
-// the other, with bounded slot memory regardless of vector length.
+// Vectors longer than a resident sub-slot go through the chunk window,
+// chunk by chunk: chunks alternate between the two sub-slots of the round,
+// and the sender posts chunk c ≥ 2 only on the consumption ack of chunk
+// c-2. A two-chunk window overlaps the transfer of one chunk with the
+// consumption of the other, with bounded slot memory regardless of vector
+// length; a vector of one or two chunks exchanges no acks at all.
+//
+// The window's rendezvous happens once per group. In the group's first
+// windowed collective a sender does not assume sub-slots 0 and 1 either:
+// it waits for the grants the receiver posts when it enters the round —
+// after materialising its window, so no partner can post into a window
+// that does not exist yet. Grants travel as the acks of chunks -2 and -1
+// and land in the resident notification array, so they need no window on
+// the sender's side. Once a member has completed that collective, the
+// completion invariant says every member has entered it, hence owns its
+// window (collFast.windowMet): later collectives post their first two
+// chunks unasked, and a steady stream of medium vectors costs the messages
+// it cost when every segment was born with its window. A straggler grant
+// of an abandoned instance could stand in for a missing window after an
+// unsynchronised same-ID recreation (the write is dropped out of bounds
+// and the collective times out); the recovery path always commits a fresh
+// group ID.
 //
 // Fault awareness: a dead member NACKs the writes and probes directed at
 // it, which marks it corrupt in the state vector and broadcasts
@@ -62,10 +89,16 @@ import (
 // exactly where it stopped; a group recommit (GroupDelete + recreate)
 // invalidates the cursor and the segment wholesale.
 
-// collChunkElems is the element capacity of one round sub-slot (8 KiB):
-// small Lanczos-style reductions (dot products, norms) fit in one chunk,
-// larger vectors run the windowed segmented protocol chunk by chunk.
+// collChunkElems is the element capacity of one chunk-window sub-slot
+// (8 KiB): vectors too long for a resident sub-slot run the windowed
+// protocol chunk by chunk.
 const collChunkElems = 1024
+
+// collSmallMin is the least element capacity of a resident sub-slot: the
+// dot products, norms and agreement pairs of a small group fit with room
+// to spare. Anything longer takes the chunk window, at the price of one
+// rendezvous and one allocation per group.
+const collSmallMin = 16
 
 // collSegID maps a group to its reserved collective segment ID. Negative
 // IDs are reserved for the runtime; applications allocate non-negative
@@ -82,76 +115,125 @@ func collRounds(n int) int {
 	return r
 }
 
-// collVal tags a data or ack notification with (sequence, chunk); the +1
-// keeps the value non-zero for chunk 0 of any sequence. The chunk field
-// is 20 bits, which bounds the vector length (collMaxElems).
-func collVal(seq uint64, chunk int) int64 { return int64(seq)<<20 | int64(chunk+1) }
+// collVal tags a data, grant or ack notification with (sequence, chunk).
+// Chunks -2 and -1 are the grants of the two window sub-slots in a group's
+// first windowed collective (the "acks" of the chunks that would have
+// preceded 0 and 1); the +3 keeps the value non-zero for them at any
+// sequence. The chunk field is 20 bits, which bounds the vector length
+// (collMaxElems).
+func collVal(seq uint64, chunk int) int64 { return int64(seq)<<20 | int64(chunk+3) }
 
 // collMaxElems is the largest vector an allreduce accepts: the chunk
 // index must fit collVal's 20-bit field. Anything larger (≥8 GiB of
 // float64s) is rejected with ErrInvalid.
-const collMaxElems = collChunkElems * (1<<20 - 1)
+const collMaxElems = collChunkElems * (1<<20 - 3)
 
 // collFast is a group's registered-segment collective state.
 type collFast struct {
 	segID SegmentID
 	seg   *segment
-	view  []float64 // float64 view of seg.buf
-	viewI []int64   // int64 view of the same memory (integer allreduce)
-	r     int       // ceil(log2(n))
-	chunk int       // collChunkElems
+	r     int // ceil(log2(n))
+	small int // element capacity of a resident sub-slot
+	// windowMet is set once this member has completed a windowed
+	// collective: every member has then entered one, so every window exists
+	// and senders stop waiting for grants.
+	windowMet bool
 }
 
-// element offsets and notification slots of the layout above; cp is the
-// chunk-window sub-slot (chunk index & 1).
-func (f *collFast) recvOff(parity, round, cp int) int {
-	return ((parity*2*f.r+round)*2 + cp) * f.chunk
+// collTier addresses one tier of the segment layout: the element offset of
+// its first sub-slot and the element capacity of each.
+type collTier struct{ base, chunk int }
+
+// sub numbers the sub-slots of either area (recv, stage) and of either
+// half of the notification array (data, ack); cp is the chunk-window
+// sub-slot (chunk index & 1).
+func (f *collFast) sub(parity, round, cp int) int { return (parity*2*f.r+round)*2 + cp }
+
+// Element offsets of the layout above. The stage area follows the tier's
+// 8R recv sub-slots.
+func (f *collFast) recvOff(t collTier, sub int) int  { return t.base + sub*t.chunk }
+func (f *collFast) stageOff(t collTier, sub int) int { return t.base + (8*f.r+sub)*t.chunk }
+
+func (f *collFast) dataSlot(sub int) NotificationID { return NotificationID(sub) }
+func (f *collFast) ackSlot(sub int) NotificationID  { return NotificationID(8*f.r + sub) }
+
+// residentElems is the element count of the resident tier, and with it
+// the chunk window's base. A single-member group has no rounds; one
+// element keeps the segment's typed view valid.
+func (f *collFast) residentElems() int { return max(16*f.r*f.small, 1) }
+
+// tier returns the tier a vector of vecLen elements is reduced through:
+// the resident sub-slots when it fits in one, the chunk window otherwise.
+// A pure function of the length and the group's size, so every member
+// picks the same one.
+//
+//ftlint:hotpath
+func (f *collFast) tier(vecLen int) (t collTier, windowed bool) {
+	if vecLen <= f.small {
+		return collTier{base: 0, chunk: f.small}, false
+	}
+	return collTier{base: f.residentElems(), chunk: collChunkElems}, true
 }
-func (f *collFast) stageOff(parity, round, cp int) int {
-	return (8*f.r + (parity*2*f.r+round)*2 + cp) * f.chunk
-}
-func (f *collFast) dataSlot(parity, round, cp int) NotificationID {
-	return NotificationID((parity*2*f.r+round)*2 + cp)
-}
-func (f *collFast) ackSlot(parity, round, cp int) NotificationID {
-	return NotificationID(8*f.r + (parity*2*f.r+round)*2 + cp)
+
+// collView is the typed view of a collective segment's memory.
+//
+// No host byte-order check is needed here, unlike SegmentFloat64s: all
+// ranks share one address space and this segment is only ever written and
+// read through the same native []float64/[]int64 view (the fabric copies
+// the staged bytes verbatim), so the layout is endian-clean.
+//
+//ftlint:hotpath
+func collView[T int64 | float64](s *segment) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(&s.buf[0])), len(s.buf)/8)
 }
 
 // collSetup equips a group with its collective segment and round state;
-// every committed group has one (g.fast != nil). The segment sizes its
+// every committed group has one (g.fast != nil). Only the resident tier is
+// allocated: sub-slots of max(collSmallMin, members) elements rounded up
+// to a power of two — 4 KiB for a 4-member group. The segment sizes its
 // notification array from its own layout — 16·r slots, see dataSlot and
 // ackSlot — so no group is too large for it. Existing state sized for a
 // DIFFERENT round count is rebuilt — membership may legally grow between a
 // timed-out commit and its retry (the group is still uncommitted), and a
 // stale layout would silently desynchronize the slot scheme across
 // members.
-//
-// No host byte-order check is needed here, unlike SegmentFloat64s: all
-// ranks share one address space and this segment is only ever written and
-// read through the same native []float64/[]int64 view (the fabric copies
-// the staged bytes verbatim), so the layout is endian-clean.
 func (p *Proc) collSetup(g *group) {
 	r := collRounds(len(g.members))
 	if g.fast != nil && g.fast.r == r {
 		return
 	}
-	elems := max(16*r*collChunkElems, 1) // single-member group: no rounds, but keep the view valid
-	s := &segment{
-		id:        collSegID(g.id),
-		buf:       make([]byte, 8*elems),
+	f := &collFast{segID: collSegID(g.id), r: r, small: collSmallMin}
+	for f.small < len(g.members) {
+		f.small *= 2
+	}
+	f.seg = &segment{
+		id:        f.segID,
+		buf:       make([]byte, 8*f.residentElems()),
 		notifVals: make([]int64, 16*r),
 	}
 	p.mu.Lock()
-	p.segs[s.id] = s
+	p.segs[f.segID] = f.seg
 	p.mu.Unlock()
-	g.fast = &collFast{
-		segID: s.id,
-		seg:   s,
-		view:  unsafe.Slice((*float64)(unsafe.Pointer(&s.buf[0])), elems),
-		viewI: unsafe.Slice((*int64)(unsafe.Pointer(&s.buf[0])), elems),
-		r:     r,
-		chunk: collChunkElems,
+	g.fast = f
+}
+
+// collWindow materialises the chunk window: the segment grows, once, from
+// its resident tier to the full layout. The swap happens under the segment
+// lock, which every delivery-time write holds, so a write lands either in
+// the old buffer before the copy or in the new one after it. Only the
+// owning collective goroutine calls this, and it alone reads seg.buf
+// outside the lock; payloads of its earlier posts still in flight keep
+// borrowing the old staging area, which nothing writes any more.
+func (p *Proc) collWindow(f *collFast) {
+	base := f.residentElems()
+	if len(f.seg.buf) > 8*base || f.r == 0 {
+		return
 	}
+	full := make([]byte, 8*(base+16*f.r*collChunkElems))
+	f.seg.mu.Lock()
+	copy(full, f.seg.buf)
+	f.seg.buf = full
+	f.seg.mu.Unlock()
 }
 
 // collTeardown releases a group's collective segment (failed commit,
@@ -254,8 +336,8 @@ func (p *Proc) collDataPost(to Rank, f *collFast, dstByteOff int64, data []byte,
 	_ = p.ep.Send(to, m)
 }
 
-// collNotifyPost posts a bare notification (barrier rounds, segmented
-// acks) fire-and-forget: token 0 requests no completion reply from the
+// collNotifyPost posts a bare notification (barrier rounds, window grants
+// and acks) fire-and-forget: token 0 requests no completion reply from the
 // target, halving the per-round message count. Nothing is lost — there is
 // no payload buffer to guard, and a dead target's NACK still marks it
 // corrupt (the NACK handler does not need a pending op for that).
@@ -377,7 +459,7 @@ func (p *Proc) barrierFast(g *group, st *inflightColl, timeout time.Duration) er
 	for st.round < f.r {
 		dist := 1 << st.round
 		to := g.members[(g.myIdx+dist)%n]
-		slot := f.dataSlot(parity, st.round, 0)
+		slot := f.dataSlot(f.sub(parity, st.round, 0))
 		if !st.sent {
 			p.collNotifyPost(to, f, slot, val)
 			st.sent = true
@@ -417,30 +499,37 @@ func collRoundRole(i, r, myIdx, n int) (send bool, peer int) {
 	return false, -1
 }
 
-// collChunks returns the chunk count of a vector (one empty chunk for a
-// zero-length vector, so the round protocol still exchanges its
+// chunks returns the chunk count of a vector on tier t (one empty chunk
+// for a zero-length vector, so the round protocol still exchanges its
 // notifications).
 //
 //ftlint:hotpath
-func (f *collFast) collChunks(vecLen int) int {
+func (t collTier) chunks(vecLen int) int {
 	if vecLen == 0 {
 		return 1
 	}
-	return (vecLen + f.chunk - 1) / f.chunk
+	return (vecLen + t.chunk - 1) / t.chunk
 }
 
 // allreduceFast runs the binomial allreduce for both element types (the int64 variant reads the wire chunks through an int64
 // view of the same slots, so integer arithmetic stays exact). acc is the
 // group-cached accumulator already holding this rank's contribution (or
-// the partial state of a resumed call); view aliases the collective
-// segment as []T. The result is copied to out.
+// the partial state of a resumed call). The result is copied to out.
+// st.round and st.chunk are the resume cursor, plus st.sent in the group's
+// first windowed collective: the round's grants are out.
 //
 //ftlint:hotpath
-func allreduceFast[T int64 | float64](p *Proc, g *group, st *inflightColl, view, acc, out []T, combine func(dst, src []T, op ReduceOp), op ReduceOp, timeout time.Duration) error {
+func allreduceFast[T int64 | float64](p *Proc, g *group, st *inflightColl, acc, out []T, combine func(dst, src []T, op ReduceOp), op ReduceOp, timeout time.Duration) error {
 	f := g.fast
 	n := len(g.members)
 	L := st.vecLen
-	m := f.collChunks(L)
+	t, windowed := f.tier(L)
+	if windowed {
+		p.collWindow(f)
+	}
+	grant := windowed && !f.windowMet
+	view := collView[T](f.seg)
+	m := t.chunks(L)
 	parity := int(st.seq & 1)
 	for st.round < 2*f.r {
 		send, peer := collRoundRole(st.round, f.r, g.myIdx, n)
@@ -449,43 +538,53 @@ func allreduceFast[T int64 | float64](p *Proc, g *group, st *inflightColl, view,
 			continue
 		}
 		to := g.members[peer]
+		if grant && !send && !st.sent {
+			// Entering the round as receiver, window in place: grant the
+			// sender its sub-slots.
+			for c := 0; c < min(2, m); c++ {
+				p.collNotifyPost(to, f, f.ackSlot(f.sub(parity, st.round, c)), collVal(st.seq, c-2))
+			}
+			st.sent = true
+		}
 		for st.chunk < m {
 			c := st.chunk
-			cp := c & 1
-			lo := min(L, c*f.chunk)
-			hi := min(L, (c+1)*f.chunk)
+			sub := f.sub(parity, st.round, c&1)
+			lo := min(L, c*t.chunk)
+			hi := min(L, (c+1)*t.chunk)
 			if send {
-				if c >= 2 {
+				if windowed && (c >= 2 || grant) {
 					// Two-chunk window: the peer must have consumed chunk
-					// c-2 before this sub-slot is overwritten, so chunk
-					// c-1's transfer overlaps chunk c-2's consumption.
-					if err := p.collAwait(g, f.ackSlot(parity, st.round, cp), collVal(st.seq, c-2), timeout); err != nil {
+					// c-2 out of this sub-slot — or, not yet known to have
+					// a window, granted it — before it is written, so
+					// chunk c-1's transfer overlaps chunk c-2's consumption.
+					if err := p.collAwait(g, f.ackSlot(sub), collVal(st.seq, c-2), timeout); err != nil {
 						return err
 					}
 				}
-				so := f.stageOff(parity, st.round, cp)
+				so := f.stageOff(t, sub)
 				copy(view[so:so+(hi-lo)], acc[lo:hi])
-				p.collDataPost(to, f, int64(8*f.recvOff(parity, st.round, cp)),
-					f.seg.buf[8*so:8*(so+(hi-lo))], f.dataSlot(parity, st.round, cp), collVal(st.seq, c))
+				p.collDataPost(to, f, int64(8*f.recvOff(t, sub)),
+					f.seg.buf[8*so:8*(so+(hi-lo))], f.dataSlot(sub), collVal(st.seq, c))
 			} else {
-				if err := p.collAwait(g, f.dataSlot(parity, st.round, cp), collVal(st.seq, c), timeout); err != nil {
+				if err := p.collAwait(g, f.dataSlot(sub), collVal(st.seq, c), timeout); err != nil {
 					return err
 				}
-				ro := f.recvOff(parity, st.round, cp)
+				ro := f.recvOff(t, sub)
 				if st.round < f.r {
 					combine(acc[lo:hi], view[ro:ro+(hi-lo)], op)
 				} else {
 					copy(acc[lo:hi], view[ro:ro+(hi-lo)])
 				}
 				if c+2 < m {
-					p.collNotifyPost(to, f, f.ackSlot(parity, st.round, cp), collVal(st.seq, c))
+					p.collNotifyPost(to, f, f.ackSlot(sub), collVal(st.seq, c))
 				}
 			}
 			st.chunk++
 		}
-		st.round, st.chunk = st.round+1, 0
+		st.round, st.chunk, st.sent = st.round+1, 0, false
 	}
 	copy(out, acc[:L])
+	f.windowMet = f.windowMet || windowed
 	p.finishCollective(g.id, st.seq)
 	return nil
 }

@@ -47,7 +47,7 @@ type inflightColl struct {
 	vecLen int  // element count, cross-checked on resume
 	round  int  // next unfinished round index
 	chunk  int  // next unfinished chunk within the round
-	sent   bool // the current round's notification has been posted (barrier)
+	sent   bool // the current round's notification (barrier) or window grants (allreduce) are posted
 }
 
 // GroupCreate starts building a group with the given ID

@@ -25,8 +25,6 @@ type Config struct {
 	MaxSegments int
 	// Latency is the fabric latency model.
 	Latency fabric.LatencyModel
-	// InboxDepth is the fabric per-endpoint inbox depth (default 4096).
-	InboxDepth int
 	// Seed seeds the fabric's deterministic jitter streams.
 	Seed int64
 	// FabricShards is the number of fabric delivery shards (default 0:
@@ -95,11 +93,10 @@ func Launch(cfg Config, main func(*Proc) error) *Job {
 		panic(fmt.Sprintf("gaspi: invalid proc count %d", cfg.Procs))
 	}
 	tr := fabric.New(fabric.Config{
-		N:          cfg.Procs,
-		Latency:    cfg.Latency,
-		InboxDepth: cfg.InboxDepth,
-		Seed:       cfg.Seed,
-		Shards:     cfg.FabricShards,
+		N:       cfg.Procs,
+		Latency: cfg.Latency,
+		Seed:    cfg.Seed,
+		Shards:  cfg.FabricShards,
 	})
 	job := &Job{
 		cfg:     cfg,

@@ -101,7 +101,7 @@ func layOut(plan *Plan) *Split {
 // rows of csr, and its halo every remote column csr references. The parts
 // grow by append; sizing them with a counting pass first is measured and
 // held back by the benchmark's recovery probe, not by this code (ROADMAP
-// 3c).
+// 2a).
 func (s *Split) cut(csr *matrix.CSR) error {
 	rows := csr.LocalRows()
 	lo, hi := s.plan.Lo, s.plan.Hi
