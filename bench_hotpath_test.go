@@ -3,9 +3,12 @@ package repro
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/ft"
 	"repro/internal/gaspi"
@@ -275,6 +278,59 @@ func BenchmarkGroupRecommit(b *testing.B) {
 		}
 		return nil
 	})
+}
+
+// BenchmarkStoreResident gates what the checkpoint store keeps resident
+// however long a job runs: the bytes of one family on the fullest of its two
+// nodes (MB/family) after 150 generations — and b.N more, whose write + flush
+// is the ns/op — of a 256 KiB state that dirties every chunk every epoch,
+// through the async writer with FullEvery 4 (cp_stream's configuration).
+// The retention rule holds three generations, 0.79 MB; a store that never
+// releases holds 39 MB at 150 and grows with b.N (CI ceiling 1 MB).
+func BenchmarkStoreResident(b *testing.B) {
+	const size = 256 << 10
+	cl := cluster.New(cluster.Config{
+		Nodes: 2,
+		Gaspi: gaspi.Config{Latency: fabric.LatencyModel{Base: time.Microsecond}},
+	}, func(ctx *cluster.ProcCtx) error { return nil })
+	defer cl.Close()
+	cl.Wait()
+	lib := checkpoint.New(cl, 0, checkpoint.Config{CheckpointMode: checkpoint.Async, FullEvery: 4})
+	defer lib.Stop()
+	lib.SetWorkerNodes([]int{0, 1})
+	payload := make([]byte, size)
+	write := func(v int64) {
+		for off := 0; off < size; off += checkpoint.DefaultChunkBytes {
+			payload[off] = byte(v)
+		}
+		if err := lib.Write("bench", 0, v, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for v := int64(1); v <= 150; v++ {
+		write(v)
+	}
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write(int64(151 + i))
+	}
+	lib.WaitIdle()
+	b.StopTimer()
+	if err := lib.Err(); err != nil {
+		b.Fatal(err)
+	}
+	resident := 0
+	for n := 0; n < 2; n++ {
+		held := 0
+		for _, k := range cl.Node(n).Keys() {
+			if sz, ok := cl.Node(n).Size(k); ok && strings.HasPrefix(k, "cp/bench/0/") {
+				held += sz
+			}
+		}
+		resident = max(resident, held)
+	}
+	b.ReportMetric(float64(resident)/1e6, "MB/family")
 }
 
 func BenchmarkCPStreamPush(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -81,6 +82,8 @@ func TestAsyncWriteHidesLocalCommitCost(t *testing.T) {
 // TestAsyncDoubleBufferBackPressure verifies the double-buffer discipline:
 // two checkpoints stage without waiting, the third must wait for a buffer
 // (the writer is two epochs behind) — observable as recorded stall time.
+// All three generations stay fetchable afterwards: two unsealed generations
+// behind a sealed one is exactly the lag the retention window is sized for.
 func TestAsyncDoubleBufferBackPressure(t *testing.T) {
 	cl := testClusterStorage(t, 2, cluster.StorageModel{LocalLatency: 20 * time.Millisecond})
 	lib := New(cl, 0, Config{CheckpointMode: Async})
@@ -171,7 +174,10 @@ func TestAsyncTornFlushNeverRestored(t *testing.T) {
 // TestAsyncConcurrentWriteRestoreRace is the -race regression test for the
 // double buffer: a writer streams versions while readers concurrently run
 // FindLatest/Fetch and the neighbor ring is refreshed, with all
-// cross-goroutine assertions channel-synchronized.
+// cross-goroutine assertions channel-synchronized. The readers rely on the
+// retention window: the version FindLatest names stays fetchable until the
+// writer has sealed more than restorableLag further generations, so a fetch
+// may lose that race and nothing else.
 func TestAsyncConcurrentWriteRestoreRace(t *testing.T) {
 	const versions = 120
 	cl := testClusterStorage(t, 3, cluster.StorageModel{})
@@ -209,9 +215,12 @@ func TestAsyncConcurrentWriteRestoreRace(t *testing.T) {
 				}
 				got, err := lib.Fetch("state", 0, v)
 				if err != nil {
-					// The version can be pruned/raced away only if
-					// KeepVersions were set; here it must stay fetchable.
-					errCh <- fmt.Errorf("fetch v%d: %w", v, err)
+					// Released under the reader: legitimate only once the
+					// store has moved past the window that held v.
+					if now, _ := lib.FindLatest("state", 0); now-v > restorableLag {
+						continue
+					}
+					errCh <- fmt.Errorf("fetch v%d inside the window: %w", v, err)
 					return
 				}
 				if !bytes.Equal(got, asyncPayload(v)) {
@@ -263,26 +272,34 @@ func (failingTransport) Push(int, string, []byte) error {
 	return errors.New("push always fails")
 }
 
-// TestAsyncPruneSparesNeighborOnFailedPush: with KeepVersions set and a
-// persistently failing replication path, pruning must not erase the
-// neighbor's older sealed replicas — they are the only off-node copies.
+// TestAsyncPruneSparesNeighborOnFailedPush: a generation is released only
+// behind one that sealed on the neighbor too, so under a persistently
+// failing replication path nothing is released anywhere — the neighbor's
+// older sealed replicas are the only off-node copies and a failed push never
+// costs it one.
 func TestAsyncPruneSparesNeighborOnFailedPush(t *testing.T) {
 	cl := testClusterStorage(t, 2, cluster.StorageModel{})
-	lib := New(cl, 0, Config{CheckpointMode: Async, KeepVersions: 2})
+	lib := New(cl, 0, Config{CheckpointMode: Async})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 
-	// Versions 1-2 replicate normally.
-	for v := int64(1); v <= 2; v++ {
+	// Versions 1-4 replicate normally; the rule has started releasing (v1).
+	for v := int64(1); v <= 4; v++ {
 		if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	lib.WaitIdle()
+	window := []int64{2, 3, 4}
+	for n := 0; n < 2; n++ {
+		if got := familyVersions(cl, n, "state", 0); !slices.Equal(got, window) {
+			t.Fatalf("node %d holds %v before the pushes fail, want %v", n, got, window)
+		}
+	}
 
 	// From now on every push fails; local commits continue.
 	lib.SetTransport(failingTransport{})
-	for v := int64(3); v <= 6; v++ {
+	for v := int64(5); v <= 9; v++ {
 		if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
 			t.Fatal(err)
 		}
@@ -290,6 +307,12 @@ func TestAsyncPruneSparesNeighborOnFailedPush(t *testing.T) {
 	lib.WaitIdle()
 	if lib.ErrCount() == 0 {
 		t.Fatal("failing pushes were not recorded")
+	}
+	if got := familyVersions(cl, 1, "state", 0); !slices.Equal(got, window) {
+		t.Fatalf("neighbor holds %v after five failed pushes, want %v untouched", got, window)
+	}
+	if got := familyVersions(cl, 0, "state", 0); len(got) != 8 {
+		t.Fatalf("local store holds %v: nothing may be released behind an unreplicated generation", got)
 	}
 
 	// The writer node dies: recovery must still find the neighbor's last
@@ -299,8 +322,8 @@ func TestAsyncPruneSparesNeighborOnFailedPush(t *testing.T) {
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{1})
 	v, ok := rescue.FindLatest("state", 0)
-	if !ok || v != 2 {
-		t.Fatalf("FindLatest = %d ok=%v, want 2 (the neighbor's last good replica)", v, ok)
+	if !ok || v != 4 {
+		t.Fatalf("FindLatest = %d ok=%v, want 4 (the neighbor's last good replica)", v, ok)
 	}
 	if _, err := rescue.Fetch("state", 0, v); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,13 @@
 // Every generation, stored or mirrored, is one of two CRC-stamped frames
 // from one chain encoder (delta.go): a generation-tagged full base (GCP4)
 // or a dirty-chunk delta chained onto its predecessor's tag (GCP3).
-// Config.FullEvery is only the cadence between the two.
+// Config.FullEvery is only the longest a chain of deltas may grow.
+//
+// The store is as deep as a recovery reaches (prune): once a generation has
+// sealed locally and on the neighbor, everything behind the newest full base
+// that is at least two generations old is released on both, so a node holds
+// between three and FullEvery+2 generations of a family however long the
+// job runs.
 //
 // Every committed replica is accompanied by a seal object written strictly
 // after its data, echoing the frame's version and chain identity.
@@ -103,10 +109,6 @@ type Config struct {
 	// PFSEvery writes every k-th version also to the PFS (0 = never;
 	// ModeNeighbor only).
 	PFSEvery int
-	// KeepVersions prunes checkpoint versions older than the newest K
-	// (0 = keep everything). Must be ≥2 for crash consistency: a failure
-	// during the version-k checkpoint wave forces a restart from k-1.
-	KeepVersions int
 	// CheckpointMode selects the synchronous (default) or the asynchronous
 	// double-buffered commit discipline.
 	CheckpointMode CheckpointMode
@@ -121,11 +123,12 @@ type Config struct {
 	// checkpoint or neighbor replication will fail (visible via Err and
 	// ErrCount).
 	StreamBytes int
-	// FullEvery is the full-base cadence of a checkpoint family's chain:
-	// every FullEvery-th generation is a self-contained full base and the
-	// generations between are dirty-chunk deltas (chunked at ChunkSize,
-	// chained by generation tag; see delta.go). 0 or 1 makes every
-	// generation a full base.
+	// FullEvery is the maximum depth of a checkpoint family's chain: at
+	// least every FullEvery-th generation is a self-contained full base and
+	// the generations between are dirty-chunk deltas (chunked at ChunkSize,
+	// chained by generation tag; see delta.go) — unless a delta would be no
+	// smaller than the base, which is then written instead and restarts the
+	// count. 0 or 1 makes every generation a full base.
 	FullEvery int
 }
 
@@ -181,6 +184,10 @@ type Library struct {
 	// stripeHook, when set (tests only), runs before every striped range
 	// read; the striped-restore fault tests kill a source node under it.
 	stripeHook func(nodeID int, stripe int)
+	// releaseHook, when set (tests only), runs inside prune once a node's
+	// released generations have lost their seals and before the data
+	// objects (dataKeys) go.
+	releaseHook func(nodeID int, dataKeys []string)
 
 	errMu    sync.Mutex
 	lastErr  error
@@ -416,13 +423,14 @@ func (l *Library) doCopy(req copyReq) {
 
 // replicate is the post-local-commit sequence shared by both commit
 // disciplines: neighbor push (through pushFn, which differs per
-// discipline), optional PFS copy, and pruning. The neighbor push and the
-// PFS copy run concurrently — they target independent storage tiers, and
-// serializing them on the single copier goroutine made PFS-enabled
-// configs pay the sum of the two flush latencies per version. The
-// neighbor is pruned only when this version's replica landed there —
-// under a persistently failing push, pruning would otherwise erase the
-// only off-node copies version by version.
+// discipline), optional PFS copy, and the retention rule. The neighbor push
+// and the PFS copy run concurrently — they target independent storage
+// tiers, and serializing them on the single copier goroutine made
+// PFS-enabled configs pay the sum of the two flush latencies per version.
+// Generations are released only behind one that sealed on the neighbor as
+// well (or when there is no neighbor to seal on): under a persistently
+// failing push nothing is released anywhere, so the neighbor keeps the only
+// off-node copies. A dead process releases nothing.
 func (l *Library) replicate(name, key string, logical int, version int64, blob []byte, toPFS bool, pushFn func(nb int) error) {
 	l.mu.Lock()
 	nb := l.neighbor
@@ -450,12 +458,8 @@ func (l *Library) replicate(name, key string, logical int, version int64, blob [
 		}()
 	}
 	wg.Wait()
-	if l.cfg.KeepVersions > 0 {
-		pruneNb := -1
-		if pushed {
-			pruneNb = nb
-		}
-		l.prune(name, logical, version, pruneNb)
+	if (pushed || nb < 0) && !l.aborted() {
+		l.prune(name, logical, version, nb)
 	}
 }
 
@@ -501,43 +505,88 @@ func (l *Library) pushNeighbor(nb int, key string, blob []byte, version int64) e
 	return l.cl.TransferMeta(l.nodeID, nb, SealKey(key), sealFor(blob, version))
 }
 
-// prune removes versions older than the newest KeepVersions (data and
-// seals) from the local node and the current neighbor. The limit is
-// lowered to the newest full base at or below it: a kept delta's chain
-// never reaches past the last full base before it, so keeping [base,
-// newest] keeps every kept version restorable.
-func (l *Library) prune(name string, logical int, newest int64, nb int) {
-	limit := newest - int64(l.cfg.KeepVersions) + 1
-	base := int64(-1)
+// restorableLag is how many generations a member's newest sealed copy can
+// trail the generation a peer just sealed: the async writer's double buffer
+// holds at most two unsealed generations of a rank in lockstep with its
+// peers, and recovery's version agreement takes the group minimum.
+const restorableLag = 2
+
+// prune is the retention rule, run once generation sealed of (name, logical)
+// is sealed on the local store and on the neighbor nb (-1: none): every
+// generation older than the newest full base lying at least restorableLag
+// generations behind sealed is released from both stores. A retained
+// generation's chain never reaches past the last full base before it, so
+// the newest restorableLag+1 generations — whatever the group can agree on
+// — stay restorable; with all-base chains that is all a node holds, with
+// deltas at most FullEvery+2 generations. Generations are counted among
+// the sealed ones in the local store, not by version number, and the anchor
+// is the generation whose push just finished — not the newest local one,
+// which the sync copier's queue may have left far behind the neighbor.
+//
+// On each store the released generations' seals are deleted before any of
+// their data, so a concurrent seal scan never meets a sealed generation
+// whose data is gone.
+func (l *Library) prune(name string, logical int, sealed int64, nb int) {
 	local := l.cl.Node(l.nodeID)
+	type generation struct {
+		version int64
+		full    bool
+	}
+	var gens []generation
 	for _, k := range local.Keys() {
 		dataKey, isSeal := strings.CutSuffix(k, sealSuffix)
 		if !isSeal {
 			continue
 		}
 		kn, kl, kv, ok := parseKey(dataKey)
-		if !ok || kn != name || kl != logical || kv > limit || kv <= base {
+		if !ok || kn != name || kl != logical || kv > sealed {
 			continue
 		}
 		if blob, ok := local.GetMeta(k); ok {
-			if _, ci, ok := parseSeal(blob); ok && ci.kind == KindFull {
-				base = kv
+			if sv, ci, ok := parseSeal(blob); ok && sv == kv {
+				gens = append(gens, generation{version: kv, full: ci.kind == KindFull})
 			}
 		}
 	}
+	sort.Slice(gens, func(i, j int) bool { return gens[i].version > gens[j].version })
+	base := int64(-1)
+	for i := restorableLag; i < len(gens); i++ {
+		if gens[i].full {
+			base = gens[i].version
+			break
+		}
+	}
 	if base < 0 {
-		return // no reachable full base below the limit: keep everything
+		return // no full base that far back yet: keep everything
 	}
 	for _, nodeID := range []int{l.nodeID, nb} {
 		if nodeID < 0 {
 			continue
 		}
 		node := l.cl.Node(nodeID)
+		var data []string
 		for _, k := range node.Keys() {
-			kn, kl, kv, ok := parseKey(strings.TrimSuffix(k, sealSuffix))
-			if ok && kn == name && kl == logical && kv < base {
-				node.Delete(k)
+			dataKey, isSeal := strings.CutSuffix(k, sealSuffix)
+			kn, kl, kv, ok := parseKey(dataKey)
+			if !ok || kn != name || kl != logical || kv >= base {
+				continue
 			}
+			if isSeal {
+				node.Delete(k)
+			} else {
+				data = append(data, k)
+			}
+		}
+		if h := l.releaseHook; h != nil {
+			h(nodeID, data)
+		}
+		for _, k := range data {
+			node.Delete(k)
+		}
+		if nodeID == l.nodeID {
+			l.deltaMu.Lock()
+			l.dstats.Released += int64(len(data))
+			l.deltaMu.Unlock()
 		}
 	}
 }

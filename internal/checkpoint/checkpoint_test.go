@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -169,7 +170,9 @@ func TestFindLatestAcrossVersions(t *testing.T) {
 // TestFindLatestIgnoresForeignSeals: only a 40-byte seal whose version
 // matches its key makes a replica visible. A data object sealed with the
 // retired 12-byte version-only layout, or with another version's seal, is
-// as invisible as an unsealed one.
+// as invisible as an unsealed one. The three generations it walks back
+// through (v3 → v2 → v1) are exactly the window the retention rule keeps
+// behind a sealed v3; a fourth write would release v1.
 func TestFindLatestIgnoresForeignSeals(t *testing.T) {
 	cl := testCluster(t, 2)
 	lib := New(cl, 0, Config{})
@@ -253,24 +256,37 @@ func TestPFSCopy(t *testing.T) {
 	}
 }
 
-func TestPruneKeepVersions(t *testing.T) {
+// TestPruneKeepsRestorableWindow: the retention rule counts generations, not
+// version numbers. With a checkpoint every 10 iterations the store keeps the
+// generation that just sealed and the two behind it (v40, v50, v60 — the
+// base two generations back is the oldest thing a recovery can agree on) on
+// the local node and on the neighbor alike, and releases the rest.
+func TestPruneKeepsRestorableWindow(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{KeepVersions: 2})
+	lib := New(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
-	for v := int64(1); v <= 5; v++ {
+	for v := int64(10); v <= 60; v += 10 {
 		if err := lib.Write("state", 0, v, []byte{byte(v)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	lib.WaitIdle()
-	if _, err := lib.Fetch("state", 0, 3); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("version 3 should be pruned, got %v", err)
+	if _, err := lib.Fetch("state", 0, 30); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("version 30 should be released, got %v", err)
 	}
-	for _, v := range []int64{4, 5} {
+	for _, v := range []int64{40, 50, 60} {
 		if _, err := lib.Fetch("state", 0, v); err != nil {
 			t.Fatalf("version %d missing: %v", v, err)
 		}
+	}
+	for n := 0; n < 2; n++ {
+		if got := familyVersions(cl, n, "state", 0); !slices.Equal(got, []int64{40, 50, 60}) {
+			t.Fatalf("node %d holds %v, want [40 50 60]", n, got)
+		}
+	}
+	if ds := lib.DeltaStats(); ds.Released != 3 {
+		t.Fatalf("Released = %d, want 3 (v10, v20, v30)", ds.Released)
 	}
 }
 

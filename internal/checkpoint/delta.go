@@ -16,9 +16,12 @@ import (
 // Config.FullEvery > 1 the chain encoder chunks each payload at the
 // replication granularity (Config.ChunkSize), keeps the chunk hashes of the
 // last generation, and writes only the dirty chunks, chained onto that
-// generation; every FullEvery-th generation is a full base so chains stay
-// short. With FullEvery <= 1 every generation is a full base and nothing is
-// hashed.
+// generation. Chain depth follows the data: a generation whose delta frame
+// would be no smaller than its base frame (every chunk dirty, or nearly) is
+// written as a base and restarts the cadence, so FullEvery is the maximum
+// depth of a chain, not its depth — a state that dirties every chunk every
+// epoch restores from one frame. With FullEvery <= 1 every generation is a
+// full base and nothing is hashed.
 //
 // Chain identity. Restoring a delta requires the exact payload it was
 // diffed against. Version numbers alone cannot guarantee that: after a
@@ -111,8 +114,13 @@ type chainKey struct {
 
 // DeltaStats describes what the store-bound chains have written (totals
 // since New). FullBytes/DeltaBytes are encoded frame sizes — the bytes that
-// hit the local store and the replication transports. TotalChunks and
-// DirtyChunks count hashed chunks, so they stay 0 with FullEvery <= 1.
+// hit the local store and the replication transports. TotalChunks counts
+// hashed chunks and DirtyChunks those the hash pass found changed, whatever
+// frame was then written (so their ratio reads the data, not the cadence);
+// both stay 0 with FullEvery <= 1. Promoted counts the generations the
+// cadence would have written as deltas and the encoder wrote as bases
+// because the delta was no smaller (they are in FullFrames too); Released
+// counts the generations the retention rule freed from the local store.
 type DeltaStats struct {
 	FullFrames  int64
 	DeltaFrames int64
@@ -120,6 +128,8 @@ type DeltaStats struct {
 	DeltaBytes  int64
 	DirtyChunks int64
 	TotalChunks int64
+	Promoted    int64
+	Released    int64
 }
 
 // DeltaStats returns the chain encoders' counters.
@@ -156,7 +166,7 @@ func (l *Library) encodeNext(dst []byte, name string, logical int, version int64
 		e = &chainEncoder{chunk: l.cfg.ChunkSize(), fullEvery: l.cfg.FullEvery} //ftlint:ignore hotpath: one-time per checkpoint family
 		l.chains[k] = e
 	}
-	blob, hashed, dirty := e.encodeNext(dst, logical, version, payload)
+	blob, hashed, dirty, promoted := e.encodeNext(dst, logical, version, payload)
 	if IsDeltaFrame(blob) {
 		l.dstats.DeltaFrames++
 		l.dstats.DeltaBytes += int64(len(blob))
@@ -166,6 +176,9 @@ func (l *Library) encodeNext(dst []byte, name string, logical int, version int64
 	}
 	l.dstats.TotalChunks += int64(hashed)
 	l.dstats.DirtyChunks += int64(dirty)
+	if promoted {
+		l.dstats.Promoted++
+	}
 	return blob
 }
 
@@ -191,15 +204,19 @@ func (e *chainEncoder) rebase() {
 }
 
 // encodeNext encodes payload as the chain's next generation into dst's
-// backing array: a full base when the chain has no head or the FullEvery
-// cadence says so, else a delta of the chunks whose hash moved. It also
-// returns how many chunks it hashed and how many of them a delta carried.
-// With fullEvery <= 1 nothing is ever diffed against a generation, so the
-// hash pass is skipped and a frame costs copy + CRC.
+// backing array: a full base when the chain has no head, when the FullEvery
+// cadence says so, or when the delta frame would be no smaller than the base
+// (promoted: depth follows the data) — each restarts the cadence — else a
+// delta of the chunks whose hash moved. It also returns how many chunks it
+// hashed and how many of them had changed since the last generation,
+// whichever frame was written. With fullEvery <= 1 nothing is ever diffed
+// against a generation, so the hash pass is skipped and a frame costs
+// copy + CRC.
 //
 //ftlint:hotpath
-func (e *chainEncoder) encodeNext(dst []byte, logical int, version int64, payload []byte) (blob []byte, hashed, dirty int) {
+func (e *chainEncoder) encodeNext(dst []byte, logical int, version int64, payload []byte) (blob []byte, hashed, dirty int, promoted bool) {
 	var cur []uint64
+	deltaLen := 0
 	if e.fullEvery > 1 {
 		n := (len(payload) + e.chunk - 1) / e.chunk
 		if cap(e.scratch) < n {
@@ -210,13 +227,16 @@ func (e *chainEncoder) encodeNext(dst []byte, logical int, version int64, payloa
 			end := min((i+1)*e.chunk, len(payload))
 			cur[i] = chunkHash(payload[i*e.chunk : end])
 		}
+		deltaLen, dirty = deltaFrameLen(len(payload), e.chunk, e.hashes, cur)
 	}
 	gen := nextGen()
-	if e.lastGen == 0 || e.sinceFull+1 >= e.fullEvery {
+	cadenceFull := e.lastGen == 0 || e.sinceFull+1 >= e.fullEvery
+	if cadenceFull || deltaLen >= headerLen+fullBodyHeader+len(payload) {
 		blob = encodeFullInto(dst, logical, version, gen, payload)
 		e.sinceFull = 0
+		promoted = !cadenceFull
 	} else {
-		blob, dirty = encodeDeltaInto(dst, logical, version, chainInfo{
+		blob = encodeDeltaInto(dst, logical, version, chainInfo{
 			kind: KindDelta, gen: gen, prevGen: e.lastGen, prevVer: e.lastVer,
 		}, payload, e.chunk, e.hashes, cur)
 		e.sinceFull++
@@ -224,7 +244,7 @@ func (e *chainEncoder) encodeNext(dst []byte, logical int, version int64, payloa
 	e.hashes, e.scratch = cur, e.hashes
 	e.lastVer = version
 	e.lastGen = gen
-	return blob, len(cur), dirty
+	return blob, len(cur), dirty, promoted
 }
 
 // --- wire formats -----------------------------------------------------
@@ -283,23 +303,30 @@ func encodeFullInto(dst []byte, logical int, version int64, gen uint64, payload 
 	return blob
 }
 
-// encodeDeltaInto frames the dirty chunks of payload (those whose hash
-// differs from prev, plus any chunk beyond prev's table) as a delta
-// generation (GCP3), returning the frame and its dirty-chunk count.
+// deltaFrameLen sizes the delta frame of a payload of n bytes whose chunk
+// hashes moved from prev to cur — one chunk header per dirty chunk plus its
+// bytes — and counts the dirty chunks.
 //
 //ftlint:hotpath
-func encodeDeltaInto(dst []byte, logical int, version int64, ci chainInfo, payload []byte, chunk int, prev, cur []uint64) ([]byte, int) {
-	// Size the frame: one header per dirty chunk plus its bytes.
-	need := headerLen + deltaBodyHeader
-	dirty := 0
+func deltaFrameLen(n, chunk int, prev, cur []uint64) (need, dirty int) {
+	need = headerLen + deltaBodyHeader
 	for i := range cur {
 		if i < len(prev) && prev[i] == cur[i] {
 			continue
 		}
-		end := min((i+1)*chunk, len(payload))
-		need += deltaChunkHeader + (end - i*chunk)
+		need += deltaChunkHeader + (min((i+1)*chunk, n) - i*chunk)
 		dirty++
 	}
+	return need, dirty
+}
+
+// encodeDeltaInto frames the dirty chunks of payload (those whose hash
+// differs from prev, plus any chunk beyond prev's table) as a delta
+// generation (GCP3).
+//
+//ftlint:hotpath
+func encodeDeltaInto(dst []byte, logical int, version int64, ci chainInfo, payload []byte, chunk int, prev, cur []uint64) []byte {
+	need, dirty := deltaFrameLen(len(payload), chunk, prev, cur)
 	blob := grow(dst, need) //ftlint:ignore hotpath: inlined grow; amortized growth
 	b := blob[headerLen:]
 	binary.LittleEndian.PutUint64(b[0:], ci.gen)
@@ -321,7 +348,7 @@ func encodeDeltaInto(dst []byte, logical int, version int64, ci chainInfo, paylo
 		off += deltaChunkHeader + (end - i*chunk)
 	}
 	stampFrame(blob, magicDelta, logical, version)
-	return blob, dirty
+	return blob
 }
 
 // frame is a decoded checkpoint frame. For a full base payload is the

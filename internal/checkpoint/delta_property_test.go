@@ -54,16 +54,16 @@ func deltaChainTrial(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 
-	// Random destruction, sparing version 1 (so liveness below is
-	// checkable): torn seals (the crash window between a flush and its
-	// seal), holed frames, and single-holder losses.
+	// Random destruction, sparing the oldest generation the retention rule
+	// kept (the window's full base; so liveness below is checkable): torn
+	// seals (the crash window between a flush and its seal), holed frames,
+	// and single-holder losses.
 	holders := []int{1, 2, 3}
-	damaged := false
-	for v := int64(2); v <= chainLen; v++ {
+	floor := familyVersions(cl, 1, "state", 0)[0]
+	for v := floor + 1; v <= chainLen; v++ {
 		if rng.Intn(3) != 0 {
 			continue
 		}
-		damaged = true
 		key := Key("state", 0, v)
 		switch rng.Intn(3) {
 		case 0: // torn: the seal never landed anywhere
@@ -81,7 +81,6 @@ func deltaChainTrial(t *testing.T, seed int64) {
 			cl.Node(n).Delete(SealKey(key))
 		}
 	}
-	_ = damaged
 
 	// The safety property, from the writer's view and from a rescue on
 	// the neighbor: every claimed version reassembles bit-exactly.
@@ -103,10 +102,10 @@ func deltaChainTrial(t *testing.T, seed int64) {
 			}
 			v, ok = reader.FindLatestBelow("state", 0, v)
 		}
-		// Liveness: version 1 (a sealed full base) was never damaged, so
-		// the claim set cannot be empty.
+		// Liveness: the window's base (a sealed full frame) was never
+		// damaged, so the claim set cannot be empty.
 		if claimed == 0 {
-			t.Fatalf("%s: empty claim set with version 1 intact", name)
+			t.Fatalf("%s: empty claim set with version %d intact", name, floor)
 		}
 	}
 }

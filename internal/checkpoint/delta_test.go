@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -27,7 +28,9 @@ func mutate(rng *rand.Rand, payload []byte, chunk, n int) []byte {
 // several generations (full bases every 3rd write, deltas between,
 // including a payload that grows and shrinks) and verifies every version
 // reassembles bit-exactly — including after the local store is lost and
-// the chain must come from the neighbor replicas.
+// the chain must come from the neighbor replicas. "Every version" is every
+// version of the retention window: behind a sealed v7 that is the base two
+// or more generations back (v4) and everything after it; v1-v3 are released.
 func TestDeltaWriteFetchRoundtrip(t *testing.T) {
 	const chunk = 1 << 10
 	cl := testCluster(t, 4)
@@ -64,6 +67,12 @@ func TestDeltaWriteFetchRoundtrip(t *testing.T) {
 	}
 	for v, want := range golden {
 		got, err := lib.Fetch("state", 0, v)
+		if v < 4 {
+			if !errors.Is(err, ErrNoCheckpoint) {
+				t.Fatalf("fetch v%d behind the window = %v, want ErrNoCheckpoint", v, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("fetch v%d: %v", v, err)
 		}
@@ -378,16 +387,8 @@ func TestDeltaFrameRoundtrip(t *testing.T) {
 				cur[rng.Intn(len(cur))] ^= byte(1 + rng.Intn(255))
 			}
 		}
-		hash := func(b []byte) []uint64 {
-			n := (len(b) + chunk - 1) / chunk
-			out := make([]uint64, n)
-			for i := 0; i < n; i++ {
-				out[i] = chunkHash(b[i*chunk : min((i+1)*chunk, len(b))])
-			}
-			return out
-		}
 		ci := chainInfo{kind: KindDelta, gen: 2, prevGen: 1, prevVer: 10}
-		blob, _ := encodeDeltaInto(nil, 3, 11, ci, cur, chunk, hash(prev), hash(cur))
+		blob := encodeDeltaInto(nil, 3, 11, ci, cur, chunk, hashChunks(prev, chunk), hashChunks(cur, chunk))
 		f, err := decodeFrame(blob)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)

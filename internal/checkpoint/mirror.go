@@ -28,8 +28,8 @@ type MirrorEncoder struct {
 }
 
 // NewMirrorEncoder returns an encoder chunking payloads at chunkBytes and
-// emitting a self-contained full base every fullEvery frames (<= 1: every
-// frame full).
+// emitting a self-contained full base at least every fullEvery frames (<= 1:
+// every frame full; sooner whenever a delta would be no smaller).
 func NewMirrorEncoder(chunkBytes, fullEvery int) *MirrorEncoder {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
@@ -54,7 +54,7 @@ func (e *MirrorEncoder) Abandon() { e.buf = nil }
 //
 //ftlint:hotpath
 func (e *MirrorEncoder) EncodeNext(logical int, version int64, payload []byte) []byte {
-	blob, _, _ := e.chain.encodeNext(e.buf, logical, version, payload)
+	blob, _, _, _ := e.chain.encodeNext(e.buf, logical, version, payload)
 	e.buf = blob[:0]
 	return blob
 }

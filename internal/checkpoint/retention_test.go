@@ -1,0 +1,533 @@
+package checkpoint
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+)
+
+// The retention rule and the data-driven chain depth (checkpoint.go prune,
+// delta.go encodeNext). Every ordering below is a hook or a channel; none is
+// a sleep.
+
+// familyVersions lists, ascending, the versions of (name, logical) whose
+// data object a node's store holds — sealed or not.
+func familyVersions(cl *cluster.Cluster, nodeID int, name string, logical int) []int64 {
+	var out []int64
+	for _, k := range cl.Node(nodeID).Keys() {
+		if strings.HasSuffix(k, sealSuffix) {
+			continue
+		}
+		if kn, kl, kv, ok := parseKey(k); ok && kn == name && kl == logical {
+			out = append(out, kv)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// evolve advances a payload one epoch: every chunk dirtied, or exactly one.
+func evolve(payload []byte, chunk int, gen int64, allDirty bool) {
+	if !allDirty {
+		payload[(int(gen)*chunk)%len(payload)] ^= byte(gen) | 1
+		return
+	}
+	for off := 0; off < len(payload); off += chunk {
+		payload[off] ^= byte(gen) | 1
+	}
+}
+
+// TestReplicateRetentionResidency is the point of the rule: 150 generations
+// of a 256 KiB state through the async writer with FullEvery 4 leave three
+// data objects of the family per node when every chunk is dirty every epoch
+// (each generation a base: the one that sealed and the two behind it) and at
+// most FullEvery+2 when one chunk is (a whole chain behind the newest base
+// two back) — at every sampled instant one more, the generation in flight.
+// The newest three generations are fetchable and FindLatest is right.
+func TestReplicateRetentionResidency(t *testing.T) {
+	const (
+		gens      = 150
+		size      = 256 << 10
+		fullEvery = 4
+	)
+	for _, c := range []struct {
+		name     string
+		allDirty bool
+		bound    int
+	}{
+		{"all-dirty", true, restorableLag + 1},
+		{"one-chunk-dirty", false, fullEvery + restorableLag},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl := testClusterStorage(t, 3, cluster.StorageModel{})
+			lib := New(cl, 0, Config{CheckpointMode: Async, FullEvery: fullEvery})
+			defer lib.Stop()
+			lib.SetWorkerNodes([]int{0, 1, 2})
+			payload := make([]byte, size)
+			golden := map[int64][]byte{}
+			for g := int64(1); g <= gens; g++ {
+				evolve(payload, DefaultChunkBytes, g, c.allDirty)
+				if g > gens-3 {
+					golden[g] = bytes.Clone(payload)
+				}
+				if err := lib.Write("state", 0, g, payload); err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range []int{0, 1} {
+					if held := familyVersions(cl, n, "state", 0); len(held) > c.bound+1 {
+						t.Fatalf("gen %d: node %d holds %v, more than %d+1", g, n, held, c.bound)
+					}
+				}
+			}
+			lib.WaitIdle()
+			if err := lib.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{0, 1} {
+				held := familyVersions(cl, n, "state", 0)
+				if len(held) > c.bound || held[len(held)-1] != gens {
+					t.Fatalf("node %d holds %v, want at most %d ending at %d", n, held, c.bound, gens)
+				}
+			}
+			if held := familyVersions(cl, 2, "state", 0); len(held) != 0 {
+				t.Fatalf("node 2 is nobody's neighbor and holds %v", held)
+			}
+			if v, ok := lib.FindLatest("state", 0); !ok || v != gens {
+				t.Fatalf("FindLatest = %d, %v; want %d", v, ok, gens)
+			}
+			for v, want := range golden {
+				got, _, err := lib.FetchFrom("state", 0, v)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("fetch v%d (newest-%d): err=%v", v, gens-v, err)
+				}
+			}
+			ds := lib.DeltaStats()
+			held := int64(len(familyVersions(cl, 0, "state", 0)))
+			if ds.Released != gens-held {
+				t.Fatalf("Released = %d with %d of %d generations held", ds.Released, held, gens)
+			}
+			if c.allDirty {
+				// Every generation after the first was due as a delta and
+				// written as a base; the hash pass still saw every chunk move.
+				if ds.Promoted != gens-1 || ds.DeltaFrames != 0 || ds.DirtyChunks != ds.TotalChunks {
+					t.Fatalf("all-dirty stats: %+v", ds)
+				}
+			} else if ds.Promoted != 0 || ds.DeltaFrames != gens-(gens+fullEvery-1)/fullEvery {
+				t.Fatalf("one-chunk-dirty stats: %+v", ds)
+			}
+		})
+	}
+}
+
+// TestReplicateReleaseDeletesSealFirst: a generation leaves a store seal
+// first. Between the two deletions (releaseHook) it is already invisible to
+// a seal scan, and whatever a scan does name still has its data
+// — a concurrent recovery can never be handed a sealed key whose data is
+// gone. Deleting in map-iteration order let it.
+func TestReplicateReleaseDeletesSealFirst(t *testing.T) {
+	cl := testCluster(t, 2)
+	lib := New(cl, 0, Config{})
+	defer lib.Stop()
+	lib.SetWorkerNodes([]int{0, 1})
+	hooked := 0
+	lib.releaseHook = func(nodeID int, dataKeys []string) {
+		node := cl.Node(nodeID)
+		going := map[int64]bool{}
+		for _, key := range dataKeys {
+			hooked++
+			_, _, version, _ := parseKey(key)
+			going[version] = true
+			if _, ok := node.GetMeta(SealKey(key)); ok {
+				t.Errorf("node %d: v%d's seal still present when its data is about to go", nodeID, version)
+			}
+			if _, ok := node.Size(key); !ok {
+				t.Errorf("node %d: v%d's data gone before the hook", nodeID, version)
+			}
+		}
+		for v, refs := range lib.sealScan("state", 0) {
+			for _, r := range refs {
+				if r.node == nodeID && going[v] {
+					t.Errorf("seal scan still names v%d on node %d", v, nodeID)
+				}
+				if _, ok := cl.Node(r.node).Size(Key("state", 0, v)); !ok {
+					t.Errorf("seal scan names v%d on node %d, whose data is gone", v, r.node)
+				}
+			}
+		}
+		if v, ok := lib.FindLatest("state", 0); ok {
+			if _, err := lib.Fetch("state", 0, v); err != nil {
+				t.Errorf("mid-release FindLatest = v%d is not fetchable: %v", v, err)
+			}
+		}
+	}
+	for v := int64(1); v <= 6; v++ {
+		if err := lib.Write("state", 0, v, []byte{byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib.WaitIdle()
+	// v1..v3 released, on two nodes each.
+	if hooked != 6 {
+		t.Fatalf("release hook ran %d times, want 6", hooked)
+	}
+}
+
+// TestReplicateTornWaveAgreesInsideWindow: the checkpoint wave of generation
+// g is torn — member 0's node dies at a chunk boundary of its flush of g,
+// while its peers seal g and, a generation ahead, g+1, and run their prunes
+// (members 1 and 2; member 3's neighbor was the dead node, so it releases
+// nothing). Member 0's family is then two generations behind its peers',
+// the farthest the double buffer lets it trail. The group minimum (g-1) must
+// be fetchable by every member from what its own prune left, for every
+// phase of the FullEvery cadence and for both kinds of state.
+func TestReplicateTornWaveAgreesInsideWindow(t *testing.T) {
+	const (
+		chunk     = 1 << 10
+		fullEvery = 4
+		members   = 4
+	)
+	for _, allDirty := range []bool{true, false} {
+		for g := int64(9); g < 9+fullEvery; g++ {
+			t.Run(fmt.Sprintf("allDirty=%v/g=%d", allDirty, g), func(t *testing.T) {
+				cl := testClusterStorage(t, members+1, cluster.StorageModel{})
+				cfg := Config{CheckpointMode: Async, ChunkBytes: chunk, FullEvery: fullEvery}
+				libs := make([]*Library, members)
+				payloads := make([][]byte, members)
+				golden := make([]map[int64][]byte, members)
+				for m := range libs {
+					libs[m] = New(cl, m, cfg)
+					defer libs[m].Stop()
+					libs[m].SetWorkerNodes([]int{0, 1, 2, 3})
+					payloads[m] = bytes.Repeat([]byte{byte(m + 1)}, 6*chunk+17)
+					golden[m] = map[int64][]byte{}
+				}
+				write := func(m int, v int64) {
+					t.Helper()
+					evolve(payloads[m], chunk, v, allDirty)
+					golden[m][v] = bytes.Clone(payloads[m])
+					if err := libs[m].Write("state", m, v, payloads[m]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for v := int64(1); v < g; v++ {
+					for m := range libs {
+						write(m, v)
+					}
+				}
+				for _, l := range libs {
+					l.WaitIdle()
+				}
+				libs[0].async.chunkHook = func(c int) {
+					if c == 0 {
+						cl.KillNode(0)
+					}
+				}
+				write(0, g)
+				libs[0].WaitIdle()
+				for m := 1; m < members; m++ {
+					write(m, g)
+					write(m, g+1)
+				}
+				for _, l := range libs {
+					l.WaitIdle()
+				}
+				for _, m := range []int{1, 2} {
+					held := familyVersions(cl, m, "state", m)
+					if libs[m].DeltaStats().Released == 0 || held[len(held)-1] != g+1 || len(held) > fullEvery+restorableLag {
+						t.Fatalf("member %d holds %v: its prune behind v%d has not run", m, held, g+1)
+					}
+				}
+
+				// Recovery: a rescue on the spare node adopts family 0, the
+				// survivors refresh their ring, everyone proposes its newest
+				// restorable generation and the group takes the minimum.
+				rescue := New(cl, members, cfg)
+				defer rescue.Stop()
+				group := append([]*Library{rescue}, libs[1:]...)
+				agreed := int64(1 << 62)
+				for m, l := range group {
+					l.SetWorkerNodes([]int{1, 2, 3, 4})
+					v, ok := l.FindLatest("state", m)
+					if !ok {
+						t.Fatalf("member %d: nothing restorable", m)
+					}
+					agreed = min(agreed, v)
+				}
+				if agreed != g-1 {
+					t.Fatalf("group minimum = %d, want %d (member 0's v%d is torn)", agreed, g-1, g)
+				}
+				for m, l := range group {
+					got, _, err := l.FetchFrom("state", m, agreed)
+					if err != nil {
+						t.Fatalf("member %d cannot fetch the agreed v%d (holds %v locally): %v",
+							m, agreed, familyVersions(cl, l.nodeID, "state", m), err)
+					}
+					if !bytes.Equal(got, golden[m][agreed]) {
+						t.Fatalf("member %d: v%d mis-assembled", m, agreed)
+					}
+				}
+			})
+		}
+	}
+}
+
+// gatedTransport holds every push until the test grants it, then commits the
+// replica like the stream receiver does.
+type gatedTransport struct {
+	cl    *cluster.Cluster
+	grant chan struct{}
+}
+
+func (g gatedTransport) Push(nb int, key string, blob []byte) error {
+	<-g.grant
+	return StoreReplica(g.cl, nb, key, blob)
+}
+
+// TestReplicateSyncBacklogAnchorsOnPushed: the sync copier commits locally
+// inside Write and may queue up to 64 pushes, so the local store can run far
+// ahead of the neighbor. The rule anchors on the generation whose push just
+// finished, never on the newest local one: while the queue is stuck the
+// neighbor keeps every copy it has (they are all the off-node copies there
+// are), and as the pushes drain both stores converge on the same window.
+func TestReplicateSyncBacklogAnchorsOnPushed(t *testing.T) {
+	cl := testCluster(t, 2)
+	lib := New(cl, 0, Config{})
+	defer lib.Stop()
+	lib.SetWorkerNodes([]int{0, 1})
+	for v := int64(1); v <= 3; v++ {
+		if err := lib.Write("state", 0, v, []byte{byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib.WaitIdle()
+
+	gate := gatedTransport{cl: cl, grant: make(chan struct{})}
+	lib.SetTransport(gate)
+	// The copier announces a copy (flush hook) only after the previous
+	// one's prune returned: that is the ordering the asserts below need.
+	started := make(chan int64, 9) // one send per queued copy, v4..v12
+	lib.SetFlushHook(func(_ int, version int64) { started <- version })
+	for v := int64(4); v <= 12; v++ {
+		if err := lib.Write("state", 0, v, []byte{byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := <-started; v != 4 {
+		t.Fatalf("copier started on v%d, want 4", v)
+	}
+	if got := familyVersions(cl, 0, "state", 0); len(got) != 12 {
+		t.Fatalf("local store holds %v with nine pushes queued: nothing behind an unreplicated generation may go", got)
+	}
+	if got := familyVersions(cl, 1, "state", 0); !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Fatalf("neighbor holds %v with the queue stuck, want [1 2 3]", got)
+	}
+	for v := int64(4); v <= 12; v++ {
+		gate.grant <- struct{}{}
+		if v < 12 {
+			<-started // v+1 picked up: v's prune has run
+		} else {
+			lib.WaitIdle()
+		}
+		want := []int64{v - 2, v - 1, v}
+		if got := familyVersions(cl, 1, "state", 0); !slices.Equal(got, want) {
+			t.Fatalf("after v%d's push the neighbor holds %v, want %v", v, got, want)
+		}
+		local := familyVersions(cl, 0, "state", 0)
+		if local[0] != v-2 || local[len(local)-1] != 12 {
+			t.Fatalf("after v%d's push the local store holds %v, want %d..12", v, local, v-2)
+		}
+	}
+}
+
+// TestReplicateStrandedReplicasBoundedPerRecovery counts what a recovery
+// leaves behind. The rule works on the local store and the current neighbor;
+// a store that stops being either — the former neighbor after the ring
+// moved, the victim's node and the victim's neighbor after a rescue adopted
+// the family elsewhere — keeps the window it held at that moment and never
+// more: at most FullEvery+2 generations per family per such store per
+// recovery, whatever the job writes afterwards. A store that becomes the
+// family's neighbor again is brought back under the rule.
+func TestReplicateStrandedReplicasBoundedPerRecovery(t *testing.T) {
+	const (
+		chunk     = 1 << 10
+		fullEvery = 4
+		window    = fullEvery + restorableLag
+	)
+	cl := testCluster(t, 4)
+	cfg := Config{ChunkBytes: chunk, FullEvery: fullEvery}
+	payload := bytes.Repeat([]byte{7}, 8*chunk)
+	v := int64(0)
+	run := func(l *Library, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			v++
+			evolve(payload, chunk, v, false)
+			if err := l.Write("state", 0, v, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.WaitIdle()
+	}
+	count := func(node int) int { return len(familyVersions(cl, node, "state", 0)) }
+
+	owner := New(cl, 0, cfg)
+	owner.SetWorkerNodes([]int{0, 1, 2})
+	run(owner, 23)
+	if count(1) > window || count(1) == 0 || count(2) != 0 {
+		t.Fatalf("before any recovery: node 1 holds %d, node 2 holds %d", count(1), count(2))
+	}
+
+	// Recovery 1 (some other rank's): the ring moves, node 2 is the neighbor.
+	owner.SetWorkerNodes([]int{0, 2, 3})
+	stranded1 := familyVersions(cl, 1, "state", 0)
+	run(owner, 25)
+	if got := familyVersions(cl, 1, "state", 0); !slices.Equal(got, stranded1) || len(got) > window {
+		t.Fatalf("former neighbor holds %v, held %v when the ring moved (window %d)", got, stranded1, window)
+	}
+	if count(0) > window || count(2) > window {
+		t.Fatalf("after the move: local %d, new neighbor %d, window %d", count(0), count(2), window)
+	}
+
+	// Recovery 2: the owner process dies (its node stays up), a rescue on
+	// node 3 adopts the family; its neighbor wraps around to node 1.
+	owner.Stop()
+	stranded0, stranded2 := familyVersions(cl, 0, "state", 0), familyVersions(cl, 2, "state", 0)
+	rescue := New(cl, 3, cfg)
+	defer rescue.Stop()
+	rescue.SetWorkerNodes([]int{1, 2, 3})
+	if latest, ok := rescue.FindLatest("state", 0); !ok || latest != v {
+		t.Fatalf("rescue FindLatest = %d, %v; want %d", latest, ok, v)
+	}
+	run(rescue, 25)
+	if got := familyVersions(cl, 0, "state", 0); !slices.Equal(got, stranded0) || len(got) > window {
+		t.Fatalf("victim's node holds %v, held %v at its death", got, stranded0)
+	}
+	if got := familyVersions(cl, 2, "state", 0); !slices.Equal(got, stranded2) || len(got) > window {
+		t.Fatalf("victim's neighbor holds %v, held %v at the death", got, stranded2)
+	}
+	if count(3) > window || count(1) > window {
+		t.Fatalf("rescue's stores: local %d, neighbor %d, window %d", count(3), count(1), window)
+	}
+	// Node 1 is a neighbor again: recovery 1's leftovers there are gone.
+	if got := familyVersions(cl, 1, "state", 0); got[0] <= stranded1[len(stranded1)-1] {
+		t.Fatalf("node 1 holds %v: generations stranded by recovery 1 (%v) outlived its return to the ring", got, stranded1)
+	}
+	if total := count(0) + count(1) + count(2) + count(3); total > 4*window {
+		t.Fatalf("%d generations resident after %d written and two recoveries", total, v)
+	}
+}
+
+// hashChunks is the encoder's hash pass, for building expected frames.
+func hashChunks(b []byte, chunk int) []uint64 {
+	out := make([]uint64, (len(b)+chunk-1)/chunk)
+	for i := range out {
+		out[i] = chunkHash(b[i*chunk : min((i+1)*chunk, len(b))])
+	}
+	return out
+}
+
+// TestDeltaPromotedToBaseRestartsCadence: chain depth follows the data. A
+// generation whose delta would be no smaller than its base is written as a
+// base (promoted) and the FullEvery count restarts from it; one whose delta
+// is smaller — seven chunks of eight dirty — stays a delta. The dirty count
+// reports what the hash pass found whichever frame was written.
+func TestDeltaPromotedToBaseRestartsCadence(t *testing.T) {
+	const chunk = 1 << 10
+	e := &chainEncoder{chunk: chunk, fullEvery: 4}
+	payload := bytes.Repeat([]byte{3}, 8*chunk)
+	steps := []struct {
+		dirty    int // chunks touched before encoding
+		kind     FrameKind
+		promoted bool
+	}{
+		{8, KindFull, false},  // no head
+		{1, KindDelta, false}, // depth 1
+		{8, KindFull, true},   // all dirty: base, cadence restarts
+		{1, KindDelta, false}, // depth 1
+		{7, KindDelta, false}, // depth 2: 7/8 dirty is still smaller than a base
+		{1, KindDelta, false}, // depth 3
+		{1, KindFull, false},  // FullEvery is the maximum depth
+		{8, KindFull, true},
+		{8, KindFull, true}, // a run of bases
+		{0, KindDelta, false},
+	}
+	for i, st := range steps {
+		for c := 0; c < st.dirty; c++ {
+			payload[c*chunk+1] ^= byte(i + 1)
+		}
+		blob, hashed, dirty, promoted := e.encodeNext(nil, 0, int64(i+1), payload)
+		f, err := decodeFrame(blob)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if f.chain.kind != st.kind || promoted != st.promoted {
+			t.Fatalf("step %d (%d dirty): %v frame, promoted=%v; want %v, %v", i, st.dirty, f.chain.kind, promoted, st.kind, st.promoted)
+		}
+		if hashed != 8 || dirty != st.dirty {
+			t.Fatalf("step %d: hashed %d, dirty %d; want 8, %d", i, hashed, dirty, st.dirty)
+		}
+		if st.kind == KindDelta && len(f.dirty) != st.dirty {
+			t.Fatalf("step %d: delta carries %d chunks, want %d", i, len(f.dirty), st.dirty)
+		}
+	}
+}
+
+// TestDeltaSparseBytesUnchanged: for a sparsely dirtied generation the
+// encoder still writes exactly the GCP3 frame encodeDeltaInto builds from
+// the two hash tables — the promotion rule changes which generations are
+// deltas, not a byte of any delta.
+func TestDeltaSparseBytesUnchanged(t *testing.T) {
+	const chunk = 1 << 10
+	e := &chainEncoder{chunk: chunk, fullEvery: 4}
+	payload := bytes.Repeat([]byte{9}, 5*chunk+100)
+	base, _, _, _ := e.encodeNext(nil, 2, 10, payload)
+	prev := bytes.Clone(payload)
+	payload[2*chunk+5] ^= 0x55
+	payload[5*chunk+99] ^= 0x55 // the short tail chunk
+	blob, _, dirty, promoted := e.encodeNext(nil, 2, 11, payload)
+	if dirty != 2 || promoted {
+		t.Fatalf("dirty = %d, promoted = %v", dirty, promoted)
+	}
+	ci := frameChain(blob)
+	if ci.kind != KindDelta || ci.prevGen != frameChain(base).gen || ci.prevVer != 10 {
+		t.Fatalf("chain identity %+v", ci)
+	}
+	want := encodeDeltaInto(nil, 2, 11, ci, payload, chunk, hashChunks(prev, chunk), hashChunks(payload, chunk))
+	if !bytes.Equal(blob, want) {
+		t.Fatalf("encoder wrote %d bytes, encodeDeltaInto %d; frames differ", len(blob), len(want))
+	}
+	if n := headerLen + deltaBodyHeader + 2*deltaChunkHeader + chunk + 100; len(blob) != n {
+		t.Fatalf("delta frame is %d bytes, want %d", len(blob), n)
+	}
+}
+
+// TestDeltaMirrorValidAcrossBases: a mirror chain whose every frame is
+// promoted to a base keeps the shadow's image valid frame after frame, and
+// deltas resume (and apply) as soon as the state goes back to sparse
+// updates.
+func TestDeltaMirrorValidAcrossBases(t *testing.T) {
+	const chunk = 1 << 10
+	enc := NewMirrorEncoder(chunk, 4)
+	m := NewLiveMirror()
+	payload := bytes.Repeat([]byte{1}, 6*chunk+9)
+	kinds := ""
+	for v := int64(1); v <= 24; v++ {
+		evolve(payload, chunk, v, v <= 10 || v > 20)
+		blob := enc.EncodeNext(5, v, payload)
+		kinds += frameChain(blob).kind.String()[:1]
+		if err := m.Apply(blob); err != nil {
+			t.Fatalf("apply v%d: %v", v, err)
+		}
+		got, ver, ok := m.Snapshot()
+		if !ok || m.Torn() || ver != v || !bytes.Equal(got, payload) {
+			t.Fatalf("after v%d: ok=%v torn=%v version=%d", v, ok, m.Torn(), ver)
+		}
+	}
+	if want := "ffffffffffdddfdddfddffff"; kinds != want {
+		t.Fatalf("frame kinds %s, want %s", kinds, want)
+	}
+}

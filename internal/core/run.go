@@ -506,6 +506,9 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 			_ = w.Barrier()
 		}
 		rec.Inc(trace.KCoreCPFlushErrors, ctx.CP.ErrCount())
+		ds := ctx.CP.DeltaStats()
+		rec.Inc(trace.KCoreCPReleased, ds.Released)
+		rec.Inc(trace.KCoreCPPromoted, ds.Promoted)
 	}
 
 	// The logical root reports completion: FD and idle spares shut down.
@@ -639,12 +642,17 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 // everyone succeeded. With delta chains in the store, restorability is
 // not monotonic in version (a chain broken by lost replicas can hole out
 // an old version while a newer full base stays intact), so a version
-// below some member's newest can still be unrestorable for it — as can a
-// pruned version. A failed fetch retreats the
-// proposal below the failed version and the loop re-agrees; members that
-// fetched fine discard the payload and follow, keeping the group
-// consistent. The loop strictly decreases the agreed version, ending at
-// worst in the restart-from-scratch branch.
+// below some member's newest can still be unrestorable for it — as is
+// anything behind the store's retention window (checkpoint.Library keeps,
+// per family, the generation that last sealed on both of its stores and
+// everything back to the newest full base two or more generations behind
+// it: two being how far the double-buffered writer lets one member's sealed
+// copy trail its peers', so the first agreement lands inside every
+// member's window unless a writer had fallen further behind than that). A
+// failed fetch retreats the proposal below the failed version and the loop
+// re-agrees; members that fetched fine discard the payload and follow,
+// keeping the group consistent. The loop strictly decreases the agreed
+// version, ending at worst in the restart-from-scratch branch.
 func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 	stop := ctx.Rec.Start(trace.PhaseReinit)
 	defer stop()

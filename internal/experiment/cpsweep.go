@@ -81,6 +81,10 @@ type CPIntervalRow struct {
 	// RedoIters is the iteration count behind Redo: the most iterations
 	// any one rank re-executed after the recovery.
 	RedoIters int64
+	// Released and Promoted sum, over the ranks that finished, the
+	// generations the store's retention rule freed and the deltas the chain
+	// encoder wrote as bases (checkpoint.DeltaStats).
+	Released, Promoted int64
 }
 
 // CPSweepResult is the full study.
@@ -135,6 +139,8 @@ func RunCPSweep(c CPSweepConfig) (*CPSweepResult, error) {
 			CPPhase:   sum.Max[trace.PhaseCheckpoint],
 			Redo:      sum.Max[trace.PhaseRedoWork],
 			RedoIters: sum.MaxCounter[trace.KCoreRedoIters],
+			Released:  sum.SumCounter[trace.KCoreCPReleased],
+			Promoted:  sum.SumCounter[trace.KCoreCPPromoted],
 		})
 	}
 
@@ -217,9 +223,11 @@ func (r *CPSweepResult) Render() string {
 			fmt.Sprintf("%.3f", iv.Wall.Seconds()),
 			fmt.Sprintf("%.4f", iv.CPPhase.Seconds()),
 			fmt.Sprintf("%.3f", iv.Redo.Seconds()),
+			fmt.Sprintf("%d", iv.Released),
+			fmt.Sprintf("%d", iv.Promoted),
 		})
 	}
-	b.WriteString(trace.Table([]string{"interval", "wall[s]", "cp-visible[s]", "redo[s]"}, rows))
+	b.WriteString(trace.Table([]string{"interval", "wall[s]", "cp-visible[s]", "redo[s]", "released", "promoted"}, rows))
 	fmt.Fprintf(&b, "\nYoung/Daly optimum ≈ %.0f iterations (from measured per-checkpoint cost)\n", r.DalyOptimal)
 	return b.String()
 }
