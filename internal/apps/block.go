@@ -113,8 +113,11 @@ func (b *rowBlock) load(ctx *core.Ctx, logical int) error {
 	go func() {
 		defer b.loading.Done()
 		t0 := time.Now()
-		b.loadErr = split.Cut(matrix.Build(b.gen, lo, hi))
-		rec.Inc(trace.KAppsBlockLoadNS, int64(time.Since(t0)))
+		csr := matrix.Build(b.gen, lo, hi)
+		t1 := time.Now()
+		b.loadErr = split.Cut(csr)
+		rec.Inc(trace.KAppsBlockBuildNS, int64(t1.Sub(t0)))
+		rec.Inc(trace.KAppsBlockCutNS, int64(time.Since(t1)))
 		rec.Inc(trace.KAppsBlockLoads, 1)
 	}()
 	return nil

@@ -1,6 +1,8 @@
 package lanczos
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -388,8 +390,13 @@ func TestCheckpointRestoreBitwiseIdentical(t *testing.T) {
 	}
 }
 
-func TestRestoreRejectsGarbage(t *testing.T) {
+// steppedSolver returns a one-process solver on the 8-row 1-D Laplacian
+// after iters iterations, its job already closed: Restore and
+// CheckpointPayload do not communicate.
+func steppedSolver(t *testing.T, iters int64) *Solver {
+	t.Helper()
 	gen := matrix.Laplacian1D{N: 8}
+	var s *Solver
 	job := gaspi.Launch(gaspi.Config{Procs: 1, Latency: fabric.LatencyModel{Base: time.Microsecond}},
 		func(p *gaspi.Proc) error {
 			c := &spmvm.Direct{P: p, Base: 0, Workers: 1, Group: gaspi.GroupAll}
@@ -402,26 +409,119 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			s, err := New(c, eng, Options{MaxIters: 5, Seed: 1})
-			if err != nil {
+			if s, err = New(c, eng, Options{MaxIters: 8, CheckEvery: 2, Seed: 1}); err != nil {
 				return err
 			}
-			if err := s.Restore([]byte{1, 2, 3}); err == nil {
-				return fmt.Errorf("garbage restore accepted")
-			}
-			good := s.CheckpointPayload()
-			if err := s.Restore(good); err != nil {
-				return err
+			for s.It < iters {
+				if err := s.Step(); err != nil {
+					return err
+				}
 			}
 			return nil
 		})
-	t.Cleanup(job.Close)
+	defer job.Close()
 	res, ok := job.WaitTimeout(30 * time.Second)
 	if !ok {
 		t.Fatal("hung")
 	}
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
+	}
+	return s
+}
+
+// payload encodes a checkpoint the way CheckpointPayload does, from parts.
+func payload(it int64, v, vprev, alpha, beta []float64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(it))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+	for _, x := range [][]float64{v, vprev, alpha, beta, nil} {
+		b = appendF64s(b, x)
+	}
+	return b
+}
+
+// TestRestoreRejectsGarbage: a payload Restore cannot use — undecodable,
+// truncated, vectors of another length, or α/β not as long as Step keeps
+// them at its iteration counter — is an error, and the solver is left
+// exactly as it was.
+func TestRestoreRejectsGarbage(t *testing.T) {
+	s := steppedSolver(t, 5)
+	good := steppedSolver(t, 3).CheckpointPayload()
+	v := make([]float64, 8)
+	bad := map[string][]byte{
+		"garbage":           {1, 2, 3},
+		"truncated":         good[:len(good)-1],
+		"truncated vector":  good[:40],
+		"short vector":      payload(3, v[:7], v, v[:3], v[:2]),
+		"α short of It":     payload(3, v, v, v[:2], v[:2]),
+		"α beyond It":       payload(3, v, v, v[:4], v[:3]),
+		"β as long as α":    payload(3, v, v, v[:3], v[:3]),
+		"β at iteration 0":  payload(0, v, v, nil, v[:1]),
+		"β short by two":    payload(3, v, v, v[:3], v[:1]),
+		"It beyond α and β": payload(4, v, v, v[:3], v[:2]),
+	}
+	before := s.CheckpointPayload()
+	for name, p := range bad {
+		if err := s.Restore(p); err == nil {
+			t.Errorf("%s: restore accepted", name)
+		}
+		if !bytes.Equal(s.CheckpointPayload(), before) {
+			t.Fatalf("%s: a rejected restore changed the solver", name)
+		}
+	}
+	for name, p := range map[string][]byte{"iteration 3": good, "iteration 0": payload(0, v, v, nil, nil)} {
+		if err := s.Restore(p); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestRestoreDecodesInPlace: Restore decodes into the solver's own slices —
+// a same-shape restore allocates nothing — and copies: rewriting the payload
+// afterwards does not reach the solver.
+func TestRestoreDecodesInPlace(t *testing.T) {
+	s := steppedSolver(t, 5)
+	cp := steppedSolver(t, 3).CheckpointPayload()
+	want := bytes.Clone(cp)
+	v, alpha := &s.V[0], &s.Alpha[0]
+	if err := s.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if &s.V[0] != v || &s.Alpha[0] != alpha {
+		t.Error("Restore replaced the solver's slices instead of decoding into them")
+	}
+	for i := range cp {
+		cp[i] = 0xff
+	}
+	if got := s.CheckpointPayload(); !bytes.Equal(got, want) {
+		t.Fatal("a write to the payload after Restore reached the solver")
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() { err = s.Restore(want) }); n != 0 {
+		t.Errorf("a same-shape Restore allocates %v times", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSerialLowestEigsGolden pins the serial reference's four lowest
+// eigenvalues on a 32×16 graphene sheet (1024 rows, 120 iterations). The
+// matrix itself is pinned bit for bit by matrix's golden checksum; the
+// tolerance here only absorbs platforms that fuse multiply-adds.
+func TestSerialLowestEigsGolden(t *testing.T) {
+	got, err := SerialLowestEigs(matrix.DefaultGraphene(32, 16, 7), 120, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{-3.76138890648643, -3.737857886187398, -3.7351348570857135, -3.685350358457574}
+	if len(got) != len(want) {
+		t.Fatalf("eigs = %v", got)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Errorf("eig %d = %v, golden %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/matrix"
 	"repro/internal/spmvm"
@@ -123,7 +124,9 @@ func (s *Solver) ResetStart() error {
 // recovery rebuilt the halo segment and communication plan bindings).
 func (s *Solver) SetEngine(eng *spmvm.Engine) {
 	s.eng = eng
-	s.w = make([]float64, eng.LocalRows())
+	if len(s.w) != eng.LocalRows() {
+		s.w = make([]float64, eng.LocalRows())
+	}
 }
 
 // startEntry derives the deterministic global start vector entry for row i:
@@ -241,7 +244,14 @@ func (s *Solver) CheckpointPayload() []byte {
 	return b
 }
 
-// Restore resets the solver to a checkpointed state.
+// Restore resets the solver to a checkpointed state. Every length is
+// checked before anything is written, so a rejected payload leaves the
+// solver as it was: the vectors must be this engine's row count, and α and
+// β must be as long as Step keeps them at the payload's iteration counter
+// (len(Alpha) = It, len(Beta) = max(It−1, 0)) — a misaligned pair would
+// make a wrong tridiagonal matrix without an error. The state is decoded
+// into the solver's own slices, so a restore of the shape the solver holds
+// allocates nothing and keeps no reference to payload.
 func (s *Solver) Restore(payload []byte) error {
 	d := f64decoder{data: payload}
 	it := d.u64()
@@ -254,17 +264,26 @@ func (s *Solver) Restore(payload []byte) error {
 	if d.err != nil {
 		return fmt.Errorf("lanczos: restore: %w", d.err)
 	}
-	if len(v) != s.eng.LocalRows() || len(vprev) != s.eng.LocalRows() {
-		return fmt.Errorf("lanczos: restore: vector length %d, want %d", len(v), s.eng.LocalRows())
+	n := s.eng.LocalRows()
+	if len(v) != 8*n || len(vprev) != 8*n {
+		return fmt.Errorf("lanczos: restore: vector lengths %d and %d, want %d", len(v)/8, len(vprev)/8, n)
+	}
+	na, nb := len(alpha)/8, len(betas)/8
+	if uint64(na) != it || nb != max(na-1, 0) {
+		return fmt.Errorf("lanczos: restore: %d α and %d β coefficients at iteration %d", na, nb, it)
 	}
 	s.It = int64(it)
 	s.beta = beta
-	s.V, s.VPrev = v, vprev
-	s.Alpha, s.Beta = alpha, betas
-	s.Eigs = eigs
+	s.V = decodeF64s(s.V, v)
+	s.VPrev = decodeF64s(s.VPrev, vprev)
+	s.Alpha = decodeF64s(s.Alpha, alpha)
+	s.Beta = decodeF64s(s.Beta, betas)
+	s.Eigs = decodeF64s(s.Eigs, eigs)
 	s.prevEigs = nil
 	s.converged = false
-	s.w = make([]float64, s.eng.LocalRows())
+	if len(s.w) != n {
+		s.w = make([]float64, n)
+	}
 	return nil
 }
 
@@ -274,6 +293,16 @@ func appendF64s(b []byte, v []float64) []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
 	return b
+}
+
+// decodeF64s decodes the 8-byte entries of raw into dst's backing array,
+// growing it only when it is too short.
+func decodeF64s(dst []float64, raw []byte) []float64 {
+	dst = slices.Grow(dst[:0], len(raw)/8)[:len(raw)/8]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return dst
 }
 
 type f64decoder struct {
@@ -294,7 +323,9 @@ func (d *f64decoder) u64() uint64 {
 
 func (d *f64decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
-func (d *f64decoder) f64s() []float64 {
+// f64s returns the next length-prefixed vector's entries, still encoded:
+// 8 bytes each, a view of d.data.
+func (d *f64decoder) f64s() []byte {
 	n := d.u64()
 	if d.err != nil || n > uint64((len(d.data)-d.off)/8) {
 		if d.err == nil {
@@ -302,11 +333,9 @@ func (d *f64decoder) f64s() []float64 {
 		}
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
+	raw := d.data[d.off : d.off+8*int(n)]
+	d.off += len(raw)
+	return raw
 }
 
 // SerialLowestEigs is the non-distributed reference: it runs plain Lanczos

@@ -35,10 +35,18 @@ func DefaultGraphene(nx, ny int, seed uint64) Graphene {
 func (g Graphene) Dim() int64 { return 2 * int64(g.Nx) * int64(g.Ny) }
 
 // site composes a global index from cell coordinates and sublattice,
-// wrapping periodically.
+// wrapping periodically a coordinate at most one cell outside the lattice.
 func (g Graphene) site(x, y, s int) int64 {
-	x = ((x % g.Nx) + g.Nx) % g.Nx
-	y = ((y % g.Ny) + g.Ny) % g.Ny
+	if x < 0 {
+		x += g.Nx
+	} else if x >= g.Nx {
+		x -= g.Nx
+	}
+	if y < 0 {
+		y += g.Ny
+	} else if y >= g.Ny {
+		y -= g.Ny
+	}
 	return 2*(int64(y)*int64(g.Nx)+int64(x)) + int64(s)
 }
 
@@ -51,27 +59,65 @@ var (
 	nn2     = [6][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, -1}, {-1, 1}}
 )
 
-// Row implements Generator.
+// interiorHop is one entry of an interior row: column i + dy·2Nx + d, value
+// −T_t, or the on-site energy for t = 0.
+type interiorHop struct{ dy, d, t int8 }
+
+// interiorRows are the rows of an interior cell, A and B sublattice, in
+// column order: the offsets above as index deltas (a neighbor at cell
+// offset (dx, dy) on sublattice s' is i + dy·2Nx + 2dx + s' − s), sorted by
+// (dy, d). That is column order because a d of one dy exceeds a d of the
+// next by at most 5, less than 2Nx for Nx ≥ 3.
+var interiorRows = [2][13]interiorHop{
+	{{-1, -1, 3}, {-1, 0, 2}, {-1, 1, 1}, {-1, 2, 2}, {0, -2, 2}, {0, -1, 1}, {0, 0, 0}, {0, 1, 1}, {0, 2, 2}, {0, 3, 3}, {1, -2, 2}, {1, 0, 2}, {1, 1, 3}},
+	{{-1, -1, 3}, {-1, 0, 2}, {-1, 2, 2}, {0, -3, 3}, {0, -2, 2}, {0, -1, 1}, {0, 0, 0}, {0, 1, 1}, {0, 2, 2}, {1, -2, 2}, {1, -1, 1}, {1, 0, 2}, {1, 1, 3}},
+}
+
+// Row implements Generator. Locating the cell costs the row one division;
+// after that, a row of an interior cell (0 < x < Nx−1 and 0 < y < Ny−1, so
+// the lattice is at least 3 cells wide) wraps nothing and aliases nothing:
+// it is interiorRows at fixed index deltas, emitted already in column order,
+// so Build's sort only confirms it. A boundary row wraps each offset with a
+// compare-and-add, and only on a lattice narrower than 3 cells can two
+// offsets meet, so only there does it scan for duplicates.
 func (g Graphene) Row(i int64, cols []int64, vals []float64) ([]int64, []float64) {
-	cell := i / 2
-	s := int(i % 2)
-	x := int(cell % int64(g.Nx))
-	y := int(cell / int64(g.Nx))
+	cell, s, nx := i>>1, int(i&1), int64(g.Nx)
+	x, y := int(cell%nx), int(cell/nx)
+
+	if x > 0 && x < g.Nx-1 && y > 0 && y < g.Ny-1 {
+		w := 2 * nx
+		v := [4]float64{g.onsite(i), -g.T1, -g.T2, -g.T3}
+		for _, h := range &interiorRows[s] {
+			if h.t != 0 && v[h.t] == 0 {
+				continue // coupling switched off
+			}
+			cols = append(cols, i+int64(h.dy)*w+int64(h.d))
+			vals = append(vals, v[h.t])
+		}
+		return cols, vals
+	}
 
 	// On-site energy (always emitted so the sparsity pattern is uniform).
 	cols = append(cols, i)
 	vals = append(vals, g.onsite(i))
 
+	aliasing := g.Nx < 3 || g.Ny < 3
 	add := func(j int64, t float64) ([]int64, []float64) {
-		if t == 0 || j == i {
+		if t == 0 {
 			return cols, vals
 		}
-		// Periodic wrapping on tiny lattices can alias two offsets to the
-		// same site; accumulate instead of duplicating the column.
-		for k, c := range cols {
-			if c == j {
-				vals[k] += -t
+		if aliasing {
+			// Wrapping can map an offset onto the row's own site, or two
+			// offsets onto one site: drop the first, accumulate the second
+			// instead of duplicating the column.
+			if j == i {
 				return cols, vals
+			}
+			for k, c := range cols {
+				if c == j {
+					vals[k] += -t
+					return cols, vals
+				}
 			}
 		}
 		return append(cols, j), append(vals, -t)

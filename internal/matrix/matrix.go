@@ -51,8 +51,13 @@ func (c *CSR) NNZ() int64 { return c.RowPtr[len(c.RowPtr)-1] }
 // Build materializes rows [lo, hi) of gen as a CSR block. Col and Val are
 // sized once, from the first row: the generators' rows are all about as
 // long as each other, and a rescue rebuilds its block on the recovery
-// path, where growing two multi-megabyte slices by doubling is most of
-// the cost. A block with longer rows further down still grows by append.
+// path, where growing two multi-megabyte slices by doubling would cost
+// more than generating the rows. A block with longer rows further down
+// still grows by append. Each row is sorted by column; a graphene interior
+// row arrives in column order, so there the sort only confirms it, and a
+// build costs generating the rows and filling those two slices — the
+// smaller part of a rescue's row-block load (apps.block.build_ns against
+// apps.block.cut_ns).
 func Build(gen Generator, lo, hi int64) *CSR {
 	if lo < 0 || hi < lo || hi > gen.Dim() {
 		panic(fmt.Sprintf("matrix: invalid row range [%d,%d) of %d", lo, hi, gen.Dim()))

@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -176,6 +178,127 @@ func TestGrapheneSmallLatticeAliasing(t *testing.T) {
 				t.Fatalf("asymmetric at (%d,%d)", i, j)
 			}
 		}
+	}
+}
+
+// referenceGrapheneRow is the plain reading of the Graphene definition that
+// Row must agree with: every neighbor wrapped by modulo and checked against
+// the row so far for an alias, on every lattice, every row.
+func referenceGrapheneRow(g Graphene, i int64, cols []int64, vals []float64) ([]int64, []float64) {
+	cell := i / 2
+	s := int(i % 2)
+	x := int(cell % int64(g.Nx))
+	y := int(cell / int64(g.Nx))
+	site := func(x, y, s int) int64 {
+		x = ((x % g.Nx) + g.Nx) % g.Nx
+		y = ((y % g.Ny) + g.Ny) % g.Ny
+		return 2*(int64(y)*int64(g.Nx)+int64(x)) + int64(s)
+	}
+	cols = append(cols, i)
+	vals = append(vals, g.onsite(i))
+	add := func(j int64, t float64) ([]int64, []float64) {
+		if t == 0 || j == i {
+			return cols, vals
+		}
+		for k, c := range cols {
+			if c == j {
+				vals[k] += -t
+				return cols, vals
+			}
+		}
+		return append(cols, j), append(vals, -t)
+	}
+	if s == 0 {
+		for _, d := range nnAtoB {
+			cols, vals = add(site(x+d[0], y+d[1], 1), g.T1)
+		}
+		for _, d := range nn3AtoB {
+			cols, vals = add(site(x+d[0], y+d[1], 1), g.T3)
+		}
+	} else {
+		for _, d := range nnAtoB {
+			cols, vals = add(site(x-d[0], y-d[1], 0), g.T1)
+		}
+		for _, d := range nn3AtoB {
+			cols, vals = add(site(x-d[0], y-d[1], 0), g.T3)
+		}
+	}
+	for _, d := range nn2 {
+		cols, vals = add(site(x+d[0], y+d[1], s), g.T2)
+	}
+	return cols, vals
+}
+
+// TestGrapheneRowMatchesReference: the interior table, the compare-and-add
+// wrap and the aliasing scan gated on the lattice's width yield, for every
+// row, the reference's columns and value bits once sorted — on every lattice
+// up to 6×6 (where offsets alias), on the sizes the workloads use, and with
+// each coupling and the disorder switched off.
+func TestGrapheneRowMatchesReference(t *testing.T) {
+	var lattices [][2]int
+	for nx := 1; nx <= 6; nx++ {
+		for ny := 1; ny <= 6; ny++ {
+			lattices = append(lattices, [2]int{nx, ny})
+		}
+	}
+	lattices = append(lattices, [2]int{32, 16}, [2]int{128, 128}, [2]int{256, 128})
+	variants := map[string]func(*Graphene){
+		"default":     func(*Graphene) {},
+		"no T1":       func(g *Graphene) { g.T1 = 0 },
+		"no T2":       func(g *Graphene) { g.T2 = 0 },
+		"no T3":       func(g *Graphene) { g.T3 = 0 },
+		"T1 only":     func(g *Graphene) { g.T2, g.T3 = 0, 0 },
+		"no disorder": func(g *Graphene) { g.Disorder = 0 },
+	}
+	var gotC, wantC []int64
+	var gotV, wantV []float64
+	for _, l := range lattices {
+		for name, vary := range variants {
+			g := DefaultGraphene(l[0], l[1], 7)
+			vary(&g)
+			for i := int64(0); i < g.Dim(); i++ {
+				gotC, gotV = g.Row(i, gotC[:0], gotV[:0])
+				wantC, wantV = referenceGrapheneRow(g, i, wantC[:0], wantV[:0])
+				sortRow(gotC, gotV)
+				sortRow(wantC, wantV)
+				if !slices.Equal(gotC, wantC) {
+					t.Fatalf("%dx%d %s row %d: columns %v, reference %v", l[0], l[1], name, i, gotC, wantC)
+				}
+				for k := range wantV {
+					if math.Float64bits(gotV[k]) != math.Float64bits(wantV[k]) {
+						t.Fatalf("%dx%d %s row %d col %d: %v, reference %v", l[0], l[1], name, i, wantC[k], gotV[k], wantV[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGrapheneBuildGolden pins the kill workloads' row block — 8192 rows of
+// the 128x128-cell sheet, block 1 of 4 — by an FNV-1a checksum of its
+// RowPtr, Col and Val bits, so any change to what the generator emits fails
+// here, whatever the reference above is.
+func TestGrapheneBuildGolden(t *testing.T) {
+	g := DefaultGraphene(128, 128, 7)
+	lo, hi := BlockRange(g.Dim(), 4, 1)
+	c := Build(g, lo, hi)
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	for _, v := range c.RowPtr {
+		put(uint64(v))
+	}
+	for _, v := range c.Col {
+		put(uint64(v))
+	}
+	for _, v := range c.Val {
+		put(math.Float64bits(v))
+	}
+	if c.NNZ() != 106496 || h.Sum64() != 0x469429e5d574117c {
+		t.Fatalf("block [%d,%d): nnz %d, checksum %#x; golden 106496, 0x469429e5d574117c", lo, hi, c.NNZ(), h.Sum64())
 	}
 }
 
@@ -382,7 +505,8 @@ func TestBuildBitIdenticalToSortReference(t *testing.T) {
 
 // BenchmarkMatrixBuild builds the kill workloads' row block: 8192 rows of
 // the 128x128-cell graphene sheet, one worker's quarter. CI gates its
-// allocs/op — a rescue pays this build on the recovery path.
+// allocs/op and B/op and prints its ms/op — a rescue pays this build on the
+// recovery path.
 func BenchmarkMatrixBuild(b *testing.B) {
 	gen := DefaultGraphene(128, 128, 7)
 	lo, hi := BlockRange(gen.Dim(), 4, 1)
@@ -393,4 +517,5 @@ func BenchmarkMatrixBuild(b *testing.B) {
 			b.Fatal("empty block")
 		}
 	}
+	b.ReportMetric(1e3*b.Elapsed().Seconds()/float64(b.N), "ms/op")
 }

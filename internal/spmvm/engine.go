@@ -99,9 +99,10 @@ func layOut(plan *Plan) *Split {
 
 // cut is the matrix half of a Split. The plan must describe exactly the
 // rows of csr, and its halo every remote column csr references. The parts
-// grow by append; sizing them with a counting pass first is measured and
-// held back by the benchmark's recovery probe, not by this code (ROADMAP
-// 2a).
+// grow by append, and that growth makes the cut the larger part of a
+// rescue's row-block load (apps.block.cut_ns against apps.block.build_ns).
+// Sizing the parts with a counting pass first is measured and held back by
+// the benchmark's recovery probe, not by this code (ROADMAP 2a).
 func (s *Split) cut(csr *matrix.CSR) error {
 	rows := csr.LocalRows()
 	lo, hi := s.plan.Lo, s.plan.Hi

@@ -102,13 +102,14 @@ const (
 	KSpMVMFallbackIters = "spmvm.fallback_iters"
 
 	// The rescue loader's background half (apps.rowBlock.load): loads run,
-	// the time matrix.Build + the cut took on the loader's goroutine, and the
-	// time the rank's first multiply blocked for them (spmvm.Engine.joinCut;
-	// zero when the load had landed — a warm shadow's, or a cold rescue
-	// whose recovery outlasted it). Init(restore=true)'s span contains none
-	// of this.
+	// the time matrix.Build and then the cut (spmvm.Split.Cut) took on the
+	// loader's goroutine, and the time the rank's first multiply blocked for
+	// them (spmvm.Engine.joinCut; zero when the load had landed — a warm
+	// shadow's, or a cold rescue whose recovery outlasted it).
+	// Init(restore=true)'s span contains none of this.
 	KAppsBlockLoads      = "apps.block.loads"
-	KAppsBlockLoadNS     = "apps.block.load_ns"
+	KAppsBlockBuildNS    = "apps.block.build_ns"
+	KAppsBlockCutNS      = "apps.block.cut_ns"
 	KAppsBlockJoinWaitNS = "apps.block.join_wait_ns"
 )
 
