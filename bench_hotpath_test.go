@@ -384,6 +384,32 @@ func BenchmarkCPStreamPush(b *testing.B) {
 	}
 }
 
+// BenchmarkCPStreamEndpoint gates what a checkpoint-stream endpoint costs
+// before its first frame: B/op of creating one with the default 1 MiB frame
+// capacity and deleting its segment again. Every worker and every rescue
+// creates one; the segment is backed only where frames write it, so the
+// endpoint itself is a few hundred bytes (CI ceiling 64 KiB; a segment
+// allocated at its declared size reads 1 MiB).
+func BenchmarkCPStreamEndpoint(b *testing.B) {
+	benchJobCfg(b, gaspi.Config{
+		Procs:   1,
+		Latency: fabric.LatencyModel{Base: 2 * time.Microsecond},
+	}, func(p *gaspi.Proc) error {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ft.NewCPStream(p, 0, 0, 0); err != nil {
+				return err
+			}
+			if err := p.SegmentDelete(ft.SegCP); err != nil {
+				return err
+			}
+		}
+		b.StopTimer()
+		return nil
+	})
+}
+
 // BenchmarkRescueLoad is what an unshadowed rescue computes for the rank it
 // adopts, beside its recovery: decode the plan checkpoint, regenerate the
 // row block, cut it against the plan — for the kill workloads' block, 8192

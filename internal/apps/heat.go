@@ -35,6 +35,7 @@ type Heat struct {
 	cfg      HeatConfig
 	u, w     []float64
 	it       int64
+	cp       []byte // Checkpoint's staging buffer
 }
 
 var _ core.App = (*Heat)(nil)
@@ -76,9 +77,14 @@ func (h *Heat) Rebuild(ctx *core.Ctx) error {
 	return nil
 }
 
-// Checkpoint implements core.App: the solution chunk plus the step count.
+// Checkpoint implements core.App: the solution chunk plus the step count,
+// staged into a buffer reused across calls.
 func (h *Heat) Checkpoint(*core.Ctx) ([]byte, error) {
-	b := make([]byte, 8+8*len(h.u))
+	n := 8 + 8*len(h.u)
+	if len(h.cp) != n {
+		h.cp = make([]byte, n)
+	}
+	b := h.cp
 	binary.LittleEndian.PutUint64(b, uint64(h.it))
 	for i, x := range h.u {
 		binary.LittleEndian.PutUint64(b[8+8*i:], math.Float64bits(x))

@@ -68,7 +68,8 @@ func (a *Lanczos) Rebuild(ctx *core.Ctx) error {
 	return nil
 }
 
-// Checkpoint implements core.App.
+// Checkpoint implements core.App. The payload is the solver's reused
+// staging buffer (lanczos.Solver.CheckpointPayload).
 func (a *Lanczos) Checkpoint(*core.Ctx) ([]byte, error) {
 	return a.solver.CheckpointPayload(), nil
 }

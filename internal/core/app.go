@@ -72,6 +72,12 @@ type App interface {
 	// group. Called once after Init and again after every recovery.
 	Rebuild(ctx *Ctx) error
 	// Checkpoint serializes the application state at the current iteration.
+	// The payload may be a buffer the App reuses: it need only stay valid
+	// until the next Checkpoint call. Every consumer copies it before it
+	// returns — checkpoint.Library.Write (the Sync frame and the Async
+	// writer's staged half are both encoded copies) and
+	// checkpoint.MirrorEncoder.EncodeNext (the frame lands in the encoder's
+	// buffer) — so the framework never holds a payload across iterations.
 	Checkpoint(ctx *Ctx) ([]byte, error)
 	// Restore resets the application state to a checkpoint taken at
 	// iteration iter. A nil payload resets to the initial state (iter 0).

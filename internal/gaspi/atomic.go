@@ -66,9 +66,10 @@ func (p *Proc) AtomicCompareSwap(rank Rank, seg SegmentID, off int64, comparator
 func (s *segment) applyAtomic(op, off, operand int64, payload []byte) (int64, int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off < 0 || off+8 > int64(len(s.buf)) {
+	if off < 0 || off+8 > int64(s.size) {
 		return 0, remOutOfBounds
 	}
+	s.back(off + 8)
 	old := int64(binary.LittleEndian.Uint64(s.buf[off:]))
 	switch op {
 	case atomFetchAdd:

@@ -206,9 +206,11 @@ func (p *Proc) collSetup(g *group) {
 	for f.small < len(g.members) {
 		f.small *= 2
 	}
+	size := 8 * f.residentElems()
 	f.seg = &segment{
 		id:        f.segID,
-		buf:       make([]byte, 8*f.residentElems()),
+		size:      size,
+		buf:       make([]byte, size),
 		notifVals: make([]int64, 16*r),
 	}
 	p.mu.Lock()
@@ -217,22 +219,22 @@ func (p *Proc) collSetup(g *group) {
 	g.fast = f
 }
 
-// collWindow materialises the chunk window: the segment grows, once, from
-// its resident tier to the full layout. The swap happens under the segment
-// lock, which every delivery-time write holds, so a write lands either in
-// the old buffer before the copy or in the new one after it. Only the
-// owning collective goroutine calls this, and it alone reads seg.buf
-// outside the lock; payloads of its earlier posts still in flight keep
-// borrowing the old staging area, which nothing writes any more.
+// collWindow materialises the chunk window: the segment's declared size
+// grows, once, from its resident tier to the full layout, and the segment
+// backs it whole (segment.back: a write lands either in the old buffer
+// before the copy or in the new one after it). Only the owning collective
+// goroutine calls this, and it alone reads seg.buf outside the lock;
+// payloads of its earlier posts still in flight keep borrowing the old
+// staging area, which nothing writes any more. Until then a write into the
+// window is out of bounds, so no delivery can move seg.buf under the owner.
 func (p *Proc) collWindow(f *collFast) {
 	base := f.residentElems()
 	if len(f.seg.buf) > 8*base || f.r == 0 {
 		return
 	}
-	full := make([]byte, 8*(base+16*f.r*collChunkElems))
 	f.seg.mu.Lock()
-	copy(full, f.seg.buf)
-	f.seg.buf = full
+	f.seg.size = 8 * (base + 16*f.r*collChunkElems)
+	f.seg.back(int64(f.seg.size))
 	f.seg.mu.Unlock()
 }
 

@@ -122,7 +122,7 @@ func (p *Proc) Read(rank Rank, srcSeg SegmentID, srcOff int64, dstSeg SegmentID,
 	if err != nil {
 		return err
 	}
-	if dstOff < 0 || dstOff+size > int64(len(dst.buf)) {
+	if dstOff < 0 || dstOff+size > int64(dst.declared()) {
 		return fmt.Errorf("%w: read destination out of bounds", ErrInvalid)
 	}
 	tok := p.postQueued(kRead, rank, qu, dst, dstOff)

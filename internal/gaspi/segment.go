@@ -11,10 +11,19 @@ import (
 // that synchronizes through notifications may read the data without holding
 // mu (the notification access provides the happens-before edge, as in real
 // RDMA followed by a notification check).
+//
+// A segment is backed on first touch. Its declared size bounds every access,
+// but buf holds only the prefix that has been written: a write past it
+// extends it under mu (back), and the bytes beyond it read as zeros. A view
+// (SegmentData, SegmentFloat64s) backs the whole segment first, after which
+// buf never moves again — so application code may keep the view.
 type segment struct {
-	id  SegmentID
-	mu  sync.Mutex
-	buf []byte
+	id SegmentID
+	mu sync.Mutex
+	// size is the declared size. Fixed at creation, except that collWindow
+	// grows a collective segment's, under mu.
+	size int
+	buf  []byte
 
 	notifMu    sync.Mutex
 	notifVals  []int64
@@ -25,10 +34,11 @@ type segment struct {
 	attnSlot NotificationID
 }
 
-// SegmentCreate allocates a local segment of the given size
+// SegmentCreate reserves a local segment of the given size
 // (gaspi_segment_create). The segment becomes remotely accessible
 // immediately; IDs must be allocated consistently across ranks by the
-// application.
+// application. Memory is allocated as the segment is written, not here: a
+// segment costs what its writes reach, or its size once a view is taken.
 func (p *Proc) SegmentCreate(id SegmentID, size int) error {
 	p.checkAlive()
 	if id < 0 {
@@ -55,7 +65,7 @@ func (p *Proc) SegmentCreate(id SegmentID, size int) error {
 	}
 	p.segs[id] = &segment{
 		id:        id,
-		buf:       make([]byte, size),
+		size:      size,
 		notifVals: make([]int64, p.cfg.NotifySlots),
 	}
 	return nil
@@ -85,20 +95,22 @@ func (p *Proc) SegmentSize(id SegmentID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(s.buf), nil
+	return s.declared(), nil
 }
 
 // SegmentData returns the raw local segment memory (gaspi_segment_ptr).
 // Like the pointer returned by the C API, concurrent remote writes into a
 // region being read are only safe when the application synchronizes through
 // notifications; use SegmentCopyOut/SegmentCopyIn for lock-protected access.
+// The whole segment is backed on return, and the slice stays the segment's
+// memory for its lifetime.
 func (p *Proc) SegmentData(id SegmentID) ([]byte, error) {
 	p.checkAlive()
 	s, err := p.segLookup(id)
 	if err != nil {
 		return nil, err
 	}
-	return s.buf, nil
+	return s.backAll(), nil
 }
 
 // hostLittleEndian reports whether this host stores multi-byte values
@@ -128,10 +140,11 @@ func (p *Proc) SegmentFloat64s(id SegmentID) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(s.buf) < 8 {
+	if s.declared() < 8 {
 		return nil, fmt.Errorf("%w: segment %d too small for a float64 view", ErrInvalid, id)
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&s.buf[0])), len(s.buf)/8), nil
+	buf := s.backAll()
+	return unsafe.Slice((*float64)(unsafe.Pointer(&buf[0])), len(buf)/8), nil
 }
 
 // SegmentCopyIn copies data into the local segment at off under the segment
@@ -142,12 +155,9 @@ func (p *Proc) SegmentCopyIn(id SegmentID, off int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if off < 0 || off+len(data) > len(s.buf) {
-		return fmt.Errorf("%w: copy-in [%d,%d) beyond segment %d size %d", ErrInvalid, off, off+len(data), id, len(s.buf))
+	if s.applyRemoteWrite(int64(off), data) != remOK {
+		return fmt.Errorf("%w: copy-in [%d,%d) beyond segment %d size %d", ErrInvalid, off, off+len(data), id, s.declared())
 	}
-	copy(s.buf[off:], data)
 	return nil
 }
 
@@ -159,13 +169,10 @@ func (p *Proc) SegmentCopyOut(id SegmentID, off, size int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if off < 0 || size < 0 || off+size > len(s.buf) {
-		return nil, fmt.Errorf("%w: copy-out [%d,%d) beyond segment %d size %d", ErrInvalid, off, off+size, id, len(s.buf))
+	out, code := s.readRemote(int64(off), int64(size))
+	if code != remOK {
+		return nil, fmt.Errorf("%w: copy-out [%d,%d) beyond segment %d size %d", ErrInvalid, off, off+size, id, s.declared())
 	}
-	out := make([]byte, size)
-	copy(out, s.buf[off:])
 	return out, nil
 }
 
@@ -179,26 +186,62 @@ func (p *Proc) segLookup(id SegmentID) (*segment, error) {
 	return s, nil
 }
 
-// applyRemoteWrite is executed by the NIC for an incoming kWrite.
+// declared returns the segment's declared size.
+func (s *segment) declared() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.size
+}
+
+// back extends the backed prefix to at least end bytes (end ≤ size). The
+// copy into the longer buffer happens under mu, which every delivery-time
+// write holds, so a write lands either in the old buffer before the copy or
+// in the new one after it. A frame written chunk by chunk reallocates once
+// per chunk, the first time only: frames repeat their size.
+func (s *segment) back(end int64) {
+	if end <= int64(len(s.buf)) {
+		return
+	}
+	buf := make([]byte, end)
+	copy(buf, s.buf)
+	s.buf = buf
+}
+
+// backAll backs the whole segment and returns its memory, which no later
+// write moves.
+func (s *segment) backAll() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.back(int64(s.size))
+	return s.buf
+}
+
+// applyRemoteWrite is executed by the NIC for an incoming kWrite (and by
+// SegmentCopyIn and a completed Read), backing what it writes.
 func (s *segment) applyRemoteWrite(off int64, data []byte) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off < 0 || off+int64(len(data)) > int64(len(s.buf)) {
+	end := off + int64(len(data))
+	if off < 0 || end > int64(s.size) {
 		return remOutOfBounds
 	}
+	s.back(end)
 	copy(s.buf[off:], data)
 	return remOK
 }
 
-// readRemote is executed by the NIC for an incoming kRead.
+// readRemote is executed by the NIC for an incoming kRead (and by
+// SegmentCopyOut). Bytes past the backed prefix read as zeros.
 func (s *segment) readRemote(off, size int64) ([]byte, int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off < 0 || size < 0 || off+size > int64(len(s.buf)) {
+	if off < 0 || size < 0 || off+size > int64(s.size) {
 		return nil, remOutOfBounds
 	}
 	out := make([]byte, size)
-	copy(out, s.buf[off:])
+	if off < int64(len(s.buf)) {
+		copy(out, s.buf[off:])
+	}
 	return out, remOK
 }
 

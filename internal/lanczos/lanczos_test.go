@@ -395,12 +395,20 @@ func TestCheckpointRestoreBitwiseIdentical(t *testing.T) {
 // CheckpointPayload do not communicate.
 func steppedSolver(t *testing.T, iters int64) *Solver {
 	t.Helper()
-	gen := matrix.Laplacian1D{N: 8}
+	return inSolverJob(t, 8, Options{MaxIters: 8, CheckEvery: 2, Seed: 1}, iters, nil)
+}
+
+// inSolverJob runs a one-process solver on the n-row 1-D Laplacian for
+// iters iterations, then f (when non-nil) on it inside the job, where the
+// solver can still communicate. It returns the solver after the job closed.
+func inSolverJob(tb testing.TB, n int64, opts Options, iters int64, f func(s *Solver) error) *Solver {
+	tb.Helper()
+	gen := matrix.Laplacian1D{N: n}
 	var s *Solver
 	job := gaspi.Launch(gaspi.Config{Procs: 1, Latency: fabric.LatencyModel{Base: time.Microsecond}},
 		func(p *gaspi.Proc) error {
 			c := &spmvm.Direct{P: p, Base: 0, Workers: 1, Group: gaspi.GroupAll}
-			csr := matrix.Build(gen, 0, 8)
+			csr := matrix.Build(gen, 0, n)
 			plan, err := spmvm.Preprocess(c, csr)
 			if err != nil {
 				return err
@@ -409,7 +417,7 @@ func steppedSolver(t *testing.T, iters int64) *Solver {
 			if err != nil {
 				return err
 			}
-			if s, err = New(c, eng, Options{MaxIters: 8, CheckEvery: 2, Seed: 1}); err != nil {
+			if s, err = New(c, eng, opts); err != nil {
 				return err
 			}
 			for s.It < iters {
@@ -417,17 +425,162 @@ func steppedSolver(t *testing.T, iters int64) *Solver {
 					return err
 				}
 			}
+			if f != nil {
+				return f(s)
+			}
 			return nil
 		})
 	defer job.Close()
 	res, ok := job.WaitTimeout(30 * time.Second)
 	if !ok {
-		t.Fatal("hung")
+		tb.Fatal("hung")
 	}
 	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
+		tb.Fatal(res[0].Err)
 	}
 	return s
+}
+
+// referencePayload is CheckpointPayload as it was before the staging
+// buffer: every field appended into a fresh slice.
+func referencePayload(s *Solver) []byte {
+	var b []byte
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.It))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.beta))
+	for _, v := range [][]float64{s.V, s.VPrev, s.Alpha, s.Beta, s.Eigs} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(v)))
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+	}
+	return b
+}
+
+// TestCheckpointPayloadGolden: the reused staging buffer encodes every state
+// byte-identically to the fresh-slice encoding — as the state grows with the
+// iterations, after the eigenvalue updates, and after a Restore to a shorter
+// state, where bytes of the longer encoding remain in the buffer past its
+// length — and it is one buffer throughout.
+func TestCheckpointPayloadGolden(t *testing.T) {
+	inSolverJob(t, 64, Options{MaxIters: 24, NumEigs: 3, CheckEvery: 3, Seed: 4}, 0, func(s *Solver) error {
+		var first *byte
+		var at6 []byte
+		check := func() error {
+			got := s.CheckpointPayload()
+			if want := referencePayload(s); !bytes.Equal(got, want) {
+				return fmt.Errorf("iteration %d: staged payload differs from the reference encoding (%d vs %d bytes)", s.It, len(got), len(want))
+			}
+			if first == nil {
+				first = &got[0]
+			} else if &got[0] != first {
+				return fmt.Errorf("iteration %d: the staging buffer moved", s.It)
+			}
+			return nil
+		}
+		for !s.Finished() {
+			if err := check(); err != nil {
+				return err
+			}
+			if s.It == 6 {
+				at6 = referencePayload(s)
+			}
+			if err := s.Step(); err != nil {
+				return err
+			}
+		}
+		if err := check(); err != nil {
+			return err
+		}
+		if err := s.Restore(at6); err != nil {
+			return err
+		}
+		return check()
+	})
+}
+
+// TestResetStartReusesVectors: a same-shape ResetStart (the set-up path's
+// second initialization, after NewShell) writes into the solver's own
+// slices, allocates nothing beyond its one collective, and leaves exactly
+// the state a fresh solver starts from.
+func TestResetStartReusesVectors(t *testing.T) {
+	opts := Options{MaxIters: 40, CheckEvery: 4, Seed: 9}
+	inSolverJob(t, 64, opts, 0, func(s *Solver) error {
+		fresh := bytes.Clone(s.CheckpointPayload())
+		for i := 0; i < 10; i++ {
+			if err := s.Step(); err != nil {
+				return err
+			}
+		}
+		v, vprev, w, alpha := &s.V[0], &s.VPrev[0], &s.w[0], &s.Alpha[0]
+		var err error
+		n := testing.AllocsPerRun(20, func() { err = s.ResetStart() })
+		if err != nil {
+			return err
+		}
+		coll := testing.AllocsPerRun(20, func() { _, err = s.red.Norm2(s.comm, s.V) })
+		if n > coll {
+			return fmt.Errorf("a same-shape ResetStart allocates %v times, its collective %v", n, coll)
+		}
+		if &s.V[0] != v || &s.VPrev[0] != vprev || &s.w[0] != w || &s.Alpha[:1][0] != alpha {
+			return fmt.Errorf("ResetStart replaced the solver's slices instead of reusing them")
+		}
+		if err := s.ResetStart(); err != nil {
+			return err
+		}
+		if !bytes.Equal(s.CheckpointPayload(), fresh) {
+			return fmt.Errorf("ResetStart after 10 steps differs from a fresh start")
+		}
+		return nil
+	})
+}
+
+// TestStepAllocatesNothing: with α and β preallocated to MaxIters, a run of
+// iterations that includes no eigenvalue update allocates nothing beyond
+// their collectives. The count is over the whole run, not per iteration, so
+// that amortized growth would show.
+func TestStepAllocatesNothing(t *testing.T) {
+	const steps = 100
+	inSolverJob(t, 256, Options{MaxIters: 3 * steps, CheckEvery: 1000, Seed: 2}, 2, func(s *Solver) error {
+		var err error
+		n := testing.AllocsPerRun(1, func() {
+			for i := 0; i < steps && err == nil; i++ {
+				err = s.Step()
+			}
+		})
+		if err != nil {
+			return err
+		}
+		coll := testing.AllocsPerRun(1, func() {
+			for i := 0; i < steps && err == nil; i++ {
+				if _, err = s.red.Dot(s.comm, s.w, s.V); err == nil {
+					_, err = s.red.Norm2(s.comm, s.w)
+				}
+			}
+		})
+		if n > coll {
+			return fmt.Errorf("%d steps allocate %v times, their collectives %v", steps, n, coll)
+		}
+		return err
+	})
+}
+
+// payloadSink keeps BenchmarkCheckpointPayload's result alive.
+var payloadSink []byte
+
+// BenchmarkCheckpointPayload stages an 8192-row solver's state into the
+// reused buffer. MUST report 0 allocs/op (CI greps for it): the buffer is
+// sized once, on the first call, for MaxIters coefficients.
+func BenchmarkCheckpointPayload(b *testing.B) {
+	inSolverJob(b, 8192, Options{MaxIters: 200, CheckEvery: 10, Seed: 1}, 20, func(s *Solver) error {
+		b.SetBytes(int64(len(s.CheckpointPayload())))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			payloadSink = s.CheckpointPayload()
+		}
+		b.StopTimer()
+		return nil
+	})
 }
 
 // payload encodes a checkpoint the way CheckpointPayload does, from parts.
@@ -460,7 +613,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		"β short by two":    payload(3, v, v, v[:3], v[:1]),
 		"It beyond α and β": payload(4, v, v, v[:3], v[:2]),
 	}
-	before := s.CheckpointPayload()
+	before := bytes.Clone(s.CheckpointPayload())
 	for name, p := range bad {
 		if err := s.Restore(p); err == nil {
 			t.Errorf("%s: restore accepted", name)

@@ -68,6 +68,9 @@ type Solver struct {
 	// per-iteration dot products and norms allocate nothing on the
 	// collective fast path.
 	red spmvm.DotScratch
+	// cp is CheckpointPayload's staging buffer, sized on first use for the
+	// largest state the solver reaches (MaxIters coefficients) and reused.
+	cp []byte
 }
 
 // New creates a solver with the deterministic start vector. The start
@@ -82,25 +85,31 @@ func New(c spmvm.Comm, eng *spmvm.Engine, opts Options) (*Solver, error) {
 
 // NewShell creates a solver with empty state and no communication — the
 // constructor used by a rescue process, whose state arrives via Restore.
+// α and β are allocated at MaxIters capacity, so Step never grows them.
 func NewShell(c spmvm.Comm, eng *spmvm.Engine, opts Options) *Solver {
 	s := &Solver{comm: c, eng: eng, opts: opts.withDefaults()}
 	n := eng.LocalRows()
 	s.V = make([]float64, n)
 	s.VPrev = make([]float64, n)
 	s.w = make([]float64, n)
+	s.Alpha = make([]float64, 0, s.opts.MaxIters)
+	s.Beta = make([]float64, 0, s.opts.MaxIters)
 	return s
 }
 
 // ResetStart (re)initializes the solver to iteration 0 with the
 // deterministic normalized start vector. Collective (one Norm2); every
 // group member must call it together — the cold-restart path when no
-// consistent checkpoint survives.
+// consistent checkpoint survives. It writes into the solver's own slices,
+// so a reset of the shape the solver holds allocates nothing but what the
+// collective does.
 func (s *Solver) ResetStart() error {
 	n := s.eng.LocalRows()
-	s.V = make([]float64, n)
-	s.VPrev = make([]float64, n)
-	s.w = make([]float64, n)
-	s.Alpha, s.Beta, s.Eigs, s.prevEigs = nil, nil, nil, nil
+	s.V = resized(s.V, n)
+	s.VPrev = resized(s.VPrev, n)
+	clear(s.VPrev)
+	s.w = resized(s.w, n)
+	s.Alpha, s.Beta, s.Eigs, s.prevEigs = s.Alpha[:0], s.Beta[:0], s.Eigs[:0], nil
 	s.It, s.beta = 0, 0
 	s.converged = false
 	lo := s.eng.Plan().Lo
@@ -124,9 +133,15 @@ func (s *Solver) ResetStart() error {
 // recovery rebuilt the halo segment and communication plan bindings).
 func (s *Solver) SetEngine(eng *spmvm.Engine) {
 	s.eng = eng
-	if len(s.w) != eng.LocalRows() {
-		s.w = make([]float64, eng.LocalRows())
+	s.w = resized(s.w, eng.LocalRows())
+}
+
+// resized returns v if it has length n, else a fresh zeroed slice of n.
+func resized(v []float64, n int) []float64 {
+	if len(v) == n {
+		return v
 	}
+	return make([]float64, n)
 }
 
 // startEntry derives the deterministic global start vector entry for row i:
@@ -232,15 +247,25 @@ func (s *Solver) Converged() bool { return s.converged }
 // CheckpointPayload serializes the solver state the paper identifies:
 // "The checkpointing data consists of two consecutive Lanczos vectors,
 // α, and β", plus the iteration counter and current estimates.
+//
+// The payload is staged into a buffer the solver owns, sized once for
+// MaxIters coefficients and reused, so a checkpoint allocates nothing after
+// the first. It is borrowed: valid until the next CheckpointPayload call,
+// so a consumer that keeps it must copy it before it returns (the
+// checkpoint library and the mirror encoder do; see core.App.Checkpoint).
 func (s *Solver) CheckpointPayload() []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.It))
+	if s.cp == nil {
+		// It and β, five length prefixes, the two vectors, α, β, estimates.
+		s.cp = make([]byte, 0, 8*(2+5+2*len(s.V)+2*s.opts.MaxIters+s.opts.NumEigs))
+	}
+	b := binary.LittleEndian.AppendUint64(s.cp[:0], uint64(s.It))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.beta))
 	b = appendF64s(b, s.V)
 	b = appendF64s(b, s.VPrev)
 	b = appendF64s(b, s.Alpha)
 	b = appendF64s(b, s.Beta)
 	b = appendF64s(b, s.Eigs)
+	s.cp = b
 	return b
 }
 
@@ -281,16 +306,16 @@ func (s *Solver) Restore(payload []byte) error {
 	s.Eigs = decodeF64s(s.Eigs, eigs)
 	s.prevEigs = nil
 	s.converged = false
-	if len(s.w) != n {
-		s.w = make([]float64, n)
-	}
+	s.w = resized(s.w, n)
 	return nil
 }
 
 func appendF64s(b []byte, v []float64) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(v)))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	off := len(b)
+	b = slices.Grow(b, 8*len(v))[:off+8*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(x))
 	}
 	return b
 }

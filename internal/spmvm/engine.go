@@ -98,11 +98,9 @@ func layOut(plan *Plan) *Split {
 }
 
 // cut is the matrix half of a Split. The plan must describe exactly the
-// rows of csr, and its halo every remote column csr references. The parts
-// grow by append, and that growth makes the cut the larger part of a
-// rescue's row-block load (apps.block.cut_ns against apps.block.build_ns).
-// Sizing the parts with a counting pass first is measured and held back by
-// the benchmark's recovery probe, not by this code (ROADMAP 2a).
+// rows of csr, and its halo every remote column csr references. A counting
+// pass sizes both parts first, so the fill allocates each slice once, at
+// its final length: the cut keeps everything it allocates.
 func (s *Split) cut(csr *matrix.CSR) error {
 	rows := csr.LocalRows()
 	lo, hi := s.plan.Lo, s.plan.Hi
@@ -110,27 +108,46 @@ func (s *Split) cut(csr *matrix.CSR) error {
 		return fmt.Errorf("spmvm: plan rows [%d,%d) do not match matrix rows [%d,%d)",
 			lo, hi, csr.RowOffset, csr.RowOffset+int64(rows))
 	}
-	s.local.rowPtr = make([]int64, 1, rows+1)
-	s.remote.rowPtr = make([]int64, 1, rows+1)
+	entries := csr.Col[csr.RowPtr[0]:csr.RowPtr[rows]]
+	nnz, nLocal := int64(len(entries)), int64(0)
+	for _, col := range entries {
+		if col >= lo && col < hi {
+			nLocal++
+		}
+	}
+	s.local = newSplitCSR(rows, nLocal)
+	s.remote = newSplitCSR(rows, nnz-nLocal)
+	nl, nr := int64(0), int64(0)
 	for r := 0; r < rows; r++ {
 		for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
 			col, val := csr.Col[k], csr.Val[k]
 			if col >= lo && col < hi {
-				s.local.col = append(s.local.col, int32(col-lo))
-				s.local.val = append(s.local.val, val)
+				s.local.col[nl] = int32(col - lo)
+				s.local.val[nl] = val
+				nl++
 				continue
 			}
 			slot, ok := slices.BinarySearch(s.plan.HaloCols, col)
 			if !ok {
 				return fmt.Errorf("spmvm: column %d missing from plan halo", col)
 			}
-			s.remote.col = append(s.remote.col, int32(slot))
-			s.remote.val = append(s.remote.val, val)
+			s.remote.col[nr] = int32(slot)
+			s.remote.val[nr] = val
+			nr++
 		}
-		s.local.rowPtr = append(s.local.rowPtr, int64(len(s.local.col)))
-		s.remote.rowPtr = append(s.remote.rowPtr, int64(len(s.remote.col)))
+		s.local.rowPtr[r+1] = nl
+		s.remote.rowPtr[r+1] = nr
 	}
 	return nil
+}
+
+// newSplitCSR allocates a part of rows rows and nnz entries.
+func newSplitCSR(rows int, nnz int64) splitCSR {
+	return splitCSR{
+		rowPtr: make([]int64, rows+1),
+		col:    make([]int32, nnz),
+		val:    make([]float64, nnz),
+	}
 }
 
 // NewSplit lays the halo segment out from plan and cuts csr against it.
