@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -395,20 +396,21 @@ func TestCheckpointRestoreBitwiseIdentical(t *testing.T) {
 // CheckpointPayload do not communicate.
 func steppedSolver(t *testing.T, iters int64) *Solver {
 	t.Helper()
-	return inSolverJob(t, 8, Options{MaxIters: 8, CheckEvery: 2, Seed: 1}, iters, nil)
+	return inSolverJob(t, matrix.Laplacian1D{N: 8}, 1, Options{MaxIters: 8, CheckEvery: 2, Seed: 1}, iters, nil)
 }
 
-// inSolverJob runs a one-process solver on the n-row 1-D Laplacian for
-// iters iterations, then f (when non-nil) on it inside the job, where the
-// solver can still communicate. It returns the solver after the job closed.
-func inSolverJob(tb testing.TB, n int64, opts Options, iters int64, f func(s *Solver) error) *Solver {
+// inSolverJob runs a solver on gen over workers processes for iters
+// iterations, then f (when non-nil) on every rank's solver inside the job,
+// where the solvers can still communicate. It returns rank 0's solver after
+// the job closed.
+func inSolverJob(tb testing.TB, gen matrix.Generator, workers int, opts Options, iters int64, f func(s *Solver) error) *Solver {
 	tb.Helper()
-	gen := matrix.Laplacian1D{N: n}
-	var s *Solver
-	job := gaspi.Launch(gaspi.Config{Procs: 1, Latency: fabric.LatencyModel{Base: time.Microsecond}},
+	solvers := make([]*Solver, workers) // one slot per rank, read after the job ended
+	job := gaspi.Launch(gaspi.Config{Procs: workers, Latency: fabric.LatencyModel{Base: time.Microsecond}},
 		func(p *gaspi.Proc) error {
-			c := &spmvm.Direct{P: p, Base: 0, Workers: 1, Group: gaspi.GroupAll}
-			csr := matrix.Build(gen, 0, n)
+			c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
+			lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
+			csr := matrix.Build(gen, lo, hi)
 			plan, err := spmvm.Preprocess(c, csr)
 			if err != nil {
 				return err
@@ -417,9 +419,11 @@ func inSolverJob(tb testing.TB, n int64, opts Options, iters int64, f func(s *So
 			if err != nil {
 				return err
 			}
-			if s, err = New(c, eng, opts); err != nil {
+			s, err := New(c, eng, opts)
+			if err != nil {
 				return err
 			}
+			solvers[c.Logical()] = s
 			for s.It < iters {
 				if err := s.Step(); err != nil {
 					return err
@@ -435,10 +439,46 @@ func inSolverJob(tb testing.TB, n int64, opts Options, iters int64, f func(s *So
 	if !ok {
 		tb.Fatal("hung")
 	}
-	if res[0].Err != nil {
-		tb.Fatal(res[0].Err)
+	for _, r := range res {
+		if r.Err != nil {
+			tb.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
 	}
-	return s
+	return solvers[0]
+}
+
+// fusesMultiplyAdd reports whether this build contracts a*b + c into one
+// rounding (arm64 does, and amd64 from GOAMD64=v3); called with
+// 1+2⁻³⁰, 1−2⁻³⁰, −1 it is 0 unfused and −2⁻⁶⁰ fused.
+//
+//go:noinline
+func fusesMultiplyAdd(a, b, c float64) bool { return a*b+c != 0 }
+
+// stepGolden is TestStepGolden's hash, recorded before the multiply's row
+// loop and the fused update were rewritten: the rewrite changed no bit.
+const stepGolden = 0x83d66cb0ca40d8ea
+
+// TestStepGolden pins the distributed iteration's arithmetic bit for bit:
+// an FNV-64 of the α and β bits after 60 iterations of a 4-rank solve on a
+// 32×16 graphene sheet. A multiply that sums a row in another order, or an
+// update whose norm sums w in another order, changes the hash.
+func TestStepGolden(t *testing.T) {
+	if fusesMultiplyAdd(1+0x1p-30, 1-0x1p-30, -1) {
+		t.Skip("the golden is recorded on a build that rounds every multiply and add")
+	}
+	s := inSolverJob(t, matrix.DefaultGraphene(32, 16, 7), 4, Options{MaxIters: 60, Seed: 3}, 60, nil)
+	if len(s.Alpha) != 60 || len(s.Beta) != 59 {
+		t.Fatalf("%d α and %d β after 60 iterations", len(s.Alpha), len(s.Beta))
+	}
+	h := fnv.New64a()
+	for _, v := range [][]float64{s.Alpha, s.Beta} {
+		for _, x := range v {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+	}
+	if got := h.Sum64(); got != stepGolden {
+		t.Fatalf("α/β hash %#x, golden %#x", got, uint64(stepGolden))
+	}
 }
 
 // referencePayload is CheckpointPayload as it was before the staging
@@ -462,7 +502,7 @@ func referencePayload(s *Solver) []byte {
 // state, where bytes of the longer encoding remain in the buffer past its
 // length — and it is one buffer throughout.
 func TestCheckpointPayloadGolden(t *testing.T) {
-	inSolverJob(t, 64, Options{MaxIters: 24, NumEigs: 3, CheckEvery: 3, Seed: 4}, 0, func(s *Solver) error {
+	inSolverJob(t, matrix.Laplacian1D{N: 64}, 1, Options{MaxIters: 24, NumEigs: 3, CheckEvery: 3, Seed: 4}, 0, func(s *Solver) error {
 		var first *byte
 		var at6 []byte
 		check := func() error {
@@ -504,7 +544,7 @@ func TestCheckpointPayloadGolden(t *testing.T) {
 // the state a fresh solver starts from.
 func TestResetStartReusesVectors(t *testing.T) {
 	opts := Options{MaxIters: 40, CheckEvery: 4, Seed: 9}
-	inSolverJob(t, 64, opts, 0, func(s *Solver) error {
+	inSolverJob(t, matrix.Laplacian1D{N: 64}, 1, opts, 0, func(s *Solver) error {
 		fresh := bytes.Clone(s.CheckpointPayload())
 		for i := 0; i < 10; i++ {
 			if err := s.Step(); err != nil {
@@ -534,34 +574,37 @@ func TestResetStartReusesVectors(t *testing.T) {
 	})
 }
 
-// TestStepAllocatesNothing: with α and β preallocated to MaxIters, a run of
-// iterations that includes no eigenvalue update allocates nothing beyond
-// their collectives. The count is over the whole run, not per iteration, so
-// that amortized growth would show.
+// TestStepAllocatesNothing: with α and β preallocated to MaxIters and the
+// QL method running in the solver's own scratch, a run of iterations
+// allocates nothing beyond their collectives — without an eigenvalue
+// update, and with one after every iteration. The count is over the whole
+// run, not per iteration, so that amortized growth would show.
 func TestStepAllocatesNothing(t *testing.T) {
 	const steps = 100
-	inSolverJob(t, 256, Options{MaxIters: 3 * steps, CheckEvery: 1000, Seed: 2}, 2, func(s *Solver) error {
-		var err error
-		n := testing.AllocsPerRun(1, func() {
-			for i := 0; i < steps && err == nil; i++ {
-				err = s.Step()
-			}
-		})
-		if err != nil {
-			return err
-		}
-		coll := testing.AllocsPerRun(1, func() {
-			for i := 0; i < steps && err == nil; i++ {
-				if _, err = s.red.Dot(s.comm, s.w, s.V); err == nil {
-					_, err = s.red.Norm2(s.comm, s.w)
+	for _, every := range []int{1000, 1} {
+		inSolverJob(t, matrix.Laplacian1D{N: 256}, 1, Options{MaxIters: 3 * steps, CheckEvery: every, Seed: 2}, 2, func(s *Solver) error {
+			var err error
+			n := testing.AllocsPerRun(1, func() {
+				for i := 0; i < steps && err == nil; i++ {
+					err = s.Step()
 				}
+			})
+			if err != nil {
+				return err
 			}
+			coll := testing.AllocsPerRun(1, func() {
+				for i := 0; i < steps && err == nil; i++ {
+					if _, err = s.red.Dot(s.comm, s.w, s.V); err == nil {
+						_, err = s.red.Norm2(s.comm, s.w)
+					}
+				}
+			})
+			if n > coll {
+				return fmt.Errorf("CheckEvery %d: %d steps allocate %v times, their collectives %v", every, steps, n, coll)
+			}
+			return err
 		})
-		if n > coll {
-			return fmt.Errorf("%d steps allocate %v times, their collectives %v", steps, n, coll)
-		}
-		return err
-	})
+	}
 }
 
 // payloadSink keeps BenchmarkCheckpointPayload's result alive.
@@ -571,7 +614,7 @@ var payloadSink []byte
 // reused buffer. MUST report 0 allocs/op (CI greps for it): the buffer is
 // sized once, on the first call, for MaxIters coefficients.
 func BenchmarkCheckpointPayload(b *testing.B) {
-	inSolverJob(b, 8192, Options{MaxIters: 200, CheckEvery: 10, Seed: 1}, 20, func(s *Solver) error {
+	inSolverJob(b, matrix.Laplacian1D{N: 8192}, 1, Options{MaxIters: 200, CheckEvery: 10, Seed: 1}, 20, func(s *Solver) error {
 		b.SetBytes(int64(len(s.CheckpointPayload())))
 		b.ReportAllocs()
 		b.ResetTimer()

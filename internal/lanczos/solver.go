@@ -59,9 +59,16 @@ type Solver struct {
 	beta float64
 	// Eigs are the latest eigenvalue estimates (lowest NumEigs).
 	Eigs []float64
-	// prevEigs supports the convergence criterion.
+	// prevEigs supports the convergence criterion. It and Eigs are two
+	// buffers of NumEigs capacity that each eigenvalue update swaps.
 	prevEigs  []float64
 	converged bool
+	// ql is the QL method's scratch, the tridiagonal matrix's diagonal
+	// (sorted into its eigenvalues) and subdiagonal, sized for MaxIters
+	// coefficients by the first eigenvalue update, so no later one
+	// allocates. Set-up does not pay for it: a solve that never updates
+	// its estimates in the loop never allocates it.
+	ql []float64
 	// w is scratch for A·v.
 	w []float64
 	// red holds the reusable scalar-reduction buffers, so the
@@ -85,7 +92,8 @@ func New(c spmvm.Comm, eng *spmvm.Engine, opts Options) (*Solver, error) {
 
 // NewShell creates a solver with empty state and no communication — the
 // constructor used by a rescue process, whose state arrives via Restore.
-// α and β are allocated at MaxIters capacity, so Step never grows them.
+// α and β are allocated at MaxIters capacity and the eigenvalue buffers at
+// NumEigs, so Step never grows them.
 func NewShell(c spmvm.Comm, eng *spmvm.Engine, opts Options) *Solver {
 	s := &Solver{comm: c, eng: eng, opts: opts.withDefaults()}
 	n := eng.LocalRows()
@@ -94,6 +102,8 @@ func NewShell(c spmvm.Comm, eng *spmvm.Engine, opts Options) *Solver {
 	s.w = make([]float64, n)
 	s.Alpha = make([]float64, 0, s.opts.MaxIters)
 	s.Beta = make([]float64, 0, s.opts.MaxIters)
+	s.Eigs = make([]float64, 0, s.opts.NumEigs)
+	s.prevEigs = make([]float64, 0, s.opts.NumEigs)
 	return s
 }
 
@@ -109,7 +119,7 @@ func (s *Solver) ResetStart() error {
 	s.VPrev = resized(s.VPrev, n)
 	clear(s.VPrev)
 	s.w = resized(s.w, n)
-	s.Alpha, s.Beta, s.Eigs, s.prevEigs = s.Alpha[:0], s.Beta[:0], s.Eigs[:0], nil
+	s.Alpha, s.Beta, s.Eigs, s.prevEigs = s.Alpha[:0], s.Beta[:0], s.Eigs[:0], s.prevEigs[:0]
 	s.It, s.beta = 0, 0
 	s.converged = false
 	lo := s.eng.Plan().Lo
@@ -164,7 +174,8 @@ func splitmix64(z uint64) uint64 {
 //	β_{j+1} ← ‖ω‖;  ν_{j+1} ← ω/β_{j+1}
 //
 // followed, every CheckEvery iterations, by the QL eigenvalue update and
-// convergence check.
+// convergence check. The update of ω and the local part of ‖ω‖² share one
+// pass over ω, which sums the squares in the order Norm2 would.
 func (s *Solver) Step() error {
 	if err := s.eng.SpMV(s.V, s.w, s.It); err != nil {
 		return err
@@ -173,13 +184,19 @@ func (s *Solver) Step() error {
 	if err != nil {
 		return err
 	}
-	for i := range s.w {
-		s.w[i] -= alpha*s.V[i] + s.beta*s.VPrev[i]
+	w, beta := s.w, s.beta
+	v, vprev := s.V[:len(w)], s.VPrev[:len(w)]
+	var local float64
+	for i, wi := range w {
+		wi -= alpha*v[i] + beta*vprev[i]
+		w[i] = wi
+		local += wi * wi
 	}
-	betaNext, err := s.red.Norm2(s.comm, s.w)
+	sumSq, err := s.red.Sum(s.comm, local)
 	if err != nil {
 		return err
 	}
+	betaNext := math.Sqrt(sumSq)
 	s.Alpha = append(s.Alpha, alpha)
 	if s.It > 0 {
 		s.Beta = append(s.Beta, s.beta)
@@ -193,8 +210,9 @@ func (s *Solver) Step() error {
 		return s.updateEigs()
 	}
 	s.VPrev, s.V = s.V, s.VPrev
-	for i := range s.V {
-		s.V[i] = s.w[i] / betaNext
+	v = s.V[:len(w)]
+	for i, wi := range w {
+		v[i] = wi / betaNext
 	}
 	s.It++
 	if int(s.It)%s.opts.CheckEvery == 0 {
@@ -208,15 +226,16 @@ func (s *Solver) Step() error {
 // updateEigs runs the QL method on the current tridiagonal matrix (the
 // paper's CalcMinimumEigenVal) and evaluates convergence.
 func (s *Solver) updateEigs() error {
-	if len(s.Alpha) == 0 {
+	n := len(s.Alpha)
+	if n == 0 {
 		return nil
 	}
-	eigs, err := TridiagEigenvalues(s.Alpha, s.Beta)
+	s.ql = slices.Grow(s.ql[:0], 2*max(n, s.opts.MaxIters))[:2*n]
+	eigs, err := tridiagQL(s.Alpha, s.Beta, s.ql[:n], s.ql[n:])
 	if err != nil {
 		return err
 	}
-	s.prevEigs = s.Eigs
-	s.Eigs = LowestK(eigs, s.opts.NumEigs)
+	s.Eigs, s.prevEigs = append(s.prevEigs[:0], eigs[:min(s.opts.NumEigs, n)]...), s.Eigs
 	if s.opts.Tol > 0 && len(s.prevEigs) == len(s.Eigs) && len(s.Eigs) == s.opts.NumEigs {
 		conv := true
 		for i := range s.Eigs {
@@ -304,7 +323,7 @@ func (s *Solver) Restore(payload []byte) error {
 	s.Alpha = decodeF64s(s.Alpha, alpha)
 	s.Beta = decodeF64s(s.Beta, betas)
 	s.Eigs = decodeF64s(s.Eigs, eigs)
-	s.prevEigs = nil
+	s.prevEigs = s.prevEigs[:0]
 	s.converged = false
 	s.w = resized(s.w, n)
 	return nil

@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrNoConvergence reports that the QL iteration failed to converge
@@ -25,6 +25,12 @@ var ErrNoConvergence = errors.New("lanczos: QL iteration did not converge")
 // algorithm with implicit shifts (the "QL method" of the paper). The input
 // slices are not modified; eigenvalues are returned in ascending order.
 func TridiagEigenvalues(d, e []float64) ([]float64, error) {
+	return tridiagQL(d, e, make([]float64, len(d)), make([]float64, len(d)))
+}
+
+// tridiagQL is TridiagEigenvalues in the caller's scratch: dd and ee must
+// hold len(d) entries each, and the eigenvalues are returned in dd.
+func tridiagQL(d, e, dd, ee []float64) ([]float64, error) {
 	n := len(d)
 	if len(e) != n-1 && !(n == 0 && len(e) == 0) {
 		return nil, fmt.Errorf("lanczos: subdiagonal length %d for dimension %d", len(e), n)
@@ -32,9 +38,8 @@ func TridiagEigenvalues(d, e []float64) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	dd := make([]float64, n)
+	dd, ee = dd[:n], ee[:n]
 	copy(dd, d)
-	ee := make([]float64, n)
 	copy(ee[:n-1], e)
 	ee[n-1] = 0
 
@@ -88,7 +93,7 @@ func TridiagEigenvalues(d, e []float64) ([]float64, error) {
 			ee[m] = 0
 		}
 	}
-	sort.Float64s(dd)
+	slices.Sort(dd)
 	return dd, nil
 }
 

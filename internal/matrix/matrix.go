@@ -110,7 +110,9 @@ func (c *CSR) Validate() error {
 }
 
 // MulVec computes y = A·x for this row block: x is the full global vector,
-// y has LocalRows entries. The serial reference for the distributed spMVM.
+// y has LocalRows entries. The serial reference for the distributed spMVM,
+// with its row loop: each row's window sliced once, summed in one
+// accumulator in column order.
 func (c *CSR) MulVec(x, y []float64) {
 	if int64(len(x)) != c.GlobalDim {
 		panic(fmt.Sprintf("matrix: MulVec x has %d entries, want %d", len(x), c.GlobalDim))
@@ -118,12 +120,18 @@ func (c *CSR) MulVec(x, y []float64) {
 	if len(y) != c.LocalRows() {
 		panic(fmt.Sprintf("matrix: MulVec y has %d entries, want %d", len(y), c.LocalRows()))
 	}
-	for r := 0; r < c.LocalRows(); r++ {
+	ends := c.RowPtr[1:]
+	ends = ends[:len(y)]
+	a := c.RowPtr[0]
+	for r, b := range ends {
+		cols := c.Col[a:b]
+		vals := c.Val[a:b][:len(cols)]
 		var s float64
-		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
-			s += c.Val[k] * x[c.Col[k]]
+		for k, j := range cols {
+			s += vals[k] * x[j]
 		}
 		y[r] = s
+		a = b
 	}
 }
 

@@ -523,18 +523,45 @@ func mulWorker(tasks <-chan mulTask) {
 	}
 }
 
+// mulRange computes rows [lo, hi) of y = S·x, or of y += S·x. Each row's
+// window of col and val is sliced once, so an entry costs one bounds check
+// (the gather from x), and each row is summed in one accumulator in column
+// order: the order every kernel change must keep, because the solver's
+// checkpoints, goldens and recomputed iterations depend on it bit for bit.
+//
 //ftlint:hotpath
 func mulRange(s *splitCSR, x, y []float64, add bool, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		var acc float64
-		for k := s.rowPtr[r]; k < s.rowPtr[r+1]; k++ {
-			acc += s.val[k] * x[s.col[k]]
-		}
-		if add {
+	y = y[lo:hi]
+	ends := s.rowPtr[lo+1 : hi+1]
+	ends = ends[:len(y)]
+	a := s.rowPtr[lo]
+	if add {
+		for r, b := range ends {
+			if b == a {
+				// Skipping y[r] += 0 changes no bit: y[r] is a sum
+				// started at +0, which is never −0.
+				continue
+			}
+			c := s.col[a:b]
+			v := s.val[a:b][:len(c)]
+			var acc float64
+			for k, j := range c {
+				acc += v[k] * x[j]
+			}
 			y[r] += acc
-		} else {
-			y[r] = acc
+			a = b
 		}
+		return
+	}
+	for r, b := range ends {
+		c := s.col[a:b]
+		v := s.val[a:b][:len(c)]
+		var acc float64
+		for k, j := range c {
+			acc += v[k] * x[j]
+		}
+		y[r] = acc
+		a = b
 	}
 }
 
@@ -547,17 +574,28 @@ type DotScratch struct {
 	in, out [1]float64
 }
 
-// Dot computes the global dot product of the owned chunks a·b via local
-// accumulation plus an Allreduce, taking the Into form of the collective
-// when the Comm offers it (the registered-segment fast path runs the
-// single-element reduction without encode/decode).
+// Dot computes the global dot product of the owned chunks a·b: a local
+// accumulation in index order, then Sum.
 //
 //ftlint:hotpath
 func (d *DotScratch) Dot(c Comm, a, b []float64) (float64, error) {
+	b = b[:len(a)]
 	var local float64
-	for i := range a {
-		local += a[i] * b[i]
+	for i, ai := range a {
+		local += ai * b[i]
 	}
+	return d.Sum(c, local)
+}
+
+// Sum is the reduction half of Dot: the global sum of every rank's local
+// partial, via an Allreduce, taking the Into form of the collective when
+// the Comm offers it (the registered-segment fast path runs the
+// single-element reduction without encode/decode). A caller that computes
+// its partial inside another loop — the Lanczos update and its norm — saves
+// the pass over the vector Dot would make.
+//
+//ftlint:hotpath
+func (d *DotScratch) Sum(c Comm, local float64) (float64, error) {
 	if ci, ok := c.(CollInto); ok {
 		d.in[0] = local
 		if err := ci.AllreduceF64Into(d.in[:], d.out[:], gaspi.OpSum); err != nil {
