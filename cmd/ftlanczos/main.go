@@ -23,22 +23,18 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/gaspi"
 	"repro/internal/lanczos"
 	"repro/internal/matrix"
 	"repro/internal/trace"
 )
-
-type killList []string
-
-func (k *killList) String() string     { return strings.Join(*k, ";") }
-func (k *killList) Set(s string) error { *k = append(*k, s); return nil }
 
 func main() {
 	mode := modeOf(os.Args[1:])
@@ -76,9 +72,9 @@ func runMode(fs *flag.FlagSet) func() error {
 		killNode  = fs.Bool("kill-node", false, "kill the whole node of -kill9 (wipes its local checkpoints)")
 		fdRedund  = fs.Bool("fd-redundancy", false, "standby detector takes over if the FD dies")
 		cpPFS     = fs.Bool("cp-pfs", false, "use synchronous global PFS checkpoints instead of neighbor-level")
-		kills     killList
+		faults    []cluster.FaultEvent
 	)
-	fs.Var(&kills, "kill", "exit(-1) injection 'iter:logical[,logical...]' (repeatable)")
+	fs.Func("kill", "exit(-1) injection 'iter:logical[,logical...]' (repeatable)", parseKills(&faults))
 	return func() error {
 		cal := experiment.PaperCalibration()
 		delay := *stepDelay
@@ -86,16 +82,14 @@ func runMode(fs *flag.FlagSet) func() error {
 			delay = time.Duration(float64(cal.StepTime) / *timeScale)
 		}
 
-		failPlan, err := parseKills(kills)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bad -kill:", err)
-			os.Exit(2)
-		}
-
 		procs := 1 + *spares + *workers
 		cpMode := checkpoint.ModeNeighbor
 		if *cpPFS {
 			cpMode = checkpoint.ModeGlobalPFS
+		}
+		ccfg := experiment.ClusterConfig(procs, cal, *timeScale, *seed)
+		if len(faults) > 0 {
+			ccfg.Scenario = &cluster.Scenario{Name: "-kill", Events: faults}
 		}
 		cfg := core.Config{
 			Spares:          *spares,
@@ -105,7 +99,6 @@ func runMode(fs *flag.FlagSet) func() error {
 			FDRedundancy:    *fdRedund,
 			CheckpointEvery: *cpEvery,
 			CP:              checkpoint.Config{Mode: cpMode},
-			FailPlan:        failPlan,
 		}
 		gen := matrix.DefaultGraphene(*nx, *ny, uint64(*seed))
 		fmt.Printf("ftlanczos: %d workers + %d spares + 1 FD on %d nodes, matrix %d rows (%.1f nnz/row), %d iterations\n",
@@ -113,99 +106,78 @@ func runMode(fs *flag.FlagSet) func() error {
 		fmt.Printf("           scan every %v, comm timeout %v, checkpoint every %d iters, step %v (time scale 1/%.0f)\n",
 			cfg.FT.ScanInterval, cfg.FT.CommTimeout, *cpEvery, delay, *timeScale)
 
-		var mu sync.Mutex
-		var insts []*apps.Lanczos
-		start := time.Now()
-		job := core.Launch(experiment.ClusterConfig(procs, cal, *timeScale, *seed), cfg, func() core.App {
-			a := apps.NewLanczos(apps.LanczosConfig{
+		run := experiment.StartJob(experiment.JobSpec{
+			Cluster: ccfg,
+			Core:    cfg,
+			App: apps.LanczosConfig{
 				Gen:       gen,
 				Opts:      lanczos.Options{MaxIters: *iters, NumEigs: 4, CheckEvery: int(*cpEvery), Seed: uint64(*seed)},
 				StepDelay: delay,
-			})
-			mu.Lock()
-			insts = append(insts, a)
-			mu.Unlock()
-			return a
+			},
+			Timeout: 30 * time.Minute,
 		})
-		defer job.Close()
-
+		var killed []gaspi.Rank // wall-clock faults, outside the scenario
 		if *kill9 >= 0 {
+			job := run.Job
+			victim := job.Layout.InitialPhysical(*kill9)
+			killed = append(killed, victim)
 			go func() {
 				time.Sleep(*kill9At)
-				victim := job.Layout.InitialPhysical(*kill9)
 				if *killNode {
-					fmt.Printf(">>> node failure of node %d (logical rank %d) at %v\n", int(victim), *kill9, time.Since(start))
+					fmt.Printf(">>> node failure of node %d (logical rank %d) at %v\n", int(victim), *kill9, *kill9At)
 					job.Cluster.KillNode(int(victim))
 					return
 				}
-				fmt.Printf(">>> kill -9 of logical rank %d (physical %d) at %v\n", *kill9, victim, time.Since(start))
+				fmt.Printf(">>> kill -9 of logical rank %d (physical %d) at %v\n", *kill9, victim, *kill9At)
 				job.Cluster.KillProc(victim)
 			}()
 		}
-
-		results, ok := job.WaitTimeout(30 * time.Minute)
-		if !ok {
-			return errors.New("job hung")
+		res := run.Wait()
+		if err := res.Err(killed...); err != nil {
+			return err
 		}
-		wall := time.Since(start)
 
 		deaths := 0
-		for _, r := range results {
+		for _, r := range res.Results {
 			if r.Death != nil {
 				deaths++
-				continue
-			}
-			if r.Err != nil {
-				return fmt.Errorf("rank %d failed: %w", r.Rank, r.Err)
 			}
 		}
-
-		sum := trace.Aggregate(job.Recorders)
 		fmt.Printf("\ncompleted in %v wall (%.1fs model), %d process death(s), %d recovery epoch(s)\n",
-			wall.Round(time.Millisecond), experiment.Model(wall, *timeScale).Seconds(),
-			deaths, job.Recorders[0].Counter(trace.KFDRecoveries))
+			res.Wall.Round(time.Millisecond), experiment.Model(res.Wall, *timeScale).Seconds(),
+			deaths, res.Sum.SumCounter[trace.KFDRecoveries])
 		fmt.Println("\ncritical-path overhead decomposition:")
 		for p := 0; p < trace.NumPhases; p++ {
 			fmt.Printf("  %-16s %10.3fs wall  %10.1fs model\n",
-				trace.Phase(p).String(), sum.Max[p].Seconds(),
-				experiment.Model(sum.Max[p], *timeScale).Seconds())
+				trace.Phase(p).String(), res.Sum.Max[p].Seconds(),
+				experiment.Model(res.Sum.Max[p], *timeScale).Seconds())
 		}
-
-		mu.Lock()
-		defer mu.Unlock()
-		for _, a := range insts {
-			s := a.Solver()
-			if s != nil && s.Finished() && len(s.Eigs) > 0 {
-				fmt.Printf("\nlowest eigenvalues: %v (converged: %v after %d iterations)\n",
-					s.Eigs, s.Converged(), s.It)
-				return nil
-			}
-		}
-		return errors.New("no surviving worker with a result")
+		s := res.Solver
+		fmt.Printf("\nlowest eigenvalues: %v (converged: %v after %d iterations)\n",
+			s.Eigs, s.Converged(), s.It)
+		return nil
 	}
 }
 
-func parseKills(kills killList) (map[int64][]int, error) {
-	if len(kills) == 0 {
-		return nil, nil
-	}
-	out := make(map[int64][]int)
-	for _, spec := range kills {
+// parseKills is the -kill flag: each 'iter:logical[,logical...]' appends
+// one exit(-1) event per logical rank to faults.
+func parseKills(faults *[]cluster.FaultEvent) func(string) error {
+	return func(spec string) error {
 		iterStr, ranksStr, ok := strings.Cut(spec, ":")
 		if !ok {
-			return nil, fmt.Errorf("%q: want iter:logical[,logical...]", spec)
+			return errors.New("want iter:logical[,logical...]")
 		}
 		iter, err := strconv.ParseInt(iterStr, 10, 64)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, rs := range strings.Split(ranksStr, ",") {
 			l, err := strconv.Atoi(strings.TrimSpace(rs))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[iter] = append(out[iter], l)
+			*faults = append(*faults, cluster.ExitAt(iter, l))
 		}
+		return nil
 	}
-	return out, nil
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -23,9 +25,10 @@ var modes = map[string]func(fs *flag.FlagSet) func() error{
 	"cpsweep":    cpSweepMode,
 	"asyncsweep": asyncSweepMode,
 	"scenarios":  scenariosMode,
+	"scale":      scaleMode,
 }
 
-const modeNames = "run | fig4 | table1 | ablation | cpsweep | asyncsweep | scenarios"
+const modeNames = "run | fig4 | table1 | ablation | cpsweep | asyncsweep | scenarios | scale"
 
 // modeOf finds -mode in the arguments ahead of flag parsing: each mode
 // owns its flag set (the same flag name carries different defaults in
@@ -65,6 +68,20 @@ func int64List(flagName, s string, min int64) []int64 {
 	return out
 }
 
+// studyFlags registers the flags of the job size every study shares, with
+// def's values as defaults; -spares only where the study has spares.
+func studyFlags(fs *flag.FlagSet, s *experiment.StudyConfig, def experiment.StudyConfig) {
+	fs.IntVar(&s.Workers, "workers", def.Workers, "worker processes (paper: 256)")
+	if def.Spares > 0 {
+		fs.IntVar(&s.Spares, "spares", def.Spares, "idle spare processes, the FD is extra (paper: 4)")
+	}
+	fs.IntVar(&s.Iters, "iters", def.Iters, "Lanczos iterations (paper: 3500)")
+	fs.IntVar(&s.Nx, "nx", def.Nx, "graphene cells in x")
+	fs.IntVar(&s.Ny, "ny", def.Ny, "graphene cells in y")
+	fs.Float64Var(&s.TimeScale, "timescale", def.TimeScale, "time compression factor")
+	fs.Int64Var(&s.Seed, "seed", def.Seed, "seed for disorder and jitter")
+}
+
 // render prints a finished experiment's table.
 func render[R interface{ Render() string }](res R, err error) error {
 	if err != nil {
@@ -84,15 +101,10 @@ func render[R interface{ Render() string }](res R, err error) error {
 // for the paper-scale run (slow but exact in shape).
 func fig4Mode(fs *flag.FlagSet) func() error {
 	var cfg experiment.Fig4Config
-	fs.IntVar(&cfg.Workers, "workers", 32, "worker processes (paper: 256)")
-	fs.IntVar(&cfg.Spares, "spares", 4, "idle spare processes (paper: 4)")
-	fs.IntVar(&cfg.Iters, "iters", 350, "Lanczos iterations (paper: 3500)")
-	fs.Int64Var(&cfg.CheckpointEvery, "cp-every", 50, "checkpoint interval (paper: 500)")
-	fs.IntVar(&cfg.Nx, "nx", 128, "graphene cells in x")
-	fs.IntVar(&cfg.Ny, "ny", 64, "graphene cells in y")
-	fs.Float64Var(&cfg.TimeScale, "timescale", experiment.DefaultTimeScale, "time compression factor")
-	fs.IntVar(&cfg.Threads, "fd-threads", 8, "FD scan threads (paper: 8)")
-	fs.Int64Var(&cfg.Seed, "seed", 42, "seed")
+	def := cfg.WithDefaults()
+	studyFlags(fs, &cfg.StudyConfig, def.StudyConfig)
+	fs.Int64Var(&cfg.CheckpointEvery, "cp-every", def.CheckpointEvery, "checkpoint interval (paper: 500)")
+	fs.IntVar(&cfg.Threads, "fd-threads", def.Threads, "FD scan threads (paper: 8)")
 	return func() error { return render(experiment.RunFig4(cfg)) }
 }
 
@@ -124,12 +136,7 @@ func table1Mode(fs *flag.FlagSet) func() error {
 // threaded scan detects them for the cost of one).
 func ablationMode(fs *flag.FlagSet) func() error {
 	var cfg experiment.AblationConfig
-	fs.IntVar(&cfg.Workers, "workers", 16, "worker processes")
-	fs.IntVar(&cfg.Iters, "iters", 150, "Lanczos iterations for the workload")
-	fs.IntVar(&cfg.Nx, "nx", 64, "graphene cells in x")
-	fs.IntVar(&cfg.Ny, "ny", 32, "graphene cells in y")
-	fs.Float64Var(&cfg.TimeScale, "timescale", experiment.DefaultTimeScale, "time compression factor")
-	fs.Int64Var(&cfg.Seed, "seed", 17, "seed")
+	studyFlags(fs, &cfg.StudyConfig, cfg.WithDefaults().StudyConfig)
 	return func() error { return render(experiment.RunAblation(cfg)) }
 }
 
@@ -142,13 +149,7 @@ func ablationMode(fs *flag.FlagSet) func() error {
 func cpSweepMode(fs *flag.FlagSet) func() error {
 	var cfg experiment.CPSweepConfig
 	intervals := fs.String("intervals", "10,20,40,80,160", "checkpoint intervals to sweep")
-	fs.IntVar(&cfg.Workers, "workers", 16, "worker processes")
-	fs.IntVar(&cfg.Spares, "spares", 2, "spare processes")
-	fs.IntVar(&cfg.Iters, "iters", 240, "Lanczos iterations")
-	fs.IntVar(&cfg.Nx, "nx", 64, "graphene cells in x")
-	fs.IntVar(&cfg.Ny, "ny", 32, "graphene cells in y")
-	fs.Float64Var(&cfg.TimeScale, "timescale", experiment.DefaultTimeScale, "time compression factor")
-	fs.Int64Var(&cfg.Seed, "seed", 23, "seed")
+	studyFlags(fs, &cfg.StudyConfig, cfg.WithDefaults().StudyConfig)
 	return func() error {
 		cfg.Intervals = int64List("intervals", *intervals, 0)
 		return render(experiment.RunCPSweep(cfg))
@@ -165,15 +166,9 @@ func cpSweepMode(fs *flag.FlagSet) func() error {
 func asyncSweepMode(fs *flag.FlagSet) func() error {
 	var cfg experiment.AsyncSweepConfig
 	periods := fs.String("periods", "5,10,20,40", "checkpoint periods to sweep")
-	fs.IntVar(&cfg.Workers, "workers", 8, "worker processes")
-	fs.IntVar(&cfg.Spares, "spares", 2, "spare processes")
-	fs.IntVar(&cfg.Iters, "iters", 160, "Lanczos iterations")
+	studyFlags(fs, &cfg.StudyConfig, cfg.WithDefaults().StudyConfig)
 	fs.Int64Var(&cfg.FaultPeriod, "faultperiod", 0, "period for the faulted runs (0 = middle of -periods)")
-	fs.IntVar(&cfg.Nx, "nx", 48, "graphene cells in x")
-	fs.IntVar(&cfg.Ny, "ny", 24, "graphene cells in y")
-	fs.Float64Var(&cfg.TimeScale, "timescale", experiment.DefaultTimeScale, "time compression factor")
 	fs.DurationVar(&cfg.LocalWriteCost, "localcost", 10*time.Millisecond, "model-time node-local commit latency")
-	fs.Int64Var(&cfg.Seed, "seed", 29, "seed")
 	return func() error {
 		cfg.Periods = int64List("periods", *periods, 1)
 		return render(experiment.RunAsyncSweep(cfg))
@@ -212,6 +207,50 @@ func scenariosMode(fs *flag.FlagSet) func() error {
 			return fmt.Errorf("%d scenario(s) deviated from their specification", len(bad))
 		}
 		fmt.Println("all scenarios matched their specification")
+		return nil
+	}
+}
+
+// scaleMode measures the scaling trajectory of the sharded fabric data
+// plane and writes BENCH_scale.json: a ranks × GOMAXPROCS × message-size
+// sweep in which every point runs twice — the sharded layout (Shards =
+// min(GOMAXPROCS, ranks)) against the historical one-pump-per-rank layout
+// (Shards = ranks) — so the effect of collapsing N delivery spinners into a
+// few doorbell-driven shards is measured, not assumed. Per (ranks, cores)
+// point: spMVM weak scaling (iterations/sec of the distributed y = A·x loop
+// over a Laplacian1D matrix; -full reaches 1024 ranks and a 2M-row matrix),
+// allreduce ops/sec on the registered-segment fast path, and pairwise
+// one-sided streaming MB/s per message size. The cores axis re-pins
+// GOMAXPROCS; it only buys real parallelism on a host with that many CPUs,
+// so the JSON records num_cpu (see EXPERIMENTS.md for how to read a sweep
+// from a small host).
+func scaleMode(fs *flag.FlagSet) func() error {
+	var cfg experiment.ScaleConfig
+	fs.BoolVar(&cfg.Full, "full", false, "widen the sweep to 1024 ranks / multi-million-row matrices")
+	fs.IntVar(&cfg.SpMVIters, "spmviters", 0, "spMVM iteration budget at the smallest rank count (0: default)")
+	fs.IntVar(&cfg.CollOps, "collops", 0, "allreduce operations per point (0: default)")
+	fs.IntVar(&cfg.StreamMsgs, "streammsgs", 0, "streaming messages per pair (0: default)")
+	out := fs.String("out", "BENCH_scale.json", "output file")
+	return func() error {
+		res, err := experiment.RunScale(cfg, func(msg string) { fmt.Println(msg) })
+		if err != nil {
+			return err
+		}
+		fmt.Print(res.Render())
+		blob, err := json.MarshalIndent(struct {
+			Benchmark string                  `json:"benchmark"`
+			GOOS      string                  `json:"goos"`
+			GOARCH    string                  `json:"goarch"`
+			NumCPU    int                     `json:"num_cpu"`
+			Result    *experiment.ScaleResult `json:"scale"`
+		}{"scale", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), res}, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Println("wrote", *out)
 		return nil
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/lanczos"
@@ -21,72 +21,50 @@ import (
 
 func main() {
 	const (
-		workers = 6
-		spares  = 2
-		iters   = 120
-		cpEvery = 20
+		workers   = 6
+		spares    = 2
+		iters     = 120
+		cpEvery   = 20
+		timeScale = 500
 	)
 	gen := matrix.DefaultGraphene(32, 16, 7) // 1024-row graphene sheet
 	cal := experiment.PaperCalibration()
-	const timeScale = 500
+	ccfg := experiment.ClusterConfig(1+spares+workers, cal, timeScale, 7)
+	// Logical rank 2 dies at iteration 50 — between checkpoints.
+	ccfg.Scenario = &cluster.Scenario{Events: []cluster.FaultEvent{cluster.ExitAt(50, 2)}}
 
-	cfg := core.Config{
-		Spares:          spares,
-		FT:              experiment.FTConfig(cal, timeScale, 8),
-		EnableHC:        true,
-		EnableCP:        true,
-		CheckpointEvery: cpEvery,
-		// Logical rank 2 dies at iteration 50 — between checkpoints.
-		FailPlan: map[int64][]int{50: {2}},
-	}
-
-	var mu sync.Mutex
-	var insts []*apps.Lanczos
-	procs := 1 + spares + workers
 	fmt.Printf("lanczos example: %d workers + %d spares, %d iterations, failure of logical rank 2 at iteration 50\n",
 		workers, spares, iters)
-	start := time.Now()
-	job := core.Launch(experiment.ClusterConfig(procs, cal, timeScale, 7), cfg, func() core.App {
-		a := apps.NewLanczos(apps.LanczosConfig{
+	res := experiment.StartJob(experiment.JobSpec{
+		Cluster: ccfg,
+		Core: core.Config{
+			Spares:          spares,
+			FT:              experiment.FTConfig(cal, timeScale, 8),
+			EnableHC:        true,
+			EnableCP:        true,
+			CheckpointEvery: cpEvery,
+		},
+		App: apps.LanczosConfig{
 			Gen:  gen,
 			Opts: lanczos.Options{MaxIters: iters, NumEigs: 3, CheckEvery: cpEvery, Seed: 7},
-		})
-		mu.Lock()
-		insts = append(insts, a)
-		mu.Unlock()
-		return a
-	})
-	defer job.Close()
-
+		},
+		Timeout: 10 * time.Minute,
+	}).Wait()
 	deaths := 0
-	for _, r := range job.Wait() {
+	for _, r := range res.Results {
 		if r.Death != nil {
 			deaths++
 			fmt.Printf("  rank %d died (exit=%v, killed=%v) — as planned\n",
 				r.Rank, r.Death.Exited, r.Death.Killed)
-			continue
 		}
-		if r.Err != nil {
-			log.Fatalf("rank %d: %v", r.Rank, r.Err)
-		}
+	}
+	if err := res.Err(); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("finished in %v with %d death(s) and %d recovery epoch(s)\n",
-		time.Since(start).Round(time.Millisecond), deaths,
-		job.Recorders[0].Counter(trace.KFDRecoveries))
+		res.Wall.Round(time.Millisecond), deaths, res.Sum.SumCounter[trace.KFDRecoveries])
 
-	var got []float64
-	mu.Lock()
-	for _, a := range insts {
-		if s := a.Solver(); s != nil && s.Finished() && len(s.Eigs) > 0 {
-			got = s.Eigs
-			break
-		}
-	}
-	mu.Unlock()
-	if got == nil {
-		log.Fatal("no result")
-	}
-
+	got := res.Solver.Eigs
 	want, err := lanczos.SerialLowestEigs(gen, iters, 3, 7)
 	if err != nil {
 		log.Fatal(err)

@@ -135,11 +135,12 @@ func TestLanczosAppRejectsRestoreWithoutCP(t *testing.T) {
 	// checkpoint; Init(restore=true) must fail loudly, not deadlock.
 	cfg := core.Config{
 		Spares: 1, FT: testFT(), EnableHC: true, EnableCP: false, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{10: {0}},
 	}
 	cfg.FT.StallLimit = 300 * time.Millisecond
 	lay := ft.Layout{Procs: 1 + 1 + 3, Spares: 1}
-	job := core.Launch(testClusterCfg(lay.Procs), cfg, func() core.App {
+	ccfg := testClusterCfg(lay.Procs)
+	ccfg.Scenario = &cluster.Scenario{Events: []cluster.FaultEvent{cluster.ExitAt(10, 0)}}
+	job := core.Launch(ccfg, cfg, func() core.App {
 		return apps.NewLanczos(apps.LanczosConfig{
 			Gen:       matrix.DefaultGraphene(4, 4, 1),
 			Opts:      lanczos.Options{MaxIters: 40, NumEigs: 1, Seed: 2},

@@ -155,6 +155,14 @@ func (e FaultEvent) String() string {
 	return fmt.Sprintf("%v logical %d %v", e.Kind, e.Logical, e.Trigger)
 }
 
+// ExitAt is the paper's deterministic injection ("processes are killed
+// using exit(-1) at a specific iteration"): logical rank `logical` calls
+// exit(-1) as it starts iteration iter. The event fires once, so a rescue
+// that recomputes iteration iter is not killed again.
+func ExitAt(iter int64, logical int) FaultEvent {
+	return FaultEvent{Kind: ProcExit, Logical: logical, Trigger: Trigger{Kind: AtIteration, Iter: iter}}
+}
+
 // Scenario is a named schedule of fault events. Each event fires at most
 // once.
 type Scenario struct {
@@ -204,16 +212,23 @@ func (inj *Injector) Fired() []FiredFault {
 // Pending returns the events whose trigger has not matched yet. A
 // non-empty pending list after a completed run means the scenario never
 // reached the triggering condition — a specification bug the matrix
-// runner surfaces rather than silently under-testing.
+// runner surfaces rather than silently under-testing. Nil on a cluster
+// without a scenario.
 func (inj *Injector) Pending() []FaultEvent {
+	if inj == nil {
+		return nil
+	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return append([]FaultEvent(nil), inj.pending...)
 }
 
 // FiredVictims returns the physical ranks hit by fired events, including
-// every rank of a downed node.
+// every rank of a downed node. Nil on a cluster without a scenario.
 func (inj *Injector) FiredVictims() map[gaspi.Rank]bool {
+	if inj == nil {
+		return nil
+	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	out := make(map[gaspi.Rank]bool)

@@ -138,12 +138,6 @@ type Config struct {
 	// checkpoint.Async (double-buffered background commit, replicated to
 	// the neighbor over a GASPI one-sided stream on a dedicated queue).
 	CP checkpoint.Config
-	// FailPlan injects exit(-1) failures: at the start of iteration i,
-	// every logical rank in FailPlan[i] whose process is the ORIGINAL
-	// holder of that rank exits — the deterministic failure injection used
-	// for Figure 4 ("processes are killed using exit(-1) at a specific
-	// iteration in order to have a deterministic redo-work time").
-	FailPlan map[int64][]int
 	// StateName is the checkpoint family name (default "state").
 	StateName string
 	// PlanName is the pre-processing checkpoint name (default "plan").

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ft"
 	"repro/internal/lanczos"
@@ -45,9 +46,8 @@ func TestAsyncFailureFreeMatchesSync(t *testing.T) {
 func TestAsyncExitFailureRecovery(t *testing.T) {
 	want := referenceEigs(t)
 	cfg := asyncCfg()
-	cfg.FailPlan = map[int64][]int{25: {1}}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
-	job, eigs := launchLanczos(t, cfg, lay.Procs)
+	job, eigs := launchLanczos(t, cfg, lay.Procs, cluster.ExitAt(25, 1))
 	res := waitClean(t, job, lay.InitialPhysical(1))
 	expectEigs(t, eigs(), want, 1e-6, 1, "async-exit-failure")
 	victim := res[lay.InitialPhysical(1)]

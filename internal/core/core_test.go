@@ -18,9 +18,16 @@ import (
 	"repro/internal/trace"
 )
 
-func clusterCfg(nodes int) cluster.Config {
+// clusterCfg is the test testbed; faults (cluster.ExitAt: the paper's
+// exit(-1) at an iteration) arm a scenario.
+func clusterCfg(nodes int, faults ...cluster.FaultEvent) cluster.Config {
+	var sc *cluster.Scenario
+	if len(faults) > 0 {
+		sc = &cluster.Scenario{Events: faults}
+	}
 	return cluster.Config{
-		Nodes: nodes,
+		Nodes:    nodes,
+		Scenario: sc,
 		Gaspi: gaspi.Config{
 			Latency: fabric.LatencyModel{Base: 2 * time.Microsecond, PerByte: time.Nanosecond},
 			Seed:    21,
@@ -60,11 +67,11 @@ const (
 
 // launchLanczos runs the FT Lanczos app and returns the job plus a way to
 // read the final eigenvalues.
-func launchLanczos(t *testing.T, cfg core.Config, nodes int) (*core.Job, func() []float64) {
+func launchLanczos(t *testing.T, cfg core.Config, nodes int, faults ...cluster.FaultEvent) (*core.Job, func() []float64) {
 	t.Helper()
 	var mu sync.Mutex
 	var instances []*apps.Lanczos
-	job := core.Launch(clusterCfg(nodes), cfg, func() core.App {
+	job := core.Launch(clusterCfg(nodes, faults...), cfg, func() core.App {
 		a := apps.NewLanczos(apps.LanczosConfig{
 			Gen:  testGen,
 			Opts: lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
@@ -227,10 +234,9 @@ func TestExitFailureRecovery(t *testing.T) {
 	want := referenceEigs(t)
 	cfg := core.Config{
 		Spares: 2, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{25: {1}}, // logical 1 exits at iteration 25
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
-	job, eigs := launchLanczos(t, cfg, lay.Procs)
+	job, eigs := launchLanczos(t, cfg, lay.Procs, cluster.ExitAt(25, 1))
 	res := waitClean(t, job, lay.InitialPhysical(1))
 	expectEigs(t, eigs(), want, 1e-6, 1, "1-exit-failure")
 	// The victim must have exited with code -1.
@@ -305,10 +311,9 @@ func TestTwoSequentialFailures(t *testing.T) {
 	want := referenceEigs(t)
 	cfg := core.Config{
 		Spares: 2, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{15: {0}, 32: {3}},
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
-	job, eigs := launchLanczos(t, cfg, lay.Procs)
+	job, eigs := launchLanczos(t, cfg, lay.Procs, cluster.ExitAt(15, 0), cluster.ExitAt(32, 3))
 	waitClean(t, job, lay.InitialPhysical(0), lay.InitialPhysical(3))
 	expectEigs(t, eigs(), want, 1e-6, 1, "2-failures")
 	if got := job.Recorders[0].Counter("fd.recoveries"); got != 2 {
@@ -320,10 +325,9 @@ func TestThreeSimultaneousFailures(t *testing.T) {
 	want := referenceEigs(t)
 	cfg := core.Config{
 		Spares: 3, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{30: {0, 1, 2}},
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
-	job, eigs := launchLanczos(t, cfg, lay.Procs)
+	job, eigs := launchLanczos(t, cfg, lay.Procs, cluster.ExitAt(30, 0), cluster.ExitAt(30, 1), cluster.ExitAt(30, 2))
 	waitClean(t, job,
 		lay.InitialPhysical(0), lay.InitialPhysical(1), lay.InitialPhysical(2))
 	expectEigs(t, eigs(), want, 1e-6, 1, "3-simultaneous")
@@ -339,10 +343,9 @@ func TestFDJoinsWhenSparesExhausted(t *testing.T) {
 	want := referenceEigs(t)
 	cfg := core.Config{
 		Spares: 0, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{20: {2}},
 	}
 	lay := ft.Layout{Procs: 1 + testWorker, Spares: 0}
-	job, eigs := launchLanczos(t, cfg, lay.Procs)
+	job, eigs := launchLanczos(t, cfg, lay.Procs, cluster.ExitAt(20, 2))
 	waitClean(t, job, lay.InitialPhysical(2))
 	expectEigs(t, eigs(), want, 1e-6, 1, "fd-joins")
 }
@@ -357,10 +360,9 @@ func TestHeatSurvivesFailure(t *testing.T) {
 	var insts []*apps.Heat
 	cfg := core.Config{
 		Spares: 1, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{23: {1}},
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + 3, Spares: cfg.Spares}
-	job := core.Launch(clusterCfg(lay.Procs), cfg, func() core.App {
+	job := core.Launch(clusterCfg(lay.Procs, cluster.ExitAt(23, 1)), cfg, func() core.App {
 		a := apps.NewHeat(apps.HeatConfig{N: n, R: r, Steps: steps})
 		mu.Lock()
 		insts = append(insts, a)
@@ -400,11 +402,10 @@ func TestUnrecoverableWithoutDetector(t *testing.T) {
 	// (restriction 2), not hang forever.
 	cfg := core.Config{
 		Spares: 0, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{15: {1}, 35: {2}},
 	}
 	cfg.FT.StallLimit = 500 * time.Millisecond
 	lay := ft.Layout{Procs: 1 + testWorker, Spares: 0}
-	job, _ := launchLanczos(t, cfg, lay.Procs)
+	job, _ := launchLanczos(t, cfg, lay.Procs, cluster.ExitAt(15, 1), cluster.ExitAt(35, 2))
 	res, ok := job.WaitTimeout(120 * time.Second)
 	if !ok {
 		t.Fatal("job hung")
@@ -426,10 +427,9 @@ func TestUnrecoverableWithoutDetector(t *testing.T) {
 func TestOverheadPhasesRecorded(t *testing.T) {
 	cfg := core.Config{
 		Spares: 2, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{25: {1}},
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
-	job, _ := launchLanczos(t, cfg, lay.Procs)
+	job, _ := launchLanczos(t, cfg, lay.Procs, cluster.ExitAt(25, 1))
 	waitClean(t, job, lay.InitialPhysical(1))
 	sum := trace.Aggregate(job.Recorders)
 	if sum.Max[trace.PhaseCompute] == 0 {
@@ -506,10 +506,9 @@ func TestFDRedundantStandbyStillUsableAsRescue(t *testing.T) {
 	cfg := core.Config{
 		Spares: 2, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
 		FDRedundancy: true,
-		FailPlan:     map[int64][]int{25: {1}},
 	}
 	lay := ft.Layout{Procs: 1 + cfg.Spares + testWorker, Spares: cfg.Spares}
-	job, eigs := launchLanczos(t, cfg, lay.Procs)
+	job, eigs := launchLanczos(t, cfg, lay.Procs, cluster.ExitAt(25, 1))
 	waitClean(t, job, lay.InitialPhysical(1))
 	expectEigs(t, eigs(), want, 1e-6, 1, "standby-preserved")
 	if job.Recorders[lay.StandbyRank()].Counter("standby.promotions") != 0 {
@@ -639,7 +638,6 @@ func TestLateSpareIsStillActivated(t *testing.T) {
 	f.StallLimit = time.Second
 	cfg := core.Config{
 		Spares: 2, FT: f, EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{5: {1}}, // logical 1 exits at iteration 5
 	}
 	procs := 1 + cfg.Spares + testWorker
 	lay := cfg.Layout(procs)
@@ -659,7 +657,7 @@ func TestLateSpareIsStillActivated(t *testing.T) {
 		mu.Unlock()
 		return a
 	}
-	cl := cluster.New(clusterCfg(procs), func(ctx *cluster.ProcCtx) error {
+	cl := cluster.New(clusterCfg(procs, cluster.ExitAt(5, 1)), func(ctx *cluster.ProcCtx) error {
 		if ctx.Rank() == 1 {
 			time.Sleep(100 * time.Millisecond)
 		}

@@ -37,7 +37,7 @@ type warmHooks struct {
 	planName string
 
 	// The original holder of logical holdLogical starts iteration holdIter
-	// only once holdFor is closed: the FailPlan kill one iteration later
+	// only once holdFor is closed: the exit(-1) one iteration later
 	// cannot come before the event the test orders it after.
 	holdLogical int
 	holdIter    int64
@@ -153,19 +153,14 @@ func (h *warmHooks) eigs() []float64 {
 	return nil
 }
 
-// shadowCfg shadows logical 0 (replication degree 1) and kills the original
-// holder of logical `victim` at iteration 25 (none when victim < 0).
-func shadowCfg(spares, victim int) core.Config {
+// shadowCfg shadows logical 0 (replication degree 1).
+func shadowCfg(spares int) core.Config {
 	f := ftCfg()
 	f.Replication = map[string]int{"state": 1}
-	cfg := core.Config{
+	return core.Config{
 		Spares: spares, FT: f, EnableHC: true, EnableCP: true, CheckpointEvery: 10,
 		CP: checkpoint.Config{CheckpointMode: checkpoint.Async, FullEvery: 4},
 	}
-	if victim >= 0 {
-		cfg.FailPlan = map[int64][]int{25: {victim}}
-	}
-	return cfg
 }
 
 const shadowRank = 1
@@ -206,9 +201,9 @@ func TestShadowWarmTakeover(t *testing.T) {
 		workers[ctx.Proc.Rank()] = ctx.Worker
 		mu.Unlock()
 	}
-	cfg := shadowCfg(2, 0)
+	cfg := shadowCfg(2)
 	lay := cfg.Layout(1 + cfg.Spares + testWorker)
-	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	job := core.Launch(clusterCfg(lay.Procs, cluster.ExitAt(25, 0)), cfg, h.newApp)
 	t.Cleanup(job.Close)
 	<-h.finished
 	if h.err != nil {
@@ -267,9 +262,9 @@ func TestShadowActivationJoinsPrewarm(t *testing.T) {
 	h := newWarmHooks()
 	h.gate = make(chan struct{})
 	h.holdLogical, h.holdIter, h.holdFor = 0, 24, h.entered
-	cfg := shadowCfg(2, 0)
+	cfg := shadowCfg(2)
 	lay := cfg.Layout(1 + cfg.Spares + testWorker)
-	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	job := core.Launch(clusterCfg(lay.Procs, cluster.ExitAt(25, 0)), cfg, h.newApp)
 	t.Cleanup(job.Close)
 	// The detector has named the shadow as the rescue: the activation is on
 	// its board, and only the warm-up stands between it and the worker flow.
@@ -312,9 +307,9 @@ func TestShadowConsumedForOtherLogicalDiscardsPrewarm(t *testing.T) {
 	want := referenceEigs(t)
 	h := newWarmHooks()
 	h.holdLogical, h.holdIter, h.holdFor = 2, 24, h.finished
-	cfg := shadowCfg(1, 2)
+	cfg := shadowCfg(1)
 	lay := cfg.Layout(1 + cfg.Spares + testWorker)
-	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	job := core.Launch(clusterCfg(lay.Procs, cluster.ExitAt(25, 2)), cfg, h.newApp)
 	t.Cleanup(job.Close)
 	waitClean(t, job, lay.InitialPhysical(2))
 	expectEigs(t, h.eigs(), want, 1e-6, 1, "discarded warm-up")
@@ -349,9 +344,9 @@ func TestShadowPrewarmFetchFailureIsNotFatal(t *testing.T) {
 	h := newWarmHooks()
 	h.planName = "no-such-plan"
 	h.holdLogical, h.holdIter, h.holdFor = 0, 24, h.finished
-	cfg := shadowCfg(2, 0)
+	cfg := shadowCfg(2)
 	lay := cfg.Layout(1 + cfg.Spares + testWorker)
-	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	job := core.Launch(clusterCfg(lay.Procs, cluster.ExitAt(25, 0)), cfg, h.newApp)
 	t.Cleanup(job.Close)
 	waitClean(t, job, lay.InitialPhysical(0))
 	if h.err == nil {
@@ -390,10 +385,10 @@ func TestShadowWithoutMirrorFrameRecoversCold(t *testing.T) {
 			epochRebuilds[ctx.Proc.Rank()].Add(1)
 		}
 	}
-	cfg := shadowCfg(2, 0)
-	cfg.FailPlan = map[int64][]int{0: {0}} // before the first Step, hence the first frame
+	cfg := shadowCfg(2)
 	lay := cfg.Layout(1 + cfg.Spares + testWorker)
-	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	// Before the first Step, hence the first frame.
+	job := core.Launch(clusterCfg(lay.Procs, cluster.ExitAt(0, 0)), cfg, h.newApp)
 	t.Cleanup(job.Close)
 	waitClean(t, job, lay.InitialPhysical(0))
 	select {
@@ -434,7 +429,7 @@ func TestShadowWithoutMirrorFrameRecoversCold(t *testing.T) {
 func TestShadowShutdownWaitsForPrewarm(t *testing.T) {
 	h := newWarmHooks()
 	h.gate = make(chan struct{})
-	cfg := shadowCfg(2, -1)
+	cfg := shadowCfg(2)
 	procs := 1 + cfg.Spares + testWorker
 	lay := cfg.Layout(procs)
 	recs := make([]*trace.Recorder, procs)

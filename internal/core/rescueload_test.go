@@ -23,9 +23,11 @@ import (
 func rescueLoadCfg() core.Config {
 	return core.Config{
 		Spares: 2, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		FailPlan: map[int64][]int{25: {1}},
 	}
 }
+
+// rescueLoadKill is the tests' one fault: logical 1 exits at iteration 25.
+var rescueLoadKill = cluster.ExitAt(25, 1)
 
 // gatedLoadHooks holds the first rescue load of logical 1's block.
 func gatedLoadHooks() *warmHooks {
@@ -78,7 +80,7 @@ func TestRescueLoadOverlapsRecovery(t *testing.T) {
 	h := gatedLoadHooks()
 	cfg := rescueLoadCfg()
 	lay := cfg.Layout(1 + cfg.Spares + testWorker)
-	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	job := core.Launch(clusterCfg(lay.Procs, rescueLoadKill), cfg, h.newApp)
 	t.Cleanup(job.Close)
 	waitFor(t, h.loadEntered, "the rescue's load")
 	rescue := loadingSpare(t, job.Recorders, cfg.Spares)
@@ -149,7 +151,7 @@ func TestRescueLoadSurvivesEpochRestart(t *testing.T) {
 			})
 		}
 	}
-	job := core.Launch(clusterCfg(lay.Procs), cfg, h.newApp)
+	job := core.Launch(clusterCfg(lay.Procs, rescueLoadKill), cfg, h.newApp)
 	t.Cleanup(job.Close)
 	waitFor(t, h.loadEntered, "the rescue's load")
 	waitFor(t, rebuilt, "the rescue's first Rebuild")
@@ -203,7 +205,7 @@ func TestRescueLoadJoinedOnDeath(t *testing.T) {
 	// the loads its loader goroutines had completed.
 	ended := make([]atomic.Bool, procs)
 	loadsAtEnd := make([]atomic.Int64, procs)
-	cl := cluster.New(clusterCfg(procs), func(ctx *cluster.ProcCtx) error {
+	cl := cluster.New(clusterCfg(procs, rescueLoadKill), func(ctx *cluster.ProcCtx) error {
 		r := ctx.Rank()
 		defer func() {
 			loadsAtEnd[r].Store(recs[r].Counter(trace.KAppsBlockLoads))

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -408,16 +407,11 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	maxIterSeen := iter
 
 	for !app.Finished(iter) {
-		// Deterministic exit(-1) failure injection (Figure 4 methodology).
-		if logicals, ok := cfg.FailPlan[iter]; ok &&
-			slices.Contains(logicals, ctx.Logical) &&
-			p.Rank() == lay.InitialPhysical(ctx.Logical) {
-			p.Exit(-1)
-		}
-		// Scenario-engine iteration triggers. A self-targeted external
-		// fault (kill -9, node down) marks this process dead here; it
-		// unwinds at the next communication call, like a real signal
-		// landing mid-compute.
+		// Scenario-engine iteration triggers: a ProcExit event is the
+		// paper's deterministic exit(-1) (Figure 4 methodology). A
+		// self-targeted external fault (kill -9, node down) marks this
+		// process dead here; it unwinds at the next communication call,
+		// like a real signal landing mid-compute.
 		if inj != nil && inj.NoteIteration(p.Rank(), ctx.Logical, iter) {
 			p.Exit(-1)
 		}

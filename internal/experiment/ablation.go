@@ -1,18 +1,14 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ft"
 	"repro/internal/gaspi"
-	"repro/internal/lanczos"
-	"repro/internal/matrix"
 	"repro/internal/trace"
 )
 
@@ -22,38 +18,14 @@ import (
 // threaded-vs-serial FD scan (which is what makes simultaneous failures
 // cost one detection).
 type AblationConfig struct {
-	// Workers is the worker count.
-	Workers int
-	// Iters is the Lanczos iteration count for the overhead workload.
-	Iters int
-	// Nx, Ny size the matrix.
-	Nx, Ny int
-	// TimeScale divides calibrated times.
-	TimeScale float64
-	// Seed seeds everything.
-	Seed int64
+	// StudyConfig sizes the overhead workload; its Spares is unused (the
+	// workload runs one spare, the detection comparison four).
+	StudyConfig
 }
 
 // WithDefaults fills defaults.
 func (c AblationConfig) WithDefaults() AblationConfig {
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
-	if c.Iters <= 0 {
-		c.Iters = 150
-	}
-	if c.Nx <= 0 {
-		c.Nx = 64
-	}
-	if c.Ny <= 0 {
-		c.Ny = 32
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = DefaultTimeScale
-	}
-	if c.Seed == 0 {
-		c.Seed = 17
-	}
+	c.StudyConfig = c.StudyConfig.withDefaults(StudyConfig{Workers: 16, Iters: 150, Nx: 64, Ny: 32, Seed: 17})
 	return c
 }
 
@@ -131,42 +103,24 @@ func RunAblation(c AblationConfig) (*AblationResult, error) {
 // detector variant and reports the wall time, the total pings and the
 // number of detection periods they were spent over.
 func runAblationWorkload(c AblationConfig, variant string) (time.Duration, uint64, float64, error) {
-	cal := PaperCalibration()
-	spares := 1
-	procs := 1 + spares + c.Workers
-	ccfg := ClusterConfig(procs, cal, c.TimeScale, c.Seed)
 	cfg := core.Config{
-		Spares:          spares,
-		FT:              FTConfig(cal, c.TimeScale, 8),
+		Spares:          1,
+		FT:              FTConfig(PaperCalibration(), c.TimeScale, 8),
 		EnableHC:        variant == "dedicated FD (paper)",
 		EnableCP:        true,
 		CheckpointEvery: 50,
 	}
-	gen := matrix.DefaultGraphene(c.Nx, c.Ny, uint64(c.Seed))
-
-	probers := make(chan *Prober, procs)
-	newApp := func() core.App {
-		return apps.NewLanczos(apps.LanczosConfig{
-			Gen:  gen,
-			Opts: lanczos.Options{MaxIters: c.Iters, NumEigs: 2, CheckEvery: 50, Seed: uint64(c.Seed)},
-			// A light compute load so detector interference is visible.
-			StepDelay: scale(cal.StepTime, c.TimeScale) / 4,
-		})
+	spec := c.job(cfg, nil, 2)
+	// A light compute load so detector interference is visible.
+	spec.App.StepDelay /= 4
+	probers := make(chan *Prober, spec.Cluster.Nodes)
+	spec.Wrap = func(a *apps.Lanczos) core.App {
+		return &proberApp{App: a, variant: variant, cfg: cfg.FT, probers: probers}
 	}
-
-	start := time.Now()
-	job := core.Launch(ccfg, cfg, func() core.App {
-		app := newApp()
-		return &proberApp{App: app, variant: variant, cfg: cfg.FT, probers: probers}
-	})
-	defer job.Close()
-	results, ok := job.WaitTimeout(5 * time.Minute)
-	if !ok {
-		return 0, 0, 0, errors.New("hung")
-	}
-	wall := time.Since(start)
+	run := StartJob(spec)
+	res := run.Wait()
 	close(probers)
-	periods := float64(job.Recorders[0].Counter(trace.KFDScans))
+	periods := float64(res.Recorders[0].Counter(trace.KFDScans))
 	var rounds, n int64
 	for b := range probers {
 		b.Stop()
@@ -176,14 +130,11 @@ func runAblationWorkload(c AblationConfig, variant string) (time.Duration, uint6
 	if n > 0 {
 		periods = float64(rounds) / float64(n)
 	}
-	for _, r := range results {
-		if r.Err != nil {
-			return 0, 0, 0, fmt.Errorf("rank %d: %v", r.Rank, r.Err)
-		}
+	if err := res.Err(); err != nil {
+		return 0, 0, 0, err
 	}
-	stats := job.Cluster.Job().Transport().Stats()
-	pings := stats.PerKind[10] // kPing
-	return wall, pings, periods, nil
+	pings := run.Job.Cluster.Job().Transport().Stats().PerKind[10] // kPing
+	return res.Wall, pings, periods, nil
 }
 
 // proberApp wraps an App so that the alternative detectors (which run on
@@ -220,65 +171,12 @@ func runSimultaneousDetection(c AblationConfig, threads int) (time.Duration, err
 	cal := PaperCalibration()
 	nodes := 2 + c.Workers + 3 // FD + spare headroom
 	lay := ft.Layout{Procs: nodes, Spares: 4}
-	ccfg := ClusterConfig(nodes, cal, c.TimeScale, c.Seed)
 	ftcfg := FTConfig(cal, c.TimeScale, threads)
-	rec := trace.NewRecorder()
-
-	ackCh := make(chan time.Time, nodes)
-	cl := cluster.New(ccfg, func(ctx *cluster.ProcCtx) error {
-		p := ctx.Proc
-		if err := ft.CreateBoard(p, lay); err != nil {
-			return err
-		}
-		switch lay.RoleOf(p.Rank()) {
-		case ft.RoleDetector:
-			d := ft.NewDetector(p, lay, ftcfg, rec)
-			_, _, err := d.Run()
-			return err
-		case ft.RoleSpare:
-			_, _, _, err := ft.WaitActivation(p, lay, ftcfg)
-			return err
-		default:
-			w := ft.NewWorker(p, lay, ftcfg, 0, true, trace.NewRecorder())
-			for {
-				err := w.CheckFailure()
-				var fde *ft.FailureDetectedError
-				if errors.As(err, &fde) {
-					ackCh <- time.Now()
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				if v, _ := p.NotifyPeek(ft.SegBoard, ft.NotifShutdown); v != 0 {
-					return nil
-				}
-				time.Sleep(ftcfg.CommTimeout / 10)
-			}
-		}
-	})
-	defer cl.Shutdown()
-
-	time.Sleep(2 * ftcfg.ScanInterval)
-	injected := time.Now()
-	victims := []gaspi.Rank{lay.InitialPhysical(0), lay.InitialPhysical(1), lay.InitialPhysical(2)}
-	for _, v := range victims {
-		cl.KillProc(v)
-	}
-	want := lay.Workers() - len(victims)
-	var last time.Time
-	deadline := time.After(time.Minute)
-	for i := 0; i < want; i++ {
-		select {
-		case ts := <-ackCh:
-			if ts.After(last) {
-				last = ts
-			}
-		case <-deadline:
-			return 0, fmt.Errorf("only %d/%d acknowledgments", i, want)
-		}
-	}
-	return last.Sub(injected), nil
+	detect, _, err := detectAck(ClusterConfig(nodes, cal, c.TimeScale, c.Seed), lay, ftcfg, 2*ftcfg.ScanInterval,
+		func() []gaspi.Rank {
+			return []gaspi.Rank{lay.InitialPhysical(0), lay.InitialPhysical(1), lay.InitialPhysical(2)}
+		})
+	return detect, err
 }
 
 // Render formats the ablation report.

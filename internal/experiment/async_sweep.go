@@ -5,11 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/lanczos"
-	"repro/internal/matrix"
 	"repro/internal/trace"
 )
 
@@ -21,59 +19,30 @@ import (
 // period with commit discipline and adds a faulted run per discipline to
 // show recovery correctness is preserved.
 type AsyncSweepConfig struct {
-	// Workers and Spares as in the Fig4 runner.
-	Workers, Spares int
-	// Iters is the iteration count.
-	Iters int
+	StudyConfig
 	// Periods are the checkpoint periods (iterations between checkpoints)
 	// swept failure-free in both modes.
 	Periods []int64
 	// FaultPeriod is the period used for the faulted comparison runs
 	// (default: the middle of Periods).
 	FaultPeriod int64
-	// Nx, Ny size the graphene sheet.
-	Nx, Ny int
-	// TimeScale divides calibrated times.
-	TimeScale float64
 	// LocalWriteCost is the model-time latency of one node-local
 	// checkpoint commit (the cost the async engine hides). The default,
 	// 10 ms, models flushing a multi-GB state image to a RAM disk.
 	LocalWriteCost time.Duration
-	// Seed seeds everything.
-	Seed int64
 }
 
 // WithDefaults fills the scaled-down defaults.
 func (c AsyncSweepConfig) WithDefaults() AsyncSweepConfig {
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.Spares <= 0 {
-		c.Spares = 2
-	}
-	if c.Iters <= 0 {
-		c.Iters = 160
-	}
+	c.StudyConfig = c.StudyConfig.withDefaults(StudyConfig{Workers: 8, Spares: 2, Iters: 160, Nx: 48, Ny: 24, Seed: 29})
 	if len(c.Periods) == 0 {
 		c.Periods = []int64{5, 10, 20, 40}
 	}
 	if c.FaultPeriod <= 0 {
 		c.FaultPeriod = c.Periods[len(c.Periods)/2]
 	}
-	if c.Nx <= 0 {
-		c.Nx = 48
-	}
-	if c.Ny <= 0 {
-		c.Ny = 24
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = DefaultTimeScale
-	}
 	if c.LocalWriteCost <= 0 {
 		c.LocalWriteCost = 10 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 29
 	}
 	return c
 }
@@ -129,7 +98,7 @@ func RunAsyncSweep(c AsyncSweepConfig) (*AsyncSweepResult, error) {
 	res := &AsyncSweepResult{Cfg: c}
 	for _, period := range c.Periods {
 		for _, m := range asyncModes {
-			wall, sum, err := runAsyncWorkload(c, m.mode, period, nil)
+			wall, sum, err := runAsyncWorkload(c, m.mode, period)
 			if err != nil {
 				return nil, fmt.Errorf("async sweep period %d %s: %w", period, m.name, err)
 			}
@@ -149,9 +118,8 @@ func RunAsyncSweep(c AsyncSweepConfig) (*AsyncSweepResult, error) {
 			})
 		}
 	}
-	failAt := int64(float64(c.Iters) * 0.6)
+	fail := cluster.ExitAt(int64(float64(c.Iters)*0.6), 1)
 	for _, m := range asyncModes {
-		fail := map[int64][]int{failAt: {1}}
 		wall, sum, err := runAsyncWorkload(c, m.mode, c.FaultPeriod, fail)
 		if err != nil {
 			return nil, fmt.Errorf("async fault run %s: %w", m.name, err)
@@ -166,51 +134,22 @@ func RunAsyncSweep(c AsyncSweepConfig) (*AsyncSweepResult, error) {
 	return res, nil
 }
 
-func runAsyncWorkload(c AsyncSweepConfig, mode checkpoint.CheckpointMode, period int64, failures map[int64][]int) (time.Duration, trace.Summary, error) {
-	cal := PaperCalibration()
-	procs := 1 + c.Spares + c.Workers
-	ccfg := ClusterConfig(procs, cal, c.TimeScale, c.Seed)
-	// The commit cost the async engine is designed to hide: a fixed
-	// node-local latency per checkpoint object, on top of the per-byte
-	// costs the default model already carries.
-	ccfg.Storage.LocalLatency = scale(c.LocalWriteCost, c.TimeScale)
+func runAsyncWorkload(c AsyncSweepConfig, mode checkpoint.CheckpointMode, period int64, faults ...cluster.FaultEvent) (time.Duration, trace.Summary, error) {
 	cfg := core.Config{
 		Spares:          c.Spares,
-		FT:              FTConfig(cal, c.TimeScale, 8),
+		FT:              FTConfig(PaperCalibration(), c.TimeScale, 8),
 		EnableHC:        true,
 		EnableCP:        true,
 		CheckpointEvery: period,
 		CP:              checkpoint.Config{CheckpointMode: mode},
-		FailPlan:        failures,
 	}
-	gen := matrix.DefaultGraphene(c.Nx, c.Ny, uint64(c.Seed))
-	start := time.Now()
-	job := core.Launch(ccfg, cfg, func() core.App {
-		return apps.NewLanczos(apps.LanczosConfig{
-			Gen:       gen,
-			Opts:      lanczos.Options{MaxIters: c.Iters, NumEigs: 2, CheckEvery: int(period), Seed: uint64(c.Seed)},
-			StepDelay: scale(cal.StepTime, c.TimeScale),
-		})
-	})
-	defer job.Close()
-	results, ok := job.WaitTimeout(10 * time.Minute)
-	if !ok {
-		return 0, trace.Summary{}, fmt.Errorf("hung")
-	}
-	wall := time.Since(start)
-	expected := expectedVictims(job.Layout, failures)
-	for _, r := range results {
-		if r.Death != nil {
-			if !expected[r.Rank] {
-				return 0, trace.Summary{}, fmt.Errorf("rank %d died unexpectedly: %+v", r.Rank, r.Death)
-			}
-			continue
-		}
-		if r.Err != nil {
-			return 0, trace.Summary{}, fmt.Errorf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
-	return wall, trace.Aggregate(job.Recorders), nil
+	spec := c.job(cfg, faults, 2)
+	// The commit cost the async engine is designed to hide: a fixed
+	// node-local latency per checkpoint object, on top of the per-byte
+	// costs the default model already carries.
+	spec.Cluster.Storage.LocalLatency = scale(c.LocalWriteCost, c.TimeScale)
+	run := StartJob(spec).Wait()
+	return run.Wall, run.Sum, run.Err()
 }
 
 // Render formats the study.

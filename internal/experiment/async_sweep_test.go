@@ -16,14 +16,10 @@ func TestAsyncSweepSmallEndToEnd(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := RunAsyncSweep(AsyncSweepConfig{
-		Workers: 4,
-		Spares:  2,
-		Iters:   60,
-		Periods: []int64{5, 15},
-		Nx:      16, Ny: 8,
-		TimeScale:      100,
-		LocalWriteCost: time.Second, // 10 ms measured per commit
-		Seed:           3,
+		StudyConfig: StudyConfig{Workers: 4, Spares: 2, Iters: 60, Nx: 16, Ny: 8, TimeScale: 100, Seed: 3},
+		Periods:     []int64{5, 15},
+		// 10 ms measured per commit.
+		LocalWriteCost: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

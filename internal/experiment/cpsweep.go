@@ -6,11 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/lanczos"
-	"repro/internal/matrix"
 	"repro/internal/trace"
 )
 
@@ -21,45 +19,16 @@ import (
 // time", §VI) and by its §IV.E distinction between global PFS-level and
 // neighbor-level checkpoints.
 type CPSweepConfig struct {
-	// Workers and Spares as in the Fig4 runner.
-	Workers, Spares int
-	// Iters is the iteration count.
-	Iters int
+	StudyConfig
 	// Intervals are the checkpoint intervals swept (with one failure).
 	Intervals []int64
-	// Nx, Ny size the graphene sheet.
-	Nx, Ny int
-	// TimeScale divides calibrated times.
-	TimeScale float64
-	// Seed seeds everything.
-	Seed int64
 }
 
 // WithDefaults fills the scaled-down defaults.
 func (c CPSweepConfig) WithDefaults() CPSweepConfig {
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
-	if c.Spares <= 0 {
-		c.Spares = 2
-	}
-	if c.Iters <= 0 {
-		c.Iters = 240
-	}
+	c.StudyConfig = c.StudyConfig.withDefaults(StudyConfig{Workers: 16, Spares: 2, Iters: 240, Nx: 64, Ny: 32, Seed: 23})
 	if len(c.Intervals) == 0 {
 		c.Intervals = []int64{10, 20, 40, 80, 160}
-	}
-	if c.Nx <= 0 {
-		c.Nx = 64
-	}
-	if c.Ny <= 0 {
-		c.Ny = 32
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = DefaultTimeScale
-	}
-	if c.Seed == 0 {
-		c.Seed = 23
 	}
 	return c
 }
@@ -114,7 +83,7 @@ func RunCPSweep(c CPSweepConfig) (*CPSweepResult, error) {
 		{"neighbor-level (paper)", true, checkpoint.ModeNeighbor},
 		{"global PFS-level", true, checkpoint.ModeGlobalPFS},
 	} {
-		wall, sum, err := runCPWorkload(c, st.cp, st.mode, 40, nil)
+		wall, sum, err := runCPWorkload(c, st.cp, st.mode, 40)
 		if err != nil {
 			return nil, fmt.Errorf("cp strategy %q: %w", st.name, err)
 		}
@@ -126,9 +95,8 @@ func RunCPSweep(c CPSweepConfig) (*CPSweepResult, error) {
 	}
 
 	// Part 2: interval sweep with one failure at 60% of the run.
-	failAt := int64(float64(c.Iters) * 0.6)
+	fail := cluster.ExitAt(int64(float64(c.Iters)*0.6), 1)
 	for _, interval := range c.Intervals {
-		fail := map[int64][]int{failAt: {1}}
 		wall, sum, err := runCPWorkload(c, true, checkpoint.ModeNeighbor, interval, fail)
 		if err != nil {
 			return nil, fmt.Errorf("cp interval %d: %w", interval, err)
@@ -157,46 +125,17 @@ func RunCPSweep(c CPSweepConfig) (*CPSweepResult, error) {
 	return res, nil
 }
 
-func runCPWorkload(c CPSweepConfig, cp bool, mode checkpoint.Mode, interval int64, failures map[int64][]int) (time.Duration, trace.Summary, error) {
-	cal := PaperCalibration()
-	procs := 1 + c.Spares + c.Workers
+func runCPWorkload(c CPSweepConfig, cp bool, mode checkpoint.Mode, interval int64, faults ...cluster.FaultEvent) (time.Duration, trace.Summary, error) {
 	cfg := core.Config{
 		Spares:          c.Spares,
-		FT:              FTConfig(cal, c.TimeScale, 8),
+		FT:              FTConfig(PaperCalibration(), c.TimeScale, 8),
 		EnableHC:        true,
 		EnableCP:        cp,
 		CheckpointEvery: interval,
 		CP:              checkpoint.Config{Mode: mode},
-		FailPlan:        failures,
 	}
-	gen := matrix.DefaultGraphene(c.Nx, c.Ny, uint64(c.Seed))
-	start := time.Now()
-	job := core.Launch(ClusterConfig(procs, cal, c.TimeScale, c.Seed), cfg, func() core.App {
-		return apps.NewLanczos(apps.LanczosConfig{
-			Gen:       gen,
-			Opts:      lanczos.Options{MaxIters: c.Iters, NumEigs: 2, CheckEvery: int(interval), Seed: uint64(c.Seed)},
-			StepDelay: scale(cal.StepTime, c.TimeScale),
-		})
-	})
-	defer job.Close()
-	results, ok := job.WaitTimeout(10 * time.Minute)
-	if !ok {
-		return 0, trace.Summary{}, fmt.Errorf("hung")
-	}
-	wall := time.Since(start)
-	expected := expectedVictims(job.Layout, failures)
-	for _, r := range results {
-		if r.Death != nil {
-			if !expected[r.Rank] {
-				return 0, trace.Summary{}, fmt.Errorf("rank %d died unexpectedly: %+v", r.Rank, r.Death)
-			}
-			continue
-		}
-		if r.Err != nil {
-			return 0, trace.Summary{}, fmt.Errorf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
-	return wall, trace.Aggregate(job.Recorders), nil
+	run := StartJob(c.job(cfg, faults, 2)).Wait()
+	return run.Wall, run.Sum, run.Err()
 }
 
 // Render formats both tables.

@@ -12,15 +12,85 @@ package experiment
 import (
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/ft"
 	"repro/internal/gaspi"
+	"repro/internal/lanczos"
+	"repro/internal/matrix"
 )
 
 // DefaultTimeScale compresses the paper's timing constants: 1 model second
 // = 10 real milliseconds.
 const DefaultTimeScale = 100.0
+
+// StudyConfig sizes a study's Lanczos jobs: the fields the Figure 4
+// reproduction, the checkpoint studies and the detector ablation share.
+type StudyConfig struct {
+	// Workers is the worker process count (paper: 256).
+	Workers int
+	// Spares is the idle spare count; the FD is extra (paper: 4).
+	Spares int
+	// Iters is the Lanczos iteration count (paper: 3500).
+	Iters int
+	// Nx, Ny size the graphene sheet (paper: 1.2e8 rows; scaled down).
+	Nx, Ny int
+	// TimeScale divides all calibrated times (default DefaultTimeScale).
+	TimeScale float64
+	// Seed controls matrix disorder and fabric jitter.
+	Seed int64
+}
+
+// withDefaults fills every unset field from def, and TimeScale with
+// DefaultTimeScale.
+func (s StudyConfig) withDefaults(def StudyConfig) StudyConfig {
+	if s.Workers <= 0 {
+		s.Workers = def.Workers
+	}
+	if s.Spares <= 0 {
+		s.Spares = def.Spares
+	}
+	if s.Iters <= 0 {
+		s.Iters = def.Iters
+	}
+	if s.Nx <= 0 {
+		s.Nx = def.Nx
+	}
+	if s.Ny <= 0 {
+		s.Ny = def.Ny
+	}
+	if s.TimeScale <= 0 {
+		s.TimeScale = DefaultTimeScale
+	}
+	if s.Seed == 0 {
+		s.Seed = def.Seed
+	}
+	return s
+}
+
+// job is a study's Lanczos job on the paper-calibrated testbed: the FD,
+// cfg.Spares spares and the workers one node each, the faults scheduled
+// (none: no scenario armed), iterations at the calibrated step time, numEigs
+// tracked and convergence checked at every checkpoint interval.
+func (s StudyConfig) job(cfg core.Config, faults []cluster.FaultEvent, numEigs int) JobSpec {
+	cal := PaperCalibration()
+	ccfg := ClusterConfig(1+cfg.Spares+s.Workers, cal, s.TimeScale, s.Seed)
+	if len(faults) > 0 {
+		ccfg.Scenario = &cluster.Scenario{Events: faults}
+	}
+	return JobSpec{
+		Cluster: ccfg,
+		Core:    cfg,
+		App: apps.LanczosConfig{
+			Gen:       matrix.DefaultGraphene(s.Nx, s.Ny, uint64(s.Seed)),
+			Opts:      lanczos.Options{MaxIters: s.Iters, NumEigs: numEigs, CheckEvery: int(cfg.CheckpointEvery), Seed: uint64(s.Seed)},
+			StepDelay: scale(cal.StepTime, s.TimeScale),
+		},
+		Timeout: 10 * time.Minute,
+	}
+}
 
 // Calibration holds the paper-calibrated timing constants (model time,
 // i.e. what the paper reports).

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
@@ -13,14 +14,11 @@ import (
 
 func smallFig4() Fig4Config {
 	return Fig4Config{
-		Workers:         4,
-		Spares:          3,
-		Iters:           60,
+		// Time scale 500 compresses for tests; timeouts stay >= 2ms
+		// (scheduler-noise safe).
+		StudyConfig:     StudyConfig{Workers: 4, Spares: 3, Iters: 60, Nx: 16, Ny: 8, TimeScale: 500, Seed: 3},
 		CheckpointEvery: 10,
-		Nx:              16, Ny: 8,
-		TimeScale: 500, // compressed for tests; timeouts stay >= 2ms (scheduler-noise safe)
-		Threads:   4,
-		Seed:      3,
+		Threads:         4,
 	}
 }
 
@@ -64,13 +62,34 @@ func TestFig4Defaults(t *testing.T) {
 	if plans[0].hc || plans[0].cp {
 		t.Fatal("first scenario must be w/o HC w/o CP")
 	}
-	if len(plans[6].failures) != 1 {
-		t.Fatal("3 sim. fail must inject at one iteration")
+	sim := plans[6].faults
+	if len(sim) != 3 {
+		t.Fatalf("3 sim. fail victims: %v", sim)
 	}
-	for _, ls := range plans[6].failures {
-		if len(ls) != 3 {
-			t.Fatalf("3 sim. fail victims: %v", ls)
+	for _, e := range sim {
+		if e.Kind != cluster.ProcExit || e.Trigger != sim[0].Trigger {
+			t.Fatalf("3 sim. fail must exit(-1) at one iteration: %v", sim)
 		}
+	}
+	// Every kill of every bar lies inside the run.
+	for _, p := range plans {
+		for _, e := range p.faults {
+			if e.Trigger.Iter >= int64(c.Iters) {
+				t.Fatalf("%s: %v lies past iteration %d", p.name, e, c.Iters)
+			}
+		}
+	}
+}
+
+// TestFig4KillPastTheRunIsAnError: a bar whose last kill is scheduled past
+// the last iteration would run fewer recoveries than its label says; the
+// study must refuse it instead of reporting a failure-free bar.
+func TestFig4KillPastTheRunIsAnError(t *testing.T) {
+	c := smallFig4()
+	c.Iters = 40 // "2 fail recovery" kills at 22 and 42
+	_, err := RunFig4(c)
+	if err == nil || !strings.Contains(err.Error(), "never fired") {
+		t.Fatalf("RunFig4 = %v, want an unfired-fault error", err)
 	}
 }
 
@@ -177,11 +196,7 @@ func TestAblationSmallEndToEnd(t *testing.T) {
 	// 4 ms ping timeout has to be scheduler-noise safe, or the probers
 	// (which do not retry) suspect live ranks and stop pinging them.
 	res, err := RunAblation(AblationConfig{
-		Workers: 4,
-		Iters:   200,
-		Nx:      16, Ny: 8,
-		TimeScale: 250,
-		Seed:      9,
+		StudyConfig{Workers: 4, Iters: 200, Nx: 16, Ny: 8, TimeScale: 250, Seed: 9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,13 +229,8 @@ func TestCPSweepSmallEndToEnd(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := RunCPSweep(CPSweepConfig{
-		Workers:   4,
-		Spares:    2,
-		Iters:     60,
-		Intervals: []int64{5, 15, 30},
-		Nx:        16, Ny: 8,
-		TimeScale: 500,
-		Seed:      3,
+		StudyConfig: StudyConfig{Workers: 4, Spares: 2, Iters: 60, Nx: 16, Ny: 8, TimeScale: 500, Seed: 3},
+		Intervals:   []int64{5, 15, 30},
 	})
 	if err != nil {
 		t.Fatal(err)

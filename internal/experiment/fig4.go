@@ -5,12 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/ft"
-	"repro/internal/gaspi"
-	"repro/internal/lanczos"
-	"repro/internal/matrix"
 	"repro/internal/trace"
 )
 
@@ -19,59 +15,28 @@ import (
 // iterations, checkpoints every 500, exit(-1) kills at deterministic
 // iterations.
 type Fig4Config struct {
-	// Workers is the worker process count (paper: 256).
-	Workers int
-	// Spares is the idle process count (paper: 4).
-	Spares int
-	// Iters is the iteration count (paper: 3500).
-	Iters int
+	StudyConfig
 	// CheckpointEvery is the checkpoint interval (paper: 500).
 	CheckpointEvery int64
 	// FailOffset is where failures hit within a checkpoint interval, as a
 	// fraction (the paper's deterministic kills produce ≈47 s redo-work ≈
 	// 0.24 of the 500-iteration interval).
 	FailOffset float64
-	// Nx, Ny size the graphene sheet (paper: 1.2e8 rows; scaled down).
-	Nx, Ny int
-	// TimeScale divides all calibrated times (default 100).
-	TimeScale float64
 	// Threads is the FD scan parallelism (paper: 8).
 	Threads int
-	// Seed controls matrix disorder and fabric jitter.
-	Seed int64
 }
 
 // WithDefaults fills the scaled-down defaults.
 func (c Fig4Config) WithDefaults() Fig4Config {
-	if c.Workers <= 0 {
-		c.Workers = 32
-	}
-	if c.Spares <= 0 {
-		c.Spares = 4
-	}
-	if c.Iters <= 0 {
-		c.Iters = 350
-	}
+	c.StudyConfig = c.StudyConfig.withDefaults(StudyConfig{Workers: 32, Spares: 4, Iters: 350, Nx: 128, Ny: 64, Seed: 42})
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 50
 	}
 	if c.FailOffset <= 0 {
 		c.FailOffset = 0.24
 	}
-	if c.Nx <= 0 {
-		c.Nx = 128
-	}
-	if c.Ny <= 0 {
-		c.Ny = 64
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = DefaultTimeScale
-	}
 	if c.Threads <= 0 {
 		c.Threads = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	return c
 }
@@ -99,111 +64,57 @@ type Fig4Result struct {
 	Scenarios []Fig4Scenario
 }
 
+// fig4Plan is one bar's configuration: health check, checkpointing, and
+// the exit(-1) kills.
+type fig4Plan struct {
+	name   string
+	hc, cp bool
+	faults []cluster.FaultEvent
+}
+
 // fig4Plans returns the scenario list matching the paper's seven bars.
-func fig4Plans(c Fig4Config) []struct {
-	name     string
-	hc, cp   bool
-	failures map[int64][]int
-} {
+func fig4Plans(c Fig4Config) []fig4Plan {
 	interval := c.CheckpointEvery
 	off := int64(float64(interval) * c.FailOffset)
-	at := func(k int64) int64 { return k*interval + off }
-	return []struct {
-		name     string
-		hc, cp   bool
-		failures map[int64][]int
-	}{
+	at := func(k int64, logical int) cluster.FaultEvent { return cluster.ExitAt(k*interval+off, logical) }
+	return []fig4Plan{
 		{"w/o HC, w/o CP", false, false, nil},
 		{"w/o HC, with CP", false, true, nil},
 		{"with HC, with CP", true, true, nil},
-		{"1 fail recovery", true, true, map[int64][]int{at(2): {1}}},
-		{"2 fail recovery", true, true, map[int64][]int{at(2): {1}, at(4): {2}}},
-		{"3 fail recovery", true, true, map[int64][]int{at(1): {1}, at(3): {2}, at(5): {3}}},
-		{"3 sim. fail recovery", true, true, map[int64][]int{at(2): {1, 2, 3}}},
+		{"1 fail recovery", true, true, []cluster.FaultEvent{at(2, 1)}},
+		{"2 fail recovery", true, true, []cluster.FaultEvent{at(2, 1), at(4, 2)}},
+		{"3 fail recovery", true, true, []cluster.FaultEvent{at(1, 1), at(3, 2), at(5, 3)}},
+		{"3 sim. fail recovery", true, true, []cluster.FaultEvent{at(2, 1), at(2, 2), at(2, 3)}},
 	}
 }
 
-// RunFig4 executes all seven scenarios and returns the figure data.
+// RunFig4 executes all seven scenarios and returns the figure data. A bar
+// whose kills do not all fire (scheduled past Iters) is an error.
 func RunFig4(c Fig4Config) (*Fig4Result, error) {
 	c = c.WithDefaults()
-	cal := PaperCalibration()
 	res := &Fig4Result{Cfg: c}
 	for _, plan := range fig4Plans(c) {
-		sc, err := runFig4Scenario(c, cal, plan.name, plan.hc, plan.cp, plan.failures)
-		if err != nil {
+		cfg := core.Config{
+			Spares:          c.Spares,
+			FT:              FTConfig(PaperCalibration(), c.TimeScale, c.Threads),
+			EnableHC:        plan.hc,
+			EnableCP:        plan.cp,
+			CheckpointEvery: c.CheckpointEvery,
+		}
+		run := StartJob(c.job(cfg, plan.faults, 4)).Wait()
+		if err := run.Err(); err != nil {
 			return nil, fmt.Errorf("fig4 %q: %w", plan.name, err)
 		}
-		res.Scenarios = append(res.Scenarios, *sc)
+		res.Scenarios = append(res.Scenarios, Fig4Scenario{
+			Name:       plan.name,
+			Wall:       run.Wall,
+			Model:      Model(run.Wall, c.TimeScale),
+			Phases:     run.Sum.Max,
+			Recoveries: run.Recorders[0].Counter(trace.KFDRecoveries),
+			Eigs:       run.Solver.Eigs,
+		})
 	}
 	return res, nil
-}
-
-func runFig4Scenario(c Fig4Config, cal Calibration, name string, hc, cp bool, failures map[int64][]int) (*Fig4Scenario, error) {
-	procs := 1 + c.Spares + c.Workers
-	ccfg := ClusterConfig(procs, cal, c.TimeScale, c.Seed)
-	cfg := core.Config{
-		Spares:          c.Spares,
-		FT:              FTConfig(cal, c.TimeScale, c.Threads),
-		EnableHC:        hc,
-		EnableCP:        cp,
-		CheckpointEvery: c.CheckpointEvery,
-		FailPlan:        failures,
-	}
-	gen := matrix.DefaultGraphene(c.Nx, c.Ny, uint64(c.Seed))
-	collect := newResultCollector()
-	start := time.Now()
-	job := core.Launch(ccfg, cfg, func() core.App {
-		a := apps.NewLanczos(apps.LanczosConfig{
-			Gen: gen,
-			Opts: lanczos.Options{
-				MaxIters:   c.Iters,
-				NumEigs:    4,
-				CheckEvery: int(c.CheckpointEvery),
-				Seed:       uint64(c.Seed),
-			},
-			StepDelay: scale(cal.StepTime, c.TimeScale),
-		})
-		collect.add(a)
-		return a
-	})
-	defer job.Close()
-	results, ok := job.WaitTimeout(10 * time.Minute)
-	if !ok {
-		return nil, fmt.Errorf("scenario hung")
-	}
-	wall := time.Since(start)
-	expectedDead := expectedVictims(job.Layout, failures)
-	for _, r := range results {
-		if r.Death != nil {
-			if !expectedDead[r.Rank] {
-				return nil, fmt.Errorf("rank %d died unexpectedly: %+v", r.Rank, r.Death)
-			}
-			continue
-		}
-		if r.Err != nil {
-			return nil, fmt.Errorf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
-	sum := trace.Aggregate(job.Recorders)
-	sc := &Fig4Scenario{
-		Name:       name,
-		Wall:       wall,
-		Model:      Model(wall, c.TimeScale),
-		Recoveries: job.Recorders[0].Counter(trace.KFDRecoveries),
-		Eigs:       collect.eigs(),
-	}
-	sc.Phases = sum.Max
-	return sc, nil
-}
-
-func expectedVictims(lay ft.Layout, failures map[int64][]int) map[gaspi.Rank]bool {
-	out := make(map[gaspi.Rank]bool)
-	for _, ls := range failures {
-		for _, l := range ls {
-			out[lay.InitialPhysical(l)] = true
-		}
-	}
-	return out
 }
 
 // Render formats the figure as the paper's stacked bars plus a numeric
@@ -246,35 +157,4 @@ func (r *Fig4Result) Render() string {
 		"scenario", "wall[s]", "model[s]", "compute", "cp", "redo", "reinit", "detect", "recov"},
 		rows))
 	return b.String()
-}
-
-// resultCollector gathers the app instances so final eigenvalues can be
-// read after the run.
-type resultCollector struct {
-	mu   chan struct{}
-	apps []*apps.Lanczos
-}
-
-func newResultCollector() *resultCollector {
-	c := &resultCollector{mu: make(chan struct{}, 1)}
-	c.mu <- struct{}{}
-	return c
-}
-
-func (c *resultCollector) add(a *apps.Lanczos) {
-	<-c.mu
-	c.apps = append(c.apps, a)
-	c.mu <- struct{}{}
-}
-
-func (c *resultCollector) eigs() []float64 {
-	<-c.mu
-	defer func() { c.mu <- struct{}{} }()
-	for _, a := range c.apps {
-		s := a.Solver()
-		if s != nil && s.Finished() && len(s.Eigs) > 0 {
-			return append([]float64(nil), s.Eigs...)
-		}
-	}
-	return nil
 }

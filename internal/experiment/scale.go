@@ -64,7 +64,7 @@ type ScaleConfig struct {
 	Full bool
 }
 
-// WithDefaults fills the sweep used by cmd/bench-scale.
+// WithDefaults fills the sweep used by ftlanczos -mode scale.
 func (c ScaleConfig) WithDefaults() ScaleConfig {
 	if len(c.Ranks) == 0 {
 		c.Ranks = []int{4, 16, 64, 256}

@@ -13,7 +13,6 @@ package experiment
 // crisp unrecoverable abort — never hang, never produce a wrong answer.
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -442,11 +441,8 @@ func RunScenarioMatrix(c ScenarioMatrixConfig) (*ScenarioMatrixResult, error) {
 // matrix and the chaos fuzzer's randomized episodes. The returned row
 // carries the classified outcome, the recovery-phase decomposition, the
 // unfired-trigger list and any episode-level invariant violations.
-func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec, wantEig float64) (out ScenarioResult) {
-	out = ScenarioResult{Spec: spec}
-	procs := 1 + spec.Spares + c.Workers
+func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec, wantEig float64) ScenarioResult {
 	sc := spec.Scenario // copy; the injector consumes events
-	ccfg := scenarioClusterConfig(c, procs, &sc)
 	cpMode := checkpoint.Sync
 	if spec.Async {
 		cpMode = checkpoint.Async
@@ -455,48 +451,36 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	if spec.Replication > 0 {
 		ftCfg.Replication = map[string]int{"state": spec.Replication}
 	}
-	cfg := core.Config{
-		Spares:          spec.Spares,
-		FT:              ftCfg,
-		EnableHC:        true,
-		EnableCP:        true,
-		CheckpointEvery: c.CheckpointEvery,
-		CP: checkpoint.Config{
-			CheckpointMode: cpMode,
-			PFSEvery:       spec.PFSEvery,
-			FullEvery:      spec.FullEvery,
+	res := StartJob(JobSpec{
+		Cluster: scenarioClusterConfig(c, 1+spec.Spares+c.Workers, &sc),
+		Core: core.Config{
+			Spares:          spec.Spares,
+			FT:              ftCfg,
+			EnableHC:        true,
+			EnableCP:        true,
+			CheckpointEvery: c.CheckpointEvery,
+			CP: checkpoint.Config{
+				CheckpointMode: cpMode,
+				PFSEvery:       spec.PFSEvery,
+				FullEvery:      spec.FullEvery,
+			},
 		},
-	}
-	collect := newResultCollector()
-	start := time.Now()
-	job := core.Launch(ccfg, cfg, func() core.App {
-		a := apps.NewLanczos(apps.LanczosConfig{
+		App: apps.LanczosConfig{
 			Gen:       gen,
 			Opts:      lanczos.Options{MaxIters: c.Iters, NumEigs: 2, CheckEvery: int(c.CheckpointEvery), Seed: uint64(c.Seed)},
 			StepDelay: c.StepDelay,
-		})
-		collect.add(a)
-		return a
-	})
-	defer job.Close()
-
-	results, done := job.WaitTimeout(c.Timeout)
-	out.Wall = time.Since(start)
-	inj := job.Cluster.Injector()
-	out.Unfired = inj.Pending()
-	// Sweep the episode-level invariants on every exit path, once the
+		},
+		Timeout: c.Timeout,
+		WantEig: &wantEig,
+	}).Wait()
+	out := ScenarioResult{Spec: spec, Outcome: res.Outcome, Wall: res.Wall, Unfired: res.Unfired, Detail: res.Detail}
+	// The episode-level invariants are swept on every exit path, once the
 	// outcome is classified (the TTR checks are outcome-dependent).
-	defer func() {
-		out.Invariants = scenarioInvariants(job.Recorders, out.Outcome, inj.FiredVictims())
-	}()
-	if !done {
-		out.Outcome = OutcomeHung
-		out.Detail = "deadline exceeded"
-		job.Cluster.Shutdown() // reap the stuck ranks
+	out.Invariants = scenarioInvariants(res.Recorders, out.Outcome, res.Victims)
+	if out.Outcome == OutcomeHung {
 		return out
 	}
-
-	sum := trace.Aggregate(job.Recorders)
+	sum := res.Sum
 	out.Recoveries = sum.SumCounter[trace.KFDRecoveries]
 	out.EpochRestarts = sum.SumCounter[ft.CounterEpochRestarts]
 	out.DetectNS = sum.MaxCounter[ft.CounterDetectNS]
@@ -506,7 +490,7 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	out.RedoIters = sum.SumCounter[trace.KCoreRedoIters]
 	out.ShadowFailovers = sum.SumCounter[trace.KFTShadowFailovers]
 	out.ProbeNacks = sum.SumCounter[trace.KFTProbeNacks]
-	for _, r := range job.Recorders {
+	for _, r := range res.Recorders {
 		t := r.Counter(ft.CounterDetectNS) + r.Counter(ft.CounterAckNS) +
 			r.Counter(ft.CounterRebuildNS) + r.Counter(ft.CounterRestoreNS)
 		if t > out.TTRNS {
@@ -517,53 +501,6 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	out.RestoreNeighbor = sum.SumCounter[trace.KCoreRestoreFromNeighbor]
 	out.RestoreRemote = sum.SumCounter[trace.KCoreRestoreFromRemote]
 	out.RestorePFS = sum.SumCounter[trace.KCoreRestoreFromPFS]
-
-	// Classify. Victims (ranks hit by fired events, including every rank
-	// of a downed node) may die — or, when a fault lands between a
-	// storage access and the next communication call, surface an error
-	// instead; both count as the injected death. Any OTHER rank erroring
-	// is either the crisp unrecoverable abort or a harness failure.
-	victims := inj.FiredVictims()
-	unrecoverable := false
-	for _, r := range results {
-		if r.Death != nil || victims[r.Rank] {
-			continue
-		}
-		if r.Err == nil {
-			continue
-		}
-		if errors.Is(r.Err, ft.ErrUnrecoverable) || errors.Is(r.Err, ft.ErrStalled) {
-			unrecoverable = true
-			if out.Detail == "" {
-				out.Detail = r.Err.Error()
-			}
-			continue
-		}
-		out.Outcome = OutcomeFailed
-		out.Detail = fmt.Sprintf("rank %d: %v", r.Rank, r.Err)
-		return out
-	}
-	if unrecoverable {
-		out.Outcome = OutcomeUnrecoverable
-		return out
-	}
-	eigs := collect.eigs()
-	if len(eigs) == 0 {
-		out.Outcome = OutcomeFailed
-		out.Detail = "no surviving worker finished with a result"
-		return out
-	}
-	// Recovery legitimately regroups the allreduce reduction tree, so
-	// only the converged lowest eigenvalue is comparable — within the
-	// explicit per-matrix-size tolerance envelope (EigTolerance): a
-	// near-miss inside it is a recovered run, outside it is the one
-	// absolutely forbidden outcome, silent corruption.
-	if !EigMatches(eigs[0], wantEig, gen.Dim()) {
-		out.Outcome = OutcomeWrongAnswer
-		out.Detail = fmt.Sprintf("eig0 %v, reference %v (tol %.3g rel)", eigs[0], wantEig, EigTolerance(gen.Dim()))
-		return out
-	}
-	out.Outcome = OutcomeRecovered
 	return out
 }
 

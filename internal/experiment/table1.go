@@ -105,87 +105,20 @@ func runTable1Size(c Table1Config, nodes int, rng *rand.Rand) (*Table1Row, error
 	var scanPings []float64
 
 	for run := 0; run < c.Runs; run++ {
-		lay := ft.Layout{Procs: nodes, Spares: 1}
-		ccfg := ClusterConfig(nodes, cal, c.TimeScale, c.Seed+int64(run))
 		ftcfg := FTConfig(cal, c.TimeScale, c.Threads)
-		recs := make([]*trace.Recorder, nodes)
-		for i := range recs {
-			recs[i] = trace.NewRecorder()
-		}
-
-		ackCh := make(chan time.Time, nodes)
-		cl := cluster.New(ccfg, func(ctx *cluster.ProcCtx) error {
-			p := ctx.Proc
-			if err := ft.CreateBoard(p, lay); err != nil {
-				return err
-			}
-			switch lay.RoleOf(p.Rank()) {
-			case ft.RoleDetector:
-				d := ft.NewDetector(p, lay, ftcfg, recs[p.Rank()])
-				_, _, err := d.Run()
-				return err
-			case ft.RoleSpare:
-				_, _, _, err := ft.WaitActivation(p, lay, ftcfg)
-				if errors.Is(err, ft.ErrUnrecoverable) {
-					return nil
-				}
-				return err
-			default:
-				// Worker stand-in: poll the acknowledgment signal like the
-				// real application's communication wrappers do.
-				w := ft.NewWorker(p, lay, ftcfg, int(p.Rank())-2, true, recs[p.Rank()])
-				for {
-					err := w.CheckFailure()
-					var fde *ft.FailureDetectedError
-					if errors.As(err, &fde) {
-						ackCh <- time.Now()
-						return nil
-					}
-					if err != nil {
-						return err
-					}
-					if v, _ := p.NotifyPeek(ft.SegBoard, ft.NotifShutdown); v != 0 {
-						return nil
-					}
-					time.Sleep(ftcfg.CommTimeout / 10)
-				}
-			}
-		})
-
 		// Let the FD complete some clean scans, then kill one random
 		// worker at a random instant within a scan period.
-		time.Sleep(time.Duration(c.CleanScans) * ftcfg.ScanInterval)
-		victim := gaspi.Rank(2 + rng.Intn(nodes-2))
-		time.Sleep(time.Duration(rng.Int63n(int64(ftcfg.ScanInterval))))
-		injected := time.Now()
-		cl.KillProc(victim)
-
-		// Detection+ack time: last worker acknowledgment minus injection.
-		workerCount := nodes - 2
-		var last time.Time
-		acked := 0
-		deadline := time.After(30 * time.Second)
-	collect:
-		for acked < workerCount-1 { // the victim never acks
-			select {
-			case ts := <-ackCh:
-				if ts.After(last) {
-					last = ts
-				}
-				acked++
-			case <-deadline:
-				break collect
-			}
+		detect, rec, err := detectAck(ClusterConfig(nodes, cal, c.TimeScale, c.Seed+int64(run)),
+			ft.Layout{Procs: nodes, Spares: 1}, ftcfg, time.Duration(c.CleanScans)*ftcfg.ScanInterval,
+			func() []gaspi.Rank {
+				victim := gaspi.Rank(2 + rng.Intn(nodes-2))
+				time.Sleep(time.Duration(rng.Int63n(int64(ftcfg.ScanInterval))))
+				return []gaspi.Rank{victim}
+			})
+		if err != nil {
+			return nil, fmt.Errorf("run %d: %w", run, err)
 		}
-		if acked < workerCount-1 {
-			cl.Shutdown()
-			return nil, fmt.Errorf("run %d: only %d/%d acknowledgments", run, acked, workerCount-1)
-		}
-		detectTimes = append(detectTimes, last.Sub(injected).Seconds())
-
-		// The FD has stopped: its counters are mutually consistent.
-		cl.Shutdown()
-		rec := recs[0]
+		detectTimes = append(detectTimes, detect.Seconds())
 		if s := rec.Counter(trace.KFDCleanScans); s > 0 {
 			scanTimes = append(scanTimes, float64(rec.Counter(trace.KFDCleanScanNS))/float64(s)/1e9)
 		}
@@ -204,6 +137,77 @@ func runTable1Size(c Table1Config, nodes int, rng *rand.Rand) (*Table1Row, error
 		DetectMean:   time.Duration(detMean * 1e9),
 		DetectStddev: time.Duration(detStd * 1e9),
 	}, nil
+}
+
+// detectAck is the fault-detection harness of Table I and the detector
+// ablation: an app-less cluster on layout lay — rank 0 the FD, the spares
+// idle, every worker a stand-in polling for the failure acknowledgment
+// like the application's communication wrappers do. After settle it kills
+// the ranks pick returns and measures from the kill to the last survivor's
+// acknowledgment. It returns that time and the FD's recorder, read once
+// the cluster has stopped, so its counters are mutually consistent.
+func detectAck(ccfg cluster.Config, lay ft.Layout, ftcfg ft.Config, settle time.Duration, pick func() []gaspi.Rank) (time.Duration, *trace.Recorder, error) {
+	recs := make([]*trace.Recorder, lay.Procs)
+	for i := range recs {
+		recs[i] = trace.NewRecorder()
+	}
+	ackCh := make(chan time.Time, lay.Procs)
+	cl := cluster.New(ccfg, func(ctx *cluster.ProcCtx) error {
+		p := ctx.Proc
+		if err := ft.CreateBoard(p, lay); err != nil {
+			return err
+		}
+		switch lay.RoleOf(p.Rank()) {
+		case ft.RoleDetector:
+			_, _, err := ft.NewDetector(p, lay, ftcfg, recs[p.Rank()]).Run()
+			return err
+		case ft.RoleSpare:
+			_, _, _, err := ft.WaitActivation(p, lay, ftcfg)
+			if errors.Is(err, ft.ErrUnrecoverable) {
+				return nil
+			}
+			return err
+		default:
+			w := ft.NewWorker(p, lay, ftcfg, int(p.Rank())-1-lay.Spares, true, recs[p.Rank()])
+			for {
+				err := w.CheckFailure()
+				var fde *ft.FailureDetectedError
+				if errors.As(err, &fde) {
+					ackCh <- time.Now()
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+				if v, _ := p.NotifyPeek(ft.SegBoard, ft.NotifShutdown); v != 0 {
+					return nil
+				}
+				time.Sleep(ftcfg.CommTimeout / 10)
+			}
+		}
+	})
+	defer cl.Shutdown()
+
+	time.Sleep(settle)
+	victims := pick()
+	injected := time.Now()
+	for _, v := range victims {
+		cl.KillProc(v)
+	}
+	want := lay.Workers() - len(victims) // the victims never acknowledge
+	var last time.Time
+	deadline := time.After(time.Minute)
+	for i := 0; i < want; i++ {
+		select {
+		case ts := <-ackCh:
+			if ts.After(last) {
+				last = ts
+			}
+		case <-deadline:
+			return 0, nil, fmt.Errorf("only %d/%d acknowledgments", i, want)
+		}
+	}
+	return last.Sub(injected), recs[0], nil
 }
 
 // Render formats the table in both measured and model time, mirroring the

@@ -59,7 +59,7 @@ type Config struct {
 	// min(GOMAXPROCS, N): one shard per core the runtime will actually
 	// schedule, so at most that many time-keeper spinners exist at once.
 	// Shards = N reproduces the historical one-pump-per-rank layout (the
-	// bench-scale baseline arm).
+	// scale sweep's baseline arm).
 	Shards int
 }
 

@@ -36,7 +36,7 @@ import (
 // products, norms, agreement vectors of one element per member at most).
 // The chunk window, the same layout with collChunkElems elements per
 // sub-slot, is appended to the segment by the group's first allreduce of a
-// longer vector (collWindow) — bench-scale's 64-element sweep on 4 and 16
+// longer vector (collWindow) — the scale sweep's 64-element allreduce on 4 and 16
 // ranks is the one in this tree: a group that only ever reduces short
 // vectors never allocates, zeroes or carries it, and a group recommit on
 // the recovery path costs kilobytes.
@@ -177,10 +177,10 @@ func (f *collFast) tier(vecLen int) (t collTier, windowed bool) {
 
 // collView is the typed view of a collective segment's memory.
 //
-// No host byte-order check is needed here, unlike SegmentFloat64s: all
-// ranks share one address space and this segment is only ever written and
-// read through the same native []float64/[]int64 view (the fabric copies
-// the staged bytes verbatim), so the layout is endian-clean.
+// No host byte-order check is needed: all ranks share one address space
+// and this segment is only ever written and read through the same native
+// []float64/[]int64 view (the fabric copies the staged bytes verbatim), so
+// the layout is endian-clean.
 //
 //ftlint:hotpath
 func collView[T int64 | float64](s *segment) []T {
@@ -299,7 +299,7 @@ const collProbeMaxInterval = 50 * time.Millisecond
 // discards it silently; a dead one's closed endpoint NACKs it, which marks
 // it corrupt and wakes this waiter. Constant-degree probing replaces the
 // old probe-everyone scheme, whose aggregate traffic grew quadratically
-// with group size and capped the bench-scale stream sweep: with a ring,
+// with group size and capped the scale mode's stream sweep: with a ring,
 // total probe load is O(members) per tick. A death anywhere still breaks
 // every waiter promptly — the dead member's ring predecessor discovers the
 // NACK and gossips it to the whole group (collCheckMembers → gossipDead),

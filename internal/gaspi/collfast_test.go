@@ -764,7 +764,7 @@ func TestCollDerivedSizesAt64(t *testing.T) {
 
 // TestCollWindowGrantsOnce: the rendezvous is paid by a group's first
 // windowed collective only. A 64-element vector on four members — one
-// chunk, longer than a resident sub-slot, bench-scale's allreduce sweep —
+// chunk, longer than a resident sub-slot, the scale mode's allreduce sweep —
 // costs 2(n-1) grants the first time and not one notification after that:
 // a job that repeats it twenty more times posts as many as a job that
 // stops after the first.

@@ -174,7 +174,7 @@ func TestWriteFromBufferReuseAfterFlush(t *testing.T) {
 }
 
 // TestSegmentFloat64sView checks the typed view aliases the segment
-// memory and agrees with the little-endian byte protocol.
+// memory: its values are the segment's bytes in host byte order.
 func TestSegmentFloat64sView(t *testing.T) {
 	const seg = SegmentID(1)
 	runJob(t, fastTestCfg(1), func(p *Proc) error {
@@ -193,10 +193,10 @@ func TestSegmentFloat64sView(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if got := math.Float64frombits(binary.LittleEndian.Uint64(raw)); got != 42.5 {
+		if got := math.Float64frombits(binary.NativeEndian.Uint64(raw)); got != 42.5 {
 			return fmt.Errorf("byte view sees %v, want 42.5", got)
 		}
-		if err := p.SegmentCopyIn(seg, 16, binary.LittleEndian.AppendUint64(nil, math.Float64bits(-1.25))); err != nil {
+		if err := p.SegmentCopyIn(seg, 16, binary.NativeEndian.AppendUint64(nil, math.Float64bits(-1.25))); err != nil {
 			return err
 		}
 		if view[2] != -1.25 {

@@ -113,29 +113,18 @@ func (p *Proc) SegmentData(id SegmentID) ([]byte, error) {
 	return s.backAll(), nil
 }
 
-// hostLittleEndian reports whether this host stores multi-byte values
-// little-endian. The float64 segment view is only offered on little-endian
-// hosts, where the raw in-memory representation coincides with the
-// little-endian wire format the byte-marshalling paths use — so typed-view
-// producers and byte-path consumers (and vice versa) always agree.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
 // SegmentFloat64s returns the local segment memory as a []float64 view
 // sharing the segment's storage (no copy) — the typed window onto
 // registered memory a real GASPI application gets from gaspi_segment_ptr.
 // The view covers the longest 8-byte-aligned prefix of the segment. The
 // same synchronization rules as SegmentData apply: reads of remotely
 // written regions are safe only after observing the covering notification.
-// Returns ErrInvalid on big-endian hosts (where the view's layout would
-// disagree with the little-endian byte protocol).
+// The view is in host byte order: all ranks share one address space, and
+// every writer and reader of a float64 segment uses this same native view
+// (the fabric copies the bytes verbatim), so the layout is endian-clean on
+// any host — the argument collView makes for the collective segments.
 func (p *Proc) SegmentFloat64s(id SegmentID) ([]float64, error) {
 	p.checkAlive()
-	if !hostLittleEndian {
-		return nil, fmt.Errorf("%w: float64 segment view requires a little-endian host", ErrInvalid)
-	}
 	s, err := p.segLookup(id)
 	if err != nil {
 		return nil, err

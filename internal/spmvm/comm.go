@@ -58,12 +58,17 @@ type Comm interface {
 	AllreduceI64(in []int64, op gaspi.ReduceOp) ([]int64, error)
 	// Barrier synchronizes all workers.
 	Barrier() error
+
+	// The zero-copy halo post and the allocation-free allreduce: every
+	// implementation offers both, so the engine and the reductions each
+	// have one path.
+	FastComm
+	CollInto
 }
 
-// CollInto is the optional allocation-free collective extension of Comm:
-// an allreduce writing its result into a caller-provided vector, backed by
-// the registered-segment collective fast path. Implementations that can
-// offer it (Direct, ft.Worker) do; Dot and Norm2 use it when present.
+// CollInto is the allocation-free collective half of Comm: an allreduce
+// writing its result into a caller-provided vector, backed by the
+// registered-segment collective fast path. Dot and Norm2 use it.
 type CollInto interface {
 	AllreduceF64Into(in, out []float64, op gaspi.ReduceOp) error
 }
@@ -84,11 +89,7 @@ type Direct struct {
 	Timeout time.Duration
 }
 
-var (
-	_ Comm     = (*Direct)(nil)
-	_ FastComm = (*Direct)(nil)
-	_ CollInto = (*Direct)(nil)
-)
+var _ Comm = (*Direct)(nil)
 
 func (d *Direct) timeout() time.Duration {
 	if d.Timeout == 0 {

@@ -1,7 +1,6 @@
 package spmvm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -16,13 +15,11 @@ import (
 // HaloQueue is the GASPI queue used for halo-exchange writes.
 const HaloQueue gaspi.QueueID = 1
 
-// FastComm is the optional zero-copy extension of Comm: a WriteNotify
-// whose payload is not copied at post time but read once, at delivery
-// time, directly into the destination segment (gaspi_write_notify's real
-// registered-buffer semantics). The caller must keep the buffer unmodified
-// until the queue flush completes. Comm implementations that can offer the
-// contract (Direct, ft.Worker) do; the engine falls back to the copying
-// byte path otherwise.
+// FastComm is the zero-copy half of Comm: a WriteNotify whose payload is
+// not copied at post time but read once, at delivery time, directly into
+// the destination segment (gaspi_write_notify's real registered-buffer
+// semantics). The caller must keep the buffer unmodified until the queue
+// flush completes. The engine posts every halo through it.
 type FastComm interface {
 	WriteNotifyFrom(to int, seg gaspi.SegmentID, off int64, data []byte, id gaspi.NotificationID, val int64, q gaspi.QueueID) error
 }
@@ -213,17 +210,12 @@ type Engine struct {
 	// the first SpMV; the worker pool is sized from it on first use.
 	Threads int
 
-	// Rec, when set, receives the engine's fast-path/fallback counters
-	// (spmvm.fastpath_iters / spmvm.fallback_iters).
+	// Rec, when set, counts the engine's iterations
+	// (spmvm.fastpath_iters).
 	Rec *trace.Recorder
 
 	segBytes []byte    // raw registered segment memory
-	segF     []float64 // float64 view of segBytes; nil → byte fallback path
-	fc       FastComm  // non-nil iff segF != nil
-
-	// fallback-path caches (alloc-free even without the zero-copy path)
-	sendBuf []byte
-	halo    []float64
+	segF     []float64 // float64 view of segBytes
 
 	// collectHalo bookkeeping: producer rank → generation of the last
 	// accepted notification. Bumping gen replaces the per-call reset loop.
@@ -276,27 +268,17 @@ func (s *Split) Bind(c Comm, seg gaspi.SegmentID) (*Engine, error) {
 		return nil, fmt.Errorf("spmvm: halo segment barrier: %w", err)
 	}
 	raw, err := c.Proc().SegmentData(seg)
+	if err == nil {
+		e.segF, err = c.Proc().SegmentFloat64s(seg)
+	}
 	if err != nil {
 		_ = c.Proc().SegmentDelete(seg)
 		return nil, err
 	}
 	e.segBytes = raw
-	if fc, ok := c.(FastComm); ok {
-		if f64, err := c.Proc().SegmentFloat64s(seg); err == nil {
-			e.fc = fc
-			e.segF = f64
-		}
-	}
-	if e.segF == nil {
-		e.halo = make([]float64, s.haloN)
-	}
 	e.recvGen = make([]int64, workers)
 	return e, nil
 }
-
-// FastPath reports whether the zero-copy registered-segment path is
-// active (the Comm supports it and the host offers the float64 view).
-func (e *Engine) FastPath() bool { return e.segF != nil }
 
 // Close releases the engine's persistent worker pool. Safe to call more
 // than once; the engine must not be used afterwards. Callers that rebuild
@@ -335,44 +317,22 @@ func (e *Engine) SpMV(x, y []float64, it int64) error {
 	// The consumers' ranks stripe across the fabric's delivery shards, and
 	// the back-to-back posts of this loop ride the lock-free intake rings
 	// with at most one doorbell wakeup per parked shard — not one channel
-	// send per partner.
-	if e.segF != nil {
-		// Zero-copy: gather straight into the registered send staging
-		// region and post it borrowed — the fabric copies it exactly
-		// once, into the consumer's halo region, at delivery time. The
-		// staging region is reusable at the next iteration because step 3
-		// flushes the queue.
-		for i := range e.plan.SendTo {
-			sp := &e.plan.SendTo[i]
-			base := e.sendOff[i]
-			dst := e.segF[base : base+int64(len(sp.LocalIdx))]
-			for k, li := range sp.LocalIdx {
-				dst[k] = x[li]
-			}
-			buf := e.segBytes[8*base : 8*base+8*int64(len(sp.LocalIdx))]
-			off := 8 * (int64(parity)*sp.DstStride + sp.DstOff)
-			if err := e.fc.WriteNotifyFrom(sp.To, e.seg, off, buf, notifID, val, HaloQueue); err != nil {
-				return err
-			}
+	// send per partner. Zero-copy: gather straight into the registered
+	// send staging region and post it borrowed — the fabric copies it
+	// exactly once, into the consumer's halo region, at delivery time. The
+	// staging region is reusable at the next iteration because step 3
+	// flushes the queue.
+	for i := range e.plan.SendTo {
+		sp := &e.plan.SendTo[i]
+		base := e.sendOff[i]
+		dst := e.segF[base : base+int64(len(sp.LocalIdx))]
+		for k, li := range sp.LocalIdx {
+			dst[k] = x[li]
 		}
-	} else {
-		// Byte fallback: marshal into the cached send buffer (grown once)
-		// and post through the copying WriteNotify. Same offsets and
-		// notification slots, so fast and fallback ranks interoperate.
-		for i := range e.plan.SendTo {
-			sp := &e.plan.SendTo[i]
-			need := 8 * len(sp.LocalIdx)
-			if cap(e.sendBuf) < need {
-				e.sendBuf = make([]byte, need) //ftlint:ignore hotpath: amortized growth, reused across iterations
-			}
-			buf := e.sendBuf[:need]
-			for k, li := range sp.LocalIdx {
-				binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(x[li]))
-			}
-			off := 8 * (int64(parity)*sp.DstStride + sp.DstOff)
-			if err := e.comm.WriteNotify(sp.To, e.seg, off, buf, notifID, val, HaloQueue); err != nil {
-				return err
-			}
+		buf := e.segBytes[8*base : 8*base+8*int64(len(sp.LocalIdx))]
+		off := 8 * (int64(parity)*sp.DstStride + sp.DstOff)
+		if err := e.comm.WriteNotifyFrom(sp.To, e.seg, off, buf, notifID, val, HaloQueue); err != nil {
+			return err
 		}
 	}
 
@@ -396,16 +356,16 @@ func (e *Engine) SpMV(x, y []float64, it int64) error {
 		return err
 	}
 
-	// 4. Remote part straight from this parity's halo region.
+	// 4. Remote part straight from this parity's halo region: a view of
+	// the registered segment, no copy and no decode — the producers' writes
+	// are already the in-memory representation, and the notification
+	// protocol guarantees they happened before.
 	if len(e.plan.RecvFrom) > 0 {
-		e.mul(&e.remote, e.haloVec(parity), y, true)
+		base := parity * e.haloN
+		e.mul(&e.remote, e.segF[base:base+e.haloN], y, true)
 	}
 	if e.Rec != nil {
-		if e.segF != nil {
-			e.Rec.Inc(trace.KSpMVMFastpathIters, 1)
-		} else {
-			e.Rec.Inc(trace.KSpMVMFallbackIters, 1)
-		}
+		e.Rec.Inc(trace.KSpMVMFastpathIters, 1)
 	}
 	return nil
 }
@@ -464,25 +424,6 @@ func (e *Engine) collectHalo(parity int, want int64) error {
 		}
 	}
 	return nil
-}
-
-// haloVec returns this parity's halo values. On the fast path it is a view
-// of the registered segment (no copy, no decode: the producers' writes are
-// already the in-memory representation); the fallback decodes into the
-// cached buffer. The notification protocol guarantees the producers'
-// writes happened before.
-//
-//ftlint:hotpath
-func (e *Engine) haloVec(parity int) []float64 {
-	n := e.haloN
-	base := parity * n
-	if e.segF != nil {
-		return e.segF[base : base+n]
-	}
-	for i := 0; i < n; i++ {
-		e.halo[i] = math.Float64frombits(binary.LittleEndian.Uint64(e.segBytes[8*(base+i):]))
-	}
-	return e.halo
 }
 
 // mul computes y = S·x (add=false) or y += S·x (add=true), sharded across
@@ -567,7 +508,7 @@ func mulRange(s *splitCSR, x, y []float64, add bool, lo, hi int) {
 
 // DotScratch holds the reusable single-element reduction buffers of the
 // scalar collectives. Slicing its (heap-resident) arrays through the
-// CollInto interface call allocates nothing, so a caller holding one —
+// Comm's AllreduceF64Into allocates nothing, so a caller holding one —
 // the Lanczos solver keeps one per instance — runs its per-iteration dot
 // products and norms allocation-free end to end on the fast path.
 type DotScratch struct {
@@ -588,27 +529,18 @@ func (d *DotScratch) Dot(c Comm, a, b []float64) (float64, error) {
 }
 
 // Sum is the reduction half of Dot: the global sum of every rank's local
-// partial, via an Allreduce, taking the Into form of the collective when
-// the Comm offers it (the registered-segment fast path runs the
-// single-element reduction without encode/decode). A caller that computes
-// its partial inside another loop — the Lanczos update and its norm — saves
-// the pass over the vector Dot would make.
+// partial, via the Into form of the allreduce (the registered-segment fast
+// path runs the single-element reduction without encode/decode). A caller
+// that computes its partial inside another loop — the Lanczos update and
+// its norm — saves the pass over the vector Dot would make.
 //
 //ftlint:hotpath
 func (d *DotScratch) Sum(c Comm, local float64) (float64, error) {
-	if ci, ok := c.(CollInto); ok {
-		d.in[0] = local
-		if err := ci.AllreduceF64Into(d.in[:], d.out[:], gaspi.OpSum); err != nil {
-			return 0, err
-		}
-		return d.out[0], nil
-	}
-	//ftlint:ignore hotpath: plain-Comm fallback; the CollInto branch above is the fast path
-	out, err := c.AllreduceF64([]float64{local}, gaspi.OpSum)
-	if err != nil {
+	d.in[0] = local
+	if err := c.AllreduceF64Into(d.in[:], d.out[:], gaspi.OpSum); err != nil {
 		return 0, err
 	}
-	return out[0], nil
+	return d.out[0], nil
 }
 
 // Norm2 computes the global 2-norm of the owned chunk.

@@ -9,30 +9,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// TestSpMVFastPathActive asserts that an engine over a Direct comm takes
-// the zero-copy registered-segment path (Direct implements FastComm and
-// the hosts we run on are little-endian).
-func TestSpMVFastPathActive(t *testing.T) {
-	gen := matrix.Laplacian1D{N: 16}
-	runWorkers(t, 2, func(c Comm) error {
-		lo, hi := matrix.BlockRange(gen.Dim(), 2, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
-		if err != nil {
-			return err
-		}
-		eng, err := NewEngine(c, plan, csr, 7)
-		if err != nil {
-			return err
-		}
-		defer eng.Close()
-		if !eng.FastPath() {
-			return fmt.Errorf("fast path inactive on Direct comm")
-		}
-		return c.Barrier()
-	})
-}
-
 // TestSpMVBackToBackNoBarrier drives iterations with no inter-iteration
 // collective at all: the parity-alternated halo regions must keep
 // producers from clobbering values a consumer has not yet read. The

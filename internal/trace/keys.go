@@ -97,7 +97,8 @@ const (
 	KProberPings       = "prober.pings"
 	KStandbyPromotions = "standby.promotions"
 
-	// spMVM engine path selection.
+	// spMVM engine iterations. The engine has one halo path, the zero-copy
+	// one; the fallback key stays for readers of old traces and reads 0.
 	KSpMVMFastpathIters = "spmvm.fastpath_iters"
 	KSpMVMFallbackIters = "spmvm.fallback_iters"
 
