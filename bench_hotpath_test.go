@@ -41,12 +41,12 @@ func benchSpMVJob(b *testing.B, threads, workers, shards int) {
 	}, func(p *gaspi.Proc) error {
 		c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
 		lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := spmvm.Preprocess(c, csr)
+		blk := spmvm.Generate(gen, lo, hi)
+		plan, err := spmvm.Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
-		eng, err := spmvm.NewEngine(c, plan, csr, 7)
+		eng, err := spmvm.NewEngine(c, plan, blk, 7)
 		if err != nil {
 			return err
 		}
@@ -411,13 +411,11 @@ func BenchmarkCPStreamEndpoint(b *testing.B) {
 }
 
 // BenchmarkRescueLoad is what an unshadowed rescue computes for the rank it
-// adopts, beside its recovery: decode the plan checkpoint, regenerate the
-// row block, cut it against the plan — for the kill workloads' block, 8192
-// rows of the 128x128-cell graphene sheet, logical 1 of 4. NewSplit runs the same layout and cut as the loader's
-// NewPendingSplit + Cut, less the two small allocations of the pending state,
-// so B/op is comparable with Build + NewSplit at any earlier commit. ms/op,
-// B/op and allocs/op are the numbers an exact sizing of the cut (ROADMAP 2a)
-// diffs.
+// adopts, beside its recovery, in the loader's order: decode the plan
+// checkpoint, lay the halo out from it (NewPendingSplit), generate the row
+// block straight into its parts and cut it (Cut(Generate(...))) — for the
+// kill workloads' block, 8192 rows of the 128x128-cell graphene sheet,
+// logical 1 of 4. CI gates its B/op and allocs/op.
 func BenchmarkRescueLoad(b *testing.B) {
 	const workers, logical = 4, 1
 	gen := matrix.DefaultGraphene(128, 128, 7)
@@ -429,7 +427,7 @@ func BenchmarkRescueLoad(b *testing.B) {
 	}, func(p *gaspi.Proc) error {
 		c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
 		l, h := matrix.BlockRange(gen.Dim(), workers, c.Logical())
-		plan, err := spmvm.Preprocess(c, matrix.Build(gen, l, h))
+		plan, err := spmvm.Preprocess(c, spmvm.Generate(gen, l, h))
 		if err == nil && c.Logical() == logical {
 			blob = plan.Encode()
 		}
@@ -442,7 +440,7 @@ func BenchmarkRescueLoad(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := spmvm.NewSplit(plan, matrix.Build(gen, lo, hi)); err != nil {
+		if err := spmvm.NewPendingSplit(plan).Cut(spmvm.Generate(gen, lo, hi)); err != nil {
 			b.Fatal(err)
 		}
 	}

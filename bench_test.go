@@ -294,12 +294,12 @@ func BenchmarkSpMVHaloExchange(b *testing.B) {
 			benchJob(b, workers, func(p *gaspi.Proc) error {
 				c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
 				lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
-				csr := matrix.Build(gen, lo, hi)
-				plan, err := spmvm.Preprocess(c, csr)
+				blk := spmvm.Generate(gen, lo, hi)
+				plan, err := spmvm.Preprocess(c, blk)
 				if err != nil {
 					return err
 				}
-				eng, err := spmvm.NewEngine(c, plan, csr, 7)
+				eng, err := spmvm.NewEngine(c, plan, blk, 7)
 				if err != nil {
 					return err
 				}

@@ -197,7 +197,7 @@ func TestLanczosAppStepDelayApplied(t *testing.T) {
 
 // TestRescueInitValidatesPlanIdentity: the plan blob a rescue adopts comes
 // off a store and is checked against the identity being adopted before its
-// row range reaches matrix.Build. Logical 2's plan under logical 1's key
+// row range reaches the generator. Logical 2's plan under logical 1's key
 // used to be taken as is (logical 1 then computed on logical 2's rows), and
 // a row range beyond the matrix panicked the rescue.
 func TestRescueInitValidatesPlanIdentity(t *testing.T) {

@@ -34,15 +34,14 @@ type rowBlock struct {
 	loadErr error
 }
 
-// Init implements core.App. On a fresh start it builds the local matrix
+// Init implements core.App. On a fresh start it generates the local matrix
 // block and runs the pre-processing stage, then checkpoints the resulting
 // communication plan once ("each process writes a checkpoint after the
 // pre-processing stage"). On a rescue (restore=true) it adopts the block a
 // Prewarm already loaded for this rank, or starts loading it now: the plan
 // from the failed process's checkpoint — resuming communication without
 // repeating pre-processing — and the matrix block regenerated locally,
-// behind the recovery this rank then joins without waiting for it. The
-// global-index block is dropped once it is split: nothing reads it again.
+// behind the recovery this rank then joins without waiting for it.
 func (b *rowBlock) Init(ctx *core.Ctx, restore bool) error {
 	if restore {
 		if b.split != nil && b.split.Plan().Logical == ctx.Logical {
@@ -51,12 +50,12 @@ func (b *rowBlock) Init(ctx *core.Ctx, restore bool) error {
 		return b.load(ctx, ctx.Logical)
 	}
 	lo, hi := matrix.BlockRange(b.gen.Dim(), ctx.Comm.NumWorkers(), ctx.Logical)
-	csr := matrix.Build(b.gen, lo, hi)
-	plan, err := spmvm.Preprocess(ctx.Comm, csr)
+	blk := spmvm.Generate(b.gen, lo, hi)
+	plan, err := spmvm.Preprocess(ctx.Comm, blk)
 	if err != nil {
 		return err
 	}
-	if b.split, err = spmvm.NewSplit(plan, csr); err != nil {
+	if b.split, err = spmvm.NewSplit(plan, blk); err != nil {
 		return err
 	}
 	if ctx.CP != nil {
@@ -74,8 +73,8 @@ func (b *rowBlock) Init(ctx *core.Ctx, restore bool) error {
 // load is the one rescue loader: it makes this process hold logical's plan
 // and split without communicating. Its head is synchronous — fetch, decode
 // and validate the plan, lay the halo segment out from it — and leaves
-// everything Rebuild and Restore read. The matrix half,
-// matrix.Build and the cut, runs on a goroutine the block owns: Prewarm,
+// everything Rebuild and Restore read. The matrix half, generating the
+// block and cutting it, runs on a goroutine the block owns: Prewarm,
 // the next load and Close wait for it to exit, and the first multiply for
 // its cut (spmvm.Engine.SpMV); nothing earlier on a rescue's path does.
 // A block held for another rank is dropped first.
@@ -99,7 +98,7 @@ func (b *rowBlock) load(ctx *core.Ctx, logical int) error {
 	}
 	// The blob comes off a store: it must be the plan of the identity being
 	// adopted, over the block distribution this job uses, before its row
-	// range reaches matrix.Build (which panics on a bad one).
+	// range reaches the generator (which panics on a bad one).
 	workers := ctx.Layout.Workers()
 	lo, hi := matrix.BlockRange(b.gen.Dim(), workers, logical)
 	if plan.Logical != logical || plan.Workers != workers || plan.Lo != lo || plan.Hi != hi {
@@ -113,11 +112,8 @@ func (b *rowBlock) load(ctx *core.Ctx, logical int) error {
 	go func() {
 		defer b.loading.Done()
 		t0 := time.Now()
-		csr := matrix.Build(b.gen, lo, hi)
-		t1 := time.Now()
-		b.loadErr = split.Cut(csr)
-		rec.Inc(trace.KAppsBlockBuildNS, int64(t1.Sub(t0)))
-		rec.Inc(trace.KAppsBlockCutNS, int64(time.Since(t1)))
+		b.loadErr = split.Cut(spmvm.Generate(b.gen, lo, hi))
+		rec.Inc(trace.KAppsBlockBuildNS, int64(time.Since(t0)))
 		rec.Inc(trace.KAppsBlockLoads, 1)
 	}()
 	return nil

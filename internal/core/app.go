@@ -13,6 +13,8 @@
 package core
 
 import (
+	"runtime/metrics"
+
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/ft"
@@ -112,6 +114,10 @@ type Ctx struct {
 	Rec *trace.Recorder
 	// Cfg is the framework configuration.
 	Cfg Config
+
+	// gcCycles is recoverAndReload's runtime/metrics sample, kept so that
+	// reading it allocates nothing.
+	gcCycles [1]metrics.Sample
 }
 
 // Config parameterizes the framework.

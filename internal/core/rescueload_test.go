@@ -122,10 +122,7 @@ func TestRescueLoadOverlapsRecovery(t *testing.T) {
 		t.Error("the rescue's first multiply did not wait for the held load")
 	}
 	if job.Recorders[rescue].Counter(trace.KAppsBlockBuildNS) <= 0 {
-		t.Error("the load's matrix.Build time was not counted")
-	}
-	if job.Recorders[rescue].Counter(trace.KAppsBlockCutNS) <= 0 {
-		t.Error("the load's cut time was not counted")
+		t.Error("the load's generate-and-cut time was not counted")
 	}
 	if n := h.builds[1].Load(); n != 2 {
 		t.Errorf("logical 1's block was built %d times, want 2 (its first holder, the rescue)", n)

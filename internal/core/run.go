@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -540,11 +541,16 @@ type failoverState struct {
 // re-initialization from whichever rung supplied the state,
 // resume = the machine's epoch completion, total = everything from the
 // acknowledged notice to the worker re-entering the loop) — the per-phase
-// time-to-recover breakdown the recovery benchmark trajectory tracks.
-// Fault detection itself (OHF1) is recorded upstream as
-// ft.phase.detect_ns the moment the acknowledgment arrives.
+// time-to-recover breakdown the recovery benchmark trajectory tracks — and
+// the GC cycles that completed meanwhile (core.ttr.gc_cycles). Fault
+// detection itself (OHF1) is recorded upstream as ft.phase.detect_ns the
+// moment the acknowledgment arrives.
 func recoverAndReload(ctx *Ctx, app App, n *ft.Notice, fo *failoverState) (int64, error) {
 	w := ctx.Worker
+	gc := ctx.gcCycles[:]
+	gc[0].Name = "/gc/cycles/total:gc-cycles"
+	metrics.Read(gc)
+	gcBefore := gc[0].Value.Uint64()
 	start := time.Now()
 	t0 := start
 	for {
@@ -560,6 +566,8 @@ func recoverAndReload(ctx *Ctx, app App, n *ft.Notice, fo *failoverState) (int64
 			err = w.Machine().Resume()
 			ctx.Rec.Inc(trace.KCoreTTRResumeNS, int64(time.Since(t2)))
 			ctx.Rec.Inc(trace.KCoreTTRTotalNS, int64(time.Since(start)))
+			metrics.Read(gc)
+			ctx.Rec.Inc(trace.KCoreTTRGCCycles, int64(gc[0].Value.Uint64()-gcBefore))
 			return it, err
 		}
 		var fde *ft.FailureDetectedError

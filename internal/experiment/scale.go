@@ -286,12 +286,12 @@ func runScaleSpMV(c ScaleConfig, ranks, shards, iters int) (time.Duration, error
 	job := gaspi.Launch(scaleGaspiCfg(ranks, shards, c.Seed), func(p *gaspi.Proc) error {
 		comm := &spmvm.Direct{P: p, Base: 0, Workers: ranks, Group: gaspi.GroupAll}
 		lo, hi := matrix.BlockRange(gen.Dim(), ranks, comm.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := spmvm.Preprocess(comm, csr)
+		blk := spmvm.Generate(gen, lo, hi)
+		plan, err := spmvm.Preprocess(comm, blk)
 		if err != nil {
 			return err
 		}
-		eng, err := spmvm.NewEngine(comm, plan, csr, 7)
+		eng, err := spmvm.NewEngine(comm, plan, blk, 7)
 		if err != nil {
 			return err
 		}

@@ -177,12 +177,12 @@ func runSolver(t *testing.T, gen matrix.Generator, workers int, opts Options) []
 	}, func(p *gaspi.Proc) error {
 		c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
 		lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := spmvm.Preprocess(c, csr)
+		blk := spmvm.Generate(gen, lo, hi)
+		plan, err := spmvm.Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
-		eng, err := spmvm.NewEngine(c, plan, csr, 7)
+		eng, err := spmvm.NewEngine(c, plan, blk, 7)
 		if err != nil {
 			return err
 		}
@@ -260,12 +260,12 @@ func TestLanczosConvergenceCriterion(t *testing.T) {
 		func(p *gaspi.Proc) error {
 			c := &spmvm.Direct{P: p, Base: 0, Workers: 2, Group: gaspi.GroupAll}
 			lo, hi := matrix.BlockRange(gen.Dim(), 2, c.Logical())
-			csr := matrix.Build(gen, lo, hi)
-			plan, err := spmvm.Preprocess(c, csr)
+			blk := spmvm.Generate(gen, lo, hi)
+			plan, err := spmvm.Preprocess(c, blk)
 			if err != nil {
 				return err
 			}
-			eng, err := spmvm.NewEngine(c, plan, csr, 7)
+			eng, err := spmvm.NewEngine(c, plan, blk, 7)
 			if err != nil {
 				return err
 			}
@@ -320,12 +320,12 @@ func TestCheckpointRestoreBitwiseIdentical(t *testing.T) {
 			func(p *gaspi.Proc) error {
 				c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
 				lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
-				csr := matrix.Build(gen, lo, hi)
-				plan, err := spmvm.Preprocess(c, csr)
+				blk := spmvm.Generate(gen, lo, hi)
+				plan, err := spmvm.Preprocess(c, blk)
 				if err != nil {
 					return err
 				}
-				eng, err := spmvm.NewEngine(c, plan, csr, 7)
+				eng, err := spmvm.NewEngine(c, plan, blk, 7)
 				if err != nil {
 					return err
 				}
@@ -410,12 +410,12 @@ func inSolverJob(tb testing.TB, gen matrix.Generator, workers int, opts Options,
 		func(p *gaspi.Proc) error {
 			c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
 			lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
-			csr := matrix.Build(gen, lo, hi)
-			plan, err := spmvm.Preprocess(c, csr)
+			blk := spmvm.Generate(gen, lo, hi)
+			plan, err := spmvm.Preprocess(c, blk)
 			if err != nil {
 				return err
 			}
-			eng, err := spmvm.NewEngine(c, plan, csr, 7)
+			eng, err := spmvm.NewEngine(c, plan, blk, 7)
 			if err != nil {
 				return err
 			}

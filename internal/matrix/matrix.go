@@ -48,37 +48,45 @@ func (c *CSR) LocalRows() int { return len(c.RowPtr) - 1 }
 // NNZ returns the number of stored entries.
 func (c *CSR) NNZ() int64 { return c.RowPtr[len(c.RowPtr)-1] }
 
-// Build materializes rows [lo, hi) of gen as a CSR block. Col and Val are
-// sized once, from the first row: the generators' rows are all about as
-// long as each other, and a rescue rebuilds its block on the recovery
-// path, where growing two multi-megabyte slices by doubling would cost
-// more than generating the rows. A block with longer rows further down
-// still grows by append. Each row is sorted by column; a graphene interior
-// row arrives in column order, so there the sort only confirms it, and a
-// build costs generating the rows and filling those two slices — the
-// smaller part of a rescue's row-block load (apps.block.build_ns against
-// apps.block.cut_ns).
-func Build(gen Generator, lo, hi int64) *CSR {
+// EachRow generates rows [lo, hi) of gen in order and hands each to emit
+// with its index in the block, sorted by column: the one row loop behind
+// Build and the spMVM engine's row blocks (spmvm.Generate). cols and vals
+// are scratch the next row overwrites, allocated once for any row the
+// insertion sort takes. A graphene interior row arrives in column order, so
+// there the sort only confirms it.
+func EachRow(gen Generator, lo, hi int64, emit func(r int, cols []int64, vals []float64)) {
 	if lo < 0 || hi < lo || hi > gen.Dim() {
 		panic(fmt.Sprintf("matrix: invalid row range [%d,%d) of %d", lo, hi, gen.Dim()))
 	}
-	c := &CSR{
-		GlobalDim: gen.Dim(),
-		RowOffset: lo,
-		RowPtr:    make([]int64, 1, hi-lo+1),
-	}
-	var cols []int64
-	var vals []float64
+	cols, vals := make([]int64, 0, insertionSortMax), make([]float64, 0, insertionSortMax)
 	for i := lo; i < hi; i++ {
 		cols, vals = gen.Row(i, cols[:0], vals[:0])
 		sortRow(cols, vals)
-		if i == lo {
-			n := len(cols) * int(hi-lo)
+		emit(int(i-lo), cols, vals)
+	}
+}
+
+// Build materializes rows [lo, hi) of gen as a CSR block: the serial
+// reference's form, and the tests'. The spMVM engine generates its blocks
+// with spmvm.Generate instead, straight into the parts it keeps. Col and
+// Val are sized once, from the first row (the generators' rows are all
+// about as long as each other); a block with longer rows further down
+// still grows by append.
+func Build(gen Generator, lo, hi int64) *CSR {
+	c := &CSR{GlobalDim: gen.Dim(), RowOffset: lo}
+	EachRow(gen, lo, hi, func(r int, cols []int64, vals []float64) {
+		if r == 0 {
+			rows := int(hi - lo)
+			n := len(cols) * rows
+			c.RowPtr = make([]int64, 1, rows+1)
 			c.Col, c.Val = make([]int64, 0, n), make([]float64, 0, n)
 		}
 		c.Col = append(c.Col, cols...)
 		c.Val = append(c.Val, vals...)
 		c.RowPtr = append(c.RowPtr, int64(len(c.Col)))
+	})
+	if c.RowPtr == nil { // no rows
+		c.RowPtr = []int64{0}
 	}
 	return c
 }
@@ -171,19 +179,12 @@ func BlockRange(dim int64, nparts, part int) (lo, hi int64) {
 	}
 	base := dim / int64(nparts)
 	rem := dim % int64(nparts)
-	lo = int64(part)*base + min64(int64(part), rem)
+	lo = int64(part)*base + min(int64(part), rem)
 	hi = lo + base
 	if int64(part) < rem {
 		hi++
 	}
 	return lo, hi
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // insertionSortMax is the longest row sortRow sorts by insertion. The

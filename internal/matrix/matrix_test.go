@@ -505,8 +505,8 @@ func TestBuildBitIdenticalToSortReference(t *testing.T) {
 
 // BenchmarkMatrixBuild builds the kill workloads' row block: 8192 rows of
 // the 128x128-cell graphene sheet, one worker's quarter. CI gates its
-// allocs/op and B/op and prints its ms/op — a rescue pays this build on the
-// recovery path.
+// allocs/op and B/op and prints its ms/op. Its row loop (EachRow) is also
+// the one a rescue runs to regenerate its block (spmvm.Generate).
 func BenchmarkMatrixBuild(b *testing.B) {
 	gen := DefaultGraphene(128, 128, 7)
 	lo, hi := BlockRange(gen.Dim(), 4, 1)

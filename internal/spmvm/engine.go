@@ -45,17 +45,18 @@ type mulTask struct {
 
 // Split is the failure-independent half of an engine, itself in two halves.
 // The layout of the halo segment is a function of the plan alone and is all
-// Bind needs; the matrix parts — the row block cut against the plan into a
-// local part (columns into the owned chunk) and a remote part (columns into
-// the halo buffer) — are first read by SpMV's multiply. NewSplit computes
-// both at once. NewPendingSplit computes the layout and leaves the parts to
-// a later Cut, on any goroutine, so a rescue can join its group, bind and
-// restore while its block is still being generated; an engine bound to such
-// a Split waits for the Cut in its first SpMV, after posting its halo. Once
-// cut a Split is immutable, so it outlives the global-index CSR it was cut
-// from and any number of Bind calls: a recovery re-binds the communication,
-// it does not cut the unchanged block again, and a hot shadow can hold its
-// primary's Split before it has a group to bind to.
+// Bind needs; the matrix parts — a local part (columns into the owned
+// chunk), generated in that form (Generate), and a remote part (columns
+// into the halo buffer), which the cut maps against the plan — are first
+// read by SpMV's multiply. NewSplit computes both at once. NewPendingSplit
+// computes the layout and leaves the parts to a later Cut, on any
+// goroutine, so a rescue can join its group, bind and restore while its
+// block is still being generated; an engine bound to such a Split waits for
+// the Cut in its first SpMV, after posting its halo. Once cut a Split is
+// immutable, so it outlives the Block it was cut from and any number of
+// Bind calls: a recovery re-binds the communication, it does not generate
+// the unchanged block again, and a hot shadow can hold its primary's Split
+// before it has a group to bind to.
 type Split struct {
 	plan *Plan
 
@@ -94,63 +95,76 @@ func layOut(plan *Plan) *Split {
 	return s
 }
 
-// cut is the matrix half of a Split. The plan must describe exactly the
-// rows of csr, and its halo every remote column csr references. A counting
-// pass sizes both parts first, so the fill allocates each slice once, at
-// its final length: the cut keeps everything it allocates.
-func (s *Split) cut(csr *matrix.CSR) error {
-	rows := csr.LocalRows()
-	lo, hi := s.plan.Lo, s.plan.Hi
-	if csr.RowOffset != lo || csr.RowOffset+int64(rows) != hi {
-		return fmt.Errorf("spmvm: plan rows [%d,%d) do not match matrix rows [%d,%d)",
-			lo, hi, csr.RowOffset, csr.RowOffset+int64(rows))
-	}
-	entries := csr.Col[csr.RowPtr[0]:csr.RowPtr[rows]]
-	nnz, nLocal := int64(len(entries)), int64(0)
-	for _, col := range entries {
-		if col >= lo && col < hi {
-			nLocal++
+// Block is a row block generated for the engine (Generate): its local
+// entries already in the form a Split keeps, its remote ones — a few
+// percent of a lattice block's — still under their global columns, which
+// Preprocess derives the halo from and a cut maps into it. Cutting a Block
+// does not modify it; the Split shares its local part and remote values.
+type Block struct {
+	dim, lo, hi int64
+	local       splitCSR
+	remotePtr   []int64 // per row, like splitCSR.rowPtr
+	remoteCol   []int64 // global columns
+	remoteVal   []float64
+}
+
+// Generate generates rows [lo, hi) of gen in one pass (matrix.EachRow)
+// straight into the parts the engine keeps. The local part holds
+// int32(col-lo) and the value, sized once from the first row like
+// matrix.Build; the remote entries start at a sixteenth of that and grow by
+// append past it.
+func Generate(gen matrix.Generator, lo, hi int64) *Block {
+	b := &Block{dim: gen.Dim(), lo: lo, hi: hi}
+	matrix.EachRow(gen, lo, hi, func(r int, cols []int64, vals []float64) {
+		if r == 0 {
+			rows := int(hi - lo)
+			n := len(cols) * rows
+			b.local = splitCSR{rowPtr: make([]int64, 1, rows+1), col: make([]int32, 0, n), val: make([]float64, 0, n)}
+			b.remotePtr = make([]int64, 1, rows+1)
+			b.remoteCol, b.remoteVal = make([]int64, 0, n/16), make([]float64, 0, n/16)
 		}
-	}
-	s.local = newSplitCSR(rows, nLocal)
-	s.remote = newSplitCSR(rows, nnz-nLocal)
-	nl, nr := int64(0), int64(0)
-	for r := 0; r < rows; r++ {
-		for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
-			col, val := csr.Col[k], csr.Val[k]
+		for k, col := range cols {
 			if col >= lo && col < hi {
-				s.local.col[nl] = int32(col - lo)
-				s.local.val[nl] = val
-				nl++
-				continue
+				b.local.col = append(b.local.col, int32(col-lo))
+				b.local.val = append(b.local.val, vals[k])
+			} else {
+				b.remoteCol = append(b.remoteCol, col)
+				b.remoteVal = append(b.remoteVal, vals[k])
 			}
-			slot, ok := slices.BinarySearch(s.plan.HaloCols, col)
-			if !ok {
-				return fmt.Errorf("spmvm: column %d missing from plan halo", col)
-			}
-			s.remote.col[nr] = int32(slot)
-			s.remote.val[nr] = val
-			nr++
 		}
-		s.local.rowPtr[r+1] = nl
-		s.remote.rowPtr[r+1] = nr
+		b.local.rowPtr = append(b.local.rowPtr, int64(len(b.local.col)))
+		b.remotePtr = append(b.remotePtr, int64(len(b.remoteCol)))
+	})
+	if b.remotePtr == nil { // no rows
+		b.local.rowPtr, b.remotePtr = []int64{0}, []int64{0}
 	}
-	return nil
+	return b
 }
 
-// newSplitCSR allocates a part of rows rows and nnz entries.
-func newSplitCSR(rows int, nnz int64) splitCSR {
-	return splitCSR{
-		rowPtr: make([]int64, rows+1),
-		col:    make([]int32, nnz),
-		val:    make([]float64, nnz),
+// parts cuts b against plan: the plan must describe exactly b's rows, and
+// its halo every remote column b references, which maps to its halo slot
+// by binary search.
+func (b *Block) parts(plan *Plan) (local, remote splitCSR, err error) {
+	if b.lo != plan.Lo || b.hi != plan.Hi {
+		return local, remote, fmt.Errorf("spmvm: plan rows [%d,%d) do not match matrix rows [%d,%d)",
+			plan.Lo, plan.Hi, b.lo, b.hi)
 	}
+	slots := make([]int32, len(b.remoteCol))
+	for k, col := range b.remoteCol {
+		slot, ok := slices.BinarySearch(plan.HaloCols, col)
+		if !ok {
+			return local, remote, fmt.Errorf("spmvm: column %d missing from plan halo", col)
+		}
+		slots[k] = int32(slot)
+	}
+	return b.local, splitCSR{rowPtr: b.remotePtr, col: slots, val: b.remoteVal}, nil
 }
 
-// NewSplit lays the halo segment out from plan and cuts csr against it.
-func NewSplit(plan *Plan, csr *matrix.CSR) (*Split, error) {
+// NewSplit lays the halo segment out from plan and cuts b against it.
+func NewSplit(plan *Plan, b *Block) (*Split, error) {
 	s := layOut(plan)
-	if err := s.cut(csr); err != nil {
+	var err error
+	if s.local, s.remote, err = b.parts(plan); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -164,10 +178,11 @@ func NewPendingSplit(plan *Plan) *Split {
 	return s
 }
 
-// Cut cuts csr into a pending Split's matrix parts and releases the engines
+// Cut cuts b into a pending Split's matrix parts and releases the engines
 // waiting for them. Its error is also what every SpMV on the Split returns.
-func (s *Split) Cut(csr *matrix.CSR) error {
-	err := s.cut(csr)
+func (s *Split) Cut(b *Block) error {
+	var err error
+	s.local, s.remote, err = b.parts(s.plan)
 	s.pending.err = err
 	close(s.pending.done)
 	return err
@@ -233,8 +248,8 @@ type Engine struct {
 }
 
 // NewEngine builds an engine in one go: split, then bind.
-func NewEngine(c Comm, plan *Plan, csr *matrix.CSR, seg gaspi.SegmentID) (*Engine, error) {
-	s, err := NewSplit(plan, csr)
+func NewEngine(c Comm, plan *Plan, b *Block, seg gaspi.SegmentID) (*Engine, error) {
+	s, err := NewSplit(plan, b)
 	if err != nil {
 		return nil, err
 	}
@@ -550,17 +565,4 @@ func (d *DotScratch) Norm2(c Comm, a []float64) (float64, error) {
 		return 0, err
 	}
 	return math.Sqrt(v), nil
-}
-
-// Dot is the stateless form of DotScratch.Dot for callers outside the
-// iteration hot loop.
-func Dot(c Comm, a, b []float64) (float64, error) {
-	var d DotScratch
-	return d.Dot(c, a, b)
-}
-
-// Norm2 is the stateless form of DotScratch.Norm2.
-func Norm2(c Comm, a []float64) (float64, error) {
-	var d DotScratch
-	return d.Norm2(c, a)
 }

@@ -33,12 +33,12 @@ func TestSpMVBackToBackNoBarrier(t *testing.T) {
 	got := make([]float64, dim)
 	runWorkers(t, workers, func(c Comm) error {
 		lo, hi := matrix.BlockRange(dim, workers, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
-		eng, err := NewEngine(c, plan, csr, 7)
+		eng, err := NewEngine(c, plan, blk, 7)
 		if err != nil {
 			return err
 		}
@@ -78,12 +78,12 @@ func TestSpMVWorkerPoolReuse(t *testing.T) {
 
 	runWorkers(t, 2, func(c Comm) error {
 		lo, hi := matrix.BlockRange(dim, 2, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
-		eng, err := NewEngine(c, plan, csr, 7)
+		eng, err := NewEngine(c, plan, blk, 7)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package spmvm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,9 +10,10 @@ import (
 	"repro/internal/matrix"
 )
 
-// kernelSplit cuts part of a workers-way split of gen against a plan whose
-// halo is every remote column the block references, without a Comm: what
-// the multiply reads, not how the halo arrives.
+// kernelSplit generates part of a workers-way split of gen and cuts it
+// against a plan whose halo is every remote column the block references,
+// without a Comm: what the multiply reads, not how the halo arrives. It
+// also returns the block as matrix.Build makes it, for the references.
 func kernelSplit(tb testing.TB, gen matrix.Generator, workers, part int) (*Split, *matrix.CSR) {
 	tb.Helper()
 	lo, hi := matrix.BlockRange(gen.Dim(), workers, part)
@@ -23,11 +25,58 @@ func kernelSplit(tb testing.TB, gen matrix.Generator, workers, part int) (*Split
 		}
 	}
 	slices.Sort(halo)
-	s, err := NewSplit(&Plan{Workers: workers, Logical: part, Lo: lo, Hi: hi, HaloCols: slices.Compact(halo)}, csr)
+	s, err := NewSplit(&Plan{Workers: workers, Logical: part, Lo: lo, Hi: hi, HaloCols: slices.Compact(halo)}, Generate(gen, lo, hi))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return s, csr
+}
+
+// csrCut is the cut as it was made from matrix.Build's global-index CSR:
+// one pass over the sorted rows, each entry to the local part as
+// int32(col-lo) or to the remote part as its halo slot.
+func csrCut(csr *matrix.CSR, plan *Plan) (local, remote splitCSR) {
+	local.rowPtr, remote.rowPtr = []int64{0}, []int64{0}
+	for r := 0; r < csr.LocalRows(); r++ {
+		for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
+			if col := csr.Col[k]; col >= plan.Lo && col < plan.Hi {
+				local.col = append(local.col, int32(col-plan.Lo))
+				local.val = append(local.val, csr.Val[k])
+			} else {
+				slot, _ := slices.BinarySearch(plan.HaloCols, col)
+				remote.col = append(remote.col, int32(slot))
+				remote.val = append(remote.val, csr.Val[k])
+			}
+		}
+		local.rowPtr = append(local.rowPtr, int64(len(local.col)))
+		remote.rowPtr = append(remote.rowPtr, int64(len(remote.col)))
+	}
+	return local, remote
+}
+
+// TestGeneratedPartsMatchCSRCut: generating a block straight into its
+// parts keeps exactly what cutting matrix.Build's CSR kept — row pointers,
+// columns and value bits of both parts — on every block of a 4-way split of
+// the sheets TestMulMatchesCSRReference multiplies (the 2x5 one aliases
+// neighbours), and of a random matrix, whose rows arrive unsorted.
+func TestGeneratedPartsMatchCSRCut(t *testing.T) {
+	gens := map[string]matrix.Generator{"random": matrix.RandomSparse{N: 200, NNZPerRow: 9, Seed: 5}}
+	for _, sheet := range [][2]int{{2, 5}, {32, 16}, {128, 128}, {256, 128}} {
+		gens[fmt.Sprintf("graphene %dx%d", sheet[0], sheet[1])] = matrix.DefaultGraphene(sheet[0], sheet[1], 7)
+	}
+	same := func(a, b splitCSR) bool {
+		return slices.Equal(a.rowPtr, b.rowPtr) && slices.Equal(a.col, b.col) &&
+			slices.EqualFunc(a.val, b.val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for name, gen := range gens {
+		for part := 0; part < 4; part++ {
+			s, csr := kernelSplit(t, gen, 4, part)
+			local, remote := csrCut(csr, s.plan)
+			if !same(s.local, local) || !same(s.remote, remote) {
+				t.Fatalf("%s part %d: generated parts differ from the CSR cut", name, part)
+			}
+		}
+	}
 }
 
 // kernelInputs returns the owned chunk of a random global vector and the

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/gaspi"
-	"repro/internal/matrix"
 )
 
 // SendPartner describes the values this process pushes to one consumer
@@ -66,31 +66,23 @@ type request struct {
 	Cols   []int64
 }
 
-// Preprocess builds the communication plan for the local row block csr,
+// Preprocess builds the communication plan for the local row block b,
 // mirroring the paper's pre-processing stage: each process determines the
 // RHS indices it needs from every other process and communicates them to
 // the owners via passive messages.
-func Preprocess(c Comm, csr *matrix.CSR) (*Plan, error) {
+func Preprocess(c Comm, b *Block) (*Plan, error) {
 	w := c.NumWorkers()
 	me := c.Logical()
-	dim := csr.GlobalDim
-	lo, hi := csr.RowOffset, csr.RowOffset+int64(csr.LocalRows())
+	dim, lo, hi := b.dim, b.lo, b.hi
 
 	plan := &Plan{Workers: w, Logical: me, Lo: lo, Hi: hi}
 
-	// Collect the distinct remote columns, sorted. Sorted order groups
-	// them by owner since the distribution is by contiguous blocks.
-	seen := make(map[int64]struct{})
-	for _, col := range csr.Col {
-		if col < lo || col >= hi {
-			seen[col] = struct{}{}
-		}
-	}
-	plan.HaloCols = make([]int64, 0, len(seen))
-	for col := range seen {
-		plan.HaloCols = append(plan.HaloCols, col)
-	}
-	sort.Slice(plan.HaloCols, func(i, j int) bool { return plan.HaloCols[i] < plan.HaloCols[j] })
+	// The halo is the block's remote columns, sorted and compacted. Sorted
+	// order groups them by owner since the distribution is by contiguous
+	// blocks.
+	plan.HaloCols = slices.Clone(b.remoteCol)
+	slices.Sort(plan.HaloCols)
+	plan.HaloCols = slices.Compact(plan.HaloCols)
 
 	// Slice the halo per owner and tell each owner what I need.
 	needFrom := make([]int64, w) // 1 if I need something from owner o

@@ -90,12 +90,12 @@ func distPower(t *testing.T, gen matrix.Generator, workers, iters int, wrap func
 
 	runWorkers(t, workers, func(c Comm) error {
 		lo, hi := matrix.BlockRange(dim, workers, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(wrap(c), csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(wrap(c), blk)
 		if err != nil {
 			return err
 		}
-		eng, err := NewEngine(c, plan, csr, 7)
+		eng, err := NewEngine(c, plan, blk, 7)
 		if err != nil {
 			return err
 		}
@@ -127,7 +127,7 @@ func encodedPlans(t *testing.T, gen matrix.Generator, workers int, wrap func(Com
 	plans := make([][]byte, workers) // one slot per rank, read after the job ended
 	runWorkers(t, workers, func(c Comm) error {
 		lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
-		plan, err := Preprocess(wrap(c), matrix.Build(gen, lo, hi))
+		plan, err := Preprocess(wrap(c), Generate(gen, lo, hi))
 		if err != nil {
 			return err
 		}
@@ -234,7 +234,7 @@ func TestPreprocessPostsEachRequestOnce(t *testing.T) {
 		}
 		w := ft.NewWorker(p, lay, cfg, int(p.Rank())-1, true, trace.NewRecorder())
 		lo, hi := matrix.BlockRange(gen.Dim(), workers, w.Logical())
-		if _, err := Preprocess(requestCounter{w, &requests}, matrix.Build(gen, lo, hi)); err != nil {
+		if _, err := Preprocess(requestCounter{w, &requests}, Generate(gen, lo, hi)); err != nil {
 			return err
 		}
 		if err := w.Barrier(); err != nil || w.Logical() != 0 {
@@ -274,7 +274,7 @@ func TestPreprocessRejectsForeignSender(t *testing.T) {
 	gen := matrix.Laplacian1D{N: 8}
 	res := workerResults(t, 2, func(c Comm) error {
 		lo, hi := matrix.BlockRange(gen.Dim(), 2, c.Logical())
-		_, err := Preprocess(foreignComm{c}, matrix.Build(gen, lo, hi))
+		_, err := Preprocess(foreignComm{c}, Generate(gen, lo, hi))
 		return err
 	})
 	for _, r := range res {
@@ -411,8 +411,8 @@ func TestPreprocessPlanShape(t *testing.T) {
 	gen := matrix.Laplacian1D{N: 30}
 	runWorkers(t, 3, func(c Comm) error {
 		lo, hi := matrix.BlockRange(gen.Dim(), 3, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
@@ -440,9 +440,9 @@ func TestPreprocessPlanShape(t *testing.T) {
 func TestEngineRejectsMismatchedPlan(t *testing.T) {
 	runWorkers(t, 1, func(c Comm) error {
 		gen := matrix.Laplacian1D{N: 10}
-		csr := matrix.Build(gen, 0, 10)
+		blk := Generate(gen, 0, 10)
 		plan := &Plan{Workers: 1, Logical: 0, Lo: 0, Hi: 5}
-		if _, err := NewEngine(c, plan, csr, 7); err == nil {
+		if _, err := NewEngine(c, plan, blk, 7); err == nil {
 			return fmt.Errorf("mismatched plan accepted")
 		}
 		return nil
@@ -459,12 +459,12 @@ func TestEngineThreadedMatchesSerial(t *testing.T) {
 
 	runWorkers(t, 2, func(c Comm) error {
 		lo, hi := matrix.BlockRange(dim, 2, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
-		eng, err := NewEngine(c, plan, csr, 7)
+		eng, err := NewEngine(c, plan, blk, 7)
 		if err != nil {
 			return err
 		}
@@ -486,14 +486,15 @@ func TestDotAndNorm(t *testing.T) {
 	runWorkers(t, 4, func(c Comm) error {
 		// Each worker owns 2 entries, all ones: dot = 8, norm = sqrt(8).
 		a := []float64{1, 1}
-		d, err := Dot(c, a, a)
+		var s DotScratch
+		d, err := s.Dot(c, a, a)
 		if err != nil {
 			return err
 		}
 		if d != 8 {
 			return fmt.Errorf("dot = %v", d)
 		}
-		n, err := Norm2(c, a)
+		n, err := s.Norm2(c, a)
 		if err != nil {
 			return err
 		}
@@ -526,12 +527,12 @@ func TestStaleEpochNotificationDiscarded(t *testing.T) {
 	gen := matrix.Laplacian1D{N: 8}
 	runWorkers(t, 2, func(c Comm) error {
 		lo, hi := matrix.BlockRange(gen.Dim(), 2, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
-		if _, err := NewEngine(c, plan, csr, 7); err != nil {
+		if _, err := NewEngine(c, plan, blk, 7); err != nil {
 			return err
 		}
 		if err := c.Barrier(); err != nil {
@@ -608,8 +609,8 @@ func TestPreprocessManyPartners(t *testing.T) {
 	gen := matrix.RandomSparse{N: 96, NNZPerRow: 12, Seed: 8}
 	runWorkers(t, 8, func(c Comm) error {
 		lo, hi := matrix.BlockRange(gen.Dim(), 8, c.Logical())
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
@@ -663,16 +664,16 @@ func TestRebindFromKeptSplit(t *testing.T) {
 			}
 			return y, c.Barrier()
 		}
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
-		split, err := NewSplit(plan, csr)
+		split, err := NewSplit(plan, blk)
 		if err != nil {
 			return err
 		}
-		fresh, err := NewEngine(c, plan, csr, freshSeg)
+		fresh, err := NewEngine(c, plan, blk, freshSeg)
 		if err != nil {
 			return err
 		}
@@ -739,11 +740,11 @@ func TestRebindFromKeptSplit(t *testing.T) {
 // column of the block is an error at split time, not a wrong product later.
 func TestSplitRejectsColumnOutsideHalo(t *testing.T) {
 	gen := matrix.Laplacian1D{N: 10}
-	csr := matrix.Build(gen, 0, 5) // row 4 references column 5
-	if _, err := NewSplit(&Plan{Workers: 2, Lo: 0, Hi: 5, HaloCols: []int64{7}}, csr); err == nil {
+	blk := Generate(gen, 0, 5) // row 4 references column 5
+	if _, err := NewSplit(&Plan{Workers: 2, Lo: 0, Hi: 5, HaloCols: []int64{7}}, blk); err == nil {
 		t.Fatal("split accepted a halo without column 5")
 	}
-	if _, err := NewSplit(&Plan{Workers: 2, Lo: 0, Hi: 5, HaloCols: []int64{5}}, csr); err != nil {
+	if _, err := NewSplit(&Plan{Workers: 2, Lo: 0, Hi: 5, HaloCols: []int64{5}}, blk); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -772,12 +773,12 @@ func TestBindBeforeCut(t *testing.T) {
 		p := c.Proc()
 		lo, hi := matrix.BlockRange(dim, workers, c.Logical())
 		x := xg[lo:hi]
-		csr := matrix.Build(gen, lo, hi)
-		plan, err := Preprocess(c, csr)
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
 		if err != nil {
 			return err
 		}
-		fresh, err := NewEngine(c, plan, csr, freshSeg)
+		fresh, err := NewEngine(c, plan, blk, freshSeg)
 		if err != nil {
 			return err
 		}
@@ -806,10 +807,10 @@ func TestBindBeforeCut(t *testing.T) {
 		if late {
 			go func() {
 				<-release
-				cut <- split.Cut(csr)
+				cut <- split.Cut(blk)
 			}()
 		} else {
-			cut <- split.Cut(csr)
+			cut <- split.Cut(blk)
 		}
 		got := make([]float64, hi-lo)
 		if err := eng.SpMV(x, got, 0); err != nil {
@@ -839,14 +840,14 @@ func TestBindBeforeCut(t *testing.T) {
 func TestFailedCutIsEverySpMVsError(t *testing.T) {
 	gen := matrix.Laplacian1D{N: 10}
 	runWorkers(t, 1, func(c Comm) error {
-		csr := matrix.Build(gen, 0, 5) // row 4 references column 5
+		blk := Generate(gen, 0, 5) // row 4 references column 5
 		split := NewPendingSplit(&Plan{Workers: 1, Lo: 0, Hi: 5, HaloCols: []int64{7}})
 		eng, err := split.Bind(c, 7)
 		if err != nil {
 			return err
 		}
 		defer eng.Close()
-		if err := split.Cut(csr); err == nil {
+		if err := split.Cut(blk); err == nil {
 			return fmt.Errorf("cut accepted a halo without column 5")
 		}
 		x, y := make([]float64, 5), make([]float64, 5)

@@ -33,6 +33,10 @@ const (
 	KCoreTTRRestoreNS = "core.ttr.restore_ns"
 	KCoreTTRResumeNS  = "core.ttr.resume_ns"
 	KCoreTTRTotalNS   = "core.ttr.total_ns"
+	// Garbage-collection cycles that completed while core.recoverAndReload
+	// ran (runtime/metrics /gc/cycles/total:gc-cycles; process-wide, so
+	// every rank's allocations and not only the recovering rank's count).
+	KCoreTTRGCCycles = "core.ttr.gc_cycles"
 
 	// Iterations re-executed after a recovery (redo work). Zero in the
 	// hot-shadow takeover — its acceptance criterion.
@@ -103,14 +107,13 @@ const (
 	KSpMVMFallbackIters = "spmvm.fallback_iters"
 
 	// The rescue loader's background half (apps.rowBlock.load): loads run,
-	// the time matrix.Build and then the cut (spmvm.Split.Cut) took on the
-	// loader's goroutine, and the time the rank's first multiply blocked for
-	// them (spmvm.Engine.joinCut; zero when the load had landed — a warm
-	// shadow's, or a cold rescue whose recovery outlasted it).
-	// Init(restore=true)'s span contains none of this.
+	// the time generating the block and cutting it (spmvm.Generate, then
+	// spmvm.Split.Cut) took on the loader's goroutine, and the time the
+	// rank's first multiply blocked for it (spmvm.Engine.joinCut; zero when
+	// the load had landed — a warm shadow's, or a cold rescue whose recovery
+	// outlasted it). Init(restore=true)'s span contains none of this.
 	KAppsBlockLoads      = "apps.block.loads"
 	KAppsBlockBuildNS    = "apps.block.build_ns"
-	KAppsBlockCutNS      = "apps.block.cut_ns"
 	KAppsBlockJoinWaitNS = "apps.block.join_wait_ns"
 )
 
