@@ -295,7 +295,7 @@ func BenchmarkStoreResident(b *testing.B) {
 	}, func(ctx *cluster.ProcCtx) error { return nil })
 	defer cl.Close()
 	cl.Wait()
-	lib := checkpoint.New(cl, 0, checkpoint.Config{CheckpointMode: checkpoint.Async, FullEvery: 4})
+	lib := checkpoint.New(cl, 0, checkpoint.Config{CheckpointMode: checkpoint.Async, FullEvery: 4}, storeTransport{cl})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	payload := make([]byte, size)
@@ -342,7 +342,7 @@ func BenchmarkCPStreamPush(b *testing.B) {
 				Procs:   2,
 				Latency: fabric.LatencyModel{Base: 2 * time.Microsecond},
 			}, func(p *gaspi.Proc) error {
-				s, err := ft.NewCPStream(p, size+4096, 64<<10, 50*time.Millisecond)
+				s, err := ft.NewCPStream(p, []gaspi.Rank{p.Rank()}, size+4096, 64<<10, 50*time.Millisecond)
 				if err != nil {
 					return err
 				}
@@ -398,7 +398,7 @@ func BenchmarkCPStreamEndpoint(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ft.NewCPStream(p, 0, 0, 0); err != nil {
+			if _, err := ft.NewCPStream(p, []gaspi.Rank{p.Rank()}, 0, 0, 0); err != nil {
 				return err
 			}
 			if err := p.SegmentDelete(ft.SegCP); err != nil {

@@ -322,6 +322,15 @@ func BenchmarkSpMVHaloExchange(b *testing.B) {
 	}
 }
 
+// storeTransport replicates by committing each frame straight into the
+// neighbor's store, as the checkpoint stream's receiver does: the
+// checkpoint benchmarks measure the library, not the stream.
+type storeTransport struct{ cl *cluster.Cluster }
+
+func (t storeTransport) Push(nb int, key string, blob []byte) error {
+	return checkpoint.StoreReplica(t.cl, nb, key, blob)
+}
+
 func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, size := range []int{1 << 16, 1 << 20} {
 		b.Run(fmt.Sprintf("bytes-%d", size), func(b *testing.B) {
@@ -333,7 +342,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			cl.Wait()
 			// The retention rule keeps the store at three generations
 			// whatever b.N is; ns/op includes its release of the fourth.
-			lib := checkpoint.New(cl, 0, checkpoint.Config{})
+			lib := checkpoint.New(cl, 0, checkpoint.Config{}, storeTransport{cl})
 			defer lib.Stop()
 			lib.SetWorkerNodes([]int{0, 1})
 			payload := make([]byte, size)

@@ -106,7 +106,7 @@ func runMode(fs *flag.FlagSet) func() error {
 		fmt.Printf("           scan every %v, comm timeout %v, checkpoint every %d iters, step %v (time scale 1/%.0f)\n",
 			cfg.FT.ScanInterval, cfg.FT.CommTimeout, *cpEvery, delay, *timeScale)
 
-		run := experiment.StartJob(experiment.JobSpec{
+		run, err := experiment.StartJob(experiment.JobSpec{
 			Cluster: ccfg,
 			Core:    cfg,
 			App: apps.LanczosConfig{
@@ -116,6 +116,9 @@ func runMode(fs *flag.FlagSet) func() error {
 			},
 			Timeout: 30 * time.Minute,
 		})
+		if err != nil {
+			return err
+		}
 		var killed []gaspi.Rank // wall-clock faults, outside the scenario
 		if *kill9 >= 0 {
 			job := run.Job

@@ -35,7 +35,7 @@ func main() {
 
 	fmt.Printf("lanczos example: %d workers + %d spares, %d iterations, failure of logical rank 2 at iteration 50\n",
 		workers, spares, iters)
-	res := experiment.StartJob(experiment.JobSpec{
+	run, err := experiment.StartJob(experiment.JobSpec{
 		Cluster: ccfg,
 		Core: core.Config{
 			Spares:          spares,
@@ -49,7 +49,11 @@ func main() {
 			Opts: lanczos.Options{MaxIters: iters, NumEigs: 3, CheckEvery: cpEvery, Seed: 7},
 		},
 		Timeout: 10 * time.Minute,
-	}).Wait()
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := run.Wait()
 	deaths := 0
 	for _, r := range res.Results {
 		if r.Death != nil {

@@ -207,9 +207,8 @@ func TestRescueInitValidatesPlanIdentity(t *testing.T) {
 	if _, ok := cl.WaitTimeout(10 * time.Second); !ok {
 		t.Fatal("cluster hung")
 	}
-	cp := checkpoint.New(cl, 0, checkpoint.Config{})
+	cp := checkpoint.New(cl, 0, checkpoint.Config{}, nil) // node-local: the rescue reads its own store
 	defer cp.Stop()
-	cp.SetWorkerNodes([]int{0, 1})
 	plan := func(logical int) *spmvm.Plan {
 		lo, hi := matrix.BlockRange(dim, workers, logical)
 		return &spmvm.Plan{Workers: workers, Logical: logical, Lo: lo, Hi: hi}
@@ -268,9 +267,8 @@ func TestRescueLoadCutErrorComesFromTheJoin(t *testing.T) {
 	if _, ok := cl.WaitTimeout(10 * time.Second); !ok {
 		t.Fatal("cluster hung")
 	}
-	cp := checkpoint.New(cl, 0, checkpoint.Config{})
+	cp := checkpoint.New(cl, 0, checkpoint.Config{}, nil) // node-local: the rescue reads its own store
 	defer cp.Stop()
-	cp.SetWorkerNodes([]int{0, 1})
 	lo, hi := matrix.BlockRange(dim, workers, 1)
 	noHalo := &spmvm.Plan{Workers: workers, Logical: 1, Lo: lo, Hi: hi} // rows 4..7 reference columns 3 and 8
 	if err := cp.Write("nohalo", 1, core.PlanVersion, noHalo.Encode()); err != nil {

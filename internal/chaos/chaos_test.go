@@ -64,9 +64,9 @@ func TestGenerateWellFormed(t *testing.T) {
 			if e.Trigger.Kind == cluster.DuringShadowApply {
 				// A shadow-apply trigger can only fire if the targeted
 				// logical actually carries a hot shadow: the replication
-				// degree must cover it, the spare pool must hold the
-				// shadow band, and the mirror stream needs the async
-				// engine.
+				// degree must cover it and the spare pool must hold the
+				// shadow band. The generator runs every shadow shape on
+				// the async engine, as when the corpus was frozen.
 				if !ep.Spec.Async {
 					t.Fatalf("seed %d: shadow-apply trigger without the async engine", seed)
 				}

@@ -78,7 +78,7 @@ func Shrink(r *Runner, failing EpisodeResult) (EpisodeResult, int) {
 
 func needsAsync(ep Episode) bool {
 	for _, e := range ep.Spec.Scenario.Events {
-		if e.Trigger.Kind == cluster.DuringFlush || e.Trigger.Kind == cluster.DuringShadowApply {
+		if e.Trigger.Kind == cluster.DuringFlush {
 			return true
 		}
 	}
@@ -87,7 +87,7 @@ func needsAsync(ep Episode) bool {
 
 // needsShadow reports whether the schedule still carries a trigger that
 // can only fire on a hot shadow's mirror-apply loop — such a trigger
-// pins the async engine and the replication degree.
+// pins the replication degree (shadows run under either engine).
 func needsShadow(ep Episode) bool {
 	for _, e := range ep.Spec.Scenario.Events {
 		if e.Trigger.Kind == cluster.DuringShadowApply {

@@ -1,13 +1,9 @@
 package checkpoint
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
-
-// errAborted reports a flush cut short by the owning process's death.
-var errAborted = errors.New("checkpoint: flush aborted by process death")
 
 // AsyncStats describes what the double-buffered writer has done. All
 // fields are totals since New.
@@ -50,11 +46,6 @@ type asyncWriter struct {
 
 	statsMu sync.Mutex
 	stats   AsyncStats
-
-	// chunkHook, when set (tests only), runs after each replicated chunk;
-	// it is how the torn-flush tests kill a node deterministically in the
-	// middle of a neighbor push.
-	chunkHook func(chunk int)
 }
 
 func newAsyncWriter(l *Library) *asyncWriter {
@@ -139,9 +130,16 @@ func (w *asyncWriter) run() {
 	}
 }
 
-// flush commits one staged checkpoint: node-local data+seal, chunked
-// neighbor replication, optional PFS copy, pruning. Errors are recorded
-// (Err), not fatal: the next recovery simply agrees on an older version.
+// flush commits one staged checkpoint: node-local data+seal, neighbor
+// replication, optional PFS copy, pruning. Errors are recorded (Err), not
+// fatal: the next recovery simply agrees on an older version.
+//
+// The transport may post the buffer zero-copy, so a FAILED push (timeout,
+// queue purge by recovery, receiver death) may leave in-flight messages
+// still borrowing b.data. The buffer is abandoned to the garbage collector
+// in that case — the next checkpoint staged into this half simply
+// allocates a fresh frame. Failed pushes are rare (they accompany
+// failures), so the occasional reallocation costs nothing in steady state.
 func (w *asyncWriter) flush(b *cpBuffer) {
 	start := time.Now()
 	defer func() {
@@ -167,52 +165,9 @@ func (w *asyncWriter) flush(b *cpBuffer) {
 		l.setErr(err)
 		return
 	}
-	l.replicate(b.name, b.key, b.logical, b.version, b.data, b.toPFS && !l.aborted(),
-		func(nb int) error { return w.push(b, nb) })
-}
-
-// push replicates to the neighbor node: through the installed transport
-// (the GASPI one-sided zero-copy stream under the framework) or, by
-// default, in chunks over the cluster network. Either way the seal lands
-// only after the complete data object, and the abort channel is honored at
-// chunk granularity so a dying process leaves a detectably torn copy.
-//
-// The stream transport posts the buffer zero-copy, so a FAILED stream push
-// (timeout, queue purge by recovery, receiver death) may leave in-flight
-// messages still borrowing b.data. The buffer is abandoned to the garbage
-// collector in that case — the next checkpoint staged into this half
-// simply allocates a fresh frame. Failed pushes are rare (they accompany
-// failures), so the occasional reallocation costs nothing in steady state.
-func (w *asyncWriter) push(b *cpBuffer, nb int) error {
-	l := w.l
-	l.mu.Lock()
-	tr := l.transport
-	l.mu.Unlock()
-	if tr != nil {
-		if err := tr.Push(nb, b.key, b.data); err != nil {
-			b.data = nil // in-flight zero-copy chunks may still borrow it
-			return err
-		}
-		return nil
+	if !l.replicate(b.name, b.key, b.logical, b.version, b.data, b.toPFS && !l.aborted()) {
+		b.data = nil
 	}
-	blob := b.data
-	chunk := l.cfg.ChunkSize()
-	for off, i := 0, 0; off < len(blob); off, i = off+chunk, i+1 {
-		if l.aborted() {
-			return errAborted
-		}
-		end := min(off+chunk, len(blob))
-		if err := l.cl.TransferChunk(l.nodeID, nb, b.key, off, blob[off:end], len(blob)); err != nil {
-			return err
-		}
-		if h := w.chunkHook; h != nil {
-			h(i)
-		}
-	}
-	if l.aborted() {
-		return errAborted
-	}
-	return l.cl.TransferMeta(l.nodeID, nb, SealKey(b.key), sealFor(blob, b.version))
 }
 
 // Stats returns the async writer's counters; zero when the library runs in

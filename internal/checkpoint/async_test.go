@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,7 +46,7 @@ func TestAsyncWriteHidesLocalCommitCost(t *testing.T) {
 	const localCost = 30 * time.Millisecond
 	cl := testClusterStorage(t, 2, cluster.StorageModel{LocalLatency: localCost})
 
-	syncLib := New(cl, 0, Config{})
+	syncLib := newLib(cl, 0, Config{})
 	defer syncLib.Stop()
 	syncLib.SetWorkerNodes([]int{0, 1})
 	start := time.Now()
@@ -56,7 +57,7 @@ func TestAsyncWriteHidesLocalCommitCost(t *testing.T) {
 		t.Fatalf("sync Write returned in %v, expected >= %v (local commit is synchronous)", d, localCost)
 	}
 
-	asyncLib := New(cl, 0, Config{CheckpointMode: Async})
+	asyncLib := newLib(cl, 0, Config{CheckpointMode: Async})
 	defer asyncLib.Stop()
 	asyncLib.SetWorkerNodes([]int{0, 1})
 	start = time.Now()
@@ -86,7 +87,7 @@ func TestAsyncWriteHidesLocalCommitCost(t *testing.T) {
 // behind a sealed one is exactly the lag the retention window is sized for.
 func TestAsyncDoubleBufferBackPressure(t *testing.T) {
 	cl := testClusterStorage(t, 2, cluster.StorageModel{LocalLatency: 20 * time.Millisecond})
-	lib := New(cl, 0, Config{CheckpointMode: Async})
+	lib := newLib(cl, 0, Config{CheckpointMode: Async})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	for v := int64(1); v <= 3; v++ {
@@ -112,47 +113,49 @@ func TestAsyncDoubleBufferBackPressure(t *testing.T) {
 	}
 }
 
+// tearingTransport is a nodeTransport whose push of generation at kills
+// the writer's node mid-frame (the node's local copies die with it, exactly
+// the scenario neighbor checkpoints exist for). The frame was still in
+// flight, so the receiver never commits it.
+type tearingTransport struct {
+	nodeTransport
+	at int64
+}
+
+func (t tearingTransport) Push(nb int, key string, blob []byte) error {
+	if _, _, v, _ := parseKey(key); v == t.at {
+		t.cl.KillNode(t.from)
+		return cluster.ErrNodeDown
+	}
+	return t.nodeTransport.Push(nb, key, blob)
+}
+
 // TestAsyncTornFlushNeverRestored is the crash-consistency contract: a
-// writer node dying mid-flush leaves a torn (truncated, unsealed) neighbor
-// copy of the newest version, and recovery must restore the previous
-// complete version instead of tripping over the torn one.
+// writer node dying mid-push of the newest version leaves no sealed
+// neighbor copy of it, and recovery must restore the previous complete
+// version instead.
 func TestAsyncTornFlushNeverRestored(t *testing.T) {
 	cl := testClusterStorage(t, 2, cluster.StorageModel{})
-	lib := New(cl, 0, Config{CheckpointMode: Async, ChunkBytes: 32})
+	lib := New(cl, 0, Config{CheckpointMode: Async}, tearingTransport{nodeTransport{cl, 0}, 2})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 
-	// Version 1 flushes completely.
-	if err := lib.Write("state", 0, 1, asyncPayload(1)); err != nil {
-		t.Fatal(err)
-	}
-	lib.WaitIdle()
-
-	// Version 2's flush is interrupted: the writer node dies after the
-	// first replicated chunk (killing the node also wipes its local
-	// copies, exactly the scenario neighbor checkpoints exist for).
-	lib.async.chunkHook = func(chunk int) {
-		if chunk == 0 {
-			cl.KillNode(0)
+	// Version 1 flushes completely; version 2's push is torn.
+	for v := int64(1); v <= 2; v++ {
+		if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
+			t.Fatal(err)
 		}
+		lib.WaitIdle()
 	}
-	if err := lib.Write("state", 0, 2, asyncPayload(2)); err != nil {
-		t.Fatal(err)
+	if lib.ErrCount() == 0 {
+		t.Fatal("the torn push was not recorded")
 	}
-	lib.WaitIdle()
-
-	// The neighbor node holds a torn prefix of v2 without a seal.
-	if blob, err := cl.Node(1).Get(Key("state", 0, 2), cl.Storage()); err == nil {
-		if len(blob) >= headerLen+256 {
-			t.Fatalf("v2 neighbor copy is complete (%d bytes); tear did not happen", len(blob))
-		}
-	}
-	if _, err := cl.Node(1).Get(SealKey(Key("state", 0, 2)), cl.Storage()); err == nil {
-		t.Fatal("torn v2 copy must not be sealed")
+	if _, ok := cl.Node(1).GetMeta(SealKey(Key("state", 0, 2))); ok {
+		t.Fatal("torn v2 must have no sealed neighbor copy")
 	}
 
 	// A rescue process on the surviving node agrees on v1, not v2.
-	rescue := New(cl, 1, Config{})
+	rescue := newLib(cl, 1, Config{})
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{1})
 	v, ok := rescue.FindLatest("state", 0)
@@ -181,7 +184,7 @@ func TestAsyncTornFlushNeverRestored(t *testing.T) {
 func TestAsyncConcurrentWriteRestoreRace(t *testing.T) {
 	const versions = 120
 	cl := testClusterStorage(t, 3, cluster.StorageModel{})
-	lib := New(cl, 0, Config{CheckpointMode: Async})
+	lib := newLib(cl, 0, Config{CheckpointMode: Async})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 
@@ -264,12 +267,18 @@ func TestAsyncConcurrentWriteRestoreRace(t *testing.T) {
 	}
 }
 
-// failingTransport simulates a persistently failing neighbor push (e.g.
-// a frame outgrowing the stream segment).
-type failingTransport struct{}
+// failingTransport is a nodeTransport that, once fail is set, fails every
+// push from then on (e.g. a frame outgrowing the stream segment).
+type failingTransport struct {
+	nodeTransport
+	fail *atomic.Bool
+}
 
-func (failingTransport) Push(int, string, []byte) error {
-	return errors.New("push always fails")
+func (t failingTransport) Push(nb int, key string, blob []byte) error {
+	if t.fail.Load() {
+		return errors.New("push always fails")
+	}
+	return t.nodeTransport.Push(nb, key, blob)
 }
 
 // TestAsyncPruneSparesNeighborOnFailedPush: a generation is released only
@@ -279,7 +288,8 @@ func (failingTransport) Push(int, string, []byte) error {
 // costs it one.
 func TestAsyncPruneSparesNeighborOnFailedPush(t *testing.T) {
 	cl := testClusterStorage(t, 2, cluster.StorageModel{})
-	lib := New(cl, 0, Config{CheckpointMode: Async})
+	tr := failingTransport{nodeTransport{cl, 0}, new(atomic.Bool)}
+	lib := New(cl, 0, Config{CheckpointMode: Async}, tr)
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 
@@ -298,7 +308,7 @@ func TestAsyncPruneSparesNeighborOnFailedPush(t *testing.T) {
 	}
 
 	// From now on every push fails; local commits continue.
-	lib.SetTransport(failingTransport{})
+	tr.fail.Store(true)
 	for v := int64(5); v <= 9; v++ {
 		if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
 			t.Fatal(err)
@@ -318,7 +328,7 @@ func TestAsyncPruneSparesNeighborOnFailedPush(t *testing.T) {
 	// The writer node dies: recovery must still find the neighbor's last
 	// successfully replicated version, not nothing.
 	cl.KillNode(0)
-	rescue := New(cl, 1, Config{})
+	rescue := newLib(cl, 1, Config{})
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{1})
 	v, ok := rescue.FindLatest("state", 0)
@@ -334,7 +344,7 @@ func TestAsyncPruneSparesNeighborOnFailedPush(t *testing.T) {
 // queued flushes, later Writes fail with ErrStopped.
 func TestAsyncStopDrainsAndRejects(t *testing.T) {
 	cl := testClusterStorage(t, 2, cluster.StorageModel{})
-	lib := New(cl, 0, Config{CheckpointMode: Async})
+	lib := newLib(cl, 0, Config{CheckpointMode: Async})
 	lib.SetWorkerNodes([]int{0, 1})
 	for v := int64(1); v <= 5; v++ {
 		if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
@@ -362,7 +372,7 @@ func TestAsyncStopWriteRace(t *testing.T) {
 			mode = Async
 		}
 		cl := testClusterStorage(t, 2, cluster.StorageModel{})
-		lib := New(cl, 0, Config{CheckpointMode: mode})
+		lib := newLib(cl, 0, Config{CheckpointMode: mode})
 		lib.SetWorkerNodes([]int{0, 1})
 		writerDone := make(chan struct{})
 		go func() {
@@ -389,7 +399,7 @@ func TestAsyncStopWriteRace(t *testing.T) {
 // global PFS checkpoint.
 func TestAsyncGlobalPFSMode(t *testing.T) {
 	cl := testClusterStorage(t, 2, cluster.StorageModel{})
-	lib := New(cl, 0, Config{Mode: ModeGlobalPFS, CheckpointMode: Async})
+	lib := newLib(cl, 0, Config{Mode: ModeGlobalPFS, CheckpointMode: Async})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	if err := lib.Write("state", 0, 1, asyncPayload(1)); err != nil {

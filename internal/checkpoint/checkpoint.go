@@ -5,7 +5,9 @@
 //   - The application writes a checkpoint to its node-local store and
 //     signals the library thread (a goroutine here), which asynchronously
 //     copies it to the neighboring node — so a full node failure cannot
-//     destroy the only copy.
+//     destroy the only copy. The copy goes through the library's
+//     Transport; under the framework that is the GASPI checkpoint stream
+//     (ft.CPStream), whose receiver commits it with StoreReplica.
 //   - Optionally, every k-th checkpoint is also written to the (slow,
 //     shared) parallel file system for a higher degree of reliability.
 //   - The library is fault aware: after a failure recovery the application
@@ -26,9 +28,11 @@
 //   - Async (the follow-up work's asynchronous variant): Write stages the
 //     frame into one half of a double buffer and returns immediately; a
 //     dedicated writer goroutine flushes the other half — local commit,
-//     chunked neighbor replication, optional PFS copy — overlapping the
-//     whole checkpoint with computation. Write only blocks when both
-//     buffers are in flight (the writer is two checkpoints behind).
+//     neighbor replication, optional PFS copy — overlapping the whole
+//     checkpoint with computation. Write only blocks when both buffers are
+//     in flight (the writer is two checkpoints behind).
+//
+// Both disciplines replicate the same way, through the one Transport.
 //
 // Every generation, stored or mirrored, is one of two CRC-stamped frames
 // from one chain encoder (delta.go): a generation-tagged full base (GCP4)
@@ -43,9 +47,11 @@
 //
 // Every committed replica is accompanied by a seal object written strictly
 // after its data, echoing the frame's version and chain identity.
-// FindLatest counts only sealed replicas, so a flush torn by a failure (a
-// truncated neighbor copy, a data object without its seal) is never
-// selected for restore; Fetch additionally CRC-verifies whatever it reads.
+// FindLatest counts only sealed replicas, so a commit torn by a failure (a
+// data object without its seal) is never selected for restore; a push torn
+// in flight never reaches the neighbor's store at all, since the receiver
+// commits only complete frames. Fetch additionally CRC-verifies whatever it
+// reads.
 package checkpoint
 
 import (
@@ -112,16 +118,15 @@ type Config struct {
 	// CheckpointMode selects the synchronous (default) or the asynchronous
 	// double-buffered commit discipline.
 	CheckpointMode CheckpointMode
-	// ChunkBytes is the replication granularity of the async writer: the
-	// neighbor copy moves in chunks of this size, so a failure mid-flush
-	// leaves a detectably torn (unsealed, truncated) copy instead of
-	// silently losing arbitrary suffixes. Default 64 KiB.
+	// ChunkBytes is the library's chunk granularity: the dirty-chunk
+	// deltas and the striped restore reads work in chunks of this size,
+	// and the framework's checkpoint stream writes in them. Default 64 KiB.
 	ChunkBytes int
 	// StreamBytes caps the frame size of the GASPI checkpoint stream the
-	// framework wires in Async mode (the staging-segment capacity; 0 =
-	// ft.DefaultCPStreamBytes). Size it above the largest encoded state
-	// checkpoint or neighbor replication will fail (visible via Err and
-	// ErrCount).
+	// framework replicates over under both commit disciplines (a writer
+	// slot's capacity; 0 = ft.DefaultCPStreamBytes). Size it above the
+	// largest encoded checkpoint or neighbor replication will fail
+	// (visible via Err and ErrCount).
 	StreamBytes int
 	// FullEvery is the maximum depth of a checkpoint family's chain: at
 	// least every FullEvery-th generation is a self-contained full base and
@@ -149,14 +154,14 @@ func (c Config) ChunkSize() int {
 // Library is one process's handle to the C/R machinery. The background
 // copier goroutine is the paper's "library thread".
 type Library struct {
-	cl     *cluster.Cluster
-	nodeID int
-	cfg    Config
+	cl        *cluster.Cluster
+	nodeID    int
+	cfg       Config
+	transport Transport // nil: no neighbor copies (each is an error on Err)
 
 	mu        sync.Mutex
 	neighbor  int // neighboring node id; -1 when none
 	stopped   bool
-	transport Transport
 	flushHook func(logical int, version int64)
 
 	reqCh chan copyReq
@@ -194,25 +199,21 @@ type Library struct {
 	errCount int64
 }
 
-// Transport replicates a checkpoint blob to a neighbor node. The contract
-// that makes torn-write detection work: the destination's seal must be
-// committed only after the complete data object is in place, so an aborted
-// push leaves an unsealed (or truncated) copy that FindLatest ignores.
-//
-// The default transport moves chunks over the cluster network; the core
-// framework substitutes a GASPI one-sided stream on a dedicated queue when
-// the async engine runs under the fault-tolerance framework.
+// Transport replicates a checkpoint frame to a neighbor node: the one
+// replication path of both commit disciplines. The framework's is the GASPI
+// checkpoint stream, whose receiver commits each complete frame with
+// StoreReplica. The contract that makes torn-push detection work: the
+// destination commits the data object and then its seal, and only for a
+// complete frame, so an aborted push leaves nothing FindLatest would pick.
+// Push may keep reading blob after it returned an error (a zero-copy post
+// still in flight); the caller must not reuse the buffer then.
 type Transport interface {
 	Push(nbNode int, key string, blob []byte) error
 }
 
-// SetTransport installs a replication transport (nil restores the default
-// chunked cluster transfer).
-func (l *Library) SetTransport(t Transport) {
-	l.mu.Lock()
-	l.transport = t
-	l.mu.Unlock()
-}
+// errNoTransport is recorded for every neighbor copy of a library built
+// without a transport.
+var errNoTransport = errors.New("checkpoint: no replication transport")
 
 // SetFlushHook installs an observer called when a background flush of a
 // checkpoint begins (the sync copier picking up a replication request, or
@@ -235,9 +236,9 @@ func (l *Library) noteFlush(logical int, version int64) {
 	}
 }
 
-// BindAbort ties the library to a process-death signal: a flush in progress
-// stops at the next chunk boundary once ch closes, leaving a torn copy at
-// the destination exactly like a real node loss interrupts an RDMA stream.
+// BindAbort ties the library to a process-death signal: once ch closes, a
+// flush not yet begun is skipped and nothing more is released; a push in
+// flight is the transport's to cut short.
 func (l *Library) BindAbort(ch <-chan struct{}) {
 	l.mu.Lock()
 	l.abort = ch
@@ -269,17 +270,20 @@ type copyReq struct {
 }
 
 // New creates a library for the process on the given node and starts its
-// copier thread. Call SetWorkerNodes before the first Write so a neighbor
-// is known.
-func New(cl *cluster.Cluster, nodeID int, cfg Config) *Library {
+// copier thread. Every neighbor copy goes through tr; a library without one
+// (nil) can read and write locally, and records an error on Err for each
+// copy it cannot make. Call SetWorkerNodes before the first Write so a
+// neighbor is known.
+func New(cl *cluster.Cluster, nodeID int, cfg Config, tr Transport) *Library {
 	l := &Library{
-		cl:       cl,
-		nodeID:   nodeID,
-		cfg:      cfg,
-		neighbor: -1,
-		chains:   make(map[chainKey]*chainEncoder),
-		reqCh:    make(chan copyReq, 64),
-		done:     make(chan struct{}),
+		cl:        cl,
+		nodeID:    nodeID,
+		cfg:       cfg,
+		transport: tr,
+		neighbor:  -1,
+		chains:    make(map[chainKey]*chainEncoder),
+		reqCh:     make(chan copyReq, 64),
+		done:      make(chan struct{}),
 	}
 	if cfg.CheckpointMode == Async {
 		l.async = newAsyncWriter(l)
@@ -417,31 +421,33 @@ func (l *Library) copier() {
 
 func (l *Library) doCopy(req copyReq) {
 	l.noteFlush(req.logical, req.version)
-	l.replicate(req.name, req.key, req.logical, req.version, req.blob, req.toPFS,
-		func(nb int) error { return l.pushNeighbor(nb, req.key, req.blob, req.version) })
+	l.replicate(req.name, req.key, req.logical, req.version, req.blob, req.toPFS)
 }
 
 // replicate is the post-local-commit sequence shared by both commit
-// disciplines: neighbor push (through pushFn, which differs per
-// discipline), optional PFS copy, and the retention rule. The neighbor push
-// and the PFS copy run concurrently — they target independent storage
-// tiers, and serializing them on the single copier goroutine made
-// PFS-enabled configs pay the sum of the two flush latencies per version.
-// Generations are released only behind one that sealed on the neighbor as
-// well (or when there is no neighbor to seal on): under a persistently
-// failing push nothing is released anywhere, so the neighbor keeps the only
-// off-node copies. A dead process releases nothing.
-func (l *Library) replicate(name, key string, logical int, version int64, blob []byte, toPFS bool, pushFn func(nb int) error) {
-	l.mu.Lock()
-	nb := l.neighbor
-	l.mu.Unlock()
+// disciplines: neighbor push through the transport, optional PFS copy, and
+// the retention rule. The neighbor push and the PFS copy run concurrently —
+// they target independent storage tiers, and serializing them on the
+// single copier goroutine made PFS-enabled configs pay the sum of the two
+// flush latencies per version. Generations are released only behind one
+// that sealed on the neighbor as well (or when there is no neighbor to seal
+// on): under a persistently failing push nothing is released anywhere, so
+// the neighbor keeps the only off-node copies. A dead process releases
+// nothing. It reports false when the push failed, which may leave the
+// transport reading blob.
+func (l *Library) replicate(name, key string, logical int, version int64, blob []byte, toPFS bool) bool {
+	nb := l.Neighbor()
 	pushed := false
 	var wg sync.WaitGroup
 	if nb >= 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := pushFn(nb); err != nil {
+			err := errNoTransport
+			if l.transport != nil {
+				err = l.transport.Push(nb, key, blob)
+			}
+			if err != nil {
 				l.setErr(fmt.Errorf("checkpoint: neighbor copy of %s to node %d: %w", key, nb, err))
 			} else {
 				pushed = true
@@ -461,6 +467,7 @@ func (l *Library) replicate(name, key string, logical int, version int64, blob [
 	if (pushed || nb < 0) && !l.aborted() {
 		l.prune(name, logical, version, nb)
 	}
+	return pushed || nb < 0
 }
 
 // putLocal commits data plus seal to the node-local store. The seal is a
@@ -485,24 +492,6 @@ func (l *Library) putPFS(key string, blob []byte, version int64) error {
 		return fmt.Errorf("checkpoint: PFS seal of %s: %w", key, err)
 	}
 	return nil
-}
-
-// pushNeighbor is the sync copier's replication step: through the
-// configured transport, or by default as one whole-blob transfer plus
-// seal over the cluster network (the sync copier has no mid-flush abort
-// to honor, so chunking buys nothing). The async flusher replicates via
-// asyncWriter.push instead, which chunks and honors the abort channel.
-func (l *Library) pushNeighbor(nb int, key string, blob []byte, version int64) error {
-	l.mu.Lock()
-	tr := l.transport
-	l.mu.Unlock()
-	if tr != nil {
-		return tr.Push(nb, key, blob)
-	}
-	if err := l.cl.Transfer(l.nodeID, nb, key, blob); err != nil {
-		return err
-	}
-	return l.cl.TransferMeta(l.nodeID, nb, SealKey(key), sealFor(blob, version))
 }
 
 // restorableLag is how many generations a member's newest sealed copy can
@@ -685,7 +674,8 @@ func (l *Library) storage() cluster.StorageModel { return l.cl.Storage() }
 
 // StoreReplica commits a received checkpoint frame (data plus seal) to a
 // node's local store — the commit step a GASPI checkpoint-stream receiver
-// performs on behalf of its upstream neighbor. Foreign keys are rejected
+// performs on behalf of its upstream neighbor, and the only way a replica
+// reaches another node's store. Foreign keys are rejected
 // and the frame (full or delta) is verified before the seal is written, so
 // a mangled stream can never produce a sealed-but-corrupt replica; the seal
 // echoes the frame's chain identity so the restore side can resolve

@@ -27,6 +27,27 @@ func testCluster(t *testing.T, nodes int) *cluster.Cluster {
 	return cl
 }
 
+// nodeTransport stands in for the framework's checkpoint stream: a push
+// from a live node commits the complete frame at the neighbor the way the
+// stream's receiver does (StoreReplica: data, then seal); a dead node
+// pushes nothing.
+type nodeTransport struct {
+	cl   *cluster.Cluster
+	from int
+}
+
+func (t nodeTransport) Push(nb int, key string, blob []byte) error {
+	if !t.cl.NodeAlive(t.from) {
+		return cluster.ErrNodeDown
+	}
+	return StoreReplica(t.cl, nb, key, blob)
+}
+
+// newLib is New replicating through a nodeTransport.
+func newLib(cl *cluster.Cluster, nodeID int, cfg Config) *Library {
+	return New(cl, nodeID, cfg, nodeTransport{cl: cl, from: nodeID})
+}
+
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	payload := []byte("lanczos vectors + alpha + beta")
 	f, err := decodeFrame(encodeFullInto(nil, 7, 42, 9, payload))
@@ -83,7 +104,7 @@ func TestKeyRoundtrip(t *testing.T) {
 
 func TestWriteFetchLocal(t *testing.T) {
 	cl := testCluster(t, 3)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 	if err := lib.Write("state", 0, 1, []byte("v1-data")); err != nil {
@@ -97,14 +118,14 @@ func TestWriteFetchLocal(t *testing.T) {
 
 func TestNeighborRing(t *testing.T) {
 	cl := testCluster(t, 5)
-	lib := New(cl, 2, Config{})
+	lib := newLib(cl, 2, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 2, 4})
 	if nb := lib.Neighbor(); nb != 4 {
 		t.Fatalf("neighbor = %d, want 4", nb)
 	}
 	// Wrap-around.
-	lib4 := New(cl, 4, Config{})
+	lib4 := newLib(cl, 4, Config{})
 	defer lib4.Stop()
 	lib4.SetWorkerNodes([]int{0, 2, 4})
 	if nb := lib4.Neighbor(); nb != 0 {
@@ -124,7 +145,7 @@ func TestNeighborRing(t *testing.T) {
 
 func TestNeighborCopySurvivesNodeDeath(t *testing.T) {
 	cl := testCluster(t, 3)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 	if err := lib.Write("state", 0, 5, []byte("critical")); err != nil {
@@ -134,7 +155,7 @@ func TestNeighborCopySurvivesNodeDeath(t *testing.T) {
 	// Node 0 (the writer, holding the local copy) dies; the neighbor copy
 	// on node 1 must still be fetchable — by a rescue process on node 2.
 	cl.KillNode(0)
-	rescue := New(cl, 2, Config{})
+	rescue := newLib(cl, 2, Config{})
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{1, 2})
 	got, err := rescue.Fetch("state", 0, 5)
@@ -149,7 +170,7 @@ func TestNeighborCopySurvivesNodeDeath(t *testing.T) {
 
 func TestFindLatestAcrossVersions(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	for v := int64(1); v <= 3; v++ {
@@ -175,7 +196,7 @@ func TestFindLatestAcrossVersions(t *testing.T) {
 // behind a sealed v3; a fourth write would release v1.
 func TestFindLatestIgnoresForeignSeals(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	for v := int64(1); v <= 3; v++ {
@@ -211,7 +232,7 @@ func TestFindLatestIgnoresForeignSeals(t *testing.T) {
 
 func TestCorruptLocalFallsBackToNeighbor(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	if err := lib.Write("state", 0, 1, []byte("good-data")); err != nil {
@@ -236,7 +257,7 @@ func TestCorruptLocalFallsBackToNeighbor(t *testing.T) {
 
 func TestPFSCopy(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{PFSEvery: 2})
+	lib := newLib(cl, 0, Config{PFSEvery: 2})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	for v := int64(1); v <= 4; v++ {
@@ -263,7 +284,7 @@ func TestPFSCopy(t *testing.T) {
 // the local node and on the neighbor alike, and releases the rest.
 func TestPruneKeepsRestorableWindow(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	for v := int64(10); v <= 60; v += 10 {
@@ -292,7 +313,7 @@ func TestPruneKeepsRestorableWindow(t *testing.T) {
 
 func TestStopRejectsWrites(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	lib.SetWorkerNodes([]int{0, 1})
 	lib.Stop()
 	lib.Stop() // idempotent
@@ -303,7 +324,7 @@ func TestStopRejectsWrites(t *testing.T) {
 
 func TestNeighborCopyErrorIsRecorded(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	cl.KillNode(1) // neighbor down before the copy
@@ -322,7 +343,7 @@ func TestNeighborCopyErrorIsRecorded(t *testing.T) {
 
 func TestMultipleLogicalRanksCoexist(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	for lr := 0; lr < 3; lr++ {
@@ -343,7 +364,7 @@ func TestFetchFallsBackToPFS(t *testing.T) {
 	// Both the writer's node and its neighbor die: only the PFS copy
 	// survives, and Fetch must find it.
 	cl := testCluster(t, 3)
-	lib := New(cl, 0, Config{PFSEvery: 1})
+	lib := newLib(cl, 0, Config{PFSEvery: 1})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 	if err := lib.Write("state", 0, 1, []byte("pfs-survivor")); err != nil {
@@ -352,7 +373,7 @@ func TestFetchFallsBackToPFS(t *testing.T) {
 	lib.WaitIdle()
 	cl.KillNode(0)
 	cl.KillNode(1)
-	rescue := New(cl, 2, Config{})
+	rescue := newLib(cl, 2, Config{})
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{2})
 	got, err := rescue.Fetch("state", 0, 1)
@@ -364,7 +385,7 @@ func TestFetchFallsBackToPFS(t *testing.T) {
 func TestWriteAfterNeighborRefresh(t *testing.T) {
 	// After a fault-aware refresh, new copies must go to the new neighbor.
 	cl := testCluster(t, 4)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2, 3})
 	if err := lib.Write("state", 0, 1, []byte("v1")); err != nil {
@@ -389,7 +410,7 @@ func TestWriteAfterNeighborRefresh(t *testing.T) {
 
 func TestGlobalPFSMode(t *testing.T) {
 	cl := testCluster(t, 3)
-	lib := New(cl, 0, Config{Mode: ModeGlobalPFS})
+	lib := newLib(cl, 0, Config{Mode: ModeGlobalPFS})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 	if err := lib.Write("state", 0, 1, []byte("global")); err != nil {
@@ -409,7 +430,7 @@ func TestGlobalPFSMode(t *testing.T) {
 	}
 	cl.KillNode(0)
 	cl.KillNode(1)
-	rescue := New(cl, 2, Config{Mode: ModeGlobalPFS})
+	rescue := newLib(cl, 2, Config{Mode: ModeGlobalPFS})
 	defer rescue.Stop()
 	got, err := rescue.Fetch("state", 0, 1)
 	if err != nil || string(got) != "global" {
@@ -435,7 +456,7 @@ func TestPFSModeCostsMoreThanNeighbor(t *testing.T) {
 
 	payload := bytes.Repeat([]byte{7}, 1<<14)
 
-	neighbor := New(cl, 0, Config{})
+	neighbor := newLib(cl, 0, Config{})
 	defer neighbor.Stop()
 	neighbor.SetWorkerNodes([]int{0, 1})
 	start := time.Now()
@@ -445,7 +466,7 @@ func TestPFSModeCostsMoreThanNeighbor(t *testing.T) {
 	neighborCost := time.Since(start)
 	neighbor.WaitIdle()
 
-	pfs := New(cl, 0, Config{Mode: ModeGlobalPFS})
+	pfs := newLib(cl, 0, Config{Mode: ModeGlobalPFS})
 	defer pfs.Stop()
 	start = time.Now()
 	if err := pfs.Write("b", 0, 1, payload); err != nil {

@@ -25,7 +25,7 @@ func deltaChainTrial(t *testing.T, seed int64) {
 	fullEvery := 2 + rng.Intn(5)
 
 	cl := testCluster(t, 4)
-	lib := New(cl, 1, Config{ChunkBytes: chunk, FullEvery: fullEvery})
+	lib := newLib(cl, 1, Config{ChunkBytes: chunk, FullEvery: fullEvery})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{1, 2, 3})
 
@@ -84,7 +84,7 @@ func deltaChainTrial(t *testing.T, seed int64) {
 
 	// The safety property, from the writer's view and from a rescue on
 	// the neighbor: every claimed version reassembles bit-exactly.
-	rescue := New(cl, 2, Config{ChunkBytes: chunk, FullEvery: fullEvery})
+	rescue := newLib(cl, 2, Config{ChunkBytes: chunk, FullEvery: fullEvery})
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{2, 3})
 	for name, reader := range map[string]*Library{"writer": lib, "rescue": rescue} {

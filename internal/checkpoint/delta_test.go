@@ -34,7 +34,7 @@ func mutate(rng *rand.Rand, payload []byte, chunk, n int) []byte {
 func TestDeltaWriteFetchRoundtrip(t *testing.T) {
 	const chunk = 1 << 10
 	cl := testCluster(t, 4)
-	lib := New(cl, 1, Config{ChunkBytes: chunk, FullEvery: 3})
+	lib := newLib(cl, 1, Config{ChunkBytes: chunk, FullEvery: 3})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{1, 2, 3})
 
@@ -84,7 +84,7 @@ func TestDeltaWriteFetchRoundtrip(t *testing.T) {
 	// The writer's whole node dies: every version must still reassemble
 	// from the neighbor's replica chain.
 	cl.KillNode(1)
-	rescue := New(cl, 3, Config{ChunkBytes: chunk, FullEvery: 3})
+	rescue := newLib(cl, 3, Config{ChunkBytes: chunk, FullEvery: 3})
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{2, 3})
 	if v, ok := rescue.FindLatest("state", 0); !ok || v != 7 {
@@ -106,7 +106,7 @@ func TestDeltaWriteFetchRoundtrip(t *testing.T) {
 func TestDeltaTornChainFallsBackToSealedPrefix(t *testing.T) {
 	const chunk = 1 << 10
 	cl := testCluster(t, 4)
-	lib := New(cl, 1, Config{ChunkBytes: chunk, FullEvery: 4})
+	lib := newLib(cl, 1, Config{ChunkBytes: chunk, FullEvery: 4})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{1, 2, 3})
 	rng := rand.New(rand.NewSource(9))
@@ -127,7 +127,7 @@ func TestDeltaTornChainFallsBackToSealedPrefix(t *testing.T) {
 	cl.Node(2).Delete(SealKey(Key("state", 0, 3)))
 	cl.KillNode(1)
 
-	rescue := New(cl, 3, Config{ChunkBytes: chunk, FullEvery: 4})
+	rescue := newLib(cl, 3, Config{ChunkBytes: chunk, FullEvery: 4})
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{2, 3})
 	v, ok := rescue.FindLatest("state", 0)
@@ -155,7 +155,7 @@ func TestDeltaTornChainFallsBackToSealedPrefix(t *testing.T) {
 func TestFindLatestBelowSkipsHoledChain(t *testing.T) {
 	const chunk = 1 << 10
 	cl := testCluster(t, 3)
-	lib := New(cl, 0, Config{ChunkBytes: chunk, FullEvery: 2})
+	lib := newLib(cl, 0, Config{ChunkBytes: chunk, FullEvery: 2})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 	rng := rand.New(rand.NewSource(21))
@@ -220,7 +220,7 @@ func stripedRestoreSourceDeath(t *testing.T, fullEvery int) {
 	if _, ok := cl.WaitTimeout(10 * time.Second); !ok {
 		t.Fatal("cluster hung")
 	}
-	writer := New(cl, 1, Config{ChunkBytes: chunk, FullEvery: fullEvery})
+	writer := newLib(cl, 1, Config{ChunkBytes: chunk, FullEvery: fullEvery})
 	defer writer.Stop()
 	writer.SetWorkerNodes([]int{1, 2})
 	rng := rand.New(rand.NewSource(11))
@@ -259,7 +259,7 @@ func stripedRestoreSourceDeath(t *testing.T, fullEvery int) {
 
 	// Reader on node 0 (no local copy); sources are nodes 1, 2, 3. Node 3
 	// dies as soon as it claims its first stripe.
-	lib := New(cl, 0, Config{ChunkBytes: chunk})
+	lib := newLib(cl, 0, Config{ChunkBytes: chunk})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2, 3})
 	var once sync.Once
@@ -287,6 +287,17 @@ func stripedRestoreSourceDeath(t *testing.T, fullEvery int) {
 	}
 }
 
+// slowTransport is a nodeTransport whose every push takes d.
+type slowTransport struct {
+	nodeTransport
+	d time.Duration
+}
+
+func (t slowTransport) Push(nb int, key string, blob []byte) error {
+	time.Sleep(t.d)
+	return t.nodeTransport.Push(nb, key, blob)
+}
+
 // TestReplicateOverlapsNeighborAndPFS is the copier-overlap regression:
 // one Write must land both the neighbor replica and the PFS copy, and the
 // two flushes must overlap instead of paying additive latency on the
@@ -297,16 +308,15 @@ func TestReplicateOverlapsNeighborAndPFS(t *testing.T) {
 		Nodes: 3,
 		Gaspi: gaspi.Config{Latency: fabric.LatencyModel{Base: time.Microsecond}},
 		Storage: cluster.StorageModel{
-			XferLatency: lat,
-			PFSLatency:  lat,
-			PFSWidth:    2,
+			PFSLatency: lat,
+			PFSWidth:   2,
 		},
 	}, func(ctx *cluster.ProcCtx) error { return nil })
 	t.Cleanup(cl.Close)
 	if _, ok := cl.WaitTimeout(10 * time.Second); !ok {
 		t.Fatal("cluster hung")
 	}
-	lib := New(cl, 0, Config{PFSEvery: 1})
+	lib := New(cl, 0, Config{PFSEvery: 1}, slowTransport{nodeTransport{cl, 0}, lat})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 	start := time.Now()
@@ -338,7 +348,7 @@ func TestDeltaCadenceInterop(t *testing.T) {
 	for _, c := range []struct{ write, read int }{{0, 4}, {4, 0}} {
 		t.Run(fmt.Sprintf("write=%d/read=%d", c.write, c.read), func(t *testing.T) {
 			cl := testCluster(t, 3)
-			writer := New(cl, 0, Config{FullEvery: c.write})
+			writer := newLib(cl, 0, Config{FullEvery: c.write})
 			defer writer.Stop()
 			writer.SetWorkerNodes([]int{0, 1, 2})
 			payload := []byte("generation 0")
@@ -349,7 +359,7 @@ func TestDeltaCadenceInterop(t *testing.T) {
 				}
 			}
 			writer.WaitIdle()
-			reader := New(cl, 0, Config{FullEvery: c.read})
+			reader := newLib(cl, 0, Config{FullEvery: c.read})
 			defer reader.Stop()
 			reader.SetWorkerNodes([]int{0, 1, 2})
 			if v, ok := reader.FindLatest("state", 0); !ok || v != 3 {
@@ -412,7 +422,7 @@ func TestDeltaFrameRoundtrip(t *testing.T) {
 func TestDeltaRebaseOnWorkerRefresh(t *testing.T) {
 	const chunk = 1 << 10
 	cl := testCluster(t, 3)
-	lib := New(cl, 0, Config{ChunkBytes: chunk, FullEvery: 100})
+	lib := newLib(cl, 0, Config{ChunkBytes: chunk, FullEvery: 100})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 	payload := make([]byte, 4*chunk)
@@ -450,7 +460,7 @@ func BenchmarkDeltaStage(b *testing.B) {
 	if _, ok := cl.WaitTimeout(10 * time.Second); !ok {
 		b.Fatal("cluster hung")
 	}
-	lib := New(cl, 0, Config{ChunkBytes: 4 << 10, FullEvery: 8})
+	lib := newLib(cl, 0, Config{ChunkBytes: 4 << 10, FullEvery: 8})
 	defer lib.Stop()
 	payload := make([]byte, 256<<10)
 	for i := range payload {

@@ -63,7 +63,7 @@ func TestMirrorAndStoreChainsShareOneEncoder(t *testing.T) {
 		t.Run(fmt.Sprintf("FullEvery=%d", fullEvery), func(t *testing.T) {
 			const chunk, last, rebaseAt = 512, int64(14), int64(6)
 			cl := testCluster(t, 3)
-			lib := New(cl, 0, Config{ChunkBytes: chunk, FullEvery: fullEvery})
+			lib := newLib(cl, 0, Config{ChunkBytes: chunk, FullEvery: fullEvery})
 			defer lib.Stop()
 			lib.SetWorkerNodes([]int{0, 1, 2})
 			enc := NewMirrorEncoder(chunk, fullEvery)

@@ -22,7 +22,7 @@ func TestRestoreFallsBackNeighborThenPFS(t *testing.T) {
 
 			// The victim worker lives on node 1; its neighbor in the worker
 			// ring {1,2,3} is node 2, and every version also goes to the PFS.
-			victim := New(cl, 1, Config{PFSEvery: 1, FullEvery: fullEvery})
+			victim := newLib(cl, 1, Config{PFSEvery: 1, FullEvery: fullEvery})
 			defer victim.Stop()
 			victim.SetWorkerNodes([]int{1, 2, 3})
 			if err := victim.Write("state", 0, 1, payload); err != nil {
@@ -42,7 +42,7 @@ func TestRestoreFallsBackNeighborThenPFS(t *testing.T) {
 			// restore from the neighbor replica, not from the PFS copy
 			// beside it.
 			cl.KillNode(1)
-			rescue := New(cl, 3, Config{FullEvery: fullEvery})
+			rescue := newLib(cl, 3, Config{FullEvery: fullEvery})
 			defer rescue.Stop()
 			rescue.SetWorkerNodes([]int{2, 3})
 			if v, ok := rescue.FindLatest("state", 0); !ok || v != 1 {
@@ -81,7 +81,7 @@ func TestRestoreFallsBackNeighborThenPFS(t *testing.T) {
 // replica that exists nowhere.
 func TestRestoreFallbackExhausted(t *testing.T) {
 	cl := testCluster(t, 3)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1, 2})
 	if err := lib.Write("state", 0, 1, []byte("only copy")); err != nil {
@@ -90,7 +90,7 @@ func TestRestoreFallbackExhausted(t *testing.T) {
 	lib.WaitIdle()
 	cl.KillNode(0) // local
 	cl.KillNode(1) // neighbor replica
-	survivor := New(cl, 2, Config{})
+	survivor := newLib(cl, 2, Config{})
 	defer survivor.Stop()
 	survivor.SetWorkerNodes([]int{2})
 	if v, ok := survivor.FindLatest("state", 0); ok {

@@ -64,7 +64,7 @@ func TestReplicateRetentionResidency(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cl := testClusterStorage(t, 3, cluster.StorageModel{})
-			lib := New(cl, 0, Config{CheckpointMode: Async, FullEvery: fullEvery})
+			lib := newLib(cl, 0, Config{CheckpointMode: Async, FullEvery: fullEvery})
 			defer lib.Stop()
 			lib.SetWorkerNodes([]int{0, 1, 2})
 			payload := make([]byte, size)
@@ -130,7 +130,7 @@ func TestReplicateRetentionResidency(t *testing.T) {
 // gone. Deleting in map-iteration order let it.
 func TestReplicateReleaseDeletesSealFirst(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	hooked := 0
@@ -177,7 +177,7 @@ func TestReplicateReleaseDeletesSealFirst(t *testing.T) {
 }
 
 // TestReplicateTornWaveAgreesInsideWindow: the checkpoint wave of generation
-// g is torn — member 0's node dies at a chunk boundary of its flush of g,
+// g is torn — member 0's node dies in the middle of its push of g,
 // while its peers seal g and, a generation ahead, g+1, and run their prunes
 // (members 1 and 2; member 3's neighbor was the dead node, so it releases
 // nothing). Member 0's family is then two generations behind its peers',
@@ -199,7 +199,11 @@ func TestReplicateTornWaveAgreesInsideWindow(t *testing.T) {
 				payloads := make([][]byte, members)
 				golden := make([]map[int64][]byte, members)
 				for m := range libs {
-					libs[m] = New(cl, m, cfg)
+					var tr Transport = nodeTransport{cl, m}
+					if m == 0 {
+						tr = tearingTransport{nodeTransport{cl, 0}, g}
+					}
+					libs[m] = New(cl, m, cfg, tr)
 					defer libs[m].Stop()
 					libs[m].SetWorkerNodes([]int{0, 1, 2, 3})
 					payloads[m] = bytes.Repeat([]byte{byte(m + 1)}, 6*chunk+17)
@@ -221,13 +225,11 @@ func TestReplicateTornWaveAgreesInsideWindow(t *testing.T) {
 				for _, l := range libs {
 					l.WaitIdle()
 				}
-				libs[0].async.chunkHook = func(c int) {
-					if c == 0 {
-						cl.KillNode(0)
-					}
-				}
 				write(0, g)
 				libs[0].WaitIdle()
+				if _, ok := cl.Node(1).GetMeta(SealKey(Key("state", 0, g))); ok {
+					t.Fatalf("torn v%d has a sealed neighbor copy", g)
+				}
 				for m := 1; m < members; m++ {
 					write(m, g)
 					write(m, g+1)
@@ -245,7 +247,7 @@ func TestReplicateTornWaveAgreesInsideWindow(t *testing.T) {
 				// Recovery: a rescue on the spare node adopts family 0, the
 				// survivors refresh their ring, everyone proposes its newest
 				// restorable generation and the group takes the minimum.
-				rescue := New(cl, members, cfg)
+				rescue := newLib(cl, members, cfg)
 				defer rescue.Stop()
 				group := append([]*Library{rescue}, libs[1:]...)
 				agreed := int64(1 << 62)
@@ -279,7 +281,7 @@ func TestReplicateTornWaveAgreesInsideWindow(t *testing.T) {
 // replica like the stream receiver does.
 type gatedTransport struct {
 	cl    *cluster.Cluster
-	grant chan struct{}
+	grant chan struct{} // one token per push
 }
 
 func (g gatedTransport) Push(nb int, key string, blob []byte) error {
@@ -295,7 +297,12 @@ func (g gatedTransport) Push(nb int, key string, blob []byte) error {
 // are), and as the pushes drain both stores converge on the same window.
 func TestReplicateSyncBacklogAnchorsOnPushed(t *testing.T) {
 	cl := testCluster(t, 2)
-	lib := New(cl, 0, Config{})
+	// Versions 1-3 replicate at once; v4..v12 wait for the test.
+	gate := gatedTransport{cl: cl, grant: make(chan struct{}, 3)}
+	for range 3 {
+		gate.grant <- struct{}{}
+	}
+	lib := New(cl, 0, Config{}, gate)
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	for v := int64(1); v <= 3; v++ {
@@ -305,8 +312,6 @@ func TestReplicateSyncBacklogAnchorsOnPushed(t *testing.T) {
 	}
 	lib.WaitIdle()
 
-	gate := gatedTransport{cl: cl, grant: make(chan struct{})}
-	lib.SetTransport(gate)
 	// The copier announces a copy (flush hook) only after the previous
 	// one's prune returned: that is the ordering the asserts below need.
 	started := make(chan int64, 9) // one send per queued copy, v4..v12
@@ -374,7 +379,7 @@ func TestReplicateStrandedReplicasBoundedPerRecovery(t *testing.T) {
 	}
 	count := func(node int) int { return len(familyVersions(cl, node, "state", 0)) }
 
-	owner := New(cl, 0, cfg)
+	owner := newLib(cl, 0, cfg)
 	owner.SetWorkerNodes([]int{0, 1, 2})
 	run(owner, 23)
 	if count(1) > window || count(1) == 0 || count(2) != 0 {
@@ -396,7 +401,7 @@ func TestReplicateStrandedReplicasBoundedPerRecovery(t *testing.T) {
 	// node 3 adopts the family; its neighbor wraps around to node 1.
 	owner.Stop()
 	stranded0, stranded2 := familyVersions(cl, 0, "state", 0), familyVersions(cl, 2, "state", 0)
-	rescue := New(cl, 3, cfg)
+	rescue := newLib(cl, 3, cfg)
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{1, 2, 3})
 	if latest, ok := rescue.FindLatest("state", 0); !ok || latest != v {

@@ -31,7 +31,7 @@ func TestWriteCopiesPayloadBeforeReturn(t *testing.T) {
 	for name, mode := range map[string]CheckpointMode{"Sync": Sync, "Async": Async} {
 		t.Run(name, func(t *testing.T) {
 			cl := testCluster(t, 2)
-			lib := New(cl, 0, Config{CheckpointMode: mode, ChunkBytes: chunk, FullEvery: 3})
+			lib := newLib(cl, 0, Config{CheckpointMode: mode, ChunkBytes: chunk, FullEvery: 3})
 			defer lib.Stop()
 			lib.SetWorkerNodes([]int{0, 1})
 			buf := make([]byte, 4*chunk+9)
@@ -57,7 +57,7 @@ func TestWriteCopiesPayloadBeforeReturn(t *testing.T) {
 			}
 			// The neighbor's replica was pushed after the scribble.
 			cl.KillNode(0)
-			rescue := New(cl, 1, Config{CheckpointMode: mode, ChunkBytes: chunk, FullEvery: 3})
+			rescue := newLib(cl, 1, Config{CheckpointMode: mode, ChunkBytes: chunk, FullEvery: 3})
 			defer rescue.Stop()
 			rescue.SetWorkerNodes([]int{1})
 			got, src, err := rescue.FetchFrom("state", 0, 5)

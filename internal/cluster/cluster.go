@@ -28,9 +28,10 @@ type StorageModel struct {
 	// (RAM disk / local SSD). Cheap.
 	LocalLatency time.Duration
 	LocalPerByte time.Duration
-	// XferLatency/XferPerByte: node-to-node bulk transfer used by the
-	// neighbor checkpoint copy.
-	XferLatency time.Duration
+	// Deprecated: XferPerByte is inert. Neighbor checkpoint copies travel
+	// over the GASPI checkpoint stream and cost what the fabric's latency
+	// model charges; the field remains only until its last assignment (the
+	// frozen benchmark module) is removed.
 	XferPerByte time.Duration
 	// PFSLatency/PFSPerByte: the parallel file system. Expensive and
 	// shared: PFSWidth concurrent streams, the rest queue.
@@ -367,77 +368,6 @@ func (n *Node) Keys() []string {
 
 // ID returns the node id.
 func (n *Node) ID() int { return n.id }
-
-// Transfer copies an object from node src to node dst over the cluster
-// network, costing transfer time proportional to the size. Both nodes must
-// be alive at completion time; a transfer whose destination dies mid-flight
-// is lost.
-func (c *Cluster) Transfer(src, dst int, key string, data []byte) error {
-	s := c.Node(src)
-	s.mu.Lock()
-	srcAlive := s.alive
-	s.mu.Unlock()
-	if !srcAlive {
-		return ErrNodeDown
-	}
-	sleep(c.cfg.Storage.XferLatency + time.Duration(len(data))*c.cfg.Storage.XferPerByte)
-	d := c.Node(dst)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.alive {
-		return ErrNodeDown
-	}
-	d.store[key] = cp
-	return nil
-}
-
-// TransferMeta delivers a small metadata object (a seal) to dst without
-// modeled transfer latency — it rides the tail of the data transfer it
-// follows. Source and destination liveness rules match Transfer.
-func (c *Cluster) TransferMeta(src, dst int, key string, data []byte) error {
-	s := c.Node(src)
-	s.mu.Lock()
-	srcAlive := s.alive
-	s.mu.Unlock()
-	if !srcAlive {
-		return ErrNodeDown
-	}
-	return c.Node(dst).PutMeta(key, data)
-}
-
-// TransferChunk delivers one chunk of a larger object into dst's local
-// store, modeling the progressive arrival of a chunked RDMA transfer: the
-// destination holds a growing prefix under key until the final chunk
-// completes it, so a transfer aborted by a failure leaves a torn
-// (truncated) copy rather than a clean absence. off is the chunk's offset
-// and total the final object size; chunks must arrive in order (the
-// checkpoint flusher is the single writer per key).
-func (c *Cluster) TransferChunk(src, dst int, key string, off int, chunk []byte, total int) error {
-	s := c.Node(src)
-	s.mu.Lock()
-	srcAlive := s.alive
-	s.mu.Unlock()
-	if !srcAlive {
-		return ErrNodeDown
-	}
-	sleep(c.cfg.Storage.XferLatency + time.Duration(len(chunk))*c.cfg.Storage.XferPerByte)
-	d := c.Node(dst)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.alive {
-		return ErrNodeDown
-	}
-	buf := d.store[key]
-	if off == 0 {
-		buf = make([]byte, 0, total)
-	} else if len(buf) != off {
-		return fmt.Errorf("cluster: chunk for %s at offset %d, have %d bytes", key, off, len(buf))
-	}
-	d.store[key] = append(buf, chunk...)
-	return nil
-}
 
 // --- parallel file system ----------------------------------------------------
 

@@ -122,32 +122,6 @@ func TestKillNodeWipesStoreAndProcs(t *testing.T) {
 	}
 }
 
-func TestTransferBetweenNodes(t *testing.T) {
-	cl := New(testCfg(3, 1), func(ctx *ProcCtx) error { return nil })
-	defer cl.Close()
-	mustWait(t, cl)
-	if err := cl.Transfer(0, 2, "cp/v1", []byte("neighbor-copy")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.Node(2).Get("cp/v1", StorageModel{})
-	if err != nil || string(got) != "neighbor-copy" {
-		t.Fatalf("got %q err=%v", got, err)
-	}
-}
-
-func TestTransferToDeadNodeFails(t *testing.T) {
-	cl := New(testCfg(2, 1), func(ctx *ProcCtx) error { return nil })
-	defer cl.Close()
-	mustWait(t, cl)
-	cl.KillNode(1)
-	if err := cl.Transfer(0, 1, "k", []byte("x")); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("want ErrNodeDown, got %v", err)
-	}
-	if err := cl.Transfer(1, 0, "k", []byte("x")); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("want ErrNodeDown from dead source, got %v", err)
-	}
-}
-
 func TestPFSPutGetDurable(t *testing.T) {
 	cfg := testCfg(2, 1)
 	cl := New(cfg, func(ctx *ProcCtx) error { return nil })

@@ -13,6 +13,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime/metrics"
 
 	"repro/internal/checkpoint"
@@ -141,8 +142,9 @@ type Config struct {
 	CheckpointEvery int64
 	// CP configures the checkpoint library. CP.CheckpointMode selects the
 	// commit discipline: checkpoint.Sync (the paper's library; default) or
-	// checkpoint.Async (double-buffered background commit, replicated to
-	// the neighbor over a GASPI one-sided stream on a dedicated queue).
+	// checkpoint.Async (double-buffered background commit). Under both,
+	// neighbor replicas and hot-shadow mirror frames travel over the GASPI
+	// checkpoint stream (ft.CPStream) on a dedicated queue.
 	CP checkpoint.Config
 	// StateName is the checkpoint family name (default "state").
 	StateName string
@@ -186,6 +188,26 @@ func (c Config) withDefaults() Config {
 		c.FT.Replication = clamped
 	}
 	return c
+}
+
+// Validate reports a configuration a job on the cluster ccfg cannot run as
+// asked: a role layout without a worker, or hot shadows (FT.Replication)
+// without the health check that activates them or the checkpoint stream
+// that feeds them.
+func (c Config) Validate(ccfg cluster.Config) error {
+	if err := c.Layout(ccfg.Nodes * max(ccfg.ProcsPerNode, 1)).Validate(); err != nil {
+		return err
+	}
+	for fam, d := range c.FT.Replication {
+		switch {
+		case d <= 0:
+		case !c.EnableCP:
+			return fmt.Errorf("core: replication of %q needs EnableCP: shadows are fed by the checkpoint stream", fam)
+		case !c.EnableHC:
+			return fmt.Errorf("core: replication of %q needs EnableHC: shadows are activated by the detector", fam)
+		}
+	}
+	return nil
 }
 
 // Layout derives the ft.Layout for a given total process count.

@@ -3,11 +3,13 @@ package core_test
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -34,7 +36,6 @@ func clusterCfg(nodes int, faults ...cluster.FaultEvent) cluster.Config {
 		},
 		Storage: cluster.StorageModel{
 			LocalPerByte: time.Nanosecond / 4,
-			XferPerByte:  time.Nanosecond,
 			PFSPerByte:   4 * time.Nanosecond,
 			PFSWidth:     2,
 		},
@@ -458,6 +459,40 @@ func TestOverheadPhasesRecorded(t *testing.T) {
 	}
 }
 
+// expectConfigError checks that a job on ccfg is refused with an error
+// naming what: by Validate, and by Launch the way it refuses an invalid
+// layout.
+func expectConfigError(t *testing.T, ccfg cluster.Config, cfg core.Config, what string) {
+	t.Helper()
+	if err := cfg.Validate(ccfg); err == nil || !strings.Contains(err.Error(), what) {
+		t.Fatalf("Validate = %v, want an error naming %s", err, what)
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("Launch ran a configuration it cannot honour")
+		}
+	}()
+	core.Launch(ccfg, cfg, func() core.App { return nil }).Close()
+}
+
+// TestReplicationWithoutCPIsAnError: hot shadows are fed by the checkpoint
+// stream; without checkpointing there is none, and the job is refused
+// rather than run without its shadows.
+func TestReplicationWithoutCPIsAnError(t *testing.T) {
+	f := ftCfg()
+	f.Replication = map[string]int{"state": 1}
+	expectConfigError(t, clusterCfg(7), core.Config{Spares: 2, FT: f, EnableHC: true}, "EnableCP")
+}
+
+// TestReplicationWithoutHCIsAnError: a shadow takes over only when the
+// detector activates it; without the health check the job is refused
+// rather than run without its shadows.
+func TestReplicationWithoutHCIsAnError(t *testing.T) {
+	f := ftCfg()
+	f.Replication = map[string]int{"state": 1}
+	expectConfigError(t, clusterCfg(7), core.Config{Spares: 2, FT: f, EnableCP: true}, "EnableHC")
+}
+
 func TestLayoutHelper(t *testing.T) {
 	cfg := core.Config{Spares: 3}
 	lay := cfg.Layout(10)
@@ -560,68 +595,111 @@ func TestRestrictionThreeNonUniformNetworkFailure(t *testing.T) {
 	}
 }
 
-func TestTwoProcsPerNodeNodeFailure(t *testing.T) {
-	// Two ranks per node: a node failure kills BOTH its workers at once
-	// and wipes the shared local store; the threaded FD detects both in
-	// one scan and two rescues restore from the neighbor node's copies.
+// streamApp is a Lanczos app that remembers the worker it last ran on, so
+// a test can read that worker's checkpoint-stream counters after the job.
+type streamApp struct {
+	*apps.Lanczos
+	w *ft.Worker
+}
+
+func (a *streamApp) Rebuild(ctx *core.Ctx) error {
+	a.w = ctx.Worker
+	return a.Lanczos.Rebuild(ctx)
+}
+
+// TestTwoProcsPerNode runs two processes per node under both commit
+// disciplines, with a hot shadow on logical 0. Both processes of a node
+// replicate to the same receiver on the neighbor node, each through its own
+// writer slot of the checkpoint stream, and the shadow is fed over the same
+// stream. A node failure kills both of its workers at once and wipes the
+// shared local store: the threaded FD detects both in one scan and two
+// rescues restore from the neighbor node's copies. A kill of the shadowed
+// primary is absorbed by its shadow with nothing recomputed.
+func TestTwoProcsPerNode(t *testing.T) {
 	want := referenceEigs(t)
-	ccfg := clusterCfg(0)
-	ccfg.Nodes = 5 // 10 ranks: FD + 3 spares + 6 workers... see layout below
-	ccfg.ProcsPerNode = 2
-	cfg := core.Config{
-		Spares: 3, FT: ftCfg(), EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-	}
-	// Layout over 10 ranks: FD=0, spares=1..3, workers=4..9 (logical 0..5).
-	// Node 3 hosts ranks 6,7 = logical 2,3.
-	var mu sync.Mutex
-	var instances []*apps.Lanczos
-	job := core.Launch(ccfg, cfg, func() core.App {
-		a := apps.NewLanczos(apps.LanczosConfig{
-			Gen:       matrix.DefaultGraphene(6, 4, 33),
-			Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
-			StepDelay: 2 * time.Millisecond,
-		})
-		mu.Lock()
-		instances = append(instances, a)
-		mu.Unlock()
-		return a
-	})
-	t.Cleanup(job.Close)
-	waitCheckpoints(t, job, 2)
-	job.Cluster.KillNode(3)
-	res, ok := job.WaitTimeout(120 * time.Second)
-	if !ok {
-		t.Fatal("job hung")
-	}
-	for _, r := range res {
-		if r.Death != nil {
-			if r.Rank != 6 && r.Rank != 7 {
-				t.Fatalf("rank %d unexpectedly died: %+v", r.Rank, r.Death)
+	for _, mode := range []checkpoint.CheckpointMode{checkpoint.Sync, checkpoint.Async} {
+		for _, shadowKill := range []bool{false, true} {
+			name := map[checkpoint.CheckpointMode]string{checkpoint.Sync: "sync", checkpoint.Async: "async"}[mode]
+			if shadowKill {
+				name += "/kill-shadowed-primary"
+			} else {
+				name += "/node-failure"
 			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+			t.Run(name, func(t *testing.T) {
+				// 10 ranks: FD=0, spares=1..3, workers=4..9 (logical 0..5).
+				// Spare 1 shadows logical 0 (rank 4); node 3 hosts ranks
+				// 6,7 = logical 2,3.
+				var faults []cluster.FaultEvent
+				if shadowKill {
+					faults = append(faults, cluster.ExitAt(25, 0))
+				}
+				ccfg := clusterCfg(5, faults...)
+				ccfg.ProcsPerNode = 2
+				f := ftCfg()
+				f.Replication = map[string]int{"state": 1}
+				cfg := core.Config{
+					Spares: 3, FT: f, EnableHC: true, EnableCP: true, CheckpointEvery: 10,
+					CP: checkpoint.Config{CheckpointMode: mode},
+				}
+				var mu sync.Mutex
+				var instances []*streamApp
+				job := core.Launch(ccfg, cfg, func() core.App {
+					a := &streamApp{Lanczos: apps.NewLanczos(apps.LanczosConfig{
+						Gen:       testGen,
+						Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
+						StepDelay: 2 * time.Millisecond,
+					})}
+					mu.Lock()
+					instances = append(instances, a)
+					mu.Unlock()
+					return a
+				})
+				t.Cleanup(job.Close)
+				var dead []gaspi.Rank
+				if shadowKill {
+					dead = append(dead, 4)
+				} else {
+					waitCheckpoints(t, job, 2)
+					job.Cluster.KillNode(3)
+					dead = append(dead, 6, 7)
+				}
+				waitClean(t, job, dead...)
+				sum := trace.Aggregate(job.Recorders).SumCounter
+				if shadowKill {
+					if n := sum[trace.KFTShadowFailovers]; n != 1 {
+						t.Errorf("ft.shadow.failovers = %d, want 1", n)
+					}
+					if n := sum[trace.KCoreRedoIters]; n != 0 {
+						t.Errorf("core.redo_iters = %d, want 0", n)
+					}
+				} else if got := job.Recorders[0].Counter("fd.recoveries"); got < 1 || got > 2 {
+					// Usually both deaths land in one scan (one epoch); a
+					// scan already in progress when the node dies can
+					// legitimately split them in two.
+					t.Fatalf("recoveries = %d, want 1 (tolerating a scan-split 2)", got)
+				}
+				var got []float64
+				var served int64
+				mu.Lock()
+				for _, a := range instances {
+					if s := a.Solver(); got == nil && s != nil && s.Finished() && len(s.Eigs) > 0 {
+						got = append([]float64(nil), s.Eigs...)
+					}
+					if a.w != nil {
+						st := a.w.CPStream().Stats()
+						served += st.ServedFull + st.ServedDelta
+					}
+				}
+				mu.Unlock()
+				if served == 0 {
+					t.Error("no neighbor copy came over the checkpoint stream")
+				}
+				// The reference ran with 4 workers; this run has 6, so
+				// only the converged lowest eigenvalue is comparable.
+				expectEigs(t, got, want, 1e-6, 1, name)
+			})
 		}
 	}
-	// Usually both deaths land in one scan (one epoch); a scan already in
-	// progress when the node dies can legitimately split them in two —
-	// the same race the simultaneous-failure tests tolerate.
-	if got := job.Recorders[0].Counter("fd.recoveries"); got < 1 || got > 2 {
-		t.Fatalf("recoveries = %d, want 1 (tolerating a scan-split 2)", got)
-	}
-	var got []float64
-	mu.Lock()
-	for _, a := range instances {
-		if s := a.Solver(); s != nil && s.Finished() && len(s.Eigs) > 0 {
-			got = append([]float64(nil), s.Eigs...)
-			break
-		}
-	}
-	mu.Unlock()
-	// The reference ran with 4 workers; this run has 6, so only the
-	// converged lowest eigenvalue is comparable.
-	expectEigs(t, got, want, 1e-6, 1, "ppn2-node-failure")
 }
 
 // TestLateSpareIsStillActivated: the spare the FD will pick reaches Main

@@ -47,8 +47,9 @@ func startPrewarm(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func(
 		}
 		// A library of its own, for the one plan fetch: the worker flow
 		// creates its library only once it has a rank map to derive the
-		// neighbor ring from.
-		cp := checkpoint.New(cctx.Cluster, cctx.NodeID, cfg.CP)
+		// neighbor ring from. This one never gets a neighbor, so it
+		// replicates nothing and needs no transport.
+		cp := checkpoint.New(cctx.Cluster, cctx.NodeID, cfg.CP, nil)
 		defer cp.Stop()
 		err := hook.Prewarm(&Ctx{
 			Proc:    cctx.Proc,

@@ -25,13 +25,14 @@ type Job struct {
 
 // Launch starts the fault-tolerant application: a cluster per ccfg, with
 // roles assigned per cfg and every worker running the app built by newApp.
+// A configuration the layout cannot honour (see Config.Validate) panics.
 func Launch(ccfg cluster.Config, cfg Config, newApp func() App) *Job {
+	if err := cfg.Validate(ccfg); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	procs := ccfg.Nodes * max(ccfg.ProcsPerNode, 1)
 	lay := cfg.Layout(procs)
-	if err := lay.Validate(); err != nil {
-		panic(err)
-	}
 	recs := make([]*trace.Recorder, procs)
 	for i := range recs {
 		recs[i] = trace.NewRecorder()
@@ -150,15 +151,10 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 			return workerMain(cctx, cfg, lay, newApp, rec, w, notice, nil)
 		}
 	}
-	// Hot shadow: spare rank 1+L mirrors logical L. The mirror rides the
-	// async checkpoint stream, so shadowing is effective only under the
-	// same conditions the stream itself runs (async mode, one process per
-	// node); otherwise the spare idles like any other and replication
-	// silently degrades to the plain rescue path.
+	// Hot shadow: spare rank 1+L mirrors logical L over the checkpoint
+	// stream.
 	if deg := ft.ReplicationDegree(lay, cfg.FT); deg > 0 &&
 		cfg.EnableHC && cfg.EnableCP &&
-		cfg.CP.CheckpointMode == checkpoint.Async &&
-		p.NumProcs() == cctx.Cluster.NumNodes() &&
 		int(p.Rank()) >= 1 && int(p.Rank()) <= deg {
 		return shadowMain(cctx, cfg, lay, newApp, rec)
 	}
@@ -190,7 +186,7 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, rec *trace.Recorder) error {
 	p := cctx.Proc
 	primary := int(p.Rank()) - 1 // inverse of ft.ShadowOf
-	cps, err := ft.NewCPStream(p, cfg.CP.StreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
+	cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), cfg.CP.StreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
 	if err != nil {
 		return err
 	}
@@ -308,7 +304,22 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		})
 	}
 	if cfg.EnableCP {
-		ctx.CP = checkpoint.New(cctx.Cluster, cctx.NodeID, cfg.CP)
+		// Every neighbor copy, under either commit discipline, and every
+		// mirror frame rides the GASPI checkpoint stream on its dedicated
+		// queue. Every worker is both a sender (its library pushes to the
+		// neighbor) and a receiver (the applier commits the upstream
+		// neighbor's frames to this node's local store); all the processes
+		// of a node push to the same receiver, each into its own slot.
+		cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), cfg.CP.StreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
+		if err != nil {
+			return err
+		}
+		w.AttachCPStream(cps)
+		go cps.Serve(func(key string, blob []byte) error {
+			return checkpoint.StoreReplica(cctx.Cluster, cctx.NodeID, key, blob)
+		})
+		defer cps.Stop()
+		ctx.CP = checkpoint.New(cctx.Cluster, cctx.NodeID, cfg.CP, &cpStreamTransport{cctx: cctx, w: w})
 		defer ctx.CP.Stop()
 		ctx.CP.BindAbort(p.Dead())
 		if inj != nil {
@@ -317,31 +328,6 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 			})
 		}
 		ctx.CP.SetWorkerNodes(workerNodes(cctx.Cluster, w.RankMap().Snapshot()))
-		// Async engine: replicate over a GASPI one-sided stream on the
-		// dedicated checkpoint queue. Every worker is both a sender (its
-		// flusher pushes to the neighbor) and a receiver (the applier
-		// commits the upstream neighbor's frames to this node's local
-		// store). Restricted to one process per node: the staging segment
-		// has a single writer slot, and co-hosted senders would interleave
-		// chunk writes into the same receiver segment. With several procs
-		// per node the engine stays async on the library's chunked
-		// cluster transport (per-key destinations, no interleaving).
-		// p.NumProcs (immutable on the Proc) rather than Cluster.NumProcs:
-		// the latter reads the job field the launching cluster.New is
-		// still assigning while early workers already run.
-		if cfg.CP.CheckpointMode == checkpoint.Async &&
-			p.NumProcs() == cctx.Cluster.NumNodes() {
-			cps, err := ft.NewCPStream(p, cfg.CP.StreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
-			if err != nil {
-				return err
-			}
-			w.AttachCPStream(cps)
-			go cps.Serve(func(key string, blob []byte) error {
-				return checkpoint.StoreReplica(cctx.Cluster, cctx.NodeID, key, blob)
-			})
-			defer cps.Stop()
-			ctx.CP.SetTransport(&cpStreamTransport{cctx: cctx, w: w})
-		}
 	}
 
 	var iter int64
@@ -491,15 +477,13 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	// first or tail-end errors would escape the count.
 	if ctx.CP != nil {
 		ctx.CP.WaitIdle()
-		if w.CPStream() != nil {
-			// Couple sender drain to receiver lifetime: without this
-			// barrier a fast-finishing worker stops its Serve applier
-			// while the upstream neighbor's final flush still awaits the
-			// consumption ack, turning a clean completion into a spurious
-			// replication error. Best effort — a failure this late is
-			// handled by the FD/shutdown machinery.
-			_ = w.Barrier()
-		}
+		// Couple sender drain to receiver lifetime: without this barrier
+		// a fast-finishing worker stops its Serve applier while the
+		// upstream neighbor's final flush still awaits the consumption
+		// ack, turning a clean completion into a spurious replication
+		// error. Best effort — a failure this late is handled by the
+		// FD/shutdown machinery.
+		_ = w.Barrier()
 		rec.Inc(trace.KCoreCPFlushErrors, ctx.CP.ErrCount())
 		ds := ctx.CP.DeltaStats()
 		rec.Inc(trace.KCoreCPReleased, ds.Released)
@@ -752,8 +736,9 @@ func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 
 // cpStreamTransport adapts the checkpoint library's node-addressed
 // replication to the rank-addressed GASPI stream: the neighbor NODE is
-// mapped to the worker rank currently hosted there (through the live rank
-// map, so after a recovery pushes reach the rescue process).
+// mapped to the first worker rank currently hosted there (through the live
+// rank map, so after a recovery pushes reach the rescue process) — the one
+// receiver every process of this node pushes to.
 type cpStreamTransport struct {
 	cctx *cluster.ProcCtx
 	w    *ft.Worker

@@ -117,7 +117,10 @@ func runAblationWorkload(c AblationConfig, variant string) (time.Duration, uint6
 	spec.Wrap = func(a *apps.Lanczos) core.App {
 		return &proberApp{App: a, variant: variant, cfg: cfg.FT, probers: probers}
 	}
-	run := StartJob(spec)
+	run, err := StartJob(spec)
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	res := run.Wait()
 	close(probers)
 	periods := float64(res.Recorders[0].Counter(trace.KFDScans))

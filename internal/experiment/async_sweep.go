@@ -148,7 +148,11 @@ func runAsyncWorkload(c AsyncSweepConfig, mode checkpoint.CheckpointMode, period
 	// node-local latency per checkpoint object, on top of the per-byte
 	// costs the default model already carries.
 	spec.Cluster.Storage.LocalLatency = scale(c.LocalWriteCost, c.TimeScale)
-	run := StartJob(spec).Wait()
+	job, err := StartJob(spec)
+	if err != nil {
+		return 0, trace.Summary{}, err
+	}
+	run := job.Wait()
 	return run.Wall, run.Sum, run.Err()
 }
 

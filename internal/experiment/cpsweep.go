@@ -134,7 +134,11 @@ func runCPWorkload(c CPSweepConfig, cp bool, mode checkpoint.Mode, interval int6
 		CheckpointEvery: interval,
 		CP:              checkpoint.Config{Mode: mode},
 	}
-	run := StartJob(c.job(cfg, faults, 2)).Wait()
+	job, err := StartJob(c.job(cfg, faults, 2))
+	if err != nil {
+		return 0, trace.Summary{}, err
+	}
+	run := job.Wait()
 	return run.Wall, run.Sum, run.Err()
 }
 

@@ -150,7 +150,6 @@ func ClusterConfig(nodes int, cal Calibration, timeScale float64, seed int64) cl
 			// Node-local storage ~1 GB/s, node-to-node ~3 GB/s, PFS ~0.5
 			// GB/s shared over 4 streams; all time-scaled.
 			LocalPerByte: time.Nanosecond,
-			XferPerByte:  time.Nanosecond,
 			PFSLatency:   scale(10*time.Millisecond, timeScale),
 			PFSPerByte:   2 * time.Nanosecond,
 			PFSWidth:     4,

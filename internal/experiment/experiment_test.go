@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/ft"
 	"repro/internal/trace"
 )
 
@@ -28,6 +30,18 @@ func TestScaleHelpers(t *testing.T) {
 	}
 	if got := Model(30*time.Millisecond, 100); got != 3*time.Second {
 		t.Fatalf("model = %v", got)
+	}
+}
+
+// TestStartJobRefusesUnhonourableConfig: a job whose hot shadows nothing
+// would feed is an error from the harness, and nothing is launched.
+func TestStartJobRefusesUnhonourableConfig(t *testing.T) {
+	run, err := StartJob(JobSpec{
+		Cluster: cluster.Config{Nodes: 7},
+		Core:    core.Config{Spares: 2, EnableHC: true, FT: ft.Config{Replication: map[string]int{"state": 1}}},
+	})
+	if err == nil || run != nil {
+		t.Fatalf("StartJob = %v, %v; want no run and an error", run, err)
 	}
 }
 

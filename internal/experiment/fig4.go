@@ -101,7 +101,11 @@ func RunFig4(c Fig4Config) (*Fig4Result, error) {
 			EnableCP:        plan.cp,
 			CheckpointEvery: c.CheckpointEvery,
 		}
-		run := StartJob(c.job(cfg, plan.faults, 4)).Wait()
+		job, err := StartJob(c.job(cfg, plan.faults, 4))
+		if err != nil {
+			return nil, fmt.Errorf("fig4 %q: %w", plan.name, err)
+		}
+		run := job.Wait()
 		if err := run.Err(); err != nil {
 			return nil, fmt.Errorf("fig4 %q: %w", plan.name, err)
 		}

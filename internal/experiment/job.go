@@ -70,8 +70,12 @@ type JobResult struct {
 	Victims map[gaspi.Rank]bool
 }
 
-// StartJob launches the job.
-func StartJob(spec JobSpec) *JobRun {
+// StartJob launches the job. A configuration the cluster cannot run as
+// asked (core.Config.Validate) is an error, and nothing is launched.
+func StartJob(spec JobSpec) (*JobRun, error) {
+	if err := spec.Core.Validate(spec.Cluster); err != nil {
+		return nil, err
+	}
 	r := &JobRun{spec: spec, start: time.Now()}
 	r.Job = core.Launch(spec.Cluster, spec.Core, func() core.App {
 		a := apps.NewLanczos(spec.App)
@@ -83,7 +87,7 @@ func StartJob(spec JobSpec) *JobRun {
 		}
 		return a
 	})
-	return r
+	return r, nil
 }
 
 // Wait waits for the job up to its deadline, tears it down and classifies

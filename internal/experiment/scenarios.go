@@ -83,8 +83,7 @@ type ScenarioSpec struct {
 	// generation full).
 	FullEvery int
 	// Replication assigns hot shadows to the first k logical ranks (the
-	// ft.Config.Replication degree for the state family). Requires
-	// Async (the mirror rides the checkpoint stream).
+	// ft.Config.Replication degree for the state family).
 	Replication int
 	// Expect is the required outcome.
 	Expect ScenarioOutcome
@@ -400,7 +399,6 @@ func scenarioClusterConfig(c ScenarioMatrixConfig, procs int, sc *cluster.Scenar
 		},
 		Storage: cluster.StorageModel{
 			LocalPerByte: time.Nanosecond / 4,
-			XferPerByte:  time.Nanosecond,
 			PFSPerByte:   4 * time.Nanosecond,
 			PFSWidth:     2,
 		},
@@ -451,7 +449,7 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 	if spec.Replication > 0 {
 		ftCfg.Replication = map[string]int{"state": spec.Replication}
 	}
-	res := StartJob(JobSpec{
+	job, err := StartJob(JobSpec{
 		Cluster: scenarioClusterConfig(c, 1+spec.Spares+c.Workers, &sc),
 		Core: core.Config{
 			Spares:          spec.Spares,
@@ -472,7 +470,11 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 		},
 		Timeout: c.Timeout,
 		WantEig: &wantEig,
-	}).Wait()
+	})
+	if err != nil {
+		return ScenarioResult{Spec: spec, Outcome: OutcomeFailed, Detail: err.Error()}
+	}
+	res := job.Wait()
 	out := ScenarioResult{Spec: spec, Outcome: res.Outcome, Wall: res.Wall, Unfired: res.Unfired, Detail: res.Detail}
 	// The episode-level invariants are swept on every exit path, once the
 	// outcome is classified (the TTR checks are outcome-dependent).

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,14 +12,19 @@ import (
 	"repro/internal/gaspi"
 )
 
-// The asynchronous checkpoint engine replicates to the neighbor over a
-// GASPI one-sided stream instead of the simulated cluster network: the
-// flusher posts the frame in chunks with gaspi_write on a queue dedicated
-// to checkpoint traffic (so bulk checkpoint data never delays the halo
-// exchange or the notice-board writes), then commits with a notification.
-// The receiving worker runs a small applier goroutine that stores each
-// complete frame into its node-local store — the node-level copy that
-// survives the sender's death.
+// Every neighbor replica and every hot-shadow mirror frame travels over a
+// GASPI one-sided stream: the sender posts the frame in chunks with
+// gaspi_write on a queue dedicated to checkpoint traffic (so bulk
+// checkpoint data never delays the halo exchange or the notice-board
+// writes), then commits with a notification. The receiver runs a small
+// applier goroutine that hands each complete frame to its store — the
+// node-local store for a replica (the node-level copy that survives the
+// sender's death), the live mirror on a hot shadow.
+//
+// The staging segment has one writer slot per process of a node: all the
+// ranks of a node replicate to the same receiver on the neighbor node, so
+// each writes its frames into the slot of its own position on its node and
+// commits them with that slot's notification.
 const (
 	// SegCP is the checkpoint-stream staging segment (board=1, halo=2).
 	SegCP gaspi.SegmentID = 3
@@ -27,13 +33,14 @@ const (
 	// CPAckQueue carries the receiver's acknowledgments, kept off CPQueue
 	// so the applier never waits behind the flusher's bulk writes.
 	CPAckQueue gaspi.QueueID = 6
-	// NotifCPCommit signals a complete frame in the receiver's segment.
-	NotifCPCommit gaspi.NotificationID = 0
 	// NotifCPAck signals frame consumption back to the sender.
-	NotifCPAck gaspi.NotificationID = 1
+	NotifCPAck gaspi.NotificationID = 0
+	// NotifCPCommit+i signals a complete frame in writer slot i of the
+	// receiver's segment.
+	NotifCPCommit gaspi.NotificationID = 1
 )
 
-// DefaultCPStreamBytes is the default staging-segment capacity; one frame
+// DefaultCPStreamBytes is the default capacity of a writer slot; one frame
 // (key + encoded checkpoint) must fit.
 const DefaultCPStreamBytes = 1 << 20
 
@@ -77,17 +84,21 @@ var errCPDied = errors.New("ft: checkpoint stream: process died")
 
 // CPStream is one process's endpoint of the checkpoint replication
 // stream: Push sends sealed frames to a neighbor's segment, Serve applies
-// frames arriving from the upstream neighbor. A single flusher goroutine
-// calls Push; Serve runs in its own goroutine. Both survive recovery —
-// queues are purged by Recover, which simply fails the in-flight push, and
-// the per-frame sequence keeps stale acknowledgments harmless.
+// frames arriving from the upstream neighbor's processes. Pushes are
+// serialized, so a sender has one frame in flight; Serve runs in its own
+// goroutine. Both survive recovery — queues are purged by Recover, which
+// simply fails the in-flight push, and the per-frame sequence keeps stale
+// acknowledgments harmless.
 type CPStream struct {
 	p       *gaspi.Proc
-	segSize int
+	segSize int // frame capacity of one writer slot
+	stride  int // bytes per writer slot: header + segSize
+	slot    int // this process's writer slot in a receiver's segment
+	slots   int // writer slots in this process's segment
 	chunk   int
 	timeout time.Duration
 
-	mu  sync.Mutex // serializes Push (defense; the flusher is single)
+	mu  sync.Mutex // serializes Push: one frame in flight per sender
 	seq int64
 
 	// hdrBuf is the reused header+key staging buffer. Like the blob it is
@@ -110,11 +121,19 @@ func (s *CPStream) Stats() CPStreamStats {
 	return s.stats
 }
 
-// NewCPStream creates the staging segment and returns the endpoint.
-// segBytes is the frame capacity (DefaultCPStreamBytes when 0), chunk the
-// write granularity (64 KiB when 0), timeout the per-wait poll interval —
-// the worker's communication timeout is the natural choice.
-func NewCPStream(p *gaspi.Proc, segBytes, chunk int, timeout time.Duration) (*CPStream, error) {
+// NewCPStream creates the staging segment and returns the endpoint. node
+// lists the ranks hosted on this process's node, in order: the segment gets
+// one writer slot per entry, and this process writes into the slot of its
+// own position. segBytes is a slot's frame capacity (DefaultCPStreamBytes
+// when 0), chunk the write granularity (64 KiB when 0), timeout the
+// per-wait poll interval — the worker's communication timeout is the
+// natural choice. The segment is backed as it is written, so slots no
+// sender reaches cost nothing.
+func NewCPStream(p *gaspi.Proc, node []gaspi.Rank, segBytes, chunk int, timeout time.Duration) (*CPStream, error) {
+	slot := slices.Index(node, p.Rank())
+	if slot < 0 {
+		return nil, fmt.Errorf("ft: checkpoint stream: rank %d is not among its node's ranks %v", p.Rank(), node)
+	}
 	if segBytes <= 0 {
 		segBytes = DefaultCPStreamBytes
 	}
@@ -124,12 +143,16 @@ func NewCPStream(p *gaspi.Proc, segBytes, chunk int, timeout time.Duration) (*CP
 	if timeout <= 0 {
 		timeout = 50 * time.Millisecond
 	}
-	if err := p.SegmentCreate(SegCP, cpFrameHeader+segBytes); err != nil {
+	stride := cpFrameHeader + segBytes
+	if err := p.SegmentCreate(SegCP, len(node)*stride); err != nil {
 		return nil, err
 	}
 	return &CPStream{
 		p:       p,
 		segSize: segBytes,
+		stride:  stride,
+		slot:    slot,
+		slots:   len(node),
 		chunk:   chunk,
 		timeout: timeout,
 		served:  make(chan struct{}),
@@ -137,14 +160,14 @@ func NewCPStream(p *gaspi.Proc, segBytes, chunk int, timeout time.Duration) (*CP
 }
 
 // Push replicates one frame to the receiver rank: chunked zero-copy
-// one-sided writes on CPQueue (each chunk is read once, from the caller's
-// buffer straight into the receiver's segment at delivery time — the
-// flusher no longer pays a per-chunk copy), a commit notification carrying
-// the frame sequence, then a wait for the receiver's acknowledgment (the
-// flow control GASPI itself does not provide — without it the next flush
-// could overwrite an unconsumed frame). Safe to call from the flusher
-// goroutine of a process that may die mid-push: the killedPanic is
-// absorbed and surfaces as an error.
+// one-sided writes on CPQueue into this sender's writer slot (each chunk is
+// read once, from the caller's buffer straight into the receiver's segment
+// at delivery time — the flusher no longer pays a per-chunk copy), the
+// slot's commit notification carrying the frame sequence, then a wait for
+// the receiver's acknowledgment (the flow control GASPI itself does not
+// provide — without it the next push could overwrite an unconsumed frame).
+// Safe to call from a goroutine of a process that may die mid-push: the
+// killedPanic is absorbed and surfaces as an error.
 //
 // Ownership: blob is borrowed by the fabric until Push returns nil. If
 // Push returns an error (timeout, purge, death), in-flight writes may
@@ -199,13 +222,14 @@ func (s *CPStream) push(to gaspi.Rank, key string, blob []byte, kind CPFrameKind
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(blob)))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(kind))
 	copy(hdr[cpFrameHeader:], key)
-	if err := s.p.WriteFrom(to, SegCP, 0, hdr, CPQueue); err != nil {
+	slotOff := int64(s.slot * s.stride)
+	if err := s.p.WriteFrom(to, SegCP, slotOff, hdr, CPQueue); err != nil {
 		return err
 	}
 	// All chunks target one receiver rank, i.e. one fabric shard: the
 	// burst coalesces into a single doorbell wakeup there, and the shard
 	// batches the whole run of chunk writes through its timer heap.
-	base := int64(len(hdr))
+	base := slotOff + int64(len(hdr))
 	for off := 0; off < len(blob); off += s.chunk {
 		end := min(off+s.chunk, len(blob))
 		if err := s.p.WriteFrom(to, SegCP, base+int64(off), blob[off:end], CPQueue); err != nil {
@@ -216,7 +240,7 @@ func (s *CPStream) push(to gaspi.Rank, key string, blob []byte, kind CPFrameKind
 		return fmt.Errorf("ft: checkpoint chunk flush to rank %d: %w", to, err)
 	}
 	s.seq++
-	if err := s.p.Notify(to, SegCP, NotifCPCommit, s.seq, CPQueue); err != nil {
+	if err := s.p.Notify(to, SegCP, NotifCPCommit+gaspi.NotificationID(s.slot), s.seq, CPQueue); err != nil {
 		return err
 	}
 	if err := s.waitQueue(CPQueue); err != nil {
@@ -261,9 +285,10 @@ func (s *CPStream) waitQueue(q gaspi.QueueID) error {
 	}
 }
 
-// Serve is the applier loop: it waits for commit notifications, copies the
-// staged frame out of the segment, hands it to store (which commits data
-// plus seal to the node-local store), and acknowledges. It returns after
+// Serve is the applier loop: it waits for the commit notification of any
+// writer slot, copies the staged frame out of that slot, hands it to store
+// (which commits data plus seal to the node-local store, or applies a
+// mirror frame), and acknowledges to the frame's sender. It returns after
 // Stop or when the process dies; run it in its own goroutine. The poll
 // timeout is only how often an idle applier re-checks; Stop does not wait
 // for it (it raises the attention line, which ends the wait).
@@ -272,34 +297,35 @@ func (s *CPStream) Serve(store func(key string, blob []byte) error) {
 	defer close(s.served)
 	gaspi.Protect(func() {
 		for !s.stopped.Load() {
-			_, err := s.p.NotifyWaitsome(SegCP, NotifCPCommit, 1, s.timeout)
+			id, err := s.p.NotifyWaitsome(SegCP, NotifCPCommit, s.slots, s.timeout)
 			if errors.Is(err, gaspi.ErrTimeout) {
 				continue
 			}
 			if err != nil {
 				return
 			}
-			seq, err := s.p.NotifyReset(SegCP, NotifCPCommit)
+			seq, err := s.p.NotifyReset(SegCP, id)
 			if err != nil {
 				return
 			}
 			if seq == 0 {
 				continue
 			}
-			if !s.serveOne(seq, store) {
+			if !s.serveOne(int(id-NotifCPCommit), seq, store) {
 				return
 			}
 		}
 	})
 }
 
-// serveOne consumes the frame committed under seq out of the staging
-// segment: validate, hand to store, acknowledge. It returns false only on
-// a segment-level error (the process is going away); a mangled or
-// corrupt frame is dropped without an acknowledgment so the sender times
-// out rather than trusting a bad replica.
-func (s *CPStream) serveOne(seq int64, store func(key string, blob []byte) error) bool {
-	hdr, err := s.p.SegmentCopyOut(SegCP, 0, cpFrameHeader)
+// serveOne consumes the frame committed under seq out of writer slot slot:
+// validate, hand to store, acknowledge. It returns false only on a
+// segment-level error (the process is going away); a mangled or corrupt
+// frame is dropped without an acknowledgment so the sender times out
+// rather than trusting a bad replica.
+func (s *CPStream) serveOne(slot int, seq int64, store func(key string, blob []byte) error) bool {
+	off := slot * s.stride
+	hdr, err := s.p.SegmentCopyOut(SegCP, off, cpFrameHeader)
 	if err != nil {
 		return false
 	}
@@ -310,7 +336,7 @@ func (s *CPStream) serveOne(seq int64, store func(key string, blob []byte) error
 	if keyLen <= 0 || blobLen < 0 || keyLen+blobLen > s.segSize {
 		return true // mangled frame (e.g. two transient senders): drop, no ack
 	}
-	body, err := s.p.SegmentCopyOut(SegCP, cpFrameHeader, keyLen+blobLen)
+	body, err := s.p.SegmentCopyOut(SegCP, off+cpFrameHeader, keyLen+blobLen)
 	if err != nil {
 		return false
 	}
@@ -333,23 +359,23 @@ func (s *CPStream) serveOne(seq int64, store func(key string, blob []byte) error
 	return true
 }
 
-// DrainPending consumes a frame that was committed into the segment but
-// not yet picked up by Serve — the shadow's takeover path calls it after
-// Stop: the primary's final push may have landed (commit notification set)
-// in the window between Serve's last poll and its exit, and that tail
+// DrainPending consumes the frames that were committed into the segment
+// but not yet picked up by Serve — the shadow's takeover path calls it
+// after Stop: the primary's final push may have landed (commit notification
+// set) in the window between Serve's last poll and its exit, and that tail
 // frame is exactly the iteration the failover must not lose. Non-blocking:
 // when no commit is pending it returns immediately.
 func (s *CPStream) DrainPending(store func(key string, blob []byte) error) {
 	gaspi.Protect(func() {
-		v, err := s.p.NotifyPeek(SegCP, NotifCPCommit)
-		if err != nil || v == 0 {
-			return
+		for slot := range s.slots {
+			id := NotifCPCommit + gaspi.NotificationID(slot)
+			if v, err := s.p.NotifyPeek(SegCP, id); err != nil || v == 0 {
+				continue
+			}
+			if seq, err := s.p.NotifyReset(SegCP, id); err == nil && seq != 0 {
+				s.serveOne(slot, seq, store)
+			}
 		}
-		seq, err := s.p.NotifyReset(SegCP, NotifCPCommit)
-		if err != nil || seq == 0 {
-			return
-		}
-		s.serveOne(seq, store)
 	})
 }
 

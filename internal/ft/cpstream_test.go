@@ -45,7 +45,7 @@ func (s *cpStore) len() int {
 func TestCPStreamDelivers(t *testing.T) {
 	store := newCPStore()
 	job := gaspi.Launch(testGaspiCfg(2), func(p *gaspi.Proc) error {
-		s, err := NewCPStream(p, 4096, 64, 20*time.Millisecond)
+		s, err := NewCPStream(p, []gaspi.Rank{p.Rank()}, 4096, 64, 20*time.Millisecond)
 		if err != nil {
 			return err
 		}
@@ -101,7 +101,7 @@ func TestCPStreamZeroCopyBufferReuse(t *testing.T) {
 	store := newCPStore()
 	const frames = 8
 	job := gaspi.Launch(testGaspiCfg(2), func(p *gaspi.Proc) error {
-		s, err := NewCPStream(p, 4096, 64, 20*time.Millisecond)
+		s, err := NewCPStream(p, []gaspi.Rank{p.Rank()}, 4096, 64, 20*time.Millisecond)
 		if err != nil {
 			return err
 		}
@@ -147,12 +147,74 @@ func TestCPStreamZeroCopyBufferReuse(t *testing.T) {
 	}
 }
 
+// TestCPStreamCoHostedSenders: the two ranks of one node replicate to the
+// same receiver on the neighbor node at once. Each writes into the slot of
+// its position on its node, so every frame of both arrives intact and
+// acknowledged; with one shared slot their chunks would interleave into
+// mangled frames that are never acknowledged.
+func TestCPStreamCoHostedSenders(t *testing.T) {
+	const frames = 20
+	store := newCPStore()
+	frame := func(r gaspi.Rank, i int) []byte { return bytes.Repeat([]byte{byte(50*int(r) + i)}, 2000) }
+	job := gaspi.Launch(testGaspiCfg(4), func(p *gaspi.Proc) error {
+		// Two nodes of two ranks: 0 and 1 push to 2; 3 only takes part.
+		base := p.Rank() / 2 * 2
+		s, err := NewCPStream(p, []gaspi.Rank{base, base + 1}, 4096, 64, 20*time.Millisecond)
+		if err != nil {
+			return err
+		}
+		if p.Rank() == 2 {
+			go s.Serve(store.put)
+			defer s.Stop()
+		}
+		if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+			return err
+		}
+		if p.Rank() < 2 {
+			for i := 0; i < frames; i++ {
+				if err := s.Push(2, fmt.Sprintf("cp/state/%d/v%d", p.Rank(), i), frame(p.Rank(), i)); err != nil {
+					return fmt.Errorf("push %d: %w", i, err)
+				}
+			}
+		}
+		// A sender that gave up never reaches this barrier: time out
+		// rather than hang.
+		if err := p.Barrier(gaspi.GroupAll, 20*time.Second); err != nil {
+			return err
+		}
+		if p.Rank() == 2 {
+			if st := s.Stats(); st.ServedFull != 2*frames {
+				return fmt.Errorf("served %d frames, want %d", st.ServedFull, 2*frames)
+			}
+		}
+		return nil
+	})
+	defer job.Close()
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("hung")
+	}
+	for _, r := range res {
+		if r.Err != nil || r.Death != nil {
+			t.Fatalf("rank %d: err=%v death=%+v", r.Rank, r.Err, r.Death)
+		}
+	}
+	for r := gaspi.Rank(0); r < 2; r++ {
+		for i := 0; i < frames; i++ {
+			got, ok := store.get(fmt.Sprintf("cp/state/%d/v%d", r, i))
+			if !ok || !bytes.Equal(got, frame(r, i)) {
+				t.Fatalf("rank %d frame %d mangled (present=%v)", r, i, ok)
+			}
+		}
+	}
+}
+
 // TestCPStreamReceiverDeath: a receiver dying mid-stream must surface as a
 // push error on the sender, never as a partial frame in the store.
 func TestCPStreamReceiverDeath(t *testing.T) {
 	store := newCPStore()
 	job := gaspi.Launch(testGaspiCfg(2), func(p *gaspi.Proc) error {
-		s, err := NewCPStream(p, 1<<16, 128, 20*time.Millisecond)
+		s, err := NewCPStream(p, []gaspi.Rank{p.Rank()}, 1<<16, 128, 20*time.Millisecond)
 		if err != nil {
 			return err
 		}
@@ -213,7 +275,7 @@ func TestCPStreamReceiverDeath(t *testing.T) {
 // TestCPStreamFrameTooLarge: oversized frames are rejected locally.
 func TestCPStreamFrameTooLarge(t *testing.T) {
 	job := gaspi.Launch(testGaspiCfg(2), func(p *gaspi.Proc) error {
-		s, err := NewCPStream(p, 256, 64, 10*time.Millisecond)
+		s, err := NewCPStream(p, []gaspi.Rank{p.Rank()}, 256, 64, 10*time.Millisecond)
 		if err != nil {
 			return err
 		}

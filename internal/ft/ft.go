@@ -29,11 +29,13 @@
 //     only group repair; a hot shadow (Config.Replication) taking over its
 //     primary changes where the state comes from (ShadowTookOver), not how
 //     the group is repaired.
-//   - CPStream (cpstream.go) is the data plane of the asynchronous
-//     checkpoint engine: chunked one-sided writes on a dedicated queue
-//     push sealed checkpoint frames into the ring neighbor's staging
-//     segment, where an applier goroutine commits complete frames to the
-//     node-local store — the replica that survives the sender's death.
+//   - CPStream (cpstream.go) is the data plane of checkpoint replication,
+//     under both commit disciplines: chunked one-sided writes on a
+//     dedicated queue push sealed checkpoint frames into the ring
+//     neighbor's staging segment, where an applier goroutine commits
+//     complete frames to the node-local store — the replica that survives
+//     the sender's death — and carry a shadowed primary's mirror frames to
+//     its hot shadow.
 //
 // The two alternative detectors the paper investigated and rejected
 // (all-to-all ping and neighbor-ring ping) live beside their only user,

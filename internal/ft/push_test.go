@@ -482,7 +482,7 @@ func TestCPStreamStopWakesServe(t *testing.T) {
 	stopped := make(chan struct{}) // receiver's applier has stopped
 	var stopTook atomic.Int64
 	job := gaspi.Launch(testGaspiCfg(2), func(p *gaspi.Proc) error {
-		s, err := NewCPStream(p, 0, 0, pollTimeout)
+		s, err := NewCPStream(p, []gaspi.Rank{p.Rank()}, 0, 0, pollTimeout)
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ type Worker struct {
 	// versa, and no recovery ever comes to resynchronize them.
 	commEpoch uint64
 
-	cps *CPStream // async checkpoint replication endpoint; nil in sync mode
+	cps *CPStream // checkpoint replication endpoint; nil without checkpointing
 
 	// fd is the rank the suspicion nudges go to: the detector named by the
 	// latest notice (rank 0 until one arrives, NilRank once the FD joined
@@ -129,14 +129,15 @@ func (w *Worker) RankMap() *RankMap { return w.rm }
 // process adopting a failed identity).
 func (w *Worker) SetLogical(l int) { w.logical = l }
 
-// AttachCPStream hands the worker the checkpoint-stream endpoint used by
-// the asynchronous checkpoint engine. The stream survives recovery:
-// Recover purges the queues (failing any in-flight push, which the
-// flusher records and tolerates) and the per-frame sequence keeps stale
-// acknowledgments harmless.
+// AttachCPStream hands the worker the checkpoint-stream endpoint that
+// carries its neighbor replicas and mirror frames. The stream survives
+// recovery: Recover purges the queues (failing any in-flight push, which
+// the checkpoint library records and tolerates) and the per-frame sequence
+// keeps stale acknowledgments harmless.
 func (w *Worker) AttachCPStream(s *CPStream) { w.cps = s }
 
-// CPStream returns the attached checkpoint stream (nil in sync mode).
+// CPStream returns the attached checkpoint stream (nil without
+// checkpointing).
 func (w *Worker) CPStream() *CPStream { return w.cps }
 
 // checkNotice polls the failure-acknowledgment notification (without

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -574,6 +575,32 @@ func TestResetStartReusesVectors(t *testing.T) {
 	})
 }
 
+// heapAllocs is the process's cumulative count of heap allocations, exact
+// to the object (runtime/metrics counts a cached span's objects ahead).
+func heapAllocs() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs
+}
+
+// allocsQuiesced counts the heap allocations made while f runs, once the
+// rest of the process is quiet. The count is process-wide, so it would
+// also take in what the job's other goroutines allocate as they start up
+// (a fabric shard registering itself, say): before f runs, wait until a
+// millisecond passes in which nothing allocates.
+func allocsQuiesced(f func()) uint64 {
+	for i := 0; i < 1000; i++ {
+		before := heapAllocs()
+		time.Sleep(time.Millisecond)
+		if heapAllocs() == before {
+			break
+		}
+	}
+	before := heapAllocs()
+	f()
+	return heapAllocs() - before
+}
+
 // TestStepAllocatesNothing: with α and β preallocated to MaxIters and the
 // QL method running in the solver's own scratch, a run of iterations
 // allocates nothing beyond their collectives — without an eigenvalue
@@ -584,7 +611,7 @@ func TestStepAllocatesNothing(t *testing.T) {
 	for _, every := range []int{1000, 1} {
 		inSolverJob(t, matrix.Laplacian1D{N: 256}, 1, Options{MaxIters: 3 * steps, CheckEvery: every, Seed: 2}, 2, func(s *Solver) error {
 			var err error
-			n := testing.AllocsPerRun(1, func() {
+			n := allocsQuiesced(func() {
 				for i := 0; i < steps && err == nil; i++ {
 					err = s.Step()
 				}
@@ -592,7 +619,7 @@ func TestStepAllocatesNothing(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			coll := testing.AllocsPerRun(1, func() {
+			coll := allocsQuiesced(func() {
 				for i := 0; i < steps && err == nil; i++ {
 					if _, err = s.red.Dot(s.comm, s.w, s.V); err == nil {
 						_, err = s.red.Norm2(s.comm, s.w)
