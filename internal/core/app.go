@@ -193,7 +193,10 @@ func (c Config) withDefaults() Config {
 // Validate reports a configuration a job on the cluster ccfg cannot run as
 // asked: a role layout without a worker, or hot shadows (FT.Replication)
 // without the health check that activates them or the checkpoint stream
-// that feeds them.
+// that feeds them. experiment.StartJob refuses such a job. Launch refuses
+// only the layout: given shadows without CP or HC, the spares idle as
+// ordinary rescues (the benchmark's counterfactual runs switch HC off on
+// shadowed workloads).
 func (c Config) Validate(ccfg cluster.Config) error {
 	if err := c.Layout(ccfg.Nodes * max(ccfg.ProcsPerNode, 1)).Validate(); err != nil {
 		return err

@@ -25,14 +25,13 @@ type Job struct {
 
 // Launch starts the fault-tolerant application: a cluster per ccfg, with
 // roles assigned per cfg and every worker running the app built by newApp.
-// A configuration the layout cannot honour (see Config.Validate) panics.
 func Launch(ccfg cluster.Config, cfg Config, newApp func() App) *Job {
-	if err := cfg.Validate(ccfg); err != nil {
-		panic(err)
-	}
 	cfg = cfg.withDefaults()
 	procs := ccfg.Nodes * max(ccfg.ProcsPerNode, 1)
 	lay := cfg.Layout(procs)
+	if err := lay.Validate(); err != nil {
+		panic(err)
+	}
 	recs := make([]*trace.Recorder, procs)
 	for i := range recs {
 		recs[i] = trace.NewRecorder()
@@ -152,7 +151,8 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 		}
 	}
 	// Hot shadow: spare rank 1+L mirrors logical L over the checkpoint
-	// stream.
+	// stream. Without CP or HC (a Config Validate refuses, which only a
+	// direct Launch can bring here) the spare idles like any other.
 	if deg := ft.ReplicationDegree(lay, cfg.FT); deg > 0 &&
 		cfg.EnableHC && cfg.EnableCP &&
 		int(p.Rank()) >= 1 && int(p.Rank()) <= deg {

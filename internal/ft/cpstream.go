@@ -212,16 +212,7 @@ func (s *CPStream) push(to gaspi.Rank, key string, blob []byte, kind CPFrameKind
 	// Header+key go as one small write; the blob is chunked directly from
 	// the caller's (reused) buffer — no full-frame copy per epoch, and
 	// with the zero-copy posts no per-chunk copy either.
-	need := cpFrameHeader + len(key)
-	if cap(s.hdrBuf) < need {
-		s.hdrBuf = make([]byte, need)
-	}
-	hdr := s.hdrBuf[:need]
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(s.p.Rank()))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(blob)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(kind))
-	copy(hdr[cpFrameHeader:], key)
+	hdr := s.header(key, len(blob), kind)
 	slotOff := int64(s.slot * s.stride)
 	if err := s.p.WriteFrom(to, SegCP, slotOff, hdr, CPQueue); err != nil {
 		return err
@@ -267,6 +258,21 @@ func (s *CPStream) push(to gaspi.Rank, key string, blob []byte, kind CPFrameKind
 			return fmt.Errorf("%w: no checkpoint ack from rank %d", gaspi.ErrTimeout, to)
 		}
 	}
+}
+
+// header encodes a frame's header and key into the reused staging buffer.
+func (s *CPStream) header(key string, blobLen int, kind CPFrameKind) []byte {
+	need := cpFrameHeader + len(key)
+	if cap(s.hdrBuf) < need {
+		s.hdrBuf = make([]byte, need)
+	}
+	hdr := s.hdrBuf[:need]
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(s.p.Rank()))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(blobLen))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(kind))
+	copy(hdr[cpFrameHeader:], key)
+	return hdr
 }
 
 // waitQueue flushes a queue with the poll timeout, resuming timed-out

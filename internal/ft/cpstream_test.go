@@ -272,6 +272,96 @@ func TestCPStreamReceiverDeath(t *testing.T) {
 	}
 }
 
+// TestCPStreamSenderDiesBetweenChunks: a sender that dies after its frame's
+// header and first chunk have landed, before the commit notification, leaves
+// a partial frame in its writer slot. The receiver must never store it, and
+// a later frame committed into the same slot by a live sender must be
+// served intact.
+func TestCPStreamSenderDiesBetweenChunks(t *testing.T) {
+	const chunk = 64
+	store := newCPStore()
+	torn := bytes.Repeat([]byte{0xee}, 10*chunk)
+	live := bytes.Repeat([]byte{0x5a}, 7*chunk+3)
+	job := gaspi.Launch(testGaspiCfg(3), func(p *gaspi.Proc) error {
+		// Three one-rank nodes: 0 and 1 both write slot 0 of rank 2.
+		s, err := NewCPStream(p, []gaspi.Rank{p.Rank()}, 4096, chunk, 20*time.Millisecond)
+		if err != nil {
+			return err
+		}
+		if p.Rank() == 2 {
+			go s.Serve(store.put)
+			defer s.Stop()
+		}
+		if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+			return err
+		}
+		switch p.Rank() {
+		case 0:
+			// Push's own writes, cut after the first chunk.
+			const key = "cp/state/0/v1"
+			if err := p.WriteFrom(2, SegCP, 0, s.header(key, len(torn), CPFrameFull), CPQueue); err != nil {
+				return err
+			}
+			if err := p.WriteFrom(2, SegCP, int64(cpFrameHeader+len(key)), torn[:chunk], CPQueue); err != nil {
+				return err
+			}
+			if err := s.waitQueue(CPQueue); err != nil {
+				return err
+			}
+			// Both writes have landed: let rank 1 go, then die.
+			if err := p.Notify(1, SegCP, NotifCPAck, -1, CPAckQueue); err != nil {
+				return err
+			}
+			if err := p.WaitQueue(CPAckQueue, gaspi.Block); err != nil {
+				return err
+			}
+			p.Exit(-1)
+			return nil
+		case 1:
+			if _, err := p.NotifyWaitsome(SegCP, NotifCPAck, 1, gaspi.Block); err != nil {
+				return err
+			}
+			if _, err := p.NotifyReset(SegCP, NotifCPAck); err != nil {
+				return err
+			}
+			if err := s.Push(2, "cp/state/1/v1", live); err != nil {
+				return fmt.Errorf("live push: %w", err)
+			}
+			if err := p.Notify(2, SegCP, NotifCPAck, 1, CPAckQueue); err != nil {
+				return err
+			}
+			return p.WaitQueue(CPAckQueue, gaspi.Block)
+		default:
+			if _, err := p.NotifyWaitsome(SegCP, NotifCPAck, 1, gaspi.Block); err != nil {
+				return err
+			}
+			if st := s.Stats(); st.ServedFull != 1 {
+				return fmt.Errorf("served %d frames, want 1", st.ServedFull)
+			}
+			return nil
+		}
+	})
+	defer job.Close()
+	res, ok := job.WaitTimeout(20 * time.Second)
+	if !ok {
+		t.Fatal("hung")
+	}
+	for _, r := range res {
+		if r.Rank != 0 && (r.Err != nil || r.Death != nil) {
+			t.Fatalf("rank %d: err=%v death=%+v", r.Rank, r.Err, r.Death)
+		}
+	}
+	if _, ok := store.get("cp/state/0/v1"); ok {
+		t.Fatal("the dead sender's partial frame was stored")
+	}
+	if got, ok := store.get("cp/state/1/v1"); !ok || !bytes.Equal(got, live) {
+		t.Fatalf("live frame after the torn one mangled (present=%v)", ok)
+	}
+	if n := store.len(); n != 1 {
+		t.Fatalf("stored %d frames, want 1", n)
+	}
+}
+
 // TestCPStreamFrameTooLarge: oversized frames are rejected locally.
 func TestCPStreamFrameTooLarge(t *testing.T) {
 	job := gaspi.Launch(testGaspiCfg(2), func(p *gaspi.Proc) error {
