@@ -80,36 +80,59 @@ func TestAsyncWriteHidesLocalCommitCost(t *testing.T) {
 	}
 }
 
-// TestAsyncDoubleBufferBackPressure verifies the double-buffer discipline:
-// two checkpoints stage without waiting, the third must wait for a buffer
-// (the writer is two epochs behind) — observable as recorded stall time.
-// All three generations stay fetchable afterwards: two unsealed generations
+// disciplines names the two commit disciplines for table-driven tests.
+var disciplines = map[string]CheckpointMode{"Sync": Sync, "Async": Async}
+
+// TestAsyncDoubleBufferBackPressure verifies the double-buffer discipline
+// under both commit disciplines: with the first push held, two checkpoints
+// stage without waiting and the third must wait for a buffer half (the
+// writer is two epochs behind) — observable as recorded stall time. All
+// three generations stay fetchable afterwards: two unsealed generations
 // behind a sealed one is exactly the lag the retention window is sized for.
 func TestAsyncDoubleBufferBackPressure(t *testing.T) {
-	cl := testClusterStorage(t, 2, cluster.StorageModel{LocalLatency: 20 * time.Millisecond})
-	lib := newLib(cl, 0, Config{CheckpointMode: Async})
-	defer lib.Stop()
-	lib.SetWorkerNodes([]int{0, 1})
-	for v := int64(1); v <= 3; v++ {
-		if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lib.WaitIdle()
-	s := lib.Stats()
-	if s.Staged != 3 || s.Flushed != 3 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.StallTime == 0 {
-		t.Fatal("third Write should have stalled on the double buffer")
-	}
-	if s.FlushTime == 0 {
-		t.Fatal("no background flush time recorded")
-	}
-	for v := int64(1); v <= 3; v++ {
-		if _, err := lib.Fetch("state", 0, v); err != nil {
-			t.Fatalf("version %d after flush: %v", v, err)
-		}
+	for name, mode := range disciplines {
+		t.Run(name, func(t *testing.T) {
+			cl := testCluster(t, 2)
+			gate := gatedTransport{cl: cl, grant: make(chan struct{}, 3)}
+			lib := New(cl, 0, Config{CheckpointMode: mode}, gate)
+			defer lib.Stop()
+			lib.SetWorkerNodes([]int{0, 1})
+			stalled := make(chan struct{}, 3)
+			lib.stallHook = func() { stalled <- struct{}{} }
+			for v := int64(1); v <= 2; v++ {
+				if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(stalled) != 0 {
+				t.Fatal("the first two Writes waited for a buffer half")
+			}
+			third := make(chan error, 1)
+			go func() { third <- lib.Write("state", 0, 3, asyncPayload(3)) }()
+			<-stalled // v1's push is held, v2 is staged: v3 waits
+			for range 3 {
+				gate.grant <- struct{}{}
+			}
+			if err := <-third; err != nil {
+				t.Fatal(err)
+			}
+			lib.WaitIdle()
+			s := lib.Stats()
+			if s.Staged != 3 || s.Flushed != 3 {
+				t.Fatalf("stats = %+v", s)
+			}
+			if s.StallTime == 0 {
+				t.Fatal("third Write should have stalled on the double buffer")
+			}
+			if s.FlushTime == 0 {
+				t.Fatal("no background flush time recorded")
+			}
+			for v := int64(1); v <= 3; v++ {
+				if _, err := lib.Fetch("state", 0, v); err != nil {
+					t.Fatalf("version %d after flush: %v", v, err)
+				}
+			}
+		})
 	}
 }
 
@@ -340,31 +363,38 @@ func TestAsyncPruneSparesNeighborOnFailedPush(t *testing.T) {
 	}
 }
 
-// TestAsyncStopDrainsAndRejects mirrors the sync semantics: Stop completes
-// queued flushes, later Writes fail with ErrStopped.
+// TestAsyncStopDrainsAndRejects: under both commit disciplines Stop
+// completes staged flushes and later Writes fail with ErrStopped.
 func TestAsyncStopDrainsAndRejects(t *testing.T) {
-	cl := testClusterStorage(t, 2, cluster.StorageModel{})
-	lib := newLib(cl, 0, Config{CheckpointMode: Async})
-	lib.SetWorkerNodes([]int{0, 1})
-	for v := int64(1); v <= 5; v++ {
-		if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lib.Stop()
-	lib.WaitIdle()
-	if err := lib.Write("state", 0, 6, asyncPayload(6)); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Write after Stop = %v, want ErrStopped", err)
-	}
-	if v, ok := lib.FindLatest("state", 0); !ok || v != 5 {
-		t.Fatalf("FindLatest after drain = %d ok=%v, want 5", v, ok)
+	for name, mode := range disciplines {
+		t.Run(name, func(t *testing.T) {
+			cl := testClusterStorage(t, 2, cluster.StorageModel{})
+			lib := newLib(cl, 0, Config{CheckpointMode: mode})
+			lib.SetWorkerNodes([]int{0, 1})
+			for v := int64(1); v <= 5; v++ {
+				if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lib.Stop()
+			lib.WaitIdle()
+			if err := lib.Write("state", 0, 6, asyncPayload(6)); !errors.Is(err, ErrStopped) {
+				t.Fatalf("Write after Stop = %v, want ErrStopped", err)
+			}
+			if v, ok := lib.FindLatest("state", 0); !ok || v != 5 {
+				t.Fatalf("FindLatest after drain = %d ok=%v, want 5", v, ok)
+			}
+			if _, ok := cl.Node(1).GetMeta(SealKey(Key("state", 0, 5))); !ok {
+				t.Fatal("v5 was not replicated before the writer stopped")
+			}
+		})
 	}
 }
 
 // TestAsyncStopWriteRace: Stop racing a concurrent Write must either
-// accept the checkpoint (drained by the flusher/copier) or refuse it
-// with ErrStopped — never leak a staged request that deadlocks WaitIdle.
-// Covers both commit disciplines (the handoff hazard exists in each).
+// accept the checkpoint (drained by the writer) or refuse it with
+// ErrStopped — never leak a staged half that deadlocks WaitIdle.
+// Covers both commit disciplines (both hand off the same way).
 func TestAsyncStopWriteRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		mode := Sync
@@ -395,26 +425,43 @@ func TestAsyncStopWriteRace(t *testing.T) {
 	}
 }
 
-// TestAsyncGlobalPFSMode: the async engine also backgrounds the expensive
-// global PFS checkpoint.
+// TestAsyncGlobalPFSMode: the global PFS checkpoint is Write's own commit
+// under Sync — visible when Write returns, nothing staged — and the
+// writer's under Async, which backgrounds it like the local commit.
 func TestAsyncGlobalPFSMode(t *testing.T) {
-	cl := testClusterStorage(t, 2, cluster.StorageModel{})
-	lib := newLib(cl, 0, Config{Mode: ModeGlobalPFS, CheckpointMode: Async})
-	defer lib.Stop()
-	lib.SetWorkerNodes([]int{0, 1})
-	if err := lib.Write("state", 0, 1, asyncPayload(1)); err != nil {
-		t.Fatal(err)
-	}
-	lib.WaitIdle()
-	for n := 0; n < 2; n++ {
-		if len(cl.Node(n).Keys()) != 0 {
-			t.Fatalf("node %d has local objects in PFS mode", n)
-		}
-	}
-	if v, ok := lib.FindLatest("state", 0); !ok || v != 1 {
-		t.Fatalf("FindLatest = %d ok=%v", v, ok)
-	}
-	if _, err := lib.Fetch("state", 0, 1); err != nil {
-		t.Fatal(err)
+	for name, mode := range disciplines {
+		t.Run(name, func(t *testing.T) {
+			cl := testClusterStorage(t, 2, cluster.StorageModel{})
+			lib := newLib(cl, 0, Config{Mode: ModeGlobalPFS, CheckpointMode: mode})
+			defer lib.Stop()
+			lib.SetWorkerNodes([]int{0, 1})
+			if err := lib.Write("state", 0, 1, asyncPayload(1)); err != nil {
+				t.Fatal(err)
+			}
+			if mode == Sync {
+				if _, ok := cl.PFS().GetMeta(SealKey(Key("state", 0, 1))); !ok {
+					t.Fatal("Sync Write returned before its PFS commit sealed")
+				}
+			}
+			lib.WaitIdle()
+			staged := int64(0)
+			if mode == Async {
+				staged = 1
+			}
+			if s := lib.Stats(); s.Staged != staged || s.Flushed != staged {
+				t.Fatalf("stats = %+v, want %d staged and flushed", s, staged)
+			}
+			for n := 0; n < 2; n++ {
+				if len(cl.Node(n).Keys()) != 0 {
+					t.Fatalf("node %d has local objects in PFS mode", n)
+				}
+			}
+			if v, ok := lib.FindLatest("state", 0); !ok || v != 1 {
+				t.Fatalf("FindLatest = %d ok=%v", v, ok)
+			}
+			if _, err := lib.Fetch("state", 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -3,11 +3,11 @@
 // Figure 2):
 //
 //   - The application writes a checkpoint to its node-local store and
-//     signals the library thread (a goroutine here), which asynchronously
-//     copies it to the neighboring node — so a full node failure cannot
-//     destroy the only copy. The copy goes through the library's
-//     Transport; under the framework that is the GASPI checkpoint stream
-//     (ft.CPStream), whose receiver commits it with StoreReplica.
+//     signals the library thread (the writer goroutine), which
+//     asynchronously copies it to the neighboring node — so a full node
+//     failure cannot destroy the only copy. The copy goes through the
+//     library's Transport; under the framework that is the GASPI checkpoint
+//     stream (ft.CPStream), whose receiver commits it with StoreReplica.
 //   - Optionally, every k-th checkpoint is also written to the (slow,
 //     shared) parallel file system for a higher degree of reliability.
 //   - The library is fault aware: after a failure recovery the application
@@ -21,18 +21,16 @@
 // surviving replica (neighbor copy or PFS), which is exactly what a rescue
 // process restoring a failed process's state needs.
 //
-// Two commit disciplines are available (CheckpointMode):
+// One writer goroutine per Library flushes a double buffer: Write encodes
+// the frame into a free half and hands it over, and the writer replicates
+// it — neighbor push through the one Transport, optional PFS copy, pruning
+// — while the application computes. Write blocks for a free half only when
+// both are in flight (the writer is two checkpoints behind). The commit
+// discipline (CheckpointMode) only says where the local commit runs:
 //
-//   - Sync (the paper's library): Write blocks for the node-local commit,
-//     the copier thread replicates in the background.
-//   - Async (the follow-up work's asynchronous variant): Write stages the
-//     frame into one half of a double buffer and returns immediately; a
-//     dedicated writer goroutine flushes the other half — local commit,
-//     neighbor replication, optional PFS copy — overlapping the whole
-//     checkpoint with computation. Write only blocks when both buffers are
-//     in flight (the writer is two checkpoints behind).
-//
-// Both disciplines replicate the same way, through the one Transport.
+//   - Sync (the paper's library): inside Write, which returns its error.
+//   - Async (the follow-up work's asynchronous variant): on the writer,
+//     ahead of replication, so the whole checkpoint overlaps computation.
 //
 // Every generation, stored or mirrored, is one of two CRC-stamped frames
 // from one chain encoder (delta.go): a generation-tagged full base (GCP4)
@@ -98,13 +96,11 @@ type CheckpointMode int
 // Commit disciplines.
 const (
 	// Sync commits the node-local copy inside Write (the application pays
-	// the local storage cost every checkpoint epoch); replication to the
-	// neighbor runs in the background. This is the paper's library.
+	// the local storage cost every checkpoint epoch); the writer goroutine
+	// replicates it in the background. This is the paper's library.
 	Sync CheckpointMode = iota
-	// Async stages the encoded frame into a double buffer and returns;
-	// a dedicated writer goroutine performs the local commit and the
-	// neighbor replication while the application computes. Write blocks
-	// only when both buffers are still in flight.
+	// Async leaves the local commit to the writer goroutine too, ahead of
+	// the replication, so Write returns after the frame encode.
 	Async
 )
 
@@ -115,8 +111,8 @@ type Config struct {
 	// PFSEvery writes every k-th version also to the PFS (0 = never;
 	// ModeNeighbor only).
 	PFSEvery int
-	// CheckpointMode selects the synchronous (default) or the asynchronous
-	// double-buffered commit discipline.
+	// CheckpointMode selects where the local commit runs: inside Write
+	// (Sync, the default) or on the writer goroutine (Async).
 	CheckpointMode CheckpointMode
 	// ChunkBytes is the library's chunk granularity: the dirty-chunk
 	// deltas and the striped restore reads work in chunks of this size,
@@ -151,8 +147,8 @@ func (c Config) ChunkSize() int {
 	return DefaultChunkBytes
 }
 
-// Library is one process's handle to the C/R machinery. The background
-// copier goroutine is the paper's "library thread".
+// Library is one process's handle to the C/R machinery. Its writer
+// goroutine (run) is the paper's "library thread".
 type Library struct {
 	cl        *cluster.Cluster
 	nodeID    int
@@ -161,23 +157,26 @@ type Library struct {
 
 	mu        sync.Mutex
 	neighbor  int // neighboring node id; -1 when none
-	stopped   bool
 	flushHook func(logical int, version int64)
 
-	reqCh chan copyReq
-	wg    sync.WaitGroup // outstanding async copies
-	done  chan struct{}
+	// The writer's double buffer: free is the pool of the two halves, work
+	// carries staged halves to the writer goroutine.
+	free  chan *cpBuffer
+	work  chan *cpBuffer
+	wg    sync.WaitGroup  // staged halves not yet flushed
+	done  chan struct{}   // closed by Stop
 	abort <-chan struct{} // closed when the owning process dies
 
 	// sendMu makes the work handoff atomic with shutdown: Stop closes
-	// done while holding it, so a staged request either lands before the
-	// close (the final drain processes it) or the Write is refused — a
-	// request enqueued after the drain would leak the WaitGroup count
-	// and silently drop the checkpoint. The copier never takes sendMu,
-	// so a Write blocked on a full reqCh cannot deadlock the drain.
+	// done while holding it, so a staged half either lands before the
+	// close (the final drain flushes it) or the Write is refused — a half
+	// sent after the drain would leak the WaitGroup count and silently
+	// drop the checkpoint. The send under it never blocks: work holds both
+	// halves.
 	sendMu sync.Mutex
 
-	async *asyncWriter // non-nil in CheckpointMode Async
+	statsMu sync.Mutex // guards stats, the writer's counters
+	stats   WriterStats
 
 	// deltaMu guards the per-family chain encoders and their counters (see
 	// delta.go). Writes are single-threaded per library, but the reset on
@@ -193,6 +192,9 @@ type Library struct {
 	// released generations have lost their seals and before the data
 	// objects (dataKeys) go.
 	releaseHook func(nodeID int, dataKeys []string)
+	// stallHook, when set (tests only), runs when Write finds both buffer
+	// halves in flight, before it waits for one.
+	stallHook func()
 
 	errMu    sync.Mutex
 	lastErr  error
@@ -215,9 +217,9 @@ type Transport interface {
 // without a transport.
 var errNoTransport = errors.New("checkpoint: no replication transport")
 
-// SetFlushHook installs an observer called when a background flush of a
-// checkpoint begins (the sync copier picking up a replication request, or
-// the async writer starting a buffer flush). The scenario engine uses it
+// SetFlushHook installs an observer called when the writer goroutine
+// begins a checkpoint's flush — after Write's local commit under Sync,
+// ahead of the writer's own under Async. The scenario engine uses it
 // for during-checkpoint-flush fault triggers: the fault then races the
 // very replication the hook announced.
 func (l *Library) SetFlushHook(fn func(logical int, version int64)) {
@@ -260,19 +262,10 @@ func (l *Library) aborted() bool {
 	}
 }
 
-type copyReq struct {
-	key     string
-	blob    []byte
-	version int64
-	logical int
-	name    string
-	toPFS   bool
-}
-
 // New creates a library for the process on the given node and starts its
-// copier thread. Every neighbor copy goes through tr; a library without one
-// (nil) can read and write locally, and records an error on Err for each
-// copy it cannot make. Call SetWorkerNodes before the first Write so a
+// writer goroutine. Every neighbor copy goes through tr; a library without
+// one (nil) can read and write locally, and records an error on Err for
+// each copy it cannot make. Call SetWorkerNodes before the first Write so a
 // neighbor is known.
 func New(cl *cluster.Cluster, nodeID int, cfg Config, tr Transport) *Library {
 	l := &Library{
@@ -282,14 +275,13 @@ func New(cl *cluster.Cluster, nodeID int, cfg Config, tr Transport) *Library {
 		transport: tr,
 		neighbor:  -1,
 		chains:    make(map[chainKey]*chainEncoder),
-		reqCh:     make(chan copyReq, 64),
+		free:      make(chan *cpBuffer, 2),
+		work:      make(chan *cpBuffer, 2),
 		done:      make(chan struct{}),
 	}
-	if cfg.CheckpointMode == Async {
-		l.async = newAsyncWriter(l)
-	} else {
-		go l.copier()
-	}
+	l.free <- &cpBuffer{}
+	l.free <- &cpBuffer{}
+	go l.run()
 	return l
 }
 
@@ -354,81 +346,45 @@ func parseKey(key string) (name string, logical int, version int64, ok bool) {
 	return parts[1], lr, v, true
 }
 
-// Write checkpoints payload as (name, logical, version).
+// Write checkpoints payload as (name, logical, version). It encodes the
+// frame into a free half of the writer's double buffer, waiting only while
+// both halves are in flight, and hands it to the writer goroutine, which
+// replicates it to the neighbor node (and, every PFSEvery-th version, to
+// the PFS) in the background.
 //
-// In ModeNeighbor (the paper's library) it commits the local copy
-// synchronously — the application-visible checkpoint cost — then signals
-// the copier thread, which replicates to the neighbor node (and, every
-// PFSEvery-th version, to the PFS) in the background.
-//
-// In ModeGlobalPFS the whole write goes synchronously to the shared file
-// system: the classic global checkpoint whose cost motivates the paper's
-// neighbor-level design.
+// Under Sync (the paper's library) Write runs the commit itself and
+// returns its error: the node-local copy — the application-visible
+// checkpoint cost — or in ModeGlobalPFS the whole checkpoint, synchronously
+// to the shared file system (the classic global checkpoint whose cost
+// motivates the paper's neighbor-level design), which leaves the writer
+// nothing to do. Under Async the writer commits before it replicates.
 func (l *Library) Write(name string, logical int, version int64, payload []byte) error {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
-		return ErrStopped
-	}
-	l.mu.Unlock()
-	if l.async != nil {
-		return l.async.stage(name, logical, version, payload)
-	}
-	blob := l.encodeNext(nil, name, logical, version, payload)
-	key := Key(name, logical, version)
-	if l.cfg.Mode == ModeGlobalPFS {
-		return l.putPFS(key, blob, version)
-	}
-	if err := l.putLocal(key, blob, version); err != nil {
-		return err
-	}
-	toPFS := l.cfg.PFSEvery > 0 && version%int64(l.cfg.PFSEvery) == 0
-	l.sendMu.Lock()
 	select {
 	case <-l.done:
-		l.sendMu.Unlock()
 		return ErrStopped
 	default:
 	}
-	l.wg.Add(1)
-	l.reqCh <- copyReq{key: key, blob: blob, version: version, logical: logical, name: name, toPFS: toPFS}
-	l.sendMu.Unlock()
-	return nil
-}
-
-// copier is the library thread of Figure 2: it waits for the application's
-// signal and copies fresh local checkpoints to the neighbor node (and PFS).
-func (l *Library) copier() {
-	for {
-		select {
-		case req := <-l.reqCh:
-			l.doCopy(req)
-			l.wg.Done()
-		case <-l.done:
-			// Drain what is already queued, then exit.
-			for {
-				select {
-				case req := <-l.reqCh:
-					l.doCopy(req)
-					l.wg.Done()
-				default:
-					return
-				}
-			}
+	b, err := l.acquire()
+	if err != nil {
+		return err
+	}
+	b.data = l.encodeNext(b.data[:0], name, logical, version, payload)
+	b.key, b.name, b.logical, b.version = Key(name, logical, version), name, logical, version
+	b.committed = l.cfg.CheckpointMode == Sync
+	if b.committed {
+		if err := l.commit(b); err != nil || l.cfg.Mode == ModeGlobalPFS {
+			l.free <- b
+			return err
 		}
 	}
-}
-
-func (l *Library) doCopy(req copyReq) {
-	l.noteFlush(req.logical, req.version)
-	l.replicate(req.name, req.key, req.logical, req.version, req.blob, req.toPFS)
+	return l.handoff(b)
 }
 
 // replicate is the post-local-commit sequence shared by both commit
 // disciplines: neighbor push through the transport, optional PFS copy, and
 // the retention rule. The neighbor push and the PFS copy run concurrently —
 // they target independent storage tiers, and serializing them on the
-// single copier goroutine made PFS-enabled configs pay the sum of the two
+// writer goroutine would make PFS-enabled configs pay the sum of the two
 // flush latencies per version. Generations are released only behind one
 // that sealed on the neighbor as well (or when there is no neighbor to seal
 // on): under a persistently failing push nothing is released anywhere, so
@@ -495,9 +451,10 @@ func (l *Library) putPFS(key string, blob []byte, version int64) error {
 }
 
 // restorableLag is how many generations a member's newest sealed copy can
-// trail the generation a peer just sealed: the async writer's double buffer
-// holds at most two unsealed generations of a rank in lockstep with its
-// peers, and recovery's version agreement takes the group minimum.
+// trail the generation a peer just sealed: the writer's double buffer holds
+// at most two unreplicated generations of a rank, under either commit
+// discipline, in lockstep with its peers, and recovery's version agreement
+// takes the group minimum.
 const restorableLag = 2
 
 // prune is the retention rule, run once generation sealed of (name, logical)
@@ -510,7 +467,8 @@ const restorableLag = 2
 // deltas at most FullEvery+2 generations. Generations are counted among
 // the sealed ones in the local store, not by version number, and the anchor
 // is the generation whose push just finished — not the newest local one,
-// which the sync copier's queue may have left far behind the neighbor.
+// which under Sync is the next generation, committed by Write while this
+// one was still in flight.
 //
 // On each store the released generations' seals are deleted before any of
 // their data, so a concurrent seal scan never meets a sealed generation
@@ -580,23 +538,20 @@ func (l *Library) prune(name string, logical int, sealed int64, nb int) {
 	}
 }
 
-// WaitIdle blocks until all queued background copies have completed. Tests
-// and orderly shutdown use it; the application itself never has to.
+// WaitIdle blocks until every staged flush has completed. Tests and
+// orderly shutdown use it; the application itself never has to.
 func (l *Library) WaitIdle() { l.wg.Wait() }
 
-// Stop shuts the copier/flusher down after draining queued copies. The
-// close happens under sendMu so no handoff can slip in after the drain.
+// Stop shuts the writer down after draining staged flushes. The close
+// happens under sendMu so no handoff can slip in after the drain.
 func (l *Library) Stop() {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
-		return
-	}
-	l.stopped = true
-	l.mu.Unlock()
 	l.sendMu.Lock()
-	close(l.done)
-	l.sendMu.Unlock()
+	defer l.sendMu.Unlock()
+	select {
+	case <-l.done:
+	default:
+		close(l.done)
+	}
 }
 
 // Err returns the last background-copy error, if any. Background errors

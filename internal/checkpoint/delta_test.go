@@ -298,10 +298,10 @@ func (t slowTransport) Push(nb int, key string, blob []byte) error {
 	return t.nodeTransport.Push(nb, key, blob)
 }
 
-// TestReplicateOverlapsNeighborAndPFS is the copier-overlap regression:
-// one Write must land both the neighbor replica and the PFS copy, and the
-// two flushes must overlap instead of paying additive latency on the
-// copier goroutine.
+// TestReplicateOverlapsNeighborAndPFS is the flush-overlap regression: one
+// Write must land both the neighbor replica and the PFS copy, and the two
+// flushes must overlap instead of paying additive latency on the writer
+// goroutine.
 func TestReplicateOverlapsNeighborAndPFS(t *testing.T) {
 	const lat = 40 * time.Millisecond
 	cl := cluster.New(cluster.Config{

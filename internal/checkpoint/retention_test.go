@@ -289,12 +289,14 @@ func (g gatedTransport) Push(nb int, key string, blob []byte) error {
 	return StoreReplica(g.cl, nb, key, blob)
 }
 
-// TestReplicateSyncBacklogAnchorsOnPushed: the sync copier commits locally
-// inside Write and may queue up to 64 pushes, so the local store can run far
-// ahead of the neighbor. The rule anchors on the generation whose push just
-// finished, never on the newest local one: while the queue is stuck the
-// neighbor keeps every copy it has (they are all the off-node copies there
-// are), and as the pushes drain both stores converge on the same window.
+// TestReplicateSyncBacklogAnchorsOnPushed: under Sync, Write commits locally
+// before its push, so the local store runs ahead of the neighbor by the
+// generations in the writer's double buffer. With v4's push stuck, v4 and v5
+// return and v6's Write waits for a free half. The rule anchors on the
+// generation whose push just finished, never on the newest local one: while
+// the pushes are stuck the neighbor keeps every copy it has (they are all
+// the off-node copies there are), and as they drain both stores converge on
+// the same window.
 func TestReplicateSyncBacklogAnchorsOnPushed(t *testing.T) {
 	cl := testCluster(t, 2)
 	// Versions 1-3 replicate at once; v4..v12 wait for the test.
@@ -302,7 +304,7 @@ func TestReplicateSyncBacklogAnchorsOnPushed(t *testing.T) {
 	for range 3 {
 		gate.grant <- struct{}{}
 	}
-	lib := New(cl, 0, Config{}, gate)
+	lib := New(cl, 0, Config{CheckpointMode: Sync}, gate)
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	for v := int64(1); v <= 3; v++ {
@@ -312,39 +314,103 @@ func TestReplicateSyncBacklogAnchorsOnPushed(t *testing.T) {
 	}
 	lib.WaitIdle()
 
-	// The copier announces a copy (flush hook) only after the previous
+	// The writer announces a flush (flush hook) only after the previous
 	// one's prune returned: that is the ordering the asserts below need.
-	started := make(chan int64, 9) // one send per queued copy, v4..v12
+	started := make(chan int64, 9) // one send per flush, v4..v12
 	lib.SetFlushHook(func(_ int, version int64) { started <- version })
-	for v := int64(4); v <= 12; v++ {
+	stalled := make(chan struct{}, 9)
+	lib.stallHook = func() { stalled <- struct{}{} }
+	for v := int64(4); v <= 5; v++ {
 		if err := lib.Write("state", 0, v, []byte{byte(v)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	writeErr := make(chan error, 1)
+	go func() {
+		for v := int64(6); v <= 12; v++ {
+			if err := lib.Write("state", 0, v, []byte{byte(v)}); err != nil {
+				writeErr <- err
+				return
+			}
+		}
+		writeErr <- nil
+	}()
 	if v := <-started; v != 4 {
-		t.Fatalf("copier started on v%d, want 4", v)
+		t.Fatalf("writer started on v%d, want 4", v)
 	}
-	if got := familyVersions(cl, 0, "state", 0); len(got) != 12 {
-		t.Fatalf("local store holds %v with nine pushes queued: nothing behind an unreplicated generation may go", got)
+	<-stalled // v6's Write waits: v4 is pushing, v5 is staged
+	if got := familyVersions(cl, 0, "state", 0); !slices.Equal(got, []int64{1, 2, 3, 4, 5}) {
+		t.Fatalf("local store holds %v with v4's push stuck: nothing behind an unreplicated generation may go", got)
 	}
 	if got := familyVersions(cl, 1, "state", 0); !slices.Equal(got, []int64{1, 2, 3}) {
-		t.Fatalf("neighbor holds %v with the queue stuck, want [1 2 3]", got)
+		t.Fatalf("neighbor holds %v with the pushes stuck, want [1 2 3]", got)
 	}
 	for v := int64(4); v <= 12; v++ {
 		gate.grant <- struct{}{}
 		if v < 12 {
 			<-started // v+1 picked up: v's prune has run
 		} else {
+			if err := <-writeErr; err != nil {
+				t.Fatal(err)
+			}
 			lib.WaitIdle()
 		}
 		want := []int64{v - 2, v - 1, v}
 		if got := familyVersions(cl, 1, "state", 0); !slices.Equal(got, want) {
 			t.Fatalf("after v%d's push the neighbor holds %v, want %v", v, got, want)
 		}
+		// v+1 is staged and Write may have committed v+2 meanwhile.
 		local := familyVersions(cl, 0, "state", 0)
-		if local[0] != v-2 || local[len(local)-1] != 12 {
-			t.Fatalf("after v%d's push the local store holds %v, want %d..12", v, local, v-2)
+		if newest := local[len(local)-1]; local[0] != v-2 || newest < min(v+1, 12) || newest > min(v+2, 12) {
+			t.Fatalf("after v%d's push the local store holds %v, want %d..%d or ..%d", v, local, v-2, min(v+1, 12), min(v+2, 12))
 		}
+	}
+	if s := lib.Stats(); s.StallTime == 0 || s.Staged != 12 || s.Flushed != 12 {
+		t.Fatalf("stats = %+v: Sync Write must stall on the double buffer", s)
+	}
+}
+
+// TestReplicateSkipsQueuedFlushAfterAbort: once the owning process has died
+// (BindAbort's channel closed), a flush not yet begun is skipped whole under
+// either commit discipline — no flush hook, no push — while the push already
+// in flight is the transport's to finish.
+func TestReplicateSkipsQueuedFlushAfterAbort(t *testing.T) {
+	for name, mode := range disciplines {
+		t.Run(name, func(t *testing.T) {
+			cl := testCluster(t, 2)
+			gate := gatedTransport{cl: cl, grant: make(chan struct{}, 2)}
+			lib := New(cl, 0, Config{CheckpointMode: mode}, gate)
+			defer lib.Stop()
+			lib.SetWorkerNodes([]int{0, 1})
+			abort := make(chan struct{})
+			lib.BindAbort(abort)
+			started := make(chan int64, 2)
+			lib.SetFlushHook(func(_ int, version int64) { started <- version })
+			for v := int64(1); v <= 2; v++ {
+				if err := lib.Write("state", 0, v, []byte{byte(v)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if v := <-started; v != 1 {
+				t.Fatalf("writer started on v%d, want 1", v)
+			}
+			// v1's push is held at the gate and v2 is staged: the process dies.
+			close(abort)
+			gate.grant <- struct{}{}
+			gate.grant <- struct{}{}
+			lib.WaitIdle()
+			select {
+			case v := <-started:
+				t.Fatalf("flush of v%d began after the process died", v)
+			default:
+			}
+			if len(gate.grant) != 1 {
+				t.Fatal("v2 was pushed after the process died")
+			}
+			if got := familyVersions(cl, 1, "state", 0); !slices.Equal(got, []int64{1}) {
+				t.Fatalf("neighbor holds %v, want [1]: only the push in flight lands", got)
+			}
+		})
 	}
 }
 

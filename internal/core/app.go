@@ -77,8 +77,8 @@ type App interface {
 	// Checkpoint serializes the application state at the current iteration.
 	// The payload may be a buffer the App reuses: it need only stay valid
 	// until the next Checkpoint call. Every consumer copies it before it
-	// returns — checkpoint.Library.Write (the Sync frame and the Async
-	// writer's staged half are both encoded copies) and
+	// returns — checkpoint.Library.Write (the frame is encoded into a half
+	// of the writer's double buffer under either commit discipline) and
 	// checkpoint.MirrorEncoder.EncodeNext (the frame lands in the encoder's
 	// buffer) — so the framework never holds a payload across iterations.
 	Checkpoint(ctx *Ctx) ([]byte, error)
@@ -140,11 +140,12 @@ type Config struct {
 	// CheckpointEvery is the checkpoint interval in iterations (the paper
 	// uses 500 of 3500).
 	CheckpointEvery int64
-	// CP configures the checkpoint library. CP.CheckpointMode selects the
-	// commit discipline: checkpoint.Sync (the paper's library; default) or
-	// checkpoint.Async (double-buffered background commit). Under both,
-	// neighbor replicas and hot-shadow mirror frames travel over the GASPI
-	// checkpoint stream (ft.CPStream) on a dedicated queue.
+	// CP configures the checkpoint library. CP.CheckpointMode selects where
+	// the local commit runs: inside Write (checkpoint.Sync, the paper's
+	// library; default) or on the library's writer goroutine
+	// (checkpoint.Async). Under both, the writer replicates in the
+	// background, and neighbor replicas and hot-shadow mirror frames travel
+	// over the GASPI checkpoint stream (ft.CPStream) on a dedicated queue.
 	CP checkpoint.Config
 	// StateName is the checkpoint family name (default "state").
 	StateName string
