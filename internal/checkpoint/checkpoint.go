@@ -118,12 +118,6 @@ type Config struct {
 	// deltas and the striped restore reads work in chunks of this size,
 	// and the framework's checkpoint stream writes in them. Default 64 KiB.
 	ChunkBytes int
-	// StreamBytes caps the frame size of the GASPI checkpoint stream the
-	// framework replicates over under both commit disciplines (a writer
-	// slot's capacity; 0 = ft.DefaultCPStreamBytes). Size it above the
-	// largest encoded checkpoint or neighbor replication will fail
-	// (visible via Err and ErrCount).
-	StreamBytes int
 	// FullEvery is the maximum depth of a checkpoint family's chain: at
 	// least every FullEvery-th generation is a self-contained full base and
 	// the generations between are dirty-chunk deltas (chunked at ChunkSize,

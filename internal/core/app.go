@@ -147,16 +147,14 @@ type Config struct {
 	// background, and neighbor replicas and hot-shadow mirror frames travel
 	// over the GASPI checkpoint stream (ft.CPStream) on a dedicated queue.
 	CP checkpoint.Config
-	// StateName is the checkpoint family name (default "state").
-	StateName string
 	// PlanName is the pre-processing checkpoint name (default "plan").
 	PlanName string
 }
 
+// stateName is the checkpoint family name of the solver state.
+const stateName = "state"
+
 func (c Config) withDefaults() Config {
-	if c.StateName == "" {
-		c.StateName = "state"
-	}
 	if c.PlanName == "" {
 		c.PlanName = "plan"
 	}

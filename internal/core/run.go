@@ -186,7 +186,7 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, rec *trace.Recorder) error {
 	p := cctx.Proc
 	primary := int(p.Rank()) - 1 // inverse of ft.ShadowOf
-	cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), cfg.CP.StreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
+	cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), ft.DefaultCPStreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
 	if err != nil {
 		return err
 	}
@@ -310,7 +310,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		// neighbor) and a receiver (the applier commits the upstream
 		// neighbor's frames to this node's local store); all the processes
 		// of a node push to the same receiver, each into its own slot.
-		cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), cfg.CP.StreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
+		cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), ft.DefaultCPStreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
 		if err != nil {
 			return err
 		}
@@ -388,7 +388,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		w.CPStream() != nil && p.Rank() != shadow {
 		mirrorEnc = checkpoint.NewMirrorEncoder(cfg.CP.ChunkSize(), cfg.CP.FullEvery)
 		mirrorTo = shadow
-		mirrorKey = "mirror/" + cfg.StateName
+		mirrorKey = "mirror/" + stateName
 	}
 
 	maxIterSeen := iter
@@ -409,7 +409,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 			if err != nil {
 				return err
 			}
-			err = ctx.CP.Write(cfg.StateName, ctx.Logical, iter, payload)
+			err = ctx.CP.Write(stateName, ctx.Logical, iter, payload)
 			stop()
 			if err != nil {
 				return err
@@ -678,7 +678,7 @@ func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 
 	mine := noCheckpoint
 	if ctx.CP != nil {
-		if v, ok := ctx.CP.FindLatest(ctx.Cfg.StateName, ctx.Logical); ok {
+		if v, ok := ctx.CP.FindLatest(stateName, ctx.Logical); ok {
 			mine = v
 		}
 	}
@@ -696,7 +696,7 @@ func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 			ctx.Rec.Inc(trace.KCoreRestartsFromScratch, 1)
 			return 0, nil
 		}
-		payload, src, ferr := ctx.CP.FetchFrom(ctx.Cfg.StateName, ctx.Logical, version)
+		payload, src, ferr := ctx.CP.FetchFrom(stateName, ctx.Logical, version)
 		ok := int64(1)
 		if ferr != nil {
 			ok = 0
@@ -728,7 +728,7 @@ func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 		// this member's newest restorable version below it and re-agree.
 		ctx.Rec.Inc(trace.KCoreRestoreRetreats, 1)
 		mine = noCheckpoint
-		if v, ok := ctx.CP.FindLatestBelow(ctx.Cfg.StateName, ctx.Logical, version); ok {
+		if v, ok := ctx.CP.FindLatestBelow(stateName, ctx.Logical, version); ok {
 			mine = v
 		}
 	}

@@ -40,8 +40,10 @@ const (
 	NotifCPCommit gaspi.NotificationID = 1
 )
 
-// DefaultCPStreamBytes is the default capacity of a writer slot; one frame
-// (key + encoded checkpoint) must fit.
+// DefaultCPStreamBytes is the default capacity of a writer slot, and the
+// one the framework runs with: one frame (key + encoded checkpoint) must
+// fit in 1 MiB, or neighbor replication of that checkpoint fails (visible
+// via the checkpoint library's Err and ErrCount).
 const DefaultCPStreamBytes = 1 << 20
 
 // cpFrameHeader is [4B sender rank][4B key length][4B blob length]

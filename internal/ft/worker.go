@@ -125,10 +125,6 @@ func (w *Worker) Group() gaspi.GroupID { return w.gid }
 // application use it to locate peers).
 func (w *Worker) RankMap() *RankMap { return w.rm }
 
-// SetLogical rebinds the wrapper to a logical rank (used by a rescue
-// process adopting a failed identity).
-func (w *Worker) SetLogical(l int) { w.logical = l }
-
 // AttachCPStream hands the worker the checkpoint-stream endpoint that
 // carries its neighbor replicas and mirror frames. The stream survives
 // recovery: Recover purges the queues (failing any in-flight push, which

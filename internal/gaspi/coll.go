@@ -1,7 +1,6 @@
 package gaspi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -113,21 +112,21 @@ func (p *Proc) AllreduceI64Into(gid GroupID, in, out []int64, op ReduceOp, timeo
 
 // --- two-sided round transport ------------------------------------------------
 //
-// The group-commit handshake (which runs before a group's collective
-// segment can be trusted to exist on every member) and AllreduceUser
-// (whose arbitrary ReduceFunc has no typed combine) exchange their rounds
-// as kColl messages buffered in collBuf.
+// The group-commit handshake runs before a group's collective segment can
+// be trusted to exist on every member, so it exchanges its rounds as kColl
+// messages buffered in collBuf. It is the transport's only user, and a
+// group commits once, so a round needs no sequence number.
 
 // collSend posts one two-sided collective round message. Collectives
 // use internal transport resources (not user queues), as in GPI-2. A send
 // can only fail locally when this process itself is dead (which unwinds
 // via checkAlive) — a dead PARTNER surfaces asynchronously as a NACK that
 // marks the state vector, failing the waiting side via collRecv.
-func (p *Proc) collSend(gid GroupID, seq uint64, round int32, op uint8, to Rank, payload []byte) error {
+func (p *Proc) collSend(gid GroupID, round int32, op uint8, to Rank, payload []byte) error {
 	m := fabric.Message{
 		Kind:    kColl,
 		Token:   p.nextToken(),
-		Args:    [4]int64{int64(gid), int64(seq), int64(round), int64(op)},
+		Args:    [4]int64{int64(gid), 0, int64(round), int64(op)},
 		Payload: payload,
 	}
 	if err := p.ep.Send(to, m); err != nil {
@@ -143,8 +142,8 @@ func (p *Proc) collSend(gid GroupID, seq uint64, round int32, op uint8, to Rank,
 // identical arguments (GASPI timeout semantics); finishCollective
 // garbage-collects them once the operation completes. A conclusively dead
 // group member aborts the wait promptly with ErrConnBroken.
-func (p *Proc) collRecv(g *group, seq uint64, round int32, op uint8, from Rank, timeout time.Duration) ([]byte, error) {
-	key := collKey{gid: g.id, seq: seq, round: round, op: op, from: from}
+func (p *Proc) collRecv(g *group, round int32, op uint8, from Rank, timeout time.Duration) ([]byte, error) {
+	key := collKey{gid: g.id, round: round, op: op, from: from}
 	lookup := func() ([]byte, bool) {
 		p.collMu.Lock()
 		b, ok := p.collBuf[key]
@@ -188,30 +187,11 @@ func (p *Proc) collRecv(g *group, seq uint64, round int32, op uint8, from Rank, 
 }
 
 // collExchange sends to `to` and waits for the matching message from `from`.
-func (p *Proc) collExchange(g *group, seq uint64, round int32, op uint8, to, from Rank, payload []byte, timeout time.Duration) ([]byte, error) {
-	if err := p.collSend(g.id, seq, round, op, to, payload); err != nil {
+func (p *Proc) collExchange(g *group, round int32, op uint8, to, from Rank, payload []byte, timeout time.Duration) ([]byte, error) {
+	if err := p.collSend(g.id, round, op, to, payload); err != nil {
 		return nil, err
 	}
-	return p.collRecv(g, seq, round, op, from, timeout)
-}
-
-func encodeF64(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
-}
-
-func decodeF64(b []byte, want int) ([]float64, error) {
-	if len(b) != 8*want {
-		return nil, fmt.Errorf("%w: allreduce payload size %d, want %d", ErrInvalid, len(b), 8*want)
-	}
-	v := make([]float64, want)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v, nil
+	return p.collRecv(g, round, op, from, timeout)
 }
 
 func combineF64(dst, src []float64, op ReduceOp) {

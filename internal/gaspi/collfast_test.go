@@ -338,37 +338,42 @@ func TestCollRecommitInvalidatesInflight(t *testing.T) {
 }
 
 // TestCollBufSweepDrains: the leak regression of the two-sided rounds
-// (commit handshake, AllreduceUser). A rank polling a user allreduce with
-// GASPI_TEST replays its reduce-phase send on every attempt; duplicates
-// that land after the receiver completed (and swept) the collective must
-// be dropped by the sequence horizon, not re-buffered forever.
+// (the commit handshake). A rank polling GroupCommit with GASPI_TEST
+// replays its handshake sends on every attempt; duplicates that land after
+// the receiver completed (and swept) the commit must be dropped by the
+// commit horizon, not re-buffered forever.
 func TestCollBufSweepDrains(t *testing.T) {
 	const n = 3
-	sum := func(dst, src []float64) { dst[0] += src[0] }
 	job := runJob(t, testCfg(n), func(p *Proc) error {
 		for iter := 0; iter < 10; iter++ {
-			// Ranks 1 and 2 send towards rank 0 in the reduce phase:
-			// Test-polling floods it with duplicate round messages.
+			gid := GroupID(1 + iter)
+			if err := p.GroupCreate(gid); err != nil {
+				return err
+			}
+			for r := Rank(0); r < n; r++ {
+				if err := p.GroupAdd(gid, r); err != nil {
+					return err
+				}
+			}
+			// Ranks 1 and 2 Test-poll: each attempt replays their rounds,
+			// flooding peers that already committed with duplicates.
 			timeout := Test
 			if p.Rank() == 0 {
 				timeout = Block
 			}
 			for {
-				out, err := p.AllreduceUser(GroupAll, []float64{1}, sum, timeout)
+				err := p.GroupCommit(gid, timeout)
 				if err == nil {
-					if out[0] != n {
-						return fmt.Errorf("iter %d: out = %v", iter, out)
-					}
 					break
 				}
 				if !errors.Is(err, ErrTimeout) {
-					return err
+					return fmt.Errorf("iter %d: %w", iter, err)
 				}
 			}
 		}
 		return nil
 	})
-	// All ranks completed every allreduce; once the late duplicates drain,
+	// All ranks completed every commit; once the late duplicates drain,
 	// every collBuf must be empty — abandoned entries may not accumulate.
 	deadline := time.Now().Add(5 * time.Second)
 	for r := Rank(0); int(r) < n; r++ {
@@ -388,13 +393,14 @@ func TestCollBufSweepDrains(t *testing.T) {
 	}
 }
 
-// TestCollFinishSweepsOlderSeqs: finishCollective must reclaim buffered
-// rounds of every earlier sequence, not only its own.
+// TestCollFinishSweepsOlderSeqs: a finished collective must reclaim every
+// buffered round of its group, not only its own.
 func TestCollFinishSweepsOlderSeqs(t *testing.T) {
+	stale := collKey{gid: GroupAll, round: 0, op: collCommit, from: 0}
 	launch(t, 2, func(p *Proc) error {
-		// Plant a stale buffered round from a long-gone sequence.
+		// Plant a stale buffered commit round.
 		p.collMu.Lock()
-		p.collBuf[collKey{gid: GroupAll, seq: 1, round: 0, op: collUser, from: 0}] = nil
+		p.collBuf[stale] = nil
 		p.collMu.Unlock()
 		for i := 0; i < 3; i++ {
 			if err := p.Barrier(GroupAll, Block); err != nil {
@@ -403,10 +409,8 @@ func TestCollFinishSweepsOlderSeqs(t *testing.T) {
 		}
 		p.collMu.Lock()
 		defer p.collMu.Unlock()
-		for k := range p.collBuf {
-			if k.seq == 1 {
-				return fmt.Errorf("stale entry %+v survived the sweep", k)
-			}
+		if _, ok := p.collBuf[stale]; ok {
+			return fmt.Errorf("stale entry %+v survived the sweep", stale)
 		}
 		return nil
 	})

@@ -3,14 +3,14 @@
 // fault-tolerant application uses plus the GPI-2 fault-tolerance extensions
 // the paper introduces:
 //
-//   - PGAS segments: contiguous memory blocks remotely writable/readable by
-//     every rank (SegmentCreate, Write, Read).
+//   - PGAS segments: contiguous memory blocks remotely writable by every
+//     rank (SegmentCreate, Write).
 //   - Weak synchronization via notifications (WriteNotify, Notify,
 //     NotifyWaitsome, NotifyReset) with the GASPI ordering guarantee: a
 //     notification arrives after the writes posted before it on the same
 //     queue to the same target.
 //   - Queues with completion semantics (WaitQueue).
-//   - Passive (two-sided) communication and global atomics.
+//   - Passive (two-sided) communication.
 //   - Groups (GroupCreate/Add/Commit/Delete) and collectives (Barrier,
 //     Allreduce) — the blocking GroupCommit is the paper's OHF2 overhead.
 //   - Timeouts on every potentially blocking procedure (Block, Test, or any
@@ -126,20 +126,17 @@ var (
 )
 
 // Message kinds on the fabric (fabric.KindNack is reserved by the fabric).
+// The values are fixed: per-kind fabric counters are read by number.
 const (
 	kWrite      uint8 = 1  // one-sided write, optional piggybacked notification
-	kWriteAck   uint8 = 2  // completion for kWrite/kNotify/kRead at the target
-	kRead       uint8 = 3  // one-sided read request
-	kReadResp   uint8 = 4  // read response carrying data
+	kWriteAck   uint8 = 2  // completion for kWrite/kNotify at the target
 	kNotify     uint8 = 5  // notification only
 	kPassive    uint8 = 6  // passive (two-sided) send
 	kPassiveAck uint8 = 7  // passive receive-side acknowledgment
-	kAtomic     uint8 = 8  // atomic fetch-add / compare-swap request
-	kAtomicResp uint8 = 9  // atomic response carrying the old value
 	kPing       uint8 = 10 // liveness probe (gaspi_proc_ping extension)
 	kPingAck    uint8 = 11 // probe response
 	kKill       uint8 = 12 // management-plane kill (gaspi_proc_kill extension)
-	kColl       uint8 = 13 // collective round payload (barrier/allreduce/commit)
+	kColl       uint8 = 13 // group-commit handshake round
 	kProbe      uint8 = 14 // fire-and-forget collective liveness probe
 	kDeadGossip uint8 = 15 // fire-and-forget "rank X looks dead" hint (Args[0]=X)
 )
@@ -167,17 +164,11 @@ func remoteErr(code int64) error {
 	}
 }
 
-// atomic op codes (Args[2] of kAtomic).
-const (
-	atomFetchAdd int64 = iota
-	atomCompareSwap
-)
-
 // collective kinds: the in-flight tag pinned by startCollective, so a
 // collective resumed after a timeout is matched against the operation
 // that started it (collReduce is the float64 allreduce, collReduceI the
-// int64 variant). collCommit and collUser (extras.go) also travel in
-// Args[3] of their kColl round messages.
+// int64 variant). collCommit also travels in Args[3] of the commit
+// handshake's kColl round messages.
 const (
 	collBarrier uint8 = iota + 1
 	collCommit

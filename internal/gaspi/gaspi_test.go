@@ -1,12 +1,12 @@
 package gaspi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -260,38 +260,6 @@ func TestNotifyWaitsomeTimeoutAndTest(t *testing.T) {
 	})
 }
 
-func TestRead(t *testing.T) {
-	launch(t, 2, func(p *Proc) error {
-		if err := p.SegmentCreate(1, 64); err != nil {
-			return err
-		}
-		if p.Rank() == 1 {
-			if err := p.SegmentCopyIn(1, 16, []byte("remote-data")); err != nil {
-				return err
-			}
-		}
-		if err := p.Barrier(GroupAll, Block); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			if err := p.Read(1, 1, 16, 1, 0, 11, 2); err != nil {
-				return err
-			}
-			if err := p.WaitQueue(2, Block); err != nil {
-				return err
-			}
-			got, err := p.SegmentCopyOut(1, 0, 11)
-			if err != nil {
-				return err
-			}
-			if string(got) != "remote-data" {
-				return fmt.Errorf("got %q", got)
-			}
-		}
-		return p.Barrier(GroupAll, Block)
-	})
-}
-
 func TestRemoteBadSegment(t *testing.T) {
 	launch(t, 2, func(p *Proc) error {
 		if err := p.Barrier(GroupAll, Block); err != nil {
@@ -340,71 +308,6 @@ func TestPassiveReceiveTimeout(t *testing.T) {
 		_, _, err := p.PassiveReceive(5 * time.Millisecond)
 		if err != ErrTimeout {
 			return fmt.Errorf("got %v", err)
-		}
-		return nil
-	})
-}
-
-func TestAtomicFetchAddConcurrent(t *testing.T) {
-	const n = 8
-	const per = 20
-	launch(t, n, func(p *Proc) error {
-		if err := p.SegmentCreate(1, 16); err != nil {
-			return err
-		}
-		if err := p.Barrier(GroupAll, Block); err != nil {
-			return err
-		}
-		for i := 0; i < per; i++ {
-			if _, err := p.AtomicFetchAdd(0, 1, 8, 1, Block); err != nil {
-				return err
-			}
-		}
-		if err := p.Barrier(GroupAll, Block); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			old, err := p.AtomicFetchAdd(0, 1, 8, 0, Block)
-			if err != nil {
-				return err
-			}
-			if old != n*per {
-				return fmt.Errorf("counter = %d, want %d", old, n*per)
-			}
-		}
-		return nil
-	})
-}
-
-func TestAtomicCompareSwap(t *testing.T) {
-	launch(t, 2, func(p *Proc) error {
-		if err := p.SegmentCreate(1, 8); err != nil {
-			return err
-		}
-		if err := p.Barrier(GroupAll, Block); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			old, err := p.AtomicCompareSwap(1, 1, 0, 0, 111, Block)
-			if err != nil || old != 0 {
-				return fmt.Errorf("cswap1 old=%d err=%v", old, err)
-			}
-			old, err = p.AtomicCompareSwap(1, 1, 0, 0, 222, Block)
-			if err != nil || old != 111 {
-				return fmt.Errorf("cswap2 old=%d err=%v (swap must have failed)", old, err)
-			}
-		}
-		if err := p.Barrier(GroupAll, Block); err != nil {
-			return err
-		}
-		if p.Rank() == 1 {
-			buf, err := p.SegmentCopyOut(1, 0, 8)
-			if err != nil {
-				return err
-			}
-			if v := int64(binary.LittleEndian.Uint64(buf)); v != 111 {
-				return fmt.Errorf("value = %d, want 111", v)
-			}
 		}
 		return nil
 	})
@@ -518,25 +421,16 @@ func TestExitCode(t *testing.T) {
 
 func TestBarrierSynchronizes(t *testing.T) {
 	const n = 7
+	var arrivals atomic.Int64
 	launch(t, n, func(p *Proc) error {
-		if err := p.SegmentCreate(1, 8); err != nil {
-			return err
-		}
+		// The ranks share one OS process, so a plain counter sees every
+		// arrival.
+		arrivals.Add(1)
 		if err := p.Barrier(GroupAll, Block); err != nil {
 			return err
 		}
-		if _, err := p.AtomicFetchAdd(0, 1, 0, 1, Block); err != nil {
-			return err
-		}
-		if err := p.Barrier(GroupAll, Block); err != nil {
-			return err
-		}
-		old, err := p.AtomicFetchAdd(0, 1, 0, 0, Block)
-		if err != nil {
-			return err
-		}
-		if old != n {
-			return fmt.Errorf("rank %d saw %d arrivals before barrier exit, want %d", p.Rank(), old, n)
+		if got := arrivals.Load(); got != n {
+			return fmt.Errorf("rank %d saw %d arrivals before barrier exit, want %d", p.Rank(), got, n)
 		}
 		return nil
 	})
@@ -869,26 +763,6 @@ func TestKillUnblocksWaiters(t *testing.T) {
 	}
 }
 
-func TestResetNotifications(t *testing.T) {
-	launch(t, 1, func(p *Proc) error {
-		if err := p.SegmentCreate(1, 8); err != nil {
-			return err
-		}
-		s, _ := p.segLookup(1)
-		s.setNotification(3, 9)
-		s.setNotification(5, 9)
-		if err := p.ResetNotifications(1); err != nil {
-			return err
-		}
-		for i := NotificationID(0); i < 8; i++ {
-			if v, _ := p.NotifyPeek(1, i); v != 0 {
-				return fmt.Errorf("slot %d = %d", i, v)
-			}
-		}
-		return nil
-	})
-}
-
 func TestSelfWrite(t *testing.T) {
 	launch(t, 1, func(p *Proc) error {
 		if err := p.SegmentCreate(1, 16); err != nil {
@@ -1007,10 +881,6 @@ func TestStateVecSnapshot(t *testing.T) {
 		if p.State(1) != StateCorrupt {
 			return errors.New("not corrupt")
 		}
-		p.StateReset(1)
-		if p.State(1) != StateHealthy {
-			return errors.New("reset failed")
-		}
 		return nil
 	})
 }
@@ -1034,6 +904,178 @@ func TestInvalidArgs(t *testing.T) {
 		}
 		if _, err := p.GroupSize(42); !errors.Is(err, ErrInvalid) {
 			return fmt.Errorf("unknown group: %v", err)
+		}
+		return nil
+	})
+}
+
+func TestBarrierResumableAfterTimeout(t *testing.T) {
+	// A barrier that times out (peer late) must resume — same sequence
+	// number — when called again, per GASPI timeout semantics.
+	launch(t, 2, func(p *Proc) error {
+		if p.Rank() == 1 {
+			time.Sleep(80 * time.Millisecond)
+			return p.Barrier(GroupAll, Block)
+		}
+		attempts := 0
+		for {
+			attempts++
+			err := p.Barrier(GroupAll, 10*time.Millisecond)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrTimeout) {
+				return err
+			}
+			if attempts > 100 {
+				return errors.New("barrier never completed")
+			}
+		}
+		if attempts < 2 {
+			return fmt.Errorf("expected timeouts before completion, got %d attempts", attempts)
+		}
+		return nil
+	})
+}
+
+func TestAllreduceResumableAfterTimeout(t *testing.T) {
+	launch(t, 3, func(p *Proc) error {
+		if p.Rank() == 2 {
+			time.Sleep(60 * time.Millisecond)
+		}
+		var out []float64
+		for {
+			var err error
+			out, err = p.AllreduceF64(GroupAll, []float64{1}, OpSum, 5*time.Millisecond)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrTimeout) {
+				return err
+			}
+		}
+		if out[0] != 3 {
+			return fmt.Errorf("sum = %v", out[0])
+		}
+		// The group must be reusable for the next collective afterwards.
+		out, err := p.AllreduceF64(GroupAll, []float64{2}, OpSum, Block)
+		if err != nil {
+			return err
+		}
+		if out[0] != 6 {
+			return fmt.Errorf("second sum = %v", out[0])
+		}
+		return nil
+	})
+}
+
+func TestMixedInflightCollectiveKindsRejected(t *testing.T) {
+	launch(t, 2, func(p *Proc) error {
+		if p.Rank() == 1 {
+			time.Sleep(50 * time.Millisecond)
+			if err := p.Barrier(GroupAll, Block); err != nil {
+				return err
+			}
+			return p.Barrier(GroupAll, Block)
+		}
+		// Start a barrier, time out, then (incorrectly) try an allreduce:
+		// must be rejected because a different collective is in flight.
+		if err := p.Barrier(GroupAll, 5*time.Millisecond); !errors.Is(err, ErrTimeout) {
+			return fmt.Errorf("want timeout, got %v", err)
+		}
+		if _, err := p.AllreduceF64(GroupAll, []float64{1}, OpSum, Block); !errors.Is(err, ErrInvalid) {
+			return fmt.Errorf("mixed resume not rejected: %v", err)
+		}
+		// Resuming the barrier is fine.
+		if err := p.Barrier(GroupAll, Block); err != nil {
+			return err
+		}
+		return p.Barrier(GroupAll, Block)
+	})
+}
+
+func TestConcurrentProcUseIsThreadSafe(t *testing.T) {
+	// GASPI advertises thread-safe communication for multi-threaded
+	// processes; pings and one-sided writes from several goroutines of the
+	// same process must interleave safely (collectives excluded: their call
+	// order must be identical on all ranks).
+	const n, workers, iters = 3, 4, 25
+	// Goroutine g of rank src writes into its own 8-byte slot, and its
+	// notifications into its own slot id, at one of the other two ranks.
+	slot := func(src Rank, g int) int { return int(src)*workers + g }
+	target := func(src Rank, g int) Rank { return Rank((int(src) + 1 + g%2) % n) }
+	const plain, notified = 0, 8 * n * workers // the two write regions
+	launch(t, n, func(p *Proc) error {
+		if err := p.SegmentCreate(1, 2*notified); err != nil {
+			return err
+		}
+		if err := p.Barrier(GroupAll, Block); err != nil {
+			return err
+		}
+		errCh := make(chan error, workers)
+		for g := 0; g < workers; g++ {
+			go func(g int) {
+				died := Protect(func() {
+					to, s := target(p.Rank(), g), slot(p.Rank(), g)
+					q := QueueID(g % p.NumQueues())
+					for i := 1; i <= iters; i++ {
+						if err := p.ProcPing(to, time.Second); err != nil {
+							errCh <- fmt.Errorf("ping: %w", err)
+							return
+						}
+						if err := p.Write(to, 1, int64(plain+8*s), []byte{byte(i)}, q); err != nil {
+							errCh <- fmt.Errorf("write: %w", err)
+							return
+						}
+						if err := p.WaitQueue(q, time.Second); err != nil {
+							errCh <- fmt.Errorf("wait: %w", err)
+							return
+						}
+						if err := p.WriteNotify(to, 1, int64(notified+8*s), []byte{byte(i)}, NotificationID(s), int64(i), q); err != nil {
+							errCh <- fmt.Errorf("write-notify: %w", err)
+							return
+						}
+						if err := p.WaitQueue(q, time.Second); err != nil {
+							errCh <- fmt.Errorf("wait: %w", err)
+							return
+						}
+					}
+					errCh <- nil
+				})
+				if died {
+					errCh <- errors.New("unexpected death")
+				}
+			}(g)
+		}
+		for g := 0; g < workers; g++ {
+			if err := <-errCh; err != nil {
+				return err
+			}
+		}
+		if err := p.Barrier(GroupAll, Block); err != nil {
+			return err
+		}
+		// Every slot aimed here holds its writer's last value in both
+		// regions and its last notification; every other slot is untouched.
+		for src := Rank(0); src < n; src++ {
+			for g := 0; g < workers; g++ {
+				s, want := slot(src, g), int64(0)
+				if target(src, g) == p.Rank() {
+					want = iters
+				}
+				for _, off := range []int{plain + 8*s, notified + 8*s} {
+					b, err := p.SegmentCopyOut(1, off, 1)
+					if err != nil {
+						return err
+					}
+					if int64(b[0]) != want {
+						return fmt.Errorf("rank %d goroutine %d: byte at %d = %d, want %d", src, g, off, b[0], want)
+					}
+				}
+				if v, err := p.NotifyPeek(1, NotificationID(s)); err != nil || v != want {
+					return fmt.Errorf("rank %d goroutine %d: notification %d (err %v), want %d", src, g, v, err, want)
+				}
+			}
 		}
 		return nil
 	})

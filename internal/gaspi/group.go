@@ -64,7 +64,7 @@ func (p *Proc) GroupCreate(gid GroupID) error {
 	}
 	p.groups[gid] = &group{id: gid}
 	p.collMu.Lock()
-	delete(p.collHorizon, gid) // accept the recreated group's fresh sequence space
+	delete(p.collHorizon, gid) // accept the recreated group's commit rounds
 	p.collMu.Unlock()
 	return nil
 }
@@ -109,10 +109,9 @@ func (p *Proc) GroupDelete(gid GroupID) {
 	delete(p.segs, collSegID(gid))
 	p.mu.Unlock()
 	p.collMu.Lock()
-	// The horizon entry goes too: a deliberately recreated group restarts
-	// its sequence space at the commit handshake's seq 0. Round messages
-	// of the DELETED instance still in flight can therefore re-enter
-	// collBuf after this purge — at receive time they are
+	// The horizon entry goes too: a deliberately recreated group commits
+	// again. Round messages of the DELETED instance still in flight can
+	// therefore re-enter collBuf after this purge — at receive time they are
 	// indistinguishable from a recreated instance's early commit traffic,
 	// which MUST be buffered (a commit round swept from under a peer that
 	// already completed its handshake would never be re-sent: resume only
@@ -136,17 +135,6 @@ func (p *Proc) GroupSize(gid GroupID) (int, error) {
 		return 0, err
 	}
 	return len(g.members), nil
-}
-
-// GroupRanks returns a copy of the group's member list
-// (gaspi_group_ranks). For a committed group the list is sorted.
-func (p *Proc) GroupRanks(gid GroupID) ([]Rank, error) {
-	p.checkAlive()
-	g, err := p.groupLookup(gid)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(g.members), nil
 }
 
 // GroupCommit establishes the group collectively (gaspi_group_commit):
@@ -187,7 +175,7 @@ func (p *Proc) GroupCommit(gid GroupID, timeout time.Duration) error {
 	for k, dist := int32(0), 1; dist < n; k, dist = k+1, dist*2 {
 		to := members[(myIdx+dist)%n]
 		from := members[((myIdx-dist)%n+n)%n]
-		got, err := p.collExchange(g, 0, k, collCommit, to, from, h, timeout)
+		got, err := p.collExchange(g, k, collCommit, to, from, h, timeout)
 		if err != nil {
 			if !errors.Is(err, ErrTimeout) {
 				p.collTeardown(gid, g)
@@ -266,11 +254,10 @@ func (p *Proc) startCollective(gid GroupID, kind uint8, vecLen int) (*group, *in
 	return g, &g.cur, false, nil
 }
 
-// finishCollective marks the in-flight collective of gid complete,
-// advances the group's sequence horizon, and garbage-collects buffered
-// round messages of this AND every earlier sequence — entries a peer's
-// timed-out-and-resumed sends re-buffered after an earlier sweep would
-// otherwise leak forever.
+// finishCollective marks the in-flight collective of gid complete, records
+// that gid's commit is over (collHorizon), and garbage-collects every
+// buffered commit round of gid — entries a peer's timed-out-and-resumed
+// sends re-buffered after an earlier sweep would otherwise leak forever.
 func (p *Proc) finishCollective(gid GroupID, seq uint64) {
 	p.mu.Lock()
 	if g, ok := p.groups[gid]; ok && g.active && g.cur.seq == seq {
@@ -279,11 +266,9 @@ func (p *Proc) finishCollective(gid GroupID, seq uint64) {
 	}
 	p.mu.Unlock()
 	p.collMu.Lock()
-	if h := p.collHorizon[gid]; seq+1 > h {
-		p.collHorizon[gid] = seq + 1
-	}
+	p.collHorizon[gid] = struct{}{}
 	for k := range p.collBuf {
-		if k.gid == gid && k.seq <= seq {
+		if k.gid == gid {
 			delete(p.collBuf, k)
 		}
 	}

@@ -4,10 +4,11 @@ import (
 	"repro/internal/fabric"
 )
 
-// nicLoop services the process's endpoint: it applies remote one-sided
-// operations, answers pings and atomics, buffers collective rounds and
-// routes completions — independently of what the application goroutine is
-// doing. This models the RDMA NIC + GPI-2 progress engine and is what makes
+// nicLoop services the process's endpoint: it answers pings, takes passive
+// sends, buffers group-commit rounds and routes completions —
+// independently of what the application goroutine is doing (one-sided
+// segment operations never reach it: fastSink applies them at delivery).
+// This models the RDMA NIC + GPI-2 progress engine and is what makes
 // a dedicated fault detector possible: a busy (or hung) application still
 // answers pings as long as the process is alive.
 func (p *Proc) nicLoop() {
@@ -28,14 +29,14 @@ func (p *Proc) nicLoop() {
 // destination segment's memory — so one-sided traffic never crosses the
 // receive channel or waits for the NIC goroutine to be scheduled.
 //
-// Routing ALL segment-targeted kinds (writes, notifications, reads,
-// atomics) through the sink keeps their mutual execution order identical
-// to their delivery order, which is what the GASPI write-before-notify
-// guarantee rests on. Everything else (completions, passive, collectives,
-// pings) still flows through the NIC goroutine.
+// Routing both segment-targeted kinds (writes and notifications) through
+// the sink keeps their mutual execution order identical to their delivery
+// order, which is what the GASPI write-before-notify guarantee rests on.
+// Everything else (completions, passive, commit rounds, pings) flows
+// through the NIC goroutine.
 func (p *Proc) fastSink(m fabric.Message) bool {
 	switch m.Kind {
-	case kWrite, kNotify, kRead, kAtomic:
+	case kWrite, kNotify:
 		p.applyOneSided(m)
 		return true
 	}
@@ -43,9 +44,9 @@ func (p *Proc) fastSink(m fabric.Message) bool {
 }
 
 // applyOneSided executes a one-sided segment operation at the target and
-// posts the completion back to the initiator. Runs on the delivery pump
-// goroutine (fast path) or the NIC goroutine (when no sink is registered);
-// it must not block.
+// posts the completion back to the initiator. It runs only on the fabric's
+// delivery shard (Launch registers fastSink before the NIC goroutine
+// starts), so it must not block.
 func (p *Proc) applyOneSided(m fabric.Message) {
 	switch m.Kind {
 	case kWrite:
@@ -72,37 +73,13 @@ func (p *Proc) applyOneSided(m fabric.Message) {
 			// notifications): the sender tracks no completion for it.
 			p.reply(m.From, fabric.Message{Kind: kWriteAck, Token: m.Token, Args: [4]int64{code}})
 		}
-
-	case kRead:
-		code := int64(remBadSegment)
-		var data []byte
-		if s, err := p.segLookup(SegmentID(m.Args[0])); err == nil {
-			data, code = s.readRemote(m.Args[1], m.Args[2])
-		}
-		p.reply(m.From, fabric.Message{Kind: kReadResp, Token: m.Token, Args: [4]int64{code}, Payload: data})
-
-	case kAtomic:
-		code := int64(remBadSegment)
-		var old int64
-		if s, err := p.segLookup(SegmentID(m.Args[0])); err == nil {
-			old, code = s.applyAtomic(m.Args[2], m.Args[1], m.Args[3], m.Payload)
-		}
-		p.reply(m.From, fabric.Message{Kind: kAtomicResp, Token: m.Token, Args: [4]int64{code, old}})
 	}
 }
 
 func (p *Proc) handleMessage(m fabric.Message) {
 	switch m.Kind {
-	case kWrite, kNotify, kRead, kAtomic:
-		// Only reachable when no sink is registered (raw-fabric setups);
-		// under Launch the delivery sink consumes these kinds.
-		p.applyOneSided(m)
-
 	case kWriteAck:
 		p.completeToken(m.Token, opResult{err: remoteErr(m.Args[0])})
-
-	case kReadResp:
-		p.completeToken(m.Token, opResult{err: remoteErr(m.Args[0]), data: m.Payload})
 
 	case kPassive:
 		code := int64(remOK)
@@ -115,9 +92,6 @@ func (p *Proc) handleMessage(m fabric.Message) {
 
 	case kPassiveAck:
 		p.completeToken(m.Token, opResult{err: remoteErr(m.Args[0])})
-
-	case kAtomicResp:
-		p.completeToken(m.Token, opResult{err: remoteErr(m.Args[0]), val: m.Args[1]})
 
 	case kPing:
 		p.reply(m.From, fabric.Message{Kind: kPingAck, Token: m.Token})
@@ -146,16 +120,15 @@ func (p *Proc) handleMessage(m fabric.Message) {
 	case kColl:
 		key := collKey{
 			gid:   GroupID(m.Args[0]),
-			seq:   uint64(m.Args[1]),
 			round: int32(m.Args[2]),
 			op:    uint8(m.Args[3]),
 			from:  m.From,
 		}
 		p.collMu.Lock()
-		if key.seq < p.collHorizon[key.gid] {
-			// Duplicate round of a collective this process already
-			// completed (a timed-out peer resuming replays its sends from
-			// round 0): drop it, or it would sit in collBuf forever.
+		if _, done := p.collHorizon[key.gid]; done {
+			// Duplicate round of a commit this process already completed
+			// (a timed-out peer resuming replays its sends from round 0):
+			// drop it, or it would sit in collBuf forever.
 			p.collMu.Unlock()
 			return
 		}

@@ -66,7 +66,7 @@ func (p *Proc) writeInternal(rank Rank, seg SegmentID, off int64, data []byte, q
 		payload = make([]byte, len(data))
 		copy(payload, data)
 	}
-	tok := p.postQueued(kWrite, rank, qu, nil, 0)
+	tok := p.postQueued(kWrite, rank, qu)
 	m := fabric.Message{
 		Kind:    kWrite,
 		Token:   tok,
@@ -94,42 +94,11 @@ func (p *Proc) Notify(rank Rank, seg SegmentID, notifID NotificationID, notifVal
 	if err := p.validRank(rank); err != nil {
 		return err
 	}
-	tok := p.postQueued(kNotify, rank, qu, nil, 0)
+	tok := p.postQueued(kNotify, rank, qu)
 	m := fabric.Message{
 		Kind:  kNotify,
 		Token: tok,
 		Args:  [4]int64{int64(seg), 0, int64(notifID) + 1, notifVal},
-	}
-	if err := p.ep.Send(rank, m); err != nil {
-		p.completeToken(tok, opResult{err: ErrConnection})
-	}
-	return nil
-}
-
-// Read posts a one-sided read of size bytes from the remote rank's segment
-// (srcSeg, srcOff) into the local segment (dstSeg, dstOff) (gaspi_read).
-// Completion is observed with WaitQueue.
-func (p *Proc) Read(rank Rank, srcSeg SegmentID, srcOff int64, dstSeg SegmentID, dstOff int64, size int64, q QueueID) error {
-	p.checkAlive()
-	qu, err := p.queue(q)
-	if err != nil {
-		return err
-	}
-	if err := p.validRank(rank); err != nil {
-		return err
-	}
-	dst, err := p.segLookup(dstSeg)
-	if err != nil {
-		return err
-	}
-	if dstOff < 0 || dstOff+size > int64(dst.declared()) {
-		return fmt.Errorf("%w: read destination out of bounds", ErrInvalid)
-	}
-	tok := p.postQueued(kRead, rank, qu, dst, dstOff)
-	m := fabric.Message{
-		Kind:  kRead,
-		Token: tok,
-		Args:  [4]int64{int64(srcSeg), srcOff, size, 0},
 	}
 	if err := p.ep.Send(rank, m); err != nil {
 		p.completeToken(tok, opResult{err: ErrConnection})
@@ -211,23 +180,6 @@ func (p *Proc) NotifyPeek(seg SegmentID, id NotificationID) (int64, error) {
 		return 0, fmt.Errorf("%w: notification id %d", ErrInvalid, id)
 	}
 	return s.notifVals[id], nil
-}
-
-// ResetNotifications clears every notification slot of a segment. The
-// recovery path uses it to discard stale pre-failure notifications.
-func (p *Proc) ResetNotifications(seg SegmentID) error {
-	p.checkAlive()
-	s, err := p.segLookup(seg)
-	if err != nil {
-		return err
-	}
-	s.notifMu.Lock()
-	for i := range s.notifVals {
-		s.notifVals[i] = 0
-	}
-	s.notifMu.Unlock()
-	s.notifPulse.Broadcast()
-	return nil
 }
 
 func (p *Proc) validRank(r Rank) error {

@@ -22,8 +22,7 @@ func (p *Proc) PassiveSend(rank Rank, data []byte, timeout time.Duration) error 
 	if err := p.ep.Send(rank, m); err != nil {
 		p.completeToken(tok, opResult{err: ErrConnection})
 	}
-	_, err := p.await(tok, resp, timeout, true)
-	return err
+	return p.await(tok, resp, timeout, true)
 }
 
 // PassiveReceive blocks until a passive message arrives and returns its
@@ -60,24 +59,12 @@ func (p *Proc) PassiveReceive(timeout time.Duration) (Rank, []byte, error) {
 // NilRank is the invalid rank sentinel re-exported for convenience.
 const NilRank = fabric.NilRank
 
-// awaitResult waits for the completion of a blocking operation that
-// returns no value (ping); see await.
-func (p *Proc) awaitResult(tok uint64, resp chan opResult, timeout time.Duration) error {
-	_, err := p.await(tok, resp, timeout, false)
-	return err
-}
-
-// awaitResultVal is awaitResult for operations that return a value.
-func (p *Proc) awaitResultVal(tok uint64, resp chan opResult, timeout time.Duration) (opResult, error) {
-	return p.await(tok, resp, timeout, false)
-}
-
 // await waits for the completion of a blocking operation, translating
 // timeouts and abandoning the token on timeout (a late completion for an
 // abandoned token is dropped). attentive selects the calls the attention
 // line may cut short; a ping must not be one — returning early would read
 // as a suspicion.
-func (p *Proc) await(tok uint64, resp chan opResult, timeout time.Duration, attentive bool) (opResult, error) {
+func (p *Proc) await(tok uint64, resp chan opResult, timeout time.Duration, attentive bool) error {
 	timer, stop := deadline(timeout)
 	defer stop()
 	expired := ErrTimeout
@@ -93,7 +80,7 @@ wait:
 		}
 		select {
 		case r := <-resp:
-			return r, r.err
+			return r.err
 		case <-attn:
 		case <-timer:
 			break wait
@@ -105,9 +92,9 @@ wait:
 	// The completion may have raced the timeout; prefer it.
 	select {
 	case r := <-resp:
-		return r, r.err
+		return r.err
 	default:
-		return opResult{}, expired
+		return expired
 	}
 }
 

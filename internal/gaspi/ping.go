@@ -26,7 +26,7 @@ func (p *Proc) ProcPing(rank Rank, timeout time.Duration) error {
 	if err := p.ep.Send(rank, m); err != nil {
 		p.completeToken(tok, opResult{err: ErrConnection})
 	}
-	return p.awaitResult(tok, resp, timeout)
+	return p.await(tok, resp, timeout, false)
 }
 
 // ProcKill forcibly terminates the given rank — the GPI-2 extension used by

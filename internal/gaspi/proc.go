@@ -34,16 +34,15 @@ type Proc struct {
 	// passive communication
 	passiveCh chan passiveMsg
 
-	// collective round buffers (filled by the NIC, two-sided message path)
+	// commit-handshake round buffers (filled by the NIC, two-sided path)
 	collMu    sync.Mutex
 	collBuf   map[collKey][]byte
 	collPulse pulse
-	// collHorizon maps a group to one past the highest collective sequence
-	// this process has completed on it. Incoming two-sided round messages
-	// below the horizon are duplicates of finished operations (a timed-out
-	// peer resuming replays its sends from round 0) and are dropped instead
-	// of buffered, so abandoned entries can never accumulate in collBuf.
-	collHorizon map[GroupID]uint64
+	// collHorizon holds the groups whose commit this process has finished.
+	// Incoming round messages for them are duplicates (a timed-out peer
+	// resuming replays its sends from round 0) and are dropped instead of
+	// buffered, so abandoned entries can never accumulate in collBuf.
+	collHorizon map[GroupID]struct{}
 
 	// viewVersion is the membership view version this process has observed
 	// (the latest worker-failure notice epoch). Groups committed before the
@@ -81,7 +80,6 @@ type passiveMsg struct {
 
 type collKey struct {
 	gid   GroupID
-	seq   uint64
 	round int32
 	op    uint8
 	from  Rank
@@ -278,14 +276,6 @@ func (p *Proc) StateVec() []ProcState {
 		out[i] = ProcState(p.statevec[i].Load())
 	}
 	return out
-}
-
-// StateReset resets the state vector entry for rank r to healthy. The
-// recovery path uses it after a failed rank has been replaced.
-func (p *Proc) StateReset(r Rank) {
-	if r >= 0 && int(r) < len(p.statevec) {
-		p.statevec[r].Store(uint32(StateHealthy))
-	}
 }
 
 func (p *Proc) String() string { return fmt.Sprintf("gaspi.Proc(rank=%d)", p.rank) }

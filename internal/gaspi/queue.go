@@ -41,18 +41,14 @@ type pendingOp struct {
 	rank Rank
 	q    *queue // nil for blocking (non-queued) operations
 	qgen uint64 // queue generation at post time; stale after PurgeQueues
-	// readSeg/readOff receive the payload of a kReadResp.
-	readSeg *segment
-	readOff int64
-	// resp delivers the completion to a blocking caller (ping, atomic,
-	// passive). Buffered with capacity 1; the NIC never blocks on it.
+	// resp delivers the completion to a blocking caller (ping, passive).
+	// Buffered with capacity 1; the NIC never blocks on it.
 	resp chan opResult
 }
 
+// opResult is an operation's completion: nil, or why it failed.
 type opResult struct {
-	err  error
-	val  int64
-	data []byte
+	err error
 }
 
 func (p *Proc) queue(q QueueID) (*queue, error) {
@@ -65,7 +61,7 @@ func (p *Proc) queue(q QueueID) (*queue, error) {
 // postQueued registers a queued operation and returns its token. The
 // record comes from the queue's freelist when possible, keeping the hot
 // post path allocation-free.
-func (p *Proc) postQueued(kind uint8, rank Rank, q *queue, readSeg *segment, readOff int64) uint64 {
+func (p *Proc) postQueued(kind uint8, rank Rank, q *queue) uint64 {
 	tok := p.nextToken()
 	q.mu.Lock()
 	q.out++
@@ -79,7 +75,7 @@ func (p *Proc) postQueued(kind uint8, rank Rank, q *queue, readSeg *segment, rea
 		op = new(pendingOp)
 	}
 	q.mu.Unlock()
-	*op = pendingOp{kind: kind, rank: rank, q: q, qgen: gen, readSeg: readSeg, readOff: readOff}
+	*op = pendingOp{kind: kind, rank: rank, q: q, qgen: gen}
 	p.pendMu.Lock()
 	p.pending[tok] = op
 	p.pendMu.Unlock()
@@ -113,11 +109,6 @@ func (p *Proc) completeToken(tok uint64, res opResult) {
 		op.resp <- res
 		return
 	}
-	if res.err == nil && op.readSeg != nil && res.data != nil {
-		if code := op.readSeg.applyRemoteWrite(op.readOff, res.data); code != remOK {
-			res.err = remoteErr(code)
-		}
-	}
 	q := op.q
 	q.mu.Lock()
 	if op.qgen == q.gen { // ignore completions for operations purged meanwhile
@@ -126,7 +117,7 @@ func (p *Proc) completeToken(tok uint64, res opResult) {
 			q.errs = append(q.errs, opError{rank: op.rank, err: res.err})
 		}
 	}
-	*op = pendingOp{} // drop segment/payload references before recycling
+	*op = pendingOp{} // drop the queue reference before recycling
 	q.free = append(q.free, op)
 	q.mu.Unlock()
 	q.pulse.Broadcast()

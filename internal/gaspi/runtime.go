@@ -10,19 +10,20 @@ import (
 	"repro/internal/fabric"
 )
 
+// Fixed per-process resources.
+const (
+	numQueues    = 8    // communication queues
+	passiveDepth = 1024 // passive receive buffer depth
+	maxSegments  = 32   // application segments
+)
+
 // Config parameterizes a GASPI job.
 type Config struct {
 	// Procs is the number of ranks.
 	Procs int
-	// Queues is the number of communication queues per rank (default 8).
-	Queues int
 	// NotifySlots is the number of notification slots per segment
 	// (default 512).
 	NotifySlots int
-	// PassiveDepth is the passive receive buffer depth (default 1024).
-	PassiveDepth int
-	// MaxSegments bounds the number of segments per rank (default 32).
-	MaxSegments int
 	// Latency is the fabric latency model.
 	Latency fabric.LatencyModel
 	// Seed seeds the fabric's deterministic jitter streams.
@@ -39,17 +40,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Queues <= 0 {
-		c.Queues = 8
-	}
 	if c.NotifySlots <= 0 {
 		c.NotifySlots = 512
-	}
-	if c.PassiveDepth <= 0 {
-		c.PassiveDepth = 1024
-	}
-	if c.MaxSegments <= 0 {
-		c.MaxSegments = 32
 	}
 	if c.SpinYields <= 0 {
 		c.SpinYields = DefaultSpinYields
@@ -117,11 +109,11 @@ func Launch(cfg Config, main func(*Proc) error) *Job {
 			ep:           tr.Endpoint(Rank(i)),
 			segs:         make(map[SegmentID]*segment),
 			groups:       make(map[GroupID]*group),
-			queues:       make([]*queue, cfg.Queues),
+			queues:       make([]*queue, numQueues),
 			pending:      make(map[uint64]*pendingOp),
-			passiveCh:    make(chan passiveMsg, cfg.PassiveDepth),
+			passiveCh:    make(chan passiveMsg, passiveDepth),
 			collBuf:      make(map[collKey][]byte),
-			collHorizon:  make(map[GroupID]uint64),
+			collHorizon:  make(map[GroupID]struct{}),
 			statevec:     make([]atomic.Uint32, cfg.Procs),
 			deadGossiped: make([]atomic.Bool, cfg.Procs),
 			dead:         make(chan struct{}),

@@ -60,8 +60,8 @@ func (p *Proc) SegmentCreate(id SegmentID, size int) error {
 			user++
 		}
 	}
-	if user >= p.cfg.MaxSegments {
-		return fmt.Errorf("%w: segment limit %d reached", ErrInvalid, p.cfg.MaxSegments)
+	if user >= maxSegments {
+		return fmt.Errorf("%w: segment limit %d reached", ErrInvalid, maxSegments)
 	}
 	p.segs[id] = &segment{
 		id:        id,
@@ -206,7 +206,7 @@ func (s *segment) backAll() []byte {
 }
 
 // applyRemoteWrite is executed by the NIC for an incoming kWrite (and by
-// SegmentCopyIn and a completed Read), backing what it writes.
+// SegmentCopyIn), backing what it writes.
 func (s *segment) applyRemoteWrite(off int64, data []byte) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,8 +219,8 @@ func (s *segment) applyRemoteWrite(off int64, data []byte) int64 {
 	return remOK
 }
 
-// readRemote is executed by the NIC for an incoming kRead (and by
-// SegmentCopyOut). Bytes past the backed prefix read as zeros.
+// readRemote copies a range out for SegmentCopyOut. Bytes past the backed
+// prefix read as zeros.
 func (s *segment) readRemote(off, size int64) ([]byte, int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
