@@ -185,33 +185,13 @@ func BenchmarkCollAllreduceF64Sharded(b *testing.B) {
 	benchCollJob(b, 8, 4, benchAllreduce)
 }
 
-// BenchmarkCollAllreduceF64Large exercises the windowed (chunked,
-// ack-flow-controlled) large-vector protocol; the warm-up materialises the
-// chunk window and pays its rendezvous, so the timed loop runs at 0
-// allocs/op.
-func BenchmarkCollAllreduceF64Large(b *testing.B) {
-	benchCollJob(b, 4, 0, func(p *gaspi.Proc, n int) error {
-		in := make([]float64, 4096)
-		out := make([]float64, len(in))
-		for i := range in {
-			in[i] = float64(i)
-		}
-		for i := 0; i < n; i++ {
-			if err := p.AllreduceF64Into(gaspi.GroupAll, in, out, gaspi.OpSum, gaspi.Block); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // BenchmarkJobLaunch and BenchmarkGroupRecommit gate what the
 // communication layer allocates whether or not a job ever uses it: B/op of
 // launching and closing an 8-process job (fabric rings and inboxes sized
-// from the process count, GroupAll's resident collective tier; CI ceiling
+// from the process count, GroupAll's collective segment; CI ceiling
 // 1.5 MB), and B/member of one delete + create + commit of a 4-member
 // group, the allocation every survivor pays on the recovery path (CI
-// ceiling 16 KiB: the chunk window is not part of a commit).
+// ceiling 4 KiB: a 2 KiB collective segment and the group's bookkeeping).
 
 func BenchmarkJobLaunch(b *testing.B) {
 	b.ReportAllocs()

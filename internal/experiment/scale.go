@@ -21,18 +21,10 @@ import (
 // baseline arm. The cores axis is swept by re-pinning GOMAXPROCS, so it
 // only measures real parallelism on hosts with that many CPUs — the
 // result records HostCPUs so a flat cores axis on a small host is
-// attributable (see EXPERIMENTS.md).
+// attributable (see EXPERIMENTS.md). The axes are fixed — 4 to 256 ranks
+// (1024 with Full), 1, 2 and 4 cores, messages of 256 B, 4 KiB and 64 KiB —
+// and so are the sizes below; the fields set the measurement budgets.
 type ScaleConfig struct {
-	// Ranks are the simulated job sizes swept.
-	Ranks []int
-	// Cores are the GOMAXPROCS values swept.
-	Cores []int
-	// MsgSizes are the payload sizes (bytes) of the pairwise streaming
-	// sweep.
-	MsgSizes []int
-	// RowsPerRank sizes the weak-scaling spMVM matrix: the global
-	// dimension of a point is Ranks*RowsPerRank.
-	RowsPerRank int
 	// SpMVIters is the measured iteration budget at the smallest rank
 	// count; larger jobs run proportionally fewer (same total work).
 	SpMVIters int
@@ -41,46 +33,26 @@ type ScaleConfig struct {
 	// StreamMsgs is the number of messages per sender in the streaming
 	// sweep.
 	StreamMsgs int
-	// StreamMaxRanks optionally caps the rank counts the streaming sweep
-	// visits. Zero means uncapped: the sweep visits every entry of Ranks.
-	// The cap existed because the stream's passive receivers park in the
-	// closing barrier for the whole stream, and the old collective
-	// liveness re-probe (every parked waiter probing all N-1 members on a
-	// backed-off timer) grew quadratically with ranks, saturating a small
-	// host's fabric long before the data plane did. Parked waiters now
-	// probe only their ring successor (constant degree, verified gossip
-	// fans out an observed death), so the full sweep is affordable and
-	// the field remains only as a manual trim for slow hosts.
-	StreamMaxRanks int
-	// VecLen is the allreduce vector length: one chunk, no acks. The
-	// default 64 is longer than a resident collective sub-slot below 64
-	// ranks, so those points reduce through the chunk window their first
-	// operation materialises.
-	VecLen int
-	// Seed seeds the fabric jitter streams.
-	Seed int64
 	// Full widens the sweep to the trajectory arms: 1024 simulated ranks
 	// and a multi-million-row matrix.
 	Full bool
 }
 
+// The sweep's fixed sizes (its axes are set in RunScale and ranks).
+const (
+	// scaleRowsPerRank sizes the weak-scaling spMVM matrix: the global
+	// dimension of a point is ranks·scaleRowsPerRank (1024 ranks × 2048
+	// rows = a 2M-row matrix).
+	scaleRowsPerRank = 2048
+	// scaleVecLen is the allreduce vector length, the size of the
+	// benchmark's allreduce4 probe.
+	scaleVecLen = 4
+	// scaleSeed seeds the fabric jitter streams.
+	scaleSeed = 11
+)
+
 // WithDefaults fills the sweep used by ftlanczos -mode scale.
 func (c ScaleConfig) WithDefaults() ScaleConfig {
-	if len(c.Ranks) == 0 {
-		c.Ranks = []int{4, 16, 64, 256}
-		if c.Full {
-			c.Ranks = append(c.Ranks, 1024)
-		}
-	}
-	if len(c.Cores) == 0 {
-		c.Cores = []int{1, 2, 4}
-	}
-	if len(c.MsgSizes) == 0 {
-		c.MsgSizes = []int{256, 4 << 10, 64 << 10}
-	}
-	if c.RowsPerRank <= 0 {
-		c.RowsPerRank = 2048 // 1024 ranks × 2048 rows = a 2M-row matrix
-	}
 	if c.SpMVIters <= 0 {
 		c.SpMVIters = 400
 	}
@@ -90,13 +62,15 @@ func (c ScaleConfig) WithDefaults() ScaleConfig {
 	if c.StreamMsgs <= 0 {
 		c.StreamMsgs = 2000
 	}
-	if c.VecLen <= 0 {
-		c.VecLen = 64
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
 	return c
+}
+
+// ranks returns the simulated job sizes swept.
+func (c ScaleConfig) ranks() []int {
+	if c.Full {
+		return []int{4, 16, 64, 256, 1024}
+	}
+	return []int{4, 16, 64, 256}
 }
 
 // SpMVScaleRow is one (ranks, cores) point of the weak-scaling spMVM
@@ -151,20 +125,14 @@ type ScaleResult struct {
 	Stream    []StreamScaleRow `json:"stream"`
 }
 
-func scaleGaspiCfg(ranks, shards int, seed int64) gaspi.Config {
-	cfg := gaspi.Config{
+func scaleGaspiCfg(ranks, shards int) gaspi.Config {
+	return gaspi.Config{
 		Procs:        ranks,
 		Latency:      fabric.LatencyModel{Base: 2 * time.Microsecond, PerByteNs: 0.25},
-		Seed:         seed,
+		Seed:         scaleSeed,
 		SpinYields:   64,
 		FabricShards: shards,
 	}
-	// The spMVM parity-buffered notification scheme needs 2*ranks slots
-	// (see spmvm.Engine); round up past the default for large jobs.
-	if ns := 2*ranks + 64; ns > 512 {
-		cfg.NotifySlots = ns
-	}
-	return cfg
 }
 
 // scaleIters shrinks the measured iteration budget as jobs grow, keeping
@@ -189,20 +157,20 @@ func RunScale(c ScaleConfig, progress func(string)) (*ScaleResult, error) {
 
 	res := &ScaleResult{
 		HostCPUs: runtime.NumCPU(),
-		Ranks:    c.Ranks,
-		Cores:    c.Cores,
-		MsgSizes: c.MsgSizes,
+		Ranks:    c.ranks(),
+		Cores:    []int{1, 2, 4},
+		MsgSizes: []int{256, 4 << 10, 64 << 10},
 	}
-	for _, cores := range c.Cores {
+	for _, cores := range res.Cores {
 		runtime.GOMAXPROCS(cores)
-		for _, ranks := range c.Ranks {
+		for _, ranks := range res.Ranks {
 			shards := cores
 			if shards > ranks {
 				shards = ranks
 			}
 
-			iters := scaleIters(c.SpMVIters, ranks, c.Ranks[0])
-			rows := int64(ranks) * int64(c.RowsPerRank)
+			iters := scaleIters(c.SpMVIters, ranks, res.Ranks[0])
+			rows := int64(ranks) * scaleRowsPerRank
 			progress(fmt.Sprintf("spmvm ranks=%d cores=%d rows=%d iters=%d", ranks, cores, rows, iters))
 			sharded, err := runScaleSpMV(c, ranks, 0, iters)
 			if err != nil {
@@ -229,16 +197,13 @@ func RunScale(c ScaleConfig, progress func(string)) (*ScaleResult, error) {
 				return nil, fmt.Errorf("allreduce per-rank ranks=%d cores=%d: %w", ranks, cores, err)
 			}
 			res.Allreduce = append(res.Allreduce, CollScaleRow{
-				Ranks: ranks, Cores: cores, Shards: shards, VecLen: c.VecLen, Ops: c.CollOps,
+				Ranks: ranks, Cores: cores, Shards: shards, VecLen: scaleVecLen, Ops: c.CollOps,
 				ShardedOpsPerS: rate(c.CollOps, shardedC),
 				PerRankOpsPerS: rate(c.CollOps, perRankC),
 				Speedup:        ratio(perRankC, shardedC),
 			})
 
-			for _, size := range c.MsgSizes {
-				if c.StreamMaxRanks > 0 && ranks > c.StreamMaxRanks {
-					continue
-				}
+			for _, size := range res.MsgSizes {
 				progress(fmt.Sprintf("stream ranks=%d cores=%d size=%d", ranks, cores, size))
 				shardedS, err := runScaleStream(c, ranks, 0, size)
 				if err != nil {
@@ -276,14 +241,14 @@ func ratio(base, opt time.Duration) float64 {
 }
 
 // runScaleSpMV measures iters steady-state weak-scaling spMVM iterations
-// (Laplacian1D, RowsPerRank rows per rank) and returns rank 0's wall time
-// over the measured window.
+// (Laplacian1D, scaleRowsPerRank rows per rank) and returns rank 0's wall
+// time over the measured window.
 func runScaleSpMV(c ScaleConfig, ranks, shards, iters int) (time.Duration, error) {
 	const warm = 10
-	gen := matrix.Laplacian1D{N: int64(ranks) * int64(c.RowsPerRank)}
+	gen := matrix.Laplacian1D{N: int64(ranks) * scaleRowsPerRank}
 	var mu sync.Mutex
 	var wall time.Duration
-	job := gaspi.Launch(scaleGaspiCfg(ranks, shards, c.Seed), func(p *gaspi.Proc) error {
+	job := gaspi.Launch(scaleGaspiCfg(ranks, shards), func(p *gaspi.Proc) error {
 		comm := &spmvm.Direct{P: p, Base: 0, Workers: ranks, Group: gaspi.GroupAll}
 		lo, hi := matrix.BlockRange(gen.Dim(), ranks, comm.Logical())
 		blk := spmvm.Generate(gen, lo, hi)
@@ -341,9 +306,9 @@ func runScaleAllreduce(c ScaleConfig, ranks, shards int) (time.Duration, error) 
 	const warm = 10
 	var mu sync.Mutex
 	var wall time.Duration
-	job := gaspi.Launch(scaleGaspiCfg(ranks, shards, c.Seed), func(p *gaspi.Proc) error {
-		in := make([]float64, c.VecLen)
-		out := make([]float64, c.VecLen)
+	job := gaspi.Launch(scaleGaspiCfg(ranks, shards), func(p *gaspi.Proc) error {
+		in := make([]float64, scaleVecLen)
+		out := make([]float64, scaleVecLen)
 		for i := range in {
 			in[i] = float64(p.Rank()) + float64(i)*0.25
 		}
@@ -389,7 +354,7 @@ func runScaleStream(c ScaleConfig, ranks, shards, size int) (time.Duration, erro
 	const seg = gaspi.SegmentID(1)
 	var mu sync.Mutex
 	var wall time.Duration
-	job := gaspi.Launch(scaleGaspiCfg(ranks, shards, c.Seed), func(p *gaspi.Proc) error {
+	job := gaspi.Launch(scaleGaspiCfg(ranks, shards), func(p *gaspi.Proc) error {
 		if err := p.SegmentCreate(seg, size); err != nil {
 			return err
 		}

@@ -39,8 +39,10 @@ func (p *Proc) Barrier(gid GroupID, timeout time.Duration) error {
 // with the given operation and returns the result, identical on every rank
 // (gaspi_allreduce with GASPI_TYPE_DOUBLE). The reduction uses a binomial
 // tree to member index 0 followed by a binomial broadcast: 2*ceil(log2(n))
-// rounds of one-sided writes into the group's collective segment. Vectors
-// longer than collMaxElems are rejected with ErrInvalid.
+// rounds of one-sided writes into the group's collective segment. A vector
+// longer than max(16, members) rounded up to a power of two is rejected
+// with ErrInvalid and leaves the group usable (GASPI bounds an allreduce
+// by gaspi_allreduce_elem_max).
 func (p *Proc) AllreduceF64(gid GroupID, in []float64, op ReduceOp, timeout time.Duration) ([]float64, error) {
 	out := make([]float64, len(in))
 	if err := p.AllreduceF64Into(gid, in, out, op, timeout); err != nil {
@@ -70,20 +72,18 @@ func (p *Proc) AllreduceF64Into(gid GroupID, in, out []float64, op ReduceOp, tim
 	return allreduceFast(p, g, st, g.accF, out, combineF64, op, timeout)
 }
 
-// checkAllreduceLen validates the vector lengths of an allreduce before it
-// pins a sequence number.
+// checkAllreduceLen validates the out length of an allreduce before it
+// pins a sequence number; startCollective checks the length against the
+// group's capacity.
 func checkAllreduceLen(in, out int) error {
 	if out != in {
 		return fmt.Errorf("%w: allreduce out length %d, want %d", ErrInvalid, out, in)
-	}
-	if in > collMaxElems {
-		return fmt.Errorf("%w: allreduce of %d elements, limit %d", ErrInvalid, in, collMaxElems)
 	}
 	return nil
 }
 
 // AllreduceI64 is AllreduceF64 for 8-byte integers
-// (gaspi_allreduce with GASPI_TYPE_LONG). The rounds read the wire chunks
+// (gaspi_allreduce with GASPI_TYPE_LONG). The rounds read the wire payloads
 // through an int64 view of the same slots, so integer arithmetic is exact.
 func (p *Proc) AllreduceI64(gid GroupID, in []int64, op ReduceOp, timeout time.Duration) ([]int64, error) {
 	out := make([]int64, len(in))

@@ -16,70 +16,42 @@ import (
 // Every committed group owns a dedicated collective segment (a reserved
 // negative segment ID derived from the group ID, created before the commit
 // handshake so peers can never observe a member without it). The segment
-// is laid out as per-round, parity-double-buffered slots, each split into
-// two sub-slots cp ∈ {0,1}:
+// is laid out as per-round, parity-double-buffered sub-slots of
+// collFast.small elements:
 //
-//	[ recv  (parity, round, cp) ... ] [ stage (parity, round, cp) ... ]
+//	[ recv (parity, round) ... ] [ stage (parity, round) ... ]
 //
-// with R = ceil(log2(n)) rounds per parity per phase. Notification slots
-// mirror the layout: slot (parity*2R+round)*2+cp signals data arrival,
-// slot 8R+(parity*2R+round)*2+cp carries the grants and consumption acks
-// of the windowed large-vector protocol. Consecutive collectives alternate
+// with R = ceil(log2(n)) rounds per parity per phase, so 4R sub-slots per
+// area. Notification slot (parity*2R+round) signals data arrival in the
+// recv sub-slot of the same index. Consecutive collectives alternate
 // parity (sequence number parity), and the completion invariant — no
 // member can finish collective s before every member has started s —
 // makes the two-deep parity buffering sufficient: by the time parity p is
 // reused (s+2), every slot written during s has been consumed.
 //
-// The layout exists in two tiers. Resident from the group's creation are
-// the notification array and sub-slots of collFast.small elements — room
-// for what the fault-tolerance framework and the solvers reduce (dot
-// products, norms, agreement vectors of one element per member at most).
-// The chunk window, the same layout with collChunkElems elements per
-// sub-slot, is appended to the segment by the group's first allreduce of a
-// longer vector (collWindow) — the scale sweep's 64-element allreduce on 4 and 16
-// ranks is the one in this tree: a group that only ever reduces short
-// vectors never allocates, zeroes or carries it, and a group recommit on
-// the recovery path costs kilobytes.
+// A sub-slot holds max(collSmallMin, members) elements rounded up to a
+// power of two: what the fault-tolerance framework and the solvers reduce
+// (dot products, norms, agreement vectors of one element per member at
+// most). A longer vector is refused with ErrInvalid before it pins a
+// sequence number, as GASPI refuses one past gaspi_allreduce_elem_max. The
+// whole segment is allocated at the commit — 2 KiB for four members — and
+// never grows.
 //
 // Dissemination (Barrier) and binomial reduce+broadcast (Allreduce) rounds
 // post their payloads with borrowed-buffer one-sided writes straight from
 // the local staging area into the partner's recv area (the fabric's
 // delivery sink lands them in registered memory, one copy, no channel
 // hop), and wait on the notification slot with a spin-then-park loop. In
-// steady state a small-vector Barrier/AllreduceF64Into performs zero heap
-// allocations and zero encode/decode: the accumulator is cached on the
-// group, staging is gathered through the segment's float64 view, and all
-// round traffic is fire-and-forget one-sided posts (no completion
-// bookkeeping — see collDataPost for why the borrowed-buffer contract
-// holds without it).
+// steady state a Barrier/AllreduceF64Into performs zero heap allocations
+// and zero encode/decode: the accumulator is cached on the group, staging
+// is gathered through the segment's float64 view, and all round traffic is
+// fire-and-forget one-sided posts (no completion bookkeeping — see
+// collDataPost for why the borrowed-buffer contract holds without it).
 //
 // The binomial rounds address partners at power-of-two distances, and the
 // fabric stripes destinations round-robin over its delivery shards: the
 // posts of one round therefore land on distinct shard heaps and deliver
 // in parallel instead of serializing behind a single timer heap.
-//
-// Vectors longer than a resident sub-slot go through the chunk window,
-// chunk by chunk: chunks alternate between the two sub-slots of the round,
-// and the sender posts chunk c ≥ 2 only on the consumption ack of chunk
-// c-2. A two-chunk window overlaps the transfer of one chunk with the
-// consumption of the other, with bounded slot memory regardless of vector
-// length; a vector of one or two chunks exchanges no acks at all.
-//
-// The window's rendezvous happens once per group. In the group's first
-// windowed collective a sender does not assume sub-slots 0 and 1 either:
-// it waits for the grants the receiver posts when it enters the round —
-// after materialising its window, so no partner can post into a window
-// that does not exist yet. Grants travel as the acks of chunks -2 and -1
-// and land in the resident notification array, so they need no window on
-// the sender's side. Once a member has completed that collective, the
-// completion invariant says every member has entered it, hence owns its
-// window (collFast.windowMet): later collectives post their first two
-// chunks unasked, and a steady stream of medium vectors costs the messages
-// it cost when every segment was born with its window. A straggler grant
-// of an abandoned instance could stand in for a missing window after an
-// unsynchronised same-ID recreation (the write is dropped out of bounds
-// and the collective times out); the recovery path always commits a fresh
-// group ID.
 //
 // Fault awareness: a dead member NACKs the writes and probes directed at
 // it, which marks it corrupt in the state vector and broadcasts
@@ -89,15 +61,9 @@ import (
 // exactly where it stopped; a group recommit (GroupDelete + recreate)
 // invalidates the cursor and the segment wholesale.
 
-// collChunkElems is the element capacity of one chunk-window sub-slot
-// (8 KiB): vectors too long for a resident sub-slot run the windowed
-// protocol chunk by chunk.
-const collChunkElems = 1024
-
-// collSmallMin is the least element capacity of a resident sub-slot: the
-// dot products, norms and agreement pairs of a small group fit with room
-// to spare. Anything longer takes the chunk window, at the price of one
-// rendezvous and one allocation per group.
+// collSmallMin is the least element capacity of a sub-slot: the dot
+// products, norms and agreement pairs of a small group fit with room to
+// spare.
 const collSmallMin = 16
 
 // collSegID maps a group to its reserved collective segment ID. Negative
@@ -115,65 +81,28 @@ func collRounds(n int) int {
 	return r
 }
 
-// collVal tags a data, grant or ack notification with (sequence, chunk).
-// Chunks -2 and -1 are the grants of the two window sub-slots in a group's
-// first windowed collective (the "acks" of the chunks that would have
-// preceded 0 and 1); the +3 keeps the value non-zero for them at any
-// sequence. The chunk field is 20 bits, which bounds the vector length
-// (collMaxElems).
-func collVal(seq uint64, chunk int) int64 { return int64(seq)<<20 | int64(chunk+3) }
-
-// collMaxElems is the largest vector an allreduce accepts: the chunk
-// index must fit collVal's 20-bit field. Anything larger (≥8 GiB of
-// float64s) is rejected with ErrInvalid.
-const collMaxElems = collChunkElems * (1<<20 - 3)
+// collVal tags a data notification with its collective's sequence number,
+// which is never zero (a committed group starts at 1).
+func collVal(seq uint64) int64 { return int64(seq) }
 
 // collFast is a group's registered-segment collective state.
 type collFast struct {
 	segID SegmentID
 	seg   *segment
 	r     int // ceil(log2(n))
-	small int // element capacity of a resident sub-slot
-	// windowMet is set once this member has completed a windowed
-	// collective: every member has then entered one, so every window exists
-	// and senders stop waiting for grants.
-	windowMet bool
+	small int // element capacity of a sub-slot, the longest allreduce
 }
 
-// collTier addresses one tier of the segment layout: the element offset of
-// its first sub-slot and the element capacity of each.
-type collTier struct{ base, chunk int }
+// sub numbers the sub-slots of either area (recv, stage) and the
+// notification slots.
+func (f *collFast) sub(parity, round int) int { return parity*2*f.r + round }
 
-// sub numbers the sub-slots of either area (recv, stage) and of either
-// half of the notification array (data, ack); cp is the chunk-window
-// sub-slot (chunk index & 1).
-func (f *collFast) sub(parity, round, cp int) int { return (parity*2*f.r+round)*2 + cp }
-
-// Element offsets of the layout above. The stage area follows the tier's
-// 8R recv sub-slots.
-func (f *collFast) recvOff(t collTier, sub int) int  { return t.base + sub*t.chunk }
-func (f *collFast) stageOff(t collTier, sub int) int { return t.base + (8*f.r+sub)*t.chunk }
+// Element offsets of the layout above. The stage area follows the 4R recv
+// sub-slots.
+func (f *collFast) recvOff(sub int) int  { return sub * f.small }
+func (f *collFast) stageOff(sub int) int { return (4*f.r + sub) * f.small }
 
 func (f *collFast) dataSlot(sub int) NotificationID { return NotificationID(sub) }
-func (f *collFast) ackSlot(sub int) NotificationID  { return NotificationID(8*f.r + sub) }
-
-// residentElems is the element count of the resident tier, and with it
-// the chunk window's base. A single-member group has no rounds; one
-// element keeps the segment's typed view valid.
-func (f *collFast) residentElems() int { return max(16*f.r*f.small, 1) }
-
-// tier returns the tier a vector of vecLen elements is reduced through:
-// the resident sub-slots when it fits in one, the chunk window otherwise.
-// A pure function of the length and the group's size, so every member
-// picks the same one.
-//
-//ftlint:hotpath
-func (f *collFast) tier(vecLen int) (t collTier, windowed bool) {
-	if vecLen <= f.small {
-		return collTier{base: 0, chunk: f.small}, false
-	}
-	return collTier{base: f.residentElems(), chunk: collChunkElems}, true
-}
 
 // collView is the typed view of a collective segment's memory.
 //
@@ -188,15 +117,14 @@ func collView[T int64 | float64](s *segment) []T {
 }
 
 // collSetup equips a group with its collective segment and round state;
-// every committed group has one (g.fast != nil). Only the resident tier is
-// allocated: sub-slots of max(collSmallMin, members) elements rounded up
-// to a power of two — 4 KiB for a 4-member group. The segment sizes its
-// notification array from its own layout — 16·r slots, see dataSlot and
-// ackSlot — so no group is too large for it. Existing state sized for a
-// DIFFERENT round count is rebuilt — membership may legally grow between a
-// timed-out commit and its retry (the group is still uncommitted), and a
-// stale layout would silently desynchronize the slot scheme across
-// members.
+// every committed group has one (g.fast != nil). Sub-slots hold
+// max(collSmallMin, members) elements rounded up to a power of two — 2 KiB
+// of segment for a 4-member group. The segment sizes its notification
+// array from its own layout — 4R slots, see dataSlot — so no group is too
+// large for it. Existing state sized for a DIFFERENT round count is
+// rebuilt — membership may legally grow between a timed-out commit and its
+// retry (the group is still uncommitted), and a stale layout would
+// silently desynchronize the slot scheme across members.
 func (p *Proc) collSetup(g *group) {
 	r := collRounds(len(g.members))
 	if g.fast != nil && g.fast.r == r {
@@ -206,36 +134,19 @@ func (p *Proc) collSetup(g *group) {
 	for f.small < len(g.members) {
 		f.small *= 2
 	}
-	size := 8 * f.residentElems()
+	// A single-member group has no rounds; one element keeps the segment's
+	// typed view valid.
+	size := 8 * max(8*r*f.small, 1)
 	f.seg = &segment{
 		id:        f.segID,
 		size:      size,
 		buf:       make([]byte, size),
-		notifVals: make([]int64, 16*r),
+		notifVals: make([]int64, 4*r),
 	}
 	p.mu.Lock()
 	p.segs[f.segID] = f.seg
 	p.mu.Unlock()
 	g.fast = f
-}
-
-// collWindow materialises the chunk window: the segment's declared size
-// grows, once, from its resident tier to the full layout, and the segment
-// backs it whole (segment.back: a write lands either in the old buffer
-// before the copy or in the new one after it). Only the owning collective
-// goroutine calls this, and it alone reads seg.buf outside the lock;
-// payloads of its earlier posts still in flight keep borrowing the old
-// staging area, which nothing writes any more. Until then a write into the
-// window is out of bounds, so no delivery can move seg.buf under the owner.
-func (p *Proc) collWindow(f *collFast) {
-	base := f.residentElems()
-	if len(f.seg.buf) > 8*base || f.r == 0 {
-		return
-	}
-	f.seg.mu.Lock()
-	f.seg.size = 8 * (base + 16*f.r*collChunkElems)
-	f.seg.back(int64(f.seg.size))
-	f.seg.mu.Unlock()
 }
 
 // collTeardown releases a group's collective segment (failed commit,
@@ -318,15 +229,12 @@ func (p *Proc) collProbeMembers(g *group) {
 // (borrowed) staging region into the partner's recv sub-slot, with the
 // arrival notification piggybacked. Like collNotifyPost it is
 // fire-and-forget (token 0, no completion reply): the staging buffer's
-// stability is already guaranteed without a queue flush, because every
-// reuse is ordered behind the receiver's CONSUMPTION of the previous
-// occupant — the chunk window awaits the ack of chunk c-2 before
-// overwriting its sub-slot, and the parity slots of collective s are only
-// reused at s+2, by which point the completion invariant says every
-// member consumed s. Consumption happens after the delivery-time read of
-// the staging region, so the borrowed-buffer contract holds with no
-// completion bookkeeping at all. A dead target's NACK still marks it
-// corrupt.
+// stability is already guaranteed without a queue flush, because the
+// parity slots of collective s are only reused at s+2, by which point the
+// completion invariant says every member consumed s. Consumption happens
+// after the delivery-time read of the staging region, so the
+// borrowed-buffer contract holds with no completion bookkeeping at all. A
+// dead target's NACK still marks it corrupt.
 //
 //ftlint:hotpath
 func (p *Proc) collDataPost(to Rank, f *collFast, dstByteOff int64, data []byte, slot NotificationID, val int64) {
@@ -338,8 +246,8 @@ func (p *Proc) collDataPost(to Rank, f *collFast, dstByteOff int64, data []byte,
 	_ = p.ep.Send(to, m)
 }
 
-// collNotifyPost posts a bare notification (barrier rounds, window grants
-// and acks) fire-and-forget: token 0 requests no completion reply from the
+// collNotifyPost posts a bare notification (barrier rounds)
+// fire-and-forget: token 0 requests no completion reply from the
 // target, halving the per-round message count. Nothing is lost — there is
 // no payload buffer to guard, and a dead target's NACK still marks it
 // corrupt (the NACK handler does not need a pending op for that).
@@ -457,11 +365,11 @@ func (p *Proc) barrierFast(g *group, st *inflightColl, timeout time.Duration) er
 	f := g.fast
 	n := len(g.members)
 	parity := int(st.seq & 1)
-	val := collVal(st.seq, 0)
+	val := collVal(st.seq)
 	for st.round < f.r {
 		dist := 1 << st.round
 		to := g.members[(g.myIdx+dist)%n]
-		slot := f.dataSlot(f.sub(parity, st.round, 0))
+		slot := f.dataSlot(f.sub(parity, st.round))
 		if !st.sent {
 			p.collNotifyPost(to, f, slot, val)
 			st.sent = true
@@ -501,92 +409,45 @@ func collRoundRole(i, r, myIdx, n int) (send bool, peer int) {
 	return false, -1
 }
 
-// chunks returns the chunk count of a vector on tier t (one empty chunk
-// for a zero-length vector, so the round protocol still exchanges its
-// notifications).
-//
-//ftlint:hotpath
-func (t collTier) chunks(vecLen int) int {
-	if vecLen == 0 {
-		return 1
-	}
-	return (vecLen + t.chunk - 1) / t.chunk
-}
-
-// allreduceFast runs the binomial allreduce for both element types (the int64 variant reads the wire chunks through an int64
-// view of the same slots, so integer arithmetic stays exact). acc is the
-// group-cached accumulator already holding this rank's contribution (or
-// the partial state of a resumed call). The result is copied to out.
-// st.round and st.chunk are the resume cursor, plus st.sent in the group's
-// first windowed collective: the round's grants are out.
+// allreduceFast runs the binomial allreduce for both element types (the
+// int64 variant reads the wire payloads through an int64 view of the same
+// slots, so integer arithmetic stays exact). acc is the group-cached
+// accumulator already holding this rank's contribution (or the partial
+// state of a resumed call). The result is copied to out. st.round is the
+// resume cursor: a sender never waits, so a timeout strikes a receive,
+// which the resumed call waits for again.
 //
 //ftlint:hotpath
 func allreduceFast[T int64 | float64](p *Proc, g *group, st *inflightColl, acc, out []T, combine func(dst, src []T, op ReduceOp), op ReduceOp, timeout time.Duration) error {
 	f := g.fast
 	n := len(g.members)
 	L := st.vecLen
-	t, windowed := f.tier(L)
-	if windowed {
-		p.collWindow(f)
-	}
-	grant := windowed && !f.windowMet
 	view := collView[T](f.seg)
-	m := t.chunks(L)
 	parity := int(st.seq & 1)
-	for st.round < 2*f.r {
+	val := collVal(st.seq)
+	for ; st.round < 2*f.r; st.round++ {
 		send, peer := collRoundRole(st.round, f.r, g.myIdx, n)
 		if peer < 0 {
-			st.round, st.chunk = st.round+1, 0
 			continue
 		}
-		to := g.members[peer]
-		if grant && !send && !st.sent {
-			// Entering the round as receiver, window in place: grant the
-			// sender its sub-slots.
-			for c := 0; c < min(2, m); c++ {
-				p.collNotifyPost(to, f, f.ackSlot(f.sub(parity, st.round, c)), collVal(st.seq, c-2))
-			}
-			st.sent = true
+		sub := f.sub(parity, st.round)
+		if send {
+			so := f.stageOff(sub)
+			copy(view[so:so+L], acc[:L])
+			p.collDataPost(g.members[peer], f, int64(8*f.recvOff(sub)), f.seg.buf[8*so:8*(so+L)], f.dataSlot(sub), val)
+			continue
 		}
-		for st.chunk < m {
-			c := st.chunk
-			sub := f.sub(parity, st.round, c&1)
-			lo := min(L, c*t.chunk)
-			hi := min(L, (c+1)*t.chunk)
-			if send {
-				if windowed && (c >= 2 || grant) {
-					// Two-chunk window: the peer must have consumed chunk
-					// c-2 out of this sub-slot — or, not yet known to have
-					// a window, granted it — before it is written, so
-					// chunk c-1's transfer overlaps chunk c-2's consumption.
-					if err := p.collAwait(g, f.ackSlot(sub), collVal(st.seq, c-2), timeout); err != nil {
-						return err
-					}
-				}
-				so := f.stageOff(t, sub)
-				copy(view[so:so+(hi-lo)], acc[lo:hi])
-				p.collDataPost(to, f, int64(8*f.recvOff(t, sub)),
-					f.seg.buf[8*so:8*(so+(hi-lo))], f.dataSlot(sub), collVal(st.seq, c))
-			} else {
-				if err := p.collAwait(g, f.dataSlot(sub), collVal(st.seq, c), timeout); err != nil {
-					return err
-				}
-				ro := f.recvOff(t, sub)
-				if st.round < f.r {
-					combine(acc[lo:hi], view[ro:ro+(hi-lo)], op)
-				} else {
-					copy(acc[lo:hi], view[ro:ro+(hi-lo)])
-				}
-				if c+2 < m {
-					p.collNotifyPost(to, f, f.ackSlot(sub), collVal(st.seq, c))
-				}
-			}
-			st.chunk++
+		if err := p.collAwait(g, f.dataSlot(sub), val, timeout); err != nil {
+			return err
 		}
-		st.round, st.chunk, st.sent = st.round+1, 0, false
+		ro := f.recvOff(sub)
+		if st.round < f.r {
+			combine(acc[:L], view[ro:ro+L], op)
+		} else {
+			copy(acc[:L], view[ro:ro+L])
+		}
 	}
 	copy(out, acc[:L])
-	f.windowMet = f.windowMet || windowed
 	p.finishCollective(g.id, st.seq)
 	return nil
 }

@@ -3,16 +3,14 @@ package gaspi
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // The collective regression suite: correctness across group sizes
-// (including non-powers-of-two) and vector sizes (including the segmented
-// large-vector protocol), resume-after-timeout semantics, prompt
+// (including non-powers-of-two) and vector sizes up to a sub-slot's
+// capacity, the refusal of longer ones, resume-after-timeout semantics, prompt
 // ErrConnBroken on member death, recommit invalidation, and the collBuf
 // sweep of the two-sided rounds. Everything runs under -race in CI
 // (bench-smoke job, `-run Coll`).
@@ -63,45 +61,10 @@ func TestCollGroupSizes(t *testing.T) {
 	}
 }
 
-// TestCollLargeVectorSegmented exercises the chunked ack protocol: vectors
-// spanning several collChunkElems slots, odd tail included.
-func TestCollLargeVectorSegmented(t *testing.T) {
-	const n = 4
-	L := 3*collChunkElems + 17
-	runCollJob(t, n, func(p *Proc) error {
-		in := make([]float64, L)
-		for i := range in {
-			in[i] = float64(i%31) + float64(p.Rank())
-		}
-		out, err := p.AllreduceF64(GroupAll, in, OpSum, Block)
-		if err != nil {
-			return err
-		}
-		for i := range out {
-			want := float64(n)*float64(i%31) + float64(n*(n-1))/2
-			if out[i] != want {
-				return fmt.Errorf("out[%d] = %v, want %v", i, out[i], want)
-			}
-		}
-		iin := make([]int64, 2*collChunkElems+3)
-		for i := range iin {
-			iin[i] = int64(i) * int64(p.Rank()+1)
-		}
-		iout, err := p.AllreduceI64(GroupAll, iin, OpSum, Block)
-		if err != nil {
-			return err
-		}
-		for i := range iout {
-			if want := int64(i) * int64(n*(n+1)) / 2; iout[i] != want {
-				return fmt.Errorf("iout[%d] = %d, want %d", i, iout[i], want)
-			}
-		}
-		return nil
-	})
-}
-
 // TestCollAllreduceInto checks the allocation-free form and its argument
-// validation.
+// validation: a wrong out length and a vector past the group's capacity
+// are refused before they pin a sequence number, so the next allreduce
+// completes.
 func TestCollAllreduceInto(t *testing.T) {
 	const n = 3
 	runCollJob(t, n, func(p *Proc) error {
@@ -118,12 +81,22 @@ func TestCollAllreduceInto(t *testing.T) {
 		if err := p.AllreduceF64Into(GroupAll, in, make([]float64, 2), OpSum, Block); !errors.Is(err, ErrInvalid) {
 			return fmt.Errorf("length mismatch: %v", err)
 		}
+		long := make([]float64, collSmallMin+1)
+		if err := p.AllreduceF64Into(GroupAll, long, long, OpSum, Block); !errors.Is(err, ErrInvalid) {
+			return fmt.Errorf("%d-element F64 allreduce: %v", len(long), err)
+		}
+		if _, err := p.AllreduceI64(GroupAll, make([]int64, collSmallMin+1), OpSum, Block); !errors.Is(err, ErrInvalid) {
+			return fmt.Errorf("%d-element I64 allreduce: %v", collSmallMin+1, err)
+		}
+		out[0] = 0
+		if err := p.AllreduceF64Into(GroupAll, in, out, OpSum, Block); err != nil {
+			return fmt.Errorf("allreduce after the refusals: %w", err)
+		}
+		if out[0] != 1.25*6 {
+			return fmt.Errorf("after the refusals: out = %v", out)
+		}
 		return nil
 	})
-	// Too long for collVal's chunk field (and for a test to allocate).
-	if err := checkAllreduceLen(collMaxElems+1, collMaxElems+1); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("oversized vector: %v", err)
-	}
 }
 
 // TestCollResumeAfterTimeout: a straggler makes the prompt ranks time out;
@@ -418,7 +391,7 @@ func TestCollFinishSweepsOlderSeqs(t *testing.T) {
 
 // TestCollSegmentOwnsItsSlots: the collective segment sizes its
 // notification array from its own layout, so a job configured with fewer
-// application slots than a group's rounds need (5 ranks: 48) still gets
+// application slots than a group's rounds need (5 ranks: 12) still gets
 // the one-sided collectives.
 func TestCollSegmentOwnsItsSlots(t *testing.T) {
 	cfg := testCfg(5)
@@ -504,12 +477,6 @@ func TestCollSubsetGroupFast(t *testing.T) {
 	})
 }
 
-// The chunk window's rendezvous. A group's collective segment starts with
-// its resident tier only; the first allreduce of a vector longer than a
-// resident sub-slot appends the chunk window, on each member as it enters.
-// The tests below hold one member back — behind a channel, never a sleep —
-// so its partners meet a window that does not exist yet.
-
 // buildGroup creates and commits gid over ranks 0..n-1.
 func buildGroup(p *Proc, gid GroupID, n int) error {
 	if err := p.GroupCreate(gid); err != nil {
@@ -523,218 +490,40 @@ func buildGroup(p *Proc, gid GroupID, n int) error {
 	return p.GroupCommit(gid, Block)
 }
 
-// waitFor polls cond — an atomic some rank advances — until it holds.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(testWait)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		runtime.Gosched()
-	}
-}
-
-// Collective segment sizes of a 4-member group: the resident tier alone,
-// and with the chunk window appended.
-const (
-	resident4 = 8 * 16 * 2 * collSmallMin
-	windowed4 = resident4 + 8*16*2*collChunkElems
-)
-
-// collSegBytes is the current size of p's collective segment for gid (0:
-// none yet), readable from any goroutine: collWindow swaps the buffer under
-// the segment lock.
-func collSegBytes(p *Proc, gid GroupID) int {
-	p.mu.Lock()
-	s := p.segs[collSegID(gid)]
-	p.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.buf)
-}
-
-// waitWindows waits until every rank but skip has materialised gid's
-// window: it has entered the group's first long allreduce.
-func waitWindows(t *testing.T, job *Job, gid GroupID, skip Rank) {
-	t.Helper()
-	for r := Rank(0); int(r) < job.NumProcs(); r++ {
-		if r != skip {
-			p := job.Proc(r)
-			waitFor(t, fmt.Sprintf("rank %d to enter the long allreduce", r), func() bool { return collSegBytes(p, gid) == windowed4 })
-		}
-	}
-}
-
-// longSum runs one long sum-allreduce and checks it. Every rank
-// contributes i%31 + rank at element i.
-func longSum(p *Proc, gid GroupID, n, L int, timeout func() time.Duration) error {
-	in, out := make([]float64, L), make([]float64, L)
-	for i := range in {
-		in[i] = float64(i%31) + float64(p.Rank())
-	}
-	for {
-		err := p.AllreduceF64Into(gid, in, out, OpSum, timeout())
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrTimeout) {
-			return err
-		}
-	}
-	for i := range out {
-		if want := float64(n)*float64(i%31) + float64(n*(n-1))/2; out[i] != want {
-			return fmt.Errorf("out[%d] = %v, want %v", i, out[i], want)
-		}
+// checkCollLayout checks a group's collective segment against the layout
+// its member count derives: 4R recv and 4R stage sub-slots of small
+// elements, 4R notification slots.
+func checkCollLayout(f *collFast, small, bytes int) error {
+	if f.small != small || len(f.seg.buf) != bytes || len(f.seg.notifVals) != 4*f.r {
+		return fmt.Errorf("%d-element sub-slots, %d bytes, %d notification slots (R = %d); want %d, %d, 4R",
+			f.small, len(f.seg.buf), len(f.seg.notifVals), f.r, small, bytes)
 	}
 	return nil
 }
 
-func block() time.Duration { return Block }
-
-// TestCollWindowRendezvous: the first long allreduce on a fresh group and
-// on its recommitted successor (same members, next group id), with member
-// 1 — the receiver of member 3's first reduce round — held at a gate until
-// the other three are inside. A sender that assumed the window, as it
-// could when every segment was born with one, would write chunk 0 out of
-// bounds and the collective would never complete. Each member allocates
-// exactly one window per group instance, at its own entry, and the second
-// long allreduce — which asks for no grants — reuses it.
-func TestCollWindowRendezvous(t *testing.T) {
+// TestCollDerivedSizesAt64: a 64-member group at the sizes its member
+// count derives — sub-slots of 64 elements, 8·8·R·64 bytes = 24 KiB in all,
+// 4R notification slots — runs barriers, a scalar allreduce and one of a
+// full sub-slot (one element per member, the longest vector the framework
+// reduces), and its segment stays as it was. A 4-member group of the same
+// job gets the minimum: 16-element sub-slots, 2 KiB.
+func TestCollDerivedSizesAt64(t *testing.T) {
 	const (
-		n    = 4
-		held = Rank(1)
-		L    = 2*collChunkElems + 5
+		n     = 64
+		bytes = 8 * 8 * 6 * n
 	)
-	gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
-	job := launchJob(t, n, func(p *Proc) error {
-		for inst, gate := range gates {
-			gid := GroupID(1 + inst)
-			p.GroupDelete(gid - 1)
-			if err := buildGroup(p, gid, n); err != nil {
+	launch(t, n, func(p *Proc) error {
+		if p.Rank() < 4 {
+			if err := buildGroup(p, 1, 4); err != nil {
 				return err
 			}
-			if p.Rank() == held {
-				<-gate
-			}
-			var window *byte
-			for rep := 0; rep < 2; rep++ {
-				if err := longSum(p, gid, n, L, block); err != nil {
-					return fmt.Errorf("group %d, allreduce %d: %w", gid, rep, err)
-				}
-				buf := p.groups[gid].fast.seg.buf
-				if len(buf) != windowed4 {
-					return fmt.Errorf("group %d: segment of %d bytes, want %d", gid, len(buf), windowed4)
-				}
-				if rep == 0 {
-					window = &buf[0]
-				} else if &buf[0] != window {
-					return fmt.Errorf("group %d: window allocated twice", gid)
-				}
+			if err := checkCollLayout(p.groups[1].fast, collSmallMin, 2<<10); err != nil {
+				return fmt.Errorf("4-member group: %w", err)
 			}
 		}
-		return nil
-	})
-	for inst, gate := range gates {
-		gid := GroupID(1 + inst)
-		waitWindows(t, job, gid, held)
-		if got := collSegBytes(job.Proc(held), gid); got != resident4 {
-			t.Fatalf("group %d: held member's segment is %d bytes before it entered, want %d", gid, got, resident4)
-		}
-		close(gate)
-	}
-	for _, r := range waitAll(t, job) {
-		if r.Err != nil {
-			t.Fatalf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
-}
-
-// TestCollWindowResumeAfterTimeout: the same held member, and partners
-// that poll (GASPI_TEST) or time out and call again with identical
-// arguments until the call completes. Whatever a partner was waiting for
-// when it gave up — a grant, a chunk, an ack — the cursor resumes there,
-// and a receiver's grants go out once.
-func TestCollWindowResumeAfterTimeout(t *testing.T) {
-	const (
-		n    = 4
-		held = Rank(1)
-		L    = 3*collChunkElems + 17
-	)
-	gate := make(chan struct{})
-	var gaveUp [n]atomic.Int64
-	job := launchJob(t, n, func(p *Proc) error {
-		timeout := block
-		switch p.Rank() {
-		case held:
-			<-gate
-		case 3:
-			timeout = func() time.Duration { gaveUp[3].Add(1); return time.Millisecond }
-		default:
-			r := p.Rank()
-			timeout = func() time.Duration { gaveUp[r].Add(1); runtime.Gosched(); return Test }
-		}
-		return longSum(p, GroupAll, n, L, timeout)
-	})
-	// Each partner has called at least three times: twice in vain.
-	for r := range gaveUp {
-		if Rank(r) != held {
-			calls := &gaveUp[r]
-			waitFor(t, fmt.Sprintf("rank %d to time out twice", r), func() bool { return calls.Load() >= 3 })
-		}
-	}
-	close(gate)
-	for _, r := range waitAll(t, job) {
-		if r.Err != nil {
-			t.Fatalf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
-}
-
-// TestCollWindowMemberDeath: the held member is killed instead of
-// released. Its partners sit inside the group's first long allreduce
-// with timeout Block — one of them waiting for a grant that will never
-// come — and must all fail promptly with ErrConnBroken.
-func TestCollWindowMemberDeath(t *testing.T) {
-	const (
-		n      = 4
-		victim = Rank(1)
-		L      = 2*collChunkElems + 3
-	)
-	job := launchJob(t, n, func(p *Proc) error {
-		if p.Rank() == victim {
-			<-p.Dead()
-			p.checkAlive()
-		}
-		err := longSum(p, GroupAll, n, L, block)
-		if !errors.Is(err, ErrConnBroken) {
-			return fmt.Errorf("want ErrConnBroken, got %v", err)
-		}
-		return nil
-	})
-	waitWindows(t, job, GroupAll, victim)
-	job.Kill(victim, "test")
-	for _, r := range waitAll(t, job) {
-		if r.Rank != victim && r.Err != nil {
-			t.Fatalf("rank %d: %v", r.Rank, r.Err)
-		}
-	}
-}
-
-// TestCollDerivedSizesAt64: a 64-member group at the sizes its member
-// count derives — resident sub-slots of 64 elements, 48 KiB in all — runs
-// barriers, a scalar allreduce and one of a full resident sub-slot (one
-// element per member, the longest vector the framework reduces) without
-// ever materialising a window.
-func TestCollDerivedSizesAt64(t *testing.T) {
-	const n = 64
-	launch(t, n, func(p *Proc) error {
 		f := p.groups[GroupAll].fast
-		if f.small != n || len(f.seg.buf) != 8*16*6*n {
-			return fmt.Errorf("resident tier: %d-element sub-slots, %d bytes", f.small, len(f.seg.buf))
+		if err := checkCollLayout(f, n, bytes); err != nil {
+			return err
 		}
 		for i := 0; i < 3; i++ {
 			if err := p.Barrier(GroupAll, Block); err != nil {
@@ -759,42 +548,9 @@ func TestCollDerivedSizesAt64(t *testing.T) {
 				}
 			}
 		}
-		if got := len(f.seg.buf); got != 8*16*6*n {
-			return fmt.Errorf("short vectors grew the segment to %d bytes", got)
+		if err := checkCollLayout(f, n, bytes); err != nil {
+			return fmt.Errorf("after the allreduces: %w", err)
 		}
 		return nil
 	})
-}
-
-// TestCollWindowGrantsOnce: the rendezvous is paid by a group's first
-// windowed collective only. A 64-element vector on four members — one
-// chunk, longer than a resident sub-slot, the scale mode's allreduce sweep —
-// costs 2(n-1) grants the first time and not one notification after that:
-// a job that repeats it twenty more times posts as many as a job that
-// stops after the first.
-func TestCollWindowGrantsOnce(t *testing.T) {
-	const n = 4
-	notifies := func(L, reps int) uint64 {
-		job := launchJob(t, n, func(p *Proc) error {
-			for i := 0; i < reps; i++ {
-				if err := longSum(p, GroupAll, n, L, block); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		for _, r := range waitAll(t, job) {
-			if r.Err != nil {
-				t.Fatalf("rank %d: %v", r.Rank, r.Err)
-			}
-		}
-		return job.Transport().Stats().PerKind[kNotify]
-	}
-	short, once, many := notifies(collSmallMin, 21), notifies(64, 1), notifies(64, 21)
-	if once != short+2*(n-1) {
-		t.Errorf("first windowed allreduce posted %d notifications over a short one's %d, want %d grants", once-short, short, 2*(n-1))
-	}
-	if many != once {
-		t.Errorf("20 further windowed allreduces posted %d notifications, want none", many-once)
-	}
 }

@@ -59,6 +59,20 @@ func waitAll(t *testing.T, job *Job) []Result {
 	return res
 }
 
+// TestConfigNotifySlotsDefault: past 256 processes the default
+// notification array grows to two slots per process, what the spMVM's
+// parity-buffered halo scheme needs over every process (spmvm.Split.Bind);
+// an explicit size is kept, however small.
+func TestConfigNotifySlotsDefault(t *testing.T) {
+	for _, c := range []struct{ procs, set, want int }{
+		{4, 0, 512}, {256, 0, 512}, {300, 0, 600}, {300, 8, 8},
+	} {
+		if got := (Config{Procs: c.procs, NotifySlots: c.set}).withDefaults().NotifySlots; got != c.want {
+			t.Errorf("Procs %d, NotifySlots %d: default %d, want %d", c.procs, c.set, got, c.want)
+		}
+	}
+}
+
 func TestRankAndSize(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[Rank]bool{}

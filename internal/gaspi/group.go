@@ -46,8 +46,7 @@ type inflightColl struct {
 	seq    uint64
 	vecLen int  // element count, cross-checked on resume
 	round  int  // next unfinished round index
-	chunk  int  // next unfinished chunk within the round
-	sent   bool // the current round's notification (barrier) or window grants (allreduce) are posted
+	sent   bool // the barrier's notification of the current round is posted
 }
 
 // GroupCreate starts building a group with the given ID
@@ -213,9 +212,11 @@ func (p *Proc) groupLookup(gid GroupID) (*group, error) {
 // until it completes, so calling the operation again with identical
 // arguments continues it (GASPI timeout semantics). Mixing in a different
 // collective — or the same one with a different vector length — while one
-// is in flight is an error. The group and cursor pointers are owned by the
-// calling goroutine until finishCollective (collectives on one group are
-// not concurrent, per the GASPI contract).
+// is in flight is an error, and so is a vector longer than the group's
+// collective sub-slot, refused before it pins a sequence number. The group
+// and cursor pointers are owned by the calling goroutine until
+// finishCollective (collectives on one group are not concurrent, per the
+// GASPI contract).
 func (p *Proc) startCollective(gid GroupID, kind uint8, vecLen int) (*group, *inflightColl, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -236,6 +237,10 @@ func (p *Proc) startCollective(gid GroupID, kind uint8, vecLen int) (*group, *in
 		// repairs.
 		return nil, nil, false, fmt.Errorf("%w: group %d committed at view %d, current view %d",
 			ErrStaleView, gid, g.view, p.viewVersion.Load())
+	}
+	if vecLen > g.fast.small {
+		return nil, nil, false, fmt.Errorf("%w: allreduce of %d elements on group %d, limit %d",
+			ErrInvalid, vecLen, gid, g.fast.small)
 	}
 	if !g.active {
 		g.cur = inflightColl{kind: kind, seq: g.seq, vecLen: vecLen}

@@ -22,7 +22,8 @@ type Config struct {
 	// Procs is the number of ranks.
 	Procs int
 	// NotifySlots is the number of notification slots per segment
-	// (default 512).
+	// (default max(512, 2·Procs): the parity-buffered halo scheme of an
+	// spMVM over every process needs two per worker).
 	NotifySlots int
 	// Latency is the fabric latency model.
 	Latency fabric.LatencyModel
@@ -41,7 +42,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.NotifySlots <= 0 {
-		c.NotifySlots = 512
+		c.NotifySlots = max(512, 2*c.Procs)
 	}
 	if c.SpinYields <= 0 {
 		c.SpinYields = DefaultSpinYields

@@ -20,8 +20,7 @@ import (
 type segment struct {
 	id SegmentID
 	mu sync.Mutex
-	// size is the declared size. Fixed at creation, except that collWindow
-	// grows a collective segment's, under mu.
+	// size is the declared size, fixed at creation.
 	size int
 	buf  []byte
 
