@@ -110,8 +110,10 @@ func runMode(fs *flag.FlagSet) func() error {
 			Cluster: ccfg,
 			Core:    cfg,
 			App: apps.LanczosConfig{
-				Gen:       gen,
-				Opts:      lanczos.Options{MaxIters: *iters, NumEigs: 4, CheckEvery: int(*cpEvery), Seed: uint64(*seed)},
+				Gen: gen,
+				// The QL runs every CheckEvery iterations: a job shorter
+				// than one checkpoint interval runs it once, at its end.
+				Opts:      lanczos.Options{MaxIters: *iters, NumEigs: 4, CheckEvery: min(int(*cpEvery), *iters), Seed: uint64(*seed)},
 				StepDelay: delay,
 			},
 			Timeout: 30 * time.Minute,

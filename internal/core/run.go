@@ -82,12 +82,7 @@ func Main(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, r
 	case ft.RoleSpare:
 		return spareMain(cctx, cfg, lay, newApp, rec)
 	default:
-		if err := ft.SetupInitialGroup(p, lay, gaspi.Block); err != nil {
-			return err
-		}
-		logical := int(p.Rank()) - 1 - lay.Spares
-		w := ft.NewWorker(p, lay, cfg.FT, logical, cfg.EnableHC, rec)
-		return workerMain(cctx, cfg, lay, newApp, rec, w, nil, nil)
+		return workerMain(cctx, cfg, lay, newApp, rec, nil, int(p.Rank())-1-lay.Spares, nil)
 	}
 }
 
@@ -121,8 +116,7 @@ func runDetector(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func()
 		if !ok {
 			return errors.New("core: FD joined the workers without an identity")
 		}
-		w := ft.AdoptIdentity(p, lay, cfg.FT, notice, logical, rec)
-		return workerMain(cctx, cfg, lay, newApp, rec, w, notice, nil)
+		return workerMain(cctx, cfg, lay, newApp, rec, notice, logical, nil)
 	}
 }
 
@@ -146,8 +140,7 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 		case ft.StandbyPromoted:
 			return runDetector(cctx, cfg, lay, newApp, rec, d)
 		default: // StandbyActivated: proceed as an ordinary rescue
-			w := ft.AdoptIdentity(p, lay, cfg.FT, notice, logical, rec)
-			return workerMain(cctx, cfg, lay, newApp, rec, w, notice, nil)
+			return workerMain(cctx, cfg, lay, newApp, rec, notice, logical, nil)
 		}
 	}
 	// Hot shadow: spare rank 1+L mirrors logical L over the checkpoint
@@ -165,8 +158,7 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 	if shutdown {
 		return nil
 	}
-	w := ft.AdoptIdentity(p, lay, cfg.FT, notice, logical, rec)
-	return workerMain(cctx, cfg, lay, newApp, rec, w, notice, nil)
+	return workerMain(cctx, cfg, lay, newApp, rec, notice, logical, nil)
 }
 
 // shadowMain is the hot-shadow idle loop: receive the shadowed primary's
@@ -227,7 +219,6 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	// stream.
 	cps.DrainPending(apply)
 	_ = p.SegmentDelete(ft.SegCP)
-	w := ft.AdoptIdentity(p, lay, cfg.FT, notice, logical, rec)
 	var fo *failoverState
 	if logical == primary && !mirror.Torn() {
 		if payload, version, ok := mirror.Snapshot(); ok {
@@ -248,24 +239,38 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 			rec.Inc(trace.KCorePrewarmDiscarded, 1)
 		}
 	}
-	return workerMain(cctx, cfg, lay, newApp, rec, w, notice, fo)
+	return workerMain(cctx, cfg, lay, newApp, rec, notice, logical, fo)
 }
 
-// workerMain is the worker flow. For a rescue process (activation non-nil)
-// it first completes the pending recovery (group commit + state reload),
-// then enters the same loop as everybody else.
+// workerMain is the flow of every process that computes as logical rank
+// logical. An initial worker (activation nil) commits the initial group; a
+// rescue adopts the identity its activation names, a hot shadow with fo,
+// its mirror, in hand. Both then enter one loop, whose top is the only
+// recovery handler: a rescue's pending recovery, a failure acknowledged
+// during the fresh start's collective set-up and one acknowledged inside a
+// step all run recoverAndReload there.
 //
-// A worker failing with a hard (non-recoverable) error broadcasts the
-// shutdown signal before returning: the job is lost, and without the
-// broadcast the FD and the idle spares would wait forever — the role a
-// batch system's job teardown plays on a real cluster.
-func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, rec *trace.Recorder, w *ft.Worker, activation *ft.Notice, fo *failoverState) (err error) {
+// A worker failing with a hard (non-recoverable) error — a death in the
+// initial commit included — broadcasts the shutdown signal before
+// returning: the job is lost, and without the broadcast the FD and the idle
+// spares would wait forever — the role a batch system's job teardown plays
+// on a real cluster.
+func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, rec *trace.Recorder, activation *ft.Notice, logical int, fo *failoverState) (err error) {
 	p := cctx.Proc
 	defer func() {
 		if err != nil {
 			gaspi.Protect(func() { _ = ft.SignalShutdown(p, lay) })
 		}
 	}()
+	var w *ft.Worker
+	if activation == nil {
+		w = ft.NewWorker(p, lay, cfg.FT, logical, cfg.EnableHC, rec)
+		if err := w.CommitInitialGroup(); err != nil {
+			return fmt.Errorf("core: initial group commit (logical %d): %w", logical, err)
+		}
+	} else {
+		w = ft.AdoptIdentity(p, lay, cfg.FT, activation, logical, rec)
+	}
 	app := newApp()
 	// Apps owning background resources (the spMVM engine's worker pool)
 	// expose Close; without this the last engine of every rank would leak
@@ -330,49 +335,31 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		ctx.CP.SetWorkerNodes(workerNodes(cctx.Cluster, w.RankMap().Snapshot()))
 	}
 
-	var iter int64
-	lastCP := int64(-1)
-	if activation != nil {
-		// Rescue path: adopt identity (Init must not communicate), then
-		// join the group commit every survivor is also entering.
-		if err := app.Init(ctx, true); err != nil {
-			return fmt.Errorf("core: rescue init (logical %d): %w", ctx.Logical, err)
-		}
-		it, err := recoverAndReload(ctx, app, activation, fo)
-		if err != nil {
-			return err
-		}
-		iter = it
-		lastCP = it // the restored version's checkpoint already exists
-	} else {
-		if err := app.Init(ctx, false); err != nil {
-			return fmt.Errorf("core: init (logical %d): %w", ctx.Logical, err)
-		}
+	// A rescue's Init adopts the identity without communicating; the group
+	// commit every survivor is also entering waits at the loop top.
+	if err := app.Init(ctx, activation != nil); err != nil {
+		return fmt.Errorf("core: init (logical %d, rescue %t): %w", ctx.Logical, activation != nil, err)
+	}
+	pending := activation // the acknowledged notice the loop top recovers from
+	if activation == nil {
 		// Rebuild and the initial Restore (the normalized start vector)
-		// are collective: a peer dying inside them surfaces a failure
-		// acknowledgment HERE, before the loop's handler is reachable.
-		// Recover exactly like a loop-phase failure — the victim's plan
-		// checkpoint is already replicated (Init waits for it before
-		// returning), so a rescue can adopt the identity, and with no
-		// state checkpoints yet the version agreement restarts the group
-		// from scratch. Only a death inside Init itself (before the plan
-		// exists) stays terminal: the paper's protocol covers failures
-		// from the post-pre-processing checkpoint onward.
+		// are collective, and a peer dying inside them is recovered like a
+		// loop-phase failure — the victim's plan checkpoint is already
+		// replicated (Init waits for it before returning), so a rescue can
+		// adopt the identity, and with no state checkpoints yet the
+		// version agreement restarts the group from scratch. Only a death
+		// before the plan exists (the initial commit, Init) stays
+		// terminal: the paper's protocol covers failures from the
+		// post-pre-processing checkpoint onward.
 		serr := app.Rebuild(ctx)
 		if serr == nil {
 			serr = app.Restore(ctx, nil, 0)
 		}
-		if serr != nil {
-			var fde *ft.FailureDetectedError
-			if !errors.As(serr, &fde) {
-				return serr
-			}
-			it, rerr := recoverAndReload(ctx, app, fde.Notice, nil)
-			if rerr != nil {
-				return rerr
-			}
-			iter = it
-			lastCP = it
+		var fde *ft.FailureDetectedError
+		if errors.As(serr, &fde) {
+			pending = fde.Notice
+		} else if serr != nil {
+			return serr
 		}
 	}
 
@@ -381,19 +368,26 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	// ack-blocked, so on return the shadow's live image includes it. The
 	// shadow that took over its own rank has no shadow of its own anymore.
 	var mirrorEnc *checkpoint.MirrorEncoder
-	var mirrorTo ft.Rank
-	var mirrorKey string
-	mirrorFails := 0
-	if shadow, ok := ft.ShadowOf(lay, cfg.FT, ctx.Logical); ok &&
-		w.CPStream() != nil && p.Rank() != shadow {
+	mirrorTo, shadowed := ft.ShadowOf(lay, cfg.FT, ctx.Logical)
+	if shadowed && w.CPStream() != nil && p.Rank() != mirrorTo {
 		mirrorEnc = checkpoint.NewMirrorEncoder(cfg.CP.ChunkSize(), cfg.CP.FullEvery)
-		mirrorTo = shadow
-		mirrorKey = "mirror/" + stateName
 	}
+	mirrorFails := 0
 
-	maxIterSeen := iter
-
-	for !app.Finished(iter) {
+	var iter, maxIterSeen int64
+	lastCP := int64(-1)
+	for pending != nil || !app.Finished(iter) {
+		if pending != nil {
+			// The one recovery handler. A hot shadow's mirror is offered
+			// to its first recovery only.
+			it, err := recoverAndReload(ctx, app, pending, fo)
+			if err != nil {
+				return err
+			}
+			iter, lastCP = it, it // the restored version's checkpoint already exists
+			pending, fo = nil, nil
+			continue
+		}
 		// Scenario-engine iteration triggers: a ProcExit event is the
 		// paper's deterministic exit(-1) (Figure 4 methodology). A
 		// self-targeted external fault (kill -9, node down) marks this
@@ -433,12 +427,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 			if !errors.As(err, &fde) {
 				return fmt.Errorf("core: step %d (logical %d): %w", iter, ctx.Logical, err)
 			}
-			it, rerr := recoverAndReload(ctx, app, fde.Notice, nil)
-			if rerr != nil {
-				return rerr
-			}
-			iter = it
-			lastCP = it // the restored version's checkpoint already exists
+			pending = fde.Notice
 			continue
 		}
 		iter++
@@ -446,7 +435,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 			maxIterSeen = iter
 		}
 		if mirrorEnc != nil {
-			pushed, err := pushMirror(ctx, app, w, mirrorEnc, mirrorTo, mirrorKey, iter)
+			pushed, err := pushMirror(ctx, app, w, mirrorEnc, mirrorTo, iter)
 			switch {
 			case err != nil:
 				// The shadow is gone (consumed as a rescue, or named dead
@@ -579,7 +568,7 @@ const maxMirrorPushFails = 2
 // is rebased so the next frame is a full base); a non-nil err means the
 // shadow is known-gone (consumed as a rescue, or named dead by a notice)
 // and the caller must retire the encoder immediately.
-func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, to ft.Rank, key string, iter int64) (pushed bool, err error) {
+func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, to ft.Rank, iter int64) (pushed bool, err error) {
 	payload, err := app.Checkpoint(ctx)
 	if err != nil {
 		// Serialization failure is app-fatal elsewhere; for the mirror it
@@ -588,7 +577,7 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 		return true, nil
 	}
 	blob := enc.EncodeNext(ctx.Logical, iter, payload)
-	if perr := w.CPStream().PushTyped(to, key, blob, streamFrameKind(blob)); perr != nil {
+	if perr := w.CPStream().PushTyped(to, "mirror/"+stateName, blob, streamFrameKind(blob)); perr != nil {
 		// The fabric may still reference the frame buffer after a timeout;
 		// hand it to the GC rather than reusing it.
 		enc.Abandon()

@@ -73,7 +73,8 @@ func (s StudyConfig) withDefaults(def StudyConfig) StudyConfig {
 // job is a study's Lanczos job on the paper-calibrated testbed: the FD,
 // cfg.Spares spares and the workers one node each, the faults scheduled
 // (none: no scenario armed), iterations at the calibrated step time, numEigs
-// tracked and convergence checked at every checkpoint interval.
+// tracked and convergence checked at every checkpoint interval, or once at
+// the last iteration when the job is shorter than one interval.
 func (s StudyConfig) job(cfg core.Config, faults []cluster.FaultEvent, numEigs int) JobSpec {
 	cal := PaperCalibration()
 	ccfg := ClusterConfig(1+cfg.Spares+s.Workers, cal, s.TimeScale, s.Seed)
@@ -85,7 +86,7 @@ func (s StudyConfig) job(cfg core.Config, faults []cluster.FaultEvent, numEigs i
 		Core:    cfg,
 		App: apps.LanczosConfig{
 			Gen:       matrix.DefaultGraphene(s.Nx, s.Ny, uint64(s.Seed)),
-			Opts:      lanczos.Options{MaxIters: s.Iters, NumEigs: numEigs, CheckEvery: int(cfg.CheckpointEvery), Seed: uint64(s.Seed)},
+			Opts:      lanczos.Options{MaxIters: s.Iters, NumEigs: numEigs, CheckEvery: min(int(cfg.CheckpointEvery), s.Iters), Seed: uint64(s.Seed)},
 			StepDelay: scale(cal.StepTime, s.TimeScale),
 		},
 		Timeout: 10 * time.Minute,

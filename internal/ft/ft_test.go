@@ -273,12 +273,11 @@ func (h *ftHarness) main(p *gaspi.Proc) error {
 		return h.workerLoop(w)
 
 	default: // worker
-		if err := SetupInitialGroup(p, h.lay, gaspi.Block); err != nil {
+		w := NewWorker(p, h.lay, h.cfg, int(p.Rank())-1-h.lay.Spares, true, rec)
+		if err := w.CommitInitialGroup(); err != nil {
 			return err
 		}
 		h.ready.Add(1)
-		logical := int(p.Rank()) - 1 - h.lay.Spares
-		w := NewWorker(p, h.lay, h.cfg, logical, true, rec)
 		return h.workerLoop(w)
 	}
 }
@@ -371,10 +370,9 @@ func (h *ftHarness) sumCounter(name string) int64 {
 //
 // It also waits until every rank has its board and every worker is past the
 // initial group commit, which a completed scan does not imply: the tests
-// inject their faults after this call, and a kill landing inside that
-// blocking commit (gaspi.Block, no worker wrapper yet, so no acknowledgment
-// check) leaves the survivors in it for good — the protocol covers failures
-// from the committed group onward.
+// inject their faults after this call, and the harness, like core, ends on
+// a failure acknowledged inside that commit instead of recovering from it —
+// the protocol covers failures from the committed group onward.
 func (h *ftHarness) waitScans(t *testing.T, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -632,11 +630,11 @@ func TestWorkerRetryResumesBarrierAfterTimeouts(t *testing.T) {
 			_, err := p.NotifyWaitsome(SegBoard, NotifShutdown, 1, gaspi.Block)
 			return err
 		}
-		if err := SetupInitialGroup(p, lay, gaspi.Block); err != nil {
-			return err
-		}
 		logical := int(p.Rank()) - 1
 		w := NewWorker(p, lay, cfg, logical, true, trace.NewRecorder())
+		if err := w.CommitInitialGroup(); err != nil {
+			return err
+		}
 		if logical == 2 {
 			time.Sleep(100 * time.Millisecond) // ~10 comm timeouts
 		}
@@ -679,16 +677,16 @@ func TestWorkerStallsWithoutDetector(t *testing.T) {
 			_, err := p.NotifyWaitsome(SegBoard, NotifShutdown, 1, gaspi.Block)
 			return err
 		case p.Rank() == 2:
-			if err := SetupInitialGroup(p, lay, gaspi.Block); err != nil {
+			if err := NewWorker(p, lay, cfg, 1, true, trace.NewRecorder()).CommitInitialGroup(); err != nil {
 				return err
 			}
 			p.Exit(-1)
 			return nil
 		default:
-			if err := SetupInitialGroup(p, lay, gaspi.Block); err != nil {
+			w := NewWorker(p, lay, cfg, 0, true, trace.NewRecorder())
+			if err := w.CommitInitialGroup(); err != nil {
 				return err
 			}
-			w := NewWorker(p, lay, cfg, 0, true, trace.NewRecorder())
 			err := w.Barrier() // partner dead, no FD to acknowledge
 			if !errors.Is(err, ErrStalled) {
 				return fmt.Errorf("want ErrStalled, got %v", err)
@@ -772,6 +770,14 @@ func TestStandbyPromotionSeedsFromLastNotice(t *testing.T) {
 			d := NewDetector(p, lay, cfg, fdRec)
 			_, _, err := d.Run()
 			return err
+		case 1: // the other spare: logical 0's rescue
+			n, logical, shutdown, err := WaitActivation(p, lay, cfg)
+			if err != nil || shutdown {
+				return err
+			}
+			_ = AdoptIdentity(p, lay, cfg, n, logical, trace.NewRecorder()).Recover(n)
+			_, werr := p.NotifyWaitsome(SegBoard, NotifShutdown, 1, gaspi.Block)
+			return werr
 		default:
 			w := NewWorker(p, lay, cfg, int(p.Rank())-1-lay.Spares, true, trace.NewRecorder())
 			for {

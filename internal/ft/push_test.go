@@ -52,7 +52,8 @@ func startPushJob(t *testing.T, cfg Config, detector func(j *pushJob, p *gaspi.P
 		if p.Rank() == 0 {
 			return detector(j, p)
 		}
-		if err := SetupInitialGroup(p, j.lay, gaspi.Block); err != nil {
+		w := NewWorker(p, j.lay, cfg, int(p.Rank())-1, true, j.recs[p.Rank()])
+		if err := w.CommitInitialGroup(); err != nil {
 			return err
 		}
 		if err := p.SegmentCreate(pushAppSeg, 64); err != nil {
@@ -64,7 +65,7 @@ func startPushJob(t *testing.T, cfg Config, detector func(j *pushJob, p *gaspi.P
 			<-j.done
 			return nil
 		}
-		return worker(j, NewWorker(p, j.lay, cfg, 0, true, j.recs[1]))
+		return worker(j, w)
 	})
 	t.Cleanup(j.job.Close)
 	j.grouped.Wait()
@@ -236,14 +237,14 @@ func startFaultJob(t *testing.T, cfg Config, fault func(job *gaspi.Job), prepare
 		if err := p.SegmentCreate(pushAppSeg, 64); err != nil {
 			return err
 		}
-		if err := SetupInitialGroup(p, lay, gaspi.Block); err != nil {
+		w := NewWorker(p, lay, cfg, int(p.Rank())-1, true, recs[p.Rank()])
+		if err := w.CommitInitialGroup(); err != nil {
 			return err
 		}
 		if p.Rank() == 2 {
 			ready.Done()
 			return idle() // until shutdown, or the test kills this rank
 		}
-		w := NewWorker(p, lay, cfg, 0, true, recs[1])
 		if err := writeToPartner(w); err != nil {
 			return err
 		}
@@ -404,13 +405,17 @@ func TestSlowSuccessorIsNeverSuspected(t *testing.T) {
 				}
 				return nil
 			}
-			var answered int64
+			// The initial group commit may have pinged the successor
+			// already (its slices run while the partner catches up); count
+			// from after it.
+			var before, answered int64
 			_, recs := startFaultJob(t, cfg, func(j *gaspi.Job) { job = j }, func(*Detector) {}, func(w *Worker, _ time.Time) error {
 				w.fd = row.fd
+				before = w.rec.Counter(trace.KFTProbePings)
 				if err := stall(w); err != nil {
 					return err
 				}
-				answered = w.rec.Counter(trace.KFTProbePings)
+				answered = w.rec.Counter(trace.KFTProbePings) - before
 				job.Partition(2, true)
 				err := stall(w)
 				job.Partition(2, false) // let the shutdown signal through
@@ -425,7 +430,7 @@ func TestSlowSuccessorIsNeverSuspected(t *testing.T) {
 					t.Fatalf("rank %d: %v", r.Rank, r.Err)
 				}
 			}
-			pings := recs[1].Counter(trace.KFTProbePings)
+			pings := recs[1].Counter(trace.KFTProbePings) - before
 			if row.fd == NilRank {
 				if pings != 0 {
 					t.Fatalf("ft.probe.pings = %d with no detector to nudge", pings)
@@ -468,6 +473,145 @@ func TestRetryLatchesNackedWrite(t *testing.T) {
 	}
 	if res[1].Err != nil {
 		t.Fatal(res[1].Err)
+	}
+}
+
+// TestRetryReturnsInvalidAtOnce: an error that is no failure's evidence —
+// a 17-element allreduce on a 2-worker group, past the collective's
+// 16-element capacity — comes back from retry at once and as itself, not
+// latched like a broken connection until the stall limit turns it into
+// ErrStalled. The group is left usable: the next collective completes.
+func TestRetryReturnsInvalidAtOnce(t *testing.T) {
+	cfg := testFTCfg()
+	cfg.StallLimit = 5 * time.Second
+	lay := Layout{Procs: 3}
+	var took [3]atomic.Int64
+	job := gaspi.Launch(testGaspiCfg(lay.Procs), func(p *gaspi.Proc) error {
+		if err := CreateBoard(p, lay); err != nil {
+			return err
+		}
+		// Rank 0's board exists before the shutdown signal is sent to it.
+		if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			_, err := p.NotifyWaitsome(SegBoard, NotifShutdown, 1, gaspi.Block)
+			return err
+		}
+		w := NewWorker(p, lay, cfg, int(p.Rank())-1, true, trace.NewRecorder())
+		if err := w.CommitInitialGroup(); err != nil {
+			return err
+		}
+		t0 := time.Now()
+		_, err := w.AllreduceF64(make([]float64, 17), gaspi.OpSum)
+		took[p.Rank()].Store(int64(time.Since(t0)))
+		if !errors.Is(err, gaspi.ErrInvalid) {
+			err = fmt.Errorf("17-element allreduce returned %v, want ErrInvalid", err)
+		} else {
+			err = w.Barrier()
+		}
+		if err != nil || w.Logical() == 0 {
+			return errors.Join(err, SignalShutdown(p, lay))
+		}
+		return nil
+	})
+	t.Cleanup(job.Close)
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	for r := 1; r < 3; r++ {
+		if d := time.Duration(took[r].Load()); d > cfg.StallLimit/10 {
+			t.Fatalf("rank %d: ErrInvalid came back after %v (StallLimit %v)", r, d, cfg.StallLimit)
+		}
+	}
+}
+
+// TestInitialCommitAcksMissingWorker: a worker that exits instead of
+// joining the initial group commit does not leave its partners waiting in
+// it. The detector finds the death, and every survivor's commit returns
+// the FailureDetectedError well inside a seconds-long stall limit; the
+// survivors then rebuild the group with the rescue like after any failure.
+func TestInitialCommitAcksMissingWorker(t *testing.T) {
+	lay := Layout{Procs: 5, Spares: 1} // the FD, one spare, logicals 0–2
+	cfg := testFTCfg()
+	cfg.StallLimit = 10 * time.Second
+	victim := lay.InitialPhysical(2)
+	var started sync.WaitGroup // every rank is past the start-up barrier
+	started.Add(lay.Procs)
+	gone := make(chan struct{}) // closed once the victim is dead
+	var took [5]atomic.Int64
+	job := gaspi.Launch(testGaspiCfg(lay.Procs), func(p *gaspi.Proc) error {
+		if err := CreateBoard(p, lay); err != nil {
+			return err
+		}
+		// Every board exists before anybody can be told about a failure.
+		if err := p.Barrier(gaspi.GroupAll, gaspi.Block); err != nil {
+			return err
+		}
+		started.Done()
+		rec := trace.NewRecorder()
+		var w *Worker
+		var err error
+		switch {
+		case p.Rank() == 0:
+			_, _, err := NewDetector(p, lay, cfg, rec).Run()
+			return err
+		case p.Rank() == victim:
+			started.Wait()
+			defer close(gone)
+			p.Exit(-1)
+		case lay.RoleOf(p.Rank()) == RoleSpare:
+			n, logical, shutdown, werr := WaitActivation(p, lay, cfg)
+			if werr != nil || shutdown {
+				return werr
+			}
+			w = AdoptIdentity(p, lay, cfg, n, logical, rec)
+			err = w.Recover(n)
+		default:
+			<-gone
+			w = NewWorker(p, lay, cfg, int(p.Rank())-1-lay.Spares, true, rec)
+			t0 := time.Now()
+			err = w.CommitInitialGroup()
+			took[p.Rank()].Store(int64(time.Since(t0)))
+			var fde *FailureDetectedError
+			if errors.As(err, &fde) {
+				err = w.Recover(fde.Notice)
+			} else {
+				err = fmt.Errorf("initial commit returned %v, want FailureDetectedError", err)
+			}
+		}
+		if err == nil {
+			err = w.Machine().Resume()
+		}
+		if err == nil {
+			err = w.Barrier()
+		}
+		if err != nil || w.Logical() == 0 {
+			return errors.Join(err, SignalShutdown(p, lay))
+		}
+		return nil
+	})
+	t.Cleanup(job.Close)
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res {
+		if r.Err != nil && r.Rank != victim {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	for l := 0; l < 2; l++ {
+		r := lay.InitialPhysical(l)
+		if d := time.Duration(took[r].Load()); d > cfg.StallLimit/10 {
+			t.Fatalf("rank %d: initial commit acknowledged after %v (StallLimit %v)", r, d, cfg.StallLimit)
+		}
 	}
 }
 

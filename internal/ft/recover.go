@@ -15,27 +15,13 @@ func CreateBoard(p *gaspi.Proc, lay Layout) error {
 	return p.SegmentCreate(SegBoard, BoardSize(lay))
 }
 
-// SetupInitialGroup creates and commits the initial worker group
-// (COMM_MAIN) on a worker process.
-func SetupInitialGroup(p *gaspi.Proc, lay Layout, timeout time.Duration) error {
-	gid := WorkerGroupID(0)
-	if err := p.GroupCreate(gid); err != nil {
-		return err
-	}
-	for l := 0; l < lay.Workers(); l++ {
-		if err := p.GroupAdd(gid, lay.InitialPhysical(l)); err != nil {
-			return err
-		}
-	}
-	return p.GroupCommit(gid, timeout)
-}
-
 // Recover executes the paper's Listing 2 on a worker (or a freshly
 // activated rescue) by driving the recovery epoch state machine through
 // Acked and GroupRebuild: apply the new identity map, enforce the death
 // of the failed processes, repair the communication infrastructure, and
-// rebuild and commit the worker group. If a further failure is
-// acknowledged while committing, the epoch restarts with the newer notice
+// rebuild and commit the worker group. The commit waits like every other
+// blocking call of the worker (commitGroup); a further failure
+// acknowledged while committing restarts the epoch with the newer notice
 // (GroupRebuild→Acked). On success the machine is left in StateRestore:
 // data re-initialization is the caller's next step, completed with
 // Machine().Resume().
@@ -45,7 +31,6 @@ func SetupInitialGroup(p *gaspi.Proc, lay Layout, timeout time.Duration) error {
 func (w *Worker) Recover(n *Notice) error {
 	stop := w.rec.Start(trace.PhaseReinit)
 	defer stop()
-	deadline := time.Now().Add(w.cfg.StallLimit)
 	for {
 		if n.Unrecoverable {
 			_ = w.sm.Ack(n) // terminal: the machine stays Acked
@@ -83,60 +68,51 @@ func (w *Worker) Recover(n *Notice) error {
 		// (delete of an unknown group is a no-op).
 		w.p.GroupDelete(w.gid)
 
-		newGid := WorkerGroupID(n.Epoch)
-		if err := w.p.GroupCreate(newGid); err != nil && !errors.Is(err, gaspi.ErrInvalid) {
+		// The blocking commit is the paper's OHF2. A member of the new
+		// group dying meanwhile comes back as the FD's fresher notice,
+		// which checkNotice has already acked into the machine
+		// (GroupRebuild→Acked, counted as an epoch restart): restart with
+		// the fresher view.
+		gid := WorkerGroupID(n.Epoch)
+		err := w.commitGroup(gid, n.WorkingRanks())
+		var fde *FailureDetectedError
+		if errors.As(err, &fde) {
+			w.p.GroupDelete(gid)
+			n = fde.Notice
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("ft: group reconstruction: %w", err)
+		}
+		w.gid = gid
+		w.rec.Inc(trace.KFTRecoveries, 1)
+		return w.sm.BeginRestore()
+	}
+}
+
+// CommitInitialGroup creates and commits the initial worker group
+// (COMM_MAIN); every worker calls it before it first communicates. A
+// member that dies instead of joining ends it like any blocking call of
+// the worker: with the FD's FailureDetectedError, or ErrStalled when no
+// acknowledgment comes.
+func (w *Worker) CommitInitialGroup() error {
+	return w.commitGroup(w.gid, w.lay.InitialActPhys())
+}
+
+// commitGroup creates group gid over members and commits it through retry,
+// the one wait of every blocking call: CommTimeout slices on the attention
+// line, the successor probe, a broken connection latched until the FD's
+// acknowledgment, and StallLimit.
+func (w *Worker) commitGroup(gid gaspi.GroupID, members []Rank) error {
+	if err := w.p.GroupCreate(gid); err != nil && !errors.Is(err, gaspi.ErrInvalid) {
+		return err
+	}
+	for _, r := range members {
+		if err := w.p.GroupAdd(gid, r); err != nil {
 			return err
 		}
-		for _, r := range n.WorkingRanks() {
-			if err := w.p.GroupAdd(newGid, r); err != nil {
-				return err
-			}
-		}
-
-		// The blocking commit is the paper's OHF2. Committing with the
-		// communication timeout lets us keep checking for further
-		// failures; a timed-out commit resumes where it stopped. A broken
-		// connection (ErrConnBroken: a member of the NEW group died while
-		// we were committing, reported promptly instead of via timeout) is
-		// handled the same way — wait for the FD's fresher notice, pacing
-		// the retries since the error returns immediately. The attention
-		// line is armed around the commit, so that notice ends it at once.
-		for {
-			w.p.AttentionArm(true)
-			err := w.p.GroupCommit(newGid, w.cfg.CommTimeout)
-			w.p.AttentionArm(false)
-			if err == nil {
-				w.gid = newGid
-				w.rec.Inc(trace.KFTRecoveries, 1)
-				return w.sm.BeginRestore()
-			}
-			if !errors.Is(err, gaspi.ErrTimeout) && !errors.Is(err, gaspi.ErrConnection) {
-				return fmt.Errorf("ft: group reconstruction: %w", err)
-			}
-			// checkNotice acks a fresher epoch into the machine
-			// (GroupRebuild→Acked, counted as an epoch restart).
-			n2, nerr := w.checkNotice()
-			if nerr != nil {
-				return nerr
-			}
-			if n2 != nil && n2.Epoch > n.Epoch {
-				// A member of the new group died while we were committing:
-				// restart with the fresher view.
-				w.p.GroupDelete(newGid)
-				n = n2
-				break
-			}
-			if !errors.Is(err, gaspi.ErrTimeout) {
-				// Pace the instantly-returning ErrConnBroken retries on the
-				// attention line: the FD's fresher notice ends the pause.
-				w.nudgeDetector()
-				w.p.AttentionWait(w.cfg.CommTimeout / 10)
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%w: during group reconstruction", ErrStalled)
-			}
-		}
 	}
+	return w.retry(func(t time.Duration) error { return w.p.GroupCommit(gid, t) })
 }
 
 // ShadowTookOver reports whether an epoch's notice says the single victim's

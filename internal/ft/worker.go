@@ -235,7 +235,7 @@ func (w *Worker) CheckFailure() error {
 // victim had landed — still reaches the FD as a suspicion instead of
 // waiting out the scan interval.
 //
-// A hard error (broken connection, queue error) is latched: only the FD
+// A broken connection or a queue error is latched: only the FD
 // establishes the consistent global view, so the error is held back until
 // the acknowledgment arrives, and op is not issued again — a WaitQueue
 // whose error list the failed attempt cleared would report success for a
@@ -243,7 +243,9 @@ func (w *Worker) CheckFailure() error {
 // FailureDetectedError, a board error or ErrStalled; while it waits it
 // nudges the FD to scan now, a full CommTimeout per wait — the evidence is
 // in hand, there is nothing left to probe for. If no acknowledgment ever
-// arrives the stall limit aborts.
+// arrives the stall limit aborts. Any other error (an invalid argument, a
+// group mismatch at a commit) is no failure's evidence and is returned at
+// once, unless the acknowledgment is already on the board.
 //
 //ftlint:hotpath
 func (w *Worker) retry(op func(timeout time.Duration) error) error {
@@ -277,9 +279,7 @@ func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
 			}
 			expired = timerExpired(err)
 		} else {
-			if errors.Is(hard, gaspi.ErrConnection) || errors.Is(hard, gaspi.ErrQueue) {
-				w.nudgeDetector()
-			}
+			w.nudgeDetector()
 			expired = !w.p.AttentionWait(slice)
 		}
 		if detectStart.IsZero() {
@@ -301,14 +301,17 @@ func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
 			// expires beside one by chance.
 			return w.acked(n, expired && slice == w.cfg.CommTimeout)
 		}
-		if !errors.Is(err, gaspi.ErrTimeout) && !errors.Is(err, gaspi.ErrStaleView) {
-			// A stale-view error is not latched: the notice that advanced
+		switch {
+		case errors.Is(err, gaspi.ErrConnection), errors.Is(err, gaspi.ErrQueue):
+			hard, slice = err, w.cfg.CommTimeout
+		case !errors.Is(err, gaspi.ErrTimeout) && !errors.Is(err, gaspi.ErrStaleView):
+			// A stale-view error is not returned: the notice that advanced
 			// the view is already on the board, so the very next
 			// checkNotice resolves it.
-			hard, slice = err, w.cfg.CommTimeout
+			return err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: last error: %v", ErrStalled, err)
+			return fmt.Errorf("%w: last error: %w", ErrStalled, err)
 		}
 		if expired && hard == nil {
 			w.probeSuccessor()

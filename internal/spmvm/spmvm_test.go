@@ -229,10 +229,10 @@ func TestPreprocessPostsEachRequestOnce(t *testing.T) {
 			_, err := p.NotifyWaitsome(ft.SegBoard, ft.NotifShutdown, 1, gaspi.Block)
 			return err
 		}
-		if err := ft.SetupInitialGroup(p, lay, gaspi.Block); err != nil {
+		w := ft.NewWorker(p, lay, cfg, int(p.Rank())-1, true, trace.NewRecorder())
+		if err := w.CommitInitialGroup(); err != nil {
 			return err
 		}
-		w := ft.NewWorker(p, lay, cfg, int(p.Rank())-1, true, trace.NewRecorder())
 		lo, hi := matrix.BlockRange(gen.Dim(), workers, w.Logical())
 		if _, err := Preprocess(requestCounter{w, &requests}, Generate(gen, lo, hi)); err != nil {
 			return err
