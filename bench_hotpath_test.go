@@ -263,8 +263,8 @@ func BenchmarkGroupRecommit(b *testing.B) {
 // BenchmarkStoreResident gates what the checkpoint store keeps resident
 // however long a job runs: the bytes of one family on the fullest of its two
 // nodes (MB/family) after 150 generations — and b.N more, whose write + flush
-// is the ns/op — of a 256 KiB state that dirties every chunk every epoch,
-// through the async writer with FullEvery 4 (cp_stream's configuration).
+// is the ns/op — of a 256 KiB state that changes every 64 KiB every epoch,
+// through the async writer (cp_stream's configuration).
 // The retention rule holds three generations, 0.79 MB; a store that never
 // releases holds 39 MB at 150 and grows with b.N (CI ceiling 1 MB).
 func BenchmarkStoreResident(b *testing.B) {
@@ -275,12 +275,12 @@ func BenchmarkStoreResident(b *testing.B) {
 	}, func(ctx *cluster.ProcCtx) error { return nil })
 	defer cl.Close()
 	cl.Wait()
-	lib := checkpoint.New(cl, 0, checkpoint.Config{CheckpointMode: checkpoint.Async, FullEvery: 4}, storeTransport{cl})
+	lib := checkpoint.New(cl, 0, checkpoint.Config{CheckpointMode: checkpoint.Async}, storeTransport{cl})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
 	payload := make([]byte, size)
 	write := func(v int64) {
-		for off := 0; off < size; off += checkpoint.DefaultChunkBytes {
+		for off := 0; off < size; off += 64 << 10 {
 			payload[off] = byte(v)
 		}
 		if err := lib.Write("bench", 0, v, payload); err != nil {

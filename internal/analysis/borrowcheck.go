@@ -27,7 +27,7 @@ func (borrowcheck) Name() string { return "borrowcheck" }
 // borrowSpec describes one borrowing call: the method name, the index of
 // the borrowed buffer argument, and (when non-nil) the receiver named
 // types the method must be called on. WriteFrom/WriteNotifyFrom are
-// unique names in this repo; Push/PushTyped are gated on the receiver so
+// unique names in this repo; Push is gated on the receiver so
 // unrelated pushes (heaps, rings) don't trip the pass.
 type borrowSpec struct {
 	method    string
@@ -39,7 +39,6 @@ var borrowSpecs = map[string]borrowSpec{
 	"WriteFrom":       {method: "WriteFrom", argIdx: 3},
 	"WriteNotifyFrom": {method: "WriteNotifyFrom", argIdx: 3},
 	"Push":            {method: "Push", argIdx: 2, recvNames: map[string]bool{"CPStream": true, "Transport": true}},
-	"PushTyped":       {method: "PushTyped", argIdx: 2, recvNames: map[string]bool{"CPStream": true, "Transport": true}},
 }
 
 // releaseName reports whether a call with this name completes outstanding
@@ -327,7 +326,7 @@ func (t *bcTracker) lookup(key trackKey) (string, bool) {
 	return "", false
 }
 
-// specApplies gates receiver-sensitive specs (Push/PushTyped) on the
+// specApplies gates receiver-sensitive specs (Push) on the
 // receiver's named type. Unresolvable receivers skip those specs rather
 // than risk false positives on unrelated push methods.
 func (t *bcTracker) specApplies(spec borrowSpec, sel *ast.SelectorExpr) bool {

@@ -248,7 +248,7 @@ func TestShrinkReducesInjectedFailure(t *testing.T) {
 				},
 			},
 			Spares: 4,
-			Async:  true, FullEvery: 4,
+			Async:  true,
 			Expect: experiment.OutcomeRecovered,
 		},
 	}
@@ -267,9 +267,8 @@ func TestShrinkReducesInjectedFailure(t *testing.T) {
 	if len(events) != 1 || events[0] != unreachable {
 		t.Fatalf("want the single unreachable event to survive shrinking, got %v", events)
 	}
-	// The knob pass must also have dropped the irrelevant engines.
-	if shrunk.Episode.Spec.Async || shrunk.Episode.Spec.FullEvery != 0 {
-		t.Errorf("knob simplification left async=%v fullEvery=%d",
-			shrunk.Episode.Spec.Async, shrunk.Episode.Spec.FullEvery)
+	// The knob pass must also have dropped the irrelevant engine.
+	if shrunk.Episode.Spec.Async {
+		t.Error("knob simplification left async on")
 	}
 }

@@ -290,14 +290,15 @@ func Generate(seed int64) Episode {
 		// Recovered shapes: one spare headroom over the fault count.
 		ep.Spec.Spares = len(events) + 1
 	}
-	// The async engine and the delta engine are orthogonal to the
-	// schedule: flip them randomly where not already forced.
+	// The async engine is orthogonal to the schedule: flip it randomly
+	// where not already forced.
 	if !ep.Spec.Async && rng.Intn(3) == 0 {
 		ep.Spec.Async = true
 	}
-	if rng.Intn(3) == 0 {
-		ep.Spec.FullEvery = 4
-	}
+	// A discarded draw, where the removed delta-cadence knob drew: without
+	// it every later draw shifts and Generate(seed) stops reproducing the
+	// frozen corpus.
+	_ = rng.Intn(3)
 	// Two or more store-destroying faults can wipe a rank's state AND its
 	// replicas: only the PFS fallback restores then.
 	destructive := 0

@@ -56,11 +56,6 @@ func Shrink(r *Runner, failing EpisodeResult) (EpisodeResult, int) {
 		ep.Spec.Async = false
 		try(ep)
 	}
-	if best.Episode.Spec.FullEvery != 0 {
-		ep := best.Episode
-		ep.Spec.FullEvery = 0
-		try(ep)
-	}
 	if best.Episode.Spec.Replication != 0 && !needsShadow(best.Episode) {
 		// A failure that reproduces without hot shadows is not a failover
 		// bug; only a remaining shadow-apply trigger pins the knob.

@@ -32,29 +32,27 @@
 //   - Async (the follow-up work's asynchronous variant): on the writer,
 //     ahead of replication, so the whole checkpoint overlaps computation.
 //
-// Every generation, stored or mirrored, is one of two CRC-stamped frames
-// from one chain encoder (delta.go): a generation-tagged full base (GCP4)
-// or a dirty-chunk delta chained onto its predecessor's tag (GCP3).
-// Config.FullEvery is only the longest a chain of deltas may grow.
+// Every generation, stored or mirrored, is one self-contained frame
+// (frame.go): a header naming the generation, the whole payload and a CRC.
 //
 // The store is as deep as a recovery reaches (prune): once a generation has
-// sealed locally and on the neighbor, everything behind the newest full base
-// that is at least two generations old is released on both, so a node holds
-// between three and FullEvery+2 generations of a family however long the
-// job runs.
+// sealed locally and on the neighbor, everything behind the two generations
+// before it is released on both, so a node holds three generations of a
+// family however long the job runs.
 //
 // Every committed replica is accompanied by a seal object written strictly
-// after its data, echoing the frame's version and chain identity.
-// FindLatest counts only sealed replicas, so a commit torn by a failure (a
-// data object without its seal) is never selected for restore; a push torn
-// in flight never reaches the neighbor's store at all, since the receiver
-// commits only complete frames. Fetch additionally CRC-verifies whatever it
-// reads.
+// after its data, echoing the frame's version. FindLatest counts only
+// sealed replicas, so a commit torn by a failure (a data object without its
+// seal) is never selected for restore; a push torn in flight never reaches
+// the neighbor's store at all, since the receiver commits only complete
+// frames. A restore reads one sealed replica whole, in tier order, and
+// CRC-verifies it before use (restore.go).
 package checkpoint
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,31 +112,11 @@ type Config struct {
 	// CheckpointMode selects where the local commit runs: inside Write
 	// (Sync, the default) or on the writer goroutine (Async).
 	CheckpointMode CheckpointMode
-	// ChunkBytes is the library's chunk granularity: the dirty-chunk
-	// deltas and the striped restore reads work in chunks of this size,
-	// and the framework's checkpoint stream writes in them. Default 64 KiB.
-	ChunkBytes int
-	// FullEvery is the maximum depth of a checkpoint family's chain: at
-	// least every FullEvery-th generation is a self-contained full base and
-	// the generations between are dirty-chunk deltas (chunked at ChunkSize,
-	// chained by generation tag; see delta.go) — unless a delta would be no
-	// smaller than the base, which is then written instead and restarts the
-	// count. 0 or 1 makes every generation a full base.
+	// FullEvery is inert: every generation is a self-contained frame.
+	//
+	// Deprecated: the delta chain it sized is gone; the field is kept only so
+	// existing configurations compile, and nothing reads it.
 	FullEvery int
-}
-
-// DefaultChunkBytes is the replication chunk granularity when
-// Config.ChunkBytes is zero.
-const DefaultChunkBytes = 64 << 10
-
-// ChunkSize returns ChunkBytes with the default applied; the framework
-// passes the resolved value to the GASPI checkpoint stream so the two
-// layers can never chunk at diverging sizes.
-func (c Config) ChunkSize() int {
-	if c.ChunkBytes > 0 {
-		return c.ChunkBytes
-	}
-	return DefaultChunkBytes
 }
 
 // Library is one process's handle to the C/R machinery. Its writer
@@ -172,16 +150,9 @@ type Library struct {
 	statsMu sync.Mutex // guards stats, the writer's counters
 	stats   WriterStats
 
-	// deltaMu guards the per-family chain encoders and their counters (see
-	// delta.go). Writes are single-threaded per library, but the reset on
-	// SetWorkerNodes and the stats readers are not.
-	deltaMu sync.Mutex
-	chains  map[chainKey]*chainEncoder
-	dstats  DeltaStats
-
-	// stripeHook, when set (tests only), runs before every striped range
-	// read; the striped-restore fault tests kill a source node under it.
-	stripeHook func(nodeID int, stripe int)
+	// readHook, when set (tests only), runs before FetchFrom reads a sealed
+	// replica; the restore fallback test kills a source node under it.
+	readHook func(nodeID int)
 	// releaseHook, when set (tests only), runs inside prune once a node's
 	// released generations have lost their seals and before the data
 	// objects (dataKeys) go.
@@ -268,7 +239,6 @@ func New(cl *cluster.Cluster, nodeID int, cfg Config, tr Transport) *Library {
 		cfg:       cfg,
 		transport: tr,
 		neighbor:  -1,
-		chains:    make(map[chainKey]*chainEncoder),
 		free:      make(chan *cpBuffer, 2),
 		work:      make(chan *cpBuffer, 2),
 		done:      make(chan struct{}),
@@ -281,12 +251,8 @@ func New(cl *cluster.Cluster, nodeID int, cfg Config, tr Transport) *Library {
 
 // SetWorkerNodes informs the library of the current set of worker nodes;
 // the neighbor is the next node in the sorted ring. This is the fault-aware
-// refresh hook called after every recovery. It also re-bases every chain:
-// the next generation of every checkpoint family is written as a full
-// base, so fresh chains never depend on replicas that may have died with
-// the failed node.
+// refresh hook called after every recovery.
 func (l *Library) SetWorkerNodes(nodes []int) {
-	l.rebaseChains()
 	sorted := append([]int(nil), nodes...)
 	sort.Ints(sorted)
 	nb := -1
@@ -362,7 +328,7 @@ func (l *Library) Write(name string, logical int, version int64, payload []byte)
 	if err != nil {
 		return err
 	}
-	b.data = l.encodeNext(b.data[:0], name, logical, version, payload)
+	b.data = encodeFrame(b.data, logical, version, payload)
 	b.key, b.name, b.logical, b.version = Key(name, logical, version), name, logical, version
 	b.committed = l.cfg.CheckpointMode == Sync
 	if b.committed {
@@ -427,7 +393,7 @@ func (l *Library) putLocal(key string, blob []byte, version int64) error {
 	if err := l.cl.Node(l.nodeID).Put(key, blob, l.storage()); err != nil {
 		return fmt.Errorf("checkpoint: local write: %w", err)
 	}
-	if err := l.cl.Node(l.nodeID).PutMeta(SealKey(key), sealFor(blob, version)); err != nil {
+	if err := l.cl.Node(l.nodeID).PutMeta(SealKey(key), sealFor(version)); err != nil {
 		return fmt.Errorf("checkpoint: local seal: %w", err)
 	}
 	return nil
@@ -438,7 +404,7 @@ func (l *Library) putPFS(key string, blob []byte, version int64) error {
 	if err := l.cl.PFS().Put(key, blob); err != nil {
 		return fmt.Errorf("checkpoint: PFS write of %s: %w", key, err)
 	}
-	if err := l.cl.PFS().PutMeta(SealKey(key), sealFor(blob, version)); err != nil {
+	if err := l.cl.PFS().PutMeta(SealKey(key), sealFor(version)); err != nil {
 		return fmt.Errorf("checkpoint: PFS seal of %s: %w", key, err)
 	}
 	return nil
@@ -453,27 +419,19 @@ const restorableLag = 2
 
 // prune is the retention rule, run once generation sealed of (name, logical)
 // is sealed on the local store and on the neighbor nb (-1: none): every
-// generation older than the newest full base lying at least restorableLag
-// generations behind sealed is released from both stores. A retained
-// generation's chain never reaches past the last full base before it, so
-// the newest restorableLag+1 generations — whatever the group can agree on
-// — stay restorable; with all-base chains that is all a node holds, with
-// deltas at most FullEvery+2 generations. Generations are counted among
-// the sealed ones in the local store, not by version number, and the anchor
-// is the generation whose push just finished — not the newest local one,
-// which under Sync is the next generation, committed by Write while this
-// one was still in flight.
+// generation older than the restorableLag+1 newest sealed ones up to sealed
+// — whatever the group can agree on — is released from both stores.
+// Generations are counted among the sealed ones in the local store, not by
+// version number, and the anchor is the generation whose push just finished
+// — not the newest local one, which under Sync is the next generation,
+// committed by Write while this one was still in flight.
 //
 // On each store the released generations' seals are deleted before any of
 // their data, so a concurrent seal scan never meets a sealed generation
 // whose data is gone.
 func (l *Library) prune(name string, logical int, sealed int64, nb int) {
 	local := l.cl.Node(l.nodeID)
-	type generation struct {
-		version int64
-		full    bool
-	}
-	var gens []generation
+	var gens []int64
 	for _, k := range local.Keys() {
 		dataKey, isSeal := strings.CutSuffix(k, sealSuffix)
 		if !isSeal {
@@ -484,22 +442,16 @@ func (l *Library) prune(name string, logical int, sealed int64, nb int) {
 			continue
 		}
 		if blob, ok := local.GetMeta(k); ok {
-			if sv, ci, ok := parseSeal(blob); ok && sv == kv {
-				gens = append(gens, generation{version: kv, full: ci.kind == KindFull})
+			if sv, ok := parseSeal(blob); ok && sv == kv {
+				gens = append(gens, kv)
 			}
 		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].version > gens[j].version })
-	base := int64(-1)
-	for i := restorableLag; i < len(gens); i++ {
-		if gens[i].full {
-			base = gens[i].version
-			break
-		}
+	if len(gens) <= restorableLag {
+		return // nothing behind the window yet
 	}
-	if base < 0 {
-		return // no full base that far back yet: keep everything
-	}
+	slices.Sort(gens)
+	oldest := gens[len(gens)-1-restorableLag]
 	for _, nodeID := range []int{l.nodeID, nb} {
 		if nodeID < 0 {
 			continue
@@ -509,7 +461,7 @@ func (l *Library) prune(name string, logical int, sealed int64, nb int) {
 		for _, k := range node.Keys() {
 			dataKey, isSeal := strings.CutSuffix(k, sealSuffix)
 			kn, kl, kv, ok := parseKey(dataKey)
-			if !ok || kn != name || kl != logical || kv >= base {
+			if !ok || kn != name || kl != logical || kv >= oldest {
 				continue
 			}
 			if isSeal {
@@ -525,9 +477,9 @@ func (l *Library) prune(name string, logical int, sealed int64, nb int) {
 			node.Delete(k)
 		}
 		if nodeID == l.nodeID {
-			l.deltaMu.Lock()
-			l.dstats.Released += int64(len(data))
-			l.deltaMu.Unlock()
+			l.statsMu.Lock()
+			l.stats.Released += int64(len(data))
+			l.statsMu.Unlock()
 		}
 	}
 }
@@ -624,11 +576,9 @@ func (l *Library) storage() cluster.StorageModel { return l.cl.Storage() }
 // StoreReplica commits a received checkpoint frame (data plus seal) to a
 // node's local store — the commit step a GASPI checkpoint-stream receiver
 // performs on behalf of its upstream neighbor, and the only way a replica
-// reaches another node's store. Foreign keys are rejected
-// and the frame (full or delta) is verified before the seal is written, so
-// a mangled stream can never produce a sealed-but-corrupt replica; the seal
-// echoes the frame's chain identity so the restore side can resolve
-// base+delta chains from metadata alone.
+// reaches another node's store. Foreign keys are rejected and the frame is
+// verified before the seal is written, so a mangled stream can never
+// produce a sealed-but-corrupt replica.
 func StoreReplica(cl *cluster.Cluster, nodeID int, key string, blob []byte) error {
 	name, _, version, ok := parseKey(key)
 	if !ok {
@@ -641,5 +591,5 @@ func StoreReplica(cl *cluster.Cluster, nodeID int, key string, blob []byte) erro
 	if err := n.Put(key, blob, cl.Storage()); err != nil {
 		return err
 	}
-	return n.PutMeta(SealKey(key), sealFor(blob, version))
+	return n.PutMeta(SealKey(key), sealFor(version))
 }

@@ -50,20 +50,24 @@ func newLib(cl *cluster.Cluster, nodeID int, cfg Config) *Library {
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	payload := []byte("lanczos vectors + alpha + beta")
-	f, err := decodeFrame(encodeFullInto(nil, 7, 42, 9, payload))
+	blob := encodeFrame(nil, 7, 42, payload)
+	if len(blob) != headerLen+len(payload)+trailerLen {
+		t.Fatalf("frame is %d bytes for a %d-byte payload", len(blob), len(payload))
+	}
+	f, err := decodeFrame(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.logical != 7 || f.version != 42 || f.chain != (chainInfo{kind: KindFull, gen: 9}) || !bytes.Equal(f.payload, payload) {
-		t.Fatalf("logical=%d version=%d chain=%+v payload=%q", f.logical, f.version, f.chain, f.payload)
+	if f.logical != 7 || f.version != 42 || !bytes.Equal(f.payload, payload) {
+		t.Fatalf("logical=%d version=%d payload=%q", f.logical, f.version, f.payload)
 	}
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
-	prop := func(logical uint16, version uint32, gen uint64, payload []byte) bool {
-		f, err := decodeFrame(encodeFullInto(nil, int(logical), int64(version), gen, payload))
+	prop := func(logical uint16, version uint32, payload []byte) bool {
+		f, err := decodeFrame(encodeFrame(nil, int(logical), int64(version), payload))
 		return err == nil && f.logical == int(logical) && f.version == int64(version) &&
-			f.chain == (chainInfo{kind: KindFull, gen: gen}) && bytes.Equal(f.payload, payload)
+			bytes.Equal(f.payload, payload)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -71,10 +75,10 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestDecodeDetectsCorruption(t *testing.T) {
-	blob := encodeFullInto(nil, 1, 1, 1, []byte("data-data-data"))
-	// Byte 0 is the magic, 5 and 10 the identity, headerLen the generation
-	// tag, the last one payload.
-	for _, i := range []int{0, 5, 10, headerLen, len(blob) - 1} {
+	blob := encodeFrame(nil, 1, 1, []byte("data-data-data"))
+	// Byte 0 is the magic, 5 and 10 the identity, 16 the length, headerLen
+	// the payload, the last one the CRC trailer.
+	for _, i := range []int{0, 5, 10, 16, headerLen, len(blob) - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[i] ^= 0xFF
 		if _, err := decodeFrame(bad); !errors.Is(err, ErrCorrupt) {
@@ -188,10 +192,10 @@ func TestFindLatestAcrossVersions(t *testing.T) {
 	}
 }
 
-// TestFindLatestIgnoresForeignSeals: only a 40-byte seal whose version
-// matches its key makes a replica visible. A data object sealed with the
-// retired 12-byte version-only layout, or with another version's seal, is
-// as invisible as an unsealed one. The three generations it walks back
+// TestFindLatestIgnoresForeignSeals: only a well-formed seal whose version
+// matches its key makes a replica visible. A data object sealed with a
+// foreign 12-byte layout, or with another version's seal, is as invisible
+// as an unsealed one. The three generations it walks back
 // through (v3 → v2 → v1) are exactly the window the retention rule keeps
 // behind a sealed v3; a fourth write would release v1.
 func TestFindLatestIgnoresForeignSeals(t *testing.T) {
@@ -208,10 +212,6 @@ func TestFindLatestIgnoresForeignSeals(t *testing.T) {
 	short := make([]byte, 12)
 	binary.LittleEndian.PutUint32(short, 0x4b4f4347) // "GCOK"
 	binary.LittleEndian.PutUint64(short[4:], 3)
-	blob2, err := cl.Node(0).Get(Key("state", 0, 2), cl.Storage())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, n := range []int{0, 1} {
 		if err := cl.Node(n).PutMeta(SealKey(Key("state", 0, 3)), short); err != nil {
 			t.Fatal(err)
@@ -221,7 +221,7 @@ func TestFindLatestIgnoresForeignSeals(t *testing.T) {
 		t.Fatalf("FindLatest with a 12-byte seal on v3 = %d, %v; want 2", v, ok)
 	}
 	for _, n := range []int{0, 1} {
-		if err := cl.Node(n).PutMeta(SealKey(Key("state", 0, 2)), sealFor(blob2, 7)); err != nil {
+		if err := cl.Node(n).PutMeta(SealKey(Key("state", 0, 2)), sealFor(7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestPFSCopy(t *testing.T) {
 // TestPruneKeepsRestorableWindow: the retention rule counts generations, not
 // version numbers. With a checkpoint every 10 iterations the store keeps the
 // generation that just sealed and the two behind it (v40, v50, v60 — the
-// base two generations back is the oldest thing a recovery can agree on) on
+// generation two back is the oldest thing a recovery can agree on) on
 // the local node and on the neighbor alike, and releases the rest.
 func TestPruneKeepsRestorableWindow(t *testing.T) {
 	cl := testCluster(t, 2)
@@ -306,8 +306,8 @@ func TestPruneKeepsRestorableWindow(t *testing.T) {
 			t.Fatalf("node %d holds %v, want [40 50 60]", n, got)
 		}
 	}
-	if ds := lib.DeltaStats(); ds.Released != 3 {
-		t.Fatalf("Released = %d, want 3 (v10, v20, v30)", ds.Released)
+	if s := lib.Stats(); s.Released != 3 {
+		t.Fatalf("Released = %d, want 3 (v10, v20, v30)", s.Released)
 	}
 }
 

@@ -7,32 +7,30 @@ import (
 	"testing"
 )
 
-// Property-based reassembly check for the incremental delta engine,
-// driven by the chaos-fuzzer methodology: random chain shapes and
-// random damage, with one safety property that must hold for every
-// shape — a version the library CLAIMS restorable (FindLatest /
-// FindLatestBelow) must reassemble bit-exactly. The claim set may
-// legitimately shrink under damage; it must never lie.
+// Property-based restore check, driven by the chaos-fuzzer methodology:
+// random histories and random damage, with one safety property that must
+// hold for every shape — a version the library CLAIMS restorable
+// (FindLatest / FindLatestBelow) must restore bit-exactly. The claim set
+// may legitimately shrink under damage; it must never lie.
 
-// deltaChainTrial is one randomized shape: a chain of versions with
-// random chunk dirtiness (including payload grow/shrink), then random
-// seal/frame destruction, then claim-set verification from both the
-// writer's store and a rescue reading the neighbor replicas.
+// deltaChainTrial is one randomized shape: a run of versions with random
+// dirtiness (including payload grow/shrink), then random seal/frame
+// destruction, then claim-set verification from both the writer's store
+// and a rescue reading the neighbor replicas.
 func deltaChainTrial(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	chunk := 256 << rng.Intn(4)        // 256B..2KiB
-	chainLen := int64(3 + rng.Intn(8)) // versions 1..chainLen
-	fullEvery := 2 + rng.Intn(5)
+	chunk := 256 << rng.Intn(4)    // 256B..2KiB
+	last := int64(3 + rng.Intn(8)) // versions 1..last
 
 	cl := testCluster(t, 4)
-	lib := newLib(cl, 1, Config{ChunkBytes: chunk, FullEvery: fullEvery})
+	lib := newLib(cl, 1, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{1, 2, 3})
 
 	payload := make([]byte, (4+rng.Intn(8))*chunk+rng.Intn(chunk))
 	rng.Read(payload)
 	golden := map[int64][]byte{}
-	for v := int64(1); v <= chainLen; v++ {
+	for v := int64(1); v <= last; v++ {
 		switch rng.Intn(4) {
 		case 0: // grow
 			pad := make([]byte, rng.Intn(3*chunk))
@@ -55,12 +53,12 @@ func deltaChainTrial(t *testing.T, seed int64) {
 	}
 
 	// Random destruction, sparing the oldest generation the retention rule
-	// kept (the window's full base; so liveness below is checkable): torn
+	// kept (so liveness below is checkable): torn
 	// seals (the crash window between a flush and its seal), holed frames,
 	// and single-holder losses.
 	holders := []int{1, 2, 3}
 	floor := familyVersions(cl, 1, "state", 0)[0]
-	for v := floor + 1; v <= chainLen; v++ {
+	for v := floor + 1; v <= last; v++ {
 		if rng.Intn(3) != 0 {
 			continue
 		}
@@ -84,7 +82,7 @@ func deltaChainTrial(t *testing.T, seed int64) {
 
 	// The safety property, from the writer's view and from a rescue on
 	// the neighbor: every claimed version reassembles bit-exactly.
-	rescue := newLib(cl, 2, Config{ChunkBytes: chunk, FullEvery: fullEvery})
+	rescue := newLib(cl, 2, Config{})
 	defer rescue.Stop()
 	rescue.SetWorkerNodes([]int{2, 3})
 	for name, reader := range map[string]*Library{"writer": lib, "rescue": rescue} {
@@ -97,13 +95,13 @@ func deltaChainTrial(t *testing.T, seed int64) {
 				t.Fatalf("%s: claimed v%d unrestorable: %v", name, v, err)
 			}
 			if !bytes.Equal(got, golden[v]) {
-				t.Fatalf("%s: claimed v%d mis-assembled (%d vs %d bytes)",
+				t.Fatalf("%s: claimed v%d restored wrong (%d vs %d bytes)",
 					name, v, len(got), len(golden[v]))
 			}
 			v, ok = reader.FindLatestBelow("state", 0, v)
 		}
-		// Liveness: the window's base (a sealed full frame) was never
-		// damaged, so the claim set cannot be empty.
+		// Liveness: the window's oldest generation was never damaged, so
+		// the claim set cannot be empty.
 		if claimed == 0 {
 			t.Fatalf("%s: empty claim set with version %d intact", name, floor)
 		}
@@ -112,7 +110,7 @@ func deltaChainTrial(t *testing.T, seed int64) {
 
 // TestDeltaChainReassemblyProperty sweeps the randomized trials. Every
 // trial is deterministic in its seed, so a failure report names the
-// reproducing shape directly.
+// reproducing shape directly. (The name predates the single frame kind.)
 func TestDeltaChainReassemblyProperty(t *testing.T) {
 	trials := 30
 	if testing.Short() {

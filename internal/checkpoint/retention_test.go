@@ -10,9 +10,8 @@ import (
 	"repro/internal/cluster"
 )
 
-// The retention rule and the data-driven chain depth (checkpoint.go prune,
-// delta.go encodeNext). Every ordering below is a hook or a channel; none is
-// a sleep.
+// The retention rule (checkpoint.go prune). Every ordering below is a hook
+// or a channel; none is a sleep.
 
 // familyVersions lists, ascending, the versions of (name, logical) whose
 // data object a node's store holds — sealed or not.
@@ -42,35 +41,34 @@ func evolve(payload []byte, chunk int, gen int64, allDirty bool) {
 }
 
 // TestReplicateRetentionResidency is the point of the rule: 150 generations
-// of a 256 KiB state through the async writer with FullEvery 4 leave three
-// data objects of the family per node when every chunk is dirty every epoch
-// (each generation a base: the one that sealed and the two behind it) and at
-// most FullEvery+2 when one chunk is (a whole chain behind the newest base
-// two back) — at every sampled instant one more, the generation in flight.
-// The newest three generations are fetchable and FindLatest is right.
+// of a 256 KiB state through the async writer leave three data objects of
+// the family per node (the one that sealed and the two behind it), whether
+// every chunk of the state changes every epoch or only one does — at every
+// sampled instant one more, the generation in flight. The newest three
+// generations are fetchable and FindLatest is right.
 func TestReplicateRetentionResidency(t *testing.T) {
 	const (
-		gens      = 150
-		size      = 256 << 10
-		fullEvery = 4
+		gens  = 150
+		size  = 256 << 10
+		chunk = 64 << 10
+		bound = restorableLag + 1
 	)
 	for _, c := range []struct {
 		name     string
 		allDirty bool
-		bound    int
 	}{
-		{"all-dirty", true, restorableLag + 1},
-		{"one-chunk-dirty", false, fullEvery + restorableLag},
+		{"all-dirty", true},
+		{"one-chunk-dirty", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cl := testClusterStorage(t, 3, cluster.StorageModel{})
-			lib := newLib(cl, 0, Config{CheckpointMode: Async, FullEvery: fullEvery})
+			lib := newLib(cl, 0, Config{CheckpointMode: Async})
 			defer lib.Stop()
 			lib.SetWorkerNodes([]int{0, 1, 2})
 			payload := make([]byte, size)
 			golden := map[int64][]byte{}
 			for g := int64(1); g <= gens; g++ {
-				evolve(payload, DefaultChunkBytes, g, c.allDirty)
+				evolve(payload, chunk, g, c.allDirty)
 				if g > gens-3 {
 					golden[g] = bytes.Clone(payload)
 				}
@@ -78,8 +76,8 @@ func TestReplicateRetentionResidency(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, n := range []int{0, 1} {
-					if held := familyVersions(cl, n, "state", 0); len(held) > c.bound+1 {
-						t.Fatalf("gen %d: node %d holds %v, more than %d+1", g, n, held, c.bound)
+					if held := familyVersions(cl, n, "state", 0); len(held) > bound+1 {
+						t.Fatalf("gen %d: node %d holds %v, more than %d+1", g, n, held, bound)
 					}
 				}
 			}
@@ -89,8 +87,8 @@ func TestReplicateRetentionResidency(t *testing.T) {
 			}
 			for _, n := range []int{0, 1} {
 				held := familyVersions(cl, n, "state", 0)
-				if len(held) > c.bound || held[len(held)-1] != gens {
-					t.Fatalf("node %d holds %v, want at most %d ending at %d", n, held, c.bound, gens)
+				if len(held) > bound || held[len(held)-1] != gens {
+					t.Fatalf("node %d holds %v, want at most %d ending at %d", n, held, bound, gens)
 				}
 			}
 			if held := familyVersions(cl, 2, "state", 0); len(held) != 0 {
@@ -105,19 +103,9 @@ func TestReplicateRetentionResidency(t *testing.T) {
 					t.Fatalf("fetch v%d (newest-%d): err=%v", v, gens-v, err)
 				}
 			}
-			ds := lib.DeltaStats()
 			held := int64(len(familyVersions(cl, 0, "state", 0)))
-			if ds.Released != gens-held {
-				t.Fatalf("Released = %d with %d of %d generations held", ds.Released, held, gens)
-			}
-			if c.allDirty {
-				// Every generation after the first was due as a delta and
-				// written as a base; the hash pass still saw every chunk move.
-				if ds.Promoted != gens-1 || ds.DeltaFrames != 0 || ds.DirtyChunks != ds.TotalChunks {
-					t.Fatalf("all-dirty stats: %+v", ds)
-				}
-			} else if ds.Promoted != 0 || ds.DeltaFrames != gens-(gens+fullEvery-1)/fullEvery {
-				t.Fatalf("one-chunk-dirty stats: %+v", ds)
+			if r := lib.Stats().Released; r != gens-held {
+				t.Fatalf("Released = %d with %d of %d generations held", r, held, gens)
 			}
 		})
 	}
@@ -182,19 +170,18 @@ func TestReplicateReleaseDeletesSealFirst(t *testing.T) {
 // (members 1 and 2; member 3's neighbor was the dead node, so it releases
 // nothing). Member 0's family is then two generations behind its peers',
 // the farthest the double buffer lets it trail. The group minimum (g-1) must
-// be fetchable by every member from what its own prune left, for every
-// phase of the FullEvery cadence and for both kinds of state.
+// be fetchable by every member from what its own prune left, for four
+// consecutive tear points and for both kinds of state.
 func TestReplicateTornWaveAgreesInsideWindow(t *testing.T) {
 	const (
-		chunk     = 1 << 10
-		fullEvery = 4
-		members   = 4
+		chunk   = 1 << 10
+		members = 4
 	)
 	for _, allDirty := range []bool{true, false} {
-		for g := int64(9); g < 9+fullEvery; g++ {
+		for g := int64(9); g < 13; g++ {
 			t.Run(fmt.Sprintf("allDirty=%v/g=%d", allDirty, g), func(t *testing.T) {
 				cl := testClusterStorage(t, members+1, cluster.StorageModel{})
-				cfg := Config{CheckpointMode: Async, ChunkBytes: chunk, FullEvery: fullEvery}
+				cfg := Config{CheckpointMode: Async}
 				libs := make([]*Library, members)
 				payloads := make([][]byte, members)
 				golden := make([]map[int64][]byte, members)
@@ -239,7 +226,7 @@ func TestReplicateTornWaveAgreesInsideWindow(t *testing.T) {
 				}
 				for _, m := range []int{1, 2} {
 					held := familyVersions(cl, m, "state", m)
-					if libs[m].DeltaStats().Released == 0 || held[len(held)-1] != g+1 || len(held) > fullEvery+restorableLag {
+					if libs[m].Stats().Released == 0 || held[len(held)-1] != g+1 || len(held) > restorableLag+1 {
 						t.Fatalf("member %d holds %v: its prune behind v%d has not run", m, held, g+1)
 					}
 				}
@@ -419,17 +406,16 @@ func TestReplicateSkipsQueuedFlushAfterAbort(t *testing.T) {
 // a store that stops being either — the former neighbor after the ring
 // moved, the victim's node and the victim's neighbor after a rescue adopted
 // the family elsewhere — keeps the window it held at that moment and never
-// more: at most FullEvery+2 generations per family per such store per
+// more: at most restorableLag+1 generations per family per such store per
 // recovery, whatever the job writes afterwards. A store that becomes the
 // family's neighbor again is brought back under the rule.
 func TestReplicateStrandedReplicasBoundedPerRecovery(t *testing.T) {
 	const (
-		chunk     = 1 << 10
-		fullEvery = 4
-		window    = fullEvery + restorableLag
+		chunk  = 1 << 10
+		window = restorableLag + 1
 	)
 	cl := testCluster(t, 4)
-	cfg := Config{ChunkBytes: chunk, FullEvery: fullEvery}
+	cfg := Config{}
 	payload := bytes.Repeat([]byte{7}, 8*chunk)
 	v := int64(0)
 	run := func(l *Library, n int) {
@@ -492,105 +478,47 @@ func TestReplicateStrandedReplicasBoundedPerRecovery(t *testing.T) {
 	}
 }
 
-// hashChunks is the encoder's hash pass, for building expected frames.
-func hashChunks(b []byte, chunk int) []uint64 {
-	out := make([]uint64, (len(b)+chunk-1)/chunk)
-	for i := range out {
-		out[i] = chunkHash(b[i*chunk : min((i+1)*chunk, len(b))])
-	}
-	return out
-}
-
-// TestDeltaPromotedToBaseRestartsCadence: chain depth follows the data. A
-// generation whose delta would be no smaller than its base is written as a
-// base (promoted) and the FullEvery count restarts from it; one whose delta
-// is smaller — seven chunks of eight dirty — stays a delta. The dirty count
-// reports what the hash pass found whichever frame was written.
-func TestDeltaPromotedToBaseRestartsCadence(t *testing.T) {
-	const chunk = 1 << 10
-	e := &chainEncoder{chunk: chunk, fullEvery: 4}
-	payload := bytes.Repeat([]byte{3}, 8*chunk)
-	steps := []struct {
-		dirty    int // chunks touched before encoding
-		kind     FrameKind
-		promoted bool
-	}{
-		{8, KindFull, false},  // no head
-		{1, KindDelta, false}, // depth 1
-		{8, KindFull, true},   // all dirty: base, cadence restarts
-		{1, KindDelta, false}, // depth 1
-		{7, KindDelta, false}, // depth 2: 7/8 dirty is still smaller than a base
-		{1, KindDelta, false}, // depth 3
-		{1, KindFull, false},  // FullEvery is the maximum depth
-		{8, KindFull, true},
-		{8, KindFull, true}, // a run of bases
-		{0, KindDelta, false},
-	}
-	for i, st := range steps {
-		for c := 0; c < st.dirty; c++ {
-			payload[c*chunk+1] ^= byte(i + 1)
-		}
-		blob, hashed, dirty, promoted := e.encodeNext(nil, 0, int64(i+1), payload)
-		f, err := decodeFrame(blob)
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if f.chain.kind != st.kind || promoted != st.promoted {
-			t.Fatalf("step %d (%d dirty): %v frame, promoted=%v; want %v, %v", i, st.dirty, f.chain.kind, promoted, st.kind, st.promoted)
-		}
-		if hashed != 8 || dirty != st.dirty {
-			t.Fatalf("step %d: hashed %d, dirty %d; want 8, %d", i, hashed, dirty, st.dirty)
-		}
-		if st.kind == KindDelta && len(f.dirty) != st.dirty {
-			t.Fatalf("step %d: delta carries %d chunks, want %d", i, len(f.dirty), st.dirty)
-		}
-	}
-}
-
-// TestDeltaSparseBytesUnchanged: for a sparsely dirtied generation the
-// encoder still writes exactly the GCP3 frame encodeDeltaInto builds from
-// the two hash tables — the promotion rule changes which generations are
-// deltas, not a byte of any delta.
+// TestDeltaSparseBytesUnchanged: however little of the state changed, a
+// generation is the whole frame — the stored replica and the mirror frame
+// are both exactly the bytes encodeFrame writes for the payload.
 func TestDeltaSparseBytesUnchanged(t *testing.T) {
 	const chunk = 1 << 10
-	e := &chainEncoder{chunk: chunk, fullEvery: 4}
+	cl := testCluster(t, 2)
+	lib := newLib(cl, 0, Config{})
+	defer lib.Stop()
+	lib.SetWorkerNodes([]int{0, 1})
+	enc := NewMirrorEncoder()
 	payload := bytes.Repeat([]byte{9}, 5*chunk+100)
-	base, _, _, _ := e.encodeNext(nil, 2, 10, payload)
-	prev := bytes.Clone(payload)
-	payload[2*chunk+5] ^= 0x55
-	payload[5*chunk+99] ^= 0x55 // the short tail chunk
-	blob, _, dirty, promoted := e.encodeNext(nil, 2, 11, payload)
-	if dirty != 2 || promoted {
-		t.Fatalf("dirty = %d, promoted = %v", dirty, promoted)
+	for v := int64(10); v <= 12; v++ {
+		payload[int(v)*chunk/4] ^= 0x55 // one byte per generation
+		if err := lib.Write("state", 2, v, payload); err != nil {
+			t.Fatal(err)
+		}
+		want := encodeFrame(nil, 2, v, payload)
+		if len(want) != headerLen+len(payload)+trailerLen {
+			t.Fatalf("v%d: frame is %d bytes for a %d-byte payload", v, len(want), len(payload))
+		}
+		stored, err := cl.Node(0).Get(Key("state", 2, v), cl.Storage())
+		if err != nil || !bytes.Equal(stored, want) {
+			t.Fatalf("v%d: stored replica differs from the frame (err=%v)", v, err)
+		}
+		if mirrored := enc.EncodeNext(2, v, payload); !bytes.Equal(mirrored, want) {
+			t.Fatalf("v%d: mirror frame differs from the stored one", v)
+		}
 	}
-	ci := frameChain(blob)
-	if ci.kind != KindDelta || ci.prevGen != frameChain(base).gen || ci.prevVer != 10 {
-		t.Fatalf("chain identity %+v", ci)
-	}
-	want := encodeDeltaInto(nil, 2, 11, ci, payload, chunk, hashChunks(prev, chunk), hashChunks(payload, chunk))
-	if !bytes.Equal(blob, want) {
-		t.Fatalf("encoder wrote %d bytes, encodeDeltaInto %d; frames differ", len(blob), len(want))
-	}
-	if n := headerLen + deltaBodyHeader + 2*deltaChunkHeader + chunk + 100; len(blob) != n {
-		t.Fatalf("delta frame is %d bytes, want %d", len(blob), n)
-	}
+	lib.WaitIdle()
 }
 
-// TestDeltaMirrorValidAcrossBases: a mirror chain whose every frame is
-// promoted to a base keeps the shadow's image valid frame after frame, and
-// deltas resume (and apply) as soon as the state goes back to sparse
-// updates.
+// TestDeltaMirrorValidAcrossBases: a mirror stays valid frame after frame
+// whether the state changes everywhere or in one chunk per epoch.
 func TestDeltaMirrorValidAcrossBases(t *testing.T) {
 	const chunk = 1 << 10
-	enc := NewMirrorEncoder(chunk, 4)
+	enc := NewMirrorEncoder()
 	m := NewLiveMirror()
 	payload := bytes.Repeat([]byte{1}, 6*chunk+9)
-	kinds := ""
 	for v := int64(1); v <= 24; v++ {
 		evolve(payload, chunk, v, v <= 10 || v > 20)
-		blob := enc.EncodeNext(5, v, payload)
-		kinds += frameChain(blob).kind.String()[:1]
-		if err := m.Apply(blob); err != nil {
+		if err := m.Apply(enc.EncodeNext(5, v, payload)); err != nil {
 			t.Fatalf("apply v%d: %v", v, err)
 		}
 		got, ver, ok := m.Snapshot()
@@ -598,7 +526,7 @@ func TestDeltaMirrorValidAcrossBases(t *testing.T) {
 			t.Fatalf("after v%d: ok=%v torn=%v version=%d", v, ok, m.Torn(), ver)
 		}
 	}
-	if want := "ffffffffffdddfdddfddffff"; kinds != want {
-		t.Fatalf("frame kinds %s, want %s", kinds, want)
+	if m.Applied() != 24 {
+		t.Fatalf("applied %d of 24 frames", m.Applied())
 	}
 }

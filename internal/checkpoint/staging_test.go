@@ -31,7 +31,7 @@ func TestWriteCopiesPayloadBeforeReturn(t *testing.T) {
 	for name, mode := range map[string]CheckpointMode{"Sync": Sync, "Async": Async} {
 		t.Run(name, func(t *testing.T) {
 			cl := testCluster(t, 2)
-			lib := newLib(cl, 0, Config{CheckpointMode: mode, ChunkBytes: chunk, FullEvery: 3})
+			lib := newLib(cl, 0, Config{CheckpointMode: mode})
 			defer lib.Stop()
 			lib.SetWorkerNodes([]int{0, 1})
 			buf := make([]byte, 4*chunk+9)
@@ -48,7 +48,6 @@ func TestWriteCopiesPayloadBeforeReturn(t *testing.T) {
 			if err := lib.Err(); err != nil {
 				t.Fatal(err)
 			}
-			// v4 is a base and v5 a delta on it: both sides of the chain.
 			for _, v := range []int64{4, 5} {
 				got, err := lib.Fetch("state", 0, v)
 				if err != nil || !bytes.Equal(got, want[v]) {
@@ -57,7 +56,7 @@ func TestWriteCopiesPayloadBeforeReturn(t *testing.T) {
 			}
 			// The neighbor's replica was pushed after the scribble.
 			cl.KillNode(0)
-			rescue := newLib(cl, 1, Config{CheckpointMode: mode, ChunkBytes: chunk, FullEvery: 3})
+			rescue := newLib(cl, 1, Config{CheckpointMode: mode})
 			defer rescue.Stop()
 			rescue.SetWorkerNodes([]int{1})
 			got, src, err := rescue.FetchFrom("state", 0, 5)
@@ -70,7 +69,7 @@ func TestWriteCopiesPayloadBeforeReturn(t *testing.T) {
 
 func TestMirrorEncodeCopiesPayloadBeforeReturn(t *testing.T) {
 	const chunk = 256
-	enc := NewMirrorEncoder(chunk, 3)
+	enc := NewMirrorEncoder()
 	m := NewLiveMirror()
 	buf := make([]byte, 4*chunk+9)
 	for v := int64(1); v <= 5; v++ {

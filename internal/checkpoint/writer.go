@@ -19,7 +19,26 @@ type WriterStats struct {
 	// FlushTime is the total time the writer goroutine spent flushing: the
 	// local commit under Async, replication under both.
 	FlushTime time.Duration
+	// Released counts the generations the retention rule freed from the
+	// local store.
+	Released int64
 }
+
+// DeltaStats is what the removed delta chain used to count.
+//
+// Deprecated: every generation is a full frame; Library.DeltaStats returns
+// the zero value, whose TotalChunks of 0 readers take as "no delta engine".
+type DeltaStats struct {
+	FullBytes   int64
+	DeltaBytes  int64
+	DirtyChunks int64
+	TotalChunks int64
+}
+
+// DeltaStats returns the zero value.
+//
+// Deprecated: nothing is written as a delta any more; read Stats.
+func (l *Library) DeltaStats() DeltaStats { return DeltaStats{} }
 
 // cpBuffer is one half of the writer's double buffer: a reusable frame plus
 // the identity of the checkpoint staged in it.

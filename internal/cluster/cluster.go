@@ -314,40 +314,6 @@ func (n *Node) Size(key string) (int, bool) {
 	return len(data), true
 }
 
-// GetRange reads length bytes at offset off of a stored object, costing
-// local-read time proportional to the range — the primitive the striped
-// multi-source restore uses to fan one blob's stripes out across several
-// replicas concurrently.
-func (n *Node) GetRange(key string, off, length int, m StorageModel) ([]byte, error) {
-	n.mu.Lock()
-	if !n.alive {
-		n.mu.Unlock()
-		return nil, ErrNodeDown
-	}
-	data, ok := n.store[key]
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	if off < 0 || length < 0 || off+length > len(data) {
-		return nil, fmt.Errorf("cluster: range [%d,%d) outside %s (%d bytes)", off, off+length, key, len(data))
-	}
-	sleep(m.LocalLatency + time.Duration(length)*m.LocalPerByte)
-	// Re-check liveness after the modeled read time: a node dying while
-	// the stripe was on the wire loses the stripe, like a real RDMA read.
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
-		return nil, ErrNodeDown
-	}
-	if cur, ok := n.store[key]; !ok || len(cur) != len(data) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	cp := make([]byte, length)
-	copy(cp, data[off:off+length])
-	return cp, nil
-}
-
 // Delete removes an object from the node's local store (no error if absent).
 func (n *Node) Delete(key string) {
 	n.mu.Lock()
@@ -440,37 +406,6 @@ func (p *PFS) GetMeta(key string) ([]byte, bool) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	return cp, true
-}
-
-// Size reports a stored object's length (metadata only; no transfer cost).
-func (p *PFS) Size(key string) (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	data, ok := p.store[key]
-	if !ok {
-		return 0, false
-	}
-	return len(data), true
-}
-
-// GetRange reads length bytes at offset off of a PFS object, queueing for
-// a free stream and costing PFS time proportional to the range.
-func (p *PFS) GetRange(key string, off, length int) ([]byte, error) {
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
-	p.mu.Lock()
-	data, ok := p.store[key]
-	p.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	if off < 0 || length < 0 || off+length > len(data) {
-		return nil, fmt.Errorf("cluster: range [%d,%d) outside %s (%d bytes)", off, off+length, key, len(data))
-	}
-	sleep(p.model.PFSLatency + time.Duration(length)*p.model.PFSPerByte)
-	cp := make([]byte, length)
-	copy(cp, data[off:off+length])
-	return cp, nil
 }
 
 // Keys lists the stored PFS object keys (metadata only; no transfer cost).

@@ -77,10 +77,11 @@ type App interface {
 	// Checkpoint serializes the application state at the current iteration.
 	// The payload may be a buffer the App reuses: it need only stay valid
 	// until the next Checkpoint call. Every consumer copies it before it
-	// returns — checkpoint.Library.Write (the frame is encoded into a half
-	// of the writer's double buffer under either commit discipline) and
-	// checkpoint.MirrorEncoder.EncodeNext (the frame lands in the encoder's
-	// buffer) — so the framework never holds a payload across iterations.
+	// returns — checkpoint.Library.Write (the whole payload is framed into a
+	// half of the writer's double buffer under either commit discipline) and
+	// checkpoint.MirrorEncoder.EncodeNext (the whole payload is framed into
+	// the encoder's buffer) — so the framework never holds a payload across
+	// iterations.
 	Checkpoint(ctx *Ctx) ([]byte, error)
 	// Restore resets the application state to a checkpoint taken at
 	// iteration iter. A nil payload resets to the initial state (iter 0).

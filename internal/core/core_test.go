@@ -680,7 +680,7 @@ func TestTwoProcsPerNode(t *testing.T) {
 					}
 					if a.w != nil {
 						st := a.w.CPStream().Stats()
-						served += st.ServedFull + st.ServedDelta
+						served += st.ServedFull
 					}
 				}
 				mu.Unlock()

@@ -159,7 +159,7 @@ func shadowCfg(spares int) core.Config {
 	f.Replication = map[string]int{"state": 1}
 	return core.Config{
 		Spares: spares, FT: f, EnableHC: true, EnableCP: true, CheckpointEvery: 10,
-		CP: checkpoint.Config{CheckpointMode: checkpoint.Async, FullEvery: 4},
+		CP: checkpoint.Config{CheckpointMode: checkpoint.Async},
 	}
 }
 

@@ -178,7 +178,7 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, rec *trace.Recorder) error {
 	p := cctx.Proc
 	primary := int(p.Rank()) - 1 // inverse of ft.ShadowOf
-	cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), ft.DefaultCPStreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
+	cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), ft.DefaultCPStreamBytes, 0, cfg.FT.CommTimeout)
 	if err != nil {
 		return err
 	}
@@ -189,7 +189,7 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	apply := func(key string, blob []byte) error {
 		// A torn or corrupt frame is acked anyway (dropping the ack would
 		// stall the primary's compute loop for the full push timeout); the
-		// mirror marks itself torn and self-heals at the next full base.
+		// mirror marks itself torn and heals at the next intact frame.
 		if aerr := mirror.Apply(blob); aerr != nil {
 			rec.Inc(trace.KFTShadowTornTails, 1)
 			return nil
@@ -315,7 +315,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		// neighbor) and a receiver (the applier commits the upstream
 		// neighbor's frames to this node's local store); all the processes
 		// of a node push to the same receiver, each into its own slot.
-		cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), ft.DefaultCPStreamBytes, cfg.CP.ChunkSize(), cfg.FT.CommTimeout)
+		cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), ft.DefaultCPStreamBytes, 0, cfg.FT.CommTimeout)
 		if err != nil {
 			return err
 		}
@@ -364,13 +364,13 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	}
 
 	// Shadowed primaries mirror their state to the hot shadow after every
-	// completed iteration: one delta frame over the checkpoint stream,
+	// completed iteration: one frame over the checkpoint stream,
 	// ack-blocked, so on return the shadow's live image includes it. The
 	// shadow that took over its own rank has no shadow of its own anymore.
 	var mirrorEnc *checkpoint.MirrorEncoder
 	mirrorTo, shadowed := ft.ShadowOf(lay, cfg.FT, ctx.Logical)
 	if shadowed && w.CPStream() != nil && p.Rank() != mirrorTo {
-		mirrorEnc = checkpoint.NewMirrorEncoder(cfg.CP.ChunkSize(), cfg.CP.FullEvery)
+		mirrorEnc = checkpoint.NewMirrorEncoder()
 	}
 	mirrorFails := 0
 
@@ -474,9 +474,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		// FD/shutdown machinery.
 		_ = w.Barrier()
 		rec.Inc(trace.KCoreCPFlushErrors, ctx.CP.ErrCount())
-		ds := ctx.CP.DeltaStats()
-		rec.Inc(trace.KCoreCPReleased, ds.Released)
-		rec.Inc(trace.KCoreCPPromoted, ds.Promoted)
+		rec.Inc(trace.KCoreCPReleased, ctx.CP.Stats().Released)
 	}
 
 	// The logical root reports completion: FD and idle spares shut down.
@@ -565,23 +563,21 @@ const maxMirrorPushFails = 2
 // iter is the iteration about to start — the step the shadow would resume
 // at, and the mirror version by the same convention the checkpoint store
 // uses. pushed reports whether the frame landed (on a failure the encoder
-// is rebased so the next frame is a full base); a non-nil err means the
+// abandons its buffer to the fabric); a non-nil err means the
 // shadow is known-gone (consumed as a rescue, or named dead by a notice)
 // and the caller must retire the encoder immediately.
 func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, to ft.Rank, iter int64) (pushed bool, err error) {
 	payload, err := app.Checkpoint(ctx)
 	if err != nil {
 		// Serialization failure is app-fatal elsewhere; for the mirror it
-		// only means this frame is skipped — rebase so the chain restarts.
-		enc.Rebase()
+		// only means this frame is skipped.
 		return true, nil
 	}
 	blob := enc.EncodeNext(ctx.Logical, iter, payload)
-	if perr := w.CPStream().PushTyped(to, "mirror/"+stateName, blob, streamFrameKind(blob)); perr != nil {
+	if perr := w.CPStream().Push(to, "mirror/"+stateName, blob); perr != nil {
 		// The fabric may still reference the frame buffer after a timeout;
 		// hand it to the GC rather than reusing it.
 		enc.Abandon()
-		enc.Rebase()
 		if n := w.Machine().Notice(); n != nil &&
 			int(to) < len(n.Status) && n.Status[to] != ft.StatusIdle {
 			return false, perr
@@ -614,14 +610,13 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 // The agreement is a verified loop, not a single allreduce: each round
 // takes the minimum of every member's proposal, every member then
 // actually fetches the agreed version, and a second allreduce confirms
-// everyone succeeded. With delta chains in the store, restorability is
-// not monotonic in version (a chain broken by lost replicas can hole out
-// an old version while a newer full base stays intact), so a version
-// below some member's newest can still be unrestorable for it — as is
-// anything behind the store's retention window (checkpoint.Library keeps,
-// per family, the generation that last sealed on both of its stores and
-// everything back to the newest full base two or more generations behind
-// it: two being how far the double-buffered writer lets one member's sealed
+// everyone succeeded. A version below some member's newest can still be
+// unrestorable for it: every replica of that version may have been lost
+// with the failed node while a newer one survived elsewhere, a source can
+// die between the seal scan and the read, and anything behind the store's
+// retention window is gone (checkpoint.Library keeps, per family, the
+// generation that last sealed on both of its stores and the two behind it:
+// two being how far the double-buffered writer lets one member's sealed
 // copy trail its peers', so the first agreement lands inside every
 // member's window unless a writer had fallen further behind than that). A
 // failed fetch retreats the proposal below the failed version and the loop
@@ -736,19 +731,10 @@ type cpStreamTransport struct {
 func (t *cpStreamTransport) Push(nbNode int, key string, blob []byte) error {
 	for _, r := range t.w.RankMap().Snapshot() {
 		if t.cctx.Cluster.NodeOf(r) == nbNode {
-			return t.w.CPStream().PushTyped(r, key, blob, streamFrameKind(blob))
+			return t.w.CPStream().Push(r, key, blob)
 		}
 	}
 	return fmt.Errorf("core: no worker rank hosted on neighbor node %d", nbNode)
-}
-
-// streamFrameKind types a checkpoint frame — a replica or a mirror frame,
-// one encoder writes both — for the stream's full/delta accounting.
-func streamFrameKind(blob []byte) ft.CPFrameKind {
-	if checkpoint.IsDeltaFrame(blob) {
-		return ft.CPFrameDelta
-	}
-	return ft.CPFrameFull
 }
 
 // workerNodes maps the current worker physical ranks to their hosting

@@ -61,10 +61,9 @@ type AsyncModeRow struct {
 	PerIter time.Duration
 	// Checkpoints is the number of state checkpoints the slowest rank took.
 	Checkpoints int64
-	// Released and Promoted sum, over the ranks, the generations the store's
-	// retention rule freed and the deltas the chain encoder wrote as bases
-	// (checkpoint.DeltaStats).
-	Released, Promoted int64
+	// Released sums, over the ranks, the generations the store's retention
+	// rule freed (checkpoint.WriterStats).
+	Released int64
 }
 
 // AsyncFaultRow is one faulted run (one failure at 60% of the run).
@@ -114,7 +113,6 @@ func RunAsyncSweep(c AsyncSweepConfig) (*AsyncSweepResult, error) {
 				PerIter:     cp / time.Duration(c.Iters),
 				Checkpoints: sum.MaxCounter[trace.KCoreCheckpoints],
 				Released:    sum.SumCounter[trace.KCoreCPReleased],
-				Promoted:    sum.SumCounter[trace.KCoreCPPromoted],
 			})
 		}
 	}
@@ -172,10 +170,9 @@ func (r *AsyncSweepResult) Render() string {
 			fmt.Sprintf("%.1f", float64(row.PerIter.Microseconds())),
 			fmt.Sprintf("%d", row.Checkpoints),
 			fmt.Sprintf("%d", row.Released),
-			fmt.Sprintf("%d", row.Promoted),
 		})
 	}
-	b.WriteString(trace.Table([]string{"period", "mode", "wall[s]", "cp-visible[s]", "per-iter[µs]", "cps", "released", "promoted"}, rows))
+	b.WriteString(trace.Table([]string{"period", "mode", "wall[s]", "cp-visible[s]", "per-iter[µs]", "cps", "released"}, rows))
 
 	// Headline: visible-overhead reduction at the tightest period.
 	if len(r.Rows) >= 2 {

@@ -50,10 +50,9 @@ type CPIntervalRow struct {
 	// RedoIters is the iteration count behind Redo: the most iterations
 	// any one rank re-executed after the recovery.
 	RedoIters int64
-	// Released and Promoted sum, over the ranks that finished, the
-	// generations the store's retention rule freed and the deltas the chain
-	// encoder wrote as bases (checkpoint.DeltaStats).
-	Released, Promoted int64
+	// Released sums, over the ranks that finished, the generations the
+	// store's retention rule freed (checkpoint.WriterStats).
+	Released int64
 }
 
 // CPSweepResult is the full study.
@@ -108,7 +107,6 @@ func RunCPSweep(c CPSweepConfig) (*CPSweepResult, error) {
 			Redo:      sum.Max[trace.PhaseRedoWork],
 			RedoIters: sum.MaxCounter[trace.KCoreRedoIters],
 			Released:  sum.SumCounter[trace.KCoreCPReleased],
-			Promoted:  sum.SumCounter[trace.KCoreCPPromoted],
 		})
 	}
 
@@ -167,10 +165,9 @@ func (r *CPSweepResult) Render() string {
 			fmt.Sprintf("%.4f", iv.CPPhase.Seconds()),
 			fmt.Sprintf("%.3f", iv.Redo.Seconds()),
 			fmt.Sprintf("%d", iv.Released),
-			fmt.Sprintf("%d", iv.Promoted),
 		})
 	}
-	b.WriteString(trace.Table([]string{"interval", "wall[s]", "cp-visible[s]", "redo[s]", "released", "promoted"}, rows))
+	b.WriteString(trace.Table([]string{"interval", "wall[s]", "cp-visible[s]", "redo[s]", "released"}, rows))
 	fmt.Fprintf(&b, "\nYoung/Daly optimum ≈ %.0f iterations (from measured per-checkpoint cost)\n", r.DalyOptimal)
 	return b.String()
 }

@@ -78,10 +78,6 @@ type ScenarioSpec struct {
 	Async bool
 	// PFSEvery writes every k-th checkpoint version also to the PFS.
 	PFSEvery int
-	// FullEvery is the checkpoint chain's full-base cadence (every k-th
-	// generation a full base, dirty-chunk deltas between; 0 = every
-	// generation full).
-	FullEvery int
 	// Replication assigns hot shadows to the first k logical ranks (the
 	// ft.Config.Replication degree for the state family).
 	Replication int
@@ -221,15 +217,13 @@ func (c ScenarioMatrixConfig) Specs() []ScenarioSpec {
 			Spares: 2, Async: true, Expect: OutcomeRecovered,
 		},
 		{
-			// The delta engine under fire: incremental checkpoints (full
-			// base every 4th generation, dirty-chunk deltas between) with a
-			// mid-iteration kill -9. The victim's restore must reassemble a
-			// base+delta chain from the surviving replicas and the answer
-			// must stay bit-correct — the "recovered with the delta engine
-			// enabled" gate of the recovery trajectory.
-			Scenario: cluster.Scenario{Name: "kill -9, delta checkpoints",
+			// The async writer under fire: a mid-iteration kill -9 with the
+			// checkpoint flush off the application's path. The victim's
+			// restore must read a sealed replica from the surviving stores
+			// and the answer must stay bit-correct.
+			Scenario: cluster.Scenario{Name: "kill -9, async checkpoints",
 				Events: []cluster.FaultEvent{at(cluster.ProcKill, 1, mid)}},
-			Spares: 2, Async: true, FullEvery: 4, Expect: OutcomeRecovered,
+			Spares: 2, Async: true, Expect: OutcomeRecovered,
 		},
 		{
 			Scenario: cluster.Scenario{Name: "network drop",
@@ -283,7 +277,7 @@ func (c ScenarioMatrixConfig) Specs() []ScenarioSpec {
 			// recomputed anywhere in the group.
 			Scenario: cluster.Scenario{Name: "kill shadowed primary",
 				Events: []cluster.FaultEvent{at(cluster.ProcKill, 1, mid)}},
-			Spares: 2, Async: true, FullEvery: 4,
+			Spares: 2, Async: true,
 			Replication: 2, Expect: OutcomeRecovered, WantZeroRedo: true,
 		},
 		{
@@ -460,7 +454,6 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 			CP: checkpoint.Config{
 				CheckpointMode: cpMode,
 				PFSEvery:       spec.PFSEvery,
-				FullEvery:      spec.FullEvery,
 			},
 		},
 		App: apps.LanczosConfig{

@@ -46,34 +46,20 @@ const (
 // via the checkpoint library's Err and ErrCount).
 const DefaultCPStreamBytes = 1 << 20
 
-// cpFrameHeader is [4B sender rank][4B key length][4B blob length]
-// [4B frame kind].
-const cpFrameHeader = 16
+// cpFrameHeader is [4B sender rank][4B key length][4B blob length].
+const cpFrameHeader = 12
 
-// CPFrameKind types a checkpoint-stream frame. With the incremental
-// checkpoint engine on, most pushes are delta frames whose size shrinks
-// with the dirty fraction; the kind travels in the stream header so both
-// endpoints can account full vs delta traffic without understanding the
-// checkpoint library's wire format.
-type CPFrameKind uint32
-
-// Checkpoint-stream frame kinds.
-const (
-	// CPFrameFull is a self-contained full base generation.
-	CPFrameFull CPFrameKind = iota
-	// CPFrameDelta is a dirty-chunk delta generation.
-	CPFrameDelta
-)
-
-// CPStreamStats counts checkpoint-stream traffic by frame kind; Pushed*
-// totals are sender-side (successful pushes), Served* receiver-side.
+// CPStreamStats counts checkpoint-stream traffic; Pushed* totals are
+// sender-side (successful pushes), Served* receiver-side.
 type CPStreamStats struct {
-	PushedFull   int64
-	PushedDelta  int64
-	PushedFullB  int64
+	PushedFull  int64
+	PushedFullB int64
+	ServedFull  int64
+	// PushedDeltaB always reads 0.
+	//
+	// Deprecated: the stream no longer types frames; every byte pushed is
+	// counted in PushedFullB.
 	PushedDeltaB int64
-	ServedFull   int64
-	ServedDelta  int64
 }
 
 // ErrCPFrameTooLarge reports a checkpoint frame exceeding the staging
@@ -116,7 +102,7 @@ type CPStream struct {
 	stats   CPStreamStats
 }
 
-// Stats returns the per-frame-kind traffic counters.
+// Stats returns the traffic counters.
 func (s *CPStream) Stats() CPStreamStats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
@@ -176,17 +162,10 @@ func NewCPStream(p *gaspi.Proc, node []gaspi.Rank, segBytes, chunk int, timeout 
 // still reference blob — the caller must abandon the buffer to the
 // garbage collector rather than reuse it (the async checkpoint writer
 // does exactly that).
-func (s *CPStream) Push(to gaspi.Rank, key string, blob []byte) error {
-	return s.PushTyped(to, key, blob, CPFrameFull)
-}
-
-// PushTyped is Push declaring the frame kind (the framework types pushes
-// by sniffing the checkpoint library's frame magic, keeping the stream
-// agnostic of that wire format).
-func (s *CPStream) PushTyped(to gaspi.Rank, key string, blob []byte, kind CPFrameKind) (err error) {
+func (s *CPStream) Push(to gaspi.Rank, key string, blob []byte) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if died := gaspi.Protect(func() { err = s.push(to, key, blob, kind) }); died {
+	if died := gaspi.Protect(func() { err = s.push(to, key, blob) }); died {
 		err = errCPDied
 	}
 	if err != nil {
@@ -196,25 +175,20 @@ func (s *CPStream) PushTyped(to gaspi.Rank, key string, blob []byte, kind CPFram
 		return err
 	}
 	s.statsMu.Lock()
-	if kind == CPFrameDelta {
-		s.stats.PushedDelta++
-		s.stats.PushedDeltaB += int64(len(blob))
-	} else {
-		s.stats.PushedFull++
-		s.stats.PushedFullB += int64(len(blob))
-	}
+	s.stats.PushedFull++
+	s.stats.PushedFullB += int64(len(blob))
 	s.statsMu.Unlock()
 	return nil
 }
 
-func (s *CPStream) push(to gaspi.Rank, key string, blob []byte, kind CPFrameKind) error {
+func (s *CPStream) push(to gaspi.Rank, key string, blob []byte) error {
 	if len(key)+len(blob) > s.segSize {
 		return fmt.Errorf("%w: %d bytes > %d", ErrCPFrameTooLarge, len(key)+len(blob), s.segSize)
 	}
 	// Header+key go as one small write; the blob is chunked directly from
 	// the caller's (reused) buffer — no full-frame copy per epoch, and
 	// with the zero-copy posts no per-chunk copy either.
-	hdr := s.header(key, len(blob), kind)
+	hdr := s.header(key, len(blob))
 	slotOff := int64(s.slot * s.stride)
 	if err := s.p.WriteFrom(to, SegCP, slotOff, hdr, CPQueue); err != nil {
 		return err
@@ -263,7 +237,7 @@ func (s *CPStream) push(to gaspi.Rank, key string, blob []byte, kind CPFrameKind
 }
 
 // header encodes a frame's header and key into the reused staging buffer.
-func (s *CPStream) header(key string, blobLen int, kind CPFrameKind) []byte {
+func (s *CPStream) header(key string, blobLen int) []byte {
 	need := cpFrameHeader + len(key)
 	if cap(s.hdrBuf) < need {
 		s.hdrBuf = make([]byte, need)
@@ -272,7 +246,6 @@ func (s *CPStream) header(key string, blobLen int, kind CPFrameKind) []byte {
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(s.p.Rank()))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(key)))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(blobLen))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(kind))
 	copy(hdr[cpFrameHeader:], key)
 	return hdr
 }
@@ -340,7 +313,6 @@ func (s *CPStream) serveOne(slot int, seq int64, store func(key string, blob []b
 	sender := gaspi.Rank(int32(binary.LittleEndian.Uint32(hdr[0:])))
 	keyLen := int(binary.LittleEndian.Uint32(hdr[4:]))
 	blobLen := int(binary.LittleEndian.Uint32(hdr[8:]))
-	kind := CPFrameKind(binary.LittleEndian.Uint32(hdr[12:]))
 	if keyLen <= 0 || blobLen < 0 || keyLen+blobLen > s.segSize {
 		return true // mangled frame (e.g. two transient senders): drop, no ack
 	}
@@ -354,11 +326,7 @@ func (s *CPStream) serveOne(slot int, seq int64, store func(key string, blob []b
 		return true // corrupt frame: drop without ack, sender times out
 	}
 	s.statsMu.Lock()
-	if kind == CPFrameDelta {
-		s.stats.ServedDelta++
-	} else {
-		s.stats.ServedFull++
-	}
+	s.stats.ServedFull++
 	s.statsMu.Unlock()
 	if err := s.p.Notify(sender, SegCP, NotifCPAck, seq, CPAckQueue); err != nil {
 		return true

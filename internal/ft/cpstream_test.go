@@ -299,7 +299,7 @@ func TestCPStreamSenderDiesBetweenChunks(t *testing.T) {
 		case 0:
 			// Push's own writes, cut after the first chunk.
 			const key = "cp/state/0/v1"
-			if err := p.WriteFrom(2, SegCP, 0, s.header(key, len(torn), CPFrameFull), CPQueue); err != nil {
+			if err := p.WriteFrom(2, SegCP, 0, s.header(key, len(torn)), CPQueue); err != nil {
 				return err
 			}
 			if err := p.WriteFrom(2, SegCP, int64(cpFrameHeader+len(key)), torn[:chunk], CPQueue); err != nil {

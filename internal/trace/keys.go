@@ -22,11 +22,9 @@ const (
 	KCoreRestoreRetreats     = "core.restore_retreats"
 	KCoreAgreementViolations = "core.agreement_violations"
 
-	// checkpoint.DeltaStats at the end of a rank's run: generations the
-	// store's retention rule released, and deltas the chain encoder wrote as
-	// bases because they were no smaller.
+	// checkpoint.WriterStats.Released at the end of a rank's run: the
+	// generations the store's retention rule released.
 	KCoreCPReleased = "core.cp_released"
-	KCoreCPPromoted = "core.cp_promoted"
 
 	// Per-phase TTR decomposition around core.recoverAndReload.
 	KCoreTTRRebuildNS = "core.ttr.rebuild_ns"
