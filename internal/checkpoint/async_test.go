@@ -136,6 +136,72 @@ func TestAsyncDoubleBufferBackPressure(t *testing.T) {
 	}
 }
 
+// framesTransport is a gatedTransport that reports the backing array of
+// every frame it is handed to push.
+type framesTransport struct {
+	gatedTransport
+	frames chan *byte
+}
+
+func (f framesTransport) Push(nb int, key string, blob []byte) error {
+	f.frames <- &blob[0]
+	return f.gatedTransport.Push(nb, key, blob)
+}
+
+// TestSyncWriterMakesSecondHalfOnDemand: a Sync writer whose flushes finish
+// between Writes stages every checkpoint in one buffer half, one frame
+// backing array. Only a Write made while that half is in flight creates
+// the second, and the Write after it waits for one of the two.
+func TestSyncWriterMakesSecondHalfOnDemand(t *testing.T) {
+	cl := testCluster(t, 2)
+	// One grant and one frame per Write, five Writes.
+	tr := framesTransport{gatedTransport{cl: cl, grant: make(chan struct{}, 5)}, make(chan *byte, 5)}
+	lib := New(cl, 0, Config{CheckpointMode: Sync}, tr)
+	defer lib.Stop()
+	lib.SetWorkerNodes([]int{0, 1})
+	stalled := make(chan struct{}, 1)
+	lib.stallHook = func() { stalled <- struct{}{} }
+	for v := int64(1); v <= 2; v++ {
+		tr.grant <- struct{}{}
+		if err := lib.Write("state", 0, v, asyncPayload(v)); err != nil {
+			t.Fatal(err)
+		}
+		lib.WaitIdle()
+	}
+	if v1, v2 := <-tr.frames, <-tr.frames; v1 != v2 {
+		t.Fatal("two Writes whose flushes finished in between staged into two frames")
+	}
+	if n := lib.halves.Load(); n != 1 {
+		t.Fatalf("%d buffer halves after Writes that never overlapped a flush", n)
+	}
+	if err := lib.Write("state", 0, 3, asyncPayload(3)); err != nil {
+		t.Fatal(err)
+	}
+	held := <-tr.frames // v3's push has begun and is held: its half is in flight
+	if err := lib.Write("state", 0, 4, asyncPayload(4)); err != nil {
+		t.Fatal(err)
+	}
+	if len(stalled) != 0 || lib.halves.Load() != 2 {
+		t.Fatalf("the Write beside a held flush stalled (%d) or made no second half (%d halves)", len(stalled), lib.halves.Load())
+	}
+	fifth := make(chan error, 1)
+	go func() { fifth <- lib.Write("state", 0, 5, asyncPayload(5)) }()
+	<-stalled // v3 is pushing, v4 is staged: v5 waits
+	for range 3 {
+		tr.grant <- struct{}{}
+	}
+	if err := <-fifth; err != nil {
+		t.Fatal(err)
+	}
+	lib.WaitIdle()
+	if v4 := <-tr.frames; v4 == held {
+		t.Fatal("v4 was staged into the half whose push was held")
+	}
+	if s := lib.Stats(); s.Staged != 5 || s.Flushed != 5 || s.StallTime == 0 || lib.halves.Load() != 2 {
+		t.Fatalf("stats = %+v with %d halves", s, lib.halves.Load())
+	}
+}
+
 // tearingTransport is a nodeTransport whose push of generation at kills
 // the writer's node mid-frame (the node's local copies die with it, exactly
 // the scenario neighbor checkpoints exist for). The frame was still in

@@ -24,8 +24,9 @@
 // One writer goroutine per Library flushes a double buffer: Write encodes
 // the frame into a free half and hands it over, and the writer replicates
 // it — neighbor push through the one Transport, optional PFS copy, pruning
-// — while the application computes. Write blocks for a free half only when
-// both are in flight (the writer is two checkpoints behind). The commit
+// — while the application computes. The second half is created only when
+// a Write finds the first in flight, and Write blocks for a free half only
+// when both are (the writer is two checkpoints behind). The commit
 // discipline (CheckpointMode) only says where the local commit runs:
 //
 //   - Sync (the paper's library): inside Write, which returns its error.
@@ -57,6 +58,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 )
@@ -131,13 +133,15 @@ type Library struct {
 	neighbor  int // neighboring node id; -1 when none
 	flushHook func(logical int, version int64)
 
-	// The writer's double buffer: free is the pool of the two halves, work
-	// carries staged halves to the writer goroutine.
-	free  chan *cpBuffer
-	work  chan *cpBuffer
-	wg    sync.WaitGroup  // staged halves not yet flushed
-	done  chan struct{}   // closed by Stop
-	abort <-chan struct{} // closed when the owning process dies
+	// The writer's double buffer: free is the pool of the idle halves, work
+	// carries staged halves to the writer goroutine, and halves counts the
+	// halves that exist — one until a Write finds it in flight (acquire).
+	free   chan *cpBuffer
+	halves atomic.Int32
+	work   chan *cpBuffer
+	wg     sync.WaitGroup  // staged halves not yet flushed
+	done   chan struct{}   // closed by Stop
+	abort  <-chan struct{} // closed when the owning process dies
 
 	// sendMu makes the work handoff atomic with shutdown: Stop closes
 	// done while holding it, so a staged half either lands before the
@@ -244,7 +248,7 @@ func New(cl *cluster.Cluster, nodeID int, cfg Config, tr Transport) *Library {
 		done:      make(chan struct{}),
 	}
 	l.free <- &cpBuffer{}
-	l.free <- &cpBuffer{}
+	l.halves.Store(1)
 	go l.run()
 	return l
 }

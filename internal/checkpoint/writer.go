@@ -51,13 +51,18 @@ type cpBuffer struct {
 	committed bool // Write ran the commit itself (Sync)
 }
 
-// acquire takes a free buffer half, waiting only while both are in flight —
-// the writer two checkpoints behind the application.
+// acquire takes a free buffer half. The second half is created the first
+// time the first one is in flight, so a writer that keeps up holds one
+// frame; acquire waits only while both are in flight — the writer two
+// checkpoints behind the application.
 func (l *Library) acquire() (*cpBuffer, error) {
 	select {
 	case b := <-l.free:
 		return b, nil
 	default:
+	}
+	if l.halves.CompareAndSwap(1, 2) {
+		return &cpBuffer{}, nil
 	}
 	if h := l.stallHook; h != nil {
 		h()
@@ -87,7 +92,7 @@ func (l *Library) handoff(b *cpBuffer) error {
 	default:
 	}
 	l.wg.Add(1)
-	l.work <- b // never blocks: at most two halves exist
+	l.work <- b // never blocks: at most two halves exist (acquire)
 	l.sendMu.Unlock()
 	l.statsMu.Lock()
 	l.stats.Staged++

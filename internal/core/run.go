@@ -342,15 +342,15 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	}
 	pending := activation // the acknowledged notice the loop top recovers from
 	if activation == nil {
-		// Rebuild and the initial Restore (the normalized start vector)
-		// are collective, and a peer dying inside them is recovered like a
-		// loop-phase failure — the victim's plan checkpoint is already
-		// replicated (Init waits for it before returning), so a rescue can
-		// adopt the identity, and with no state checkpoints yet the
-		// version agreement restarts the group from scratch. Only a death
-		// before the plan exists (the initial commit, Init) stays
-		// terminal: the paper's protocol covers failures from the
-		// post-pre-processing checkpoint onward.
+		// Rebuild is collective (and an app's initial Restore may be), and
+		// a peer dying inside it is recovered like a loop-phase failure —
+		// the victim's plan checkpoint is already replicated (Init waits
+		// for it before returning), so a rescue can adopt the identity,
+		// and with no state checkpoints yet the version agreement
+		// restarts the group from scratch. Only a death before the plan
+		// exists (the initial commit, Init) stays terminal: the paper's
+		// protocol covers failures from the post-pre-processing
+		// checkpoint onward.
 		serr := app.Rebuild(ctx)
 		if serr == nil {
 			serr = app.Restore(ctx, nil, 0)

@@ -193,8 +193,10 @@ func (c ScenarioMatrixConfig) Specs() []ScenarioSpec {
 			// mid-collective when the death lands: the fault-aware
 			// collective path must surface a prompt ErrConnBroken (or a
 			// clean timeout→ack) and the epoch must restart — never a hung
-			// reduction round. ~2 collectives/iteration (dot + norm), so
-			// the ordinal lands mid-run, between checkpoint boundaries.
+			// reduction round. Set-up makes three collectives and every
+			// iteration one, so ordinal 2·mid fires in iteration 2·mid−4
+			// (46 of 60 at the default interval), between checkpoint
+			// boundaries.
 			Scenario: cluster.Scenario{Name: "kill mid-allreduce",
 				Events: []cluster.FaultEvent{
 					{Kind: cluster.ProcKill, Logical: 1,

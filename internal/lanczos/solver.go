@@ -40,8 +40,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Solver runs the Lanczos iteration (the paper's Algorithm 1) on a
-// distributed matrix. Its complete state — two consecutive Lanczos vectors
-// plus the α and β coefficients — is exactly what the paper checkpoints.
+// distributed matrix, one reduction per iteration (Step). Its complete
+// state — two consecutive Lanczos vectors plus the α and β coefficients —
+// is exactly what the paper checkpoints.
 type Solver struct {
 	comm spmvm.Comm
 	eng  *spmvm.Engine
@@ -49,14 +50,13 @@ type Solver struct {
 
 	// It is the number of completed iterations.
 	It int64
-	// V is ν_j (owned chunk), VPrev is ν_{j-1}.
+	// After j = It iterations V is ω_{j+1}, the next Lanczos vector
+	// before its normalization (owned chunk), and VPrev is ν_j. At
+	// iteration 0 V is the start vector, unnormalized, and VPrev is zero.
 	V, VPrev []float64
-	// Alpha holds α_1..α_j; Beta holds β_2..β_{j+1} staged so that
-	// Beta[i] is the subdiagonal next to Alpha[i] (Beta has one entry
-	// less when the iteration is at a checkpointable boundary).
+	// Alpha holds α_1..α_j; Beta holds β_2..β_j, so that Beta[i] is the
+	// subdiagonal next to Alpha[i] (Beta has one entry less).
 	Alpha, Beta []float64
-	// beta is β_{j} entering the next iteration (norm of the last w).
-	beta float64
 	// Eigs are the latest eigenvalue estimates (lowest NumEigs).
 	Eigs []float64
 	// prevEigs supports the convergence criterion. It and Eigs are two
@@ -69,19 +69,19 @@ type Solver struct {
 	// allocates. Set-up does not pay for it: a solve that never updates
 	// its estimates in the loop never allocates it.
 	ql []float64
-	// w is scratch for A·v.
+	// w is scratch for A·ω.
 	w []float64
-	// red holds the reusable scalar-reduction buffers, so the
-	// per-iteration dot products and norms allocate nothing on the
-	// collective fast path.
+	// red holds the reusable reduction buffers, so the per-iteration
+	// reduction allocates nothing on the collective fast path.
 	red spmvm.DotScratch
 	// cp is CheckpointPayload's staging buffer, sized on first use for the
 	// largest state the solver reaches (MaxIters coefficients) and reused.
 	cp []byte
 }
 
-// New creates a solver with the deterministic start vector. The start
-// normalization is collective: every worker must call New together.
+// New creates a solver with the deterministic start vector. It does not
+// communicate: the start vector's norm comes out of the first Step's
+// reduction.
 func New(c spmvm.Comm, eng *spmvm.Engine, opts Options) (*Solver, error) {
 	s := NewShell(c, eng, opts)
 	if err := s.ResetStart(); err != nil {
@@ -108,11 +108,10 @@ func NewShell(c spmvm.Comm, eng *spmvm.Engine, opts Options) *Solver {
 }
 
 // ResetStart (re)initializes the solver to iteration 0 with the
-// deterministic normalized start vector. Collective (one Norm2); every
-// group member must call it together — the cold-restart path when no
-// consistent checkpoint survives. It writes into the solver's own slices,
-// so a reset of the shape the solver holds allocates nothing but what the
-// collective does.
+// deterministic start vector, unnormalized — the cold-restart path when no
+// consistent checkpoint survives. It makes no collective (the first Step
+// normalizes) and writes into the solver's own slices, so a reset of the
+// shape the solver holds allocates nothing.
 func (s *Solver) ResetStart() error {
 	n := s.eng.LocalRows()
 	s.V = resized(s.V, n)
@@ -120,21 +119,11 @@ func (s *Solver) ResetStart() error {
 	clear(s.VPrev)
 	s.w = resized(s.w, n)
 	s.Alpha, s.Beta, s.Eigs, s.prevEigs = s.Alpha[:0], s.Beta[:0], s.Eigs[:0], s.prevEigs[:0]
-	s.It, s.beta = 0, 0
+	s.It = 0
 	s.converged = false
 	lo := s.eng.Plan().Lo
 	for i := range s.V {
 		s.V[i] = startEntry(s.opts.Seed, lo+int64(i))
-	}
-	norm, err := s.red.Norm2(s.comm, s.V)
-	if err != nil {
-		return err
-	}
-	if norm == 0 {
-		return fmt.Errorf("lanczos: zero start vector")
-	}
-	for i := range s.V {
-		s.V[i] /= norm
 	}
 	return nil
 }
@@ -168,51 +157,50 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Step performs one Lanczos iteration (Algorithm 1):
+// Step performs one Lanczos iteration of Algorithm 1 with a single
+// reduction. V holds ω_j, the Lanczos vector ν_j before its normalization:
 //
-//	ω ← A·ν_j;  α_j ← ω·ν_j;  ω ← ω − α_j ν_j − β_j ν_{j−1};
-//	β_{j+1} ← ‖ω‖;  ν_{j+1} ← ω/β_{j+1}
+//	u ← A·ω_j;  [β_j², α_j·β_j²] ← Σ_ranks [ω_j·ω_j, u·ω_j];
+//	ν_j ← ω_j/β_j;  ω_{j+1} ← u/β_j − α_j ν_j − β_j ν_{j−1}
 //
-// followed, every CheckEvery iterations, by the QL eigenvalue update and
-// convergence check. The update of ω and the local part of ‖ω‖² share one
-// pass over ω, which sums the squares in the order Norm2 would.
+// so α_j = (A·ν_j)·ν_j and β_j = ‖ω_j‖, as in the paper, with both sums in
+// one allreduce. The last pass writes ν_j into VPrev and ω_{j+1} into V.
+// At iteration 0 β is the start vector's norm, not a coefficient, and a
+// zero start vector is an error. Every CheckEvery iterations the QL
+// eigenvalue update and convergence check follow.
+//
+// Nothing durable changes before the reduction returns, so a Step that
+// fails leaves the state it found. A reduction that finds ‖ω_j‖ < 1e-300
+// is a happy breakdown: the Krylov space is exhausted, the Step appends
+// nothing and the estimates are exact eigenvalues of the projected
+// operator.
 func (s *Solver) Step() error {
 	if err := s.eng.SpMV(s.V, s.w, s.It); err != nil {
 		return err
 	}
-	alpha, err := s.red.Dot(s.comm, s.w, s.V)
+	sq, uw, err := s.red.NormDot(s.comm, s.V, s.w)
 	if err != nil {
 		return err
 	}
-	w, beta := s.w, s.beta
-	v, vprev := s.V[:len(w)], s.VPrev[:len(w)]
-	var local float64
-	for i, wi := range w {
-		wi -= alpha*v[i] + beta*vprev[i]
-		w[i] = wi
-		local += wi * wi
-	}
-	sumSq, err := s.red.Sum(s.comm, local)
-	if err != nil {
-		return err
-	}
-	betaNext := math.Sqrt(sumSq)
-	s.Alpha = append(s.Alpha, alpha)
-	if s.It > 0 {
-		s.Beta = append(s.Beta, s.beta)
-	}
-	s.beta = betaNext
-	if betaNext < 1e-300 {
-		// Happy breakdown: the Krylov space is exhausted; estimates are
-		// exact eigenvalues of the projected operator.
-		s.It++
+	beta := math.Sqrt(sq)
+	if beta < 1e-300 {
+		if s.It == 0 {
+			return fmt.Errorf("lanczos: zero start vector")
+		}
 		s.converged = true
 		return s.updateEigs()
 	}
-	s.VPrev, s.V = s.V, s.VPrev
-	v = s.V[:len(w)]
-	for i, wi := range w {
-		v[i] = wi / betaNext
+	alpha, inv := uw/sq, 1/beta
+	u := s.w
+	w, vprev := s.V[:len(u)], s.VPrev[:len(u)]
+	for i, ui := range u {
+		vi := w[i] * inv
+		w[i] = ui*inv - alpha*vi - beta*vprev[i]
+		vprev[i] = vi
+	}
+	s.Alpha = append(s.Alpha, alpha)
+	if s.It > 0 {
+		s.Beta = append(s.Beta, beta)
 	}
 	s.It++
 	if int(s.It)%s.opts.CheckEvery == 0 {
@@ -274,11 +262,10 @@ func (s *Solver) Converged() bool { return s.converged }
 // checkpoint library and the mirror encoder do; see core.App.Checkpoint).
 func (s *Solver) CheckpointPayload() []byte {
 	if s.cp == nil {
-		// It and β, five length prefixes, the two vectors, α, β, estimates.
-		s.cp = make([]byte, 0, 8*(2+5+2*len(s.V)+2*s.opts.MaxIters+s.opts.NumEigs))
+		// It, five length prefixes, the two vectors, α, β, estimates.
+		s.cp = make([]byte, 0, 8*(1+5+2*len(s.V)+2*s.opts.MaxIters+s.opts.NumEigs))
 	}
 	b := binary.LittleEndian.AppendUint64(s.cp[:0], uint64(s.It))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.beta))
 	b = appendF64s(b, s.V)
 	b = appendF64s(b, s.VPrev)
 	b = appendF64s(b, s.Alpha)
@@ -299,7 +286,6 @@ func (s *Solver) CheckpointPayload() []byte {
 func (s *Solver) Restore(payload []byte) error {
 	d := f64decoder{data: payload}
 	it := d.u64()
-	beta := d.f64()
 	v := d.f64s()
 	vprev := d.f64s()
 	alpha := d.f64s()
@@ -317,7 +303,6 @@ func (s *Solver) Restore(payload []byte) error {
 		return fmt.Errorf("lanczos: restore: %d α and %d β coefficients at iteration %d", na, nb, it)
 	}
 	s.It = int64(it)
-	s.beta = beta
 	s.V = decodeF64s(s.V, v)
 	s.VPrev = decodeF64s(s.VPrev, vprev)
 	s.Alpha = decodeF64s(s.Alpha, alpha)
@@ -364,8 +349,6 @@ func (d *f64decoder) u64() uint64 {
 	d.off += 8
 	return v
 }
-
-func (d *f64decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
 // f64s returns the next length-prefixed vector's entries, still encoded:
 // 8 bytes each, a view of d.data.

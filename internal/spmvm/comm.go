@@ -68,7 +68,7 @@ type Comm interface {
 
 // CollInto is the allocation-free collective half of Comm: an allreduce
 // writing its result into a caller-provided vector, backed by the
-// registered-segment collective fast path. Dot and Norm2 use it.
+// registered-segment collective fast path. DotScratch.NormDot uses it.
 type CollInto interface {
 	AllreduceF64Into(in, out []float64, op gaspi.ReduceOp) error
 }

@@ -2,7 +2,6 @@ package spmvm
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -521,48 +520,30 @@ func mulRange(s *splitCSR, x, y []float64, add bool, lo, hi int) {
 	}
 }
 
-// DotScratch holds the reusable single-element reduction buffers of the
-// scalar collectives. Slicing its (heap-resident) arrays through the
-// Comm's AllreduceF64Into allocates nothing, so a caller holding one —
-// the Lanczos solver keeps one per instance — runs its per-iteration dot
-// products and norms allocation-free end to end on the fast path.
+// DotScratch holds the reusable two-element reduction buffers of the
+// Lanczos iteration's one collective. Slicing its (heap-resident) arrays
+// through the Comm's AllreduceF64Into allocates nothing, so a caller
+// holding one — the Lanczos solver keeps one per instance — runs its
+// per-iteration reduction allocation-free end to end on the fast path.
 type DotScratch struct {
-	in, out [1]float64
+	in, out [2]float64
 }
 
-// Dot computes the global dot product of the owned chunks a·b: a local
-// accumulation in index order, then Sum.
+// NormDot returns the global w·w and u·w over the owned chunks: one local
+// pass accumulating both partials in index order, then one two-element
+// sum-allreduce (the registered-segment fast path runs it without
+// encode/decode).
 //
 //ftlint:hotpath
-func (d *DotScratch) Dot(c Comm, a, b []float64) (float64, error) {
-	b = b[:len(a)]
-	var local float64
-	for i, ai := range a {
-		local += ai * b[i]
+func (d *DotScratch) NormDot(c Comm, w, u []float64) (ww, uw float64, err error) {
+	u = u[:len(w)]
+	for i, wi := range w {
+		ww += wi * wi
+		uw += u[i] * wi
 	}
-	return d.Sum(c, local)
-}
-
-// Sum is the reduction half of Dot: the global sum of every rank's local
-// partial, via the Into form of the allreduce (the registered-segment fast
-// path runs the single-element reduction without encode/decode). A caller
-// that computes its partial inside another loop — the Lanczos update and
-// its norm — saves the pass over the vector Dot would make.
-//
-//ftlint:hotpath
-func (d *DotScratch) Sum(c Comm, local float64) (float64, error) {
-	d.in[0] = local
-	if err := c.AllreduceF64Into(d.in[:], d.out[:], gaspi.OpSum); err != nil {
-		return 0, err
+	d.in = [2]float64{ww, uw}
+	if err = c.AllreduceF64Into(d.in[:], d.out[:], gaspi.OpSum); err != nil {
+		return 0, 0, err
 	}
-	return d.out[0], nil
-}
-
-// Norm2 computes the global 2-norm of the owned chunk.
-func (d *DotScratch) Norm2(c Comm, a []float64) (float64, error) {
-	v, err := d.Dot(c, a, a)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
+	return d.out[0], d.out[1], nil
 }

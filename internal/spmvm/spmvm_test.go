@@ -482,24 +482,21 @@ func TestEngineThreadedMatchesSerial(t *testing.T) {
 	})
 }
 
+// TestDotAndNorm: NormDot returns the global w·w and u·w from one
+// two-element reduction.
 func TestDotAndNorm(t *testing.T) {
 	runWorkers(t, 4, func(c Comm) error {
-		// Each worker owns 2 entries, all ones: dot = 8, norm = sqrt(8).
-		a := []float64{1, 1}
+		// Each worker owns 2 entries: w all ones, u = [rank, 3]; so
+		// w·w = 8 and u·w = (0+1+2+3) + 4·3 = 18.
+		w := []float64{1, 1}
+		u := []float64{float64(c.Logical()), 3}
 		var s DotScratch
-		d, err := s.Dot(c, a, a)
+		ww, uw, err := s.NormDot(c, w, u)
 		if err != nil {
 			return err
 		}
-		if d != 8 {
-			return fmt.Errorf("dot = %v", d)
-		}
-		n, err := s.Norm2(c, a)
-		if err != nil {
-			return err
-		}
-		if math.Abs(n-math.Sqrt(8)) > 1e-14 {
-			return fmt.Errorf("norm = %v", n)
+		if ww != 8 || uw != 18 {
+			return fmt.Errorf("w·w = %v, u·w = %v; want 8 and 18", ww, uw)
 		}
 		return nil
 	})
