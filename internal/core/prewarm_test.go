@@ -373,9 +373,10 @@ func TestShadowPrewarmFetchFailureIsNotFatal(t *testing.T) {
 // pushed a frame, so nothing ever triggered the warm-up. The shadow is a
 // cold rescue with no mirror, as it was before the warm-up existed: no
 // warm-up outcome is counted, the one App is built after the activation,
-// and the group restarts from the store: every member finds the live rung
-// empty (one fallback each) and goes down the ladder on the communication
-// structures it rebuilt ONCE for the epoch.
+// and the group restarts from the store: the shadow's empty mirror offers
+// no candidate, so the agreement falls through to the store (one fallback,
+// counted by the shadow alone), and every member restores on the
+// communication structures it rebuilt ONCE for the epoch.
 func TestShadowWithoutMirrorFrameRecoversCold(t *testing.T) {
 	want := referenceEigs(t)
 	h := newWarmHooks()
@@ -403,13 +404,17 @@ func TestShadowWithoutMirrorFrameRecoversCold(t *testing.T) {
 		trace.KCorePrewarmFailed:     0,
 		trace.KFTShadowAppliedFrames: 0,
 		trace.KFTShadowFailovers:     0,
-		trace.KFTShadowFallbacks:     testWorker,
+		trace.KFTShadowFallbacks:     1,
 		trace.KFDRecoveries:          1,
 	})
 	members := append(lay.InitialActPhys()[1:], shadowRank)
 	for _, r := range members {
-		if n := job.Recorders[r].Counter(trace.KFTShadowFallbacks); n != 1 {
-			t.Errorf("rank %d counted %d fallbacks, want 1", r, n)
+		want := int64(0)
+		if r == shadowRank {
+			want = 1
+		}
+		if n := job.Recorders[r].Counter(trace.KFTShadowFallbacks); n != want {
+			t.Errorf("rank %d counted %d fallbacks, want %d", r, n, want)
 		}
 		if n := epochRebuilds[r].Load(); n != 1 {
 			t.Errorf("rank %d rebuilt its communication structures %d times in the epoch, want 1", r, n)

@@ -163,9 +163,10 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 
 // shadowMain is the hot-shadow idle loop: receive the shadowed primary's
 // mirror frames over the checkpoint stream and apply them into a live,
-// plan-shaped image, so that on activation for that primary reload's top
-// rung installs it — no checkpoint restore — and the group resumes at the
-// mirrored step. Activated for any OTHER logical (the detector consumed this
+// plan-shaped image, so that on activation for that primary the mirror's
+// version is this rank's candidate in reload's agreement, and the group
+// resumes at the mirrored step with no checkpoint restore when everyone
+// agrees. Activated for any OTHER logical (the detector consumed this
 // shadow as a plain spare), the mirror is discarded and the cold rescue
 // path runs unchanged.
 //
@@ -220,9 +221,12 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	cps.DrainPending(apply)
 	_ = p.SegmentDelete(ft.SegCP)
 	var fo *failoverState
-	if logical == primary && !mirror.Torn() {
+	if logical == primary {
+		// An empty or torn mirror still makes this the rescue that was to
+		// hold it: its candidate is noCheckpoint, and the fallback counts.
+		fo = &failoverState{version: noCheckpoint}
 		if payload, version, ok := mirror.Snapshot(); ok {
-			fo = &failoverState{version: version, payload: payload}
+			fo.version, fo.payload = version, payload
 		}
 	}
 	if warm.app != nil {
@@ -488,10 +492,11 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 
 // failoverState is a hot shadow's pending mirror adoption, threaded into
 // the recovery reload: the mirrored application image and the logical step
-// it reflects. It is nil on every rank except a freshly activated shadow
-// taking over the rank it mirrored, and stays pending across compound
-// epoch restarts until the mirror is either adopted (the agreement on
-// reload's top rung succeeds) or superseded by a checkpoint restore.
+// it reflects (noCheckpoint for an empty or torn mirror). It is nil on
+// every rank except a freshly activated shadow taking over the rank it
+// mirrored, and stays pending across compound epoch restarts until the
+// mirror is either adopted (reload's agreement resumes live) or superseded
+// by a checkpoint restore.
 type failoverState struct {
 	version int64
 	payload []byte
@@ -509,7 +514,7 @@ type failoverState struct {
 // Alongside the state machine's own phase accounting (ft.phase.*), the
 // wall time of the complete recovery is decomposed into core.ttr.* trace
 // counters (rebuild = group reconstruction, restore = data
-// re-initialization from whichever rung supplied the state,
+// re-initialization from the live state or the store,
 // resume = the machine's epoch completion, total = everything from the
 // acknowledged notice to the worker re-entering the loop) — the per-phase
 // time-to-recover breakdown the recovery benchmark trajectory tracks — and
@@ -589,40 +594,39 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 
 // reload is the data re-initialization step (OHF3): refresh the
 // fault-aware checkpoint library, rebuild communication structures (once:
-// every source of state below needs them), and install the application
-// state from the first rung of one ladder the whole group can stand on.
+// every source of state below needs them), and agree on the one state the
+// whole group resumes from.
 //
-// The top rung is the live mirror. Iff the epoch's notice says the single
-// victim's own hot shadow took over (ft.ShadowTookOver: every member
-// derives the same answer, so the collective runs on all of them or none),
-// one agreement collective settles whether the takeover is sound: every
-// member contributes its candidate resume step — survivors their live
-// iteration, the shadow its mirror version, anyone without trustworthy
-// live state -1 — folded as [cand, -cand] under a min-reduce, which
-// yields the minimum and (negated) maximum in a single collective. All
-// candidates equal and non-negative: survivors keep their live state
-// untouched, the shadow installs the mirror locally, and the group
-// resumes at that step with zero recomputed iterations. A torn mirror, a
-// missing candidate, or divergence (a frame lost in the victim's final
-// push window) makes every member fall through alike — the decision reads
-// only the allreduce result — to the checkpoint rungs.
+// One agreement settles it. Every member contributes two proposals: cand,
+// the step its live state is at — a survivor's LiveIteration, a taking-over
+// shadow's mirror version, noCheckpoint for anyone without trustworthy live
+// state — and mine, its newest checkpoint version (FindLatest). A single
+// min-reduce of [cand, -cand, mine] yields the minimum and (negated)
+// maximum of cand and the minimum of mine. All candidates equal and
+// non-negative is the takeover: survivors keep their live state untouched,
+// every taking-over shadow installs its mirror, and the group resumes at
+// that step with zero recomputed iterations — after any number of victims,
+// as long as each was replaced by its own up-to-date shadow. Otherwise (a
+// cold rescue, a torn or empty mirror, a frame lost in a victim's final
+// push window) every member falls through alike, since the decision reads
+// only the allreduce result, to the version the same collective agreed on.
 //
-// The agreement is a verified loop, not a single allreduce: each round
-// takes the minimum of every member's proposal, every member then
-// actually fetches the agreed version, and a second allreduce confirms
-// everyone succeeded. A version below some member's newest can still be
-// unrestorable for it: every replica of that version may have been lost
-// with the failed node while a newer one survived elsewhere, a source can
-// die between the seal scan and the read, and anything behind the store's
-// retention window is gone (checkpoint.Library keeps, per family, the
-// generation that last sealed on both of its stores and the two behind it:
-// two being how far the double-buffered writer lets one member's sealed
-// copy trail its peers', so the first agreement lands inside every
-// member's window unless a writer had fallen further behind than that). A
-// failed fetch retreats the proposal below the failed version and the loop
-// re-agrees; members that fetched fine discard the payload and follow,
-// keeping the group consistent. The loop strictly decreases the agreed
-// version, ending at worst in the restart-from-scratch branch.
+// The store path is a verified loop: every member fetches the agreed
+// version, and a second allreduce confirms everyone succeeded. A version
+// below some member's newest can still be unrestorable for it: every
+// replica of that version may have been lost with the failed node while a
+// newer one survived elsewhere, a source can die between the seal scan and
+// the read, and anything behind the store's retention window is gone
+// (checkpoint.Library keeps, per family, the generation that last sealed
+// on both of its stores and the two behind it: two being how far the
+// double-buffered writer lets one member's sealed copy trail its peers', so
+// the first agreement lands inside every member's window unless a writer
+// had fallen further behind than that). A failed fetch retreats the
+// proposal below the failed version and the group re-agrees on mine alone;
+// members that fetched fine discard the payload and follow, keeping the
+// group consistent. The loop strictly decreases the agreed version, ending
+// at worst in the restart-from-scratch branch. An epoch therefore makes one
+// collective on a takeover and two plus one per retreat on a restore.
 func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 	stop := ctx.Rec.Start(trace.PhaseReinit)
 	defer stop()
@@ -634,44 +638,38 @@ func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 		return 0, err
 	}
 
-	if ft.ShadowTookOver(ctx.Layout, ctx.Cfg.FT, ctx.Worker.Machine().Notice()) {
-		cand := noCheckpoint
-		if fo != nil {
-			cand = fo.version
-		} else if li, ok := app.(interface{ LiveIteration(*Ctx) (int64, bool) }); ok {
-			if v, valid := li.LiveIteration(ctx); valid {
-				cand = v
-			}
+	cand, mine := noCheckpoint, noCheckpoint
+	if fo != nil {
+		cand = fo.version
+	} else if li, ok := app.(interface{ LiveIteration(*Ctx) (int64, bool) }); ok {
+		if v, valid := li.LiveIteration(ctx); valid {
+			cand = v
 		}
-		agreed, err := ctx.Worker.AllreduceI64([]int64{cand, -cand}, gaspi.OpMin)
-		if err != nil {
-			return 0, err
-		}
-		if lo, hi := agreed[0], -agreed[1]; lo >= 0 && lo == hi {
-			if fo != nil {
-				if err := app.Restore(ctx, fo.payload, lo); err != nil {
-					return 0, err
-				}
-				ctx.Rec.Inc(trace.KFTShadowFailovers, 1)
-				ctx.Rec.Event(trace.KEvShadowTakeover)
-			}
-			return lo, nil
-		}
-		ctx.Rec.Inc(trace.KFTShadowFallbacks, 1)
 	}
-
-	mine := noCheckpoint
 	if ctx.CP != nil {
 		if v, ok := ctx.CP.FindLatest(stateName, ctx.Logical); ok {
 			mine = v
 		}
 	}
-	for {
-		agreed, err := ctx.Worker.AllreduceI64([]int64{mine}, gaspi.OpMin)
-		if err != nil {
-			return 0, err
+	agreed, err := ctx.Worker.AllreduceI64([]int64{cand, -cand, mine}, gaspi.OpMin)
+	if err != nil {
+		return 0, err
+	}
+	if lo, hi := agreed[0], -agreed[1]; lo >= 0 && lo == hi {
+		if fo != nil {
+			if err := app.Restore(ctx, fo.payload, lo); err != nil {
+				return 0, err
+			}
+			ctx.Rec.Inc(trace.KFTShadowFailovers, 1)
+			ctx.Rec.Event(trace.KEvShadowTakeover)
 		}
-		version := agreed[0]
+		return lo, nil
+	}
+	if fo != nil {
+		ctx.Rec.Inc(trace.KFTShadowFallbacks, 1)
+	}
+	version := agreed[2]
+	for {
 		if version == noCheckpoint {
 			// No consistent checkpoint anywhere: restart from the beginning.
 			if err := app.Restore(ctx, nil, 0); err != nil {
@@ -715,6 +713,10 @@ func reload(ctx *Ctx, app App, fo *failoverState) (int64, error) {
 		if v, ok := ctx.CP.FindLatestBelow(stateName, ctx.Logical, version); ok {
 			mine = v
 		}
+		if agreed, err = ctx.Worker.AllreduceI64([]int64{mine}, gaspi.OpMin); err != nil {
+			return 0, err
+		}
+		version = agreed[0]
 	}
 }
 

@@ -19,11 +19,13 @@ import (
 
 // EigTolerance is the relative tolerance under which a recovered run's
 // lowest eigenvalue counts as matching the serial reference, as a
-// function of the matrix dimension. Recovery legitimately regroups the
-// allreduce reduction tree, so the parallel result is not bit-identical
-// to the serial one; the accumulated reassociation error grows with the
-// vector length of the dot products, hence the sqrt(dim) scaling on top
-// of a base a few orders above double-precision roundoff. Wrong-answer
+// function of the matrix dimension. The distributed reductions sum in
+// another order than the serial solver (a recovery keeps the fault-free
+// run's order: the rebuilt group's member index is the logical rank), so
+// the parallel result is not bit-identical to the serial one; the
+// accumulated reassociation error grows with the vector length of the dot
+// products, hence the sqrt(dim) scaling on top of a base a few orders
+// above double-precision roundoff. Wrong-answer
 // classification (silent corruption) must compare against this explicit
 // envelope — a near-miss inside it is a recovered run, not corruption.
 func EigTolerance(dim int64) float64 {

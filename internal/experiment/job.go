@@ -137,11 +137,12 @@ func (r *JobRun) classify(out JobResult) (ScenarioOutcome, string) {
 	if out.Solver == nil {
 		return OutcomeFailed, "no surviving worker finished with a result"
 	}
-	// Recovery legitimately regroups the allreduce reduction tree, so
-	// only the converged lowest eigenvalue is comparable — within the
-	// explicit per-matrix-size tolerance envelope (EigTolerance): a
-	// near-miss inside it is a recovered run, outside it is the one
-	// absolutely forbidden outcome, silent corruption.
+	// The reference is the serial solver's, which sums in another order
+	// than the distributed reductions, so only the converged lowest
+	// eigenvalue is comparable — within the explicit per-matrix-size
+	// tolerance envelope (EigTolerance): a near-miss inside it is a
+	// recovered run, outside it is the one absolutely forbidden outcome,
+	// silent corruption.
 	if want := r.spec.WantEig; want != nil {
 		dim := r.spec.App.Gen.Dim()
 		if got := out.Solver.Eigs[0]; !EigMatches(got, *want, dim) {

@@ -27,19 +27,13 @@ type Notice struct {
 	// Unrecoverable reports that more workers failed than spares remain
 	// (the paper's restriction 1).
 	Unrecoverable bool
-	// FailedLogicals lists the logical worker ranks whose hosts died in
-	// this epoch (parallel to the worker entries of NewlyFailed). It is the
-	// deterministic input from which every member derives whether the
-	// epoch's single victim was replaced by its own hot shadow (see
-	// ShadowTookOver).
-	FailedLogicals []int32
 }
 
 // BoardSize returns the notice-board segment size for a layout.
 func BoardSize(l Layout) int {
-	// epoch(8) + flags(2) + counts(4+4+4+4) + status(n) + actPhys(4w) +
-	// newlyFailed(4n) + failedLogicals(4w)
-	return 26 + l.Procs + 4*l.Workers() + 4*l.Procs + 4*l.Workers()
+	// epoch(8) + flags(2) + counts(4+4+4) + status(n) + actPhys(4w) +
+	// newlyFailed(4n)
+	return 22 + l.Procs + 4*l.Workers() + 4*l.Procs
 }
 
 // Encode serializes the notice for the one-sided board write.
@@ -57,7 +51,6 @@ func (n *Notice) Encode() []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(n.Status)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(n.ActPhys)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(n.NewlyFailed)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(n.FailedLogicals)))
 	for _, s := range n.Status {
 		b = append(b, byte(s))
 	}
@@ -67,15 +60,12 @@ func (n *Notice) Encode() []byte {
 	for _, r := range n.NewlyFailed {
 		b = binary.LittleEndian.AppendUint32(b, uint32(r))
 	}
-	for _, l := range n.FailedLogicals {
-		b = binary.LittleEndian.AppendUint32(b, uint32(l))
-	}
 	return b
 }
 
 // DecodeNotice parses a notice-board image.
 func DecodeNotice(b []byte) (*Notice, error) {
-	if len(b) < 26 {
+	if len(b) < 22 {
 		return nil, fmt.Errorf("ft: notice too short (%d bytes)", len(b))
 	}
 	n := &Notice{
@@ -86,12 +76,11 @@ func DecodeNotice(b []byte) (*Notice, error) {
 	ns := int(binary.LittleEndian.Uint32(b[10:]))
 	na := int(binary.LittleEndian.Uint32(b[14:]))
 	nf := int(binary.LittleEndian.Uint32(b[18:]))
-	nl := int(binary.LittleEndian.Uint32(b[22:]))
-	need := 26 + ns + 4*na + 4*nf + 4*nl
-	if ns < 0 || na < 0 || nf < 0 || nl < 0 || len(b) < need {
+	need := 22 + ns + 4*na + 4*nf
+	if ns < 0 || na < 0 || nf < 0 || len(b) < need {
 		return nil, fmt.Errorf("ft: notice truncated: have %d bytes, need %d", len(b), need)
 	}
-	off := 26
+	off := 22
 	n.Status = make([]ProcStatus, ns)
 	for i := range n.Status {
 		n.Status[i] = ProcStatus(b[off])
@@ -107,13 +96,6 @@ func DecodeNotice(b []byte) (*Notice, error) {
 		n.NewlyFailed[i] = Rank(int32(binary.LittleEndian.Uint32(b[off:])))
 		off += 4
 	}
-	if nl > 0 {
-		n.FailedLogicals = make([]int32, nl)
-		for i := range n.FailedLogicals {
-			n.FailedLogicals[i] = int32(binary.LittleEndian.Uint32(b[off:]))
-			off += 4
-		}
-	}
 	return n, nil
 }
 
@@ -127,18 +109,6 @@ func (n *Notice) DetectorRank() Rank {
 		}
 	}
 	return NilRank
-}
-
-// WorkingRanks lists the physical ranks with StatusWorking, in rank order —
-// the membership of the reconstructed worker group.
-func (n *Notice) WorkingRanks() []Rank {
-	var out []Rank
-	for r, s := range n.Status {
-		if s == StatusWorking {
-			out = append(out, Rank(r))
-		}
-	}
-	return out
 }
 
 // RescueOf reports the logical rank that physical rank r holds in this

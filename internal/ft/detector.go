@@ -232,7 +232,6 @@ func (d *Detector) handleFailures(failed []Rank) *Notice {
 	d.epoch++
 	workerFailed := false
 	unrecoverable := false
-	var failedLogicals []int32
 	for _, r := range failed {
 		prev := d.status[r]
 		d.status[r] = StatusFailed
@@ -250,7 +249,6 @@ func (d *Detector) handleFailures(failed []Rank) *Notice {
 		if logical < 0 {
 			continue // already replaced in this epoch
 		}
-		failedLogicals = append(failedLogicals, int32(logical))
 		if spare, ok := d.pickRescue(logical); ok {
 			d.status[spare] = StatusWorking
 			d.actPhys[logical] = spare
@@ -270,13 +268,12 @@ func (d *Detector) handleFailures(failed []Rank) *Notice {
 		_ = d.p.ProcKill(r, gaspi.Block)
 	}
 	return &Notice{
-		Epoch:          d.epoch,
-		Status:         append([]ProcStatus(nil), d.status...),
-		ActPhys:        append([]Rank(nil), d.actPhys...),
-		NewlyFailed:    append([]Rank(nil), failed...),
-		WorkerFailed:   workerFailed,
-		Unrecoverable:  unrecoverable,
-		FailedLogicals: failedLogicals,
+		Epoch:         d.epoch,
+		Status:        append([]ProcStatus(nil), d.status...),
+		ActPhys:       append([]Rank(nil), d.actPhys...),
+		NewlyFailed:   append([]Rank(nil), failed...),
+		WorkerFailed:  workerFailed,
+		Unrecoverable: unrecoverable,
 	}
 }
 

@@ -27,8 +27,8 @@
 //     is created and committed (Listing 2), and data is re-initialized
 //     from the last consistent checkpoint. That collective commit is the
 //     only group repair; a hot shadow (Config.Replication) taking over its
-//     primary changes where the state comes from (ShadowTookOver), not how
-//     the group is repaired.
+//     primary changes where the state comes from, not how the group is
+//     repaired.
 //   - CPStream (cpstream.go) is the data plane of checkpoint replication,
 //     under both commit disciplines: chunked one-sided writes on a
 //     dedicated queue push sealed checkpoint frames into the ring
@@ -246,9 +246,9 @@ type Config struct {
 	// continuously applies the primary's checkpoint-stream mirror frames
 	// into live memory, so a detector NACK for a shadowed primary is
 	// absorbed with no checkpoint restore and no recomputed iterations
-	// (see ShadowTookOver). The effective degree is the maximum over all
-	// families and is capped by the number of spares; shadows consumed by
-	// a takeover (or assigned to other duties, like the FD-redundancy
+	// (core's reload agreement). The effective degree is the maximum over
+	// all families and is capped by the number of spares; shadows consumed
+	// by a takeover (or assigned to other duties, like the FD-redundancy
 	// standby) do not return to the idle pool. Nil or empty disables
 	// shadowing.
 	Replication map[string]int

@@ -143,10 +143,6 @@ func TestNoticeHelpers(t *testing.T) {
 		Status:  []ProcStatus{StatusDetector, StatusWorking, StatusFailed, StatusWorking},
 		ActPhys: []Rank{1, 3},
 	}
-	wr := n.WorkingRanks()
-	if len(wr) != 2 || wr[0] != 1 || wr[1] != 3 {
-		t.Fatalf("working: %v", wr)
-	}
 	if l, ok := n.RescueOf(3); !ok || l != 1 {
 		t.Fatalf("rescueOf(3) = %d %v", l, ok)
 	}

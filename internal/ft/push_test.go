@@ -90,12 +90,11 @@ func (j *pushJob) finish(t *testing.T) gaspi.Result {
 // these tests beyond "a worker failed, epoch 1".
 func peerFailedNotice() *Notice {
 	return &Notice{
-		Epoch:          1,
-		Status:         []ProcStatus{StatusDetector, StatusWorking, StatusFailed},
-		ActPhys:        []Rank{1, 2},
-		NewlyFailed:    []Rank{2},
-		WorkerFailed:   true,
-		FailedLogicals: []int32{1},
+		Epoch:        1,
+		Status:       []ProcStatus{StatusDetector, StatusWorking, StatusFailed},
+		ActPhys:      []Rank{1, 2},
+		NewlyFailed:  []Rank{2},
+		WorkerFailed: true,
 	}
 }
 

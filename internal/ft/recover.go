@@ -27,7 +27,8 @@ func CreateBoard(p *gaspi.Proc, lay Layout) error {
 // Machine().Resume().
 //
 // This is the only group repair: a hot shadow's takeover runs it too, and
-// differs in the caller's re-initialization step (see ShadowTookOver).
+// differs only in where the caller's re-initialization step finds the
+// state.
 func (w *Worker) Recover(n *Notice) error {
 	stop := w.rec.Start(trace.PhaseReinit)
 	defer stop()
@@ -68,13 +69,15 @@ func (w *Worker) Recover(n *Notice) error {
 		// (delete of an unknown group is a no-op).
 		w.p.GroupDelete(w.gid)
 
-		// The blocking commit is the paper's OHF2. A member of the new
-		// group dying meanwhile comes back as the FD's fresher notice,
-		// which checkNotice has already acked into the machine
-		// (GroupRebuild→Acked, counted as an epoch restart): restart with
-		// the fresher view.
+		// The blocking commit is the paper's OHF2. Members join in the
+		// rank map's order, so member index is logical rank and the
+		// collectives' reduction trees are those of the fault-free run. A
+		// member of the new group dying meanwhile comes back as the FD's
+		// fresher notice, which checkNotice has already acked into the
+		// machine (GroupRebuild→Acked, counted as an epoch restart):
+		// restart with the fresher view.
 		gid := WorkerGroupID(n.Epoch)
-		err := w.commitGroup(gid, n.WorkingRanks())
+		err := w.commitGroup(gid, n.ActPhys)
 		var fde *FailureDetectedError
 		if errors.As(err, &fde) {
 			w.p.GroupDelete(gid)
@@ -113,26 +116,6 @@ func (w *Worker) commitGroup(gid gaspi.GroupID, members []Rank) error {
 		}
 	}
 	return w.retry(func(t time.Duration) error { return w.p.GroupCommit(gid, t) })
-}
-
-// ShadowTookOver reports whether an epoch's notice says the single victim's
-// own hot shadow was promoted as its rescue: the victim had a shadow under
-// the replication policy AND the detector assigned exactly that rank. It
-// reads only the notice and static config, so every member of the epoch
-// derives the same answer without communication — which is what lets the
-// reload step run its mirror agreement on all members or on none. A dead or
-// already-consumed shadow shows up as a different rescue rank in ActPhys,
-// and a multi-victim epoch names several logicals: both answer false.
-func ShadowTookOver(lay Layout, cfg Config, n *Notice) bool {
-	if !n.WorkerFailed || n.Unrecoverable || len(n.FailedLogicals) != 1 {
-		return false
-	}
-	victim := int(n.FailedLogicals[0])
-	if victim < 0 || victim >= len(n.ActPhys) {
-		return false
-	}
-	shadow, ok := ShadowOf(lay, cfg, victim)
-	return ok && n.ActPhys[victim] == shadow
 }
 
 // AdoptIdentity turns an activated rescue process into a worker: the

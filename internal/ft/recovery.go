@@ -49,9 +49,10 @@ const (
 	// StateGroupRebuild: the worker group is being deleted, recreated and
 	// committed (the paper's OHF2).
 	StateGroupRebuild
-	// StateRestore: data re-initialization (the paper's OHF3) from the last
-	// globally agreed checkpoint — or, one rung above it, from the live
-	// mirror of a hot shadow that took over its own primary.
+	// StateRestore: data re-initialization (the paper's OHF3) from the
+	// state the group agrees on: the members' live state, with the live
+	// mirror of every hot shadow that took over its own primary, or the
+	// last globally agreed checkpoint.
 	StateRestore
 	// StateResume: the epoch completed; the machine passes through this
 	// state back to Healthy.

@@ -114,19 +114,21 @@ func (p *Proc) AllreduceI64Into(gid GroupID, in, out []int64, op ReduceOp, timeo
 //
 // The group-commit handshake runs before a group's collective segment can
 // be trusted to exist on every member, so it exchanges its rounds as kColl
-// messages buffered in collBuf. It is the transport's only user, and a
-// group commits once, so a round needs no sequence number.
+// messages buffered in collBuf. It is the transport's only user, a group
+// commits once, and a commit sends each round once (its cursor survives a
+// timeout), so a round needs no sequence number and every buffered round
+// is consumed exactly once.
 
-// collSend posts one two-sided collective round message. Collectives
+// collSend posts one two-sided commit round message. Collectives
 // use internal transport resources (not user queues), as in GPI-2. A send
 // can only fail locally when this process itself is dead (which unwinds
 // via checkAlive) — a dead PARTNER surfaces asynchronously as a NACK that
 // marks the state vector, failing the waiting side via collRecv.
-func (p *Proc) collSend(gid GroupID, round int32, op uint8, to Rank, payload []byte) error {
+func (p *Proc) collSend(gid GroupID, round int32, to Rank, payload []byte) error {
 	m := fabric.Message{
 		Kind:    kColl,
 		Token:   p.nextToken(),
-		Args:    [4]int64{int64(gid), 0, int64(round), int64(op)},
+		Args:    [4]int64{int64(gid), 0, int64(round)},
 		Payload: payload,
 	}
 	if err := p.ep.Send(to, m); err != nil {
@@ -136,21 +138,20 @@ func (p *Proc) collSend(gid GroupID, round int32, op uint8, to Rank, payload []b
 	return nil
 }
 
-// collRecv waits for the collective round message matching the key. The
-// entry is read without being consumed: buffered rounds stay available so a
-// collective that times out can be resumed by calling it again with
-// identical arguments (GASPI timeout semantics); finishCollective
-// garbage-collects them once the operation completes. A conclusively dead
-// group member aborts the wait promptly with ErrConnBroken.
-func (p *Proc) collRecv(g *group, round int32, op uint8, from Rank, timeout time.Duration) ([]byte, error) {
-	key := collKey{gid: g.id, round: round, op: op, from: from}
-	lookup := func() ([]byte, bool) {
+// collRecv waits for the commit round message matching the key and
+// consumes it: the commit's cursor remembers that the round is done, so a
+// resumed commit never asks for it again. A conclusively dead group member
+// aborts the wait promptly with ErrConnBroken.
+func (p *Proc) collRecv(g *group, round int32, from Rank, timeout time.Duration) ([]byte, error) {
+	key := collKey{gid: g.id, round: round, from: from}
+	take := func() ([]byte, bool) {
 		p.collMu.Lock()
 		b, ok := p.collBuf[key]
+		delete(p.collBuf, key)
 		p.collMu.Unlock()
 		return b, ok
 	}
-	if b, ok := lookup(); ok {
+	if b, ok := take(); ok {
 		return b, nil
 	}
 	if timeout == Test {
@@ -165,7 +166,7 @@ func (p *Proc) collRecv(g *group, round int32, op uint8, from Rank, timeout time
 	// path.
 	for i, n := 0, p.cfg.SpinYields; i < n; i++ {
 		runtime.Gosched()
-		if b, ok := lookup(); ok {
+		if b, ok := take(); ok {
 			return b, nil
 		}
 	}
@@ -174,7 +175,7 @@ func (p *Proc) collRecv(g *group, round int32, op uint8, from Rank, timeout time
 	}
 	var got []byte
 	err := p.collPark(g, &p.collPulse, timeout, func() bool {
-		b, ok := lookup()
+		b, ok := take()
 		if ok {
 			got = b
 		}
@@ -184,14 +185,6 @@ func (p *Proc) collRecv(g *group, round int32, op uint8, from Rank, timeout time
 		return nil, err
 	}
 	return got, nil
-}
-
-// collExchange sends to `to` and waits for the matching message from `from`.
-func (p *Proc) collExchange(g *group, round int32, op uint8, to, from Rank, payload []byte, timeout time.Duration) ([]byte, error) {
-	if err := p.collSend(g.id, round, op, to, payload); err != nil {
-		return nil, err
-	}
-	return p.collRecv(g, round, op, from, timeout)
 }
 
 func combineF64(dst, src []float64, op ReduceOp) {

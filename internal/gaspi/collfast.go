@@ -149,11 +149,12 @@ func (p *Proc) collSetup(g *group) {
 	g.fast = f
 }
 
-// collTeardown releases a group's collective segment (failed commit,
-// GroupDelete holds p.mu itself and inlines the delete).
+// collTeardown releases a failed commit's collective segment and cursor
+// (GroupDelete holds p.mu itself and inlines the delete).
 func (p *Proc) collTeardown(gid GroupID, g *group) {
 	p.mu.Lock()
 	delete(p.segs, collSegID(gid))
+	g.active, g.cur = false, inflightColl{}
 	p.mu.Unlock()
 	g.fast = nil
 }

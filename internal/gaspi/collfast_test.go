@@ -11,9 +11,8 @@ import (
 // The collective regression suite: correctness across group sizes
 // (including non-powers-of-two) and vector sizes up to a sub-slot's
 // capacity, the refusal of longer ones, resume-after-timeout semantics, prompt
-// ErrConnBroken on member death, recommit invalidation, and the collBuf
-// sweep of the two-sided rounds. Everything runs under -race in CI
-// (bench-smoke job, `-run Coll`).
+// ErrConnBroken on member death and recommit invalidation. Everything
+// runs under -race in CI (bench-smoke job, `-run Coll`).
 
 // runCollJob is launch in a subtest; the "fast" level keeps the test IDs
 // stable.
@@ -305,85 +304,6 @@ func TestCollRecommitInvalidatesInflight(t *testing.T) {
 			if out[0] != 3 {
 				return fmt.Errorf("out = %v", out)
 			}
-		}
-		return nil
-	})
-}
-
-// TestCollBufSweepDrains: the leak regression of the two-sided rounds
-// (the commit handshake). A rank polling GroupCommit with GASPI_TEST
-// replays its handshake sends on every attempt; duplicates that land after
-// the receiver completed (and swept) the commit must be dropped by the
-// commit horizon, not re-buffered forever.
-func TestCollBufSweepDrains(t *testing.T) {
-	const n = 3
-	job := runJob(t, testCfg(n), func(p *Proc) error {
-		for iter := 0; iter < 10; iter++ {
-			gid := GroupID(1 + iter)
-			if err := p.GroupCreate(gid); err != nil {
-				return err
-			}
-			for r := Rank(0); r < n; r++ {
-				if err := p.GroupAdd(gid, r); err != nil {
-					return err
-				}
-			}
-			// Ranks 1 and 2 Test-poll: each attempt replays their rounds,
-			// flooding peers that already committed with duplicates.
-			timeout := Test
-			if p.Rank() == 0 {
-				timeout = Block
-			}
-			for {
-				err := p.GroupCommit(gid, timeout)
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, ErrTimeout) {
-					return fmt.Errorf("iter %d: %w", iter, err)
-				}
-			}
-		}
-		return nil
-	})
-	// All ranks completed every commit; once the late duplicates drain,
-	// every collBuf must be empty — abandoned entries may not accumulate.
-	deadline := time.Now().Add(5 * time.Second)
-	for r := Rank(0); int(r) < n; r++ {
-		for {
-			p := job.Proc(r)
-			p.collMu.Lock()
-			left := len(p.collBuf)
-			p.collMu.Unlock()
-			if left == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("rank %d: %d stale collBuf entries never reclaimed", r, left)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
-// TestCollFinishSweepsOlderSeqs: a finished collective must reclaim every
-// buffered round of its group, not only its own.
-func TestCollFinishSweepsOlderSeqs(t *testing.T) {
-	stale := collKey{gid: GroupAll, round: 0, op: collCommit, from: 0}
-	launch(t, 2, func(p *Proc) error {
-		// Plant a stale buffered commit round.
-		p.collMu.Lock()
-		p.collBuf[stale] = nil
-		p.collMu.Unlock()
-		for i := 0; i < 3; i++ {
-			if err := p.Barrier(GroupAll, Block); err != nil {
-				return err
-			}
-		}
-		p.collMu.Lock()
-		defer p.collMu.Unlock()
-		if _, ok := p.collBuf[stale]; ok {
-			return fmt.Errorf("stale entry %+v survived the sweep", stale)
 		}
 		return nil
 	})

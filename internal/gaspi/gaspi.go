@@ -167,8 +167,7 @@ func remoteErr(code int64) error {
 // collective kinds: the in-flight tag pinned by startCollective, so a
 // collective resumed after a timeout is matched against the operation
 // that started it (collReduce is the float64 allreduce, collReduceI the
-// int64 variant). collCommit also travels in Args[3] of the commit
-// handshake's kColl round messages.
+// int64 variant). collCommit tags a group commit's cursor.
 const (
 	collBarrier uint8 = iota + 1
 	collCommit

@@ -665,6 +665,104 @@ func TestGroupCommitNonMember(t *testing.T) {
 	})
 }
 
+// TestGroupCommitSendsEachRoundOnce: a commit polled with GASPI_TEST keeps
+// its cursor across the ErrTimeout returns, so no attempt re-sends a round
+// an earlier one sent, and every round sent is consumed exactly once: ten
+// commits of three members, two of them polling, send 10·3·2 kColl
+// messages and leave every collBuf empty.
+func TestGroupCommitSendsEachRoundOnce(t *testing.T) {
+	const n, commits = 3, 10
+	job := runJob(t, testCfg(n), func(p *Proc) error {
+		for i := 0; i < commits; i++ {
+			gid := GroupID(1 + i)
+			if err := p.GroupCreate(gid); err != nil {
+				return err
+			}
+			for r := Rank(0); r < n; r++ {
+				if err := p.GroupAdd(gid, r); err != nil {
+					return err
+				}
+			}
+			timeout := Test
+			if p.Rank() == 0 {
+				timeout = Block
+			}
+			for {
+				err := p.GroupCommit(gid, timeout)
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, ErrTimeout) {
+					return fmt.Errorf("commit %d: %w", i, err)
+				}
+			}
+		}
+		return nil
+	})
+	if got, want := job.tr.Stats().PerKind[kColl], uint64(commits*n*collRounds(n)); got != want {
+		t.Errorf("%d commit rounds sent, want %d", got, want)
+	}
+	for r := Rank(0); r < n; r++ {
+		p := job.Proc(r)
+		p.collMu.Lock()
+		left := len(p.collBuf)
+		p.collMu.Unlock()
+		if left != 0 {
+			t.Errorf("rank %d: %d commit rounds left in collBuf", r, left)
+		}
+	}
+}
+
+// TestGroupCommitMembershipMismatch: members keep their GroupAdd order,
+// and the handshake's hash covers it. The same set added in two orders
+// fails the commit on both sides; a member that receives a round from a
+// peer holding another set fails it too (the peers whose rounds never come
+// time out).
+func TestGroupCommitMembershipMismatch(t *testing.T) {
+	const gid GroupID = 3
+	commit := func(p *Proc, members []Rank, timeout time.Duration) error {
+		if err := p.GroupCreate(gid); err != nil {
+			return err
+		}
+		for _, r := range members {
+			if err := p.GroupAdd(gid, r); err != nil {
+				return err
+			}
+		}
+		return p.GroupCommit(gid, timeout)
+	}
+	t.Run("order", func(t *testing.T) {
+		launch(t, 2, func(p *Proc) error {
+			members := []Rank{0, 1}
+			if p.Rank() == 1 {
+				members = []Rank{1, 0}
+			}
+			if err := commit(p, members, Block); !errors.Is(err, ErrGroupMismatch) {
+				return fmt.Errorf("want ErrGroupMismatch, got %v", err)
+			}
+			return nil
+		})
+	})
+	t.Run("set", func(t *testing.T) {
+		launch(t, 3, func(p *Proc) error {
+			// Rank 1 hears round 0 from rank 0, which holds {0, 1}.
+			// Rank 0 waits for rank 1, which sends round 0 to rank 2,
+			// and rank 2 waits at round 1 for rank 0, which has none.
+			members, want := []Rank{0, 1, 2}, ErrTimeout
+			switch p.Rank() {
+			case 0:
+				members = []Rank{0, 1}
+			case 1:
+				want = ErrGroupMismatch
+			}
+			if err := commit(p, members, 200*time.Millisecond); !errors.Is(err, want) {
+				return fmt.Errorf("want %v, got %v", want, err)
+			}
+			return nil
+		})
+	})
+}
+
 func TestGroupDeleteAndRecreate(t *testing.T) {
 	launch(t, 2, func(p *Proc) error {
 		const gid GroupID = 7

@@ -12,7 +12,7 @@ import (
 // in collectives, mirroring gaspi_group_t.
 type group struct {
 	id        GroupID
-	members   []Rank // sorted after commit
+	members   []Rank // in GroupAdd order
 	myIdx     int
 	committed bool
 	seq       uint64 // collective sequence number, advances per completed operation
@@ -34,13 +34,14 @@ type group struct {
 	accI []int64
 }
 
-// inflightColl tracks a collective that timed out and may be resumed. Per
-// the GASPI specification, a collective returning GASPI_TIMEOUT must be
-// called again with identical arguments until it completes; the sequence
-// number is pinned until then. The fast path additionally keeps its
-// progress cursor here, so a resumed call continues exactly where the
-// timeout struck instead of replaying rounds (replays would re-notify
-// slots their consumers already advanced past).
+// inflightColl tracks a collective (or the group commit) that timed out
+// and may be resumed. Per the GASPI specification, a collective returning
+// GASPI_TIMEOUT must be called again with identical arguments until it
+// completes; the sequence number is pinned until then. Every round
+// protocol keeps its progress cursor here, so a resumed call continues
+// exactly where the timeout struck instead of replaying rounds (a replayed
+// round would re-notify a slot its consumer already advanced past, or sit
+// unconsumed in collBuf).
 type inflightColl struct {
 	kind   uint8
 	seq    uint64
@@ -62,9 +63,6 @@ func (p *Proc) GroupCreate(gid GroupID) error {
 		return fmt.Errorf("%w: group %d already exists", ErrInvalid, gid)
 	}
 	p.groups[gid] = &group{id: gid}
-	p.collMu.Lock()
-	delete(p.collHorizon, gid) // accept the recreated group's commit rounds
-	p.collMu.Unlock()
 	return nil
 }
 
@@ -87,6 +85,8 @@ func (p *Proc) GroupAdd(gid GroupID, rank Rank) error {
 		return nil // idempotent
 	}
 	g.members = append(g.members, rank)
+	// A commit in progress ran its rounds for the old member list.
+	g.active, g.cur = false, inflightColl{}
 	return nil
 }
 
@@ -107,17 +107,12 @@ func (p *Proc) GroupDelete(gid GroupID) {
 	// recommit cycle safe while members sit mid-collective.
 	delete(p.segs, collSegID(gid))
 	p.mu.Unlock()
+	// Rounds of an abandoned commit go too. A round of the DELETED
+	// instance still in flight can land after this purge — at receive time
+	// it is indistinguishable from a recreated instance's early commit
+	// traffic, which must be buffered — so at most one commit's rounds per
+	// deletion stay behind.
 	p.collMu.Lock()
-	// The horizon entry goes too: a deliberately recreated group commits
-	// again. Round messages of the DELETED instance still in flight can
-	// therefore re-enter collBuf after this purge — at receive time they are
-	// indistinguishable from a recreated instance's early commit traffic,
-	// which MUST be buffered (a commit round swept from under a peer that
-	// already completed its handshake would never be re-sent: resume only
-	// replays the timed-out side). The residue is bounded: a replaying
-	// peer stops at its failure acknowledgment, leaving at most one
-	// collective's rounds per group deletion.
-	delete(p.collHorizon, gid)
 	for k := range p.collBuf {
 		if k.gid == gid {
 			delete(p.collBuf, k)
@@ -138,9 +133,14 @@ func (p *Proc) GroupSize(gid GroupID) (int, error) {
 
 // GroupCommit establishes the group collectively (gaspi_group_commit):
 // every member must call it; the call blocks until all members have joined
-// (this blocking handshake is the paper's OHF2 overhead). Membership lists
-// are cross-checked via a hash carried through the handshake rounds; a
-// mismatch yields ErrGroupMismatch.
+// (this blocking handshake is the paper's OHF2 overhead). Members keep
+// their GroupAdd order, which sets each member's index in the collectives'
+// round schedules; the order is cross-checked via a hash carried through
+// the handshake rounds, and a mismatch — another member list or the same
+// one in another order — yields ErrGroupMismatch. A commit that returns
+// ErrTimeout keeps its cursor (g.cur, as barrierFast does): calling it
+// again sends no round twice and waits again for no round it consumed.
+// Any other error tears the cursor and the collective segment down.
 func (p *Proc) GroupCommit(gid GroupID, timeout time.Duration) error {
 	p.checkAlive()
 	p.mu.Lock()
@@ -153,10 +153,12 @@ func (p *Proc) GroupCommit(gid GroupID, timeout time.Duration) error {
 		p.mu.Unlock()
 		return fmt.Errorf("%w: group %d already committed", ErrInvalid, gid)
 	}
-	slices.Sort(g.members)
 	g.myIdx = slices.Index(g.members, p.rank)
-	members := slices.Clone(g.members)
-	myIdx := g.myIdx
+	if !g.active {
+		g.cur = inflightColl{kind: collCommit}
+		g.active = true
+	}
+	members, myIdx, st := g.members, g.myIdx, &g.cur
 	p.mu.Unlock()
 
 	if myIdx < 0 {
@@ -171,19 +173,26 @@ func (p *Proc) GroupCommit(gid GroupID, timeout time.Duration) error {
 	// Dissemination handshake: after round k every rank has transitively
 	// heard from 2^(k+1) neighbours; ceil(log2(n)) rounds reach everyone.
 	n := len(members)
-	for k, dist := int32(0), 1; dist < n; k, dist = k+1, dist*2 {
-		to := members[(myIdx+dist)%n]
+	for ; 1<<st.round < n; st.round, st.sent = st.round+1, false {
+		dist := 1 << st.round
 		from := members[((myIdx-dist)%n+n)%n]
-		got, err := p.collExchange(g, k, collCommit, to, from, h, timeout)
-		if err != nil {
-			if !errors.Is(err, ErrTimeout) {
+		if !st.sent {
+			if err := p.collSend(gid, int32(st.round), members[(myIdx+dist)%n], h); err != nil {
 				p.collTeardown(gid, g)
+				return err
 			}
+			st.sent = true
+		}
+		got, err := p.collRecv(g, int32(st.round), from, timeout)
+		if errors.Is(err, ErrTimeout) {
 			return err
 		}
-		if len(got) != len(h) || string(got) != string(h) {
+		if err == nil && string(got) != string(h) {
+			err = fmt.Errorf("%w: group %d: rank %d disagrees on membership", ErrGroupMismatch, gid, from)
+		}
+		if err != nil {
 			p.collTeardown(gid, g)
-			return fmt.Errorf("%w: group %d: rank %d disagrees on membership", ErrGroupMismatch, gid, from)
+			return err
 		}
 	}
 
@@ -191,8 +200,8 @@ func (p *Proc) GroupCommit(gid GroupID, timeout time.Duration) error {
 	g.committed = true
 	g.seq = 1
 	g.view = p.viewVersion.Load()
+	g.active, g.cur = false, inflightColl{}
 	p.mu.Unlock()
-	p.finishCollective(gid, 0) // GC the handshake rounds
 	return nil
 }
 
@@ -259,10 +268,7 @@ func (p *Proc) startCollective(gid GroupID, kind uint8, vecLen int) (*group, *in
 	return g, &g.cur, false, nil
 }
 
-// finishCollective marks the in-flight collective of gid complete, records
-// that gid's commit is over (collHorizon), and garbage-collects every
-// buffered commit round of gid — entries a peer's timed-out-and-resumed
-// sends re-buffered after an earlier sweep would otherwise leak forever.
+// finishCollective marks the in-flight collective of gid complete.
 func (p *Proc) finishCollective(gid GroupID, seq uint64) {
 	p.mu.Lock()
 	if g, ok := p.groups[gid]; ok && g.active && g.cur.seq == seq {
@@ -270,14 +276,6 @@ func (p *Proc) finishCollective(gid GroupID, seq uint64) {
 		g.cur = inflightColl{}
 	}
 	p.mu.Unlock()
-	p.collMu.Lock()
-	p.collHorizon[gid] = struct{}{}
-	for k := range p.collBuf {
-		if k.gid == gid {
-			delete(p.collBuf, k)
-		}
-	}
-	p.collMu.Unlock()
 }
 
 func membersHash(members []Rank) []byte {

@@ -118,20 +118,8 @@ func (p *Proc) handleMessage(m fabric.Message) {
 		p.die(deathCause{killed: true, byRank: m.From})
 
 	case kColl:
-		key := collKey{
-			gid:   GroupID(m.Args[0]),
-			round: int32(m.Args[2]),
-			op:    uint8(m.Args[3]),
-			from:  m.From,
-		}
+		key := collKey{gid: GroupID(m.Args[0]), round: int32(m.Args[2]), from: m.From}
 		p.collMu.Lock()
-		if _, done := p.collHorizon[key.gid]; done {
-			// Duplicate round of a commit this process already completed
-			// (a timed-out peer resuming replays its sends from round 0):
-			// drop it, or it would sit in collBuf forever.
-			p.collMu.Unlock()
-			return
-		}
 		p.collBuf[key] = m.Payload
 		p.collMu.Unlock()
 		p.collPulse.Broadcast()

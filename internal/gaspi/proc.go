@@ -34,15 +34,12 @@ type Proc struct {
 	// passive communication
 	passiveCh chan passiveMsg
 
-	// commit-handshake round buffers (filled by the NIC, two-sided path)
+	// commit-handshake round buffers (filled by the NIC, two-sided path;
+	// collRecv consumes each entry, GroupDelete purges an abandoned
+	// commit's)
 	collMu    sync.Mutex
 	collBuf   map[collKey][]byte
 	collPulse pulse
-	// collHorizon holds the groups whose commit this process has finished.
-	// Incoming round messages for them are duplicates (a timed-out peer
-	// resuming replays its sends from round 0) and are dropped instead of
-	// buffered, so abandoned entries can never accumulate in collBuf.
-	collHorizon map[GroupID]struct{}
 
 	// viewVersion is the membership view version this process has observed
 	// (the latest worker-failure notice epoch). Groups committed before the
@@ -81,7 +78,6 @@ type passiveMsg struct {
 type collKey struct {
 	gid   GroupID
 	round int32
-	op    uint8
 	from  Rank
 }
 

@@ -114,7 +114,6 @@ func Launch(cfg Config, main func(*Proc) error) *Job {
 			pending:      make(map[uint64]*pendingOp),
 			passiveCh:    make(chan passiveMsg, passiveDepth),
 			collBuf:      make(map[collKey][]byte),
-			collHorizon:  make(map[GroupID]struct{}),
 			statevec:     make([]atomic.Uint32, cfg.Procs),
 			deadGossiped: make([]atomic.Bool, cfg.Procs),
 			dead:         make(chan struct{}),
