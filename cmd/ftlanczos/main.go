@@ -110,10 +110,8 @@ func runMode(fs *flag.FlagSet) func() error {
 			Cluster: ccfg,
 			Core:    cfg,
 			App: apps.LanczosConfig{
-				Gen: gen,
-				// The QL runs every CheckEvery iterations: a job shorter
-				// than one checkpoint interval runs it once, at its end.
-				Opts:      lanczos.Options{MaxIters: *iters, NumEigs: 4, CheckEvery: min(int(*cpEvery), *iters), Seed: uint64(*seed)},
+				Gen:       gen,
+				Opts:      lanczos.Options{MaxIters: *iters, NumEigs: 4, Seed: uint64(*seed)},
 				StepDelay: delay,
 			},
 			Timeout: 30 * time.Minute,
@@ -158,8 +156,11 @@ func runMode(fs *flag.FlagSet) func() error {
 				experiment.Model(res.Sum.Max[p], *timeScale).Seconds())
 		}
 		s := res.Solver
-		fmt.Printf("\nlowest eigenvalues: %v (converged: %v after %d iterations)\n",
-			s.Eigs, s.Converged(), s.It)
+		eigs, err := s.Eigenvalues()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\nlowest eigenvalues: %v (after %d iterations)\n", eigs, s.It)
 		return nil
 	}
 }

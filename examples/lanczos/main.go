@@ -46,7 +46,7 @@ func main() {
 		},
 		App: apps.LanczosConfig{
 			Gen:  gen,
-			Opts: lanczos.Options{MaxIters: iters, NumEigs: 3, CheckEvery: cpEvery, Seed: 7},
+			Opts: lanczos.Options{MaxIters: iters, NumEigs: 3, Seed: 7},
 		},
 		Timeout: 10 * time.Minute,
 	})
@@ -68,7 +68,10 @@ func main() {
 	fmt.Printf("finished in %v with %d death(s) and %d recovery epoch(s)\n",
 		res.Wall.Round(time.Millisecond), deaths, res.Sum.SumCounter[trace.KFDRecoveries])
 
-	got := res.Solver.Eigs
+	got, err := res.Solver.Eigenvalues()
+	if err != nil {
+		log.Fatal(err)
+	}
 	want, err := lanczos.SerialLowestEigs(gen, iters, 3, 7)
 	if err != nil {
 		log.Fatal(err)

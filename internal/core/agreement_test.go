@@ -118,7 +118,7 @@ func TestRecoveryCollectivesPerEpoch(t *testing.T) {
 			job := core.Launch(clusterCfg(lay.Procs, cluster.ExitAt(25, tc.victim)), cfg, func() core.App {
 				a := &collApp{e: e, Lanczos: apps.NewLanczos(apps.LanczosConfig{
 					Gen:       testGen,
-					Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
+					Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, Seed: 5},
 					StepDelay: time.Millisecond,
 				})}
 				if tc.hideLive {

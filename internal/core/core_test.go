@@ -66,6 +66,19 @@ const (
 	testEigs   = 2
 )
 
+// finishedEigs returns s's Eigenvalues once s has finished, else nil (also
+// when s is nil or its QL fails).
+func finishedEigs(s *lanczos.Solver) []float64 {
+	if s == nil || !s.Finished() {
+		return nil
+	}
+	eigs, err := s.Eigenvalues()
+	if err != nil {
+		return nil
+	}
+	return eigs
+}
+
 // launchLanczos runs the FT Lanczos app and returns the job plus a way to
 // read the final eigenvalues.
 func launchLanczos(t *testing.T, cfg core.Config, nodes int, faults ...cluster.FaultEvent) (*core.Job, func() []float64) {
@@ -75,7 +88,7 @@ func launchLanczos(t *testing.T, cfg core.Config, nodes int, faults ...cluster.F
 	job := core.Launch(clusterCfg(nodes, faults...), cfg, func() core.App {
 		a := apps.NewLanczos(apps.LanczosConfig{
 			Gen:  testGen,
-			Opts: lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
+			Opts: lanczos.Options{MaxIters: testIters, NumEigs: testEigs, Seed: 5},
 			// Slow the iterations down so mid-run fault injections (sleeps
 			// in the tests) land while the solver is still running.
 			StepDelay: 2 * time.Millisecond,
@@ -90,9 +103,8 @@ func launchLanczos(t *testing.T, cfg core.Config, nodes int, faults ...cluster.F
 		mu.Lock()
 		defer mu.Unlock()
 		for _, a := range instances {
-			s := a.Solver()
-			if s != nil && s.Finished() && len(s.Eigs) > 0 {
-				return append([]float64(nil), s.Eigs...)
+			if eigs := finishedEigs(a.Solver()); eigs != nil {
+				return eigs
 			}
 		}
 		return nil
@@ -639,7 +651,7 @@ func TestTwoProcsPerNode(t *testing.T) {
 				job := core.Launch(ccfg, cfg, func() core.App {
 					a := &streamApp{Lanczos: apps.NewLanczos(apps.LanczosConfig{
 						Gen:       testGen,
-						Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
+						Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, Seed: 5},
 						StepDelay: 2 * time.Millisecond,
 					})}
 					mu.Lock()
@@ -675,8 +687,8 @@ func TestTwoProcsPerNode(t *testing.T) {
 				var served int64
 				mu.Lock()
 				for _, a := range instances {
-					if s := a.Solver(); got == nil && s != nil && s.Finished() && len(s.Eigs) > 0 {
-						got = append([]float64(nil), s.Eigs...)
+					if got == nil {
+						got = finishedEigs(a.Solver())
 					}
 					if a.w != nil {
 						st := a.w.CPStream().Stats()
@@ -721,7 +733,7 @@ func TestLateSpareIsStillActivated(t *testing.T) {
 	newApp := func() core.App {
 		a := apps.NewLanczos(apps.LanczosConfig{
 			Gen:  testGen,
-			Opts: lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
+			Opts: lanczos.Options{MaxIters: testIters, NumEigs: testEigs, Seed: 5},
 		})
 		mu.Lock()
 		instances = append(instances, a)
@@ -751,8 +763,8 @@ func TestLateSpareIsStillActivated(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for _, a := range instances {
-		if s := a.Solver(); s != nil && s.Finished() && len(s.Eigs) > 0 {
-			expectEigs(t, s.Eigs, want, 1e-6, 1, "late spare")
+		if eigs := finishedEigs(a.Solver()); eigs != nil {
+			expectEigs(t, eigs, want, 1e-6, 1, "late spare")
 			return
 		}
 	}

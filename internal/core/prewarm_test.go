@@ -133,7 +133,7 @@ func (h *warmHooks) newApp() core.App {
 	h.newApps.Add(1)
 	a := &hookedApp{h: h, Lanczos: apps.NewLanczos(apps.LanczosConfig{
 		Gen:       countingGen{Graphene: testGen, h: h},
-		Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, CheckEvery: 10, Seed: 5},
+		Opts:      lanczos.Options{MaxIters: testIters, NumEigs: testEigs, Seed: 5},
 		StepDelay: time.Millisecond,
 	})}
 	h.mu.Lock()
@@ -146,8 +146,8 @@ func (h *warmHooks) eigs() []float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, a := range h.instances {
-		if s := a.Solver(); s != nil && s.Finished() && len(s.Eigs) > 0 {
-			return append([]float64(nil), s.Eigs...)
+		if eigs := finishedEigs(a.Solver()); eigs != nil {
+			return eigs
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ft"
+	"repro/internal/lanczos"
 	"repro/internal/trace"
 )
 
@@ -42,6 +44,54 @@ func TestStartJobRefusesUnhonourableConfig(t *testing.T) {
 	})
 	if err == nil || run != nil {
 		t.Fatalf("StartJob = %v, %v; want no run and an error", run, err)
+	}
+}
+
+// TestEigenvaluesIndependentOfCheckpointInterval: the checkpoint interval
+// does not reach the result. Two fault-free 70-iteration jobs of the same
+// layout and seed, checkpointing every 10 and every 50 iterations, finish
+// with the same α and β and the same Eigenvalues, bit for bit, and those
+// are the Ritz values of the finished solver's α and β — not estimates
+// left over from the last checkpoint (iteration 50 of 70).
+func TestEigenvaluesIndependentOfCheckpointInterval(t *testing.T) {
+	study := StudyConfig{Workers: 4, Spares: 2, Iters: 70, Nx: 16, Ny: 8, TimeScale: 500, Seed: 5}
+	var first []float64
+	var firstAlpha, firstBeta []float64
+	for _, every := range []int64{10, 50} {
+		cfg := core.Config{Spares: 2, EnableHC: true, EnableCP: true, CheckpointEvery: every}
+		run, err := StartJob(study.job(cfg, nil, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := run.Wait()
+		if err := res.Err(); err != nil {
+			t.Fatalf("interval %d: %v", every, err)
+		}
+		s := res.Solver
+		if s.It != 70 || len(s.Alpha) != 70 || len(s.Beta) != 69 {
+			t.Fatalf("interval %d: %d α and %d β after %d iterations", every, len(s.Alpha), len(s.Beta), s.It)
+		}
+		got, err := s.Eigenvalues()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := lanczos.TridiagEigenvalues(s.Alpha, s.Beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := lanczos.LowestK(all, 4); !slices.Equal(got, want) {
+			t.Fatalf("interval %d: Eigenvalues %v, Ritz values of the finished α/β %v", every, got, want)
+		}
+		if first == nil {
+			first, firstAlpha, firstBeta = got, s.Alpha, s.Beta
+			continue
+		}
+		if !slices.Equal(s.Alpha, firstAlpha) || !slices.Equal(s.Beta, firstBeta) {
+			t.Errorf("interval %d: α/β differ from interval 10's", every)
+		}
+		if !slices.Equal(got, first) {
+			t.Errorf("interval %d: eigenvalues %v, interval 10: %v", every, got, first)
+		}
 	}
 }
 

@@ -109,13 +109,17 @@ func RunFig4(c Fig4Config) (*Fig4Result, error) {
 		if err := run.Err(); err != nil {
 			return nil, fmt.Errorf("fig4 %q: %w", plan.name, err)
 		}
+		eigs, err := run.Solver.Eigenvalues()
+		if err != nil {
+			return nil, fmt.Errorf("fig4 %q: %w", plan.name, err)
+		}
 		res.Scenarios = append(res.Scenarios, Fig4Scenario{
 			Name:       plan.name,
 			Wall:       run.Wall,
 			Model:      Model(run.Wall, c.TimeScale),
 			Phases:     run.Sum.Max,
 			Recoveries: run.Recorders[0].Counter(trace.KFDRecoveries),
-			Eigs:       run.Solver.Eigs,
+			Eigs:       eigs,
 		})
 	}
 	return res, nil

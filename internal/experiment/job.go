@@ -58,7 +58,7 @@ type JobResult struct {
 	// Results holds one entry per rank (nil on a hung job).
 	Results []gaspi.Result
 	// Solver is the solver of a worker that finished (nil if none did);
-	// Solver.Eigs are the run's lowest eigenvalues.
+	// Solver.Eigenvalues are the run's lowest eigenvalues.
 	Solver  *lanczos.Solver
 	Outcome ScenarioOutcome
 	// Detail carries the classified error text, when any.
@@ -145,19 +145,24 @@ func (r *JobRun) classify(out JobResult) (ScenarioOutcome, string) {
 	// silent corruption.
 	if want := r.spec.WantEig; want != nil {
 		dim := r.spec.App.Gen.Dim()
-		if got := out.Solver.Eigs[0]; !EigMatches(got, *want, dim) {
+		eigs, err := out.Solver.Eigenvalues()
+		if err != nil {
+			return OutcomeFailed, fmt.Sprintf("QL: %v", err)
+		}
+		if got := eigs[0]; !EigMatches(got, *want, dim) {
 			return OutcomeWrongAnswer, fmt.Sprintf("eig0 %v, reference %v (tol %.3g rel)", got, *want, EigTolerance(dim))
 		}
 	}
 	return OutcomeRecovered, ""
 }
 
-// finished returns the solver of the first instance that finished.
+// finished returns the solver of the first instance that finished with at
+// least one coefficient, so that its Eigenvalues are not empty.
 func (r *JobRun) finished() *lanczos.Solver {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, a := range r.insts {
-		if s := a.Solver(); s != nil && s.Finished() && len(s.Eigs) > 0 {
+		if s := a.Solver(); s != nil && s.Finished() && len(s.Alpha) > 0 {
 			return s
 		}
 	}

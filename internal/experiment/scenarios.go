@@ -460,7 +460,7 @@ func RunScenario(c ScenarioMatrixConfig, gen matrix.Generator, spec ScenarioSpec
 		},
 		App: apps.LanczosConfig{
 			Gen:       gen,
-			Opts:      lanczos.Options{MaxIters: c.Iters, NumEigs: 2, CheckEvery: int(c.CheckpointEvery), Seed: uint64(c.Seed)},
+			Opts:      lanczos.Options{MaxIters: c.Iters, NumEigs: 2, Seed: uint64(c.Seed)},
 			StepDelay: c.StepDelay,
 		},
 		Timeout: c.Timeout,

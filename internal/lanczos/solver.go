@@ -15,21 +15,19 @@ type Options struct {
 	// MaxIters bounds the iteration count (the paper's benchmarks run a
 	// fixed 3500 iterations).
 	MaxIters int
-	// NumEigs is how many low-lying eigenvalues to track.
+	// NumEigs is how many low-lying eigenvalues Eigenvalues returns.
 	NumEigs int
-	// Tol is the convergence tolerance on the tracked eigenvalues
-	// (0 disables convergence checking: fixed-iteration mode).
-	Tol float64
-	// CheckEvery controls how often the QL method is run (default 10).
+	// CheckEvery is inert: the iteration runs no eigenvalue update, and
+	// Eigenvalues computes the estimates once, on demand.
+	//
+	// Deprecated: nothing reads it; it stays only so that existing callers
+	// compile.
 	CheckEvery int
 	// Seed selects the deterministic start vector.
 	Seed uint64
 }
 
 func (o Options) withDefaults() Options {
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = 10
-	}
 	if o.NumEigs <= 0 {
 		o.NumEigs = 4
 	}
@@ -57,18 +55,9 @@ type Solver struct {
 	// Alpha holds α_1..α_j; Beta holds β_2..β_j, so that Beta[i] is the
 	// subdiagonal next to Alpha[i] (Beta has one entry less).
 	Alpha, Beta []float64
-	// Eigs are the latest eigenvalue estimates (lowest NumEigs).
-	Eigs []float64
-	// prevEigs supports the convergence criterion. It and Eigs are two
-	// buffers of NumEigs capacity that each eigenvalue update swaps.
-	prevEigs  []float64
-	converged bool
-	// ql is the QL method's scratch, the tridiagonal matrix's diagonal
-	// (sorted into its eigenvalues) and subdiagonal, sized for MaxIters
-	// coefficients by the first eigenvalue update, so no later one
-	// allocates. Set-up does not pay for it: a solve that never updates
-	// its estimates in the loop never allocates it.
-	ql []float64
+	// exhausted is the happy breakdown: the Krylov space is exhausted and
+	// the solve is finished before MaxIters.
+	exhausted bool
 	// w is scratch for A·ω.
 	w []float64
 	// red holds the reusable reduction buffers, so the per-iteration
@@ -92,8 +81,7 @@ func New(c spmvm.Comm, eng *spmvm.Engine, opts Options) (*Solver, error) {
 
 // NewShell creates a solver with empty state and no communication — the
 // constructor used by a rescue process, whose state arrives via Restore.
-// α and β are allocated at MaxIters capacity and the eigenvalue buffers at
-// NumEigs, so Step never grows them.
+// α and β are allocated at MaxIters capacity, so Step never grows them.
 func NewShell(c spmvm.Comm, eng *spmvm.Engine, opts Options) *Solver {
 	s := &Solver{comm: c, eng: eng, opts: opts.withDefaults()}
 	n := eng.LocalRows()
@@ -102,8 +90,6 @@ func NewShell(c spmvm.Comm, eng *spmvm.Engine, opts Options) *Solver {
 	s.w = make([]float64, n)
 	s.Alpha = make([]float64, 0, s.opts.MaxIters)
 	s.Beta = make([]float64, 0, s.opts.MaxIters)
-	s.Eigs = make([]float64, 0, s.opts.NumEigs)
-	s.prevEigs = make([]float64, 0, s.opts.NumEigs)
 	return s
 }
 
@@ -118,9 +104,9 @@ func (s *Solver) ResetStart() error {
 	s.VPrev = resized(s.VPrev, n)
 	clear(s.VPrev)
 	s.w = resized(s.w, n)
-	s.Alpha, s.Beta, s.Eigs, s.prevEigs = s.Alpha[:0], s.Beta[:0], s.Eigs[:0], s.prevEigs[:0]
+	s.Alpha, s.Beta = s.Alpha[:0], s.Beta[:0]
 	s.It = 0
-	s.converged = false
+	s.exhausted = false
 	lo := s.eng.Plan().Lo
 	for i := range s.V {
 		s.V[i] = startEntry(s.opts.Seed, lo+int64(i))
@@ -166,14 +152,13 @@ func splitmix64(z uint64) uint64 {
 // so α_j = (A·ν_j)·ν_j and β_j = ‖ω_j‖, as in the paper, with both sums in
 // one allreduce. The last pass writes ν_j into VPrev and ω_{j+1} into V.
 // At iteration 0 β is the start vector's norm, not a coefficient, and a
-// zero start vector is an error. Every CheckEvery iterations the QL
-// eigenvalue update and convergence check follow.
+// zero start vector is an error.
 //
 // Nothing durable changes before the reduction returns, so a Step that
 // fails leaves the state it found. A reduction that finds ‖ω_j‖ < 1e-300
 // is a happy breakdown: the Krylov space is exhausted, the Step appends
-// nothing and the estimates are exact eigenvalues of the projected
-// operator.
+// nothing, the solve is finished and the Ritz values are exact eigenvalues
+// of the projected operator.
 func (s *Solver) Step() error {
 	if err := s.eng.SpMV(s.V, s.w, s.It); err != nil {
 		return err
@@ -187,8 +172,8 @@ func (s *Solver) Step() error {
 		if s.It == 0 {
 			return fmt.Errorf("lanczos: zero start vector")
 		}
-		s.converged = true
-		return s.updateEigs()
+		s.exhausted = true
+		return nil
 	}
 	alpha, inv := uw/sq, 1/beta
 	u := s.w
@@ -203,57 +188,31 @@ func (s *Solver) Step() error {
 		s.Beta = append(s.Beta, beta)
 	}
 	s.It++
-	if int(s.It)%s.opts.CheckEvery == 0 {
-		if err := s.updateEigs(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// updateEigs runs the QL method on the current tridiagonal matrix (the
-// paper's CalcMinimumEigenVal) and evaluates convergence.
-func (s *Solver) updateEigs() error {
-	n := len(s.Alpha)
-	if n == 0 {
-		return nil
-	}
-	s.ql = slices.Grow(s.ql[:0], 2*max(n, s.opts.MaxIters))[:2*n]
-	eigs, err := tridiagQL(s.Alpha, s.Beta, s.ql[:n], s.ql[n:])
-	if err != nil {
-		return err
-	}
-	s.Eigs, s.prevEigs = append(s.prevEigs[:0], eigs[:min(s.opts.NumEigs, n)]...), s.Eigs
-	if s.opts.Tol > 0 && len(s.prevEigs) == len(s.Eigs) && len(s.Eigs) == s.opts.NumEigs {
-		conv := true
-		for i := range s.Eigs {
-			if math.Abs(s.Eigs[i]-s.prevEigs[i]) > s.opts.Tol {
-				conv = false
-				break
-			}
-		}
-		if conv {
-			s.converged = true
-		}
-	}
-	return nil
-}
-
-// Finished reports whether the solve is done (converged or out of
-// iterations).
+// Finished reports whether the solve is done: out of iterations, or the
+// Krylov space exhausted.
 func (s *Solver) Finished() bool {
-	return s.converged || s.It >= int64(s.opts.MaxIters)
+	return s.exhausted || s.It >= int64(s.opts.MaxIters)
 }
 
-// Converged reports whether the convergence criterion fired (as opposed to
-// hitting MaxIters).
-func (s *Solver) Converged() bool { return s.converged }
+// Eigenvalues returns the lowest NumEigs Ritz values of the tridiagonal
+// matrix α, β holds now (the paper's CalcMinimumEigenVal): one QL run,
+// made on demand by whoever collects the result, never inside Step.
+func (s *Solver) Eigenvalues() ([]float64, error) {
+	eigs, err := TridiagEigenvalues(s.Alpha, s.Beta)
+	if err != nil {
+		return nil, err
+	}
+	return LowestK(eigs, s.opts.NumEigs), nil
+}
 
 // --- checkpointing -----------------------------------------------------------
 
 // CheckpointPayload serializes the solver state the paper identifies:
 // "The checkpointing data consists of two consecutive Lanczos vectors,
-// α, and β", plus the iteration counter and current estimates.
+// α, and β", plus the iteration counter.
 //
 // The payload is staged into a buffer the solver owns, sized once for
 // MaxIters coefficients and reused, so a checkpoint allocates nothing after
@@ -262,15 +221,14 @@ func (s *Solver) Converged() bool { return s.converged }
 // checkpoint library and the mirror encoder do; see core.App.Checkpoint).
 func (s *Solver) CheckpointPayload() []byte {
 	if s.cp == nil {
-		// It, five length prefixes, the two vectors, α, β, estimates.
-		s.cp = make([]byte, 0, 8*(1+5+2*len(s.V)+2*s.opts.MaxIters+s.opts.NumEigs))
+		// It, four length prefixes, the two vectors, α, β.
+		s.cp = make([]byte, 0, 8*(1+4+2*len(s.V)+2*s.opts.MaxIters))
 	}
 	b := binary.LittleEndian.AppendUint64(s.cp[:0], uint64(s.It))
 	b = appendF64s(b, s.V)
 	b = appendF64s(b, s.VPrev)
 	b = appendF64s(b, s.Alpha)
 	b = appendF64s(b, s.Beta)
-	b = appendF64s(b, s.Eigs)
 	s.cp = b
 	return b
 }
@@ -290,7 +248,6 @@ func (s *Solver) Restore(payload []byte) error {
 	vprev := d.f64s()
 	alpha := d.f64s()
 	betas := d.f64s()
-	eigs := d.f64s()
 	if d.err != nil {
 		return fmt.Errorf("lanczos: restore: %w", d.err)
 	}
@@ -307,9 +264,7 @@ func (s *Solver) Restore(payload []byte) error {
 	s.VPrev = decodeF64s(s.VPrev, vprev)
 	s.Alpha = decodeF64s(s.Alpha, alpha)
 	s.Beta = decodeF64s(s.Beta, betas)
-	s.Eigs = decodeF64s(s.Eigs, eigs)
-	s.prevEigs = s.prevEigs[:0]
-	s.converged = false
+	s.exhausted = false
 	s.w = resized(s.w, n)
 	return nil
 }

@@ -1,9 +1,11 @@
 // Package lanczos implements the paper's application: a distributed Lanczos
 // eigensolver for the lowest eigenvalues of a sparse symmetric matrix
 // (Algorithm 1), built on the spMVM library. Each iteration computes the
-// new Lanczos vector and the tridiagonal coefficients α, β; the
+// new Lanczos vector and the tridiagonal coefficients α, β. The iteration
+// runs a fixed number of steps, as the paper's benchmarks do; the
 // approximated minimum eigenvalues are extracted from the tridiagonal
-// matrix with the QL method and checked against a convergence criterion.
+// matrix with the QL method once, when the result is collected
+// (Solver.Eigenvalues).
 //
 // The solver state is checkpointable exactly as in the paper: the
 // checkpoint holds two consecutive Lanczos vectors plus α and β.
@@ -25,12 +27,6 @@ var ErrNoConvergence = errors.New("lanczos: QL iteration did not converge")
 // algorithm with implicit shifts (the "QL method" of the paper). The input
 // slices are not modified; eigenvalues are returned in ascending order.
 func TridiagEigenvalues(d, e []float64) ([]float64, error) {
-	return tridiagQL(d, e, make([]float64, len(d)), make([]float64, len(d)))
-}
-
-// tridiagQL is TridiagEigenvalues in the caller's scratch: dd and ee must
-// hold len(d) entries each, and the eigenvalues are returned in dd.
-func tridiagQL(d, e, dd, ee []float64) ([]float64, error) {
 	n := len(d)
 	if len(e) != n-1 && !(n == 0 && len(e) == 0) {
 		return nil, fmt.Errorf("lanczos: subdiagonal length %d for dimension %d", len(e), n)
@@ -38,7 +34,7 @@ func tridiagQL(d, e, dd, ee []float64) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	dd, ee = dd[:n], ee[:n]
+	dd, ee := make([]float64, n), make([]float64, n)
 	copy(dd, d)
 	copy(ee[:n-1], e)
 	ee[n-1] = 0
