@@ -187,9 +187,8 @@ func BenchmarkCollAllreduceF64Sharded(b *testing.B) {
 
 // BenchmarkJobLaunch and BenchmarkGroupRecommit gate what the
 // communication layer allocates whether or not a job ever uses it: B/op of
-// launching and closing an 8-process job (fabric rings and inboxes sized
-// from the process count, GroupAll's collective segment; CI ceiling
-// 1.5 MB), and B/member of one delete + create + commit of a 4-member
+// launching and closing an 8-process job (fabric rings sized from the
+// process count, GroupAll's collective segment; CI ceiling 1 MB), and B/member of one delete + create + commit of a 4-member
 // group, the allocation every survivor pays on the recovery path (CI
 // ceiling 4 KiB: a 2 KiB collective segment and the group's bookkeeping).
 

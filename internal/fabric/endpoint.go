@@ -10,59 +10,53 @@ import (
 // closed (the local process is dead).
 var ErrClosed = errors.New("fabric: endpoint closed")
 
-// Sink is a delivery-time message handler: the registered-memory fast
-// path. When an endpoint has a sink, the delivery pump offers each
-// data-plane message to it at the moment the message becomes due; a sink
-// that returns true has consumed the message (typically by copying the
-// payload directly into its destination memory region), bypassing the
-// receive-channel hop and the consumer goroutine entirely — the way a real
-// RDMA NIC lands a one-sided write in registered memory without involving
-// the target CPU. A sink that returns false declines, and the message is
-// enqueued into the receive channel as usual.
+// Sink is an endpoint's delivery handler: the simulated NIC. The shard
+// that serves the endpoint calls it for every message addressed there,
+// data plane and management plane alike, at the moment the message comes
+// due and after the closed and partition checks — the way a real RDMA NIC
+// lands a one-sided write in registered memory, or answers a ping,
+// without involving the target CPU.
 //
-// Contract: the sink runs on the delivery pump's goroutine and must not
-// block. Messages the sink consumes keep the fabric's per-(source,
-// destination) FIFO order relative to each other and are always applied
-// no later than a subsequently delivered channel message is processed, so
-// write-before-notification ordering holds across both paths. Management
-// plane messages are never offered to the sink.
-type Sink func(m Message) bool
+// Contract: the sink runs on the shard goroutine and must not block. An
+// endpoint's messages are handled on that one goroutine in delivery
+// order, so the per-(source, destination) FIFO order of the fabric is the
+// order the sink sees, and a write is applied before any later message of
+// its pair is handled. The sink posts its answers through reply, never
+// through Endpoint.Send: a post from a delivery must not wait for ring
+// space that only a shard frees.
+type Sink func(m Message, reply Reply)
+
+// Reply is the post path the fabric hands a Sink with each message.
+type Reply struct{ e *Endpoint }
+
+// Send posts m from the handling endpoint to the given destination on the
+// data plane. Nothing is posted from a closed endpoint: a dead NIC sends
+// no answers.
+func (r Reply) Send(to Rank, m Message) {
+	_ = r.e.send(to, m, false, true)
+}
 
 // Endpoint is one simulated process's attachment point to the fabric.
-// Send posts messages asynchronously; Recv exposes the delivery channel,
-// which the GASPI layer's NIC goroutine drains.
+// Send posts messages asynchronously; the registered Sink handles what
+// arrives.
 type Endpoint struct {
 	rank Rank
 	t    *Transport
-	in   chan Message
 	done chan struct{}
 	once sync.Once
 	sink atomic.Value // Sink
 }
 
-// SetSink registers the endpoint's delivery-time fast-path handler.
-// Register before traffic starts; replacing a sink mid-flight is safe but
-// in-flight messages may still be offered to the old one.
+// SetSink registers the endpoint's delivery handler. Register before
+// traffic starts: a message that comes due with no handler registered is
+// counted as delivered and discarded. Replacing a handler mid-flight is
+// safe, but a message being handled may still reach the old one.
 func (e *Endpoint) SetSink(s Sink) {
 	e.sink.Store(s)
 }
 
-// trySink offers a due data-plane message to the registered sink, if any.
-func (e *Endpoint) trySink(m Message) bool {
-	s, _ := e.sink.Load().(Sink)
-	return s != nil && s(m)
-}
-
 // Rank returns the endpoint's rank.
 func (e *Endpoint) Rank() Rank { return e.rank }
-
-// Recv returns the delivery channel. The consumer must drain it promptly;
-// a full inbox exerts backpressure on the delivery pump for this endpoint
-// only (modelling a saturated NIC receive queue).
-func (e *Endpoint) Recv() <-chan Message { return e.in }
-
-// Done returns a channel closed when the endpoint is closed.
-func (e *Endpoint) Done() <-chan struct{} { return e.done }
 
 // Closed reports whether the endpoint has been closed.
 func (e *Endpoint) Closed() bool {
@@ -85,17 +79,19 @@ func (e *Endpoint) Close() {
 // destination) surface asynchronously as a KindNack message delivered back to
 // this endpoint, mirroring a reliable-connection error completion.
 func (e *Endpoint) Send(to Rank, m Message) error {
-	return e.send(to, m, false)
+	return e.send(to, m, false, false)
 }
 
 // SendMgmt posts a message on the management plane: fixed latency, immune to
 // data-plane partitions. This models out-of-band control (the channel through
 // which gaspi_proc_kill reaches an otherwise unreachable process).
 func (e *Endpoint) SendMgmt(to Rank, m Message) error {
-	return e.send(to, m, true)
+	return e.send(to, m, true, false)
 }
 
-func (e *Endpoint) send(to Rank, m Message, mgmt bool) error {
+// send posts m; fromDelivery marks a post made by a handler on a shard
+// goroutine (see shard.enqueue).
+func (e *Endpoint) send(to Rank, m Message, mgmt, fromDelivery bool) error {
 	if e.Closed() {
 		return ErrClosed
 	}
@@ -104,6 +100,6 @@ func (e *Endpoint) send(to Rank, m Message, mgmt bool) error {
 	}
 	m.From = e.rank
 	m.To = to
-	e.t.post(m, mgmt)
+	e.t.post(m, mgmt, fromDelivery)
 	return nil
 }

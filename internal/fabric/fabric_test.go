@@ -20,13 +20,30 @@ func fastCfg(n int) Config {
 	}
 }
 
-func recvOne(t *testing.T, e *Endpoint, within time.Duration) Message {
+// inbox registers a handler on e that forwards every message into a
+// channel of the given capacity, sized to the test's traffic, and returns
+// the channel. A message that finds it full fails the test; the handler
+// never blocks the shard.
+func inbox(t *testing.T, e *Endpoint, capacity int) <-chan Message {
+	t.Helper()
+	ch := make(chan Message, capacity)
+	e.SetSink(func(m Message, _ Reply) {
+		select {
+		case ch <- m:
+		default:
+			t.Errorf("rank %d: inbox of %d full, kind %d from %d not kept", e.Rank(), capacity, m.Kind, m.From)
+		}
+	})
+	return ch
+}
+
+func recvOne(t *testing.T, in <-chan Message, within time.Duration) Message {
 	t.Helper()
 	select {
-	case m := <-e.Recv():
+	case m := <-in:
 		return m
 	case <-time.After(within):
-		t.Fatalf("rank %d: no message within %v", e.Rank(), within)
+		t.Fatalf("no message within %v", within)
 		return Message{}
 	}
 }
@@ -34,7 +51,7 @@ func recvOne(t *testing.T, e *Endpoint, within time.Duration) Message {
 func TestBasicDelivery(t *testing.T) {
 	tr := New(fastCfg(2))
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 1)
 	if err := a.Send(1, Message{Kind: 7, Token: 99, Payload: []byte("hello")}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +67,8 @@ func TestBasicDelivery(t *testing.T) {
 func TestFIFOPerPair(t *testing.T) {
 	tr := New(Config{N: 2, Latency: LatencyModel{Base: time.Microsecond, PerByte: 10 * time.Nanosecond, Jitter: 2.0}, Seed: 1})
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
 	const n = 500
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), n)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < n; i++ {
 		// Varying payload sizes create varying latencies; FIFO per pair must hold.
@@ -80,7 +97,7 @@ func TestFIFOPerPairProperty(t *testing.T) {
 		}
 		tr := New(Config{N: 3, Latency: LatencyModel{Base: time.Microsecond, PerByte: 5 * time.Nanosecond, Jitter: 3.0}, Seed: seed})
 		defer tr.Close()
-		a, c := tr.Endpoint(0), tr.Endpoint(2)
+		a, c := tr.Endpoint(0), inbox(t, tr.Endpoint(2), len(sizes))
 		for i, s := range sizes {
 			if err := a.Send(2, Message{Kind: 2, Token: uint64(i), Payload: make([]byte, int(s)%1024)}); err != nil {
 				return false
@@ -88,7 +105,7 @@ func TestFIFOPerPairProperty(t *testing.T) {
 		}
 		for i := range sizes {
 			select {
-			case m := <-c.Recv():
+			case m := <-c:
 				if m.Token != uint64(i) {
 					return false
 				}
@@ -106,12 +123,13 @@ func TestFIFOPerPairProperty(t *testing.T) {
 func TestNackOnClosedEndpoint(t *testing.T) {
 	tr := New(fastCfg(2))
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
-	b.Close()
+	a := tr.Endpoint(0)
+	nacks := inbox(t, a, 1)
+	tr.Endpoint(1).Close()
 	if err := a.Send(1, Message{Kind: 5, Token: 1234}); err != nil {
 		t.Fatal(err)
 	}
-	m := recvOne(t, a, time.Second)
+	m := recvOne(t, nacks, time.Second)
 	if m.Kind != KindNack {
 		t.Fatalf("want NACK, got kind %d", m.Kind)
 	}
@@ -161,15 +179,16 @@ func TestSendFromClosedEndpoint(t *testing.T) {
 func TestPartitionDropsSilently(t *testing.T) {
 	tr := New(fastCfg(3))
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a := tr.Endpoint(0)
+	toA, b := inbox(t, a, 1), inbox(t, tr.Endpoint(1), 1)
 	tr.SetPartitioned(1, true)
 	if err := a.Send(1, Message{Kind: 9, Token: 7}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case m := <-a.Recv():
+	case m := <-toA:
 		t.Fatalf("unexpected message to sender (no NACK on partition): %+v", m)
-	case m := <-b.Recv():
+	case m := <-b:
 		t.Fatalf("partitioned endpoint received %+v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -190,13 +209,13 @@ func TestPartitionDropsSilently(t *testing.T) {
 func TestPartitionBlocksOutbound(t *testing.T) {
 	tr := New(fastCfg(3))
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 1)
 	tr.SetPartitioned(0, true)
 	if err := a.Send(1, Message{Kind: 9}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case m := <-b.Recv():
+	case m := <-b:
 		t.Fatalf("message escaped partition: %+v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -205,7 +224,7 @@ func TestPartitionBlocksOutbound(t *testing.T) {
 func TestLinkDownIsNonUniform(t *testing.T) {
 	tr := New(fastCfg(3))
 	defer tr.Close()
-	a, b, c := tr.Endpoint(0), tr.Endpoint(1), tr.Endpoint(2)
+	a, b, c := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 2), inbox(t, tr.Endpoint(2), 1)
 	tr.SetLinkDown(0, 1, true)
 	if err := a.Send(1, Message{Kind: 1, Token: 1}); err != nil {
 		t.Fatal(err)
@@ -213,7 +232,7 @@ func TestLinkDownIsNonUniform(t *testing.T) {
 	if err := a.Send(2, Message{Kind: 1, Token: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(1, Message{Kind: 1, Token: 3}); err != nil {
+	if err := tr.Endpoint(2).Send(1, Message{Kind: 1, Token: 3}); err != nil {
 		t.Fatal(err)
 	}
 	// 0→2 and 2→1 must still work; 0→1 must not.
@@ -226,17 +245,16 @@ func TestLinkDownIsNonUniform(t *testing.T) {
 		t.Fatalf("got %d", m.Token)
 	}
 	select {
-	case m := <-b.Recv():
+	case m := <-b:
 		t.Fatalf("link-down message arrived: %+v", m)
 	case <-time.After(30 * time.Millisecond):
 	}
-	_ = a
 }
 
 func TestMgmtBypassesPartition(t *testing.T) {
 	tr := New(fastCfg(2))
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 1)
 	tr.SetPartitioned(1, true)
 	if err := a.SendMgmt(1, Message{Kind: 33, Token: 5}); err != nil {
 		t.Fatal(err)
@@ -250,12 +268,13 @@ func TestMgmtBypassesPartition(t *testing.T) {
 func TestMgmtToClosedEndpointNacks(t *testing.T) {
 	tr := New(fastCfg(2))
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
-	b.Close()
+	a := tr.Endpoint(0)
+	nacks := inbox(t, a, 1)
+	tr.Endpoint(1).Close()
 	if err := a.SendMgmt(1, Message{Kind: 33, Token: 5}); err != nil {
 		t.Fatal(err)
 	}
-	m := recvOne(t, a, time.Second)
+	m := recvOne(t, nacks, time.Second)
 	if m.Kind != KindNack {
 		t.Fatalf("want NACK, got %+v", m)
 	}
@@ -265,7 +284,7 @@ func TestLatencyRoughlyHonored(t *testing.T) {
 	base := 20 * time.Millisecond
 	tr := New(Config{N: 2, Latency: LatencyModel{Base: base}})
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 1)
 	start := time.Now()
 	if err := a.Send(1, Message{Kind: 1}); err != nil {
 		t.Fatal(err)
@@ -285,7 +304,7 @@ func TestPerByteLatency(t *testing.T) {
 	lm := LatencyModel{Base: time.Millisecond, PerByte: 20 * time.Nanosecond}
 	tr := New(Config{N: 2, Latency: lm})
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 1)
 	big := make([]byte, 1<<20)
 	start := time.Now()
 	if err := a.Send(1, Message{Kind: 1, Payload: big}); err != nil {
@@ -304,6 +323,7 @@ func TestConcurrentSendersStress(t *testing.T) {
 	const per = 200
 	tr := New(fastCfg(n))
 	defer tr.Close()
+	dst := inbox(t, tr.Endpoint(0), (n-1)*per)
 	var wg sync.WaitGroup
 	for src := 1; src < n; src++ {
 		wg.Add(1)
@@ -319,7 +339,6 @@ func TestConcurrentSendersStress(t *testing.T) {
 		}(src)
 	}
 	got := make(map[Rank]uint64)
-	dst := tr.Endpoint(0)
 	for i := 0; i < (n-1)*per; i++ {
 		m := recvOne(t, dst, 5*time.Second)
 		// FIFO per source.
@@ -340,7 +359,7 @@ func TestConcurrentSendersStress(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	tr := New(fastCfg(2))
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 10)
 	for i := 0; i < 10; i++ {
 		if err := a.Send(1, Message{Kind: 11}); err != nil {
 			t.Fatal(err)
@@ -395,6 +414,7 @@ func TestManyEndpoints(t *testing.T) {
 	// Smoke test at the paper's scale: 256 endpoints + spares.
 	tr := New(fastCfg(261))
 	defer tr.Close()
+	in := inbox(t, tr.Endpoint(0), 260)
 	var wg sync.WaitGroup
 	for i := 1; i < 261; i++ {
 		wg.Add(1)
@@ -408,7 +428,7 @@ func TestManyEndpoints(t *testing.T) {
 	wg.Wait()
 	seen := make(map[uint64]bool)
 	for i := 1; i < 261; i++ {
-		m := recvOne(t, tr.Endpoint(0), 5*time.Second)
+		m := recvOne(t, in, 5*time.Second)
 		if seen[m.Token] {
 			t.Fatalf("duplicate token %d", m.Token)
 		}
@@ -426,8 +446,8 @@ func TestWireSizeAccounting(t *testing.T) {
 func TestJitterNeverReordersPair(t *testing.T) {
 	tr := New(Config{N: 2, Latency: LatencyModel{Base: 50 * time.Microsecond, Jitter: 5}, Seed: 9})
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
 	const n = 100
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), n)
 	for i := 0; i < n; i++ {
 		if err := a.Send(1, Message{Token: uint64(i)}); err != nil {
 			t.Fatal(err)
@@ -444,8 +464,14 @@ func TestJitterNeverReordersPair(t *testing.T) {
 func ExampleTransport() {
 	tr := New(Config{N: 2, Latency: LatencyModel{Base: time.Microsecond}})
 	defer tr.Close()
+	// Rank 1's handler answers on the shard that delivers to it; rank 0's
+	// hands what it gets to the example's goroutine.
+	tr.Endpoint(1).SetSink(func(m Message, reply Reply) {
+		reply.Send(m.From, Message{Kind: 2, Payload: []byte("pong")})
+	})
+	got := make(chan Message, 1)
+	tr.Endpoint(0).SetSink(func(m Message, _ Reply) { got <- m })
 	tr.Endpoint(0).Send(1, Message{Kind: 1, Payload: []byte("ping")})
-	m := <-tr.Endpoint(1).Recv()
-	fmt.Println(string(m.Payload))
-	// Output: ping
+	fmt.Println(string((<-got).Payload))
+	// Output: pong
 }

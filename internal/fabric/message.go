@@ -1,10 +1,11 @@
 // Package fabric simulates an RDMA-capable cluster interconnect inside a
-// single process. Each simulated process owns an Endpoint; messages posted
-// with Send are delivered into the destination's receive channel after a
-// configurable latency (base + per-byte + jitter), preserving FIFO order per
-// (source, destination) pair — the ordering guarantee a reliable-connected
-// RDMA queue pair provides, which the GASPI layer's write-then-notify
-// semantics depend on.
+// single process. Each simulated process owns an Endpoint; a message
+// posted with Send is handed to the destination's handler (its Sink) after
+// a configurable latency (base + per-byte + jitter), on the delivery shard
+// that serves the destination, preserving FIFO order per (source,
+// destination) pair — the ordering guarantee a reliable-connected RDMA
+// queue pair provides, which the GASPI layer's write-then-notify semantics
+// depend on.
 //
 // Failure semantics mirror a real fabric:
 //

@@ -54,10 +54,9 @@ type postRing struct {
 
 // newPostRing makes a ring of depth slots, a power of two (intakeDepth).
 // A full ring splits by caller (shard.enqueue): ordinary producers wait
-// for space — that wait is the fabric's flow control — while delivery
-// goroutines, which can arrive here posting NACKs or sink completion
-// replies into their own ring, divert to the shard's spill queue instead
-// of deadlocking.
+// for space — that wait is the fabric's flow control — while posts from a
+// delivery (NACKs and handler replies, which a shard can post into its
+// own ring) divert to the shard's spill queue instead of deadlocking.
 func newPostRing(depth int) *postRing {
 	r := &postRing{
 		slots: make([]ringSlot, depth),

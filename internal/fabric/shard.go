@@ -18,14 +18,6 @@ import (
 // design's N potential spinners.
 const spinThreshold = 50 * time.Microsecond
 
-// deferRetryDelay paces redelivery attempts to a destination whose inbox
-// is full. The old per-rank pump blocked the whole pump on a full inbox;
-// a shard serves many destinations, so a saturated receive queue must not
-// stall the others — due messages for it park in a per-destination
-// overflow queue and are retried at this cadence (and opportunistically on
-// every shard loop iteration).
-const deferRetryDelay = 100 * time.Microsecond
-
 // lingerGrace is how long a shard keeps time-keeper-spinning after its
 // last delivery before parking on the doorbell. Request/response traffic
 // (the small-collective ping-pong, FD pings) turns messages around within
@@ -48,10 +40,12 @@ const lingerYieldAbort = 10 * time.Microsecond
 // and so do the per-partner halo pushes of the spMVM gather.
 //
 // All mutable delivery state (the monomorphic timer heap, the sequence
-// counter, the per-(source, destination) FIFO clamps, the jitter RNG, the
-// overflow queues) is owned by the shard goroutine alone: producers only
-// touch the lock-free intake ring and the doorbell. There is no mutex on
-// the post path at all.
+// counter, the per-(source, destination) FIFO clamps, the jitter RNG) is
+// owned by the shard goroutine alone: producers only touch the lock-free
+// intake ring and the doorbell. There is no mutex on the post path at
+// all. The shard also runs every destination's handler (its Sink),
+// so each endpoint's messages are handled on one goroutine, in delivery
+// order.
 type shard struct {
 	t  *Transport
 	id int
@@ -62,9 +56,9 @@ type shard struct {
 	sleeping atomic.Bool
 	once     sync.Once
 
-	// Spill intake: where a delivery goroutine's own posts (NACKs, sink
-	// completion replies) go when the ring is full — the consumer waiting
-	// for space in a ring only it drains would deadlock. Ordinary
+	// Spill intake: where a delivery's own posts (NACKs, handler replies)
+	// go when the ring is full — a shard waiting for space in a ring that
+	// only it, or another waiting shard, drains would deadlock. Ordinary
 	// producers wait for ring space instead (see enqueue); that wait is
 	// the fabric's flow control. postSeq stamps every entry so the
 	// consumer can merge ring and spill back into post order (the
@@ -82,11 +76,6 @@ type shard struct {
 	rng      *rand.Rand
 	timer    *time.Timer
 	lastWork time.Time // last delivery, for the post-delivery linger
-
-	// Full-inbox overflow: per-destination FIFO of due-but-undeliverable
-	// messages, plus the list of destinations with pending overflow.
-	deferred  map[Rank]*overflowQueue
-	deferDsts []Rank
 }
 
 // pairKey identifies a directed (source, destination) pair: the unit of
@@ -156,39 +145,15 @@ func (h *msgHeap) pop() heapItem {
 	return top
 }
 
-// overflowQueue is a slice-backed FIFO of messages awaiting inbox space.
-// Popping advances head; the backing array is reset (and reused) once
-// drained, so steady-state overflow churn does not allocate.
-type overflowQueue struct {
-	items []heapItem
-	head  int
-}
-
-func (q *overflowQueue) len() int { return len(q.items) - q.head }
-
-func (q *overflowQueue) push(it heapItem) { q.items = append(q.items, it) }
-
-func (q *overflowQueue) peek() *heapItem { return &q.items[q.head] }
-
-func (q *overflowQueue) popFront() {
-	q.items[q.head] = heapItem{}
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-}
-
 func newShard(t *Transport, id int, seed int64) *shard {
 	s := &shard{
-		t:        t,
-		id:       id,
-		ring:     newPostRing(intakeDepth(t.cfg.N)),
-		wake:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		lastDue:  make(map[pairKey]time.Time),
-		rng:      rand.New(rand.NewSource(seed)),
-		deferred: make(map[Rank]*overflowQueue),
+		t:       t,
+		id:      id,
+		ring:    newPostRing(intakeDepth(t.cfg.N)),
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		lastDue: make(map[pairKey]time.Time),
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 	s.timer = time.NewTimer(time.Hour)
 	if !s.timer.Stop() {
@@ -200,9 +165,9 @@ func newShard(t *Transport, id int, seed int64) *shard {
 // post enqueues a message into the intake (ring, or spill queue when the
 // ring is full) and rings the doorbell. Called from any producer
 // goroutine; lock-free unless the ring is full.
-func (s *shard) post(m Message, d time.Duration, mgmt bool) {
+func (s *shard) post(m Message, d time.Duration, mgmt, fromDelivery bool) {
 	e := postEntry{msg: m, at: time.Now(), d: d, mgmt: mgmt, ps: s.postSeq.Add(1)}
-	if !s.enqueue(e) {
+	if !s.enqueue(e, fromDelivery) {
 		return // transport shutting down: in-flight messages are discarded
 	}
 	s.doorbell()
@@ -230,43 +195,33 @@ const fullSleep = 10 * time.Microsecond
 //   - An ordinary producer WAITS for space (yield laps, then timed
 //     sleeps). This wait is load-bearing: it is the only backpressure in
 //     the fabric, bounding how far a flooding sender can run ahead of
-//     delivery. Without it a hot poll loop grows the spill and overflow
-//     queues by millions of entries and protocol-critical messages queue
-//     behind them for minutes.
+//     delivery. Without it a hot poll loop grows the spill queue by
+//     millions of entries and protocol-critical messages queue behind
+//     them for minutes.
 //
-//   - A delivery goroutine (a shard posting a NACK or a sink completion
-//     reply — possibly into its own ring) must NEVER wait, so it diverts
-//     to the spill queue. Once engaged, ALL its posts append there
-//     (checked again under the lock — the consumer may have just swept
-//     it) until the next gather, so it cannot jump its own spilled entry
-//     by finding a freed ring slot; gather merges spill and ring back
-//     into post order by ps.
+//   - A post from a delivery (fromDelivery: a NACK or a handler's reply,
+//     posted on a shard goroutine, possibly into its own ring) must NEVER
+//     wait, so it diverts to the spill queue. Once engaged, ALL delivery
+//     posts append there (checked again under the lock — the consumer may
+//     have just swept it) until the next gather, so a delivery cannot jump
+//     its own spilled entry by finding a freed ring slot; gather merges
+//     spill and ring back into post order by ps.
 //
-// The caller check costs a runtime.Stack parse and happens only on the
-// cold full-ring path. Returns false only when the transport is shutting
-// down and the intake is congested — the one case in which the consumer
-// may never drain again.
+// Returns false only when the transport is shutting down and the intake
+// is congested — the one case in which the consumer may never drain
+// again.
 //
 //ftlint:hotpath
-func (s *shard) enqueue(e postEntry) bool {
-	shardCtx := -1 // lazily resolved: 1 = delivery goroutine, 0 = producer
+func (s *shard) enqueue(e postEntry, fromDelivery bool) bool {
 	for fulls := 0; ; {
-		if s.spillOn.Load() {
-			if shardCtx < 0 {
-				shardCtx = 0
-				if s.t.onShardGoroutine() {
-					shardCtx = 1
-				}
-			}
-			if shardCtx == 1 {
-				s.spillMu.Lock()
-				if s.spillOn.Load() {
-					s.spill = append(s.spill, e)
-					s.spillMu.Unlock()
-					return true
-				}
+		if fromDelivery && s.spillOn.Load() {
+			s.spillMu.Lock()
+			if s.spillOn.Load() {
+				s.spill = append(s.spill, e)
 				s.spillMu.Unlock()
+				return true
 			}
+			s.spillMu.Unlock()
 		}
 		if s.ring.tryPush(e) {
 			return true
@@ -274,13 +229,7 @@ func (s *shard) enqueue(e postEntry) bool {
 		if s.t.closed.Load() {
 			return false
 		}
-		if shardCtx < 0 {
-			shardCtx = 0
-			if s.t.onShardGoroutine() {
-				shardCtx = 1
-			}
-		}
-		if shardCtx == 1 {
+		if fromDelivery {
 			s.spillMu.Lock()
 			s.spill = append(s.spill, e)
 			s.spillOn.Store(true)
@@ -293,31 +242,6 @@ func (s *shard) enqueue(e postEntry) bool {
 			time.Sleep(fullSleep)
 		}
 	}
-}
-
-// goid parses the current goroutine's id out of its runtime.Stack header
-// ("goroutine N [...]"). Used only on the cold full-ring path to decide
-// whether the caller is a delivery goroutine; ids are assigned from a
-// monotonic counter and never reused, so a stored id stays valid.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	var id uint64
-	for i := len("goroutine "); i < n; i++ {
-		c := buf[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// onShardGoroutine reports whether the calling goroutine is one of the
-// transport's delivery shards.
-func (t *Transport) onShardGoroutine() bool {
-	_, ok := t.shardGoids.Load(goid())
-	return ok
 }
 
 // doorbell wakes the shard iff it is parked. A shard that is running,
@@ -456,56 +380,6 @@ func siftDownPS(b []postEntry, root, end int) {
 	}
 }
 
-// deliverOrDefer hands a due message to the transport; a full destination
-// inbox defers it to the destination's overflow queue instead of blocking
-// the shard (which serves other destinations too). A destination with
-// queued overflow keeps strict FIFO: new due messages for it join the
-// queue behind the parked ones.
-//
-//ftlint:hotpath
-func (s *shard) deliverOrDefer(it heapItem) {
-	dst := it.msg.To
-	if q, ok := s.deferred[dst]; ok && q.len() > 0 {
-		q.push(it)
-		return
-	}
-	if s.t.deliver(it.msg, it.mgmt) {
-		return
-	}
-	q, ok := s.deferred[dst]
-	if !ok {
-		q = &overflowQueue{} //ftlint:ignore hotpath: one-time per destination, only after a full inbox
-		s.deferred[dst] = q
-	}
-	q.push(it)
-	s.deferDsts = append(s.deferDsts, dst)
-}
-
-// flushDeferred retries the overflow queues in arrival order per
-// destination, compacting the pending-destination list in place.
-//
-//ftlint:hotpath
-func (s *shard) flushDeferred() {
-	if len(s.deferDsts) == 0 {
-		return
-	}
-	kept := s.deferDsts[:0]
-	for _, dst := range s.deferDsts {
-		q := s.deferred[dst]
-		for q.len() > 0 {
-			it := q.peek()
-			if !s.t.deliver(it.msg, it.mgmt) {
-				break
-			}
-			q.popFront()
-		}
-		if q.len() > 0 {
-			kept = append(kept, dst)
-		}
-	}
-	s.deferDsts = kept
-}
-
 // run is the shard's delivery loop: drain the intake ring into the heap,
 // deliver everything due, then either spin (near-due head or post-delivery
 // linger: the shard is the group's single time-keeper, re-draining the
@@ -514,10 +388,8 @@ func (s *shard) flushDeferred() {
 //
 //ftlint:hotpath
 func (s *shard) run() {
-	s.t.shardGoids.Store(goid(), struct{}{}) //ftlint:ignore hotpath: one-time registration at shard startup
 	for {
 		s.gather()
-		s.flushDeferred()
 		progressed := false
 		for len(s.h) > 0 {
 			now := time.Now()
@@ -525,7 +397,7 @@ func (s *shard) run() {
 				break
 			}
 			it := s.h.pop()
-			s.deliverOrDefer(it)
+			s.t.deliver(it.msg, it.mgmt)
 			progressed = true
 		}
 		if progressed {
@@ -544,10 +416,6 @@ func (s *shard) run() {
 				continue
 			}
 		}
-		if len(s.deferDsts) > 0 && (wait < 0 || wait > deferRetryDelay) {
-			wait = deferRetryDelay
-		}
-
 		// Post-delivery linger: just after delivering, the next post is
 		// almost always imminent — a request/response protocol turns the
 		// message around within a round-trip. Parking now would make that

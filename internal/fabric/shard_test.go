@@ -50,9 +50,9 @@ func TestShardCountDefaults(t *testing.T) {
 	}
 }
 
-// TestIntakeDepthFollowsEndpointCount pins the sizing rule of rings and
-// inboxes: 64 slots per endpoint, a power of two, within [512, 4096] — and
-// that a transport's queues are made to it.
+// TestIntakeDepthFollowsEndpointCount pins the sizing rule of the intake
+// rings: 64 slots per endpoint, a power of two, within [512, 4096] — and
+// that a transport's rings are made to it.
 func TestIntakeDepthFollowsEndpointCount(t *testing.T) {
 	for n, want := range map[int]int{1: 512, 7: 512, 8: 512, 9: 1024, 16: 1024, 33: 4096, 64: 4096, 256: 4096} {
 		if got := intakeDepth(n); got != want {
@@ -61,9 +61,6 @@ func TestIntakeDepthFollowsEndpointCount(t *testing.T) {
 	}
 	tr := New(fastCfg(9))
 	defer tr.Close()
-	if got := cap(tr.eps[0].in); got != 1024 {
-		t.Errorf("inbox depth %d at 9 endpoints, want 1024", got)
-	}
 	if got := len(tr.shards[0].ring.slots); got != 1024 {
 		t.Errorf("ring depth %d at 9 endpoints, want 1024", got)
 	}
@@ -94,6 +91,10 @@ func TestCrossShardFIFOProperty(t *testing.T) {
 		}
 		tr := New(cfg)
 		defer tr.Close()
+		ins := make(map[Rank]<-chan Message, len(dsts))
+		for _, dst := range dsts {
+			ins[dst] = inbox(t, tr.Endpoint(dst), n*len(srcs))
+		}
 
 		var wg sync.WaitGroup
 		for _, src := range srcs {
@@ -125,10 +126,9 @@ func TestCrossShardFIFOProperty(t *testing.T) {
 			go func(dst Rank) {
 				defer rwg.Done()
 				next := make(map[Rank]uint64, len(srcs))
-				ep := tr.Endpoint(dst)
 				for got := 0; got < n*len(srcs); got++ {
 					select {
-					case m := <-ep.Recv():
+					case m := <-ins[dst]:
 						if m.Token != next[m.From] {
 							t.Errorf("pair (%d,%d): got token %d want %d", m.From, dst, m.Token, next[m.From])
 							failed.Store(true)
@@ -182,20 +182,14 @@ func TestConcurrentPostCloseLinkDownStress(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Drainers: keep every inbox moving so closed-endpoint NACKs and
-	// overflow retries both get exercised without the test deadlocking.
+	// Every endpoint's handler answers what it is handed, so handler
+	// replies race the posts, the closes and the link flaps too.
 	for r := Rank(0); r < nRanks; r++ {
-		wg.Add(1)
-		go func(ep *Endpoint) {
-			defer wg.Done()
-			for {
-				select {
-				case <-ep.Recv():
-				case <-stop:
-					return
-				}
+		tr.Endpoint(r).SetSink(func(m Message, reply Reply) {
+			if m.Kind == 2 {
+				reply.Send(m.From, Message{Kind: 3, Token: m.Token})
 			}
-		}(tr.Endpoint(r))
+		})
 	}
 
 	// Posters: every rank streams to every other rank.
@@ -269,8 +263,8 @@ func TestConcurrentPostCloseLinkDownStress(t *testing.T) {
 	if st.Sent == 0 {
 		t.Fatal("stress produced no traffic")
 	}
-	t.Logf("sent=%d delivered=%d dropped=%d nacks=%d fast=%d",
-		st.Sent, st.Delivered, st.Dropped, st.Nacks, st.FastDelivered)
+	t.Logf("sent=%d delivered=%d dropped=%d nacks=%d",
+		st.Sent, st.Delivered, st.Dropped, st.Nacks)
 }
 
 // TestDoorbellCoalescing checks the wakeup contract of the intake ring: a
@@ -280,17 +274,17 @@ func TestConcurrentPostCloseLinkDownStress(t *testing.T) {
 // first post of a burst and the whole burst is delivered — and the
 // latency model stays intact while doing so.
 func TestDoorbellCoalescing(t *testing.T) {
+	const k = 32
 	cfg := fastCfg(2)
 	cfg.Shards = 1
 	tr := New(cfg)
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), k)
 
 	for burst := 0; burst < 50; burst++ {
 		// Let the shard park between bursts (no pending work, >spin
 		// horizon idle), then slam a burst through the ring.
 		time.Sleep(200 * time.Microsecond)
-		const k = 32
 		for i := 0; i < k; i++ {
 			if err := a.Send(1, Message{Kind: 2, Token: uint64(burst*k + i)}); err != nil {
 				t.Fatal(err)
@@ -316,7 +310,7 @@ func TestLingerDoorbellFree(t *testing.T) {
 	cfg.Shards = 1
 	tr := New(cfg)
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 1)
 
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -352,7 +346,7 @@ func TestLingerParksWhenQuiet(t *testing.T) {
 	cfg.Shards = 1
 	tr := New(cfg)
 	defer tr.Close()
-	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	a, b := tr.Endpoint(0), inbox(t, tr.Endpoint(1), 1)
 
 	const bursts = 20
 	for i := 0; i < bursts; i++ {
@@ -376,12 +370,12 @@ func TestLingerParksWhenQuiet(t *testing.T) {
 // anchor: ordering and NACK behavior must be identical to the sharded
 // configurations.
 func TestShardsEqualRanksMatchesPumpLayout(t *testing.T) {
+	const n = 100
 	cfg := fastCfg(4)
 	cfg.Shards = 4
 	tr := New(cfg)
 	defer tr.Close()
-	a, d := tr.Endpoint(0), tr.Endpoint(3)
-	const n = 100
+	a, d := tr.Endpoint(0), inbox(t, tr.Endpoint(3), n)
 	for i := 0; i < n; i++ {
 		if err := a.Send(3, Message{Kind: 2, Token: uint64(i)}); err != nil {
 			t.Fatal(err)
@@ -407,13 +401,12 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestUndrainedEndpointFlood drives both bounded queues of the intake to
-// their limit: four producers post 8 × depth messages each to an endpoint
-// nobody reads, so its inbox fills, the rest parks in the shard's overflow
-// FIFO, and the producers outrun a ring a fraction of their burst deep.
-// Every producer must return (the full-ring wait is flow control, not a
-// deadlock), and once the endpoint drains everything arrives, in
-// per-pair order, with nothing dropped.
+// TestUndrainedEndpointFlood drives the intake ring to its limit: four
+// producers post 8 × depth messages each to one endpoint, which the test
+// does not read until every producer has returned, so the producers
+// outrun a ring a fraction of their burst deep. Every producer must return
+// (the full-ring wait is flow control, not a deadlock), and everything
+// arrives, in per-pair order, with nothing dropped.
 func TestUndrainedEndpointFlood(t *testing.T) {
 	const producers = 4
 	cfg := fastCfg(producers + 1)
@@ -421,6 +414,7 @@ func TestUndrainedEndpointFlood(t *testing.T) {
 	defer tr.Close()
 	per := 8 * intakeDepth(cfg.N)
 	dst := tr.Endpoint(producers)
+	in := inbox(t, dst, producers*per)
 
 	var wg sync.WaitGroup
 	for r := 0; r < producers; r++ {
@@ -436,11 +430,10 @@ func TestUndrainedEndpointFlood(t *testing.T) {
 		}(tr.Endpoint(Rank(r)))
 	}
 	wg.Wait()
-	waitUntil(t, "a full inbox", func() bool { return len(dst.in) == intakeDepth(cfg.N) })
 
 	next := make([]uint64, producers)
 	for i := 0; i < producers*per; i++ {
-		m := recvOne(t, dst, 10*time.Second)
+		m := recvOne(t, in, 10*time.Second)
 		if m.Token != next[m.From] {
 			t.Fatalf("from %d: got token %d, want %d", m.From, m.Token, next[m.From])
 		}
@@ -452,13 +445,14 @@ func TestUndrainedEndpointFlood(t *testing.T) {
 }
 
 // TestShardNackIntoFullRingSpills holds the one shard inside a delivery (a
-// sink that waits on a gate) while a producer fills its ring to the last
+// handler that waits on a gate) while a producer fills its ring to the last
 // slot and goes on waiting for space. Released, the shard delivers to a
-// closed endpoint and posts the NACKs into its own full ring: waiting
-// there would deadlock the only goroutine that drains it, so they must
-// take the spill queue — checked by holding the shard at a second gate —
-// and still reach the sender in post order, behind nothing they were
-// posted before, with the waiting producer's tail delivered as well.
+// closed endpoint and posts the NACKs into its own full ring, and the
+// handler at the second gate posts a reply behind them: waiting there
+// would deadlock the only goroutine that drains it, so both must take the
+// spill queue — checked by holding the shard at that gate — and still
+// reach the sender in post order, behind nothing they were posted before,
+// with the waiting producer's tail delivered as well.
 func TestShardNackIntoFullRingSpills(t *testing.T) {
 	const (
 		src, closedDst, sinkDst = Rank(0), Rank(1), Rank(2)
@@ -472,20 +466,23 @@ func TestShardNackIntoFullRingSpills(t *testing.T) {
 	defer tr.Close()
 	depth := intakeDepth(cfg.N)
 	a, s := tr.Endpoint(src), tr.shards[0]
+	nackIn := inbox(t, a, nacks+1)
 	tr.Endpoint(closedDst).Close()
 
 	gates := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
 	entered := make(chan uint64)
 	var fills atomic.Uint64
 	var misordered atomic.Bool
-	tr.Endpoint(sinkDst).SetSink(func(m Message) bool {
+	tr.Endpoint(sinkDst).SetSink(func(m Message, reply Reply) {
 		if m.Kind == kindGate {
+			if m.Token == 2 {
+				reply.Send(m.From, Message{Kind: kindGate, Token: 2})
+			}
 			entered <- m.Token
 			<-gates[m.Token]
 		} else if fills.Add(1)-1 != m.Token {
 			misordered.Store(true)
 		}
-		return true
 	})
 	send := func(to Rank, kind uint8, token uint64) {
 		t.Helper()
@@ -538,21 +535,24 @@ func TestShardNackIntoFullRingSpills(t *testing.T) {
 	s.spillMu.Lock()
 	spilled, on := len(s.spill), s.spillOn.Load()
 	s.spillMu.Unlock()
-	if spilled != nacks || !on {
-		t.Fatalf("%d NACKs in the spill queue (engaged: %v), want %d", spilled, on, nacks)
+	if spilled != nacks+1 || !on {
+		t.Fatalf("%d posts in the spill queue (engaged: %v), want %d NACKs and a reply", spilled, on, nacks)
 	}
 	close(gates[2])
 
 	for i := 0; i < nacks; i++ {
-		m := recvOne(t, a, 10*time.Second)
+		m := recvOne(t, nackIn, 10*time.Second)
 		if m.Kind != KindNack || m.From != closedDst || m.Token != uint64(i) {
 			t.Fatalf("NACK %d: got kind %d from %d token %d", i, m.Kind, m.From, m.Token)
 		}
 	}
+	if m := recvOne(t, nackIn, 10*time.Second); m.Kind != kindGate || m.From != sinkDst || m.Token != 2 {
+		t.Fatalf("reply: got kind %d from %d token %d", m.Kind, m.From, m.Token)
+	}
 	wg.Wait()
 	waitUntil(t, "the producer's tail", func() bool { return fills.Load() == uint64(depth+extra) })
 	if misordered.Load() {
-		t.Fatal("fill messages reached the sink out of post order")
+		t.Fatal("fill messages reached the handler out of post order")
 	}
 	if st := tr.Stats(); st.Dropped != 0 {
 		t.Fatalf("dropped %d", st.Dropped)

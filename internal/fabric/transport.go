@@ -25,11 +25,9 @@ type LatencyModel struct {
 	// for bandwidths above 1 GB/s where a whole nanosecond per byte is too
 	// coarse (time-scaled experiments use it).
 	PerByteNs float64
-	// Jitter is the noise amplitude as a fraction of Base.
+	// Jitter is the noise amplitude as a fraction of Base. Management-plane
+	// messages take Base, without jitter or a per-byte cost.
 	Jitter float64
-	// MgmtDelay is the fixed latency of management-plane messages.
-	// Defaults to Base when zero.
-	MgmtDelay time.Duration
 }
 
 // delay computes the delivery delay for a message of the given wire size.
@@ -65,9 +63,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	cc := *c
-	if cc.Latency.MgmtDelay == 0 {
-		cc.Latency.MgmtDelay = cc.Latency.Base
-	}
 	if cc.Shards <= 0 {
 		cc.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -80,13 +75,12 @@ func (c *Config) withDefaults() Config {
 	return cc
 }
 
-// intakeDepth is the capacity of both bounded queues a message crosses: a
-// shard's post ring and an endpoint's inbox. 64 slots per endpoint, as a
-// power of two (the ring masks its cursor) within [512, 4096], so what a
-// job keeps resident follows its size up to 64 endpoints. Depth is no
-// correctness parameter: a shallower queue only fills sooner, and the
-// producer's full-ring wait (shard.enqueue) and the per-destination
-// overflow FIFO (shard.deliverOrDefer) are the flow control at any depth.
+// intakeDepth is the capacity of the one bounded queue a message crosses:
+// its shard's post ring. 64 slots per endpoint, as a power of two (the
+// ring masks its cursor) within [512, 4096], so what a job keeps resident
+// follows its size up to 64 endpoints. Depth is no correctness parameter:
+// a shallower ring only fills sooner, and the producer's full-ring wait
+// (shard.enqueue) is the flow control at any depth.
 func intakeDepth(n int) int {
 	d := 512
 	for d < 64*n && d < 4096 {
@@ -103,9 +97,8 @@ type Stats struct {
 	Dropped   uint64 // swallowed by partitions / downed links
 	Nacks     uint64
 	Bytes     uint64
-	// FastDelivered counts messages consumed by an endpoint's delivery
-	// sink (the registered-memory fast path) instead of traversing the
-	// receive channel. Always a subset of Delivered.
+	// Deprecated: FastDelivered equals Delivered: every delivered message
+	// goes to the endpoint's Sink.
 	FastDelivered uint64
 	// DoorbellWakes counts the channel wakeups that actually reached a
 	// parked shard. The gap between Sent and this is the doorbell-free
@@ -149,21 +142,11 @@ type Transport struct {
 
 	closed atomic.Bool
 
-	// shardGoids holds the goroutine ids of the delivery shards. A post
-	// arriving from one of them (a NACK, a one-sided sink's completion
-	// reply) is the delivery path posting to itself and must divert to the
-	// spill queue when the ring is full — the consumer waiting for space
-	// in a ring only it drains is a deadlock. Ordinary producers wait
-	// instead: that wait is the fabric's flow control. Consulted only on
-	// the cold full-ring path.
-	shardGoids sync.Map
-
 	sent      atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 	nacks     atomic.Uint64
 	bytes     atomic.Uint64
-	fast      atomic.Uint64
 	wakes     atomic.Uint64
 	perKind   [256]atomic.Uint64
 }
@@ -198,7 +181,6 @@ func New(cfg Config) *Transport {
 		t.eps[i] = &Endpoint{
 			rank: Rank(i),
 			t:    t,
-			in:   make(chan Message, intakeDepth(cfg.N)), // sized with the rings
 			done: make(chan struct{}),
 		}
 	}
@@ -316,7 +298,7 @@ func (t *Transport) Stats() Stats {
 	s.Dropped = t.dropped.Load()
 	s.Nacks = t.nacks.Load()
 	s.Bytes = t.bytes.Load()
-	s.FastDelivered = t.fast.Load()
+	s.FastDelivered = s.Delivered
 	s.DoorbellWakes = t.wakes.Load()
 	for i := range s.PerKind {
 		s.PerKind[i] = t.perKind[i].Load()
@@ -327,67 +309,51 @@ func (t *Transport) Stats() Stats {
 // post schedules m for delivery. mgmt messages use the management plane:
 // fixed latency and immune to partitions. The deterministic delay is
 // computed here; jitter is added by the owning shard (which owns the RNG).
-func (t *Transport) post(m Message, mgmt bool) {
+// fromDelivery marks a post made on a shard goroutine: a handler's reply
+// or a NACK.
+func (t *Transport) post(m Message, mgmt, fromDelivery bool) {
 	t.sent.Add(1)
 	t.bytes.Add(uint64(m.wireSize()))
 	t.perKind[m.Kind].Add(1)
-	var d time.Duration
-	if mgmt {
-		d = t.cfg.Latency.MgmtDelay
-	} else {
+	d := t.cfg.Latency.Base
+	if !mgmt {
 		d = t.cfg.Latency.delay(m.wireSize(), nil)
 	}
-	t.shardOf(m.To).post(m, d, mgmt)
+	t.shardOf(m.To).post(m, d, mgmt, fromDelivery)
 }
 
-// deliver hands a due message to its destination endpoint, generating a
-// NACK if the endpoint is closed or dropping it if the path is
-// partitioned. Returns false — message not consumed — only when the
-// destination's inbox is full; the shard then parks it in the
-// destination's overflow queue and retries, so one saturated receive
-// queue never stalls the other destinations on the shard.
-func (t *Transport) deliver(m Message, mgmt bool) bool {
+// deliver hands a due message to its destination's handler, NACKing it
+// instead if the endpoint is closed, or dropping it if the data-plane
+// path is partitioned.
+func (t *Transport) deliver(m Message, mgmt bool) {
 	dst := t.eps[m.To]
 	if dst.Closed() {
 		t.nack(m)
-		return true
+		return
 	}
 	if !mgmt && !t.linkOK(m.From, m.To) {
 		t.dropped.Add(1)
-		return true
+		return
 	}
-	// Registered-memory fast path: offer the due message to the
-	// endpoint's delivery sink. A consumed message never touches the
-	// receive channel — the payload lands in its destination region on
-	// this (shard) goroutine, like an RDMA write into registered memory.
-	if !mgmt && dst.trySink(m) {
-		t.delivered.Add(1)
-		t.fast.Add(1)
-		if dst.Closed() {
-			// The endpoint closed while the sink was applying: any
-			// completion the sink tried to post from the now-closed
-			// endpoint was dropped, so convert to a NACK exactly like
-			// the channel path's <-dst.done arm. If the completion DID
-			// get out first, the late NACK resolves an already-resolved
-			// token and is ignored — the same success/broken-connection
-			// ambiguity a real fabric has at connection teardown.
-			t.nack(m)
-		}
-		return true
+	t.delivered.Add(1)
+	if h, _ := dst.sink.Load().(Sink); h != nil {
+		h(m, Reply{dst})
 	}
-	select {
-	case dst.in <- m:
-		t.delivered.Add(1)
-		return true
-	case <-dst.done:
+	if !mgmt && dst.Closed() {
+		// The endpoint closed while its handler ran: any answer the
+		// handler posted from the now-closed endpoint was dropped, so
+		// report the broken connection. If the answer DID get out first,
+		// the late NACK resolves an already-resolved token and is ignored
+		// — the same success/broken-connection ambiguity a real fabric
+		// has at connection teardown. A management-plane message is not
+		// NACKed: a kill closes its own target, and the killer is owed
+		// no answer.
 		t.nack(m)
-		return true
-	default:
-		return false // inbox full: caller defers and retries
 	}
 }
 
-// nack reports a broken connection back to the sender of m.
+// nack reports a broken connection back to the sender of m. It runs on
+// the shard delivering m.
 func (t *Transport) nack(m Message) {
 	if m.Kind == KindNack {
 		return // never nack a nack
@@ -406,5 +372,5 @@ func (t *Transport) nack(m Message) {
 	}
 	// NACKs travel on the data plane and are therefore also subject to
 	// partitions (checked at delivery time).
-	t.post(n, false)
+	t.post(n, false, true)
 }

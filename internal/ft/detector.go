@@ -200,11 +200,11 @@ func (d *Detector) Scan() []Rank {
 // pingDead is the retry-tolerant liveness probe shared by the FD scan and
 // the standby's FD watch. A broken connection (NACK) is conclusive on the
 // first attempt — the rank is dead; only timeouts are retried, giving a
-// healthy rank whose NIC goroutine was stalled by the host scheduler up
-// to PingRetries chances to answer. Between attempts the prober SLEEPS
-// for a ping timeout rather than re-pinging back to back: on an
-// oversubscribed host the starved NIC goroutine needs the prober to yield
-// the CPU, or the retries would only measure the prober's own busy loop.
+// healthy rank whose NIC (the fabric shard running it) was stalled by the
+// host scheduler up to PingRetries chances to answer. Between attempts the
+// prober SLEEPS for a ping timeout rather than re-pinging back to back: on
+// an oversubscribed host the starved shard needs the prober to yield the
+// CPU, or the retries would only measure the prober's own busy loop.
 func pingDead(p *gaspi.Proc, r Rank, cfg Config) bool {
 	for attempt := 1; ; attempt++ {
 		err := p.ProcPing(r, cfg.PingTimeout)

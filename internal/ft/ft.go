@@ -192,8 +192,8 @@ func (s ProcStatus) String() string {
 // zero. Ten spaced attempts give a slow-but-healthy rank ≈200 ms of real
 // time (at the default 10 ms timeout) to answer before it is declared
 // failed — calibrated to a heavily oversubscribed host (all simulated
-// ranks sharing one core), where a rank's NIC goroutine can starve for
-// tens of milliseconds while a recovery is churning. The budget is free
+// ranks sharing one core), where the shard running a rank's NIC can
+// starve for tens of milliseconds while a recovery is churning. The budget is free
 // against real process deaths (a dead rank NACKs on the first attempt);
 // it only delays the detection of unreachable-but-alive ranks.
 const DefaultPingRetries = 10
@@ -228,9 +228,9 @@ type Config struct {
 	// the detection of unreachable (partitioned) ranks by
 	// (PingRetries-1)×PingTimeout. This is the host calibration that
 	// makes the default 1/100 time scale (10 ms real-time ping timeout)
-	// robust on shared-CPU machines, where scheduler stalls of a healthy
-	// rank's NIC goroutine can exceed a single timeout. Zero means
-	// DefaultPingRetries.
+	// robust on shared-CPU machines, where scheduler stalls of the shard
+	// running a healthy rank's NIC can exceed a single timeout. Zero
+	// means DefaultPingRetries.
 	PingRetries int
 	// StallLimit aborts a worker stuck retrying without acknowledgment
 	// (e.g. when the FD itself died — the paper's restriction 2). Zero

@@ -39,8 +39,8 @@ import (
 //
 // Dissemination (Barrier) and binomial reduce+broadcast (Allreduce) rounds
 // post their payloads with borrowed-buffer one-sided writes straight from
-// the local staging area into the partner's recv area (the fabric's
-// delivery sink lands them in registered memory, one copy, no channel
+// the local staging area into the partner's recv area (the target's NIC
+// lands them in registered memory at delivery, one copy, no goroutine
 // hop), and wait on the notification slot with a spin-then-park loop. In
 // steady state a Barrier/AllreduceF64Into performs zero heap allocations
 // and zero encode/decode: the accumulator is cached on the group, staging

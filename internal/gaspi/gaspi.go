@@ -18,9 +18,10 @@
 //     extensions ProcPing and ProcKill.
 //
 // Every simulated GASPI process is a goroutine launched by Launch; its NIC
-// (another goroutine) services remote operations even while the application
-// code computes, which is what makes one-sided progress and the dedicated
-// fault-detector design work.
+// (the delivery handler that the fabric shard serving the process runs for
+// each arriving message) services remote operations even while the
+// application code computes, which is what makes one-sided progress and the
+// dedicated fault-detector design work.
 //
 // Queues are independent completion domains: traffic classes that must not
 // delay each other (halo exchange, notice-board writes, bulk checkpoint

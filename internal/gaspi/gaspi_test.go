@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -338,6 +339,48 @@ func TestProcPingHealthy(t *testing.T) {
 	})
 }
 
+// TestLaunchRunsEveryNICOnTheShards: a rank's NIC is its endpoint's
+// delivery handler, run by the fabric shard serving the rank, so launching
+// N ranks adds their N application goroutines and the shards — no
+// goroutine per NIC — and a rank whose application never makes another
+// GASPI call still answers pings.
+func TestLaunchRunsEveryNICOnTheShards(t *testing.T) {
+	const n, shards = 16, 2
+	cfg := testCfg(n)
+	cfg.FabricShards = shards
+	hung := make(chan struct{})
+	pinged := make(chan error, 1)
+	before := runtime.NumGoroutine()
+	job := Launch(cfg, func(p *Proc) error {
+		if p.Rank() != 0 {
+			<-hung
+			return nil
+		}
+		for r := Rank(1); r < n; r++ {
+			if err := p.ProcPing(r, 5*time.Second); err != nil {
+				pinged <- fmt.Errorf("ping %d: %v", r, err)
+				return nil
+			}
+		}
+		pinged <- nil
+		return nil
+	})
+	t.Cleanup(job.Close)
+	added := runtime.NumGoroutine() - before
+	if err := <-pinged; err != nil {
+		t.Error(err)
+	}
+	close(hung)
+	if _, ok := job.WaitTimeout(10 * time.Second); !ok {
+		t.Fatal("job hung")
+	}
+	// A small allowance for goroutines the runtime or an earlier test
+	// starts meanwhile.
+	if limit := n + shards + 2; added > limit {
+		t.Fatalf("Launch of %d ranks on %d shards added %d goroutines, want at most %d", n, shards, added, limit)
+	}
+}
+
 func TestProcPingDead(t *testing.T) {
 	job := launchJob(t, 3, func(p *Proc) error {
 		if p.Rank() == 2 {
@@ -392,6 +435,44 @@ func TestProcPingPartitionedTimesOut(t *testing.T) {
 		return nil
 	})
 	job.Partition(1, true)
+	for _, r := range waitAll(t, job) {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+}
+
+// TestAnswerToDeadAskerFailsNoLocalOp: an answer (here a write ack) that
+// reaches a dead asker is NACKed back to the answering rank, carrying the
+// asker's token, which names nothing in the answerer's own token space.
+// Rank 0 posts its first write (token 1) to rank 1 and exits; rank 1's
+// first operation, a ping to the partitioned rank 2, also holds token 1.
+// The NACK must mark rank 0 corrupt and leave the ping to time out:
+// failing it with ErrConnection would report the live rank 2 dead.
+func TestAnswerToDeadAskerFailsNoLocalOp(t *testing.T) {
+	cfg := testCfg(3)
+	cfg.Latency.Base = 2 * time.Millisecond
+	job := Launch(cfg, func(p *Proc) error {
+		switch p.Rank() {
+		case 0:
+			if err := p.Write(1, 1, 0, []byte{1}, 0); err != nil {
+				return err
+			}
+			p.Exit(1)
+		case 1:
+			p.job.Partition(2, true)
+			if err := p.ProcPing(2, 100*time.Millisecond); !errors.Is(err, ErrTimeout) {
+				return fmt.Errorf("ping of the partitioned rank 2: want ErrTimeout, got %v", err)
+			}
+			if p.State(0) != StateCorrupt {
+				return errors.New("the dead rank 0 is not marked corrupt")
+			}
+		case 2:
+			time.Sleep(150 * time.Millisecond) // alive, unreachable
+		}
+		return nil
+	})
+	t.Cleanup(job.Close)
 	for _, r := range waitAll(t, job) {
 		if r.Err != nil {
 			t.Fatalf("rank %d: %v", r.Rank, r.Err)

@@ -4,50 +4,24 @@ import (
 	"repro/internal/fabric"
 )
 
-// nicLoop services the process's endpoint: it answers pings, takes passive
-// sends, buffers group-commit rounds and routes completions —
-// independently of what the application goroutine is doing (one-sided
-// segment operations never reach it: fastSink applies them at delivery).
-// This models the RDMA NIC + GPI-2 progress engine and is what makes
-// a dedicated fault detector possible: a busy (or hung) application still
-// answers pings as long as the process is alive.
-func (p *Proc) nicLoop() {
-	for {
-		select {
-		case m := <-p.ep.Recv():
-			p.handleMessage(m)
-		case <-p.ep.Done():
-			return
-		}
-	}
-}
-
-// fastSink is the delivery-time handler registered with the fabric
-// endpoint: the simulated RDMA unit. It consumes every one-sided segment
-// operation at the moment the fabric delivers it — the payload is copied
-// exactly once, from the (registered) source buffer straight into the
-// destination segment's memory — so one-sided traffic never crosses the
-// receive channel or waits for the NIC goroutine to be scheduled.
+// nic is the process's NIC: the delivery handler Launch registers with the
+// fabric endpoint. The fabric shard serving the endpoint calls it for
+// every message the moment it comes due, so it must not block, and none of
+// its cases does. It applies one-sided segment operations with a single
+// copy, from the (registered) source buffer straight into the destination
+// segment's memory; it answers pings, takes passive sends, buffers
+// group-commit rounds and routes completions — independently of what the
+// application goroutine is doing. This models the RDMA NIC + GPI-2
+// progress engine and is what makes a dedicated fault detector possible: a
+// busy (or hung) application still answers pings as long as the process is
+// alive.
 //
-// Routing both segment-targeted kinds (writes and notifications) through
-// the sink keeps their mutual execution order identical to their delivery
-// order, which is what the GASPI write-before-notify guarantee rests on.
-// Everything else (completions, passive, commit rounds, pings) flows
-// through the NIC goroutine.
-func (p *Proc) fastSink(m fabric.Message) bool {
-	switch m.Kind {
-	case kWrite, kNotify:
-		p.applyOneSided(m)
-		return true
-	}
-	return false
-}
-
-// applyOneSided executes a one-sided segment operation at the target and
-// posts the completion back to the initiator. It runs only on the fabric's
-// delivery shard (Launch registers fastSink before the NIC goroutine
-// starts), so it must not block.
-func (p *Proc) applyOneSided(m fabric.Message) {
+// Every message of the process runs through here in delivery order, so the
+// per-pair FIFO order of the fabric is the order of execution: a write is
+// in place before the notification, completion or commit round posted
+// after it is handled — the GASPI write-before-notify guarantee. Answers
+// go out through reply, the fabric's post path for deliveries.
+func (p *Proc) nic(m fabric.Message, reply fabric.Reply) {
 	switch m.Kind {
 	case kWrite:
 		code := int64(remBadSegment)
@@ -60,7 +34,7 @@ func (p *Proc) applyOneSided(m fabric.Message) {
 		if m.Token != 0 {
 			// Token 0 is a fire-and-forget post (collective round data):
 			// the sender tracks no completion for it.
-			p.reply(m.From, fabric.Message{Kind: kWriteAck, Token: m.Token, Args: [4]int64{code}})
+			reply.Send(m.From, fabric.Message{Kind: kWriteAck, Token: m.Token, Args: [4]int64{code}})
 		}
 
 	case kNotify:
@@ -71,14 +45,11 @@ func (p *Proc) applyOneSided(m fabric.Message) {
 		if m.Token != 0 {
 			// Token 0 is a fire-and-forget post (collective round
 			// notifications): the sender tracks no completion for it.
-			p.reply(m.From, fabric.Message{Kind: kWriteAck, Token: m.Token, Args: [4]int64{code}})
+			reply.Send(m.From, fabric.Message{Kind: kWriteAck, Token: m.Token, Args: [4]int64{code}})
 		}
-	}
-}
 
-func (p *Proc) handleMessage(m fabric.Message) {
-	switch m.Kind {
-	case kWriteAck:
+	case kWriteAck, kPassiveAck, kPingAck:
+		// A ping ack carries no code: Args[0] is remOK.
 		p.completeToken(m.Token, opResult{err: remoteErr(m.Args[0])})
 
 	case kPassive:
@@ -88,13 +59,10 @@ func (p *Proc) handleMessage(m fabric.Message) {
 		default:
 			code = remPassiveFull
 		}
-		p.reply(m.From, fabric.Message{Kind: kPassiveAck, Token: m.Token, Args: [4]int64{code}})
-
-	case kPassiveAck:
-		p.completeToken(m.Token, opResult{err: remoteErr(m.Args[0])})
+		reply.Send(m.From, fabric.Message{Kind: kPassiveAck, Token: m.Token, Args: [4]int64{code}})
 
 	case kPing:
-		p.reply(m.From, fabric.Message{Kind: kPingAck, Token: m.Token})
+		reply.Send(m.From, fabric.Message{Kind: kPingAck, Token: m.Token})
 
 	case kProbe:
 		// Collective liveness probe: needs no answer from a live process —
@@ -108,11 +76,8 @@ func (p *Proc) handleMessage(m fabric.Message) {
 		// probe and nothing changes, so a lying (or stale) gossiper is
 		// harmless.
 		if sus := Rank(m.Args[0]); sus >= 0 && int(sus) < p.n && sus != p.rank {
-			p.reply(sus, fabric.Message{Kind: kProbe, From: p.rank, To: sus})
+			reply.Send(sus, fabric.Message{Kind: kProbe})
 		}
-
-	case kPingAck:
-		p.completeToken(m.Token, opResult{})
 
 	case kKill:
 		p.die(deathCause{killed: true, byRank: m.From})
@@ -129,14 +94,13 @@ func (p *Proc) handleMessage(m fabric.Message) {
 		// broken. Mark the state vector (the GASPI "error state vector is
 		// set after every erroneous non-local operation") and fail the
 		// pending operation, if any (collective sends carry no pending op;
-		// their waiters time out instead).
+		// their waiters time out instead). A NACKed answer carries the
+		// dead asker's token, which names no operation of this process.
 		p.markCorrupt(m.From)
-		p.completeToken(m.Token, opResult{err: ErrConnection})
+		switch uint8(m.Args[1]) {
+		case kWriteAck, kPassiveAck, kPingAck:
+		default:
+			p.completeToken(m.Token, opResult{err: ErrConnection})
+		}
 	}
-}
-
-// reply sends a NIC-generated response; failures (own endpoint closed) are
-// dropped, matching hardware behaviour.
-func (p *Proc) reply(to Rank, m fabric.Message) {
-	_ = p.ep.Send(to, m)
 }

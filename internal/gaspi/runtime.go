@@ -66,8 +66,8 @@ type Result struct {
 	Death *DeathInfo // non-nil when the process died instead of returning
 }
 
-// Job is a running GASPI application: one goroutine per rank plus one NIC
-// goroutine per rank, connected by a simulated fabric.
+// Job is a running GASPI application: one goroutine per rank, connected by
+// a simulated fabric whose delivery shards run every rank's NIC.
 type Job struct {
 	cfg     Config
 	tr      *fabric.Transport
@@ -134,12 +134,9 @@ func Launch(cfg Config, main func(*Proc) error) *Job {
 		p.collSetup(p.groups[GroupAll])
 		job.procs[i] = p
 		job.results[i] = Result{Rank: Rank(i)}
-		// Registered-memory fast path: one-sided segment operations are
-		// applied by the delivery pump at the instant they become due,
-		// with a single copy into the destination segment (no receive
-		// channel hop, no NIC-goroutine scheduling delay).
-		p.ep.SetSink(p.fastSink)
-		go p.nicLoop()
+		// The NIC: the fabric shard hands it every message the instant
+		// it comes due (nic.go).
+		p.ep.SetSink(p.nic)
 	}
 	for _, p := range job.procs {
 		job.wg.Add(1)
