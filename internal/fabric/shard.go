@@ -168,7 +168,8 @@ func newShard(t *Transport, id int, seed int64) *shard {
 func (s *shard) post(m Message, d time.Duration, mgmt, fromDelivery bool) {
 	e := postEntry{msg: m, at: time.Now(), d: d, mgmt: mgmt, ps: s.postSeq.Add(1)}
 	if !s.enqueue(e, fromDelivery) {
-		return // transport shutting down: in-flight messages are discarded
+		s.t.dropped.Add(1) // transport shutting down: in-flight messages are discarded
+		return
 	}
 	s.doorbell()
 }

@@ -91,12 +91,24 @@ func intakeDepth(n int) int {
 
 // Stats holds fabric-wide message counters. All fields are read with
 // atomic loads; use Transport.Stats for a consistent-enough snapshot.
+//
+// Until Close, every message counted in Sent — a NACK and a handler's
+// answer are messages too — ends in exactly one of Delivered, Dropped and
+// Nacks, so once the fabric is quiet Delivered+Dropped+Nacks == Sent.
 type Stats struct {
-	Sent      uint64
+	Sent uint64
+	// Delivered counts messages handed to their destination's handler.
 	Delivered uint64
-	Dropped   uint64 // swallowed by partitions / downed links
-	Nacks     uint64
-	Bytes     uint64
+	// Dropped counts messages that vanish: swallowed by a partition or a
+	// downed link, addressed to a closed endpoint when no NACK can go back
+	// (the sender is closed too, or the message is itself a NACK), or
+	// posted into a congested intake while the transport shuts down.
+	Dropped uint64
+	// Nacks counts messages that found their destination closed and were
+	// NACKed back. A delivered message whose endpoint closed while its
+	// handler ran is NACKed too, but counts as Delivered.
+	Nacks uint64
+	Bytes uint64
 	// Deprecated: FastDelivered equals Delivered: every delivered message
 	// goes to the endpoint's Sink.
 	FastDelivered uint64
@@ -328,7 +340,11 @@ func (t *Transport) post(m Message, mgmt, fromDelivery bool) {
 func (t *Transport) deliver(m Message, mgmt bool) {
 	dst := t.eps[m.To]
 	if dst.Closed() {
-		t.nack(m)
+		if t.nack(m) {
+			t.nacks.Add(1)
+		} else {
+			t.dropped.Add(1)
+		}
 		return
 	}
 	if !mgmt && !t.linkOK(m.From, m.To) {
@@ -347,22 +363,18 @@ func (t *Transport) deliver(m Message, mgmt bool) {
 		// — the same success/broken-connection ambiguity a real fabric
 		// has at connection teardown. A management-plane message is not
 		// NACKed: a kill closes its own target, and the killer is owed
-		// no answer.
+		// no answer. m is counted as delivered already.
 		t.nack(m)
 	}
 }
 
-// nack reports a broken connection back to the sender of m. It runs on
-// the shard delivering m.
-func (t *Transport) nack(m Message) {
-	if m.Kind == KindNack {
-		return // never nack a nack
+// nack reports a broken connection back to the sender of m and says
+// whether it did: a NACK is never NACKed, and a closed sender is owed no
+// answer. It runs on the shard delivering m.
+func (t *Transport) nack(m Message) bool {
+	if m.Kind == KindNack || t.eps[m.From].Closed() {
+		return false
 	}
-	src := t.eps[m.From]
-	if src.Closed() {
-		return
-	}
-	t.nacks.Add(1)
 	n := Message{
 		Kind:  KindNack,
 		From:  m.To,
@@ -373,4 +385,5 @@ func (t *Transport) nack(m Message) {
 	// NACKs travel on the data plane and are therefore also subject to
 	// partitions (checked at delivery time).
 	t.post(n, false, true)
+	return true
 }

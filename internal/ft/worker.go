@@ -259,11 +259,16 @@ func (w *Worker) retry(op func(timeout time.Duration) error) error {
 }
 
 // firstSliceDiv sizes the first slice of an armed blocking call:
-// CommTimeout/16, 0.6 ms at the benchmark's 10 ms. It trades detection of
+// CommTimeout/16, 625 µs at the benchmark's 10 ms. It trades detection of
 // an unwitnessed death against probe traffic on healthy waits that outlast
-// a slice: on kill_failover (ttr_ms_p75 3.4 ms, 0.18 pings per iteration
-// summed over ranks) /8 read 0.3 ms more with a third of the pings, /64
-// 0.35 ms less with twelve times as many; /16 was kept.
+// a slice: on kill_failover, when its ttr_ms_p75 read 3.4 ms, /8 read
+// 0.3 ms more with a third of the pings and /64 0.35 ms less with twelve
+// times as many; /16 was kept. The slice is a floor the runtime does not
+// keep: with every P idle, the netpoller rounds a sub-millisecond timer up
+// to 1 ms, so in the quiet after a kill the first slice ran out after a
+// median 1.25 ms, and that wait is the slow half of kill_failover's
+// detections (ttr_ms_p75 ≈ 2.7 ms). A smaller or adaptive slice does not
+// move it; ROADMAP item 8 records the measurements.
 const firstSliceDiv = 16
 
 func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {

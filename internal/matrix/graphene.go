@@ -13,7 +13,9 @@ package matrix
 // [-W/2, W/2] by hashing (Seed, i) — so every process can generate its own
 // row block without communication or file I/O, exactly like the matrix
 // generation tool used in the paper. With all couplings enabled each row
-// has 13 nonzeros (paper's matrix: ~12.5 nnz/row).
+// has 13 nonzeros (paper's matrix: ~12.5 nnz/row). Row is the per-row
+// contract; SplitRows writes a whole row block straight into the spMVM
+// engine's layout, most of its rows by a stencil kernel.
 type Graphene struct {
 	// Nx, Ny are the unit-cell counts (periodic boundary conditions).
 	Nx, Ny int
@@ -142,6 +144,90 @@ func (g Graphene) Row(i int64, cols []int64, vals []float64) ([]int64, []float64
 		cols, vals = add(g.site(x+d[0], y+d[1], s), g.T2)
 	}
 	return cols, vals
+}
+
+// interiorLen is the length of an interior row, interiorOnsite its
+// on-site entry's index in both rows of interiorRows.
+const (
+	interiorLen    = len(interiorRows[0])
+	interiorOnsite = 6
+)
+
+// SplitRows generates rows [lo, hi) straight into the layout the spMVM
+// engine keeps (spmvm.Generate), bit for bit what AppendRow makes of each
+// row as EachRow hands it over. A row of an interior cell whose whole
+// stencil, columns i−2Nx−1 to i+2Nx+1, lies inside [lo, hi) is interiorRows
+// at index deltas and values fixed for the sheet, all of it local: it is
+// written by index, its on-site energy the one value computed. The cell's
+// column advances one every second row, so no row divides. Every other row
+// takes Row and the sort: the lattice edge, the 2Nx+1 rows at either end of
+// the block whose stencil leaves it, every row of a sheet with a coupling
+// switched off, and a lattice narrower than 3 cells, which has no interior.
+func (g Graphene) SplitRows(lo, hi int64) RowSplit {
+	checkRows(g.Dim(), lo, hi)
+	rows := int(hi - lo)
+	rowLen := 1 // the longest row: on-site, and the neighbours of each coupling that is on
+	if g.T1 != 0 {
+		rowLen += len(nnAtoB)
+	}
+	if g.T2 != 0 {
+		rowLen += len(nn2)
+	}
+	if g.T3 != 0 {
+		rowLen += len(nn3AtoB)
+	}
+	b := NewRowSplit(lo, hi, rowLen*rows)
+	if rows == 0 {
+		return b
+	}
+
+	// The stencil as local index deltas and values, per sublattice; on a
+	// sheet with a coupling off no row takes it (rowLen < interiorLen).
+	w := 2 * int64(g.Nx)
+	var dcol [2][interiorLen]int32
+	var val [2][interiorLen]float64
+	hop := [4]float64{0, -g.T1, -g.T2, -g.T3}
+	for s := range interiorRows {
+		for k, h := range &interiorRows[s] {
+			dcol[s][k] = int32(int64(h.dy)*w + int64(h.d))
+			val[s][k] = hop[h.t]
+		}
+	}
+	stencil := rowLen == interiorLen
+	first, end := lo+w+1, hi-w-1 // the rows whose stencil lies in [lo, hi)
+
+	colBuf, valBuf := make([]int64, 0, insertionSortMax), make([]float64, 0, insertionSortMax)
+	// A row in that window is 2Nx+1 or more rows from either end of the
+	// sheet, so its cell is not on the first or last lattice row (0 < y <
+	// Ny−1); only x, the cell's column, needs following.
+	x, s := int((lo>>1)%int64(g.Nx)), int(lo&1)
+	for i := lo; i < hi; i++ {
+		if stencil && i >= first && i < end && x > 0 && x < g.Nx-1 {
+			p := len(b.LocalCol)
+			q := p + interiorLen
+			cols := (*[interiorLen]int32)(b.LocalCol[p:q])
+			vals := (*[interiorLen]float64)(b.LocalVal[p:q])
+			r, d := int32(i-lo), &dcol[s]
+			for k := range cols {
+				cols[k] = r + d[k]
+			}
+			*vals = val[s]
+			vals[interiorOnsite] = g.onsite(i)
+			b.LocalCol, b.LocalVal = b.LocalCol[:q], b.LocalVal[:q]
+			b.LocalPtr = append(b.LocalPtr, int64(q))
+			b.RemotePtr = append(b.RemotePtr, int64(len(b.RemoteCol)))
+		} else {
+			colBuf, valBuf = g.Row(i, colBuf[:0], valBuf[:0])
+			sortRow(colBuf, valBuf)
+			b.AppendRow(colBuf, valBuf)
+		}
+		if s ^= 1; s == 0 {
+			if x++; x == g.Nx {
+				x = 0
+			}
+		}
+	}
+	return b
 }
 
 // onsite returns the deterministic Anderson disorder energy of site i.

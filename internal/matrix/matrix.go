@@ -49,21 +49,72 @@ func (c *CSR) LocalRows() int { return len(c.RowPtr) - 1 }
 func (c *CSR) NNZ() int64 { return c.RowPtr[len(c.RowPtr)-1] }
 
 // EachRow generates rows [lo, hi) of gen in order and hands each to emit
-// with its index in the block, sorted by column: the one row loop behind
-// Build and the spMVM engine's row blocks (spmvm.Generate). cols and vals
-// are scratch the next row overwrites, allocated once for any row the
-// insertion sort takes. A graphene interior row arrives in column order, so
-// there the sort only confirms it.
+// with its index in the block, sorted by column: the row loop behind Build
+// (the serial reference's and the tests' blocks) and behind the spMVM
+// engine's row blocks of every generator but Graphene, which writes its
+// own (Graphene.SplitRows). cols and vals are scratch the next row
+// overwrites, allocated once for any row the insertion sort takes. A
+// graphene interior row arrives in column order, so there the sort only
+// confirms it.
 func EachRow(gen Generator, lo, hi int64, emit func(r int, cols []int64, vals []float64)) {
-	if lo < 0 || hi < lo || hi > gen.Dim() {
-		panic(fmt.Sprintf("matrix: invalid row range [%d,%d) of %d", lo, hi, gen.Dim()))
-	}
+	checkRows(gen.Dim(), lo, hi)
 	cols, vals := make([]int64, 0, insertionSortMax), make([]float64, 0, insertionSortMax)
 	for i := lo; i < hi; i++ {
 		cols, vals = gen.Row(i, cols[:0], vals[:0])
 		sortRow(cols, vals)
 		emit(int(i-lo), cols, vals)
 	}
+}
+
+// checkRows panics unless [lo, hi) is a row range of a dim-row matrix.
+func checkRows(dim, lo, hi int64) {
+	if lo < 0 || hi < lo || hi > dim {
+		panic(fmt.Sprintf("matrix: invalid row range [%d,%d) of %d", lo, hi, dim))
+	}
+}
+
+// RowSplit is rows [Lo, Hi) of a matrix in the layout the spMVM engine
+// keeps (spmvm.Generate): each row's entries in column order, split by
+// column into a local part, the columns inside [Lo, Hi) as int32(col−Lo),
+// and a remote part under their global columns, each part with one row
+// pointer per row.
+type RowSplit struct {
+	Lo, Hi    int64
+	LocalPtr  []int64 // len rows+1; row r's local entries are [LocalPtr[r], LocalPtr[r+1])
+	LocalCol  []int32
+	LocalVal  []float64
+	RemotePtr []int64 // like LocalPtr
+	RemoteCol []int64
+	RemoteVal []float64
+}
+
+// NewRowSplit returns an empty RowSplit of rows [lo, hi) sized for n
+// entries: the local part all of them, the remote part, which holds a few
+// percent of a lattice block's entries, a sixteenth. Past that the parts
+// grow by append.
+func NewRowSplit(lo, hi int64, n int) RowSplit {
+	rows := int(hi - lo)
+	return RowSplit{
+		Lo: lo, Hi: hi,
+		LocalPtr: make([]int64, 1, rows+1), LocalCol: make([]int32, 0, n), LocalVal: make([]float64, 0, n),
+		RemotePtr: make([]int64, 1, rows+1), RemoteCol: make([]int64, 0, n/16), RemoteVal: make([]float64, 0, n/16),
+	}
+}
+
+// AppendRow appends the next row, its entries sorted by column, each to
+// its part.
+func (b *RowSplit) AppendRow(cols []int64, vals []float64) {
+	for k, col := range cols {
+		if col >= b.Lo && col < b.Hi {
+			b.LocalCol = append(b.LocalCol, int32(col-b.Lo))
+			b.LocalVal = append(b.LocalVal, vals[k])
+		} else {
+			b.RemoteCol = append(b.RemoteCol, col)
+			b.RemoteVal = append(b.RemoteVal, vals[k])
+		}
+	}
+	b.LocalPtr = append(b.LocalPtr, int64(len(b.LocalCol)))
+	b.RemotePtr = append(b.RemotePtr, int64(len(b.RemoteCol)))
 }
 
 // Build materializes rows [lo, hi) of gen as a CSR block: the serial

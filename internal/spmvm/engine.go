@@ -100,42 +100,29 @@ func layOut(plan *Plan) *Split {
 // Preprocess derives the halo from and a cut maps into it. Cutting a Block
 // does not modify it; the Split shares its local part and remote values.
 type Block struct {
-	dim, lo, hi int64
-	local       splitCSR
-	remotePtr   []int64 // per row, like splitCSR.rowPtr
-	remoteCol   []int64 // global columns
-	remoteVal   []float64
+	dim  int64
+	rows matrix.RowSplit
 }
 
-// Generate generates rows [lo, hi) of gen in one pass (matrix.EachRow)
-// straight into the parts the engine keeps. The local part holds
-// int32(col-lo) and the value, sized once from the first row like
-// matrix.Build; the remote entries start at a sixteenth of that and grow by
-// append past it.
+// Generate generates rows [lo, hi) of gen in one pass straight into the
+// parts the engine keeps (matrix.RowSplit). A matrix.Graphene writes them
+// itself (Graphene.SplitRows), its interior rows from the stencil by index;
+// any other generator's rows come through matrix.EachRow, the parts sized
+// once from the first row like matrix.Build.
 func Generate(gen matrix.Generator, lo, hi int64) *Block {
-	b := &Block{dim: gen.Dim(), lo: lo, hi: hi}
+	b := &Block{dim: gen.Dim()}
+	if g, ok := gen.(matrix.Graphene); ok {
+		b.rows = g.SplitRows(lo, hi)
+		return b
+	}
 	matrix.EachRow(gen, lo, hi, func(r int, cols []int64, vals []float64) {
 		if r == 0 {
-			rows := int(hi - lo)
-			n := len(cols) * rows
-			b.local = splitCSR{rowPtr: make([]int64, 1, rows+1), col: make([]int32, 0, n), val: make([]float64, 0, n)}
-			b.remotePtr = make([]int64, 1, rows+1)
-			b.remoteCol, b.remoteVal = make([]int64, 0, n/16), make([]float64, 0, n/16)
+			b.rows = matrix.NewRowSplit(lo, hi, len(cols)*int(hi-lo))
 		}
-		for k, col := range cols {
-			if col >= lo && col < hi {
-				b.local.col = append(b.local.col, int32(col-lo))
-				b.local.val = append(b.local.val, vals[k])
-			} else {
-				b.remoteCol = append(b.remoteCol, col)
-				b.remoteVal = append(b.remoteVal, vals[k])
-			}
-		}
-		b.local.rowPtr = append(b.local.rowPtr, int64(len(b.local.col)))
-		b.remotePtr = append(b.remotePtr, int64(len(b.remoteCol)))
+		b.rows.AppendRow(cols, vals)
 	})
-	if b.remotePtr == nil { // no rows
-		b.local.rowPtr, b.remotePtr = []int64{0}, []int64{0}
+	if b.rows.LocalPtr == nil { // no rows
+		b.rows = matrix.NewRowSplit(lo, hi, 0)
 	}
 	return b
 }
@@ -144,19 +131,21 @@ func Generate(gen matrix.Generator, lo, hi int64) *Block {
 // its halo every remote column b references, which maps to its halo slot
 // by binary search.
 func (b *Block) parts(plan *Plan) (local, remote splitCSR, err error) {
-	if b.lo != plan.Lo || b.hi != plan.Hi {
+	r := &b.rows
+	if r.Lo != plan.Lo || r.Hi != plan.Hi {
 		return local, remote, fmt.Errorf("spmvm: plan rows [%d,%d) do not match matrix rows [%d,%d)",
-			plan.Lo, plan.Hi, b.lo, b.hi)
+			plan.Lo, plan.Hi, r.Lo, r.Hi)
 	}
-	slots := make([]int32, len(b.remoteCol))
-	for k, col := range b.remoteCol {
+	slots := make([]int32, len(r.RemoteCol))
+	for k, col := range r.RemoteCol {
 		slot, ok := slices.BinarySearch(plan.HaloCols, col)
 		if !ok {
 			return local, remote, fmt.Errorf("spmvm: column %d missing from plan halo", col)
 		}
 		slots[k] = int32(slot)
 	}
-	return b.local, splitCSR{rowPtr: b.remotePtr, col: slots, val: b.remoteVal}, nil
+	return splitCSR{rowPtr: r.LocalPtr, col: r.LocalCol, val: r.LocalVal},
+		splitCSR{rowPtr: r.RemotePtr, col: slots, val: r.RemoteVal}, nil
 }
 
 // NewSplit lays the halo segment out from plan and cuts b against it.

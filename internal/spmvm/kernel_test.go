@@ -56,24 +56,51 @@ func csrCut(csr *matrix.CSR, plan *Plan) (local, remote splitCSR) {
 
 // TestGeneratedPartsMatchCSRCut: generating a block straight into its
 // parts keeps exactly what cutting matrix.Build's CSR kept — row pointers,
-// columns and value bits of both parts — on every block of a 4-way split of
-// the sheets TestMulMatchesCSRReference multiplies (the 2x5 one aliases
-// neighbours), and of a random matrix, whose rows arrive unsorted.
+// columns and value bits of both parts — on every block of a 1-, 2-, 3-, 4-
+// and 7-way split, so blocks start on either sublattice and some are
+// narrower than the 2Nx+1 rows at either end that leave Graphene.SplitRows'
+// stencil. The sheets are the ones TestMulMatchesCSRReference multiplies
+// (the 2x5 one aliases neighbours) and the narrowest with an interior, each
+// as DefaultGraphene makes it and, up to 32x16, with T1, T2 or T3 switched
+// off and without disorder; a random matrix's rows arrive unsorted. Each
+// block also cuts, bit for bit, into the parts of the one Generate makes
+// when the generator's type is hidden, so that its rows take
+// matrix.EachRow.
 func TestGeneratedPartsMatchCSRCut(t *testing.T) {
 	gens := map[string]matrix.Generator{"random": matrix.RandomSparse{N: 200, NNZPerRow: 9, Seed: 5}}
-	for _, sheet := range [][2]int{{2, 5}, {32, 16}, {128, 128}, {256, 128}} {
-		gens[fmt.Sprintf("graphene %dx%d", sheet[0], sheet[1])] = matrix.DefaultGraphene(sheet[0], sheet[1], 7)
+	variants := map[string]func(*matrix.Graphene){
+		"default":     func(*matrix.Graphene) {},
+		"no T1":       func(g *matrix.Graphene) { g.T1 = 0 },
+		"no T2":       func(g *matrix.Graphene) { g.T2 = 0 },
+		"no T3":       func(g *matrix.Graphene) { g.T3 = 0 },
+		"no disorder": func(g *matrix.Graphene) { g.Disorder = 0 },
+	}
+	for _, sheet := range [][2]int{{2, 5}, {3, 3}, {3, 7}, {5, 4}, {32, 16}, {128, 128}, {256, 128}} {
+		for vname, vary := range variants {
+			if sheet[0] > 32 && vname != "default" {
+				continue // the small sheets meet every border already
+			}
+			g := matrix.DefaultGraphene(sheet[0], sheet[1], 7)
+			vary(&g)
+			gens[fmt.Sprintf("graphene %dx%d %s", sheet[0], sheet[1], vname)] = g
+		}
 	}
 	same := func(a, b splitCSR) bool {
 		return slices.Equal(a.rowPtr, b.rowPtr) && slices.Equal(a.col, b.col) &&
 			slices.EqualFunc(a.val, b.val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
 	for name, gen := range gens {
-		for part := 0; part < 4; part++ {
-			s, csr := kernelSplit(t, gen, 4, part)
-			local, remote := csrCut(csr, s.plan)
-			if !same(s.local, local) || !same(s.remote, remote) {
-				t.Fatalf("%s part %d: generated parts differ from the CSR cut", name, part)
+		for _, parts := range []int{1, 2, 3, 4, 7} {
+			for part := 0; part < parts; part++ {
+				s, csr := kernelSplit(t, gen, parts, part)
+				local, remote := csrCut(csr, s.plan)
+				if !same(s.local, local) || !same(s.remote, remote) {
+					t.Fatalf("%s part %d of %d: generated parts differ from the CSR cut", name, part, parts)
+				}
+				hidden, err := NewSplit(s.plan, Generate(struct{ matrix.Generator }{gen}, s.plan.Lo, s.plan.Hi))
+				if err != nil || !same(s.local, hidden.local) || !same(s.remote, hidden.remote) {
+					t.Fatalf("%s part %d of %d: Generate differs from Generate through EachRow (%v)", name, part, parts, err)
+				}
 			}
 		}
 	}
@@ -168,4 +195,29 @@ func BenchmarkSpMVKernel(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(csr.NNZ()), "ns/nnz")
+}
+
+// generated keeps BenchmarkGenerate's result live.
+var generated *Block
+
+// BenchmarkGenerate generates the kill workloads' block, 8192 rows of the
+// 128x128-cell graphene sheet, logical 1 of 4, both ways: "kernel" as
+// Generate makes it (Graphene.SplitRows), "EachRow" with the generator's
+// type hidden, so that its rows take matrix.EachRow and the sort. CI fails
+// unless the best kernel time of three runs is below 0.7× the best EachRow
+// time of the same three.
+func BenchmarkGenerate(b *testing.B) {
+	gen := matrix.DefaultGraphene(128, 128, 7)
+	lo, hi := matrix.BlockRange(gen.Dim(), 4, 1)
+	for _, way := range []struct {
+		name string
+		gen  matrix.Generator
+	}{{"kernel", gen}, {"EachRow", struct{ matrix.Generator }{gen}}} {
+		b.Run(way.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				generated = Generate(way.gen, lo, hi)
+			}
+		})
+	}
 }

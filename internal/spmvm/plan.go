@@ -73,14 +73,14 @@ type request struct {
 func Preprocess(c Comm, b *Block) (*Plan, error) {
 	w := c.NumWorkers()
 	me := c.Logical()
-	dim, lo, hi := b.dim, b.lo, b.hi
+	dim, lo, hi := b.dim, b.rows.Lo, b.rows.Hi
 
 	plan := &Plan{Workers: w, Logical: me, Lo: lo, Hi: hi}
 
 	// The halo is the block's remote columns, sorted and compacted. Sorted
 	// order groups them by owner since the distribution is by contiguous
 	// blocks.
-	plan.HaloCols = slices.Clone(b.remoteCol)
+	plan.HaloCols = slices.Clone(b.rows.RemoteCol)
 	slices.Sort(plan.HaloCols)
 	plan.HaloCols = slices.Compact(plan.HaloCols)
 
