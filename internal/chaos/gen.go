@@ -229,7 +229,7 @@ func Generate(seed int64) Episode {
 					Trigger: cluster.Trigger{Kind: cluster.AtIteration, Iter: safeIter(rng, cp)}})
 		case 6:
 			// Kill the shadow itself mid-mirror-apply: the primary keeps
-			// computing, retires its mirror encoder once the notice marks
+			// computing, stops mirroring once the notice marks
 			// the shadow dead, and the episode must still complete — a
 			// dead shadow only shrinks the spare pool.
 			ep.Shape = "compound/kill-the-shadow"

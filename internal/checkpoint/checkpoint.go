@@ -332,7 +332,7 @@ func (l *Library) Write(name string, logical int, version int64, payload []byte)
 	if err != nil {
 		return err
 	}
-	b.data = encodeFrame(b.data, logical, version, payload)
+	b.data = EncodeFrame(b.data, logical, version, payload)
 	b.key, b.name, b.logical, b.version = Key(name, logical, version), name, logical, version
 	b.committed = l.cfg.CheckpointMode == Sync
 	if b.committed {
@@ -588,7 +588,7 @@ func StoreReplica(cl *cluster.Cluster, nodeID int, key string, blob []byte) erro
 	if !ok {
 		return fmt.Errorf("checkpoint: replica under foreign key %q", key)
 	}
-	if _, err := decodeFrame(blob); err != nil {
+	if _, err := DecodeFrame(blob); err != nil {
 		return fmt.Errorf("checkpoint: replica %s/%s: %w", name, key, err)
 	}
 	n := cl.Node(nodeID)

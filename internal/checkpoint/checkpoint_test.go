@@ -50,24 +50,24 @@ func newLib(cl *cluster.Cluster, nodeID int, cfg Config) *Library {
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	payload := []byte("lanczos vectors + alpha + beta")
-	blob := encodeFrame(nil, 7, 42, payload)
+	blob := EncodeFrame(nil, 7, 42, payload)
 	if len(blob) != headerLen+len(payload)+trailerLen {
 		t.Fatalf("frame is %d bytes for a %d-byte payload", len(blob), len(payload))
 	}
-	f, err := decodeFrame(blob)
+	f, err := DecodeFrame(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.logical != 7 || f.version != 42 || !bytes.Equal(f.payload, payload) {
-		t.Fatalf("logical=%d version=%d payload=%q", f.logical, f.version, f.payload)
+	if f.Logical != 7 || f.Version != 42 || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("logical=%d version=%d payload=%q", f.Logical, f.Version, f.Payload)
 	}
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
 	prop := func(logical uint16, version uint32, payload []byte) bool {
-		f, err := decodeFrame(encodeFrame(nil, int(logical), int64(version), payload))
-		return err == nil && f.logical == int(logical) && f.version == int64(version) &&
-			bytes.Equal(f.payload, payload)
+		f, err := DecodeFrame(EncodeFrame(nil, int(logical), int64(version), payload))
+		return err == nil && f.Logical == int(logical) && f.Version == int64(version) &&
+			bytes.Equal(f.Payload, payload)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -75,20 +75,20 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestDecodeDetectsCorruption(t *testing.T) {
-	blob := encodeFrame(nil, 1, 1, []byte("data-data-data"))
+	blob := EncodeFrame(nil, 1, 1, []byte("data-data-data"))
 	// Byte 0 is the magic, 5 and 10 the identity, 16 the length, headerLen
 	// the payload, the last one the CRC trailer.
 	for _, i := range []int{0, 5, 10, 16, headerLen, len(blob) - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[i] ^= 0xFF
-		if _, err := decodeFrame(bad); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeFrame(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("corruption at byte %d: %v", i, err)
 		}
 	}
-	if _, err := decodeFrame(blob[:10]); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeFrame(blob[:10]); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("truncated header accepted")
 	}
-	if _, err := decodeFrame(blob[:len(blob)-3]); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeFrame(blob[:len(blob)-3]); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("truncated payload accepted")
 	}
 }

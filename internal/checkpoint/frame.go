@@ -7,12 +7,12 @@ import (
 )
 
 // The frame. Every generation of a checkpoint family — a stored checkpoint
-// or a hot shadow's mirror frame — is one self-contained frame: a header
-// naming the generation, the whole payload, and a CRC over both. The two
-// applications in the tree rewrite their whole state every step, so a
+// or a hot shadow's per-iteration push — is one self-contained frame: a
+// header naming the generation, the whole payload, and a CRC over both. The
+// two applications in the tree rewrite their whole state every step, so a
 // generation is never written as a difference from an older one: any
-// intact frame restores alone, and a mirror that missed or rejected a frame
-// heals on the very next one.
+// intact frame restores alone, and a shadow that missed or rejected a frame
+// holds a current one again on the very next.
 
 const (
 	// headerLen is the frame header:
@@ -24,12 +24,14 @@ const (
 	magicFrame = uint32(0x35504347)
 )
 
-// encodeFrame frames payload as generation (logical, version) into dst's
+// EncodeFrame frames payload as generation (logical, version) into dst's
 // backing array, reusing it when large enough (the writer's buffer halves
-// and the mirror encoder's buffer are reused across generations).
+// and a shadowed primary's push buffer are reused across generations). The
+// payload is copied: the caller may overwrite it as soon as EncodeFrame
+// returns.
 //
 //ftlint:hotpath
-func encodeFrame(dst []byte, logical int, version int64, payload []byte) []byte {
+func EncodeFrame(dst []byte, logical int, version int64, payload []byte) []byte {
 	need := headerLen + len(payload) + trailerLen
 	blob := dst[:0]
 	if cap(dst) < need {
@@ -46,36 +48,37 @@ func encodeFrame(dst []byte, logical int, version int64, payload []byte) []byte 
 	return blob
 }
 
-// frame is a decoded checkpoint frame; payload aliases the frame blob.
-type frame struct {
-	logical int
-	version int64
-	payload []byte
+// Frame is a decoded checkpoint frame; Payload aliases the frame blob.
+type Frame struct {
+	Logical int
+	Version int64
+	Payload []byte
 }
 
-// decodeFrame validates a checkpoint frame (magic, length, CRC over header
+// DecodeFrame validates a checkpoint frame (magic, length, CRC over header
 // and payload) and returns its decoded form without copying the payload.
+// A damaged frame is ErrCorrupt.
 //
 //ftlint:hotpath
-func decodeFrame(blob []byte) (frame, error) {
+func DecodeFrame(blob []byte) (Frame, error) {
 	if len(blob) < headerLen+trailerLen {
-		return frame{}, fmt.Errorf("%w: truncated frame", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
+		return Frame{}, fmt.Errorf("%w: truncated frame", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
 	}
 	if binary.LittleEndian.Uint32(blob[0:]) != magicFrame {
-		return frame{}, fmt.Errorf("%w: bad magic", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
+		return Frame{}, fmt.Errorf("%w: bad magic", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
 	}
 	n := binary.LittleEndian.Uint64(blob[16:])
 	if uint64(len(blob)-headerLen-trailerLen) != n {
-		return frame{}, fmt.Errorf("%w: truncated payload", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
+		return Frame{}, fmt.Errorf("%w: truncated payload", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
 	}
 	body := blob[:len(blob)-trailerLen]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(blob[len(body):]) {
-		return frame{}, fmt.Errorf("%w: CRC mismatch", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
+		return Frame{}, fmt.Errorf("%w: CRC mismatch", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
 	}
-	return frame{
-		logical: int(int32(binary.LittleEndian.Uint32(blob[4:]))),
-		version: int64(binary.LittleEndian.Uint64(blob[8:])),
-		payload: body[headerLen:],
+	return Frame{
+		Logical: int(int32(binary.LittleEndian.Uint32(blob[4:]))),
+		Version: int64(binary.LittleEndian.Uint64(blob[8:])),
+		Payload: body[headerLen:],
 	}, nil
 }
 

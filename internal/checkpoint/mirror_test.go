@@ -7,48 +7,65 @@ import (
 	"testing"
 )
 
-// Hot-shadow mirror tests: the encoder→apply roundtrip a shadowed
-// primary streams every iteration, the torn-tail defenses (damaged
-// bytes, dropped frames, stale replays), and the allocation gate on the
-// apply loop — the shadow mirrors every iteration of a healthy run, so its
-// steady state must be allocation-free like the other hot paths.
+// Hot-shadow frame tests. A shadowed primary pushes a checkpoint frame
+// every iteration, encoded by EncodeFrame into one reused buffer, and the
+// shadow keeps the newest frame DecodeFrame accepts (core's keepFrame,
+// which core's TestShadowKeepsNewestIntactFrame pins). These pin what the
+// codec gives that rule: the round trip, the torn-tail defenses (damaged
+// bytes, dropped frames, stale replays) and the buffer a failed push
+// abandons. core's BenchmarkMirrorApply gates the pair's allocations.
 
-// TestMirrorRoundtrip drives a run of frames through a LiveMirror and
-// checks the invariant takeover depends on: after every applied frame the
-// snapshot is bit-identical to the primary's payload at the version the
-// mirror reports.
+// shadowKeep is the shadow's keep rule over the codec: the newest frame it
+// was handed, as a private copy like the one the stream applier makes,
+// while that frame is intact; none after a torn one.
+type shadowKeep struct {
+	f  Frame
+	ok bool
+}
+
+func (k *shadowKeep) hand(blob []byte) error {
+	f, err := DecodeFrame(bytes.Clone(blob))
+	k.f, k.ok = f, err == nil
+	return err
+}
+
+// TestMirrorRoundtrip drives a run of frames through one reused push
+// buffer and the keep rule, and checks the invariant takeover depends on:
+// after every intact frame the kept payload is bit-identical to the
+// primary's payload at the version kept.
 func TestMirrorRoundtrip(t *testing.T) {
 	const chunk = 256
-	enc := NewMirrorEncoder()
-	m := NewLiveMirror()
+	var buf []byte
+	var k shadowKeep
 	rng := rand.New(rand.NewSource(1))
 	payload := make([]byte, 5*chunk+17)
 	rng.Read(payload)
 
 	for v := int64(1); v <= 12; v++ {
 		payload[rng.Intn(len(payload))] ^= 0xA5
-		blob := enc.EncodeNext(3, v, payload)
-		if len(blob) != headerLen+len(payload)+trailerLen {
-			t.Fatalf("v%d: %d-byte frame for a %d-byte payload", v, len(blob), len(payload))
+		prev := buf
+		buf = EncodeFrame(buf, 3, v, payload)
+		if len(buf) != headerLen+len(payload)+trailerLen {
+			t.Fatalf("v%d: %d-byte frame for a %d-byte payload", v, len(buf), len(payload))
 		}
-		if err := m.Apply(blob); err != nil {
+		if prev != nil && &prev[0] != &buf[0] {
+			t.Fatalf("v%d: the push buffer was not reused", v)
+		}
+		if err := k.hand(buf); err != nil {
 			t.Fatalf("v%d: %v", v, err)
 		}
-		got, ver, ok := m.Snapshot()
-		if !ok || ver != v || !bytes.Equal(got, payload) {
-			t.Fatalf("v%d: snapshot ok=%v ver=%d match=%v", v, ok, ver, bytes.Equal(got, payload))
+		if !k.ok || k.f.Version != v || k.f.Logical != 3 || !bytes.Equal(k.f.Payload, payload) {
+			t.Fatalf("v%d: kept ok=%v ver=%d match=%v", v, k.ok, k.f.Version, bytes.Equal(k.f.Payload, payload))
 		}
-	}
-	if m.Applied() != 12 || m.Torn() {
-		t.Fatalf("applied=%d torn=%v", m.Applied(), m.Torn())
 	}
 }
 
 // TestMirrorAndStoreChainsShareOneEncoder feeds one payload sequence
 // (random sizes, random dirty fraction, a worker refresh in the middle)
-// through the Library's store path and the mirror path: at every
-// generation both write the same frame bytes, whatever the deprecated
-// FullEvery says, the store restores and the mirror holds the last payload.
+// through the Library's store path and a shadowed primary's push buffer:
+// at every generation both write the same frame bytes, whatever the
+// deprecated FullEvery says, the store restores and the shadow keeps the
+// last payload.
 func TestMirrorAndStoreChainsShareOneEncoder(t *testing.T) {
 	for _, fullEvery := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprintf("FullEvery=%d", fullEvery), func(t *testing.T) {
@@ -57,8 +74,8 @@ func TestMirrorAndStoreChainsShareOneEncoder(t *testing.T) {
 			lib := newLib(cl, 0, Config{FullEvery: fullEvery})
 			defer lib.Stop()
 			lib.SetWorkerNodes([]int{0, 1, 2})
-			enc := NewMirrorEncoder()
-			m := NewLiveMirror()
+			var buf []byte
+			var k shadowKeep
 
 			rng := rand.New(rand.NewSource(int64(40 + fullEvery)))
 			payload := make([]byte, 0, 16*chunk)
@@ -81,11 +98,11 @@ func TestMirrorAndStoreChainsShareOneEncoder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				blob := enc.EncodeNext(0, v, payload)
-				if !bytes.Equal(blob, stored) {
-					t.Fatalf("v%d: the store and the mirror wrote different frames", v)
+				buf = EncodeFrame(buf, 0, v, payload)
+				if !bytes.Equal(buf, stored) {
+					t.Fatalf("v%d: the store and the push wrote different frames", v)
 				}
-				if err := m.Apply(blob); err != nil {
+				if err := k.hand(buf); err != nil {
 					t.Fatalf("v%d: %v", v, err)
 				}
 			}
@@ -94,59 +111,57 @@ func TestMirrorAndStoreChainsShareOneEncoder(t *testing.T) {
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("store does not restore the last payload: err=%v", err)
 			}
-			img, ver, ok := m.Snapshot()
-			if !ok || ver != last || !bytes.Equal(img, payload) {
-				t.Fatalf("mirror does not hold the last payload: ok=%v ver=%d", ok, ver)
+			if !k.ok || k.f.Version != last || !bytes.Equal(k.f.Payload, payload) {
+				t.Fatalf("the shadow does not keep the last payload: ok=%v ver=%d", k.ok, k.f.Version)
 			}
 		})
 	}
 }
 
-// TestMirrorRebaseAndAbandon pins the push-failure protocol: Abandon
-// releases the (possibly fabric-referenced) frame buffer, so the next frame
-// is written into fresh memory, and that one frame repairs a mirror that
+// TestMirrorRebaseAndAbandon pins the push-failure protocol: the primary
+// drops its (possibly fabric-referenced) push buffer, so the next frame is
+// written into fresh memory, and that one frame is kept by a shadow that
 // missed the abandoned frames entirely.
 func TestMirrorRebaseAndAbandon(t *testing.T) {
 	const chunk = 128
-	enc := NewMirrorEncoder()
-	m := NewLiveMirror()
+	var k shadowKeep
 	payload := bytes.Repeat([]byte{7}, 4*chunk)
 
-	if err := m.Apply(enc.EncodeNext(0, 1, payload)); err != nil {
+	buf := EncodeFrame(nil, 0, 1, payload)
+	if err := k.hand(buf); err != nil {
 		t.Fatal(err)
 	}
-	// Two frames are "lost in flight" (never applied); the push failed.
+	// Two frames are "lost in flight" (never kept); the push failed.
 	payload[0] ^= 1
-	enc.EncodeNext(0, 2, payload)
+	buf = EncodeFrame(buf, 0, 2, payload)
 	payload[1] ^= 1
-	inFlight := enc.EncodeNext(0, 3, payload)
+	inFlight := EncodeFrame(buf, 0, 3, payload)
 	held := bytes.Clone(inFlight)
-	enc.Abandon()
+	buf = nil // what pushMirror does with the buffer of a failed push
 	payload[2] ^= 1
-	blob := enc.EncodeNext(0, 4, payload)
-	if &blob[0] == &inFlight[0] || !bytes.Equal(inFlight, held) {
-		t.Fatal("the frame after Abandon reused the abandoned buffer")
+	buf = EncodeFrame(buf, 0, 4, payload)
+	if &buf[0] == &inFlight[0] || !bytes.Equal(inFlight, held) {
+		t.Fatal("the frame after a failed push reused the abandoned buffer")
 	}
-	if err := m.Apply(blob); err != nil {
-		t.Fatalf("the next frame must repair the mirror: %v", err)
+	if err := k.hand(buf); err != nil {
+		t.Fatalf("the next frame must be kept: %v", err)
 	}
-	got, ver, ok := m.Snapshot()
-	if !ok || ver != 4 || !bytes.Equal(got, payload) {
-		t.Fatalf("repaired snapshot ok=%v ver=%d", ok, ver)
+	if !k.ok || k.f.Version != 4 || !bytes.Equal(k.f.Payload, payload) {
+		t.Fatalf("kept after the failed push: ok=%v ver=%d", k.ok, k.f.Version)
 	}
 }
 
 // mirrorTrial is one randomized torn-tail shape: a run of frames with
 // payload growth/shrink and damage — flipped bytes, dropped frames, and
 // replayed stale frames (what a takeover can leave behind). Safety:
-// whenever the mirror answers ok, the payload must be bit-identical to the
-// primary's state at the reported version. Liveness: a corrupt frame tears
-// the mirror, and the next valid frame heals it.
+// whenever the shadow keeps a frame, its payload is bit-identical to the
+// primary's state at the kept version. Liveness: a corrupt frame leaves
+// nothing kept, and the next intact frame is kept again.
 func mirrorTrial(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	chunk := 128 << rng.Intn(3)
-	enc := NewMirrorEncoder()
-	m := NewLiveMirror()
+	var buf []byte
+	var k shadowKeep
 
 	payload := make([]byte, (3+rng.Intn(6))*chunk+rng.Intn(chunk))
 	rng.Read(payload)
@@ -169,23 +184,24 @@ func mirrorTrial(t *testing.T, seed int64) {
 		}
 		golden[v] = append([]byte(nil), payload...)
 
-		blob := enc.EncodeNext(1, v, payload)
+		buf = EncodeFrame(buf, 1, v, payload)
+		blob := buf
 		switch rng.Intn(4) {
-		case 0: // intact: always applies and heals whatever came before
-			if err := m.Apply(blob); err != nil {
+		case 0: // intact: always kept, whatever came before
+			if err := k.hand(blob); err != nil {
 				t.Fatalf("seed %d v%d: intact frame rejected: %v", seed, v, err)
 			}
-			if m.Torn() {
-				t.Fatalf("seed %d v%d: intact frame left the mirror torn", seed, v)
+			if !k.ok {
+				t.Fatalf("seed %d v%d: intact frame not kept", seed, v)
 			}
-		case 1: // flipped byte: CRC must reject, mirror must tear
+		case 1: // flipped byte: CRC must reject, nothing kept
 			bad := append([]byte(nil), blob...)
 			bad[rng.Intn(len(bad))] ^= 0xFF
-			if err := m.Apply(bad); err == nil {
+			if err := k.hand(bad); err == nil {
 				t.Fatalf("seed %d v%d: damaged frame accepted", seed, v)
 			}
-			if _, _, ok := m.Snapshot(); ok || !m.Torn() {
-				t.Fatalf("seed %d v%d: damaged frame left the mirror valid", seed, v)
+			if k.ok {
+				t.Fatalf("seed %d v%d: damaged frame left a frame kept", seed, v)
 			}
 		case 2: // dropped frame (never applied)
 			if stale == nil {
@@ -193,41 +209,36 @@ func mirrorTrial(t *testing.T, seed int64) {
 			}
 		case 3: // stale replay first, then the live frame
 			if stale != nil {
-				if err := m.Apply(stale); err != nil {
+				if err := k.hand(stale); err != nil {
 					t.Fatalf("seed %d v%d: intact stale frame rejected: %v", seed, v, err)
 				}
 				stale = nil
 			}
-			if err := m.Apply(blob); err != nil {
+			if err := k.hand(blob); err != nil {
 				t.Fatalf("seed %d v%d: intact frame rejected: %v", seed, v, err)
 			}
 		}
-		if got, ver, ok := m.Snapshot(); ok {
-			want, known := golden[ver]
+		if k.ok {
+			want, known := golden[k.f.Version]
 			if !known {
-				t.Fatalf("seed %d: mirror reports unknown version %d", seed, ver)
+				t.Fatalf("seed %d: kept frame has unknown version %d", seed, k.f.Version)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d v%d: mirror ok but payload differs from golden v%d", seed, v, ver)
+			if !bytes.Equal(k.f.Payload, want) {
+				t.Fatalf("seed %d v%d: kept payload differs from golden v%d", seed, v, k.f.Version)
 			}
 		}
 	}
 
-	// Liveness: one intact frame heals the mirror, whatever came before.
-	blob := enc.EncodeNext(1, 1000, payload)
-	if err := m.Apply(blob); err != nil {
+	// Liveness: one intact frame is kept, whatever came before.
+	if err := k.hand(EncodeFrame(buf, 1, 1000, payload)); err != nil {
 		t.Fatalf("seed %d: healing frame rejected: %v", seed, err)
 	}
-	got, ver, ok := m.Snapshot()
-	if !ok || ver != 1000 || !bytes.Equal(got, payload) {
-		t.Fatalf("seed %d: mirror not healed (ok=%v ver=%d)", seed, ok, ver)
-	}
-	if m.Torn() {
-		t.Fatalf("seed %d: healed mirror still torn", seed)
+	if !k.ok || k.f.Version != 1000 || !bytes.Equal(k.f.Payload, payload) {
+		t.Fatalf("seed %d: healing frame not kept (ok=%v ver=%d)", seed, k.ok, k.f.Version)
 	}
 }
 
-// TestMirrorTornTailProperty fuzzes the mirror's torn-tail defenses
+// TestMirrorTornTailProperty fuzzes the keep rule's torn-tail defenses
 // across random histories and damage orders.
 func TestMirrorTornTailProperty(t *testing.T) {
 	trials := int64(300)
@@ -237,31 +248,5 @@ func TestMirrorTornTailProperty(t *testing.T) {
 	for seed := int64(0); seed < trials; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { mirrorTrial(t, seed) })
-	}
-}
-
-// BenchmarkMirrorApply is the CI allocation gate for the shadow's
-// mirror path: one EncodeNext + Apply per iteration must be
-// allocation-free — the shadow shadows EVERY iteration of a healthy run,
-// not just checkpoints.
-func BenchmarkMirrorApply(b *testing.B) {
-	enc := NewMirrorEncoder()
-	m := NewLiveMirror()
-	payload := make([]byte, 256<<10)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	// Warm both reused buffers (encoder frame + mirror image) before
-	// counting: steady state, like the frame staging gate.
-	if err := m.Apply(enc.EncodeNext(0, 1, payload)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload[(i*4096+i)%len(payload)] ^= 0xA5
-		if err := m.Apply(enc.EncodeNext(0, int64(i+2), payload)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -115,12 +115,12 @@ func (l *Library) FetchFrom(name string, logical int, version int64) ([]byte, Re
 			blob, err = l.cl.Node(s.node).Get(key, l.storage())
 		}
 		if err == nil {
-			var f frame
-			if f, err = decodeFrame(blob); err == nil {
-				if f.logical == logical && f.version == version {
-					return f.payload, s.src, nil
+			var f Frame
+			if f, err = DecodeFrame(blob); err == nil {
+				if f.Logical == logical && f.Version == version {
+					return f.Payload, s.src, nil
 				}
-				err = fmt.Errorf("%w: replica names v%d of rank %d", ErrCorrupt, f.version, f.logical)
+				err = fmt.Errorf("%w: replica names v%d of rank %d", ErrCorrupt, f.Version, f.Logical)
 			}
 		}
 		lastErr = fmt.Errorf("%v replica: %w", s.src, err)

@@ -143,7 +143,7 @@ func TestFetchServesNextSealedReplica(t *testing.T) {
 			reader.SetWorkerNodes([]int{1, 2})
 
 			key := Key("state", 0, 1)
-			decoy := encodeFrame(nil, 0, 1, []byte("an unsealed copy of v1"))
+			decoy := EncodeFrame(nil, 0, 1, []byte("an unsealed copy of v1"))
 			for _, n := range c.nodes {
 				switch c.damage {
 				case corrupt:

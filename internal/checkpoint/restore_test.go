@@ -275,6 +275,6 @@ func BenchmarkFrameStage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload[(i*4096+i)%len(payload)] ^= 0xA5
-		buf = encodeFrame(buf, 0, int64(i+1), payload)
+		buf = EncodeFrame(buf, 0, int64(i+1), payload)
 	}
 }

@@ -479,22 +479,23 @@ func TestReplicateStrandedReplicasBoundedPerRecovery(t *testing.T) {
 }
 
 // TestDeltaSparseBytesUnchanged: however little of the state changed, a
-// generation is the whole frame — the stored replica and the mirror frame
-// are both exactly the bytes encodeFrame writes for the payload.
+// generation is the whole frame — the stored replica and a shadowed
+// primary's push, framed into its reused buffer, are both exactly the bytes
+// EncodeFrame writes for the payload into fresh memory.
 func TestDeltaSparseBytesUnchanged(t *testing.T) {
 	const chunk = 1 << 10
 	cl := testCluster(t, 2)
 	lib := newLib(cl, 0, Config{})
 	defer lib.Stop()
 	lib.SetWorkerNodes([]int{0, 1})
-	enc := NewMirrorEncoder()
+	var buf []byte
 	payload := bytes.Repeat([]byte{9}, 5*chunk+100)
 	for v := int64(10); v <= 12; v++ {
 		payload[int(v)*chunk/4] ^= 0x55 // one byte per generation
 		if err := lib.Write("state", 2, v, payload); err != nil {
 			t.Fatal(err)
 		}
-		want := encodeFrame(nil, 2, v, payload)
+		want := EncodeFrame(nil, 2, v, payload)
 		if len(want) != headerLen+len(payload)+trailerLen {
 			t.Fatalf("v%d: frame is %d bytes for a %d-byte payload", v, len(want), len(payload))
 		}
@@ -502,31 +503,29 @@ func TestDeltaSparseBytesUnchanged(t *testing.T) {
 		if err != nil || !bytes.Equal(stored, want) {
 			t.Fatalf("v%d: stored replica differs from the frame (err=%v)", v, err)
 		}
-		if mirrored := enc.EncodeNext(2, v, payload); !bytes.Equal(mirrored, want) {
-			t.Fatalf("v%d: mirror frame differs from the stored one", v)
+		if buf = EncodeFrame(buf, 2, v, payload); !bytes.Equal(buf, want) {
+			t.Fatalf("v%d: pushed frame differs from the stored one", v)
 		}
 	}
 	lib.WaitIdle()
 }
 
-// TestDeltaMirrorValidAcrossBases: a mirror stays valid frame after frame
-// whether the state changes everywhere or in one chunk per epoch.
+// TestDeltaMirrorValidAcrossBases: a shadow keeps the current frame, frame
+// after frame, whether the state changes everywhere or in one chunk per
+// epoch.
 func TestDeltaMirrorValidAcrossBases(t *testing.T) {
 	const chunk = 1 << 10
-	enc := NewMirrorEncoder()
-	m := NewLiveMirror()
+	var buf []byte
+	var k shadowKeep
 	payload := bytes.Repeat([]byte{1}, 6*chunk+9)
 	for v := int64(1); v <= 24; v++ {
 		evolve(payload, chunk, v, v <= 10 || v > 20)
-		if err := m.Apply(enc.EncodeNext(5, v, payload)); err != nil {
-			t.Fatalf("apply v%d: %v", v, err)
+		buf = EncodeFrame(buf, 5, v, payload)
+		if err := k.hand(buf); err != nil {
+			t.Fatalf("keep v%d: %v", v, err)
 		}
-		got, ver, ok := m.Snapshot()
-		if !ok || m.Torn() || ver != v || !bytes.Equal(got, payload) {
-			t.Fatalf("after v%d: ok=%v torn=%v version=%d", v, ok, m.Torn(), ver)
+		if !k.ok || k.f.Version != v || !bytes.Equal(k.f.Payload, payload) {
+			t.Fatalf("after v%d: ok=%v version=%d", v, k.ok, k.f.Version)
 		}
-	}
-	if m.Applied() != 24 {
-		t.Fatalf("applied %d of 24 frames", m.Applied())
 	}
 }

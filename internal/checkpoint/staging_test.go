@@ -67,22 +67,24 @@ func TestWriteCopiesPayloadBeforeReturn(t *testing.T) {
 	}
 }
 
+// TestMirrorEncodeCopiesPayloadBeforeReturn: a shadowed primary's push
+// frame holds the payload as it was when EncodeFrame returned, however the
+// App's reused buffer is scribbled over afterwards.
 func TestMirrorEncodeCopiesPayloadBeforeReturn(t *testing.T) {
 	const chunk = 256
-	enc := NewMirrorEncoder()
-	m := NewLiveMirror()
+	var frame []byte
+	var k shadowKeep
 	buf := make([]byte, 4*chunk+9)
 	for v := int64(1); v <= 5; v++ {
 		stagingFill(buf, v)
 		want := bytes.Clone(buf)
-		blob := enc.EncodeNext(0, v, buf)
+		frame = EncodeFrame(frame, 0, v, buf)
 		scribble(buf)
-		if err := m.Apply(blob); err != nil {
+		if err := k.hand(frame); err != nil {
 			t.Fatalf("v%d: %v", v, err)
 		}
-		got, ver, ok := m.Snapshot()
-		if !ok || ver != v || !bytes.Equal(got, want) {
-			t.Fatalf("v%d: mirror ok=%v ver=%d, image intact=%v", v, ok, ver, bytes.Equal(got, want))
+		if !k.ok || k.f.Version != v || !bytes.Equal(k.f.Payload, want) {
+			t.Fatalf("v%d: kept ok=%v ver=%d, payload intact=%v", v, k.ok, k.f.Version, bytes.Equal(k.f.Payload, want))
 		}
 	}
 }

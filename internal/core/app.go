@@ -76,12 +76,11 @@ type App interface {
 	Rebuild(ctx *Ctx) error
 	// Checkpoint serializes the application state at the current iteration.
 	// The payload may be a buffer the App reuses: it need only stay valid
-	// until the next Checkpoint call. Every consumer copies it before it
-	// returns — checkpoint.Library.Write (the whole payload is framed into a
-	// half of the writer's double buffer under either commit discipline) and
-	// checkpoint.MirrorEncoder.EncodeNext (the whole payload is framed into
-	// the encoder's buffer) — so the framework never holds a payload across
-	// iterations.
+	// until the next Checkpoint call. Every consumer frames the whole
+	// payload with checkpoint.EncodeFrame, which copies it before it returns
+	// — checkpoint.Library.Write into a half of the writer's double buffer
+	// under either commit discipline, a shadowed primary into its push
+	// buffer — so the framework never holds a payload across iterations.
 	Checkpoint(ctx *Ctx) ([]byte, error)
 	// Restore resets the application state to a checkpoint taken at
 	// iteration iter. A nil payload resets to the initial state (iter 0).
@@ -162,31 +161,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 50
 	}
-	// Clamp the hot-shadow replication degrees to the spares actually
-	// available for shadowing: the FD-redundancy standby (the highest
-	// spare) is never a shadow, and ft.ShadowOf derives the effective
-	// degree from this map — clamping here keeps detector, workers and
-	// spares agreeing on one mapping.
-	if len(c.FT.Replication) > 0 {
-		avail := c.Spares
-		if c.FDRedundancy {
-			avail--
-		}
-		if avail < 0 {
-			avail = 0
-		}
-		clamped := make(map[string]int, len(c.FT.Replication))
-		for fam, d := range c.FT.Replication {
-			if d > avail {
-				d = avail
-			}
-			if d < 0 {
-				d = 0
-			}
-			clamped[fam] = d
-		}
-		c.FT.Replication = clamped
-	}
 	return c
 }
 
@@ -213,9 +187,20 @@ func (c Config) Validate(ccfg cluster.Config) error {
 	return nil
 }
 
-// Layout derives the ft.Layout for a given total process count.
+// Layout derives the ft.Layout for a given total process count. Its shadow
+// count is the widest degree in FT.Replication, within the spares left
+// once the FD-redundancy standby (the highest spare, never a shadow) is
+// set aside — one number that detector, workers and spares all read.
 func (c Config) Layout(procs int) ft.Layout {
-	return ft.Layout{Procs: procs, Spares: c.Spares}
+	shadows := 0
+	for _, d := range c.FT.Replication {
+		shadows = max(shadows, d)
+	}
+	avail := c.Spares
+	if c.FDRedundancy {
+		avail--
+	}
+	return ft.Layout{Procs: procs, Spares: c.Spares, Shadows: max(min(shadows, avail), 0)}
 }
 
 // PlanVersion is the version under which the pre-processing checkpoint is

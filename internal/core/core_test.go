@@ -501,8 +501,33 @@ func TestReplicationWithoutHCIsAnError(t *testing.T) {
 func TestLayoutHelper(t *testing.T) {
 	cfg := core.Config{Spares: 3}
 	lay := cfg.Layout(10)
-	if lay.Procs != 10 || lay.Spares != 3 || lay.Workers() != 6 {
+	if lay.Procs != 10 || lay.Spares != 3 || lay.Workers() != 6 || lay.Shadows != 0 {
 		t.Fatalf("layout: %+v", lay)
+	}
+	// The shadow count is the widest degree over the families, within the
+	// spares less the FD-redundancy standby.
+	for _, c := range []struct {
+		repl    map[string]int
+		standby bool
+		want    int
+	}{
+		{map[string]int{"state": 2, "plan": 1}, false, 2},
+		{map[string]int{"state": 5}, false, 3},
+		{map[string]int{"state": 5}, true, 2},
+		{map[string]int{"state": -1}, false, 0},
+		{map[string]int{"state": 1}, true, 1},
+	} {
+		cfg := core.Config{Spares: 3, FDRedundancy: c.standby, FT: ft.Config{Replication: c.repl}}
+		lay := cfg.Layout(10)
+		if lay.Shadows != c.want || lay.Validate() != nil {
+			t.Fatalf("%v, standby %v: %d shadows (%v), want %d", c.repl, c.standby, lay.Shadows, lay.Validate(), c.want)
+		}
+		if r, ok := lay.ShadowOf(0); ok != (c.want > 0) || ok && r != 1 {
+			t.Fatalf("%v, standby %v: ShadowOf(0) = %d, %v", c.repl, c.standby, r, ok)
+		}
+		if _, ok := lay.ShadowOf(c.want); ok {
+			t.Fatalf("%v, standby %v: logical %d shadowed past the count", c.repl, c.standby, c.want)
+		}
 	}
 }
 

@@ -146,9 +146,7 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 	// Hot shadow: spare rank 1+L mirrors logical L over the checkpoint
 	// stream. Without CP or HC (a Config Validate refuses, which only a
 	// direct Launch can bring here) the spare idles like any other.
-	if deg := ft.ReplicationDegree(lay, cfg.FT); deg > 0 &&
-		cfg.EnableHC && cfg.EnableCP &&
-		int(p.Rank()) >= 1 && int(p.Rank()) <= deg {
+	if cfg.EnableHC && cfg.EnableCP && int(p.Rank()) <= lay.Shadows {
 		return shadowMain(cctx, cfg, lay, newApp, rec)
 	}
 	notice, logical, shutdown, err := ft.WaitActivation(p, lay, cfg.FT)
@@ -162,13 +160,12 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 }
 
 // shadowMain is the hot-shadow idle loop: receive the shadowed primary's
-// mirror frames over the checkpoint stream and apply them into a live,
-// plan-shaped image, so that on activation for that primary the mirror's
-// version is this rank's candidate in reload's agreement, and the group
-// resumes at the mirrored step with no checkpoint restore when everyone
-// agrees. Activated for any OTHER logical (the detector consumed this
-// shadow as a plain spare), the mirror is discarded and the cold rescue
-// path runs unchanged.
+// frames over the checkpoint stream and keep the newest intact one, so that
+// on activation for that primary its version is this rank's candidate in
+// reload's agreement, and the group resumes at the mirrored step with no
+// checkpoint restore when everyone agrees. Activated for any OTHER logical
+// (the detector consumed this shadow as a plain spare), the frame is
+// discarded and the cold rescue path runs unchanged.
 //
 // The first applied frame also starts the warm-up of the primary's
 // application structures (see prewarm): it proves the primary is iterating,
@@ -178,29 +175,31 @@ func spareMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() A
 // instead of starting a second load next to it.
 func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() App, rec *trace.Recorder) error {
 	p := cctx.Proc
-	primary := int(p.Rank()) - 1 // inverse of ft.ShadowOf
+	primary := int(p.Rank()) - 1 // inverse of Layout.ShadowOf
 	cps, err := ft.NewCPStream(p, cctx.Cluster.RanksOf(cctx.NodeID), ft.DefaultCPStreamBytes, 0, cfg.FT.CommTimeout)
 	if err != nil {
 		return err
 	}
-	mirror := checkpoint.NewLiveMirror()
 	inj := cctx.Cluster.Injector()
 	warm := startPrewarm(cctx, cfg, lay, newApp, rec, primary)
 	defer warm.settle() // process death unwinds by panic, past the call below
+	// The takeover candidate. Only apply writes it, on the applier
+	// goroutine until cps.Stop has waited for Serve to exit and on this one
+	// in DrainPending, so it is read below without a lock.
+	kept := failoverState{version: noCheckpoint}
 	apply := func(key string, blob []byte) error {
 		// A torn or corrupt frame is acked anyway (dropping the ack would
-		// stall the primary's compute loop for the full push timeout); the
-		// mirror marks itself torn and heals at the next intact frame.
-		if aerr := mirror.Apply(blob); aerr != nil {
+		// stall the primary's compute loop for the full push timeout); it
+		// leaves no candidate until the next intact frame.
+		var ok bool
+		if kept, ok = keepFrame(blob); !ok {
 			rec.Inc(trace.KFTShadowTornTails, 1)
 			return nil
 		}
 		rec.Inc(trace.KFTShadowAppliedFrames, 1)
 		warm.Trigger()
 		if inj != nil {
-			if _, v, ok := mirror.Snapshot(); ok {
-				inj.NoteShadowFrame(p.Rank(), primary, v)
-			}
+			inj.NoteShadowFrame(p.Rank(), primary, kept.version)
 		}
 		return nil
 	}
@@ -216,18 +215,15 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	}
 	// The primary may have died between committing its last frame and this
 	// shadow's applier serving it; fold that tail in before judging the
-	// mirror, then free the stream segment for the worker path's own
+	// candidate, then free the stream segment for the worker path's own
 	// stream.
 	cps.DrainPending(apply)
 	_ = p.SegmentDelete(ft.SegCP)
 	var fo *failoverState
 	if logical == primary {
-		// An empty or torn mirror still makes this the rescue that was to
-		// hold it: its candidate is noCheckpoint, and the fallback counts.
-		fo = &failoverState{version: noCheckpoint}
-		if payload, version, ok := mirror.Snapshot(); ok {
-			fo.version, fo.payload = version, payload
-		}
+		// No frame, or a torn last one, still makes this the rescue that was
+		// to hold one: its candidate is noCheckpoint, and the fallback counts.
+		fo = &kept
 	}
 	if warm.app != nil {
 		// The App the warm-up built is this process's App — one newApp call
@@ -249,10 +245,10 @@ func shadowMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 // workerMain is the flow of every process that computes as logical rank
 // logical. An initial worker (activation nil) commits the initial group; a
 // rescue adopts the identity its activation names, a hot shadow with fo,
-// its mirror, in hand. Both then enter one loop, whose top is the only
-// recovery handler: a rescue's pending recovery, a failure acknowledged
-// during the fresh start's collective set-up and one acknowledged inside a
-// step all run recoverAndReload there.
+// its primary's last frame, in hand. Both then enter one loop, whose top is
+// the only recovery handler: a rescue's pending recovery, a failure
+// acknowledged during the fresh start's collective set-up and one
+// acknowledged inside a step all run recoverAndReload there.
 //
 // A worker failing with a hard (non-recoverable) error — a death in the
 // initial commit included — broadcasts the shutdown signal before
@@ -369,13 +365,11 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 
 	// Shadowed primaries mirror their state to the hot shadow after every
 	// completed iteration: one frame over the checkpoint stream,
-	// ack-blocked, so on return the shadow's live image includes it. The
-	// shadow that took over its own rank has no shadow of its own anymore.
-	var mirrorEnc *checkpoint.MirrorEncoder
-	mirrorTo, shadowed := ft.ShadowOf(lay, cfg.FT, ctx.Logical)
-	if shadowed && w.CPStream() != nil && p.Rank() != mirrorTo {
-		mirrorEnc = checkpoint.NewMirrorEncoder()
-	}
+	// ack-blocked, so on return the shadow holds it. The shadow that took
+	// over its own rank has no shadow of its own anymore.
+	mirrorTo, mirroring := lay.ShadowOf(ctx.Logical)
+	mirroring = mirroring && w.CPStream() != nil && p.Rank() != mirrorTo
+	var mirrorBuf []byte // the frame, reused until a push fails
 	mirrorFails := 0
 
 	var iter, maxIterSeen int64
@@ -438,13 +432,13 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 		if iter > maxIterSeen {
 			maxIterSeen = iter
 		}
-		if mirrorEnc != nil {
-			pushed, err := pushMirror(ctx, app, w, mirrorEnc, mirrorTo, iter)
+		if mirroring {
+			pushed, err := pushMirror(ctx, app, &mirrorBuf, mirrorTo, iter)
 			switch {
 			case err != nil:
 				// The shadow is gone (consumed as a rescue, or named dead
 				// by a notice): stop mirroring for good.
-				mirrorEnc = nil
+				mirroring = false
 			case !pushed:
 				// Unexplained push failure: the board never names a dead
 				// spare ("a dead spare only shrinks the pool"), so a dead
@@ -455,7 +449,7 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 				// short burst, then retire the mirror — degraded to the
 				// checkpoint ladder, but computing at full speed.
 				if mirrorFails++; mirrorFails >= maxMirrorPushFails {
-					mirrorEnc = nil
+					mirroring = false
 				}
 			default:
 				mirrorFails = 0
@@ -490,9 +484,9 @@ func workerMain(cctx *cluster.ProcCtx, cfg Config, lay ft.Layout, newApp func() 
 	return nil
 }
 
-// failoverState is a hot shadow's pending mirror adoption, threaded into
-// the recovery reload: the mirrored application image and the logical step
-// it reflects (noCheckpoint for an empty or torn mirror). It is nil on
+// failoverState is a hot shadow's pending takeover, threaded into the
+// recovery reload: the payload of the primary's last intact frame and the
+// logical step it reflects (noCheckpoint when there is none). It is nil on
 // every rank except a freshly activated shadow taking over the rank it
 // mirrored, and stays pending across compound epoch restarts until the
 // mirror is either adopted (reload's agreement resumes live) or superseded
@@ -556,33 +550,49 @@ func recoverAndReload(ctx *Ctx, app App, n *ft.Notice, fo *failoverState) (int64
 	}
 }
 
+// keepFrame is the hot shadow's keep rule: an intact frame is the takeover
+// candidate, its payload aliasing blob (the stream applier's private copy);
+// a torn one leaves none.
+//
+//ftlint:hotpath
+func keepFrame(blob []byte) (failoverState, bool) {
+	f, err := checkpoint.DecodeFrame(blob)
+	if err != nil {
+		return failoverState{version: noCheckpoint}, false
+	}
+	return failoverState{version: f.Version, payload: f.Payload}, true
+}
+
 // maxMirrorPushFails is how many consecutive unexplained mirror-push
-// failures a primary tolerates before retiring its encoder. A dead
+// failures a primary tolerates before it stops mirroring. A dead
 // shadow is indistinguishable from a slow one here (the board never
 // names dead spares), so the cap bounds the inline ack-timeout cost at
 // a couple of intervals instead of throttling the rank for the rest of
 // the run.
 const maxMirrorPushFails = 2
 
-// pushMirror streams one end-of-iteration state frame to the hot shadow.
-// iter is the iteration about to start — the step the shadow would resume
-// at, and the mirror version by the same convention the checkpoint store
-// uses. pushed reports whether the frame landed (on a failure the encoder
-// abandons its buffer to the fabric); a non-nil err means the
-// shadow is known-gone (consumed as a rescue, or named dead by a notice)
-// and the caller must retire the encoder immediately.
-func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, to ft.Rank, iter int64) (pushed bool, err error) {
+// pushMirror streams one end-of-iteration state frame to the hot shadow,
+// encoded into *buf by the checkpoint writer's encoder. iter is the
+// iteration about to start — the step the shadow would resume at, and the
+// frame's version by the same convention the checkpoint store uses. pushed
+// reports whether the frame landed; a non-nil err means the shadow is
+// known-gone (consumed as a rescue, or named dead by a notice) and the
+// caller must stop mirroring immediately.
+func pushMirror(ctx *Ctx, app App, buf *[]byte, to ft.Rank, iter int64) (pushed bool, err error) {
 	payload, err := app.Checkpoint(ctx)
 	if err != nil {
 		// Serialization failure is app-fatal elsewhere; for the mirror it
 		// only means this frame is skipped.
 		return true, nil
 	}
-	blob := enc.EncodeNext(ctx.Logical, iter, payload)
+	blob := checkpoint.EncodeFrame(*buf, ctx.Logical, iter, payload)
+	*buf = blob
+	w := ctx.Worker
 	if perr := w.CPStream().Push(to, "mirror/"+stateName, blob); perr != nil {
-		// The fabric may still reference the frame buffer after a timeout;
-		// hand it to the GC rather than reusing it.
-		enc.Abandon()
+		// The fabric may still reference the frame after a timeout; hand
+		// its buffer to the GC rather than reusing it, as the writer
+		// abandons its buffer halves.
+		*buf = nil
 		if n := w.Machine().Notice(); n != nil &&
 			int(to) < len(n.Status) && n.Status[to] != ft.StatusIdle {
 			return false, perr

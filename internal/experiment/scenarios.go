@@ -273,10 +273,10 @@ func (c ScenarioMatrixConfig) Specs() []ScenarioSpec {
 		},
 		{
 			// Hot shadow takeover: logical 1 carries a shadow (Replication
-			// 2 covers logicals 0 and 1) continuously applying its mirror
-			// stream. The kill must end on the reload ladder's top rung,
-			// the live mirror — recovered with not a single iteration
-			// recomputed anywhere in the group.
+			// 2 covers logicals 0 and 1) keeping the newest frame its
+			// primary pushes every iteration. The kill must end in the
+			// takeover, from that frame — recovered with not a single
+			// iteration recomputed anywhere in the group.
 			Scenario: cluster.Scenario{Name: "kill shadowed primary",
 				Events: []cluster.FaultEvent{at(cluster.ProcKill, 1, mid)}},
 			Spares: 2, Async: true,

@@ -12,14 +12,15 @@ import (
 	"repro/internal/gaspi"
 )
 
-// Every neighbor replica and every hot-shadow mirror frame travels over a
-// GASPI one-sided stream: the sender posts the frame in chunks with
-// gaspi_write on a queue dedicated to checkpoint traffic (so bulk
-// checkpoint data never delays the halo exchange or the notice-board
-// writes), then commits with a notification. The receiver runs a small
-// applier goroutine that hands each complete frame to its store — the
-// node-local store for a replica (the node-level copy that survives the
-// sender's death), the live mirror on a hot shadow.
+// Every neighbor replica and every frame a shadowed primary pushes to its
+// hot shadow travels over a GASPI one-sided stream: the sender posts the
+// frame in chunks with gaspi_write on a queue dedicated to checkpoint
+// traffic (so bulk checkpoint data never delays the halo exchange or the
+// notice-board writes), then commits with a notification. The receiver
+// runs a small applier goroutine that hands a private copy of each
+// complete frame to its store — the node-local store for a replica (the
+// node-level copy that survives the sender's death); on a hot shadow, the
+// shadow's keep rule, which holds on to the newest intact frame.
 //
 // The staging segment has one writer slot per process of a node: all the
 // ranks of a node replicate to the same receiver on the neighbor node, so

@@ -133,8 +133,9 @@ func (d *Detector) Run() (DetectorOutcome, *Notice, error) {
 }
 
 // Scan pings every non-avoided process once (the glo_health_chk routine of
-// Listing 1) and returns the newly failed ranks. With cfg.Threads > 1 the
-// pings run in parallel on several goroutines — the paper's threaded FD,
+// Listing 1) and returns the newly failed ranks. The targets are split into
+// cfg.Threads chunks, each pinged in order on a goroutine of its own (one
+// for a serial scan); with cfg.Threads > 1 that is the paper's threaded FD,
 // which detects k simultaneous failures in roughly the time of one because
 // failed pings (each costing PingTimeout) overlap.
 func (d *Detector) Scan() []Rank {
@@ -147,42 +148,26 @@ func (d *Detector) Scan() []Rank {
 		targets = append(targets, Rank(r))
 	}
 	var mu sync.Mutex
+	var wg sync.WaitGroup
 	var failed []Rank
-	threads := d.cfg.Threads
-	if threads > len(targets) {
-		threads = len(targets)
-	}
-	if threads <= 1 {
-		for _, r := range targets {
-			if pingDead(d.p, r, d.cfg) {
-				failed = append(failed, r)
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(targets) + threads - 1) / threads
-		for t := 0; t < threads; t++ {
-			lo := t * chunk
-			hi := min(lo+chunk, len(targets))
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(rs []Rank) {
-				defer wg.Done()
-				gaspi.Protect(func() { // the FD itself may be killed mid-scan
-					for _, r := range rs {
-						if pingDead(d.p, r, d.cfg) {
-							mu.Lock()
-							failed = append(failed, r)
-							mu.Unlock()
-						}
+	threads := max(min(d.cfg.Threads, len(targets)), 1)
+	chunk := (len(targets) + threads - 1) / threads
+	for lo := 0; lo < len(targets); lo += chunk {
+		wg.Add(1)
+		go func(rs []Rank) {
+			defer wg.Done()
+			gaspi.Protect(func() { // the FD itself may be killed mid-scan
+				for _, r := range rs {
+					if pingDead(d.p, r, d.cfg) {
+						mu.Lock()
+						failed = append(failed, r)
+						mu.Unlock()
 					}
-				})
-			}(targets[lo:hi])
-		}
-		wg.Wait()
+				}
+			})
+		}(targets[lo:min(lo+chunk, len(targets))])
 	}
+	wg.Wait()
 	elapsed := time.Since(t0)
 	d.rec.Inc(trace.KFDScans, 1)
 	d.rec.Inc(trace.KFDPings, int64(len(targets)))
@@ -284,18 +269,17 @@ func (d *Detector) handleFailures(failed []Rank) *Notice {
 // spares so an unshadowed victim does not consume another primary's
 // shadow while a plain spare is available.
 func (d *Detector) pickRescue(logical int) (Rank, bool) {
-	if shadow, ok := ShadowOf(d.lay, d.cfg, logical); ok && d.status[shadow] == StatusIdle {
+	if shadow, ok := d.lay.ShadowOf(logical); ok && d.status[shadow] == StatusIdle {
 		return shadow, true
 	}
 	return d.pickSpare()
 }
 
 func (d *Detector) pickSpare() (Rank, bool) {
-	degree := ReplicationDegree(d.lay, d.cfg)
 	for r := 0; r < d.lay.Procs; r++ {
-		// First pass: idle spares outside the shadow band (ranks 1..degree
-		// are some primary's shadow).
-		if d.status[r] == StatusIdle && (r < 1 || r > degree) {
+		// First pass: idle spares outside the shadow band (ranks
+		// 1..Shadows are some primary's shadow).
+		if d.status[r] == StatusIdle && (r < 1 || r > d.lay.Shadows) {
 			return Rank(r), true
 		}
 	}

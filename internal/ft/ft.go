@@ -121,6 +121,10 @@ type Layout struct {
 	Procs int
 	// Spares is the number of idle spare processes (excluding the FD).
 	Spares int
+	// Shadows is the number of hot shadows: spare rank 1+L shadows
+	// logical L for every L below it (core.Config.Layout derives it from
+	// Config.Replication). Zero disables shadowing.
+	Shadows int
 }
 
 // Workers returns the number of worker (logical) ranks.
@@ -128,8 +132,8 @@ func (l Layout) Workers() int { return l.Procs - 1 - l.Spares }
 
 // Validate checks the layout is usable.
 func (l Layout) Validate() error {
-	if l.Spares < 0 || l.Workers() < 1 {
-		return fmt.Errorf("ft: invalid layout: %d procs, %d spares", l.Procs, l.Spares)
+	if l.Spares < 0 || l.Shadows < 0 || l.Shadows > l.Spares || l.Workers() < 1 {
+		return fmt.Errorf("ft: invalid layout: %d procs, %d spares, %d shadows", l.Procs, l.Spares, l.Shadows)
 	}
 	return nil
 }
@@ -144,6 +148,17 @@ func (l Layout) RoleOf(r Rank) Role {
 	default:
 		return RoleWorker
 	}
+}
+
+// ShadowOf returns the spare rank acting as hot shadow for a logical
+// worker rank, if the layout assigns one: logical L shadows to spare rank
+// 1+L while L is below Shadows, so the detector, every worker and the
+// shadow itself agree on it without communication.
+func (l Layout) ShadowOf(logical int) (Rank, bool) {
+	if logical < 0 || logical >= l.Shadows {
+		return 0, false
+	}
+	return Rank(1 + logical), true
 }
 
 // InitialPhysical returns the physical rank initially hosting a logical
@@ -242,44 +257,16 @@ type Config struct {
 	LocalizedRepair bool
 	// Replication is the per-checkpoint-family hot-shadow policy: family
 	// name → replication degree. Degree d assigns the first d logical
-	// ranks a dedicated hot shadow (spare rank 1+logical) that
-	// continuously applies the primary's checkpoint-stream mirror frames
-	// into live memory, so a detector NACK for a shadowed primary is
+	// ranks a dedicated hot shadow (spare rank 1+logical) that keeps the
+	// newest intact frame the primary pushes over the checkpoint stream
+	// each iteration, so a detector NACK for a shadowed primary is
 	// absorbed with no checkpoint restore and no recomputed iterations
-	// (core's reload agreement). The effective degree is the maximum over
-	// all families and is capped by the number of spares; shadows consumed
-	// by a takeover (or assigned to other duties, like the FD-redundancy
-	// standby) do not return to the idle pool. Nil or empty disables
-	// shadowing.
+	// (core's reload agreement). ft itself never reads it: the effective
+	// degree is Layout.Shadows, which core.Config.Layout computes as the
+	// maximum over all families, capped by the spares (less the
+	// FD-redundancy standby). Shadows consumed by a takeover do not return
+	// to the idle pool. Nil or empty disables shadowing.
 	Replication map[string]int
-}
-
-// ReplicationDegree returns the effective shadow count: the maximum degree
-// over all families, clamped to the spare pool.
-func ReplicationDegree(lay Layout, cfg Config) int {
-	d := 0
-	for _, v := range cfg.Replication {
-		if v > d {
-			d = v
-		}
-	}
-	if d > lay.Spares {
-		d = lay.Spares
-	}
-	return d
-}
-
-// ShadowOf returns the spare rank acting as hot shadow for a logical
-// worker rank, if the replication policy assigns one. The mapping is a
-// pure function of layout and config — logical L shadows to spare rank
-// 1+L while L is within the effective replication degree — so the
-// detector, every worker and the shadow itself agree on it without
-// communication.
-func ShadowOf(lay Layout, cfg Config, logical int) (Rank, bool) {
-	if logical < 0 || logical >= ReplicationDegree(lay, cfg) {
-		return 0, false
-	}
-	return Rank(1 + logical), true
 }
 
 func (c Config) withDefaults() Config {

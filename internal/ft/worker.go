@@ -118,9 +118,6 @@ func (w *Worker) NumWorkers() int { return w.lay.Workers() }
 // never on absorbed bookkeeping notices.
 func (w *Worker) Epoch() int64 { return int64(w.commEpoch) }
 
-// Group returns the current worker group id.
-func (w *Worker) Group() gaspi.GroupID { return w.gid }
-
 // RankMap exposes the logical→physical map (the C/R library and the
 // application use it to locate peers).
 func (w *Worker) RankMap() *RankMap { return w.rm }

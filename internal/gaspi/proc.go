@@ -179,10 +179,10 @@ func Protect(fn func()) (died bool) {
 // detector's interruptible sleeps, retry loops — and on shared-CPU hosts
 // (especially under the race detector) aggressive spinning starves the
 // fault detector's timers. Dedicated data-plane runs raise
-// Config.SpinYields (the hot-path benchmarks use 512, enough to ride out
-// a peer's compute phase on a single-core host and keep the steady-state
-// spMVM loop allocation-free), the way a real GPI-2 deployment tunes its
-// busy-poll budget to the host.
+// Config.SpinYields (the hot-path benchmarks use 1 << 16, so that their
+// hot waits never park — a park allocates a pulse channel, which their
+// 0 allocs/op gates would count — even under the race detector), the way
+// a real GPI-2 deployment tunes its busy-poll budget to the host.
 const DefaultSpinYields = 16
 
 // deadline returns a timer channel for the given timeout. For Block the
