@@ -26,16 +26,18 @@ const (
 
 // EncodeFrame frames payload as generation (logical, version) into dst's
 // backing array, reusing it when large enough (the writer's buffer halves
-// and a shadowed primary's push buffer are reused across generations). The
-// payload is copied: the caller may overwrite it as soon as EncodeFrame
-// returns.
+// and a shadowed primary's push buffer are reused across generations). A
+// new array gets a quarter's headroom: the solver's payload grows by 16 B
+// per iteration (α and β), and an exact fit would be outgrown by the very
+// next generation. The payload is copied: the caller may overwrite it as
+// soon as EncodeFrame returns.
 //
 //ftlint:hotpath
 func EncodeFrame(dst []byte, logical int, version int64, payload []byte) []byte {
 	need := headerLen + len(payload) + trailerLen
 	blob := dst[:0]
 	if cap(dst) < need {
-		blob = make([]byte, 0, need) //ftlint:ignore hotpath: amortized growth, backing array reused across generations
+		blob = make([]byte, 0, need+need/4) //ftlint:ignore hotpath: amortized growth, backing array reused across generations
 	}
 	blob = blob[:need]
 	binary.LittleEndian.PutUint32(blob[0:], magicFrame)

@@ -174,14 +174,17 @@ func (c *Cluster) NodeAlive(id int) bool {
 
 // --- fault injection -------------------------------------------------------
 
-// KillProc terminates a rank abruptly (`kill -9 <pid>`).
+// KillProc terminates a rank abruptly (`kill -9 <pid>`). Its node stays
+// up, so the death is witnessed: its peers see its connections reset
+// (gaspi.Job.KillProc).
 func (c *Cluster) KillProc(r gaspi.Rank) {
-	c.job.Kill(r, "kill -9")
+	c.job.KillProc(r, "kill -9")
 }
 
 // KillNode fails a whole node: every hosted rank dies and the node-local
 // store is wiped — the failure mode that makes neighbor-level checkpoint
-// copies necessary.
+// copies necessary. Nothing is left to witness the deaths: no connection
+// resets, the peers find out through timeouts, probes and the FD.
 func (c *Cluster) KillNode(id int) {
 	n := c.Node(id)
 	n.mu.Lock()

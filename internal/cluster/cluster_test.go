@@ -206,3 +206,86 @@ func TestPartitionNodeKeepsProcAlive(t *testing.T) {
 		}
 	}
 }
+
+// TestResetOnlyForAProcessDeathOnALiveNode: kill -9 of a process whose
+// node stays up resets its connections, and every peer marks it corrupt
+// with no traffic of its own. A node failure, a partition and a downed
+// link reset nothing, and a partitioned process killed over the
+// management plane posts resets the cut swallows: those faults keep the
+// timer-and-probe path.
+func TestResetOnlyForAProcessDeathOnALiveNode(t *testing.T) {
+	const kReset = 16 // gaspi's connection-reset message kind (kinds are fixed, read by number)
+	for _, row := range []struct {
+		name   string
+		fault  func(cl *Cluster)
+		victim gaspi.Rank // NilRank: nobody dies
+		posted uint64     // resets posted
+		seen   bool       // the live peers mark the victim corrupt
+	}{
+		{"KillProc", func(cl *Cluster) { cl.KillProc(2) }, 2, 5, true},
+		{"KillNode", func(cl *Cluster) { cl.KillNode(1) }, 2, 0, false},
+		{"PartitionNode", func(cl *Cluster) { cl.PartitionNode(1, true) }, gaspi.NilRank, 0, false},
+		{"LinkDown", func(cl *Cluster) { cl.LinkDown(0, 1, true) }, gaspi.NilRank, 0, false},
+		{"ProcKill-partitioned", func(cl *Cluster) {
+			cl.PartitionNode(1, true)
+			_ = cl.Job().Proc(0).ProcKill(2, gaspi.Block)
+		}, 2, 5, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			done := make(chan struct{})
+			var ready sync.WaitGroup
+			ready.Add(6)
+			cl := New(testCfg(3, 2), func(ctx *ProcCtx) error {
+				ready.Done()
+				select {
+				case <-ctx.Dead():
+				case <-done:
+				}
+				return nil
+			})
+			defer cl.Close()
+			ready.Wait()
+			tr := cl.Job().Transport()
+			base := tr.Stats()
+			row.fault(cl)
+			waitFor := func(what string, cond func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s", what)
+					}
+				}
+			}
+			if row.victim != gaspi.NilRank {
+				waitFor("the victim's death", func() bool { return !cl.Job().Proc(row.victim).Alive() })
+			}
+			posted := func() uint64 { return tr.Stats().PerKind[kReset] - base.PerKind[kReset] }
+			waitFor("the resets", func() bool { return posted() >= row.posted })
+			if got := posted(); got != row.posted {
+				t.Fatalf("%d resets posted, want %d", got, row.posted)
+			}
+			if row.posted > 0 && !row.seen {
+				waitFor("the cut to swallow the resets", func() bool { return tr.Stats().Dropped-base.Dropped >= row.posted })
+			}
+			live := func(r gaspi.Rank) bool { return r != row.victim && cl.Job().Proc(r).Alive() }
+			if row.seen {
+				waitFor("every live peer to mark the victim corrupt", func() bool {
+					for r := gaspi.Rank(0); r < 6; r++ {
+						if live(r) && cl.Job().Proc(r).State(row.victim) != gaspi.StateCorrupt {
+							return false
+						}
+					}
+					return true
+				})
+			} else if row.victim != gaspi.NilRank {
+				for r := gaspi.Rank(0); r < 6; r++ {
+					if live(r) && cl.Job().Proc(r).State(row.victim) != gaspi.StateHealthy {
+						t.Fatalf("rank %d marked the unwitnessed victim corrupt", r)
+					}
+				}
+			}
+			close(done)
+			mustWait(t, cl)
+		})
+	}
+}

@@ -50,9 +50,11 @@ func TestShadowKeepsNewestIntactFrame(t *testing.T) {
 // shadow path: a shadowed primary's frame, encoded into its reused push
 // buffer, and the shadow's keepFrame on it must allocate nothing — a
 // shadowed rank pushes EVERY iteration of a healthy run, not just
-// checkpoints.
+// checkpoints. The payload grows by 16 B per op, as the solver's does (α
+// and β of one more iteration), so a buffer sized to fit exactly would
+// reallocate on every op.
 func BenchmarkMirrorApply(b *testing.B) {
-	payload := make([]byte, 256<<10)
+	payload := make([]byte, 256<<10, 256<<10+16*b.N)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
@@ -62,6 +64,7 @@ func BenchmarkMirrorApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		payload = payload[:len(payload)+16]
 		payload[(i*4096+i)%len(payload)] ^= 0xA5
 		buf = checkpoint.EncodeFrame(buf, 0, int64(i+2), payload)
 		if fo, ok := keepFrame(buf); !ok || fo.version != int64(i+2) {

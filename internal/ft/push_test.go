@@ -302,6 +302,9 @@ func TestNackedSurvivorWakesDetector(t *testing.T) {
 		t.Fatalf("fd.scans.nudged = %d, ft.suspect.nudges = %d",
 			recs[0].Counter(trace.KFDScansNudged), recs[1].Counter(trace.KFTSuspectNudges))
 	}
+	if n := recs[1].Counter(trace.KFTDetectNack); n != 1 {
+		t.Fatalf("ft.detect.nack = %d, want 1", n)
+	}
 }
 
 // TestNudgesArePaced: the detector already lists the dead rank as failed
@@ -378,6 +381,53 @@ func TestUnwitnessedDeathNudgesDetector(t *testing.T) {
 	}
 	if n := recs[1].Counter(trace.KFTAckTimedOut); n != 0 {
 		t.Fatalf("ft.ack.timed_out = %d: a slice expiring is not the communication timeout", n)
+	}
+	if n := recs[1].Counter(trace.KFTDetectProbe); n != 1 {
+		t.Fatalf("ft.detect.probe = %d, want 1", n)
+	}
+}
+
+// TestWitnessedDeathFailsNamedWait: the partner is killed like kill -9 on
+// a node that stays up, after everything posted to it has landed. The
+// survivor's wait names it as the source it lacks, so its connection
+// reset fails the wait at once: no slice expires, no ping goes out, and
+// the nudge the survivor sends starts the scan that acknowledges the
+// death — one nudged scan, one nudged recovery, none from the interval.
+func TestWitnessedDeathFailsNamedWait(t *testing.T) {
+	cfg := testFTCfg()
+	cfg.ScanInterval = 10 * time.Second
+	cfg.CommTimeout = 2 * time.Second
+	cfg.StallLimit = 30 * time.Second
+	var pings int64
+	job, recs := startFaultJob(t, cfg, func(job *gaspi.Job) { job.KillProc(2, "test kill -9") }, func(*Detector) {}, func(w *Worker, _ time.Time) error {
+		before := w.rec.Counter(trace.KFTProbePings)
+		w.AwaitFrom([]int{1})
+		_, err := w.NotifyWaitsome(pushAppSeg, 0, 1)
+		pings = w.rec.Counter(trace.KFTProbePings) - before
+		var fde *FailureDetectedError
+		if !errors.As(err, &fde) {
+			return fmt.Errorf("wait for the killed partner's halo returned %v, want FailureDetectedError", err)
+		}
+		return nil
+	})
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("job hung")
+	}
+	for _, r := range res[:2] {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	if pings != 0 {
+		t.Fatalf("the wait sent %d probe pings", pings)
+	}
+	if reset, nack, probe := recs[1].Counter(trace.KFTDetectReset), recs[1].Counter(trace.KFTDetectNack), recs[1].Counter(trace.KFTDetectProbe); reset != 1 || nack != 0 || probe != 0 {
+		t.Fatalf("ft.detect.reset = %d, ft.detect.nack = %d, ft.detect.probe = %d, want 1, 0, 0", reset, nack, probe)
+	}
+	scans, nudged, recovered := recs[0].Counter(trace.KFDScans), recs[0].Counter(trace.KFDScansNudged), recs[0].Counter(trace.KFDRecoveriesNudged)
+	if scans != 1 || nudged != 1 || recovered != 1 {
+		t.Fatalf("fd.scans = %d, fd.scans.nudged = %d, fd.recoveries.nudged = %d, want 1 each", scans, nudged, recovered)
 	}
 }
 

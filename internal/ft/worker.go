@@ -68,6 +68,10 @@ type Worker struct {
 	fd        Rank
 	lastNudge time.Time
 
+	// from is the physical translation of the sources the next
+	// NotifyWaitsome still lacks (AwaitFrom); its backing array is reused.
+	from []Rank
+
 	// collHook, when set, observes every collective call this worker
 	// issues (running ordinal as argument). The scenario engine's
 	// during-collective fault triggers hang off it; exitNow mirrors the
@@ -263,14 +267,18 @@ func (w *Worker) retry(op func(timeout time.Duration) error) error {
 // times as many; /16 was kept. The slice is a floor the runtime does not
 // keep: with every P idle, the netpoller rounds a sub-millisecond timer up
 // to 1 ms, so in the quiet after a kill the first slice ran out after a
-// median 1.25 ms, and that wait is the slow half of kill_failover's
-// detections (ttr_ms_p75 ≈ 2.7 ms). A smaller or adaptive slice does not
-// move it; ROADMAP item 8 records the measurements.
+// median 1.25 ms. That wait was the slow half of kill_failover's
+// detections until a killed process became witnessed: its connection
+// reset (gaspi.Proc.die) now fails every wait that names it as a source
+// (AwaitFrom, the collectives' rounds) at once. The slice and its probe
+// remain for the deaths nothing witnesses — a lost node, a partition, a
+// downed link — and for waits on a live peer that failed elsewhere.
 const firstSliceDiv = 16
 
 func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
 	var detectStart, deadline time.Time
 	var hard error
+	probed := false
 	slice := w.cfg.CommTimeout / firstSliceDiv
 	for {
 		attemptStart := time.Now()
@@ -298,6 +306,7 @@ func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
 			d := time.Since(detectStart)
 			w.rec.Add(trace.PhaseDetect, d)
 			w.rec.Inc(CounterDetectNS, int64(d))
+			w.countDetection(err, probed)
 			// Only a full communication timeout running out beside the
 			// board write names a wait the line does not reach; a slice
 			// expires beside one by chance.
@@ -317,8 +326,25 @@ func (w *Worker) retryArmed(op func(timeout time.Duration) error) error {
 		}
 		if expired && hard == nil {
 			w.probeSuccessor()
+			probed = true
 			slice = min(2*slice, w.cfg.CommTimeout)
 		}
+	}
+}
+
+// countDetection counts how an acknowledged failure wait began: err is its
+// last attempt's error (the latched one, if any), probed whether a slice
+// expired and the successor was probed.
+func (w *Worker) countDetection(err error, probed bool) {
+	switch {
+	case errors.Is(err, gaspi.ErrReset):
+		w.rec.Inc(trace.KFTDetectReset, 1)
+	case errors.Is(err, gaspi.ErrConnection), errors.Is(err, gaspi.ErrQueue):
+		w.rec.Inc(trace.KFTDetectNack, 1)
+	case probed:
+		w.rec.Inc(trace.KFTDetectProbe, 1)
+	default:
+		w.rec.Inc(trace.KFTDetectAcked, 1)
 	}
 }
 
@@ -405,12 +431,25 @@ func (w *Worker) WaitQueue(q gaspi.QueueID) error {
 	return w.retry(func(t time.Duration) error { return w.p.WaitQueue(q, t) })
 }
 
-// NotifyWaitsome implements spmvm.Comm.
+// AwaitFrom implements spmvm.Comm: the logical sources are translated
+// once, for the one wait they name.
+func (w *Worker) AwaitFrom(from []int) {
+	w.from = w.from[:0]
+	for _, l := range from {
+		w.from = append(w.from, w.rm.Phys(l))
+	}
+}
+
+// NotifyWaitsome implements spmvm.Comm. With sources named (AwaitFrom),
+// a dead one fails the wait with gaspi.ErrConnection, which retry latches
+// and reports to the FD at once.
 func (w *Worker) NotifyWaitsome(seg gaspi.SegmentID, begin gaspi.NotificationID, num int) (gaspi.NotificationID, error) {
 	var id gaspi.NotificationID
+	from := w.from
+	w.from = w.from[:0]
 	err := w.retry(func(t time.Duration) error {
 		var e error
-		id, e = w.p.NotifyWaitsome(seg, begin, num, t)
+		id, e = w.p.NotifyWaitsomeFrom(seg, begin, num, from, t)
 		return e
 	})
 	return id, err

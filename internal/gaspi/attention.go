@@ -104,6 +104,6 @@ func (p *Proc) AttentionClear() { p.attn.raised.Store(false) }
 func (p *Proc) AttentionWait(timeout time.Duration) bool {
 	p.checkAlive()
 	// Armed, waitCond may report the raise as ErrAttention instead of nil.
-	err := p.waitCond(&p.attn.pulse, timeout, p.attn.raised.Load)
+	err := p.waitCond(&p.attn.pulse, timeout, p.attn.raised.Load, nil)
 	return err == nil || errors.Is(err, ErrAttention)
 }

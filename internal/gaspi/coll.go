@@ -141,7 +141,8 @@ func (p *Proc) collSend(gid GroupID, round int32, to Rank, payload []byte) error
 // collRecv waits for the commit round message matching the key and
 // consumes it: the commit's cursor remembers that the round is done, so a
 // resumed commit never asks for it again. A conclusively dead group member
-// aborts the wait promptly with ErrConnBroken.
+// — any member, not only the round's source: a commit is a membership
+// agreement — aborts the wait promptly with ErrConnBroken.
 func (p *Proc) collRecv(g *group, round int32, from Rank, timeout time.Duration) ([]byte, error) {
 	key := collKey{gid: g.id, round: round, from: from}
 	take := func() ([]byte, bool) {
@@ -155,7 +156,7 @@ func (p *Proc) collRecv(g *group, round int32, from Rank, timeout time.Duration)
 		return b, nil
 	}
 	if timeout == Test {
-		if err := p.collCheckMembers(g); err != nil {
+		if err := p.collCheckMembers(g, NilRank); err != nil {
 			return nil, err
 		}
 		return nil, ErrTimeout
@@ -170,11 +171,11 @@ func (p *Proc) collRecv(g *group, round int32, from Rank, timeout time.Duration)
 			return b, nil
 		}
 	}
-	if err := p.collCheckMembers(g); err != nil {
+	if err := p.collCheckMembers(g, NilRank); err != nil {
 		return nil, err
 	}
 	var got []byte
-	err := p.collPark(g, &p.collPulse, timeout, func() bool {
+	err := p.collPark(g, NilRank, &p.collPulse, timeout, func() bool {
 		b, ok := take()
 		if ok {
 			got = b

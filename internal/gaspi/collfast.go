@@ -1,6 +1,8 @@
 package gaspi
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -53,13 +55,18 @@ import (
 // posts of one round therefore land on distinct shard heaps and deliver
 // in parallel instead of serializing behind a single timer heap.
 //
-// Fault awareness: a dead member NACKs the writes and probes directed at
-// it, which marks it corrupt in the state vector and broadcasts
-// corruptPulse; every waiter re-checks the member list on that pulse and
-// fails promptly with ErrConnBroken instead of burning its timeout. A
-// timed-out collective keeps its cursor in inflightColl and resumes
-// exactly where it stopped; a group recommit (GroupDelete + recreate)
-// invalidates the cursor and the segment wholesale.
+// Fault awareness: a waiter depends on one rank per round, the round's
+// source (collRoundRole, barrierFast), and fails promptly with
+// ErrConnBroken once that rank is marked corrupt — by its connection
+// reset (a witnessed process death, Proc.die), by the NACK of a write or
+// probe directed at it, or by a peer's verified gossip — instead of
+// burning its timeout. A dead member that is no round's source of this
+// waiter does not fail it: its data is already in flight, or the round
+// that needs it fails at its consumer, which forwards the failure
+// (collFailed) to every member still waiting on it. A timed-out
+// collective keeps its cursor in inflightColl and resumes exactly where
+// it stopped; a group recommit (GroupDelete + recreate) invalidates the
+// cursor and the segment wholesale.
 
 // collSmallMin is the least element capacity of a sub-slot: the dot
 // products, norms and agreement pairs of a small group fit with room to
@@ -159,20 +166,35 @@ func (p *Proc) collTeardown(gid GroupID, g *group) {
 	g.fast = nil
 }
 
-// collCheckMembers fails with ErrConnBroken when any group member is
-// conclusively dead (state vector corrupt): the collective can never
-// complete, so waiting out the timeout would only delay recovery. The
-// first discovery of a dead member also gossips the news to the rest of
-// the group (see gossipDead) — with constant-degree ring probing, this
-// rank may be the only one whose probe target died.
-func (p *Proc) collCheckMembers(g *group) error {
+// collCheckMembers gossips every group member it finds conclusively dead
+// (state vector corrupt; see gossipDead) — with constant-degree ring
+// probing, this rank may be the only one whose probe target died — and
+// fails with ErrConnBroken when one of them is src, the rank this wait
+// depends on: the child in a reduce round, the parent in a broadcast
+// round, the round's source in the barrier. Any other dead member leaves
+// the wait running: its data is in flight from src, or src fails and
+// forwards the failure (collFailed). The commit handshake needs every
+// member and passes NilRank: any dead member fails it.
+func (p *Proc) collCheckMembers(g *group, src Rank) error {
 	for _, m := range g.members {
 		if m != p.rank && ProcState(p.statevec[m].Load()) == StateCorrupt {
 			p.gossipDead(g, m)
-			return fmt.Errorf("%w: group %d, rank %d", ErrConnBroken, g.id, m)
+			if src == NilRank || m == src {
+				return p.lostErr(ErrConnBroken, m, fmt.Sprintf("group %d", g.id))
+			}
 		}
 	}
 	return nil
+}
+
+// lostErr is the error of a wait on rank r, which is dead: err for what,
+// joined with ErrReset when r's death was witnessed (its connection reset
+// arrived), so the caller can tell how the death became known.
+func (p *Proc) lostErr(err error, r Rank, what string) error {
+	if int(r) < len(p.resetSeen) && p.resetSeen[r].Load() {
+		return fmt.Errorf("%w: %s, rank %d: %w", err, what, r, ErrReset)
+	}
+	return fmt.Errorf("%w: %s, rank %d", err, what, r)
 }
 
 // gossipDead fans a "rank looks dead" hint out to the other group members,
@@ -212,10 +234,11 @@ const collProbeMaxInterval = 50 * time.Millisecond
 // it corrupt and wakes this waiter. Constant-degree probing replaces the
 // old probe-everyone scheme, whose aggregate traffic grew quadratically
 // with group size and capped the scale mode's stream sweep: with a ring,
-// total probe load is O(members) per tick. A death anywhere still breaks
-// every waiter promptly — the dead member's ring predecessor discovers the
-// NACK and gossips it to the whole group (collCheckMembers → gossipDead),
-// and each receiver verifies with its own direct probe.
+// total probe load is O(members) per tick. An unwitnessed death anywhere
+// still reaches every waiter promptly — the dead member's ring predecessor
+// discovers the NACK and gossips it to the whole group (collCheckMembers →
+// gossipDead), and each receiver verifies with its own direct probe; the
+// waiters whose source it is fail, and forward their failure.
 func (p *Proc) collProbeMembers(g *group) {
 	n := len(g.members)
 	if n <= 1 {
@@ -262,35 +285,35 @@ func (p *Proc) collNotifyPost(to Rank, f *collFast, slot NotificationID, val int
 	_ = p.ep.Send(to, m)
 }
 
-// takeNotif consumes the expected collective value from a notification
-// slot. A stale non-zero value (an abandoned same-parity instance after
-// an unsynchronized same-ID group recreation) is discarded defensively.
+// takeNotif consumes a collective notification slot: ok when it held the
+// expected value, aborted when it held the expected collective's abort
+// (collFailed). Any other non-zero value (an abandoned same-parity
+// instance after an unsynchronized same-ID group recreation) is discarded
+// defensively.
 //
 //ftlint:hotpath
-func (s *segment) takeNotif(slot NotificationID, want int64) bool {
+func (s *segment) takeNotif(slot NotificationID, want int64) (ok, aborted bool) {
 	s.notifMu.Lock()
 	v := s.notifVals[slot]
-	if v == want {
-		s.notifVals[slot] = 0
-		s.notifMu.Unlock()
-		return true
-	}
 	if v != 0 {
 		s.notifVals[slot] = 0
 	}
 	s.notifMu.Unlock()
-	return false
+	return v == want, v == -want
 }
 
 // collPark is the shared cold-path wait of every collective waiter (slot
 // awaits and two-sided round receives): parked until cond succeeds,
-// woken by the condition's pulse, a corrupt-marking NACK, the probe tick
-// (re-probing the ring successor; a death elsewhere in the group reaches
-// this waiter through the predecessor's verified gossip — so a member
-// dying at any point, even after every survivor stopped sending, still
-// breaks the wait promptly with ErrConnBroken), the armed attention line
-// (ErrAttention: an early, resumable ErrTimeout), the timeout, or death.
-func (p *Proc) collPark(g *group, pl *pulse, timeout time.Duration, cond func() bool) error {
+// woken by the condition's pulse, a corrupt-marking reset or NACK, the
+// probe tick (re-probing the ring successor; a death elsewhere in the
+// group reaches this waiter through the predecessor's verified gossip),
+// the armed attention line (ErrAttention: an early, resumable
+// ErrTimeout), the timeout, or death. Only src's death fails the wait
+// (collCheckMembers): a live source either delivers or fails and forwards
+// its failure, and a source that does neither has left the collective
+// for good reasons of its own — under the ft layer, for a recovery whose
+// acknowledgment raises this waiter's attention line too.
+func (p *Proc) collPark(g *group, src Rank, pl *pulse, timeout time.Duration, cond func() bool) error {
 	p.collProbeMembers(g)
 	timer, stop := deadline(timeout)
 	defer stop()
@@ -304,7 +327,7 @@ func (p *Proc) collPark(g *group, pl *pulse, timeout time.Duration, cond func() 
 		if cond() {
 			return nil
 		}
-		if err := p.collCheckMembers(g); err != nil {
+		if err := p.collCheckMembers(g, src); err != nil {
 			return err
 		}
 		if p.attn.pending() {
@@ -329,32 +352,72 @@ func (p *Proc) collPark(g *group, pl *pulse, timeout time.Duration, cond func() 
 }
 
 // collAwait consumes the expected value from a collective notification
-// slot: immediate check, bounded user-space spin, then collPark. The
-// closure is only materialized on the cold path, so a steady-state await
-// that succeeds while spinning allocates nothing.
+// slot, whose writer is src: immediate check, bounded user-space spin,
+// then collPark. An abort in the slot fails the wait with ErrConnBroken.
+// The closure is only materialized on the cold path, so a steady-state
+// await that succeeds while spinning allocates nothing.
 //
 //ftlint:hotpath
-func (p *Proc) collAwait(g *group, slot NotificationID, want int64, timeout time.Duration) error {
+func (p *Proc) collAwait(g *group, src Rank, slot NotificationID, want int64, timeout time.Duration) error {
 	s := g.fast.seg
-	if s.takeNotif(slot, want) {
-		return nil
+	ok, aborted := s.takeNotif(slot, want)
+	for i, n := 0, p.cfg.SpinYields; !ok && !aborted && timeout != Test && i < n; i++ {
+		runtime.Gosched()
+		ok, aborted = s.takeNotif(slot, want)
 	}
-	if timeout == Test {
-		if err := p.collCheckMembers(g); err != nil {
+	if !ok && !aborted {
+		if err := p.collCheckMembers(g, src); err != nil || timeout == Test {
+			return cmp.Or(err, ErrTimeout)
+		}
+		if err := p.collPark(g, src, &s.notifPulse, timeout, func() bool {
+			ok, aborted = s.takeNotif(slot, want)
+			return ok || aborted
+		}); err != nil {
 			return err
 		}
-		return ErrTimeout
 	}
-	for i, n := 0, p.cfg.SpinYields; i < n; i++ {
-		runtime.Gosched()
-		if s.takeNotif(slot, want) {
-			return nil
-		}
+	if aborted {
+		return fmt.Errorf("%w: group %d, rank %d forwarded a failure", ErrConnBroken, g.id, src) //ftlint:ignore hotpath: failure path only
 	}
-	if err := p.collCheckMembers(g); err != nil {
+	return nil
+}
+
+// collFailed ends a collective whose round failed. A conclusive failure
+// (ErrConnBroken: the source is dead or forwarded its own failure) is
+// forwarded once: an abort goes into the slot of every later round in
+// which this rank would still have sent, so the members waiting on it
+// fail promptly too, and every later call of the collective fails at
+// once. A resumable failure (a timeout, ErrAttention) forwards nothing:
+// the resumed call goes on from its cursor.
+func (p *Proc) collFailed(g *group, st *inflightColl, err error) error {
+	if errors.Is(err, ErrTimeout) {
 		return err
 	}
-	return p.collPark(g, &s.notifPulse, timeout, func() bool { return s.takeNotif(slot, want) })
+	f := g.fast
+	n := len(g.members)
+	abort := -collVal(st.seq)
+	parity := int(st.seq & 1)
+	if st.kind == collBarrier {
+		for round := st.round + 1; round < f.r; round++ {
+			to := g.members[(g.myIdx+1<<round)%n]
+			p.collNotifyPost(to, f, f.dataSlot(f.sub(parity, round)), abort)
+		}
+	} else {
+		for round := st.round + 1; round < 2*f.r; round++ {
+			if send, peer := collRoundRole(round, f.r, g.myIdx, n); send {
+				p.collNotifyPost(g.members[peer], f, f.dataSlot(f.sub(parity, round)), abort)
+			}
+		}
+	}
+	st.failed = true
+	return err
+}
+
+// collRefused is the error of a call resuming a collective that already
+// failed conclusively: its failure was forwarded, and its slots may hold
+// nothing this rank will ever be sent again.
+func collRefused(g *group, st *inflightColl) error {
+	return fmt.Errorf("%w: group %d, collective %d already failed", ErrConnBroken, g.id, st.seq)
 }
 
 // barrierFast runs the dissemination barrier. st.round
@@ -363,6 +426,9 @@ func (p *Proc) collAwait(g *group, slot NotificationID, want int64, timeout time
 //
 //ftlint:hotpath
 func (p *Proc) barrierFast(g *group, st *inflightColl, timeout time.Duration) error {
+	if st.failed {
+		return collRefused(g, st) //ftlint:ignore hotpath: failure path only
+	}
 	f := g.fast
 	n := len(g.members)
 	parity := int(st.seq & 1)
@@ -375,14 +441,20 @@ func (p *Proc) barrierFast(g *group, st *inflightColl, timeout time.Duration) er
 			p.collNotifyPost(to, f, slot, val)
 			st.sent = true
 		}
-		if err := p.collAwait(g, slot, val, timeout); err != nil {
-			return err
+		src := g.members[(g.myIdx-dist+n)%n]
+		if err := p.collAwait(g, src, slot, val, timeout); err != nil {
+			return p.collFailed(g, st, err)
 		}
 		st.round, st.sent = st.round+1, false
 	}
 	p.finishCollective(g.id, st.seq)
 	return nil
 }
+
+// collSendHook, when set, runs before each allreduce round send with the
+// sender and the round index. Tests only: it orders a send after events
+// elsewhere in the job (witness_test.go). Set it before the job starts.
+var collSendHook func(p *Proc, round int)
 
 // collRoundRole determines this rank's part in allreduce round index i
 // (0..2R-1: reduce towards member 0, then binomial broadcast from it).
@@ -420,6 +492,9 @@ func collRoundRole(i, r, myIdx, n int) (send bool, peer int) {
 //
 //ftlint:hotpath
 func allreduceFast[T int64 | float64](p *Proc, g *group, st *inflightColl, acc, out []T, combine func(dst, src []T, op ReduceOp), op ReduceOp, timeout time.Duration) error {
+	if st.failed {
+		return collRefused(g, st) //ftlint:ignore hotpath: failure path only
+	}
 	f := g.fast
 	n := len(g.members)
 	L := st.vecLen
@@ -433,13 +508,16 @@ func allreduceFast[T int64 | float64](p *Proc, g *group, st *inflightColl, acc, 
 		}
 		sub := f.sub(parity, st.round)
 		if send {
+			if collSendHook != nil {
+				collSendHook(p, st.round)
+			}
 			so := f.stageOff(sub)
 			copy(view[so:so+L], acc[:L])
 			p.collDataPost(g.members[peer], f, int64(8*f.recvOff(sub)), f.seg.buf[8*so:8*(so+L)], f.dataSlot(sub), val)
 			continue
 		}
-		if err := p.collAwait(g, f.dataSlot(sub), val, timeout); err != nil {
-			return err
+		if err := p.collAwait(g, g.members[peer], f.dataSlot(sub), val, timeout); err != nil {
+			return p.collFailed(g, st, err)
 		}
 		ro := f.recvOff(sub)
 		if st.round < f.r {

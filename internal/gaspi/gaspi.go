@@ -108,6 +108,11 @@ var (
 	// timeout it is returned promptly, without waiting out the caller's
 	// timeout budget.
 	ErrConnBroken = fmt.Errorf("%w: collective member lost", ErrConnection)
+	// ErrReset marks a connection error whose dead rank was witnessed: its
+	// connection reset arrived (Proc.die) before anything of this process
+	// was NACKed by it. It is joined to an ErrConnection, never returned
+	// alone, so it only says how the death became known.
+	ErrReset = errors.New("gaspi: connection reset by peer")
 	// ErrQueue reports that one or more operations on a queue completed
 	// with an error; the state vector identifies the corrupt ranks.
 	ErrQueue = errors.New("gaspi: queue error")
@@ -140,6 +145,7 @@ const (
 	kColl       uint8 = 13 // group-commit handshake round
 	kProbe      uint8 = 14 // fire-and-forget collective liveness probe
 	kDeadGossip uint8 = 15 // fire-and-forget "rank X looks dead" hint (Args[0]=X)
+	kReset      uint8 = 16 // a dying process's connection reset (see Proc.die)
 )
 
 // remote error codes carried in acks (Args[0]).

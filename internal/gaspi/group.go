@@ -48,6 +48,7 @@ type inflightColl struct {
 	vecLen int  // element count, cross-checked on resume
 	round  int  // next unfinished round index
 	sent   bool // the barrier's notification of the current round is posted
+	failed bool // failed conclusively; its failure was forwarded (collFailed)
 }
 
 // GroupCreate starts building a group with the given ID

@@ -80,7 +80,17 @@ func (p *Proc) nic(m fabric.Message, reply fabric.Reply) {
 		}
 
 	case kKill:
-		p.die(deathCause{killed: true, byRank: m.From})
+		// This runs on the shard goroutine: the resets take the delivery
+		// post path, which spills on a full ring instead of waiting.
+		p.die(deathCause{killed: true, byRank: m.From}, reply.Send)
+
+	case kReset:
+		// A peer died and its connection reset arrived: the same evidence
+		// as a NACK from it, only without waiting for a post to bounce.
+		if int(m.From) < len(p.resetSeen) {
+			p.resetSeen[m.From].Store(true)
+		}
+		p.markCorrupt(m.From)
 
 	case kColl:
 		key := collKey{gid: GroupID(m.Args[0]), round: int32(m.Args[2]), from: m.From}

@@ -113,6 +113,16 @@ func (p *Proc) Notify(rank Rank, seg SegmentID, notifID NotificationID, notifVal
 // arrives while the caller overlaps computation is picked up without any
 // blocking machinery.
 func (p *Proc) NotifyWaitsome(seg SegmentID, begin NotificationID, num int, timeout time.Duration) (NotificationID, error) {
+	return p.NotifyWaitsomeFrom(seg, begin, num, nil, timeout)
+}
+
+// NotifyWaitsomeFrom is NotifyWaitsome for a wait that names its sources:
+// from lists the ranks whose notifications the caller still lacks, and the
+// wait fails with ErrConnection (joined with ErrReset when the death was
+// witnessed) as soon as one of them is marked corrupt, instead of waiting
+// out its timeout. A notification already in the range is returned first.
+// The wait reads from only while it runs.
+func (p *Proc) NotifyWaitsomeFrom(seg SegmentID, begin NotificationID, num int, from []Rank, timeout time.Duration) (NotificationID, error) {
 	p.checkAlive()
 	s, err := p.segLookup(seg)
 	if err != nil {
@@ -125,6 +135,9 @@ func (p *Proc) NotifyWaitsome(seg SegmentID, begin NotificationID, num int, time
 		return id, nil
 	}
 	if timeout == Test {
+		if err := p.checkSources(from); err != nil {
+			return 0, err
+		}
 		return 0, ErrTimeout
 	}
 	for i, n := 0, p.cfg.SpinYields; i < n; i++ {
@@ -140,7 +153,7 @@ func (p *Proc) NotifyWaitsome(seg SegmentID, begin NotificationID, num int, time
 			fired = id
 		}
 		return ok
-	})
+	}, from)
 	if err != nil {
 		return 0, err
 	}

@@ -44,7 +44,7 @@ func (p *Proc) ProcKill(rank Rank, _ time.Duration) error {
 		return err
 	}
 	if rank == p.rank {
-		p.die(deathCause{killed: true, byRank: p.rank})
+		p.die(deathCause{killed: true, byRank: p.rank}, p.post)
 		p.checkAlive() // panics
 	}
 	m := fabric.Message{Kind: kKill, Token: p.nextToken()}

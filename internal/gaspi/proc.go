@@ -52,6 +52,9 @@ type Proc struct {
 	// hint about rank r, bounding gossip to one fan-out per (observer, dead
 	// rank) pair.
 	deadGossiped []atomic.Bool
+	// resetSeen[r] latches once rank r's connection reset has arrived
+	// (kReset): its death was witnessed, not inferred from a NACK.
+	resetSeen []atomic.Bool
 
 	// error state vector
 	statevec []atomic.Uint32
@@ -122,19 +125,41 @@ func (p *Proc) Alive() bool {
 // injection. It never returns.
 func (p *Proc) Exit(code int) {
 	c := deathCause{exited: true, code: code, byRank: p.rank}
-	p.die(c)
+	p.die(c, p.post)
 	panic(killedPanic{cause: c})
 }
 
 // die transitions the process to the dead state: the endpoint closes (so
 // peers start receiving NACKs), and any blocked GASPI call unwinds.
-func (p *Proc) die(c deathCause) {
+//
+// A process death on a node that stays up — kill -9 (Job.KillProc), exit,
+// a peer's ProcKill — is witnessed: before the endpoint closes, reset
+// posts a kReset to every other rank, the connection reset a real peer
+// sees when the operating system tears down a dead process's connections.
+// Each peer marks the rank corrupt on arrival, so a wait whose data
+// source it is fails at once instead of probing for it. The reset rides
+// the data plane, so a cut link or a partition swallows it like any post.
+// A death nothing witnesses — a lost node (Job.Kill), the job's teardown —
+// passes a nil reset. The witness only marks the state vector, like a
+// NACK; the fault detector's ping still decides who is dead.
+func (p *Proc) die(c deathCause, reset func(to Rank, m fabric.Message)) {
 	p.deadOnce.Do(func() {
 		p.deathInfo.Store(c)
 		close(p.dead)
+		if reset != nil {
+			for r := range p.n {
+				if Rank(r) != p.rank {
+					reset(Rank(r), fabric.Message{Kind: kReset})
+				}
+			}
+		}
 		p.ep.Close()
 	})
 }
+
+// post is the death path's reset poster off the delivery goroutines: an
+// ordinary send, which may wait for ring space.
+func (p *Proc) post(to Rank, m fabric.Message) { _ = p.ep.Send(to, m) }
 
 // checkAlive panics with killedPanic if the process has died. Every GASPI
 // entry point calls it so that a killed process stops at its next
@@ -197,18 +222,27 @@ func deadline(timeout time.Duration) (<-chan time.Time, func()) {
 }
 
 // waitCond blocks until cond returns true, the timeout expires (ErrTimeout),
-// the armed attention line is raised (ErrAttention, an early ErrTimeout) or
-// the process dies (panics). pl must be broadcast whenever cond may have
-// become true. cond must be safe to call from this goroutine (it takes its
-// own locks).
-func (p *Proc) waitCond(pl *pulse, timeout time.Duration, cond func() bool) error {
+// the armed attention line is raised (ErrAttention, an early ErrTimeout),
+// one of the ranks in src is marked corrupt (ErrConnection: the wait's
+// data source is dead; nil src names none) or the process dies (panics).
+// pl must be broadcast whenever cond may have become true. cond must be
+// safe to call from this goroutine (it takes its own locks); it is checked
+// before the sources, so what already arrived wins over a dead source.
+func (p *Proc) waitCond(pl *pulse, timeout time.Duration, cond func() bool, src []Rank) error {
 	timer, stop := deadline(timeout)
 	defer stop()
+	var corrupt <-chan struct{}
 	for {
 		ch := pl.Chan()
 		attn := p.attn.wake()
+		if len(src) > 0 {
+			corrupt = p.corruptPulse.Chan()
+		}
 		if cond() {
 			return nil
+		}
+		if err := p.checkSources(src); err != nil {
+			return err
 		}
 		if timeout == Test {
 			return ErrTimeout
@@ -219,12 +253,24 @@ func (p *Proc) waitCond(pl *pulse, timeout time.Duration, cond func() bool) erro
 		select {
 		case <-ch:
 		case <-attn:
+		case <-corrupt:
 		case <-timer:
 			return ErrTimeout
 		case <-p.dead:
 			p.checkAlive()
 		}
 	}
+}
+
+// checkSources fails with ErrConnection when one of the ranks in src is
+// marked corrupt.
+func (p *Proc) checkSources(src []Rank) error {
+	for _, r := range src {
+		if p.State(r) == StateCorrupt {
+			return p.lostErr(ErrConnection, r, "notification source")
+		}
+	}
+	return nil
 }
 
 // markCorrupt flips the state vector entry for rank r to StateCorrupt and

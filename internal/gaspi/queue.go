@@ -145,7 +145,7 @@ func (p *Proc) WaitQueue(q QueueID, timeout time.Duration) error {
 			}
 		}
 		if !qu.drained() {
-			if err := p.waitCond(&qu.pulse, timeout, qu.drained); err != nil {
+			if err := p.waitCond(&qu.pulse, timeout, qu.drained, nil); err != nil {
 				return err
 			}
 		}

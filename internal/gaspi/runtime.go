@@ -116,6 +116,7 @@ func Launch(cfg Config, main func(*Proc) error) *Job {
 			collBuf:      make(map[collKey][]byte),
 			statevec:     make([]atomic.Uint32, cfg.Procs),
 			deadGossiped: make([]atomic.Bool, cfg.Procs),
+			resetSeen:    make([]atomic.Bool, cfg.Procs),
 			dead:         make(chan struct{}),
 		}
 		for q := range p.queues {
@@ -193,10 +194,21 @@ func (j *Job) NumProcs() int { return len(j.procs) }
 // statistics).
 func (j *Job) Transport() *fabric.Transport { return j.tr }
 
-// Kill terminates a rank abruptly, like `kill -9 <pid>`: the process's
-// endpoint closes and its goroutine unwinds at its next GASPI call.
+// Kill terminates a rank abruptly and unwitnessed: the process's endpoint
+// closes and its goroutine unwinds at its next GASPI call, but nothing
+// tells its peers — the share of one process in a node failure
+// (cluster.KillNode), where no operating system is left to reset its
+// connections. The peers learn of the death from NACKs, probes and the FD.
 func (j *Job) Kill(r Rank, reason string) {
-	j.procs[r].die(deathCause{killed: true, byRank: NilRank, external: reason})
+	j.procs[r].die(deathCause{killed: true, byRank: NilRank, external: reason}, nil)
+}
+
+// KillProc terminates a rank like `kill -9 <pid>` on a node that stays up:
+// Kill, but witnessed — the dying process's connections reset, and every
+// peer marks it corrupt at once (see Proc.die).
+func (j *Job) KillProc(r Rank, reason string) {
+	p := j.procs[r]
+	p.die(deathCause{killed: true, byRank: NilRank, external: reason}, p.post)
 }
 
 // Partition disconnects (down=true) or heals a rank's data-plane network.
@@ -235,7 +247,7 @@ func (j *Job) WaitTimeout(d time.Duration) ([]Result, bool) {
 func (j *Job) Close() {
 	if j.closed.CompareAndSwap(false, true) {
 		for _, p := range j.procs {
-			p.die(deathCause{killed: true, external: "job closed"})
+			p.die(deathCause{killed: true, external: "job closed"}, nil)
 		}
 		j.tr.Close()
 	}
@@ -245,7 +257,7 @@ func (j *Job) Close() {
 // tears down the fabric — the hard-stop teardown used by tests.
 func (j *Job) Shutdown() []Result {
 	for _, p := range j.procs {
-		p.die(deathCause{killed: true, external: "shutdown"})
+		p.die(deathCause{killed: true, external: "shutdown"}, nil)
 	}
 	res := j.Wait()
 	j.Close()

@@ -47,6 +47,11 @@ type Comm interface {
 	WaitQueue(q gaspi.QueueID) error
 	// NotifyWaitsome waits for a notification in [begin, begin+num).
 	NotifyWaitsome(seg gaspi.SegmentID, begin gaspi.NotificationID, num int) (gaspi.NotificationID, error)
+	// AwaitFrom names the logical ranks whose notifications the next
+	// NotifyWaitsome still lacks: that wait fails with
+	// gaspi.ErrConnection once one of them is known dead, instead of
+	// waiting for its timeout. It applies to the next wait only.
+	AwaitFrom(from []int)
 	// PassiveSend sends a two-sided message to a logical rank.
 	PassiveSend(to int, data []byte) error
 	// PassiveReceive receives a two-sided message; the sender is returned
@@ -87,6 +92,8 @@ type Direct struct {
 	Group gaspi.GroupID
 	// Timeout bounds blocking calls (gaspi.Block by default).
 	Timeout time.Duration
+
+	from []gaspi.Rank // the next wait's sources (AwaitFrom)
 }
 
 var _ Comm = (*Direct)(nil)
@@ -124,9 +131,19 @@ func (d *Direct) WriteNotifyFrom(to int, seg gaspi.SegmentID, off int64, data []
 // WaitQueue implements Comm.
 func (d *Direct) WaitQueue(q gaspi.QueueID) error { return d.P.WaitQueue(q, d.timeout()) }
 
+// AwaitFrom implements Comm.
+func (d *Direct) AwaitFrom(from []int) {
+	d.from = d.from[:0]
+	for _, l := range from {
+		d.from = append(d.from, d.Base+gaspi.Rank(l))
+	}
+}
+
 // NotifyWaitsome implements Comm.
 func (d *Direct) NotifyWaitsome(seg gaspi.SegmentID, begin gaspi.NotificationID, num int) (gaspi.NotificationID, error) {
-	return d.P.NotifyWaitsome(seg, begin, num, d.timeout())
+	from := d.from
+	d.from = d.from[:0]
+	return d.P.NotifyWaitsomeFrom(seg, begin, num, from, d.timeout())
 }
 
 // PassiveSend implements Comm.

@@ -59,10 +59,9 @@ type mulTask struct {
 type Split struct {
 	plan *Plan
 
-	haloN      int     // len(plan.HaloCols)
-	sendOff    []int64 // per SendTo partner: element offset of its staging slot
-	segElems   int     // halo segment length in float64 elements
-	expectFrom []bool  // producer rank → this process receives from it
+	haloN    int     // len(plan.HaloCols)
+	sendOff  []int64 // per SendTo partner: element offset of its staging slot
+	segElems int     // halo segment length in float64 elements
 
 	// Written by the cut; on a pending Split read only after pending.done.
 	local, remote splitCSR
@@ -87,10 +86,6 @@ func layOut(plan *Plan) *Split {
 		off += len(plan.SendTo[i].LocalIdx)
 	}
 	s.segElems = off
-	s.expectFrom = make([]bool, plan.Workers)
-	for i := range plan.RecvFrom {
-		s.expectFrom[plan.RecvFrom[i].From] = true
-	}
 	return s
 }
 
@@ -220,10 +215,11 @@ type Engine struct {
 	segBytes []byte    // raw registered segment memory
 	segF     []float64 // float64 view of segBytes
 
-	// collectHalo bookkeeping: producer rank → generation of the last
-	// accepted notification. Bumping gen replaces the per-call reset loop.
-	recvGen []int64
-	gen     int64
+	// collectHalo bookkeeping: lack holds the producers whose halo this
+	// iteration still lacks, lackAt[producer] its index there (-1: not
+	// lacking, or no producer of this rank).
+	lack   []int
+	lackAt []int
 
 	// cut is the pending Split's Cut until this engine has seen it land, nil
 	// otherwise: SpMV's one test before it touches local/remote.
@@ -279,7 +275,11 @@ func (s *Split) Bind(c Comm, seg gaspi.SegmentID) (*Engine, error) {
 		return nil, err
 	}
 	e.segBytes = raw
-	e.recvGen = make([]int64, workers)
+	book := make([]int, workers+len(s.plan.RecvFrom))
+	e.lackAt, e.lack = book[:workers], book[workers:workers]
+	for i := range e.lackAt {
+		e.lackAt[i] = -1
+	}
 	return e, nil
 }
 
@@ -393,22 +393,23 @@ func (e *Engine) joinCut() error {
 
 // collectHalo waits until every producer's notification for this iteration
 // has fired. Stale tags (from an earlier epoch) are discarded, as happens
-// when a zombie's writes arrive after a recovery. Producer slots are
-// checked through the precomputed expectFrom table; the generation counter
-// replaces any per-call reset of the seen-set.
+// when a zombie's writes arrive after a recovery. Every wait names the
+// producers still lacking (Comm.AwaitFrom), so a dead one fails it at once
+// instead of leaving it to a timeout; lackAt makes each arrival an O(1)
+// removal.
 //
 //ftlint:hotpath
 func (e *Engine) collectHalo(parity int, want int64) error {
-	remaining := len(e.plan.RecvFrom)
-	if remaining == 0 {
-		return nil
+	lack := e.lack[:0]
+	for _, r := range e.plan.RecvFrom {
+		e.lackAt[r.From] = len(lack)
+		lack = append(lack, r.From)
 	}
-	e.gen++
-	gen := e.gen
 	w := e.plan.Workers
 	begin := gaspi.NotificationID(parity * w)
 	p := e.comm.Proc()
-	for remaining > 0 {
+	for len(lack) > 0 {
+		e.comm.AwaitFrom(lack)
 		id, err := e.comm.NotifyWaitsome(e.seg, begin, w)
 		if err != nil {
 			return err
@@ -421,9 +422,14 @@ func (e *Engine) collectHalo(parity int, want int64) error {
 			continue // raced reset, or stale epoch/iteration: discard
 		}
 		idx := int(id) - parity*w
-		if idx >= 0 && idx < w && e.expectFrom[idx] && e.recvGen[idx] != gen {
-			e.recvGen[idx] = gen
-			remaining--
+		if idx < 0 || idx >= w {
+			continue
+		}
+		if i := e.lackAt[idx]; i >= 0 {
+			last := lack[len(lack)-1]
+			lack[i], e.lackAt[last] = last, i
+			lack = lack[:len(lack)-1]
+			e.lackAt[idx] = -1
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package spmvm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -587,6 +588,64 @@ func TestStaleEpochNotificationDiscarded(t *testing.T) {
 		}
 		return c.Barrier()
 	})
+}
+
+// enteredComm closes entered when the halo wait is first entered.
+type enteredComm struct {
+	Comm
+	entered chan struct{}
+	once    sync.Once
+}
+
+func (c *enteredComm) NotifyWaitsome(seg gaspi.SegmentID, begin gaspi.NotificationID, num int) (gaspi.NotificationID, error) {
+	c.once.Do(func() { close(c.entered) })
+	return c.Comm.NotifyWaitsome(seg, begin, num)
+}
+
+// TestHaloWaitFailsOnDeadProducer: the halo wait names the producers it
+// still lacks, so a producer that dies — killed on a live node, its
+// connection reset — after every post to it has landed fails the wait at
+// once, even with timeout=Block, where an unnamed wait would never end.
+// Worker 1 waits on workers 0 and 2; worker 2 exits once worker 1 waits.
+func TestHaloWaitFailsOnDeadProducer(t *testing.T) {
+	gen := matrix.Laplacian1D{N: 12}
+	entered := make(chan struct{})
+	res := workerResults(t, 3, func(c Comm) error {
+		lo, hi := matrix.BlockRange(gen.Dim(), 3, c.Logical())
+		blk := Generate(gen, lo, hi)
+		plan, err := Preprocess(c, blk)
+		if err != nil {
+			return err
+		}
+		if c.Logical() == 1 {
+			c = &enteredComm{Comm: c, entered: entered}
+		}
+		eng, err := NewEngine(c, plan, blk, 7)
+		if err != nil {
+			return err
+		}
+		if c.Logical() == 2 {
+			<-entered
+			c.Proc().Exit(-1)
+		}
+		x, y := make([]float64, hi-lo), make([]float64, hi-lo)
+		err = eng.SpMV(x, y, 0)
+		if c.Logical() == 1 {
+			if !errors.Is(err, gaspi.ErrConnection) || !errors.Is(err, gaspi.ErrReset) {
+				return fmt.Errorf("halo wait on a dead producer returned %v, want ErrConnection and ErrReset", err)
+			}
+			return nil
+		}
+		return err
+	})
+	for _, r := range res[:2] {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	if d := res[2].Death; d == nil || !d.Exited {
+		t.Fatalf("rank 2: %+v, want its exit", d)
+	}
 }
 
 func TestPlanBytesIdenticalAcrossEncodes(t *testing.T) {

@@ -89,6 +89,16 @@ const (
 	KFTProbePings    = "ft.probe.pings"
 	KFTProbeNacks    = "ft.probe.nacks"
 
+	// How each acknowledged failure wait of a worker began (ft.Worker.retry),
+	// one count per wait: it failed on a dead source whose connection reset
+	// had arrived (the witness), on a NACK or another post error, on an
+	// expired slice followed by a successor probe, or on none of these —
+	// the acknowledgment reached it first.
+	KFTDetectReset = "ft.detect.reset"
+	KFTDetectNack  = "ft.detect.nack"
+	KFTDetectProbe = "ft.detect.probe"
+	KFTDetectAcked = "ft.detect.acked"
+
 	// Hot shadow ranks (internal/ft standby mirror + failover takeover).
 	KFTShadowAppliedFrames = "ft.shadow.applied_frames"
 	KFTShadowFailovers     = "ft.shadow.failovers"
